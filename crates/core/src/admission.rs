@@ -50,7 +50,7 @@ struct AdmState {
 }
 
 /// The per-server admission gate: the shared [`MemoryPool`] plus the
-/// running/queued bookkeeping. One per [`crate::server::PermServer`],
+/// running/queued bookkeeping. One per [`crate::PermServer`],
 /// shared (via `Arc`) by every session and live stream.
 #[derive(Debug, Default)]
 pub struct ResourceGovernor {

@@ -10,10 +10,9 @@
 use perm_algebra::{deparse, plan_tree, plan_tree_with_schema};
 use perm_types::Result;
 
-use crate::db::PermDb;
 use crate::pipeline::StageTrace;
 use crate::result::QueryResult;
-use crate::server::Session;
+use crate::session::Session;
 
 /// The five Figure 4 panels.
 #[derive(Debug, Clone)]
@@ -31,15 +30,10 @@ pub struct BrowserPanels {
 }
 
 impl BrowserPanels {
-    /// Execute `sql` and capture all five panels.
-    pub fn capture(db: &mut PermDb, sql: &str) -> Result<BrowserPanels> {
-        BrowserPanels::capture_on(db.session(), sql)
-    }
-
-    /// Capture the five panels through a server-API [`Session`] (so one
+    /// Execute `sql` through `session` and capture all five panels (one
     /// browser per session can run against a shared catalog).
-    pub fn capture_on(session: &Session, sql: &str) -> Result<BrowserPanels> {
-        let trace = StageTrace::run_on(session, sql)?;
+    pub fn capture(session: &Session, sql: &str) -> Result<BrowserPanels> {
+        let trace = StageTrace::run(session, sql)?;
         Ok(BrowserPanels {
             input: sql.to_string(),
             rewritten_sql: deparse(&trace.rewritten_plan),
@@ -76,9 +70,9 @@ mod tests {
         // ---+-----------------+----------------
         //  1 |               1 |               1
         //  2 |               2 |               2
-        let mut db = forum_db();
-        add_figure4_tables(&mut db);
-        let p = BrowserPanels::capture(&mut db, "SELECT PROVENANCE s.i FROM s JOIN r ON s.i = r.i")
+        let db = forum_db();
+        add_figure4_tables(&db);
+        let p = BrowserPanels::capture(&db, "SELECT PROVENANCE s.i FROM s JOIN r ON s.i = r.i")
             .unwrap();
         assert_eq!(
             p.results.columns,
@@ -98,8 +92,8 @@ mod tests {
 
     #[test]
     fn all_five_panels_are_populated() {
-        let mut db = forum_db();
-        let p = BrowserPanels::capture(&mut db, "SELECT PROVENANCE mid FROM messages").unwrap();
+        let db = forum_db();
+        let p = BrowserPanels::capture(&db, "SELECT PROVENANCE mid FROM messages").unwrap();
         assert!(
             p.rewritten_sql.contains("prov_public_messages_mid"),
             "{}",
@@ -118,8 +112,8 @@ mod tests {
     fn rewritten_sql_is_executable() {
         // Marker 2's point: the rewritten query is ordinary SQL. Running it
         // must reproduce the provenance result.
-        let mut db = forum_db();
-        let p = BrowserPanels::capture(&mut db, "SELECT PROVENANCE mid FROM messages").unwrap();
+        let db = forum_db();
+        let p = BrowserPanels::capture(&db, "SELECT PROVENANCE mid FROM messages").unwrap();
         let re_run = db.query(&p.rewritten_sql).unwrap();
         assert_eq!(re_run.row_count(), p.results.row_count());
         assert_eq!(re_run.rows, p.results.rows);

@@ -12,25 +12,15 @@
 
 use perm_types::Result;
 
-use crate::db::PermDb;
 use crate::result::StatementResult;
-use crate::server::Session;
+use crate::session::Session;
 
 /// Materialize the provenance of `query` into table `name`.
 ///
-/// Equivalent to executing `CREATE TABLE <name> AS SELECT PROVENANCE …`,
-/// returning the number of materialized rows.
+/// Equivalent to executing `CREATE TABLE <name> AS SELECT PROVENANCE …`
+/// (it takes the catalog write lock like any other DDL), returning the
+/// number of materialized rows.
 pub fn materialize_provenance(
-    db: &mut PermDb,
-    name: &str,
-    provenance_query: &str,
-) -> Result<usize> {
-    materialize_provenance_on(db.session(), name, provenance_query)
-}
-
-/// [`materialize_provenance`] through a server-API [`Session`]; the
-/// materialization takes the catalog write lock like any other DDL.
-pub fn materialize_provenance_on(
     session: &Session,
     name: &str,
     provenance_query: &str,
@@ -50,15 +40,12 @@ mod tests {
 
     #[test]
     fn eager_table_records_provenance_columns() {
-        let mut db = forum_db();
-        let n = materialize_provenance(
-            &mut db,
-            "msg_prov",
-            "SELECT PROVENANCE mid, text FROM messages",
-        )
-        .unwrap();
+        let db = forum_db();
+        let n =
+            materialize_provenance(&db, "msg_prov", "SELECT PROVENANCE mid, text FROM messages")
+                .unwrap();
         assert_eq!(n, 2);
-        let catalog = db.catalog();
+        let catalog = db.snapshot();
         let t = catalog.table("msg_prov").unwrap();
         assert_eq!(t.provenance_columns(), &[2, 3, 4]);
         for &c in t.provenance_columns() {
@@ -68,13 +55,9 @@ mod tests {
 
     #[test]
     fn provenance_query_over_eager_table_propagates_not_recomputes() {
-        let mut db = forum_db();
-        materialize_provenance(
-            &mut db,
-            "msg_prov",
-            "SELECT PROVENANCE mid, text FROM messages",
-        )
-        .unwrap();
+        let db = forum_db();
+        materialize_provenance(&db, "msg_prov", "SELECT PROVENANCE mid, text FROM messages")
+            .unwrap();
         // Lazy: recompute from the base table.
         let lazy = db
             .query("SELECT PROVENANCE mid, text FROM messages")
@@ -99,8 +82,8 @@ mod tests {
         // The materialized provenance is a snapshot: updating the base
         // table afterwards does not change it (that is the point of
         // storing it).
-        let mut db = forum_db();
-        materialize_provenance(&mut db, "p", "SELECT PROVENANCE mid FROM messages").unwrap();
+        let db = forum_db();
+        materialize_provenance(&db, "p", "SELECT PROVENANCE mid FROM messages").unwrap();
         db.execute("INSERT INTO messages VALUES (9, 'new', 1)")
             .unwrap();
         let stored = db.query("SELECT * FROM p").unwrap();
@@ -111,8 +94,8 @@ mod tests {
 
     #[test]
     fn plain_queries_over_eager_tables_see_all_columns() {
-        let mut db = forum_db();
-        materialize_provenance(&mut db, "p", "SELECT PROVENANCE mid FROM messages").unwrap();
+        let db = forum_db();
+        materialize_provenance(&db, "p", "SELECT PROVENANCE mid FROM messages").unwrap();
         // Without PROVENANCE, p behaves like any table: provenance columns
         // are ordinary, queryable columns (paper §2.4's "query provenance
         // information" requirement).

@@ -11,8 +11,9 @@
 
 use perm_types::Value;
 
-use crate::db::PermDb;
 use crate::result::QueryResult;
+use crate::server::PermServer;
+use crate::session::Session;
 
 /// q1 of Figure 1, verbatim.
 pub const Q1: &str = "SELECT mId, text FROM messages UNION SELECT mId, text FROM imports";
@@ -43,10 +44,10 @@ pub const SEC24_QUERY_PROVENANCE: &str = "SELECT text, prov_public_imports_origi
 /// we keep the exact structure with v1's real columns.)
 pub const SEC24_BASERELATION: &str = "SELECT PROVENANCE text FROM v1 BASERELATION WHERE mid > 3";
 
-/// Build the Figure 1 database: schema, rows and the view v1, exactly as
-/// printed in the paper.
-pub fn forum_db() -> PermDb {
-    let mut db = PermDb::new();
+/// Build the Figure 1 database — schema, rows and the view v1, exactly as
+/// printed in the paper — on a fresh server, and return a session on it.
+pub fn forum_db() -> Session {
+    let db = PermServer::new().session();
     db.run_script(
         "CREATE TABLE messages (mId int NOT NULL, text text, uId int);
          CREATE TABLE users (uId int NOT NULL, name text);
@@ -65,7 +66,7 @@ pub fn forum_db() -> PermDb {
 }
 
 /// Add the Figure 4 marker-5 tables `s(i)` and `r(i)` with rows 1 and 2.
-pub fn add_figure4_tables(db: &mut PermDb) {
+pub fn add_figure4_tables(db: &Session) {
     db.run_script(
         "CREATE TABLE s (i int);
          CREATE TABLE r (i int);
@@ -154,7 +155,7 @@ mod tests {
 
     #[test]
     fn forum_db_has_the_figure_1_rows() {
-        let mut db = forum_db();
+        let db = forum_db();
         assert_eq!(db.query("SELECT * FROM messages").unwrap().row_count(), 2);
         assert_eq!(db.query("SELECT * FROM users").unwrap().row_count(), 3);
         assert_eq!(db.query("SELECT * FROM imports").unwrap().row_count(), 2);
@@ -164,7 +165,7 @@ mod tests {
 
     #[test]
     fn q1_returns_all_four_messages() {
-        let mut db = forum_db();
+        let db = forum_db();
         let r = db.query(Q1).unwrap();
         assert_eq!(r.row_count(), 4);
     }
@@ -173,7 +174,7 @@ mod tests {
     fn q3_matches_the_paper_description() {
         // q3 outputs each approved message's text with its approval count;
         // message 1 (never approved) is absent.
-        let mut db = forum_db();
+        let db = forum_db();
         let r = db.query(&format!("{Q3} ORDER BY text")).unwrap();
         assert_eq!(r.row_count(), 2);
         assert_eq!(r.row(0), &[Value::Int(1), Value::text("hello ...")]);
@@ -182,8 +183,8 @@ mod tests {
 
     #[test]
     fn figure4_tables_load() {
-        let mut db = forum_db();
-        add_figure4_tables(&mut db);
+        let db = forum_db();
+        add_figure4_tables(&db);
         assert_eq!(db.query("SELECT * FROM s").unwrap().row_count(), 2);
     }
 }

@@ -9,16 +9,19 @@
 //!                 perm-algebra)
 //! ```
 //!
-//! # Two ways in
+//! # One way in
 //!
-//! **Embedded, single session** — [`db::PermDb`], the original API: one
-//! catalog, one session, materialized results. Good for tests, examples
-//! and scripts.
+//! SQL text goes through a [`Session`] on a [`PermServer`] — the shape
+//! the paper's Perm has inside PostgreSQL: one shared catalog, cheap
+//! cloneable session handles (`Send + Sync`, queries take `&self`),
+//! [`Prepared`] statements that cache the provenance-rewritten optimized
+//! plan across executions, and pull-based [`RowStream`] results that stop
+//! scanning when the consumer stops pulling.
 //!
 //! ```
 //! use perm_core::fixtures::forum_db;
 //!
-//! let mut db = forum_db(); // the paper's Figure 1 database
+//! let db = forum_db(); // a session on the paper's Figure 1 database
 //! let result = db
 //!     .query("SELECT PROVENANCE mId, text FROM messages")
 //!     .unwrap();
@@ -33,14 +36,6 @@
 //!     ]
 //! );
 //! ```
-//!
-//! **Server, many sessions** — [`server::PermServer`], the concurrent API
-//! mirroring how the paper's Perm lives inside PostgreSQL: one shared
-//! catalog, cheap cloneable [`server::Session`] handles (`Send + Sync`,
-//! queries take `&self`), [`server::Prepared`] statements that cache the
-//! provenance-rewritten optimized plan across executions, and pull-based
-//! [`result::RowStream`] results that stop scanning when the consumer
-//! stops pulling.
 //!
 //! ```
 //! use perm_core::PermServer;
@@ -73,18 +68,22 @@ pub mod eager;
 pub mod fixtures;
 pub mod options;
 pub mod pipeline;
+mod prepared;
 pub mod result;
 pub mod server;
+mod session;
 pub mod sqlgen;
+mod write;
 
 pub use admission::{AdmissionPermit, ResourceGovernor, ADMISSION_QUEUE_BOUND};
 pub use browser::BrowserPanels;
-pub use db::{CatalogCardinalities, PermDb};
 pub use eager::materialize_provenance;
 pub use options::{DurabilityOptions, SessionOptions, DEFAULT_CHECKPOINT_EVERY};
 pub use pipeline::{Stage, StageTrace};
+pub use prepared::Prepared;
 pub use result::{QueryResult, RowStream, StatementResult};
-pub use server::{PermServer, Prepared, Session};
+pub use server::PermServer;
+pub use session::Session;
 
 // Re-export the pieces users touch through the facade.
 pub use perm_exec::{MemoryPool, QueryMemory};

@@ -1,8 +1,8 @@
 //! Session options — the knobs the Perm-browser exposes (activate or
 //! deactivate rewrite strategies, choose contribution semantics).
 //!
-//! Options are *per session*: every [`crate::server::Session`] carries its
-//! own copy, so two sessions on the same [`crate::server::PermServer`] can
+//! Options are *per session*: every [`crate::Session`] carries its
+//! own copy, so two sessions on the same [`crate::PermServer`] can
 //! run the same query under different contribution semantics or rewrite
 //! strategies concurrently. `SessionOptions` is `Copy`, which is what
 //! makes session handles cheap to clone and hand across threads.
@@ -10,7 +10,7 @@
 use perm_rewrite::{ContributionSemantics, RewriteOptions, StrategyMode, UnionStrategy};
 use perm_storage::FsyncPolicy;
 
-/// Configuration of a durable server ([`crate::server::PermServer::open_with`]):
+/// Configuration of a durable server ([`crate::PermServer::open_with`]):
 /// fsync policy, checkpoint cadence and fault injection. Unlike
 /// [`SessionOptions`] this is per *server*, not per session, and is not
 /// `Copy` (it carries the failpoint spec string).
@@ -22,7 +22,7 @@ pub struct DurabilityOptions {
     pub fsync: FsyncPolicy,
     /// Checkpoint the catalog after this many WAL records since the last
     /// checkpoint (`0` disables automatic checkpoints; explicit
-    /// [`crate::server::PermServer::checkpoint`] still works).
+    /// [`crate::PermServer::checkpoint`] still works).
     pub checkpoint_every: u64,
     /// Deterministic fault-injection spec (same grammar as the
     /// `PERM_FAILPOINTS` environment variable, which is used when this is

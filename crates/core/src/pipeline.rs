@@ -11,13 +11,12 @@
 //! (cost-based operator selection), each with its own artifact.
 
 use perm_algebra::{deparse, plan_tree, plan_tree_with_schema, LogicalPlan};
-use perm_exec::{optimize_with, physical_tree, plan_physical, PhysicalPlan};
+use perm_exec::{physical_tree, PhysicalPlan};
 use perm_sql::{parse_statement, Query, QueryBody, Select, Statement, TableRef};
 use perm_types::{PermError, Result};
 
-use crate::db::PermDb;
 use crate::result::QueryResult;
-use crate::server::Session;
+use crate::session::{Admission, Session};
 
 /// One pipeline stage with a human-readable artifact.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,22 +50,13 @@ pub struct StageTrace {
 }
 
 impl StageTrace {
-    /// Run `sql` through the pipeline, capturing every stage.
-    pub fn run(db: &mut PermDb, sql: &str) -> Result<StageTrace> {
-        StageTrace::run_on(db.session(), sql)
-    }
-
-    /// Run `sql` through the pipeline of `session`, capturing every stage
-    /// (the server-API equivalent of [`StageTrace::run`]).
-    pub fn run_on(session: &Session, sql: &str) -> Result<StageTrace> {
+    /// Run `sql` through the pipeline of `session`, capturing every stage.
+    pub fn run(session: &Session, sql: &str) -> Result<StageTrace> {
         let stmt = parse_statement(sql)?;
-        let query = match &stmt {
-            Statement::Query(q) => q.clone(),
-            _ => {
-                return Err(PermError::Analysis(
-                    "stage traces are recorded for queries only".into(),
-                ))
-            }
+        let Statement::Query(query) = &stmt else {
+            return Err(PermError::Analysis(
+                "stage traces are recorded for queries only".into(),
+            ));
         };
 
         // One snapshot for the whole trace: every stage (both binds and
@@ -74,31 +64,24 @@ impl StageTrace {
         let snapshot = session.snapshot();
 
         // Stage 1 artifact: the original (provenance-free) analyzed plan.
-        let stripped = strip_provenance_query(&query);
-        let original_plan = session.bind_sql_on(&snapshot, &render_back(&stripped))?;
+        let stripped = Statement::Query(strip_provenance_query(query));
+        let original_plan = session.bind_query(&snapshot, &stripped)?;
 
         // Stage 2: analyze *with* the rewriter attached.
-        let rewritten_plan = session.bind_sql_on(&snapshot, sql)?;
+        let rewritten_plan = session.bind_query(&snapshot, &stmt)?;
 
-        // Stage 3: optimize (logical pass, fed by catalog statistics).
-        let optimized_plan = optimize_with(
-            rewritten_plan.clone(),
-            &crate::db::CatalogCardinalities(&snapshot),
-        );
-
-        // Stage 4: physical planning (operator selection).
-        let physical_plan = plan_physical(&snapshot, &optimized_plan);
-
-        // Stage 5: execute.
-        let (schema, rows) = session.run_plan_on(snapshot, rewritten_plan.clone())?;
-        let result = QueryResult::new(&schema, rows);
+        // Stages 3–5: the session's own plan-and-run path, so the trace
+        // shows the plans that actually executed.
+        let planned = session.plan(&snapshot, rewritten_plan.clone())?;
+        let rows = session.run(snapshot, &planned, Admission::Queue)?;
+        let result = QueryResult::new(planned.schema(), rows);
 
         Ok(StageTrace {
             sql: sql.to_string(),
             original_plan,
             rewritten_plan,
-            optimized_plan,
-            physical_plan,
+            optimized_plan: planned.optimized,
+            physical_plan: planned.physical,
             result,
         })
     }
@@ -193,25 +176,16 @@ fn strip_table_ref(t: &mut TableRef) {
     }
 }
 
-/// Re-render a stripped query to SQL so it can go through `bind_sql`.
-///
-/// We keep this minimal: the parser's AST has no renderer, so we rebuild a
-/// statement and round-trip it through the binder by deparsing the *bound*
-/// plan instead. To avoid that complexity, the stripped query is wrapped
-/// back into a `Statement` and printed via a tiny AST serializer below.
-fn render_back(q: &Query) -> String {
-    crate::sqlgen::query_to_sql(q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::forum_db;
+    use crate::options::SessionOptions;
 
     #[test]
     fn trace_has_figure_3_stages_plus_physical_planner() {
-        let mut db = forum_db();
-        let trace = StageTrace::run(&mut db, "SELECT PROVENANCE mid FROM messages").unwrap();
+        let db = forum_db();
+        let trace = StageTrace::run(&db, "SELECT PROVENANCE mid FROM messages").unwrap();
         let stages = trace.stages();
         assert_eq!(
             stages.iter().map(|s| s.name).collect::<Vec<_>>(),
@@ -232,30 +206,44 @@ mod tests {
     }
 
     #[test]
+    fn trace_shows_the_plan_that_ran() {
+        // The displayed physical plan is lowered under the session's
+        // options (not the planner defaults): with columnar execution off
+        // it equals what `prepare` builds and carries no batch stamp.
+        let session = forum_db().with_options(SessionOptions::default().with_columnar(false));
+        let sql = "SELECT PROVENANCE mid, text FROM messages WHERE mid > 1";
+        let trace = StageTrace::run(&session, sql).unwrap();
+        let shown = physical_tree(&trace.physical_plan);
+        let prepared = session.prepare(sql).unwrap();
+        assert_eq!(shown, physical_tree(prepared.physical_plan()));
+        assert!(!shown.contains("[batch"), "{shown}");
+    }
+
+    #[test]
     fn original_plan_is_provenance_free() {
-        let mut db = forum_db();
-        let trace = StageTrace::run(&mut db, "SELECT PROVENANCE mid FROM messages").unwrap();
+        let db = forum_db();
+        let trace = StageTrace::run(&db, "SELECT PROVENANCE mid FROM messages").unwrap();
         assert_eq!(trace.original_plan.arity(), 1, "just `mid`");
         assert_eq!(trace.rewritten_plan.arity(), 4, "mid + 3 provenance attrs");
     }
 
     #[test]
     fn non_provenance_queries_trace_identically() {
-        let mut db = forum_db();
-        let trace = StageTrace::run(&mut db, "SELECT mid FROM messages").unwrap();
+        let db = forum_db();
+        let trace = StageTrace::run(&db, "SELECT mid FROM messages").unwrap();
         assert_eq!(trace.original_plan, trace.rewritten_plan);
     }
 
     #[test]
     fn ddl_is_rejected() {
-        let mut db = forum_db();
-        assert!(StageTrace::run(&mut db, "CREATE TABLE z (x int)").is_err());
+        let db = forum_db();
+        assert!(StageTrace::run(&db, "CREATE TABLE z (x int)").is_err());
     }
 
     #[test]
     fn rendered_trace_mentions_every_stage() {
-        let mut db = forum_db();
-        let trace = StageTrace::run(&mut db, "SELECT PROVENANCE mid FROM messages").unwrap();
+        let db = forum_db();
+        let trace = StageTrace::run(&db, "SELECT PROVENANCE mid FROM messages").unwrap();
         let text = trace.render();
         assert!(text.contains("Provenance Rewriter"), "{text}");
         assert!(text.contains("prov_public_messages_mid"), "{text}");

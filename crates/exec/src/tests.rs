@@ -181,7 +181,7 @@ fn is_null_and_coalesce() {
 }
 
 /// Helper: apply a DDL/DML statement to the catalog (mirrors what the core
-/// crate's PermDb does; kept local so exec tests stay self-contained).
+/// crate's write path does; kept local so exec tests stay self-contained).
 fn run_stmt(cat: &mut Catalog, sql: &str) {
     let stmt = parse_statement(sql).unwrap();
     let adapter = CatalogAdapter(cat);

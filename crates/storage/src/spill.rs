@@ -396,6 +396,9 @@ mod tests {
 
     #[test]
     fn rows_round_trip_exactly_in_order() {
+        // Reads spill records: must not overlap the tests below that
+        // install `spill.read` failpoints (process-global state).
+        let _g = crate::failpoint::test_guard();
         let mut w = SpillWriter::create().unwrap();
         let rows = sample_rows();
         for (i, r) in rows.iter().enumerate() {
@@ -439,6 +442,7 @@ mod tests {
 
     #[test]
     fn partitions_scatter_and_read_back() {
+        let _g = crate::failpoint::test_guard();
         let mut parts = SpillPartitions::create(3).unwrap();
         for i in 0..10u64 {
             let row = Tuple::new(vec![Value::Int(i as i64)]);

@@ -13,7 +13,7 @@ use perm_core::fixtures::forum_db;
 use perm_core::{Result, Value};
 
 fn main() -> Result<()> {
-    let mut db = forum_db();
+    let db = forum_db();
 
     // A few more imports and approvals so the report is interesting.
     db.run_script(

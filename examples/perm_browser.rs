@@ -12,8 +12,7 @@ use std::io::{self, BufRead, Write};
 
 use perm_core::fixtures::{add_figure4_tables, forum_db, Q1, SEC24_PROVENANCE_AGG};
 use perm_core::{
-    BrowserPanels, ContributionSemantics, CopyMode, PermDb, SessionOptions, StrategyMode,
-    UnionStrategy,
+    BrowserPanels, ContributionSemantics, CopyMode, Session, StrategyMode, UnionStrategy,
 };
 
 const HELP: &str = "\
@@ -30,18 +29,17 @@ anything else is executed as SQL / SQL-PLE.";
 
 fn main() {
     let mut db = forum_db();
-    add_figure4_tables(&mut db);
+    add_figure4_tables(&db);
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--demo") {
-        demo_tour(&mut db);
+        demo_tour(&db);
         return;
     }
 
     println!("Perm browser — the Figure 1 forum database is loaded.");
     println!("{HELP}\n");
     let stdin = io::stdin();
-    let mut options = SessionOptions::default();
     loop {
         print!("perm> ");
         io::stdout().flush().ok();
@@ -59,24 +57,24 @@ fn main() {
             continue;
         }
         if let Some(cmd) = input.strip_prefix('\\') {
-            if !handle_command(cmd, &mut db, &mut options) {
+            if !handle_command(cmd, &mut db) {
                 break;
             }
             continue;
         }
-        run_query(&mut db, input);
+        run_query(&db, input);
     }
 }
 
 /// Returns false on \quit.
-fn handle_command(cmd: &str, db: &mut PermDb, options: &mut SessionOptions) -> bool {
+fn handle_command(cmd: &str, db: &mut Session) -> bool {
     let mut parts = cmd.split_whitespace();
     match parts.next().unwrap_or("") {
         "help" => println!("{HELP}"),
         "quit" | "q" => return false,
         "demo" => demo_tour(db),
         "tables" => {
-            for name in db.catalog().relation_names() {
+            for name in db.snapshot().relation_names() {
                 println!("  {name}");
             }
         }
@@ -91,8 +89,7 @@ fn handle_command(cmd: &str, db: &mut PermDb, options: &mut SessionOptions) -> b
                     return true;
                 }
             };
-            *options = options.with_default_semantics(sem);
-            db.set_options(*options);
+            db.set_options(db.options().with_default_semantics(sem));
             println!("default contribution semantics set");
         }
         "strategy" => {
@@ -106,8 +103,7 @@ fn handle_command(cmd: &str, db: &mut PermDb, options: &mut SessionOptions) -> b
                     return true;
                 }
             };
-            *options = options.with_union_strategy(mode);
-            db.set_options(*options);
+            db.set_options(db.options().with_union_strategy(mode));
             println!("union rewrite strategy set");
         }
         other => println!("unknown command \\{other}; see \\help"),
@@ -115,7 +111,7 @@ fn handle_command(cmd: &str, db: &mut PermDb, options: &mut SessionOptions) -> b
     true
 }
 
-fn run_query(db: &mut PermDb, sql: &str) {
+fn run_query(db: &Session, sql: &str) {
     // Non-query statements (DDL/DML/EXPLAIN) execute directly; queries
     // get the full five-panel treatment.
     let is_query = sql.trim_start().to_ascii_lowercase().starts_with("select")
@@ -136,7 +132,7 @@ fn run_query(db: &mut PermDb, sql: &str) {
 
 /// The scripted version of the paper's demonstration (§3): query
 /// execution, rewrite analysis, complex queries.
-fn demo_tour(db: &mut PermDb) {
+fn demo_tour(db: &Session) {
     let queries = [
         ("q1 of Figure 1", Q1.to_string()),
         (

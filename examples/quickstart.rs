@@ -8,7 +8,7 @@ use perm_core::fixtures::{forum_db, Q1};
 fn main() -> perm_core::Result<()> {
     // The demo paper's online-forum database: messages, users, imports,
     // approved, plus the view v1 (q2).
-    let mut db = forum_db();
+    let db = forum_db();
 
     // q1: all messages, entered locally or imported from other forums.
     println!("q1: {Q1}\n");

@@ -11,10 +11,10 @@
 //!
 //! Run with: `cargo run --example warehouse_lineage`
 
-use perm_core::{materialize_provenance, PermDb, Result, Value};
+use perm_core::{materialize_provenance, PermServer, Result, Value};
 
 fn main() -> Result<()> {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
 
     // The star schema: sales facts, product and region dimensions.
     db.run_script(
@@ -37,7 +37,7 @@ fn main() -> Result<()> {
 
     // The quarterly report, materialized *with provenance* (eager).
     let rows = materialize_provenance(
-        &mut db,
+        &db,
         "report",
         "SELECT PROVENANCE p.category, r.name, sum(s.amount) \
          FROM sales s JOIN products p ON s.pid = p.pid \
@@ -74,7 +74,7 @@ fn main() -> Result<()> {
              FROM sales;",
     )?;
     materialize_provenance(
-        &mut db,
+        &db,
         "report",
         "SELECT PROVENANCE p.category, r.name, sum(s.amount) \
          FROM fixed_sales s JOIN products p ON s.pid = p.pid \

@@ -5,9 +5,8 @@
 //! crates so applications can depend on one name:
 //!
 //! * [`core`] ([`perm_core`]) — the engine facade: the concurrent
-//!   `PermServer` / `Session` / `Prepared` API and the single-session
-//!   `PermDb` shim, both driving parse → analyze → provenance-rewrite →
-//!   plan → execute;
+//!   `PermServer` / `Session` / `Prepared` API driving parse → analyze →
+//!   provenance-rewrite → plan → execute;
 //! * [`sql`] ([`perm_sql`]) — SQL + SQL-PLE parser;
 //! * [`algebra`] ([`perm_algebra`]) — logical plans, binder, deparser;
 //! * [`rewrite`] ([`perm_rewrite`]) — the provenance rewrite rules;
@@ -18,13 +17,13 @@
 //! ```
 //! use perm::core::fixtures::forum_db;
 //!
-//! let mut db = forum_db();
+//! let db = forum_db(); // a session on the paper's Figure 1 database
 //! let rows = db.query("SELECT PROVENANCE text FROM messages WHERE mid = 4").unwrap();
 //! assert_eq!(rows.columns[1], "prov_public_messages_mid");
 //! ```
 //!
-//! For concurrent embedding — many sessions over one catalog, prepared
-//! statements, streaming results — start from [`PermServer`]:
+//! Many sessions over one catalog, prepared statements and streaming
+//! results start from [`PermServer`]:
 //!
 //! ```
 //! use perm::PermServer;
@@ -46,7 +45,7 @@ pub use perm_types as types;
 
 // The most common entry points, at the top level.
 pub use perm_core::{
-    BrowserPanels, ContributionSemantics, PermDb, PermServer, Prepared, QueryResult, RowStream,
-    Session, SessionOptions, StageTrace, StatementResult,
+    BrowserPanels, ContributionSemantics, PermServer, Prepared, QueryResult, RowStream, Session,
+    SessionOptions, StageTrace, StatementResult,
 };
 pub use perm_types::{PermError, Result, Tuple, Value};

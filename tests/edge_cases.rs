@@ -3,7 +3,7 @@
 //! clean errors rather than panics.
 
 use perm_core::fixtures::forum_db;
-use perm_core::{PermDb, Value};
+use perm_core::{PermServer, Value};
 
 // ----------------------------------------------------------------------
 // Empty inputs
@@ -11,7 +11,7 @@ use perm_core::{PermDb, Value};
 
 #[test]
 fn provenance_of_empty_table() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.execute("CREATE TABLE empty (x int, y text)").unwrap();
     let r = db.query("SELECT PROVENANCE x, y FROM empty").unwrap();
     assert_eq!(r.columns.len(), 4);
@@ -22,7 +22,7 @@ fn provenance_of_empty_table() {
 fn provenance_of_global_aggregate_over_empty_table() {
     // count(*) over empty input yields one row with zero; the outer
     // join-back pads its provenance with NULLs.
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.execute("CREATE TABLE empty (x int)").unwrap();
     let r = db.query("SELECT PROVENANCE count(*) FROM empty").unwrap();
     assert_eq!(r.row_count(), 1);
@@ -34,7 +34,7 @@ fn provenance_of_global_aggregate_over_empty_table() {
 fn provenance_of_constant_query_has_no_attributes() {
     // A query touching no base relation has an empty provenance attribute
     // list P — the result is just the original result.
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db.query("SELECT PROVENANCE 1 + 1 AS two").unwrap();
     assert_eq!(r.columns, vec!["two"]);
     assert_eq!(r.row(0), &[Value::Int(2)]);
@@ -42,7 +42,7 @@ fn provenance_of_constant_query_has_no_attributes() {
 
 #[test]
 fn empty_union_branches() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.run_script("CREATE TABLE a (x int); CREATE TABLE b (x int);")
         .unwrap();
     db.execute("INSERT INTO a VALUES (1)").unwrap();
@@ -62,7 +62,7 @@ fn empty_union_branches() {
 fn group_by_null_groups_get_provenance_via_null_safe_join() {
     // The join-back uses IS NOT DISTINCT FROM precisely so NULL groups
     // find their witnesses.
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.run_script(
         "CREATE TABLE t (k int, v int);
          INSERT INTO t VALUES (NULL, 1), (NULL, 2), (7, 3);",
@@ -83,7 +83,7 @@ fn group_by_null_groups_get_provenance_via_null_safe_join() {
 
 #[test]
 fn all_null_rows_roundtrip_through_provenance() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.run_script(
         "CREATE TABLE n (a int, b text);
          INSERT INTO n VALUES (NULL, NULL), (NULL, NULL);",
@@ -96,7 +96,7 @@ fn all_null_rows_roundtrip_through_provenance() {
 
 #[test]
 fn union_distinct_collapses_null_tuples() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.run_script(
         "CREATE TABLE a (x int); CREATE TABLE b (x int);
          INSERT INTO a VALUES (NULL); INSERT INTO b VALUES (NULL);",
@@ -112,7 +112,7 @@ fn union_distinct_collapses_null_tuples() {
 
 #[test]
 fn deeply_nested_views_unfold() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.execute("CREATE TABLE base (x int)").unwrap();
     db.execute("INSERT INTO base VALUES (1), (2)").unwrap();
     db.execute("CREATE VIEW v0 AS SELECT x FROM base").unwrap();
@@ -127,7 +127,7 @@ fn deeply_nested_views_unfold() {
 
 #[test]
 fn deeply_nested_subqueries() {
-    let mut db = forum_db();
+    let db = forum_db();
     let mut sql = "SELECT mid FROM messages".to_string();
     for i in 0..15 {
         sql = format!("SELECT mid FROM ({sql}) s{i}");
@@ -139,7 +139,7 @@ fn deeply_nested_subqueries() {
 #[test]
 fn provenance_inside_provenance_inside_sql() {
     // Nested SELECT PROVENANCE at two levels.
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db
         .query(
             "SELECT PROVENANCE * FROM \
@@ -158,7 +158,7 @@ fn provenance_inside_provenance_inside_sql() {
 
 #[test]
 fn hostile_inputs_error_cleanly() {
-    let mut db = forum_db();
+    let db = forum_db();
     for sql in [
         "",                                                // empty
         ";;;",                                             // just separators (script-only)
@@ -183,7 +183,7 @@ fn hostile_inputs_error_cleanly() {
 
 #[test]
 fn self_referencing_view_is_impossible_to_create() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     // The definition is validated at CREATE VIEW time, when `v` does not
     // exist yet.
     let err = db.execute("CREATE VIEW v AS SELECT x FROM v").unwrap_err();
@@ -192,7 +192,7 @@ fn self_referencing_view_is_impossible_to_create() {
 
 #[test]
 fn limit_zero_and_large_offset() {
-    let mut db = forum_db();
+    let db = forum_db();
     assert!(db
         .query("SELECT mid FROM messages LIMIT 0")
         .unwrap()
@@ -207,7 +207,7 @@ fn limit_zero_and_large_offset() {
 fn duplicate_output_names_are_allowed() {
     // SQL permits duplicate output column names; they become ambiguous
     // only when referenced from an enclosing query.
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db.query("SELECT mid, mid FROM messages").unwrap();
     assert_eq!(r.columns, vec!["mid", "mid"]);
     let err = db
@@ -219,7 +219,7 @@ fn duplicate_output_names_are_allowed() {
 #[test]
 fn wide_provenance_schema_from_many_joins() {
     // Six-way self-join: 3 original + 6 relations × 3 attrs = 21 columns.
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db
         .query(
             "SELECT PROVENANCE m1.mid, m1.text, m1.uid FROM messages m1 \
@@ -249,7 +249,7 @@ fn wide_provenance_schema_from_many_joins() {
 
 #[test]
 fn type_errors_are_analysis_time_not_runtime() {
-    let mut db = forum_db();
+    let db = forum_db();
     for sql in [
         "SELECT mid + text FROM messages",
         "SELECT * FROM messages WHERE text",
@@ -264,7 +264,7 @@ fn type_errors_are_analysis_time_not_runtime() {
 
 #[test]
 fn insert_type_and_null_violations() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.execute("CREATE TABLE t (a int NOT NULL, b int)")
         .unwrap();
     assert!(db.execute("INSERT INTO t VALUES (NULL, 1)").is_err());
@@ -279,7 +279,7 @@ fn insert_type_and_null_violations() {
 
 #[test]
 fn identifier_case_and_quoting_behaviour() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.execute("CREATE TABLE MixedCase (SomeCol int)").unwrap();
     // Unquoted identifiers fold to lower case everywhere.
     db.execute("INSERT INTO mixedcase VALUES (1)").unwrap();
@@ -289,7 +289,7 @@ fn identifier_case_and_quoting_behaviour() {
 
 #[test]
 fn text_values_with_quotes_and_unicode() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.execute("CREATE TABLE t (s text)").unwrap();
     db.execute("INSERT INTO t VALUES ('it''s'), ('naïve — ☃')")
         .unwrap();
@@ -298,9 +298,8 @@ fn text_values_with_quotes_and_unicode() {
         .unwrap();
     assert_eq!(r.row(0)[0], Value::text("naïve — ☃"));
     // The deparsed rewritten SQL survives the quotes too.
-    let p =
-        perm_core::BrowserPanels::capture(&mut db, "SELECT PROVENANCE s FROM t WHERE s = 'it''s'")
-            .unwrap();
+    let p = perm_core::BrowserPanels::capture(&db, "SELECT PROVENANCE s FROM t WHERE s = 'it''s'")
+        .unwrap();
     let re = db.query(&p.rewritten_sql).unwrap();
     assert_eq!(re.rows, p.results.rows);
 }

@@ -3,8 +3,8 @@
 
 use perm_core::fixtures::{forum_db, Q1};
 use perm_core::{
-    materialize_provenance, PermDb, SessionOptions, StatementResult, StrategyMode, UnionStrategy,
-    Value,
+    materialize_provenance, PermServer, Session, SessionOptions, StatementResult, StrategyMode,
+    UnionStrategy, Value,
 };
 
 // ----------------------------------------------------------------------
@@ -14,7 +14,7 @@ use perm_core::{
 #[test]
 fn demo_walkthrough() {
     // Part 1: query execution on the example database.
-    let mut db = forum_db();
+    let db = forum_db();
     let q1 = db.query(Q1).unwrap();
     assert_eq!(q1.row_count(), 4);
 
@@ -46,16 +46,11 @@ fn demo_walkthrough() {
 
 #[test]
 fn lazy_and_eager_agree() {
-    let mut db = forum_db();
+    let db = forum_db();
     let lazy = db
         .query("SELECT PROVENANCE mid, text FROM messages")
         .unwrap();
-    materialize_provenance(
-        &mut db,
-        "stored",
-        "SELECT PROVENANCE mid, text FROM messages",
-    )
-    .unwrap();
+    materialize_provenance(&db, "stored", "SELECT PROVENANCE mid, text FROM messages").unwrap();
     let eager = db.query("SELECT * FROM stored").unwrap();
     assert_eq!(lazy.columns, eager.columns);
     let norm = |r: &perm_core::QueryResult| {
@@ -68,9 +63,9 @@ fn lazy_and_eager_agree() {
 
 #[test]
 fn eager_table_supports_further_provenance_queries() {
-    let mut db = forum_db();
+    let db = forum_db();
     materialize_provenance(
-        &mut db,
+        &db,
         "q1_prov",
         &format!("SELECT PROVENANCE * FROM ({Q1}) q1"),
     )
@@ -92,7 +87,7 @@ fn eager_table_supports_further_provenance_queries() {
 #[test]
 fn union_strategies_produce_identical_results() {
     let sql = format!("SELECT PROVENANCE * FROM ({Q1}) q1");
-    let norm = |db: &mut PermDb| {
+    let norm = |db: &Session| {
         let r = db.query(&sql).unwrap();
         let mut rows: Vec<Vec<Value>> = r.rows.iter().map(|t| t.values().to_vec()).collect();
         rows.sort_by(|a, b| {
@@ -149,7 +144,7 @@ fn default_semantics_option_applies() {
 
 #[test]
 fn provenance_scales_to_thousands_of_rows() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.run_script(
         "CREATE TABLE fact (id int NOT NULL, dim int NOT NULL, val int);
          CREATE TABLE dim (id int NOT NULL, name text);",
@@ -188,7 +183,7 @@ fn provenance_scales_to_thousands_of_rows() {
 
 #[test]
 fn error_recovery_keeps_the_session_usable() {
-    let mut db = forum_db();
+    let db = forum_db();
     assert!(db.query("SELECT nope FROM messages").is_err());
     assert!(db.execute("CREATE TABLE messages (x int)").is_err());
     assert!(db
@@ -201,7 +196,7 @@ fn error_recovery_keeps_the_session_usable() {
 
 #[test]
 fn dml_after_provenance_queries() {
-    let mut db = forum_db();
+    let db = forum_db();
     let before = db
         .query("SELECT PROVENANCE mid FROM messages")
         .unwrap()

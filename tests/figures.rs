@@ -17,7 +17,7 @@ use perm_core::{BrowserPanels, StageTrace, Value};
 
 #[test]
 fn fig1_database_contents() {
-    let mut db = forum_db();
+    let db = forum_db();
     let messages = db.query("SELECT * FROM messages ORDER BY mid").unwrap();
     assert_eq!(messages.columns, vec!["mid", "text", "uid"]);
     assert_eq!(
@@ -47,7 +47,7 @@ fn fig1_database_contents() {
 
 #[test]
 fn fig1_q1_result() {
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db.query(&format!("{Q1} ORDER BY 1")).unwrap();
     assert_eq!(r.row_count(), 4);
     assert_eq!(r.row(0)[0], Value::Int(1));
@@ -56,7 +56,7 @@ fn fig1_q1_result() {
 
 #[test]
 fn fig1_q2_view_equals_q1() {
-    let mut db = forum_db();
+    let db = forum_db();
     let direct = db.query(&format!("{Q1} ORDER BY 1, 2")).unwrap();
     let through_view = db.query("SELECT * FROM v1 ORDER BY 1, 2").unwrap();
     assert_eq!(direct.rows, through_view.rows);
@@ -67,7 +67,7 @@ fn fig1_q3_result() {
     // "q3 outputs the text of each message together with the number of
     // users that approved this message (messages without any approval are
     // omitted from the result)."
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db.query(&format!("{Q3} ORDER BY count(*)")).unwrap();
     assert_eq!(r.columns, vec!["count", "text"]);
     assert_eq!(r.row(0), &[Value::Int(1), Value::text("hello ...")]);
@@ -82,7 +82,7 @@ fn fig1_q3_result() {
 
 #[test]
 fn fig2_q1_provenance_exact() {
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db
         .query("SELECT PROVENANCE mId, text FROM messages UNION SELECT mId, text FROM imports")
         .unwrap_or_else(|e| {
@@ -107,7 +107,7 @@ fn fig2_replication_rule_via_q3() {
     // the original result tuple has to be replicated." Message 4 has three
     // approvers: its q3 result row must appear three times in the
     // provenance, once per approved-witness.
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db
         .query(
             "SELECT PROVENANCE count(*), text FROM v1 JOIN approved a ON v1.mId = a.mId \
@@ -138,7 +138,7 @@ fn fig2_provenance_schema_order() {
     // Original result attributes first, then provenance attributes in
     // base-relation order (messages before imports), per the schema listing
     // in §2.1.
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db
         .query(&format!("SELECT PROVENANCE * FROM ({Q1}) q1"))
         .unwrap();
@@ -154,12 +154,8 @@ fn fig2_provenance_schema_order() {
 
 #[test]
 fn fig3_pipeline_stages() {
-    let mut db = forum_db();
-    let trace = StageTrace::run(
-        &mut db,
-        "SELECT PROVENANCE text FROM messages WHERE mid > 1",
-    )
-    .unwrap();
+    let db = forum_db();
+    let trace = StageTrace::run(&db, "SELECT PROVENANCE text FROM messages WHERE mid > 1").unwrap();
     let stages = trace.stages();
     assert_eq!(
         stages.iter().map(|s| s.name).collect::<Vec<_>>(),
@@ -197,8 +193,8 @@ fn fig3_pipeline_stages() {
 
 #[test]
 fn fig3_view_unfolding_happens_in_analysis() {
-    let mut db = forum_db();
-    let trace = StageTrace::run(&mut db, "SELECT PROVENANCE text FROM v1").unwrap();
+    let db = forum_db();
+    let trace = StageTrace::run(&db, "SELECT PROVENANCE text FROM v1").unwrap();
     // The original plan already contains the unfolded view body.
     let tree = perm_algebra::plan_tree(&trace.original_plan);
     assert!(tree.contains("Scan(messages)"), "{tree}");
@@ -211,10 +207,10 @@ fn fig3_view_unfolding_happens_in_analysis() {
 
 #[test]
 fn fig4_browser_panels() {
-    let mut db = forum_db();
-    add_figure4_tables(&mut db);
-    let p = BrowserPanels::capture(&mut db, "SELECT PROVENANCE s.i FROM s JOIN r ON s.i = r.i")
-        .unwrap();
+    let db = forum_db();
+    add_figure4_tables(&db);
+    let p =
+        BrowserPanels::capture(&db, "SELECT PROVENANCE s.i FROM s JOIN r ON s.i = r.i").unwrap();
 
     // Marker 5: the exact sample output of the figure.
     assert_eq!(
@@ -245,13 +241,13 @@ fn fig4_browser_panels() {
 fn fig4_panels_for_the_demo_queries() {
     // The demo's "query execution" part runs the paper's example queries;
     // every one of them must produce all five panels without error.
-    let mut db = forum_db();
+    let db = forum_db();
     for sql in [
         "SELECT PROVENANCE mId, text FROM messages",
         &format!("SELECT PROVENANCE * FROM ({Q1}) q1"),
         perm_core::fixtures::SEC24_PROVENANCE_AGG,
     ] {
-        let p = BrowserPanels::capture(&mut db, sql)
+        let p = BrowserPanels::capture(&db, sql)
             .unwrap_or_else(|e| panic!("browser failed on {sql:?}: {e}"));
         assert!(!p.results.columns.is_empty());
         assert!(!p.rewritten_sql.is_empty());

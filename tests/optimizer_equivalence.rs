@@ -9,15 +9,15 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use perm_core::fixtures::{forum_db, Q1, Q3, SEC24_PROVENANCE_AGG};
-use perm_core::{PermDb, StatementResult, Tuple};
+use perm_core::{PermServer, Session, StatementResult, Tuple};
 use perm_exec::{optimize, Executor};
 
 /// Execute `sql` with and without the optimizer; return both row bags.
-fn both_ways(db: &mut PermDb, sql: &str) -> (Vec<Tuple>, Vec<Tuple>) {
+fn both_ways(db: &Session, sql: &str) -> (Vec<Tuple>, Vec<Tuple>) {
     let plan = db.bind_sql(sql).expect("binds");
-    let raw = Executor::new(db.catalog()).run(&plan).expect("raw runs");
+    let raw = Executor::new(db.snapshot()).run(&plan).expect("raw runs");
     let optimized_plan = optimize(plan);
-    let optimized = Executor::new(db.catalog())
+    let optimized = Executor::new(db.snapshot())
         .run(&optimized_plan)
         .expect("optimized runs");
     (raw, optimized)
@@ -33,7 +33,7 @@ fn bag(rows: &[Tuple]) -> HashMap<&Tuple, usize> {
     m
 }
 
-fn assert_equivalent(db: &mut PermDb, sql: &str) {
+fn assert_equivalent(db: &Session, sql: &str) {
     let (raw, optimized) = both_ways(db, sql);
     assert_eq!(
         bag(&raw),
@@ -44,7 +44,7 @@ fn assert_equivalent(db: &mut PermDb, sql: &str) {
 
 #[test]
 fn repertoire_of_query_shapes() {
-    let mut db = forum_db();
+    let db = forum_db();
     db.run_script(
         "CREATE TABLE extra (x int, y int);
          INSERT INTO extra VALUES (1, 10), (2, 20), (NULL, 30);",
@@ -88,7 +88,7 @@ fn repertoire_of_query_shapes() {
             .into(),
     ];
     for sql in queries {
-        assert_equivalent(&mut db, &sql);
+        assert_equivalent(&db, &sql);
     }
 }
 
@@ -98,7 +98,7 @@ fn repertoire_of_query_shapes() {
 /// than the full concatenated width).
 #[test]
 fn explain_shows_reordered_and_pruned_provenance_plan() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.run_script(
         "CREATE TABLE fact (k int NOT NULL, j int NOT NULL, payload text);
          CREATE TABLE dim (k int NOT NULL, name text);
@@ -106,7 +106,7 @@ fn explain_shows_reordered_and_pruned_provenance_plan() {
     )
     .unwrap();
     {
-        let mut cat = db.catalog_mut();
+        let mut cat = db.catalog_write();
         let fact = cat.table_mut("fact").unwrap();
         for i in 0..400 {
             fact.push_raw(Tuple::new(vec![
@@ -168,8 +168,8 @@ fn explain_shows_reordered_and_pruned_provenance_plan() {
 fn boundary_nodes_are_transparent_to_execution() {
     // A BASERELATION boundary outside a provenance context must be a
     // no-op for both the raw and the optimized path.
-    let mut db = forum_db();
-    let (raw, optimized) = both_ways(&mut db, "SELECT text FROM v1 BASERELATION");
+    let db = forum_db();
+    let (raw, optimized) = both_ways(&db, "SELECT text FROM v1 BASERELATION");
     assert_eq!(bag(&raw), bag(&optimized));
     assert_eq!(raw.len(), 4);
 }
@@ -185,7 +185,7 @@ proptest! {
         b_hi in -10i64..10,
         use_provenance in any::<bool>(),
     ) {
-        let mut db = PermDb::new();
+        let db = PermServer::new().session();
         db.run_script("CREATE TABLE t (a int, b int); CREATE TABLE u (a int, c int);")
             .unwrap();
         for (a, b) in &rows {
@@ -197,7 +197,7 @@ proptest! {
             "SELECT {kw}t.a, u.c FROM t JOIN u ON t.b = u.a \
              WHERE t.a > {a_lo} AND u.c <= {b_hi} AND t.b IS NOT NULL"
         );
-        let (raw, optimized) = both_ways(&mut db, &sql);
+        let (raw, optimized) = both_ways(&db, &sql);
         prop_assert_eq!(bag(&raw), bag(&optimized));
     }
 }

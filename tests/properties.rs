@@ -17,11 +17,11 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use perm_core::{PermDb, Value};
+use perm_core::{PermServer, Session, Value};
 
 /// Build a database with tables `t(a, b)` and `u(a)` from generated rows.
-fn db_from(t_rows: &[(i64, i64)], u_rows: &[i64]) -> PermDb {
-    let mut db = PermDb::new();
+fn db_from(t_rows: &[(i64, i64)], u_rows: &[i64]) -> Session {
+    let db = PermServer::new().session();
     db.run_script("CREATE TABLE t (a int, b int); CREATE TABLE u (a int);")
         .unwrap();
     for (a, b) in t_rows {
@@ -49,7 +49,7 @@ proptest! {
         rows in prop::collection::vec((-20i64..20, -20i64..20), 0..40),
         threshold in -25i64..25,
     ) {
-        let mut db = db_from(&rows, &[]);
+        let db = db_from(&rows, &[]);
         let original = db
             .query(&format!("SELECT a, b FROM t WHERE a > {threshold}"))
             .unwrap();
@@ -83,7 +83,7 @@ proptest! {
     fn aggregation_records_one_witness_per_input_row(
         rows in prop::collection::vec((-5i64..5, -20i64..20), 0..40),
     ) {
-        let mut db = db_from(&rows, &[]);
+        let db = db_from(&rows, &[]);
         let prov = db
             .query("SELECT PROVENANCE a, count(*) FROM t GROUP BY a")
             .unwrap();
@@ -117,7 +117,7 @@ proptest! {
     fn aggregation_provenance_preserves_original_result(
         rows in prop::collection::vec((-5i64..5, -20i64..20), 1..40),
     ) {
-        let mut db = db_from(&rows, &[]);
+        let db = db_from(&rows, &[]);
         let original = db.query("SELECT a, count(*) FROM t GROUP BY a").unwrap();
         let prov = db
             .query("SELECT PROVENANCE a, count(*) FROM t GROUP BY a")
@@ -134,7 +134,7 @@ proptest! {
         t_rows in prop::collection::vec((-10i64..10, 0i64..2), 0..25),
         u_rows in prop::collection::vec(-10i64..10, 0..25),
     ) {
-        let mut db = db_from(&t_rows, &u_rows);
+        let db = db_from(&t_rows, &u_rows);
         let prov = db
             .query(
                 "SELECT PROVENANCE * FROM \
@@ -169,7 +169,7 @@ proptest! {
     fn copy_is_a_mask_of_influence(
         rows in prop::collection::vec((-10i64..10, -10i64..10), 0..25),
     ) {
-        let mut db = db_from(&rows, &[]);
+        let db = db_from(&rows, &[]);
         let influence = db
             .query("SELECT PROVENANCE a FROM t")
             .unwrap();
@@ -197,9 +197,9 @@ proptest! {
         rows in prop::collection::vec((-10i64..10, -10i64..10), 0..20),
         threshold in -12i64..12,
     ) {
-        let mut db = db_from(&rows, &[]);
+        let db = db_from(&rows, &[]);
         let sql = format!("SELECT PROVENANCE a, b FROM t WHERE b <= {threshold}");
-        let panels = perm_core::BrowserPanels::capture(&mut db, &sql).unwrap();
+        let panels = perm_core::BrowserPanels::capture(&db, &sql).unwrap();
         let re_run = db.query(&panels.rewritten_sql).unwrap();
         prop_assert_eq!(
             value_set(&panels.results.rows, 0..4),

@@ -3,14 +3,14 @@
 //! outer joins, sublinks, and witness multiplicities.
 
 use perm_core::fixtures::forum_db;
-use perm_core::{PermDb, Value};
+use perm_core::{PermServer, Session, Value};
 
 fn i(v: i64) -> Value {
     Value::Int(v)
 }
 
-fn db_ab() -> PermDb {
-    let mut db = PermDb::new();
+fn db_ab() -> Session {
+    let db = PermServer::new().session();
     db.run_script(
         "CREATE TABLE a (x int); CREATE TABLE b (x int);
          INSERT INTO a VALUES (1), (2), (2), (3);
@@ -26,7 +26,7 @@ fn db_ab() -> PermDb {
 
 #[test]
 fn distinct_provenance_keeps_one_row_per_distinct_witness() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.run_script(
         "CREATE TABLE t (x int, tag text);
          INSERT INTO t VALUES (1, 'a'), (1, 'b'), (2, 'c');",
@@ -44,7 +44,7 @@ fn distinct_provenance_keeps_one_row_per_distinct_witness() {
 
 #[test]
 fn distinct_provenance_dedups_identical_witness_pairs() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.run_script(
         "CREATE TABLE t (x int);
          INSERT INTO t VALUES (1), (1);",
@@ -62,7 +62,7 @@ fn distinct_provenance_dedups_identical_witness_pairs() {
 
 #[test]
 fn intersect_provenance_pairs_witnesses_from_both_sides() {
-    let mut db = db_ab();
+    let db = db_ab();
     let r = db
         .query("SELECT PROVENANCE * FROM (SELECT x FROM a INTERSECT SELECT x FROM b) s")
         .unwrap();
@@ -81,7 +81,7 @@ fn intersect_provenance_pairs_witnesses_from_both_sides() {
 
 #[test]
 fn except_provenance_multiplicity() {
-    let mut db = db_ab();
+    let db = db_ab();
     let r = db
         .query("SELECT PROVENANCE * FROM (SELECT x FROM a EXCEPT SELECT x FROM b) s")
         .unwrap();
@@ -94,7 +94,7 @@ fn except_provenance_multiplicity() {
 
 #[test]
 fn nested_set_operations_rewrite_through() {
-    let mut db = db_ab();
+    let db = db_ab();
     db.run_script("CREATE TABLE c (x int); INSERT INTO c VALUES (3), (5);")
         .unwrap();
     let r = db
@@ -117,7 +117,7 @@ fn nested_set_operations_rewrite_through() {
 
 #[test]
 fn union_all_provenance_keeps_duplicates() {
-    let mut db = db_ab();
+    let db = db_ab();
     let r = db
         .query("SELECT PROVENANCE * FROM (SELECT x FROM a UNION ALL SELECT x FROM b) s")
         .unwrap();
@@ -130,7 +130,7 @@ fn union_all_provenance_keeps_duplicates() {
 
 #[test]
 fn left_join_provenance_pads_unmatched_side() {
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db
         .query(
             "SELECT PROVENANCE m.mid FROM messages m \
@@ -150,7 +150,7 @@ fn left_join_provenance_pads_unmatched_side() {
 
 #[test]
 fn full_join_provenance_pads_both_directions() {
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db
         .query(
             "SELECT PROVENANCE m.mid, i.mid FROM messages m \
@@ -174,7 +174,7 @@ fn full_join_provenance_pads_both_directions() {
 
 #[test]
 fn in_sublink_provenance_replicates_per_subquery_witness() {
-    let mut db = forum_db();
+    let db = forum_db();
     // mid 4 appears 3 times in approved: the IN unnesting replicates the
     // outer tuple once per matching witness.
     let r = db
@@ -192,7 +192,7 @@ fn in_sublink_provenance_replicates_per_subquery_witness() {
 
 #[test]
 fn exists_sublink_provenance_cross_joins_witnesses() {
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.run_script(
         "CREATE TABLE t (x int); CREATE TABLE w (y int);
          INSERT INTO t VALUES (1), (2);
@@ -214,7 +214,7 @@ fn exists_sublink_provenance_cross_joins_witnesses() {
 
 #[test]
 fn not_exists_provenance_keeps_rows_with_null_padding() {
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db
         .query(
             "SELECT PROVENANCE mid FROM messages \
@@ -233,7 +233,7 @@ fn not_exists_provenance_keeps_rows_with_null_padding() {
 
 #[test]
 fn sort_inside_provenance_subquery_is_preserved_in_rewrite() {
-    let mut db = forum_db();
+    let db = forum_db();
     // ORDER BY belongs to the enclosing query; the provenance subselect's
     // witnesses must not disturb it.
     let r = db
@@ -251,7 +251,7 @@ fn sort_inside_provenance_subquery_is_preserved_in_rewrite() {
 fn group_by_expression_provenance() {
     // Grouping on an expression: the join-back evaluates the same
     // expression over the rewritten input.
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.run_script(
         "CREATE TABLE t (x int);
          INSERT INTO t VALUES (1), (2), (3), (4);",
@@ -274,7 +274,7 @@ fn group_by_expression_provenance() {
 
 #[test]
 fn having_filters_witnesses_with_their_groups() {
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db
         .query(
             "SELECT PROVENANCE mid, count(*) FROM approved GROUP BY mid \
@@ -290,7 +290,7 @@ fn having_filters_witnesses_with_their_groups() {
 fn distinct_aggregate_provenance_keeps_all_witnesses() {
     // count(DISTINCT uid) collapses the aggregate value, but every input
     // row of the group is still a witness under PI-CS.
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db
         .query("SELECT PROVENANCE mid, count(DISTINCT uid) FROM approved GROUP BY mid")
         .unwrap();
@@ -301,7 +301,7 @@ fn distinct_aggregate_provenance_keeps_all_witnesses() {
 fn min_max_provenance_includes_non_extremal_witnesses() {
     // PI-CS: all tuples of the group influence min/max, not just the
     // extremal one.
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db
         .query("SELECT PROVENANCE max(uid) FROM approved")
         .unwrap();

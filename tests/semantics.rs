@@ -2,11 +2,11 @@
 //! Where-provenance) vs LINEAGE (Cui-Widom), on queries where they differ.
 
 use perm_core::fixtures::forum_db;
-use perm_core::{PermDb, Value};
+use perm_core::{Session, Value};
 
-fn db_with_diff() -> PermDb {
+fn db_with_diff() -> Session {
     // l = {1, 2, 3}, r = {2, 3, 4}: l EXCEPT r = {1}.
-    let mut db = forum_db();
+    let db = forum_db();
     db.run_script(
         "CREATE TABLE l (x int);
          CREATE TABLE r (x int);
@@ -23,7 +23,7 @@ fn db_with_diff() -> PermDb {
 
 #[test]
 fn influence_difference_ignores_right_side() {
-    let mut db = db_with_diff();
+    let db = db_with_diff();
     let r = db
         .query(
             "SELECT PROVENANCE ON CONTRIBUTION (INFLUENCE) * FROM \
@@ -42,7 +42,7 @@ fn lineage_difference_reports_whole_right_side() {
     // Cui-Widom: D(t) for t in l - r is ({t's l-witnesses}, r) — the whole
     // right input contributes. One output row per (left witness, right
     // tuple) pair.
-    let mut db = db_with_diff();
+    let db = db_with_diff();
     let r = db
         .query(
             "SELECT PROVENANCE ON CONTRIBUTION (LINEAGE) * FROM \
@@ -65,7 +65,7 @@ fn lineage_difference_reports_whole_right_side() {
 
 #[test]
 fn lineage_difference_with_empty_right_side() {
-    let mut db = forum_db();
+    let db = forum_db();
     db.run_script(
         "CREATE TABLE l2 (x int);
          CREATE TABLE r2 (x int);
@@ -91,7 +91,7 @@ fn lineage_difference_with_empty_right_side() {
 
 #[test]
 fn copy_partial_keeps_only_copied_attributes() {
-    let mut db = forum_db();
+    let db = forum_db();
     // Only `text` is copied into the result; under COPY the mid/uid
     // provenance attributes are NULL.
     let r = db
@@ -107,7 +107,7 @@ fn copy_partial_keeps_only_copied_attributes() {
 
 #[test]
 fn influence_keeps_all_attributes_where_copy_does_not() {
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db
         .query("SELECT PROVENANCE text FROM messages WHERE mid = 4")
         .unwrap();
@@ -121,7 +121,7 @@ fn influence_keeps_all_attributes_where_copy_does_not() {
 
 #[test]
 fn copy_sees_through_computed_columns() {
-    let mut db = forum_db();
+    let db = forum_db();
     // `mid + 0` is a computation, not a copy: nothing is copied from
     // messages, so all provenance attributes are NULL under COPY.
     let r = db
@@ -139,7 +139,7 @@ fn copy_sees_through_computed_columns() {
 
 #[test]
 fn copy_complete_requires_every_attribute() {
-    let mut db = forum_db();
+    let db = forum_db();
     // approved has two columns; selecting both copies the whole tuple.
     let complete = db
         .query(
@@ -175,7 +175,7 @@ fn copy_complete_requires_every_attribute() {
 
 #[test]
 fn copy_through_case_is_a_static_union() {
-    let mut db = forum_db();
+    let db = forum_db();
     // CASE copies from `text` in one branch; the static copy map keeps
     // text's provenance for all rows (documented approximation).
     let r = db
@@ -195,7 +195,7 @@ fn copy_through_case_is_a_static_union() {
 
 #[test]
 fn all_semantics_agree_on_original_columns() {
-    let mut db = forum_db();
+    let db = forum_db();
     let mut counts = Vec::new();
     for sem in ["INFLUENCE", "COPY", "LINEAGE"] {
         let r = db

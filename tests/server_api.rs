@@ -186,7 +186,9 @@ fn prepared_reuse_returns_identical_rows_to_one_shot_query() {
 #[test]
 fn row_stream_limit_pulls_only_k_rows_from_the_scan() {
     let server = PermServer::new();
-    let session = server.session();
+    // Serial plan: on a multi-core host the 10k-row scan would otherwise
+    // run behind an exchange, which stops at morsel granularity.
+    let session = server.session_with_options(SessionOptions::default().with_max_parallelism(1));
     session.execute("CREATE TABLE big (x int)").unwrap();
     {
         let mut cat = session.catalog_write();
@@ -258,10 +260,10 @@ fn sessions_carry_independent_options() {
 }
 
 #[test]
-fn permdb_and_server_share_a_catalog() {
-    // The PermDb shim is a server underneath: sessions handed out by
-    // `server()` see (and affect) the same data.
-    let mut db = perm::PermDb::new();
+fn session_server_handle_shares_the_catalog() {
+    // A session's `server()` is a handle on the server it came from:
+    // sessions handed out by it see (and affect) the same data.
+    let db = PermServer::new().session();
     db.execute("CREATE TABLE t (x int)").unwrap();
     let session = db.server().session();
     session.execute("INSERT INTO t VALUES (1)").unwrap();

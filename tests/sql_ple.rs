@@ -13,7 +13,7 @@ use perm_core::Value;
 #[test]
 fn sec24_provenance_on_contribution_influence() {
     // First listing: provenance of the aggregation over v1 ⋈ approved.
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db.query(SEC24_PROVENANCE_AGG).unwrap();
     // Two result groups (messages 2 and 4), replicated per witness:
     // message 2 has 1 approval, message 4 has 3 -> but each witness row
@@ -39,7 +39,7 @@ fn sec24_querying_provenance_with_full_sql() {
     // count > 5 AND origin = 'superForum'. With the Figure 1 data no
     // message has more than 3 approvals, so the result is empty — the
     // point is that the composition is legal and executable.
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db.query(SEC24_QUERY_PROVENANCE).unwrap();
     assert_eq!(r.columns, vec!["text", "prov_public_imports_origin"]);
     assert!(r.is_empty());
@@ -57,7 +57,7 @@ fn sec24_querying_provenance_with_full_sql() {
 
 #[test]
 fn sec24_baserelation_stops_rewriting() {
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db.query(SEC24_BASERELATION).unwrap();
     // v1 is treated like a base relation: provenance attributes derive
     // from v1 itself, not from messages/imports.
@@ -79,7 +79,7 @@ fn external_provenance_from_another_pms() {
     // A table carrying provenance produced elsewhere (manually, or by
     // another PMS): declare its provenance columns in the FROM clause and
     // the rules propagate them untouched.
-    let mut db = forum_db();
+    let db = forum_db();
     db.run_script(
         "CREATE TABLE curated (mid int, quality text, src_system text, src_key int);
          INSERT INTO curated VALUES (1, 'good', 'legacy-pms', 101),
@@ -108,7 +108,7 @@ fn external_provenance_mixes_with_computed_provenance() {
     // A join of an externally-annotated table with an ordinary table:
     // the ordinary side gets computed provenance, the external side keeps
     // its own annotations.
-    let mut db = forum_db();
+    let db = forum_db();
     db.run_script(
         "CREATE TABLE tagged (mid int, tag text, origin_note text);
          INSERT INTO tagged VALUES (4, 'hot', 'import-batch-7');",
@@ -135,7 +135,7 @@ fn external_provenance_mixes_with_computed_provenance() {
 
 #[test]
 fn on_contribution_variants_all_run() {
-    let mut db = forum_db();
+    let db = forum_db();
     for sem in [
         "INFLUENCE",
         "COPY",
@@ -157,7 +157,7 @@ fn on_contribution_variants_all_run() {
 fn provenance_composes_with_views_and_storage() {
     // "a user cannot just receive provenance information, but also query
     // provenance information, store it as a view, etc."
-    let mut db = forum_db();
+    let db = forum_db();
     db.execute("CREATE VIEW msg_prov AS SELECT PROVENANCE mid, text FROM messages")
         .unwrap();
     let r = db
@@ -170,7 +170,7 @@ fn provenance_composes_with_views_and_storage() {
 fn provenance_of_provenance_view() {
     // Computing provenance *through* a provenance view rewrites all the
     // way to the base relations.
-    let mut db = forum_db();
+    let db = forum_db();
     db.execute("CREATE VIEW mp AS SELECT PROVENANCE mid FROM messages")
         .unwrap();
     let r = db.query("SELECT PROVENANCE mid FROM mp").unwrap();
@@ -185,7 +185,7 @@ fn provenance_of_provenance_view() {
 
 #[test]
 fn provenance_in_plain_context_errors_helpfully() {
-    let mut db = forum_db();
+    let db = forum_db();
     let err = db
         .query("SELECT PROVENANCE mid FROM messages LIMIT 1")
         .map(|_| ())
@@ -202,7 +202,7 @@ fn provenance_in_plain_context_errors_helpfully() {
 
 #[test]
 fn unknown_contribution_semantics_is_a_parse_error() {
-    let mut db = forum_db();
+    let db = forum_db();
     let err = db
         .query("SELECT PROVENANCE ON CONTRIBUTION (WHY) mid FROM messages")
         .unwrap_err();
@@ -212,7 +212,7 @@ fn unknown_contribution_semantics_is_a_parse_error() {
 #[test]
 fn baserelation_on_base_table_is_allowed() {
     // Redundant but legal: a base table treated as a base relation.
-    let mut db = forum_db();
+    let db = forum_db();
     let r = db
         .query("SELECT PROVENANCE mid FROM messages BASERELATION")
         .unwrap();

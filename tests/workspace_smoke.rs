@@ -4,12 +4,12 @@
 //! `SELECT PROVENANCE` query runs end-to-end.
 
 use perm::core::fixtures::forum_db;
-use perm::{PermDb, Value};
+use perm::{PermServer, Value};
 
 #[test]
 fn facade_reexports_run_a_provenance_query_end_to_end() {
     // Build a fresh session through the top-level re-export.
-    let mut db = PermDb::new();
+    let db = PermServer::new().session();
     db.run_script(
         "CREATE TABLE messages (mId int NOT NULL, text text, uId int);
          INSERT INTO messages VALUES (1, 'hello', 10);
@@ -47,7 +47,7 @@ fn facade_reexports_run_a_provenance_query_end_to_end() {
 #[test]
 fn facade_fixture_database_answers_the_quickstart_query() {
     // The same flow the crate-level doctest shows, via `perm::core`.
-    let mut db = forum_db();
+    let db = forum_db();
     let rows = db
         .query("SELECT PROVENANCE text FROM messages WHERE mid = 4")
         .expect("quickstart query runs");

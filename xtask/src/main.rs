@@ -104,13 +104,9 @@ const SEND_EXPOSED: &[&str] = &[
     "crates/core/",
 ];
 
-/// The only modules allowed to create temp files (rule 7): the spill
-/// module, and the bench harness's scratch data directories for the
-/// durability micro-benches (cleaned up within the run).
-const TEMP_FILES_ALLOWED: &[&str] = &[
-    "crates/storage/src/spill.rs",
-    "crates/bench/src/bin/bench_summary.rs",
-];
+/// The only module allowed to create temp files (rule 7): the spill
+/// module.
+const TEMP_FILES_ALLOWED: &[&str] = &["crates/storage/src/spill.rs"];
 
 /// The only storage modules allowed to create files (rule 8): spill
 /// partitions, the write-ahead log, and checkpoint snapshots.
@@ -245,7 +241,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// A whole file that only contains test code (integration tests, in-tree
 /// `tests.rs` modules): exempt from the hot-path and spawn rules.
 fn is_test_file(rel: &str) -> bool {
-    rel.contains("/tests/") || rel.ends_with("/tests.rs") || rel.ends_with("/benches.rs")
+    rel.contains("/tests/") || rel.ends_with("/tests.rs")
 }
 
 fn matches_any(rel: &str, prefixes: &[&str]) -> bool {
