@@ -9,9 +9,9 @@
 //! plan once per executor (cached by plan identity) and executes the
 //! result.
 //!
-//! Join and set-operation implementations live in [`crate::operators`];
-//! this module provides the dispatch loop, scans, filters, projections,
-//! sorting, limits and the subquery result cache.
+//! Join, aggregation, set-operation and DISTINCT implementations live in
+//! `crate::operators`; this module provides the dispatch loop, scans,
+//! filters, projections, sorting, limits and the subquery result cache.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -198,10 +198,21 @@ impl Executor {
         &self.catalog
     }
 
-    /// A shared handle on the catalog snapshot (worker threads of
-    /// parallel operators each build their own executor over it).
-    pub fn catalog_arc(&self) -> Arc<Catalog> {
-        Arc::clone(&self.catalog)
+    /// The one way a worker thread gets its executor: a shareable factory
+    /// over what a worker inherits from its parent — the catalog
+    /// snapshot, the lifecycle context and the columnar switch. Planner
+    /// settings and the memory handle stay behind: workers never lower
+    /// logical plans (sublink pipelines are planned serial) and operators
+    /// charge their reservations on the calling thread.
+    pub(crate) fn worker_factory(&self) -> impl Fn() -> Executor + Send + Sync + 'static {
+        let catalog = Arc::clone(&self.catalog);
+        let context = self.context.clone();
+        let columnar = self.columnar;
+        move || {
+            Executor::new(Arc::clone(&catalog))
+                .with_columnar(columnar)
+                .with_context(context.clone())
+        }
     }
 
     /// True if hash joins are disabled.
@@ -403,9 +414,9 @@ impl Executor {
                 let outer = self.outer_stack();
                 self.filter_rows(rows, Some(predicate), &outer, batch.is_batch())
             }
-            PhysicalPlan::HashJoin { .. }
-            | PhysicalPlan::NLJoin { .. }
-            | PhysicalPlan::IndexNLJoin { .. } => join::run_join(self, plan),
+            PhysicalPlan::HashJoin { .. } => join::hash_join(self, plan),
+            PhysicalPlan::NLJoin { .. } => join::nested_loop(self, plan),
+            PhysicalPlan::IndexNLJoin { .. } => join::index_nl_join(self, plan),
             PhysicalPlan::HashAggregate {
                 input,
                 group_by,
@@ -414,40 +425,7 @@ impl Executor {
                 spill,
             } => aggregate::run_aggregate(self, input, group_by, aggs, *dop, *spill),
             PhysicalPlan::HashDistinct { input, dop, spill } => {
-                let rows = self.run_physical(input)?;
-                // The dedup set holds (at worst) every input row: charge
-                // input bytes; a denial switches to the partitioned
-                // on-disk dedup, which holds one partition at a time.
-                let reservation = self.memory.register("HashDistinct");
-                if let Err(denied) = grow_batched(&reservation, rows.iter().map(Tuple::size_bytes))
-                {
-                    reservation.free();
-                    let Some(parts) = spill else {
-                        return Err(denied.into_error());
-                    };
-                    return spill::distinct_spill(&self.context, rows, *parts, &reservation);
-                }
-                if *dop > 1 {
-                    return crate::parallel::distinct_parallel(&self.context, rows, *dop);
-                }
-                let mut seen = set_with_capacity(rows.len());
-                let mut out = Vec::new();
-                for (i, t) in rows.into_iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if i % 4096 == 0 {
-                        self.check_cancelled()?;
-                    }
-                    // Membership first: DISTINCT inputs are duplicate-heavy
-                    // (that is what the operator is for), and a duplicate
-                    // then costs one probe and no clone. Contrast with
-                    // UNION in setop.rs, whose mostly-distinct inputs make
-                    // the single-probe insert the better trade there.
-                    if !seen.contains(&t) {
-                        seen.insert(t.clone());
-                        out.push(t);
-                    }
-                }
-                Ok(out)
+                setop::run_distinct(self, input, *dop, *spill)
             }
             PhysicalPlan::HashSetOp {
                 op,

@@ -41,9 +41,10 @@
 //! Execution memory is **governed** ([`memory`]): buffering operators
 //! grow a per-query [`MemoryReservation`] as they build hash tables and
 //! sort buffers, and a denied grow switches them to a partitioned
-//! spill-to-disk path ([`operators::spill`], files written through
+//! spill-to-disk driver (`operators`, files written through
 //! [`perm_storage::spill`]) whose results are identical — rows, order
-//! and errors — to the in-memory path.
+//! and errors — to the in-memory path: each hash operator has one body
+//! that its serial, parallel and spilled drivers all run.
 //!
 //! Every phase of the two-phase optimizer is backed by a **static plan
 //! verifier** ([`verify`], plus the logical side in
@@ -60,8 +61,8 @@ pub mod eval;
 pub mod executor;
 pub mod kernels;
 pub mod memory;
-pub mod operators;
-pub mod parallel;
+pub(crate) mod operators;
+mod parallel;
 pub mod physical;
 pub mod planner;
 pub mod stream;

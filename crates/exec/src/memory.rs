@@ -19,7 +19,7 @@
 //!
 //! **Fair-spill policy.** A denied grow is not an error: it is the signal
 //! to switch to the operator's spilling code path
-//! ([`crate::operators::spill`]). Whichever query happens to push the
+//! (`crate::operators::spill`). Whichever query happens to push the
 //! pool over its budget is the one that spills — memory already granted
 //! is never revoked, so earlier reservations keep running in memory.
 //! Once spilling, an operator's bounded per-partition working memory is

@@ -1,9 +1,11 @@
 //! Hash aggregation with SQL NULL semantics, `DISTINCT` aggregates and the
 //! `any_value` leniency aggregate.
 
+use std::borrow::Borrow;
+
 use perm_storage::SpillPartitions;
 use perm_types::hash::{FxHashMap, FxHashSet};
-use perm_types::ops::{self, ArithOp};
+use perm_types::ops;
 use perm_types::{PermError, Result, Tuple, Value};
 
 use perm_algebra::expr::{AggCall, AggFunc, ScalarExpr};
@@ -12,6 +14,8 @@ use crate::compile::{CompiledExpr, CompiledProjection};
 use crate::eval::Env;
 use crate::executor::Executor;
 use crate::memory::{grow_batched, MemoryDenied, MemoryReservation};
+use crate::operators::{before, positions, RowError};
+use crate::parallel::{partition_of, restore_order};
 
 /// Running state of one aggregate within one group.
 enum AggState {
@@ -128,20 +132,8 @@ impl AggState {
                 if x.is_null() {
                     return Ok(());
                 }
-                match best {
-                    None => *best = Some(x.clone()),
-                    Some(b) => {
-                        if let Some(ord) = ops::sql_compare(x, b)? {
-                            let better = if *is_min {
-                                ord == std::cmp::Ordering::Less
-                            } else {
-                                ord == std::cmp::Ordering::Greater
-                            };
-                            if better {
-                                *best = Some(x.clone());
-                            }
-                        }
-                    }
+                if improves(x, best.as_ref(), *is_min)? {
+                    *best = Some(x.clone());
                 }
             }
             AggState::AnyValue(slot) => {
@@ -204,20 +196,8 @@ impl AggState {
             }
             (AggState::MinMax { best, is_min }, AggState::MinMax { best: ob, .. }) => {
                 if let Some(x) = ob {
-                    match best {
-                        None => *best = Some(x),
-                        Some(b) => {
-                            if let Some(ord) = ops::sql_compare(&x, b)? {
-                                let better = if *is_min {
-                                    ord == std::cmp::Ordering::Less
-                                } else {
-                                    ord == std::cmp::Ordering::Greater
-                                };
-                                if better {
-                                    *best = Some(x);
-                                }
-                            }
-                        }
+                    if improves(&x, best.as_ref(), *is_min)? {
+                        *best = Some(x);
                     }
                 }
             }
@@ -264,6 +244,18 @@ impl AggState {
     }
 }
 
+/// Does `x` replace the running MIN/MAX `best`? The (new value, running
+/// best) argument order is the one a type-mismatch error reports.
+fn improves(x: &Value, best: Option<&Value>, is_min: bool) -> Result<bool> {
+    let Some(b) = best else { return Ok(true) };
+    let want = if is_min {
+        std::cmp::Ordering::Less
+    } else {
+        std::cmp::Ordering::Greater
+    };
+    Ok(ops::sql_compare(x, b)? == Some(want))
+}
+
 /// One group's accumulators plus per-aggregate DISTINCT filters.
 struct GroupState {
     states: Vec<AggState>,
@@ -297,6 +289,16 @@ enum GroupKey {
     Many(Tuple),
 }
 
+impl GroupKey {
+    /// Bytes a group's key holds (spill working-memory accounting).
+    fn size_bytes(&self) -> usize {
+        match self {
+            GroupKey::One(v) => v.size_bytes(),
+            GroupKey::Many(t) => t.size_bytes(),
+        }
+    }
+}
+
 /// Compiled group-key plan matching [`GroupKey`]'s two shapes.
 enum KeyPlan {
     One(CompiledExpr),
@@ -321,22 +323,28 @@ impl KeyPlan {
     }
 }
 
-/// Partial aggregation state over one contiguous input range: group keys
-/// in first-appearance order plus their accumulators.
+/// Partial aggregation state over one stretch of input: group keys in
+/// first-appearance order, each with the position tag of the row that
+/// opened it, plus their accumulators.
 struct AggPartial {
-    order: Vec<GroupKey>,
+    order: Vec<(u64, GroupKey)>,
     groups: FxHashMap<GroupKey, GroupState>,
 }
 
-/// Accumulate `rows` into a fresh partial (the serial hot loop, shared
-/// by the serial path and every parallel worker).
-fn accumulate(
+/// The one accumulate loop, shared by the serial driver (the whole
+/// input), every chunk-parallel worker (one contiguous chunk) and the
+/// spilled driver (one hash partition read back from disk): fold
+/// position-tagged `rows` into a fresh partial. `on_new_group` lets the
+/// spilled driver charge each group it opens. An evaluation error carries
+/// the position of the row that raised it (see [`RowError`]).
+fn accumulate<P: Borrow<Tuple>>(
     exec: &Executor,
-    rows: &[Tuple],
+    rows: impl Iterator<Item = Result<(u64, P)>>,
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
     outer: &[Tuple],
-) -> Result<AggPartial> {
+    mut on_new_group: impl FnMut(&GroupKey) -> Result<()>,
+) -> std::result::Result<AggPartial, RowError> {
     // Group-by keys and aggregate arguments are compiled once, evaluated
     // per row (plain-column group keys build by direct slot copy).
     let group_c = KeyPlan::compile(exec, group_by);
@@ -347,29 +355,33 @@ fn accumulate(
 
     // Group order: first appearance (deterministic output for tests; final
     // ordering comes from ORDER BY anyway).
-    let mut order: Vec<GroupKey> = Vec::new();
+    let mut order: Vec<(u64, GroupKey)> = Vec::new();
     let mut groups: FxHashMap<GroupKey, GroupState> = FxHashMap::default();
 
-    for (ri, t) in rows.iter().enumerate() {
+    let fatal = |e| (None, e);
+    for (ri, rec) in rows.enumerate() {
         // Masked cancellation check per 4096 accumulated rows.
         if ri % 4096 == 0 {
-            exec.check_cancelled()?;
+            exec.check_cancelled().map_err(fatal)?;
         }
-        let env = Env::new(t, outer);
-        let key = group_c.apply(exec, &env)?;
+        let (pos, t) = rec.map_err(fatal)?;
+        let at = |e| (Some(pos), e);
+        let env = Env::new(t.borrow(), outer);
+        let key = group_c.apply(exec, &env).map_err(at)?;
         // One hash per row: the entry API probes once, and only a *new*
         // group clones its key (a refcount bump) into the order list.
         let state = match groups.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
-                order.push(v.key().clone());
+                on_new_group(v.key()).map_err(fatal)?;
+                order.push((pos, v.key().clone()));
                 v.insert(GroupState::new(aggs))
             }
         };
         // no-cancel: bounded by the aggregate-call count.
         for (i, arg_expr) in arg_c.iter().enumerate() {
             let arg = match arg_expr {
-                Some(e) => Some(e.eval(exec, &env)?),
+                Some(e) => Some(e.eval(exec, &env).map_err(at)?),
                 None => None,
             };
             if let (Some(seen), Some(v)) = (&mut state.distinct_seen[i], &arg) {
@@ -377,7 +389,7 @@ fn accumulate(
                     continue; // duplicate (or NULL) under DISTINCT
                 }
             }
-            state.states[i].update(arg.as_ref())?;
+            state.states[i].update(arg.as_ref()).map_err(at)?;
         }
     }
     Ok(AggPartial { order, groups })
@@ -389,7 +401,7 @@ fn accumulate(
 fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result<()> {
     let AggPartial { order, mut groups } = later;
     // no-cancel: merge of already-computed partial states.
-    for key in order {
+    for (pos, key) in order {
         // INVARIANT: `order` holds exactly the keys of `groups`.
         let state = groups.remove(&key).expect("group registered");
         match into.groups.entry(key) {
@@ -405,7 +417,7 @@ fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result<()> {
                 }
             }
             std::collections::hash_map::Entry::Vacant(v) => {
-                into.order.push(v.key().clone());
+                into.order.push((pos, v.key().clone()));
                 v.insert(state);
             }
         }
@@ -413,17 +425,24 @@ fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result<()> {
     Ok(())
 }
 
-/// Turn the final partial into output rows.
-fn finish(mut partial: AggPartial, group_by: &[ScalarExpr], aggs: &[AggCall]) -> Vec<Tuple> {
+/// Turn a partial into output rows, in its first-appearance order; `tag`
+/// sees each group's opening position (the spilled driver keeps it to
+/// restore the global order, the others drop it).
+fn finish<O>(
+    mut partial: AggPartial,
+    group_by: &[ScalarExpr],
+    aggs: &[AggCall],
+    tag: impl Fn(u64, Tuple) -> O,
+) -> Vec<O> {
     // A global aggregate over an empty input still yields one row.
     if group_by.is_empty() && partial.order.is_empty() {
         let empty_key = GroupKey::Many(Tuple::empty());
-        partial.order.push(empty_key.clone());
+        partial.order.push((0, empty_key.clone()));
         partial.groups.insert(empty_key, GroupState::new(aggs));
     }
     let mut out = Vec::with_capacity(partial.order.len());
     // no-cancel: output assembly from already-computed group states.
-    for key in partial.order {
+    for (pos, key) in partial.order {
         // INVARIANT: `order` holds exactly the keys of `groups`.
         let state = partial.groups.remove(&key).expect("group registered");
         let mut vals = match key {
@@ -438,12 +457,12 @@ fn finish(mut partial: AggPartial, group_by: &[ScalarExpr], aggs: &[AggCall]) ->
         for s in state.states {
             vals.push(s.finish());
         }
-        out.push(Tuple::new(vals));
+        out.push(tag(pos, Tuple::new(vals)));
     }
     out
 }
 
-pub fn run_aggregate(
+pub(crate) fn run_aggregate(
     exec: &Executor,
     input: &crate::physical::PhysicalPlan,
     group_by: &[ScalarExpr],
@@ -467,24 +486,29 @@ pub fn run_aggregate(
         // workers share one reservation (clones share accounting), so
         // concurrent chunks charge the same query budget.
         use std::sync::Arc;
-        let catalog = exec.catalog_arc();
+        let worker = exec.worker_factory();
         let rows_arc = Arc::new(rows);
         let total = rows_arc.len();
         let group_by_owned: Arc<Vec<ScalarExpr>> = Arc::new(group_by.to_vec());
         let aggs_owned: Arc<Vec<AggCall>> = Arc::new(aggs.to_vec());
-        let ctx = exec.context().clone();
         let partials = {
             let rows = Arc::clone(&rows_arc);
             let outer = outer.clone();
             let shared = reservation.clone();
-            let sub_ctx = ctx.clone();
-            crate::parallel::map_chunks(&ctx, dop, total, move |range| {
+            crate::parallel::map_chunks(exec.context(), dop, total, move |range| {
                 if charge {
                     grow_batched(&shared, rows[range.clone()].iter().map(Tuple::size_bytes))
                         .map_err(MemoryDenied::into_error)?;
                 }
-                let sub = Executor::new(Arc::clone(&catalog)).with_context(sub_ctx.clone());
-                accumulate(&sub, &rows[range], &group_by_owned, &aggs_owned, &outer)
+                accumulate(
+                    &worker(),
+                    positions(&rows[range]),
+                    &group_by_owned,
+                    &aggs_owned,
+                    &outer,
+                    |_| Ok(()),
+                )
+                .map_err(|(_, e)| e)
             })
         };
         // The worker closures hold reservation clones and are dropped
@@ -510,7 +534,7 @@ pub fn run_aggregate(
                 }
                 reservation.free();
                 merged?;
-                return Ok(finish(acc, group_by, aggs));
+                return Ok(finish(acc, group_by, aggs, |_, t| t));
             }
             // A denied worker reservation falls back to the serial spill
             // path — legal because parallel aggregation is exactly
@@ -543,15 +567,16 @@ pub fn run_aggregate(
             return aggregate_spill(exec, rows, group_by, aggs, &outer, parts, &reservation);
         }
     }
-    let partial = accumulate(exec, &rows, group_by, aggs, &outer)?;
-    Ok(finish(partial, group_by, aggs))
+    let partial = accumulate(exec, positions(&rows), group_by, aggs, &outer, |_| Ok(()))
+        .map_err(|(_, e)| e)?;
+    Ok(finish(partial, group_by, aggs, |_, t| t))
 }
 
-/// Spilled grouped aggregation: input rows scatter to partition files by
-/// group-key hash, tagged with their input position. Each partition then
-/// runs the serial accumulate loop in tag order, remembering every
-/// group's *first* tag; sorting the finished groups by that tag restores
-/// global first-appearance order — exactly the serial output.
+/// The spilled driver of [`accumulate`]: input rows scatter to partition
+/// files by group-key hash, tagged with their input position. Each
+/// partition then accumulates in tag order, every group remembering the
+/// tag that opened it; [`restore_order`] over those tags restores global
+/// first-appearance order — exactly the serial output.
 ///
 /// Error ordering matches serial execution: the serial loop evaluates a
 /// row's group key, then its aggregate arguments, before looking at the
@@ -573,12 +598,7 @@ fn aggregate_spill(
         aggs.iter().all(|c| !c.distinct),
         "DISTINCT aggregates never spill"
     );
-    let group_c = CompiledProjection::compile(exec, group_by);
-    let arg_c: Vec<Option<CompiledExpr>> = aggs
-        .iter()
-        .map(|call| call.arg.as_ref().map(|e| CompiledExpr::compile(exec, e)))
-        .collect();
-
+    let group_c = KeyPlan::compile(exec, group_by);
     let mut files = SpillPartitions::create(parts)?;
     let mut best_err: Option<(u64, PermError)> = None;
     for (i, t) in rows.iter().enumerate() {
@@ -586,9 +606,8 @@ fn aggregate_spill(
         if i % 4096 == 0 {
             exec.check_cancelled()?;
         }
-        let env = Env::new(t, outer);
-        match group_c.apply(exec, &env) {
-            Ok(key) => files.push(crate::parallel::partition_of(&key, parts), i as u64, t)?,
+        match group_c.apply(exec, &Env::new(t, outer)) {
+            Ok(key) => files.push(partition_of(&key, parts), i as u64, t)?,
             Err(e) => {
                 best_err = Some((i as u64, e));
                 break;
@@ -603,75 +622,24 @@ fn aggregate_spill(
         // by the readers' Drop even on the early-return path).
         exec.check_cancelled()?;
         let mut charged = 0usize;
-        // (first tag, key) in this partition's first-appearance order.
-        let mut order: Vec<(u64, Tuple)> = Vec::new();
-        let mut groups: FxHashMap<Tuple, GroupState> = FxHashMap::default();
-        'row: for (ri, rec) in reader.enumerate() {
-            // Masked cancellation check per 4096 reloaded rows.
-            if ri % 4096 == 0 {
-                exec.check_cancelled()?;
-            }
-            let (tag, t) = rec?;
-            if matches!(&best_err, Some((bt, _)) if *bt <= tag) {
-                break 'row;
-            }
-            let env = Env::new(&t, outer);
-            // Re-evaluation of the (deterministic) key that already
-            // succeeded during the scatter.
-            let key = group_c.apply(exec, &env)?;
-            let state = match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    // Group state (key + accumulators) is the memory the
-                    // in-memory path would hold per group.
-                    let bytes = v.key().size_bytes() + 32 * aggs.len().max(1);
-                    res.grow_unpooled(bytes)?;
-                    charged += bytes;
-                    order.push((tag, v.key().clone()));
-                    v.insert(GroupState::new(aggs))
-                }
-            };
-            // no-cancel: bounded by the aggregate-call count.
-            for (i, arg_expr) in arg_c.iter().enumerate() {
-                let arg = match arg_expr {
-                    Some(e) => match e.eval(exec, &env) {
-                        Ok(v) => Some(v),
-                        Err(e) => {
-                            best_err = Some((tag, e));
-                            break 'row;
-                        }
-                    },
-                    None => None,
-                };
-                if let Err(e) = state.states[i].update(arg.as_ref()) {
-                    best_err = Some((tag, e));
-                    break 'row;
-                }
-            }
-        }
-        // no-cancel: output assembly from already-computed group states.
-        for (tag, key) in order {
-            // INVARIANT: `order` holds exactly the keys of `groups`.
-            let state = groups.remove(&key).expect("group registered");
-            let mut vals = key.into_values();
-            // no-cancel: bounded by the aggregate-call count.
-            for s in state.states {
-                vals.push(s.finish());
-            }
-            out.push((tag, Tuple::new(vals)));
+        // Group state (key + accumulators) is the memory the in-memory
+        // path would hold per group.
+        let charge_group = |key: &GroupKey| {
+            let bytes = key.size_bytes() + 32 * aggs.len().max(1);
+            res.grow_unpooled(bytes)?;
+            charged += bytes;
+            Ok(())
+        };
+        let rows = reader.take_while(before(&best_err));
+        match accumulate(exec, rows, group_by, aggs, outer, charge_group) {
+            Ok(partial) => out.extend(finish(partial, group_by, aggs, |tag, t| (tag, t))),
+            Err((Some(tag), e)) => best_err = Some((tag, e)),
+            Err((None, e)) => return Err(e),
         }
         res.shrink(charged);
     }
     if let Some((_, e)) = best_err {
         return Err(e);
     }
-    // First-appearance tags are unique across partitions.
-    out.sort_unstable_by_key(|(t, _)| *t);
-    Ok(out.into_iter().map(|(_, t)| t).collect())
-}
-
-/// Integer-preserving addition used by tests to pin sum semantics.
-#[allow(dead_code)]
-pub(crate) fn add_values(a: &Value, b: &Value) -> Result<Value> {
-    ops::arith(ArithOp::Add, a, b)
+    Ok(restore_order(out))
 }

@@ -6,9 +6,34 @@
 //! build side and any fused output projection are all decided by the
 //! physical planner ([`crate::physical`]); this module only runs the
 //! operator it is handed.
+//!
+//! Each hash operator has **one body and thin drivers**. The hash join's
+//! body is [`HashProbe::run`]: probe rows, tagged with their input
+//! position, against one built [`JoinTable`], covering every join kind
+//! and both build sides. What differs between execution modes is only
+//! which rows meet which table:
+//!
+//! * **serial** — one table over the whole build side, the whole probe
+//!   side in order; the output already is the result.
+//! * **morsel-parallel** (`dop > 1`) — the same table, shared read-only;
+//!   pool workers run the probe per morsel and the outputs concatenate
+//!   in morsel order.
+//! * **spilled** (build reservation denied) — a Grace join: both sides
+//!   scatter to disk by key hash, the probe runs once per partition, and
+//!   [`restore_order`] sorts the tagged output back into probe order.
+//!
+//! The index nested-loop join has the same shape minus the spill driver
+//! ([`IndexProbe::run`], serial or per morsel). Which driver runs is
+//! decided by the node's `dop` / `spill` stamps and the reservation
+//! denial alone.
 
-use perm_storage::SpillPartitions;
-use perm_types::hash::{map_with_capacity, FxHashMap, FxHasher};
+use std::borrow::Borrow;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use perm_storage::{SpillPartitions, Table};
+use perm_types::hash::{map_with_capacity, FxHashMap};
 use perm_types::{PermError, Result, Tuple, Value};
 
 use perm_algebra::plan::JoinType;
@@ -17,111 +42,9 @@ use crate::compile::CompiledExpr;
 use crate::eval::Env;
 use crate::executor::{check_scan_schema, Executor};
 use crate::memory::{grow_batched, MemoryReservation};
-use crate::physical::{BuildSide, EquiKey, PhysicalPlan};
-
-/// Execute a physical join node ([`PhysicalPlan::HashJoin`],
-/// [`PhysicalPlan::NLJoin`] or [`PhysicalPlan::IndexNLJoin`]).
-pub fn run_join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
-    match plan {
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            kind,
-            keys,
-            residual,
-            build_side,
-            nl,
-            nr,
-            out_slots,
-            dop,
-            spill,
-            ..
-        } => {
-            let lrows = exec.run_physical(left)?;
-            let rrows = exec.run_physical(right)?;
-            // Charge the build side before building: the hash table
-            // retains every build row (plus key copies). A denial turns
-            // the join into a Grace join over spill partitions.
-            let reservation = exec.memory().register("HashJoin build");
-            let build = match build_side {
-                BuildSide::Left => &lrows,
-                BuildSide::Right => &rrows,
-            };
-            if let Err(denied) = grow_batched(&reservation, build.iter().map(Tuple::size_bytes)) {
-                reservation.free();
-                let Some(parts) = spill else {
-                    return Err(denied.into_error());
-                };
-                return hash_join_spill(
-                    exec,
-                    lrows,
-                    rrows,
-                    *nl,
-                    *nr,
-                    *kind,
-                    keys,
-                    residual.as_ref(),
-                    *build_side,
-                    out_slots.as_deref(),
-                    *parts,
-                    &reservation,
-                );
-            }
-            if *dop > 1 {
-                return hash_join_parallel(
-                    exec,
-                    lrows,
-                    rrows,
-                    *nl,
-                    *nr,
-                    *kind,
-                    keys,
-                    residual.as_ref(),
-                    *build_side,
-                    out_slots.as_deref(),
-                    *dop,
-                );
-            }
-            hash_join(
-                exec,
-                lrows,
-                rrows,
-                *nl,
-                *nr,
-                *kind,
-                keys,
-                residual.as_ref(),
-                *build_side,
-                out_slots.as_deref(),
-            )
-        }
-        PhysicalPlan::NLJoin {
-            left,
-            right,
-            kind,
-            condition,
-            nl,
-            nr,
-            out_slots,
-            ..
-        } => {
-            let lrows = exec.run_physical(left)?;
-            let rrows = exec.run_physical(right)?;
-            nested_loop(
-                exec,
-                lrows,
-                rrows,
-                *nl,
-                *nr,
-                *kind,
-                condition.as_ref(),
-                out_slots.as_deref(),
-            )
-        }
-        PhysicalPlan::IndexNLJoin { .. } => index_nl_join(exec, plan),
-        other => unreachable!("run_join on non-join node {other:?}"),
-    }
-}
+use crate::operators::{before, positions, RowError};
+use crate::parallel::{concat, map_morsels, partition_of, restore_order};
+use crate::physical::{BuildSide, PhysicalPlan};
 
 /// Build an output row of a (possibly projected) join.
 ///
@@ -237,206 +160,312 @@ impl<'e> KeyBuilder<'e> {
     }
 }
 
-/// Chained hash table over `rows`: one flat `next` array instead of a
-/// per-key vector — exactly one hash-map entry per distinct key and no
-/// per-row allocation. The map holds each key's `(head, tail)`; new rows
-/// append at the tail, so probing walks `next` in input order directly,
-/// with no scratch chain vector.
+/// Sentinel ending a [`JoinTable`] chain.
 const NIL: usize = usize::MAX;
 
-/// Build-side index: each key's `(head, tail)` chain anchors plus the
-/// flat `next` links (see [`build_table`]).
-type JoinTable = (FxHashMap<Key, (usize, usize)>, Vec<usize>);
-
-fn build_table(
-    exec: &Executor,
-    rows: &[Tuple],
-    exprs: &[CompiledExpr],
-    null_safe: &[bool],
-    outer: &[Tuple],
-) -> Result<JoinTable> {
-    let kb = KeyBuilder::new(exprs, null_safe);
-    let mut table: FxHashMap<Key, (usize, usize)> = map_with_capacity(rows.len());
-    let mut next: Vec<usize> = vec![NIL; rows.len()];
-    for (i, r) in rows.iter().enumerate() {
-        // Masked cancellation check per 4096 build rows.
-        if i % 4096 == 0 {
-            exec.check_cancelled()?;
-        }
-        if let Some(k) = kb.key(exec, r, outer)? {
-            match table.entry(k) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert((i, i));
-                }
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    let (_, tail) = *o.get();
-                    next[tail] = i;
-                    o.get_mut().1 = i;
-                }
-            }
-        }
-    }
-    Ok((table, next))
+/// The build side of a hash join: the build rows plus a chained hash
+/// index over them — one flat `next` array instead of a per-key vector,
+/// so exactly one hash-map entry per distinct key and no per-row
+/// allocation. The map holds each key's `(head, tail)`; new rows append
+/// at the tail, so probing walks `next` in input order directly, with no
+/// scratch chain vector.
+pub(super) struct JoinTable {
+    heads: FxHashMap<Key, (usize, usize)>,
+    next: Vec<usize>,
+    rows: Vec<Tuple>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn hash_join(
-    exec: &Executor,
-    lrows: Vec<Tuple>,
-    rrows: Vec<Tuple>,
-    nl: usize,
-    nr: usize,
+/// A compiled hash join: the per-join constants of the one probe loop
+/// ([`HashProbe::run`]). Compiled once on the calling thread and owned
+/// outright, so the morsel driver hands the same value to every worker
+/// (parallel pipelines are sublink-free: nothing compiled here is tied
+/// to the compiling executor).
+pub(super) struct HashProbe {
     kind: JoinType,
-    keys: &[EquiKey],
-    residual: Option<&perm_algebra::expr::ScalarExpr>,
-    build_side: BuildSide,
-    out_slots: Option<&[usize]>,
-) -> Result<Vec<Tuple>> {
-    let outer = exec.outer_stack();
-    // Key expressions and the residual are compiled once per join, then
-    // evaluated per row.
-    let left_exprs: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|k| CompiledExpr::compile(exec, &k.left))
-        .collect();
-    let right_exprs: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|k| CompiledExpr::compile(exec, &k.right))
-        .collect();
-    let null_safe: Vec<bool> = keys.iter().map(|k| k.null_safe).collect();
-    let residual = residual.map(|r| CompiledExpr::compile(exec, r));
+    /// The left input is the build side. The planner picks this only for
+    /// inner joins; every other kind builds right and probes left, which
+    /// is what the per-probe-row match tracking in `run` preserves.
+    build_left: bool,
+    build_exprs: Vec<CompiledExpr>,
+    probe_exprs: Vec<CompiledExpr>,
+    null_safe: Vec<bool>,
+    residual: Option<CompiledExpr>,
+    nl: usize,
+    right_nulls: Tuple,
+    out_slots: Option<Vec<usize>>,
+    outer: Arc<Vec<Tuple>>,
+}
 
-    // The planner picks BuildSide::Left only for inner joins (the other
-    // kinds need the unmatched-tracking of the right-build loop).
-    if matches!(build_side, BuildSide::Left) {
-        debug_assert!(matches!(kind, JoinType::Inner));
-        let (table, next) = build_table(exec, &lrows, &left_exprs, &null_safe, &outer)?;
-        let kb = KeyBuilder::new(&right_exprs, &null_safe);
-        let mut out = Vec::with_capacity(rrows.len());
-        for (pi, r) in rrows.iter().enumerate() {
-            // Masked cancellation check per 4096 probe rows.
-            if pi % 4096 == 0 {
+impl HashProbe {
+    /// Key expressions and the residual are compiled once per join, then
+    /// evaluated per row.
+    pub(super) fn compile(exec: &Executor, plan: &PhysicalPlan) -> HashProbe {
+        let PhysicalPlan::HashJoin {
+            kind,
+            keys,
+            residual,
+            build_side,
+            nl,
+            nr,
+            out_slots,
+            ..
+        } = plan
+        else {
+            unreachable!("hash join compiled from non-hash-join node {plan:?}");
+        };
+        let build_left = matches!(build_side, BuildSide::Left);
+        debug_assert!(!build_left || matches!(kind, JoinType::Inner));
+        let side = |left: bool| -> Vec<CompiledExpr> {
+            keys.iter()
+                .map(|k| CompiledExpr::compile(exec, if left { &k.left } else { &k.right }))
+                .collect()
+        };
+        HashProbe {
+            kind: *kind,
+            build_left,
+            build_exprs: side(build_left),
+            probe_exprs: side(!build_left),
+            null_safe: keys.iter().map(|k| k.null_safe).collect(),
+            residual: residual.as_ref().map(|r| CompiledExpr::compile(exec, r)),
+            nl: *nl,
+            right_nulls: Tuple::nulls(*nr),
+            out_slots: out_slots.clone(),
+            outer: exec.outer_stack(),
+        }
+    }
+
+    /// Index `rows` (the build side) by this join's build-side keys.
+    pub(super) fn build(&self, exec: &Executor, rows: Vec<Tuple>) -> Result<JoinTable> {
+        let keys = KeyBuilder::new(&self.build_exprs, &self.null_safe);
+        let mut heads: FxHashMap<Key, (usize, usize)> = map_with_capacity(rows.len());
+        let mut next: Vec<usize> = vec![NIL; rows.len()];
+        for (i, r) in rows.iter().enumerate() {
+            // Masked cancellation check per 4096 build rows.
+            if i % 4096 == 0 {
                 exec.check_cancelled()?;
             }
-            let Some(key) = kb.key(exec, r, &outer)? else {
-                continue;
+            if let Some(k) = keys.key(exec, r, &self.outer)? {
+                match heads.entry(k) {
+                    std::collections::hash_map::Entry::Vacant(v) => {
+                        v.insert((i, i));
+                    }
+                    std::collections::hash_map::Entry::Occupied(mut o) => {
+                        let (_, tail) = *o.get();
+                        next[tail] = i;
+                        o.get_mut().1 = i;
+                    }
+                }
+            }
+        }
+        Ok(JoinTable { heads, next, rows })
+    }
+
+    /// The one hash-probe loop. Every probe row (tagged with its input
+    /// position) looks its key up in `table`, walks the chain of build
+    /// rows in build order, applies the residual, and hands the join
+    /// kind's output to `emit` with the probe row's tag — which the
+    /// serial and morsel drivers drop and the Grace join keeps.
+    /// `build_matched` is FULL's unmatched-build-row tracking;
+    /// `budget_base` counts rows already emitted elsewhere toward the
+    /// runaway-result guard.
+    pub(super) fn run<P: Borrow<Tuple>>(
+        &self,
+        exec: &Executor,
+        table: &JoinTable,
+        rows: impl Iterator<Item = Result<(u64, P)>>,
+        mut build_matched: Option<&mut [bool]>,
+        budget_base: usize,
+        mut emit: impl FnMut(u64, Tuple),
+    ) -> std::result::Result<(), RowError> {
+        let (kind, nl, outer) = (self.kind, self.nl, self.outer.as_slice());
+        let out_slots = self.out_slots.as_deref();
+        let keys = KeyBuilder::new(&self.probe_exprs, &self.null_safe);
+        let mut emitted = budget_base;
+        let fatal = |e| (None, e);
+        for (n, rec) in rows.enumerate() {
+            // Masked cancellation check per 4096 probe rows.
+            if n % 4096 == 0 {
+                exec.check_cancelled().map_err(fatal)?;
+            }
+            let (pos, p) = rec.map_err(fatal)?;
+            let p = p.borrow();
+            let at = |e| (Some(pos), e);
+            let mut matched = false;
+            let mut bi = match keys.key(exec, p, outer).map_err(at)? {
+                Some(key) => table.heads.get(&key).map_or(NIL, |&(head, _)| head),
+                // SQL equality with NULL: this row joins nothing.
+                None => NIL,
             };
-            let Some(&(head, _)) = table.get(&key) else {
-                continue;
-            };
-            let mut li = head;
-            // no-cancel: chain walk; emission calls check_row_budget and
+            // no-cancel: chain walk; emission checks the row budget and
             // the probe loop above checks per row batch.
-            while li != NIL {
-                let l = &lrows[li];
+            while bi != NIL {
+                let cur = bi;
                 // Advance before the body: a residual miss `continue`s.
-                li = next[li];
+                bi = table.next[cur];
+                let b = &table.rows[cur];
+                // Orient the combined row as left ++ right.
+                let (l, r) = if self.build_left { (b, p) } else { (p, b) };
+                // The combined row is only materialized when the
+                // residual predicate needs an environment to run in.
                 let mut combined = None;
-                if let Some(pred) = &residual {
+                if let Some(pred) = &self.residual {
                     let c = l.concat(r);
-                    let env = Env::new(&c, &outer);
-                    if pred.eval_bool(exec, &env)? != Some(true) {
+                    let env = Env::new(&c, outer);
+                    if pred.eval_bool(exec, &env).map_err(at)? != Some(true) {
                         continue;
                     }
                     combined = Some(c);
                 }
-                out.push(emit_row(l, r, nl, combined, out_slots));
-                exec.check_row_budget(out.len())?;
-            }
-        }
-        return Ok(out);
-    }
-
-    // Build on the right side (the general path: supports outer, semi and
-    // anti joins through left-probe match tracking).
-    let (table, next) = build_table(exec, &rrows, &right_exprs, &null_safe, &outer)?;
-
-    let kb = KeyBuilder::new(&left_exprs, &null_safe);
-    let right_nulls = Tuple::nulls(nr);
-    let is_full = matches!(kind, JoinType::Full);
-    let mut right_matched = vec![false; if is_full { rrows.len() } else { 0 }];
-    let mut out = Vec::with_capacity(lrows.len());
-    for (pi, l) in lrows.iter().enumerate() {
-        // Masked cancellation check per 4096 probe rows.
-        if pi % 4096 == 0 {
-            exec.check_cancelled()?;
-        }
-        let key = kb.key(exec, l, &outer)?;
-        let mut matched = false;
-        if let Some(key) = key {
-            if let Some(&(head, _)) = table.get(&key) {
-                let mut ri = head;
-                // no-cancel: chain walk; emission calls check_row_budget
-                // and the probe loop above checks per row batch.
-                while ri != NIL {
-                    let cur = ri;
-                    // Advance before the body: a residual miss `continue`s.
-                    ri = next[cur];
-                    // The combined row is only materialized when the
-                    // residual predicate needs an environment to run in.
-                    let mut combined = None;
-                    if let Some(pred) = &residual {
-                        let c = l.concat(&rrows[cur]);
-                        let env = Env::new(&c, &outer);
-                        if pred.eval_bool(exec, &env)? != Some(true) {
-                            continue;
-                        }
-                        combined = Some(c);
-                    }
-                    matched = true;
-                    if is_full {
-                        right_matched[cur] = true;
-                    }
-                    match kind {
-                        JoinType::Semi | JoinType::Anti => {}
-                        _ => out.push(emit_row(l, &rrows[cur], nl, combined, out_slots)),
-                    }
-                    exec.check_row_budget(out.len())?;
-                    if matches!(kind, JoinType::Semi) {
-                        break;
+                matched = true;
+                if let Some(m) = build_matched.as_deref_mut() {
+                    m[cur] = true;
+                }
+                match kind {
+                    JoinType::Semi | JoinType::Anti => {}
+                    _ => {
+                        emit(pos, emit_row(l, r, nl, combined, out_slots));
+                        emitted += 1;
                     }
                 }
+                exec.check_row_budget(emitted).map_err(at)?;
+                if matches!(kind, JoinType::Semi) {
+                    break;
+                }
             }
+            // Per-probe-row epilogue (probe side = left: a left build is
+            // inner-only and falls through).
+            let epilogue = match kind {
+                JoinType::Semi if matched => emit_left(p, out_slots),
+                JoinType::Anti if !matched => emit_left(p, out_slots),
+                JoinType::Left | JoinType::Full if !matched => {
+                    emit_row(p, &self.right_nulls, nl, None, out_slots)
+                }
+                _ => continue,
+            };
+            emit(pos, epilogue);
+            emitted += 1;
         }
-        match kind {
-            JoinType::Semi if matched => out.push(emit_left(l, out_slots)),
-            JoinType::Anti if !matched => out.push(emit_left(l, out_slots)),
-            JoinType::Left | JoinType::Full if !matched => {
-                out.push(emit_row(l, &right_nulls, nl, None, out_slots));
-            }
-            _ => {}
-        }
+        Ok(())
     }
-    if matches!(kind, JoinType::Full) {
-        let left_nulls = Tuple::nulls(nl);
-        for (i, r) in rrows.iter().enumerate() {
+}
+
+/// The hash-join driver: run the inputs, charge the build side, then let
+/// the reservation's answer and the node's `dop` pick how probe rows
+/// reach [`HashProbe::run`].
+pub(crate) fn hash_join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
+    let PhysicalPlan::HashJoin {
+        left,
+        right,
+        kind,
+        dop,
+        spill,
+        ..
+    } = plan
+    else {
+        unreachable!("hash_join on non-hash-join node");
+    };
+    let probe = HashProbe::compile(exec, plan);
+    let lrows = exec.run_physical(left)?;
+    let rrows = exec.run_physical(right)?;
+    let (build_rows, probe_rows) = if probe.build_left {
+        (lrows, rrows)
+    } else {
+        (rrows, lrows)
+    };
+
+    // Charge the build side before building: the hash table retains
+    // every build row (plus key copies). A denial turns the join into a
+    // Grace join over spill partitions.
+    let reservation = exec.memory().register("HashJoin build");
+    if let Err(denied) = grow_batched(&reservation, build_rows.iter().map(Tuple::size_bytes)) {
+        reservation.free();
+        let Some(parts) = spill else {
+            return Err(denied.into_error());
+        };
+        return hash_join_spill(exec, &probe, build_rows, probe_rows, *parts, &reservation);
+    }
+    let table = probe.build(exec, build_rows)?;
+
+    if *dop > 1 {
+        // Morsel driver: the build ran on the calling thread (the planner
+        // put the smaller input there); probe rows are claimed in morsels
+        // by pool workers against the shared read-only table. FULL joins
+        // track build-side matches *across* probe rows and are never
+        // handed a `dop > 1` by the planner.
+        debug_assert!(!matches!(kind, JoinType::Full), "FULL joins stay serial");
+        let total = probe_rows.len();
+        return probe_morsels(exec, *dop, total, move |sub, range, base, out| {
+            probe
+                .run(
+                    sub,
+                    &table,
+                    positions(&probe_rows[range]),
+                    None,
+                    base,
+                    |_, t| out.push(t),
+                )
+                .map_err(|(_, e)| e)
+        });
+    }
+
+    // Serial driver: the whole probe side, in order, on this thread.
+    let mut build_matched = matches!(kind, JoinType::Full).then(|| vec![false; table.rows.len()]);
+    let mut out = Vec::with_capacity(probe_rows.len());
+    let matched = build_matched.as_deref_mut();
+    probe
+        .run(exec, &table, positions(&probe_rows), matched, 0, |_, t| {
+            out.push(t)
+        })
+        .map_err(|(_, e)| e)?;
+    if let Some(build_matched) = build_matched {
+        // FULL epilogue: build (right) rows no probe row matched.
+        let left_nulls = Tuple::nulls(probe.nl);
+        let out_slots = probe.out_slots.as_deref();
+        for (i, r) in table.rows.iter().enumerate() {
             // Masked cancellation check per 4096 epilogue rows.
             if i % 4096 == 0 {
                 exec.check_cancelled()?;
             }
-            if !right_matched[i] {
-                out.push(emit_row(&left_nulls, r, nl, None, out_slots));
+            if !build_matched[i] {
+                out.push(emit_row(&left_nulls, r, probe.nl, None, out_slots));
             }
         }
     }
     Ok(out)
 }
 
-/// Partition a join key the same way [`crate::parallel::partition_of`]
-/// partitions whole rows: high hash bits modulo the partition count.
-fn key_partition(key: &Key, parts: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    ((h.finish() >> 32) as usize) % parts
+/// The morsel driver both probes share: pool workers (each with its own
+/// executor) run `body(worker executor, morsel range, budget base, out)`
+/// per claimed morsel, and the outputs concatenate in morsel order — so
+/// the result, including LEFT null padding and SEMI/ANTI row selection,
+/// is exactly the serial one. The budget base is the rows emitted by
+/// *completed* morsels: each worker checks its local output against the
+/// budget minus everyone else's, so a runaway join aborts incrementally
+/// like the serial loop does instead of after the full result
+/// materialized.
+fn probe_morsels<F>(exec: &Executor, dop: usize, total: usize, body: F) -> Result<Vec<Tuple>>
+where
+    F: Fn(&Executor, Range<usize>, usize, &mut Vec<Tuple>) -> Result<()> + Send + Sync + 'static,
+{
+    let worker = exec.worker_factory();
+    let emitted = AtomicUsize::new(0);
+    let parts = map_morsels(exec.context(), dop, total, move |range| {
+        let mut out = Vec::new();
+        body(&worker(), range, emitted.load(Ordering::Relaxed), &mut out)?;
+        emitted.fetch_add(out.len(), Ordering::Relaxed);
+        Ok(out)
+    })?;
+    let out = concat(parts);
+    exec.check_row_budget(out.len())?;
+    Ok(out)
 }
 
-/// Grace hash join over spill partitions — the fallback when the build
+/// Grace hash join over spill partitions — the driver when the build
 /// side's reservation is denied. Both sides scatter to disk by key hash
-/// (equal keys colocate), each partition re-runs the serial build+probe
-/// with probe rows tagged by their input position, and a final stable
-/// sort by probe tag restores the serial output order (within one probe
-/// row, emissions already occur in serial candidate order).
+/// (equal keys colocate), each partition rebuilds its table and runs
+/// [`HashProbe::run`] over probe rows tagged by their input position,
+/// and [`restore_order`] restores the serial output order (within one
+/// probe row, emissions already occur in serial candidate order).
 ///
 /// Error ordering also matches the serial path. Build-key errors surface
 /// during the build scatter, in build-row order, before any probe work —
@@ -448,45 +477,21 @@ fn key_partition(key: &Key, parts: usize) -> usize {
 ///
 /// FULL joins track unmatched build rows across the whole build side and
 /// are planned with `spill: None`; they never reach this path.
-#[allow(clippy::too_many_arguments)]
 fn hash_join_spill(
     exec: &Executor,
-    lrows: Vec<Tuple>,
-    rrows: Vec<Tuple>,
-    nl: usize,
-    nr: usize,
-    kind: JoinType,
-    keys: &[EquiKey],
-    residual: Option<&perm_algebra::expr::ScalarExpr>,
-    build_side: BuildSide,
-    out_slots: Option<&[usize]>,
+    probe: &HashProbe,
+    build_rows: Vec<Tuple>,
+    probe_rows: Vec<Tuple>,
     parts: usize,
     res: &MemoryReservation,
 ) -> Result<Vec<Tuple>> {
-    debug_assert!(!matches!(kind, JoinType::Full), "FULL joins never spill");
-    let outer = exec.outer_stack();
-    let left_exprs: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|k| CompiledExpr::compile(exec, &k.left))
-        .collect();
-    let right_exprs: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|k| CompiledExpr::compile(exec, &k.right))
-        .collect();
-    let null_safe: Vec<bool> = keys.iter().map(|k| k.null_safe).collect();
-    let residual = residual.map(|r| CompiledExpr::compile(exec, r));
-
-    let build_left = matches!(build_side, BuildSide::Left);
-    let (build_rows, probe_rows) = if build_left {
-        (lrows, rrows)
-    } else {
-        (rrows, lrows)
-    };
-    let (build_exprs, probe_exprs) = if build_left {
-        (&left_exprs, &right_exprs)
-    } else {
-        (&right_exprs, &left_exprs)
-    };
+    debug_assert!(
+        !matches!(probe.kind, JoinType::Full),
+        "FULL joins never spill"
+    );
+    let outer = probe.outer.as_slice();
+    let build_keys = KeyBuilder::new(&probe.build_exprs, &probe.null_safe);
+    let probe_keys = KeyBuilder::new(&probe.probe_exprs, &probe.null_safe);
 
     // Scatter the build side by key hash. Rows whose key is NULL under
     // plain equality match nothing, and for non-FULL joins an unmatched
@@ -497,9 +502,8 @@ fn hash_join_spill(
         if i % 4096 == 0 {
             exec.check_cancelled()?;
         }
-        let env = Env::new(row, &outer);
-        if let Some(key) = build_key(exec, build_exprs, &null_safe, &env)? {
-            bfiles.push(key_partition(&key, parts), i as u64, row)?;
+        if let Some(key) = build_keys.key(exec, row, outer)? {
+            bfiles.push(partition_of(&key, parts), i as u64, row)?;
         }
     }
     drop(build_rows);
@@ -515,10 +519,9 @@ fn hash_join_spill(
         if j % 4096 == 0 {
             exec.check_cancelled()?;
         }
-        let env = Env::new(row, &outer);
-        match build_key(exec, probe_exprs, &null_safe, &env) {
-            Ok(Some(key)) => pfiles.push(key_partition(&key, parts), j as u64, row)?,
-            Ok(None) if !build_left => pfiles.push(0, j as u64, row)?,
+        match probe_keys.key(exec, row, outer) {
+            Ok(Some(key)) => pfiles.push(partition_of(&key, parts), j as u64, row)?,
+            Ok(None) if !probe.build_left => pfiles.push(0, j as u64, row)?,
             Ok(None) => {}
             Err(e) => {
                 best_err = Some((j as u64, e));
@@ -528,7 +531,6 @@ fn hash_join_spill(
     }
     drop(probe_rows);
 
-    let right_nulls = Tuple::nulls(nr);
     let mut emitted: Vec<(u64, Tuple)> = Vec::new();
     for (breader, preader) in bfiles
         .into_readers()?
@@ -538,10 +540,10 @@ fn hash_join_spill(
         // Partition boundary: cancellation point (temp files are cleaned
         // by the readers' Drop even on the early-return path).
         exec.check_cancelled()?;
-        // Rebuild this partition's chained hash table; records read back
-        // in build order, so per-key chains match the in-memory table's.
-        // The partition's rows are this path's working memory: charged
-        // to the per-query cap only, released when the partition ends.
+        // Rebuild this partition's table; records read back in build
+        // order, so per-key chains match the in-memory table's. The
+        // partition's rows are this path's working memory: charged to
+        // the per-query cap only, released when the partition ends.
         let mut charged = 0usize;
         let mut part_build: Vec<Tuple> = Vec::with_capacity(breader.remaining());
         for (bi, rec) in breader.enumerate() {
@@ -557,80 +559,130 @@ fn hash_join_spill(
         }
         // Re-evaluation of (deterministic) keys that already succeeded
         // during the scatter.
-        let (table, next) = build_table(exec, &part_build, build_exprs, &null_safe, &outer)?;
-        'probe: for (qi, rec) in preader.enumerate() {
-            // Masked cancellation check per 4096 probe records.
-            if qi % 4096 == 0 {
-                exec.check_cancelled()?;
-            }
-            let (j, p) = rec?;
-            if matches!(&best_err, Some((bj, _)) if *bj <= j) {
-                break 'probe;
-            }
-            let env = Env::new(&p, &outer);
-            let key = build_key(exec, probe_exprs, &null_safe, &env)?;
-            let mut matched = false;
-            if let Some(key) = key {
-                if let Some(&(head, _)) = table.get(&key) {
-                    let mut bi = head;
-                    // no-cancel: chain walk; emission calls
-                    // check_row_budget and the probe loop checks per
-                    // record batch.
-                    while bi != NIL {
-                        let cur = bi;
-                        // Advance before the body: residual misses skip.
-                        bi = next[cur];
-                        let b = &part_build[cur];
-                        let (l, r) = if build_left { (b, &p) } else { (&p, b) };
-                        let mut combined = None;
-                        if let Some(pred) = &residual {
-                            let c = l.concat(r);
-                            let cenv = Env::new(&c, &outer);
-                            match pred.eval_bool(exec, &cenv) {
-                                Err(e) => {
-                                    best_err = Some((j, e));
-                                    break 'probe;
-                                }
-                                Ok(v) if v != Some(true) => continue,
-                                Ok(_) => combined = Some(c),
-                            }
-                        }
-                        matched = true;
-                        match kind {
-                            JoinType::Semi | JoinType::Anti => {}
-                            _ => emitted.push((j, emit_row(l, r, nl, combined, out_slots))),
-                        }
-                        exec.check_row_budget(emitted.len())?;
-                        if matches!(kind, JoinType::Semi) {
-                            break;
-                        }
-                    }
-                }
-            }
-            if !build_left {
-                match kind {
-                    JoinType::Semi if matched => emitted.push((j, emit_left(&p, out_slots))),
-                    JoinType::Anti if !matched => emitted.push((j, emit_left(&p, out_slots))),
-                    JoinType::Left if !matched => {
-                        emitted.push((j, emit_row(&p, &right_nulls, nl, None, out_slots)));
-                    }
-                    _ => {}
-                }
-            }
+        let table = probe.build(exec, part_build)?;
+        let rows = preader.take_while(before(&best_err));
+        let base = emitted.len();
+        match probe.run(exec, &table, rows, None, base, |j, t| emitted.push((j, t))) {
+            Ok(()) => {}
+            Err((Some(j), e)) => best_err = Some((j, e)),
+            Err((None, e)) => return Err(e),
         }
         res.shrink(charged);
     }
     if let Some((_, e)) = best_err {
         return Err(e);
     }
-    emitted.sort_by_key(|(j, _)| *j);
-    Ok(emitted.into_iter().map(|(_, t)| t).collect())
+    Ok(restore_order(emitted))
 }
 
-/// Index nested-loop join: for each outer row, evaluate the key
-/// expression and probe the inner table's hash index; apply the fused
-/// inner filter/projection and the residual condition to each candidate.
-fn index_nl_join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
+/// A compiled index nested-loop join: the per-join constants of the one
+/// index-probe loop ([`IndexProbe::run`]); owned and shared with morsel
+/// workers like [`HashProbe`].
+struct IndexProbe {
+    kind: JoinType,
+    column: usize,
+    key: CompiledExpr,
+    inner_filter: Option<CompiledExpr>,
+    inner_project: Option<Vec<usize>>,
+    residual: Option<CompiledExpr>,
+    nl: usize,
+    right_nulls: Tuple,
+    out_slots: Option<Vec<usize>>,
+    outer: Arc<Vec<Tuple>>,
+}
+
+impl IndexProbe {
+    /// The one index-probe loop: for each outer row, evaluate the key
+    /// expression and probe `inner`'s hash index; apply the fused inner
+    /// filter/projection and the residual condition to each candidate.
+    /// `budget_base` as in [`HashProbe::run`].
+    fn run(
+        &self,
+        exec: &Executor,
+        inner: &Table,
+        rows: &[Tuple],
+        budget_base: usize,
+        out: &mut Vec<Tuple>,
+    ) -> Result<()> {
+        let (kind, column, nl, outer) = (self.kind, self.column, self.nl, self.outer.as_slice());
+        let out_slots = self.out_slots.as_deref();
+        let index = inner.index_on(column);
+        // Fallback candidates when the index vanished since planning: a
+        // linear scan comparing the probe key (same semantics, slower).
+        let mut linear: Vec<usize> = Vec::new();
+        for (pi, l) in rows.iter().enumerate() {
+            // Masked cancellation check per 4096 outer rows.
+            if pi % 4096 == 0 {
+                exec.check_cancelled()?;
+            }
+            let key_val = self.key.eval(exec, &Env::new(l, outer))?;
+            let mut matched = false;
+            if !key_val.is_null() {
+                let candidates: &[usize] = match index {
+                    Some(idx) => idx.lookup(&key_val),
+                    None => {
+                        linear.clear();
+                        // no-cancel: index-vanished fallback scan; the
+                        // outer loop checks per row batch.
+                        for (i, row) in inner.rows().iter().enumerate() {
+                            if !row.get(column).is_null() && row.get(column) == &key_val {
+                                linear.push(i);
+                            }
+                        }
+                        &linear
+                    }
+                };
+                // no-cancel: candidate walk; emission calls
+                // check_row_budget and the outer loop checks per row batch.
+                for &ri in candidates {
+                    let base = &inner.rows()[ri];
+                    if let Some(f) = &self.inner_filter {
+                        let env = Env::new(base, outer);
+                        if f.eval_bool(exec, &env)? != Some(true) {
+                            continue;
+                        }
+                    }
+                    let inner_row = match &self.inner_project {
+                        Some(slots) => base.project(slots),
+                        None => base.clone(),
+                    };
+                    let mut combined = None;
+                    if let Some(pred) = &self.residual {
+                        let c = l.concat(&inner_row);
+                        let env = Env::new(&c, outer);
+                        if pred.eval_bool(exec, &env)? != Some(true) {
+                            continue;
+                        }
+                        combined = Some(c);
+                    }
+                    matched = true;
+                    match kind {
+                        JoinType::Semi | JoinType::Anti => {}
+                        _ => out.push(emit_row(l, &inner_row, nl, combined, out_slots)),
+                    }
+                    exec.check_row_budget(budget_base + out.len())?;
+                    if matches!(kind, JoinType::Semi) {
+                        break;
+                    }
+                }
+            }
+            match kind {
+                JoinType::Semi if matched => out.push(emit_left(l, out_slots)),
+                JoinType::Anti if !matched => out.push(emit_left(l, out_slots)),
+                JoinType::Left if !matched => {
+                    out.push(emit_row(l, &self.right_nulls, nl, None, out_slots));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The index nested-loop join driver: serial runs [`IndexProbe::run`]
+/// over every outer row; `dop > 1` runs it per morsel on pool workers
+/// reading the shared index.
+pub(crate) fn index_nl_join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
     let PhysicalPlan::IndexNLJoin {
         outer: outer_plan,
         kind,
@@ -642,7 +694,6 @@ fn index_nl_join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
         inner_project,
         residual,
         nl,
-        nr: _,
         out_slots,
         dop,
         ..
@@ -653,401 +704,58 @@ fn index_nl_join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
     let lrows = exec.run_physical(outer_plan)?;
     let t = exec.catalog().table(table)?;
     check_scan_schema(t, table, schema)?;
-    if *dop > 1 {
-        return index_nl_join_parallel(
-            exec,
-            lrows,
-            *kind,
-            table,
-            *column,
-            key,
-            inner_filter.as_ref(),
-            inner_project.clone(),
-            residual.as_ref(),
-            *nl,
-            schema.len(),
-            out_slots.clone(),
-            *dop,
-        );
-    }
-    let outer = exec.outer_stack();
-
-    let key_expr = CompiledExpr::compile(exec, key);
-    let inner_filter = inner_filter
-        .as_ref()
-        .map(|f| CompiledExpr::compile(exec, f));
-    let residual = residual.as_ref().map(|r| CompiledExpr::compile(exec, r));
-    let index = t.index_on(*column);
-
     // Width of the inner *output* row (after the fused projection).
-    let inner_width = inner_project
-        .as_ref()
-        .map_or(schema.len(), |p: &Vec<usize>| p.len());
-    let right_nulls = Tuple::nulls(inner_width);
-
-    // Fallback candidates when the index vanished since planning: a
-    // linear scan comparing the probe key (same semantics, slower).
-    let mut linear: Vec<usize> = Vec::new();
-
-    let mut out = Vec::new();
-    for (pi, l) in lrows.iter().enumerate() {
-        // Masked cancellation check per 4096 outer rows.
-        if pi % 4096 == 0 {
-            exec.check_cancelled()?;
-        }
-        let lenv = Env::new(l, &outer);
-        let key_val = key_expr.eval(exec, &lenv)?;
-        let mut matched = false;
-        if !key_val.is_null() {
-            let candidates: &[usize] = match index {
-                Some(idx) => idx.lookup(&key_val),
-                None => {
-                    linear.clear();
-                    // no-cancel: index-vanished fallback scan; the outer
-                    // loop checks per row batch.
-                    for (i, row) in t.rows().iter().enumerate() {
-                        if !row.get(*column).is_null() && row.get(*column) == &key_val {
-                            linear.push(i);
-                        }
-                    }
-                    &linear
-                }
-            };
-            // no-cancel: candidate walk; emission calls check_row_budget
-            // and the outer loop checks per row batch.
-            for &ri in candidates {
-                let base = &t.rows()[ri];
-                if let Some(f) = &inner_filter {
-                    let env = Env::new(base, &outer);
-                    if f.eval_bool(exec, &env)? != Some(true) {
-                        continue;
-                    }
-                }
-                let inner_row = match inner_project {
-                    Some(slots) => base.project(slots),
-                    None => base.clone(),
-                };
-                let mut combined = None;
-                if let Some(pred) = &residual {
-                    let c = l.concat(&inner_row);
-                    let env = Env::new(&c, &outer);
-                    if pred.eval_bool(exec, &env)? != Some(true) {
-                        continue;
-                    }
-                    combined = Some(c);
-                }
-                matched = true;
-                match kind {
-                    JoinType::Semi | JoinType::Anti => {}
-                    _ => out.push(emit_row(l, &inner_row, *nl, combined, out_slots.as_deref())),
-                }
-                exec.check_row_budget(out.len())?;
-                if matches!(kind, JoinType::Semi) {
-                    break;
-                }
-            }
-        }
-        match kind {
-            JoinType::Semi if matched => out.push(emit_left(l, out_slots.as_deref())),
-            JoinType::Anti if !matched => out.push(emit_left(l, out_slots.as_deref())),
-            JoinType::Left if !matched => {
-                out.push(emit_row(l, &right_nulls, *nl, None, out_slots.as_deref()));
-            }
-            _ => {}
-        }
+    let inner_width = inner_project.as_ref().map_or(schema.len(), Vec::len);
+    let probe = IndexProbe {
+        kind: *kind,
+        column: *column,
+        key: CompiledExpr::compile(exec, key),
+        inner_filter: inner_filter
+            .as_ref()
+            .map(|f| CompiledExpr::compile(exec, f)),
+        inner_project: inner_project.clone(),
+        residual: residual.as_ref().map(|r| CompiledExpr::compile(exec, r)),
+        nl: *nl,
+        right_nulls: Tuple::nulls(inner_width),
+        out_slots: out_slots.clone(),
+        outer: exec.outer_stack(),
+    };
+    if *dop > 1 {
+        let table = table.clone();
+        let total = lrows.len();
+        return probe_morsels(exec, *dop, total, move |sub, range, base, out| {
+            let inner = sub.catalog().table(&table)?;
+            probe.run(sub, inner, &lrows[range], base, out)
+        });
     }
+    let mut out = Vec::new();
+    probe.run(exec, t, &lrows, 0, &mut out)?;
     Ok(out)
 }
 
-// ----------------------------------------------------------------------
-// Morsel-parallel probe phases
-// ----------------------------------------------------------------------
-
-use std::sync::Arc;
-
-use perm_algebra::expr::ScalarExpr;
-
-use crate::parallel::{concat, map_morsels};
-
-/// Parallel hash join: the build phase runs on the calling thread (the
-/// planner put the smaller input there), then probe rows are claimed in
-/// morsels by worker threads against the shared read-only table. Morsel
-/// outputs concatenate in morsel order, so the result — including LEFT
-/// null padding and SEMI/ANTI row selection — is exactly the serial one.
-///
-/// FULL joins track build-side matches *across* probe rows and are never
-/// handed a `dop > 1` by the planner.
-#[allow(clippy::too_many_arguments)]
-fn hash_join_parallel(
-    exec: &Executor,
-    lrows: Vec<Tuple>,
-    rrows: Vec<Tuple>,
-    nl: usize,
-    nr: usize,
-    kind: JoinType,
-    keys: &[EquiKey],
-    residual: Option<&ScalarExpr>,
-    build_side: BuildSide,
-    out_slots: Option<&[usize]>,
-    dop: usize,
-) -> Result<Vec<Tuple>> {
-    debug_assert!(!matches!(kind, JoinType::Full), "FULL joins stay serial");
-    let outer = exec.outer_stack();
-    let left_exprs: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|k| CompiledExpr::compile(exec, &k.left))
-        .collect();
-    let right_exprs: Vec<CompiledExpr> = keys
-        .iter()
-        .map(|k| CompiledExpr::compile(exec, &k.right))
-        .collect();
-    let null_safe: Arc<Vec<bool>> = Arc::new(keys.iter().map(|k| k.null_safe).collect());
-
-    let build_left = matches!(build_side, BuildSide::Left);
-    let (build_rows, probe_rows) = if build_left {
-        (lrows, rrows)
-    } else {
-        (rrows, lrows)
+/// Nested-loop join: every left row against every right row (non-equi
+/// conditions, cross joins, ablations). Always serial, never spills.
+pub(crate) fn nested_loop(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
+    let PhysicalPlan::NLJoin {
+        left,
+        right,
+        kind,
+        condition,
+        nl,
+        nr,
+        out_slots,
+        ..
+    } = plan
+    else {
+        unreachable!("nested_loop on non-NLJ node");
     };
-    let (table, next) = if build_left {
-        build_table(exec, &build_rows, &left_exprs, &null_safe, &outer)?
-    } else {
-        build_table(exec, &build_rows, &right_exprs, &null_safe, &outer)?
-    };
-
-    // Shared read-only state for the probe workers.
-    let catalog = exec.catalog_arc();
-    let build_rows = Arc::new(build_rows);
-    let probe_rows = Arc::new(probe_rows);
-    let table = Arc::new(table);
-    let next = Arc::new(next);
-    let probe_keys: Arc<Vec<ScalarExpr>> = Arc::new(
-        keys.iter()
-            .map(|k| {
-                if build_left {
-                    k.right.clone()
-                } else {
-                    k.left.clone()
-                }
-            })
-            .collect(),
-    );
-    let residual: Arc<Option<ScalarExpr>> = Arc::new(residual.cloned());
-    let out_slots: Arc<Option<Vec<usize>>> = Arc::new(out_slots.map(<[usize]>::to_vec));
-    let total = probe_rows.len();
-    // Rows emitted by *completed* morsels: each worker checks its local
-    // output against the budget minus everyone else's, so a runaway join
-    // aborts incrementally like the serial loop does instead of after
-    // the full result materialized.
-    let emitted = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-
-    let ctx = exec.context().clone();
-    let sub_ctx = ctx.clone();
-    let parts = map_morsels(&ctx, dop, total, move |range| {
-        let sub = Executor::new(Arc::clone(&catalog)).with_context(sub_ctx.clone());
-        let done_elsewhere = emitted.load(std::sync::atomic::Ordering::Relaxed);
-        let probe_c: Vec<CompiledExpr> = probe_keys
-            .iter()
-            .map(|e| CompiledExpr::compile(&sub, e))
-            .collect();
-        let residual_c = residual
-            .as_ref()
-            .as_ref()
-            .map(|r| CompiledExpr::compile(&sub, r));
-        let out_slots = out_slots.as_ref().as_deref();
-        let right_nulls = Tuple::nulls(nr);
-        let kb = KeyBuilder::new(&probe_c, &null_safe);
-        let mut out = Vec::new();
-        // no-cancel: morsel body (≤ MORSEL_ROWS rows); map_morsels checks
-        // per claim.
-        for p in &probe_rows[range] {
-            let key = kb.key(&sub, p, &outer)?;
-            let mut matched = false;
-            if let Some(key) = key {
-                if let Some(&(head, _)) = table.get(&key) {
-                    let mut bi = head;
-                    // no-cancel: chain walk; emission calls
-                    // check_row_budget, claims check per morsel.
-                    while bi != NIL {
-                        let cur = bi;
-                        // Advance before the body: residual misses skip.
-                        bi = next[cur];
-                        let b = &build_rows[cur];
-                        // Orient the combined row as left ++ right.
-                        let (l, r) = if build_left { (b, p) } else { (p, b) };
-                        let mut combined = None;
-                        if let Some(pred) = &residual_c {
-                            let c = l.concat(r);
-                            let env = Env::new(&c, &outer);
-                            if pred.eval_bool(&sub, &env)? != Some(true) {
-                                continue;
-                            }
-                            combined = Some(c);
-                        }
-                        matched = true;
-                        match kind {
-                            JoinType::Semi | JoinType::Anti => {}
-                            _ => out.push(emit_row(l, r, nl, combined, out_slots)),
-                        }
-                        sub.check_row_budget(done_elsewhere + out.len())?;
-                        if matches!(kind, JoinType::Semi) {
-                            break;
-                        }
-                    }
-                }
-            }
-            if !build_left {
-                match kind {
-                    JoinType::Semi if matched => out.push(emit_left(p, out_slots)),
-                    JoinType::Anti if !matched => out.push(emit_left(p, out_slots)),
-                    JoinType::Left if !matched => {
-                        out.push(emit_row(p, &right_nulls, nl, None, out_slots));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        emitted.fetch_add(out.len(), std::sync::atomic::Ordering::Relaxed);
-        Ok(out)
-    })?;
-    let out = concat(parts);
-    exec.check_row_budget(out.len())?;
-    Ok(out)
-}
-
-/// Parallel index nested-loop join: outer rows are probed in morsels,
-/// each worker holding its own compiled expressions and reading the
-/// shared index. Morsel-order concatenation keeps the serial output.
-#[allow(clippy::too_many_arguments)]
-fn index_nl_join_parallel(
-    exec: &Executor,
-    lrows: Vec<Tuple>,
-    kind: JoinType,
-    table: &str,
-    column: usize,
-    key: &ScalarExpr,
-    inner_filter: Option<&ScalarExpr>,
-    inner_project: Option<Vec<usize>>,
-    residual: Option<&ScalarExpr>,
-    nl: usize,
-    schema_len: usize,
-    out_slots: Option<Vec<usize>>,
-    dop: usize,
-) -> Result<Vec<Tuple>> {
-    let catalog = exec.catalog_arc();
+    let (kind, nl) = (*kind, *nl);
+    let out_slots = out_slots.as_deref();
+    let lrows = exec.run_physical(left)?;
+    let rrows = exec.run_physical(right)?;
     let outer = exec.outer_stack();
-    let lrows = Arc::new(lrows);
-    let total = lrows.len();
-    let table = table.to_string();
-    let key = key.clone();
-    let inner_filter = inner_filter.cloned();
-    let residual = residual.cloned();
-    let inner_width = inner_project.as_ref().map_or(schema_len, Vec::len);
-    // Shared budget counter, same scheme as hash_join_parallel.
-    let emitted = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-
-    let ctx = exec.context().clone();
-    let sub_ctx = ctx.clone();
-    let parts = map_morsels(&ctx, dop, total, move |range| {
-        let sub = Executor::new(Arc::clone(&catalog)).with_context(sub_ctx.clone());
-        let done_elsewhere = emitted.load(std::sync::atomic::Ordering::Relaxed);
-        let t = sub.catalog().table(&table)?;
-        let index = t.index_on(column);
-        let key_expr = CompiledExpr::compile(&sub, &key);
-        let inner_filter_c = inner_filter
-            .as_ref()
-            .map(|f| CompiledExpr::compile(&sub, f));
-        let residual_c = residual.as_ref().map(|r| CompiledExpr::compile(&sub, r));
-        let right_nulls = Tuple::nulls(inner_width);
-        let out_slots = out_slots.as_deref();
-        let mut linear: Vec<usize> = Vec::new();
-        let mut out = Vec::new();
-        // no-cancel: morsel body (≤ MORSEL_ROWS rows); map_morsels checks
-        // per claim.
-        for l in &lrows[range] {
-            let lenv = Env::new(l, &outer);
-            let key_val = key_expr.eval(&sub, &lenv)?;
-            let mut matched = false;
-            if !key_val.is_null() {
-                let candidates: &[usize] = match index {
-                    Some(idx) => idx.lookup(&key_val),
-                    None => {
-                        linear.clear();
-                        // no-cancel: index-vanished fallback scan; claims
-                        // check per morsel.
-                        for (i, row) in t.rows().iter().enumerate() {
-                            if !row.get(column).is_null() && row.get(column) == &key_val {
-                                linear.push(i);
-                            }
-                        }
-                        &linear
-                    }
-                };
-                // no-cancel: candidate walk; emission calls
-                // check_row_budget, claims check per morsel.
-                for &ri in candidates {
-                    let base = &t.rows()[ri];
-                    if let Some(f) = &inner_filter_c {
-                        let env = Env::new(base, &outer);
-                        if f.eval_bool(&sub, &env)? != Some(true) {
-                            continue;
-                        }
-                    }
-                    let inner_row = match &inner_project {
-                        Some(slots) => base.project(slots),
-                        None => base.clone(),
-                    };
-                    let mut combined = None;
-                    if let Some(pred) = &residual_c {
-                        let c = l.concat(&inner_row);
-                        let env = Env::new(&c, &outer);
-                        if pred.eval_bool(&sub, &env)? != Some(true) {
-                            continue;
-                        }
-                        combined = Some(c);
-                    }
-                    matched = true;
-                    match kind {
-                        JoinType::Semi | JoinType::Anti => {}
-                        _ => out.push(emit_row(l, &inner_row, nl, combined, out_slots)),
-                    }
-                    sub.check_row_budget(done_elsewhere + out.len())?;
-                    if matches!(kind, JoinType::Semi) {
-                        break;
-                    }
-                }
-            }
-            match kind {
-                JoinType::Semi if matched => out.push(emit_left(l, out_slots)),
-                JoinType::Anti if !matched => out.push(emit_left(l, out_slots)),
-                JoinType::Left if !matched => {
-                    out.push(emit_row(l, &right_nulls, nl, None, out_slots));
-                }
-                _ => {}
-            }
-        }
-        emitted.fetch_add(out.len(), std::sync::atomic::Ordering::Relaxed);
-        Ok(out)
-    })?;
-    let out = concat(parts);
-    exec.check_row_budget(out.len())?;
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn nested_loop(
-    exec: &Executor,
-    lrows: Vec<Tuple>,
-    rrows: Vec<Tuple>,
-    nl: usize,
-    nr: usize,
-    kind: JoinType,
-    condition: Option<&perm_algebra::expr::ScalarExpr>,
-    out_slots: Option<&[usize]>,
-) -> Result<Vec<Tuple>> {
-    let outer = exec.outer_stack();
-    let condition = condition.map(|c| CompiledExpr::compile(exec, c));
-    let right_nulls = Tuple::nulls(nr);
+    let condition = condition.as_ref().map(|c| CompiledExpr::compile(exec, c));
+    let right_nulls = Tuple::nulls(*nr);
     let mut right_matched = vec![false; rrows.len()];
     let mut out = Vec::new();
     let mut pairs = 0usize;

@@ -1,6 +1,47 @@
 //! Physical operator implementations.
+//!
+//! Every hash operator here — join, aggregation, set operations, DISTINCT
+//! — has **one body**, written over a stream of position-tagged rows, and
+//! thin drivers that decide how rows reach it: *serial* (the whole input,
+//! in order), *parallel* (morsels, chunks or hash partitions on the
+//! worker pool) and *spilled* (hash partitions read back from disk after
+//! a denied memory reservation). The drivers are picked by the `dop` /
+//! `spill` stamps the planner put on the node and by the reservation's
+//! answer — never by an option. Because all three run the same body, a
+//! parallel or spilled execution returns the serial rows, order and
+//! first error by construction; the drivers only have to put tagged
+//! output back in input order
+//! ([`restore_order`](crate::parallel::restore_order)), which the serial
+//! driver — one partition, already in order — skips.
 
-pub mod aggregate;
-pub mod join;
-pub mod setop;
-pub mod spill;
+use perm_types::{PermError, Result, Tuple};
+
+pub(crate) mod aggregate;
+pub(crate) mod join;
+pub(crate) mod setop;
+pub(crate) mod spill;
+
+#[cfg(test)]
+mod tests;
+
+/// Why an operator body stopped early. An evaluation error carries the
+/// input position of the row that raised it: the spilled drivers run one
+/// hash partition at a time and keep the smallest position across
+/// partitions — the error serial execution raises first. Anything else
+/// (cancellation, spill I/O, a denied reservation) is positionless and
+/// final. Serial and parallel drivers drop the position.
+type RowError = (Option<u64>, PermError);
+
+/// In-memory rows as an operator body's input stream: infallible, tagged
+/// with their position in `rows`.
+fn positions(rows: &[Tuple]) -> impl Iterator<Item = Result<(u64, &Tuple)>> {
+    rows.iter().enumerate().map(|(i, t)| Ok((i as u64, t)))
+}
+
+/// `take_while` predicate for a spill partition's reader: rows at or past
+/// the earliest known evaluation error cannot matter (tags ascend within
+/// a partition); I/O errors pass through to the body.
+fn before(best_err: &Option<(u64, PermError)>) -> impl Fn(&Result<(u64, Tuple)>) -> bool {
+    let stop = best_err.as_ref().map_or(u64::MAX, |(tag, _)| *tag);
+    move |rec| !matches!(rec, Ok((tag, _)) if *tag >= stop)
+}

@@ -1,26 +1,51 @@
-//! Set operations with both set (`DISTINCT`) and bag (`ALL`) semantics.
+//! Set operations with both set (`DISTINCT`) and bag (`ALL`) semantics,
+//! and `SELECT DISTINCT`.
 //!
 //! Tuple equality here is grouping equality (NULL == NULL), matching SQL's
 //! treatment of NULLs in set operations.
+//!
+//! Each operator has **one body** — [`setop_kernel`] holds the `(op, all)`
+//! logic, [`keep_first`] the first-occurrence dedup — written over a
+//! stream of position-tagged rows of *one hash partition*, and three thin
+//! drivers that only decide how rows reach it:
+//!
+//! * **serial** — the whole input is the one partition. Rows arrive in
+//!   input order, so the kernel's output already is the result: the tag
+//!   is `()` and there is no final sort.
+//! * **parallel** (`dop > 1`) — [`partition_tagged`] scatters rows by
+//!   hash (equal rows colocate), the pool runs the kernel per partition,
+//!   and [`restore_order`] sorts the tagged outputs back into input order.
+//! * **spilled** (reservation denied) — [`scatter_tagged`] writes the
+//!   same partitions to disk, the kernel reads them back one at a time
+//!   (charged to the per-query cap only), then [`restore_order`].
+//!
+//! Which driver runs is decided by what the planner stamped on the node
+//! (`dop`, `spill`) and by the reservation denial alone.
 
-use std::sync::Arc;
+use std::cell::Cell;
 
-use perm_storage::SpillPartitions;
-use perm_types::hash::{set_with_capacity, FxHashMap, FxHashSet};
+use perm_types::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
 use perm_types::{QueryContext, Result, Tuple};
 
 use perm_algebra::plan::SetOpType;
 
 use crate::executor::Executor;
 use crate::memory::{grow_batched, MemoryReservation};
-use crate::parallel::{map_chunks, partition_of, run_workers};
+use crate::operators::spill::scatter_tagged;
+use crate::parallel::{map_partitions, partition_tagged, restore_order};
+use crate::physical::PhysicalPlan;
 
-pub fn run_setop(
+/// The serial driver's input stream: infallible, untagged, in input order.
+fn untagged(rows: Vec<Tuple>) -> impl Iterator<Item = Result<((), Tuple)>> {
+    rows.into_iter().map(|t| Ok(((), t)))
+}
+
+pub(crate) fn run_setop(
     exec: &Executor,
     op: SetOpType,
     all: bool,
-    left: &crate::physical::PhysicalPlan,
-    right: &crate::physical::PhysicalPlan,
+    left: &PhysicalPlan,
+    right: &PhysicalPlan,
     dop: usize,
     spill: Option<usize>,
 ) -> Result<Vec<Tuple>> {
@@ -33,6 +58,7 @@ pub fn run_setop(
         out.extend(r);
         return Ok(out);
     }
+    let ctx = exec.context();
     // Every other variant hashes both sides, so the whole input is
     // charged up front; a denial switches to the partitioned on-disk
     // strategy instead of failing.
@@ -45,252 +71,131 @@ pub fn run_setop(
         let Some(parts) = spill else {
             return Err(denied.into_error());
         };
-        return setop_spill(exec.context(), l, r, op, all, parts, &reservation);
+        return setop_spill(ctx, l, r, op, all, parts, &reservation);
     }
     if dop > 1 {
-        return setop_parallel(exec.context(), l, r, op, all, dop);
-    }
-    Ok(match (op, all) {
-        (SetOpType::Union, true) => unreachable!("append handled above"),
-        (SetOpType::Union, false) => {
-            // Single-probe insert: UNION inputs are mostly distinct, so
-            // one hash plus a refcount-bump clone beats a double probe.
-            let mut seen = set_with_capacity(l.len() + r.len());
+        // Global position tags: `l` before `r`.
+        let roffset = l.len() as u64;
+        let lparts = partition_tagged(ctx, l, 0, dop)?;
+        let rparts = partition_tagged(ctx, r, roffset, dop)?;
+        let worker_ctx = ctx.clone();
+        let kept = map_partitions(lparts.into_iter().zip(rparts).collect(), move |(lp, rp)| {
             let mut out = Vec::new();
-            for (i, t) in l.into_iter().chain(r).enumerate() {
-                // Masked cancellation check per 4096 rows.
-                if i % 4096 == 0 {
-                    exec.check_cancelled()?;
-                }
-                if seen.insert(t.clone()) {
-                    out.push(t);
-                }
-            }
-            out
-        }
-        (SetOpType::Intersect, false) => {
-            let rset: FxHashSet<Tuple> = r.into_iter().collect();
-            let mut seen = FxHashSet::default();
-            l.into_iter()
-                .filter(|t| rset.contains(t) && seen.insert(t.clone()))
-                .collect()
-        }
-        (SetOpType::Intersect, true) => {
-            // Bag intersection: each tuple appears min(countL, countR) times.
-            let mut rcount: FxHashMap<Tuple, usize> = FxHashMap::default();
-            for (i, t) in r.into_iter().enumerate() {
-                // Masked cancellation check per 4096 rows.
-                if i % 4096 == 0 {
-                    exec.check_cancelled()?;
-                }
-                *rcount.entry(t).or_insert(0) += 1;
-            }
-            let mut out = Vec::new();
-            for (i, t) in l.into_iter().enumerate() {
-                // Masked cancellation check per 4096 rows.
-                if i % 4096 == 0 {
-                    exec.check_cancelled()?;
-                }
-                if let Some(c) = rcount.get_mut(&t) {
-                    if *c > 0 {
-                        *c -= 1;
-                        out.push(t);
-                    }
-                }
-            }
-            out
-        }
-        (SetOpType::Except, false) => {
-            let rset: FxHashSet<Tuple> = r.into_iter().collect();
-            let mut seen = FxHashSet::default();
-            l.into_iter()
-                .filter(|t| !rset.contains(t) && seen.insert(t.clone()))
-                .collect()
-        }
-        (SetOpType::Except, true) => {
-            // Bag difference: countL - countR occurrences survive.
-            let mut rcount: FxHashMap<Tuple, usize> = FxHashMap::default();
-            for (i, t) in r.into_iter().enumerate() {
-                // Masked cancellation check per 4096 rows.
-                if i % 4096 == 0 {
-                    exec.check_cancelled()?;
-                }
-                *rcount.entry(t).or_insert(0) += 1;
-            }
-            let mut out = Vec::new();
-            for (i, t) in l.into_iter().enumerate() {
-                // Masked cancellation check per 4096 rows.
-                if i % 4096 == 0 {
-                    exec.check_cancelled()?;
-                }
-                match rcount.get_mut(&t) {
-                    Some(c) if *c > 0 => *c -= 1,
-                    _ => out.push(t),
-                }
-            }
-            out
-        }
-    })
-}
-
-/// Hash-partitioned parallel set operation. Equal tuples land in the
-/// same partition, so each partition runs the serial set/bag logic
-/// independently over rows tagged with their global position (`l` before
-/// `r`); the final index sort restores exactly the serial output order.
-fn setop_parallel(
-    ctx: &QueryContext,
-    l: Vec<Tuple>,
-    r: Vec<Tuple>,
-    op: SetOpType,
-    all: bool,
-    dop: usize,
-) -> Result<Vec<Tuple>> {
-    let roffset = l.len();
-    let lparts = Arc::new(partition_tagged(ctx, l, 0, dop)?);
-    let rparts = Arc::new(partition_tagged(ctx, r, roffset, dop)?);
-
-    let kept = {
-        let lparts = Arc::clone(&lparts);
-        let rparts = Arc::clone(&rparts);
-        let ctx = ctx.clone();
-        run_workers(dop, move |p| -> Result<Vec<(usize, Tuple)>> {
-            let lp = &lparts[p];
-            let rp = &rparts[p];
-            let mut out: Vec<(usize, Tuple)> = Vec::new();
-            match (op, all) {
-                (SetOpType::Union, true) => unreachable!("append is not partitioned"),
-                (SetOpType::Union, false) => {
-                    let mut seen = set_with_capacity(lp.len() + rp.len());
-                    for (k, (i, t)) in lp.iter().chain(rp).enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        if seen.insert(t.clone()) {
-                            out.push((*i, t.clone()));
-                        }
-                    }
-                }
-                (SetOpType::Intersect, false) => {
-                    let rset: FxHashSet<&Tuple> = rp.iter().map(|(_, t)| t).collect();
-                    let mut seen = FxHashSet::default();
-                    for (k, (i, t)) in lp.iter().enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        if rset.contains(t) && seen.insert(t.clone()) {
-                            out.push((*i, t.clone()));
-                        }
-                    }
-                }
-                (SetOpType::Intersect, true) => {
-                    let mut rcount: FxHashMap<&Tuple, usize> = FxHashMap::default();
-                    for (k, (_, t)) in rp.iter().enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        *rcount.entry(t).or_insert(0) += 1;
-                    }
-                    for (k, (i, t)) in lp.iter().enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        if let Some(c) = rcount.get_mut(t) {
-                            if *c > 0 {
-                                *c -= 1;
-                                out.push((*i, t.clone()));
-                            }
-                        }
-                    }
-                }
-                (SetOpType::Except, false) => {
-                    let rset: FxHashSet<&Tuple> = rp.iter().map(|(_, t)| t).collect();
-                    let mut seen = FxHashSet::default();
-                    for (k, (i, t)) in lp.iter().enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        if !rset.contains(t) && seen.insert(t.clone()) {
-                            out.push((*i, t.clone()));
-                        }
-                    }
-                }
-                (SetOpType::Except, true) => {
-                    let mut rcount: FxHashMap<&Tuple, usize> = FxHashMap::default();
-                    for (k, (_, t)) in rp.iter().enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        *rcount.entry(t).or_insert(0) += 1;
-                    }
-                    for (k, (i, t)) in lp.iter().enumerate() {
-                        // Masked cancellation check per 4096 rows.
-                        if k % 4096 == 0 {
-                            ctx.check()?;
-                        }
-                        match rcount.get_mut(t) {
-                            Some(c) if *c > 0 => *c -= 1,
-                            _ => out.push((*i, t.clone())),
-                        }
-                    }
-                }
-            }
+            let capacity = lp.len() + rp.len();
+            setop_kernel(
+                &worker_ctx,
+                (op, all),
+                lp.into_iter().map(Ok),
+                rp.into_iter().map(Ok),
+                capacity,
+                |tag, t| out.push((tag, t)),
+            )?;
             Ok(out)
-        })?
-    };
-    let mut all_rows: Vec<(usize, Tuple)> = Vec::new();
-    // no-cancel: reassembly of already-computed partition outputs.
-    for part in kept {
-        all_rows.extend(part?);
+        })?;
+        return Ok(restore_order(kept));
     }
-    all_rows.sort_unstable_by_key(|(i, _)| *i);
-    Ok(all_rows.into_iter().map(|(_, t)| t).collect())
-}
-
-/// Hash-partition `rows` into `parts` buckets in parallel, tagging each
-/// row with `offset +` its input position. Buckets come back sorted by
-/// tag (chunks are contiguous and merge in chunk order).
-fn partition_tagged(
-    ctx: &QueryContext,
-    rows: Vec<Tuple>,
-    offset: usize,
-    parts: usize,
-) -> Result<Vec<Vec<(usize, Tuple)>>> {
-    let total = rows.len();
-    let rows = Arc::new(rows);
-    let worker_ctx = ctx.clone();
-    let chunked = map_chunks(ctx, parts, total, move |range| {
-        let mut buckets: Vec<Vec<(usize, Tuple)>> = vec![Vec::new(); parts];
-        for (i, t) in rows[range.clone()].iter().enumerate() {
-            // Masked cancellation check per 4096 scattered rows.
-            if i % 4096 == 0 {
-                worker_ctx.check()?;
-            }
-            buckets[partition_of(t, parts)].push((offset + range.start + i, t.clone()));
-        }
-        Ok(buckets)
-    })?;
-    let mut out: Vec<Vec<(usize, Tuple)>> = vec![Vec::new(); parts];
-    // no-cancel: reassembly of already-computed buckets.
-    for chunk in chunked {
-        // no-cancel: bounded by the partition count.
-        for (p, items) in chunk.into_iter().enumerate() {
-            out[p].extend(items);
-        }
-    }
+    let mut out = Vec::new();
+    let capacity = l.len() + r.len();
+    setop_kernel(
+        ctx,
+        (op, all),
+        untagged(l),
+        untagged(r),
+        capacity,
+        |(), t| out.push(t),
+    )?;
     Ok(out)
 }
 
-/// Spilled set operation: the on-disk mirror of [`setop_parallel`].
-/// Both sides scatter to partition files by row hash, tagged with their
-/// global position (`l` before `r`); each partition loads back (charged
-/// to the per-query cap only) and runs the serial set/bag logic, and the
-/// final tag sort restores the serial output order exactly.
+/// The one body of every hash set operation: run `(op, all)` over the
+/// rows of one hash partition — `l` then `r`, each in tag order — and
+/// hand every surviving row (always an `l` row, except under `UNION`) to
+/// `emit` with its tag, in the order the serial operator outputs them.
+/// `capacity` sizes `UNION`'s dedup set.
+pub(super) fn setop_kernel<G>(
+    ctx: &QueryContext,
+    (op, all): (SetOpType, bool),
+    l: impl Iterator<Item = Result<(G, Tuple)>>,
+    r: impl Iterator<Item = Result<(G, Tuple)>>,
+    capacity: usize,
+    mut emit: impl FnMut(G, Tuple),
+) -> Result<()> {
+    match (op, all) {
+        (SetOpType::Union, true) => unreachable!("append is not hashed"),
+        (SetOpType::Union, false) => {
+            // Single-probe insert: UNION inputs are mostly distinct, so
+            // one hash plus a refcount-bump clone beats a double probe.
+            let mut seen = set_with_capacity(capacity);
+            for (k, rec) in l.chain(r).enumerate() {
+                // Masked cancellation check per 4096 rows.
+                if k % 4096 == 0 {
+                    ctx.check()?;
+                }
+                let (tag, t) = rec?;
+                if seen.insert(t.clone()) {
+                    emit(tag, t);
+                }
+            }
+            Ok(())
+        }
+        (SetOpType::Intersect, false) => filter_left(ctx, l, r, true, false, emit),
+        (SetOpType::Except, false) => filter_left(ctx, l, r, false, false, emit),
+        (SetOpType::Intersect, true) => filter_left(ctx, l, r, true, true, emit),
+        (SetOpType::Except, true) => filter_left(ctx, l, r, false, true, emit),
+    }
+}
+
+/// `INTERSECT` (`keep_hits`) / `EXCEPT` (`!keep_hits`): count `r`'s rows,
+/// then keep the `l` rows that do (or do not) find a counterpart there.
+/// Under bag semantics (`all`) a hit consumes one `r` occurrence, so the
+/// hits are the bag intersection (min(countL, countR) copies) and the
+/// misses the bag difference (countL − countR); under set semantics a
+/// hit consumes nothing and only the first occurrence of a row survives.
+fn filter_left<G>(
+    ctx: &QueryContext,
+    l: impl Iterator<Item = Result<(G, Tuple)>>,
+    r: impl Iterator<Item = Result<(G, Tuple)>>,
+    keep_hits: bool,
+    all: bool,
+    mut emit: impl FnMut(G, Tuple),
+) -> Result<()> {
+    // In-memory streams report their length; spill readers report
+    // nothing and the map grows on demand.
+    let mut rcount: FxHashMap<Tuple, usize> = map_with_capacity(r.size_hint().0);
+    for (k, rec) in r.enumerate() {
+        // Masked cancellation check per 4096 rows.
+        if k % 4096 == 0 {
+            ctx.check()?;
+        }
+        *rcount.entry(rec?.1).or_insert(0) += 1;
+    }
+    let mut seen = FxHashSet::default();
+    for (k, rec) in l.enumerate() {
+        // Masked cancellation check per 4096 rows.
+        if k % 4096 == 0 {
+            ctx.check()?;
+        }
+        let (tag, t) = rec?;
+        let hit = match rcount.get_mut(&t) {
+            Some(c) if *c > 0 => {
+                if all {
+                    *c -= 1;
+                }
+                true
+            }
+            _ => false,
+        };
+        if hit == keep_hits && (all || seen.insert(t.clone())) {
+            emit(tag, t);
+        }
+    }
+    Ok(())
+}
+
+/// The spilled driver of [`setop_kernel`]: both sides scatter to
+/// partition files by row hash, tagged with their global position (`l`
+/// before `r`); each partition streams back through the kernel, every
+/// row read charged to the per-query cap only until the partition ends.
 fn setop_spill(
     ctx: &QueryContext,
     l: Vec<Tuple>,
@@ -300,31 +205,11 @@ fn setop_spill(
     parts: usize,
     res: &MemoryReservation,
 ) -> Result<Vec<Tuple>> {
-    debug_assert!(
-        !(matches!(op, SetOpType::Union) && all),
-        "append never spills"
-    );
     let roffset = l.len() as u64;
-    let mut lfiles = SpillPartitions::create(parts)?;
-    for (i, t) in l.iter().enumerate() {
-        // Masked cancellation check per 4096 scattered rows.
-        if i % 4096 == 0 {
-            ctx.check()?;
-        }
-        lfiles.push(partition_of(t, parts), i as u64, t)?;
-    }
-    drop(l);
-    let mut rfiles = SpillPartitions::create(parts)?;
-    for (i, t) in r.iter().enumerate() {
-        // Masked cancellation check per 4096 scattered rows.
-        if i % 4096 == 0 {
-            ctx.check()?;
-        }
-        rfiles.push(partition_of(t, parts), roffset + i as u64, t)?;
-    }
-    drop(r);
+    let lfiles = scatter_tagged(ctx, l, 0, parts)?;
+    let rfiles = scatter_tagged(ctx, r, roffset, parts)?;
 
-    let mut all_rows: Vec<(u64, Tuple)> = Vec::new();
+    let mut kept: Vec<(u64, Tuple)> = Vec::new();
     for (lreader, rreader) in lfiles
         .into_readers()?
         .into_iter()
@@ -333,116 +218,126 @@ fn setop_spill(
         // Partition boundary: cancellation point (temp files are cleaned
         // by the readers' Drop even on the early-return path).
         ctx.check()?;
+        let charged = Cell::new(0usize);
+        let load = |rec: Result<(u64, Tuple)>| {
+            let (tag, row) = rec?;
+            let bytes = row.size_bytes();
+            res.grow_unpooled(bytes)?;
+            charged.set(charged.get() + bytes);
+            Ok((tag, row))
+        };
+        let capacity = lreader.remaining() + rreader.remaining();
+        setop_kernel(
+            ctx,
+            (op, all),
+            lreader.map(load),
+            rreader.map(load),
+            capacity,
+            |tag, t| kept.push((tag, t)),
+        )?;
+        res.shrink(charged.get());
+    }
+    Ok(restore_order(kept))
+}
+
+/// Execute a [`PhysicalPlan::HashDistinct`] node.
+pub(crate) fn run_distinct(
+    exec: &Executor,
+    input: &PhysicalPlan,
+    dop: usize,
+    spill: Option<usize>,
+) -> Result<Vec<Tuple>> {
+    let rows = exec.run_physical(input)?;
+    let ctx = exec.context();
+    // The dedup set holds (at worst) every input row: charge input
+    // bytes; a denial switches to the partitioned on-disk dedup, which
+    // holds one partition at a time.
+    let reservation = exec.memory().register("HashDistinct");
+    if let Err(denied) = grow_batched(&reservation, rows.iter().map(Tuple::size_bytes)) {
+        reservation.free();
+        let Some(parts) = spill else {
+            return Err(denied.into_error());
+        };
+        return distinct_spill(ctx, rows, parts, &reservation);
+    }
+    if dop > 1 {
+        let parts = partition_tagged(ctx, rows, 0, dop)?;
+        let worker_ctx = ctx.clone();
+        let kept = map_partitions(parts, move |part| {
+            let mut out = Vec::new();
+            keep_first(
+                &worker_ctx,
+                part.len(),
+                part.into_iter().map(Ok),
+                |tag, t| {
+                    out.push((tag, t));
+                    Ok(())
+                },
+            )?;
+            Ok(out)
+        })?;
+        return Ok(restore_order(kept));
+    }
+    let mut out = Vec::new();
+    keep_first(ctx, rows.len(), untagged(rows), |(), t| {
+        out.push(t);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// The one body of DISTINCT: hand the first occurrence of every distinct
+/// row of one hash partition (in tag order) to `emit`. `emit` is
+/// fallible so the spilled driver can charge exactly the rows it keeps.
+pub(super) fn keep_first<G>(
+    ctx: &QueryContext,
+    capacity: usize,
+    rows: impl Iterator<Item = Result<(G, Tuple)>>,
+    mut emit: impl FnMut(G, Tuple) -> Result<()>,
+) -> Result<()> {
+    let mut seen = set_with_capacity(capacity);
+    for (k, rec) in rows.enumerate() {
+        // Masked cancellation check per 4096 rows.
+        if k % 4096 == 0 {
+            ctx.check()?;
+        }
+        let (tag, t) = rec?;
+        // Membership first: DISTINCT inputs are duplicate-heavy (that is
+        // what the operator is for), and a duplicate then costs one probe
+        // and no clone. Contrast with UNION above, whose mostly-distinct
+        // inputs make the single-probe insert the better trade there.
+        if !seen.contains(&t) {
+            seen.insert(t.clone());
+            emit(tag, t)?;
+        }
+    }
+    Ok(())
+}
+
+/// The spilled driver of [`keep_first`]: rows scatter by their own hash
+/// tagged with their input position, and each partition dedups as it
+/// streams back, charging only the rows it keeps.
+pub(super) fn distinct_spill(
+    ctx: &QueryContext,
+    rows: Vec<Tuple>,
+    parts: usize,
+    res: &MemoryReservation,
+) -> Result<Vec<Tuple>> {
+    let files = scatter_tagged(ctx, rows, 0, parts)?;
+    let mut kept: Vec<(u64, Tuple)> = Vec::new();
+    for reader in files.into_readers()? {
+        // Partition boundary: cancellation point (temp files are cleaned
+        // by the readers' Drop even on the early-return path).
+        ctx.check()?;
         let mut charged = 0usize;
-        let mut lp: Vec<(u64, Tuple)> = Vec::with_capacity(lreader.remaining());
-        for (k, rec) in lreader.enumerate() {
-            // Masked cancellation check per 4096 reloaded rows.
-            if k % 4096 == 0 {
-                ctx.check()?;
-            }
-            let (tag, row) = rec?;
+        keep_first(ctx, reader.remaining(), reader, |tag, row| {
             let bytes = row.size_bytes();
             res.grow_unpooled(bytes)?;
             charged += bytes;
-            lp.push((tag, row));
-        }
-        let mut rp: Vec<(u64, Tuple)> = Vec::with_capacity(rreader.remaining());
-        for (k, rec) in rreader.enumerate() {
-            // Masked cancellation check per 4096 reloaded rows.
-            if k % 4096 == 0 {
-                ctx.check()?;
-            }
-            let (tag, row) = rec?;
-            let bytes = row.size_bytes();
-            res.grow_unpooled(bytes)?;
-            charged += bytes;
-            rp.push((tag, row));
-        }
-        match (op, all) {
-            (SetOpType::Union, true) => unreachable!("append is not partitioned"),
-            (SetOpType::Union, false) => {
-                let mut seen = set_with_capacity(lp.len() + rp.len());
-                for (k, (i, t)) in lp.iter().chain(&rp).enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    if seen.insert(t.clone()) {
-                        all_rows.push((*i, t.clone()));
-                    }
-                }
-            }
-            (SetOpType::Intersect, false) => {
-                let rset: FxHashSet<&Tuple> = rp.iter().map(|(_, t)| t).collect();
-                let mut seen = FxHashSet::default();
-                for (k, (i, t)) in lp.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    if rset.contains(t) && seen.insert(t.clone()) {
-                        all_rows.push((*i, t.clone()));
-                    }
-                }
-            }
-            (SetOpType::Intersect, true) => {
-                let mut rcount: FxHashMap<&Tuple, usize> = FxHashMap::default();
-                for (k, (_, t)) in rp.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    *rcount.entry(t).or_insert(0) += 1;
-                }
-                for (k, (i, t)) in lp.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    if let Some(c) = rcount.get_mut(t) {
-                        if *c > 0 {
-                            *c -= 1;
-                            all_rows.push((*i, t.clone()));
-                        }
-                    }
-                }
-            }
-            (SetOpType::Except, false) => {
-                let rset: FxHashSet<&Tuple> = rp.iter().map(|(_, t)| t).collect();
-                let mut seen = FxHashSet::default();
-                for (k, (i, t)) in lp.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    if !rset.contains(t) && seen.insert(t.clone()) {
-                        all_rows.push((*i, t.clone()));
-                    }
-                }
-            }
-            (SetOpType::Except, true) => {
-                let mut rcount: FxHashMap<&Tuple, usize> = FxHashMap::default();
-                for (k, (_, t)) in rp.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    *rcount.entry(t).or_insert(0) += 1;
-                }
-                for (k, (i, t)) in lp.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if k % 4096 == 0 {
-                        ctx.check()?;
-                    }
-                    match rcount.get_mut(t) {
-                        Some(c) if *c > 0 => *c -= 1,
-                        _ => all_rows.push((*i, t.clone())),
-                    }
-                }
-            }
-        }
+            kept.push((tag, row));
+            Ok(())
+        })?;
         res.shrink(charged);
     }
-    all_rows.sort_unstable_by_key(|(i, _)| *i);
-    Ok(all_rows.into_iter().map(|(_, t)| t).collect())
+    Ok(restore_order(kept))
 }

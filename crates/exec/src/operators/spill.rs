@@ -1,26 +1,29 @@
-//! Spill-to-disk execution paths for buffering operators.
+//! Spill-to-disk execution for buffering operators.
 //!
 //! When a buffering operator's memory reservation is denied
-//! ([`crate::memory`]), it switches to a partitioned on-disk strategy
-//! built on [`perm_storage::spill`]'s length-prefixed row files. The
-//! contract is exact equivalence: a spilled execution produces the same
-//! rows, in the same order, raising the same errors, as the in-memory
-//! path it replaces. The per-operator strategies:
+//! ([`crate::memory`]), it switches to a partitioned on-disk driver built
+//! on [`perm_storage::spill`]'s length-prefixed row files. The contract is
+//! exact equivalence: a spilled execution produces the same rows, in the
+//! same order, raising the same errors, as the in-memory path it
+//! replaces. For the hash operators that holds by construction — the
+//! spilled driver feeds the *same kernel* the serial and parallel drivers
+//! run, one partition at a time, and
+//! [`restore_order`](crate::parallel::restore_order) sorts the tagged
+//! output back into input order:
 //!
-//! * **Sort** (here, `sort_spill`) — external sort: contiguous runs
-//!   are keyed, stably sorted and written out, then merged k-way with
-//!   ties resolved toward the earlier run (= the serial stable order).
-//! * **Distinct** (here, `distinct_spill`) — rows hash-partition to
-//!   disk tagged with their input position; each partition dedups in tag
-//!   order and a final sort by tag restores first-occurrence order.
-//! * **Hash join** ([`super::join`]) — Grace join: both sides partition
-//!   by key hash, each partition re-runs the serial build+probe, output
-//!   rows sort by probe position.
+//! * **Distinct** and **set operations** ([`super::setop`]) — rows
+//!   scatter by their own hash ([`scatter_tagged`], here) tagged with
+//!   their input position; each partition streams back through
+//!   `keep_first` / `setop_kernel`.
+//! * **Hash join** ([`super::join`]) — Grace join: both sides scatter by
+//!   key hash, each partition rebuilds its table and runs the one probe
+//!   kernel over probe rows tagged with their input position.
 //! * **Aggregation** ([`super::aggregate`]) — input partitions by
 //!   group-key hash; groups track their first input position and the
 //!   output sorts by it, recovering first-appearance order.
-//! * **Set operations** ([`super::setop`]) — both sides partition by row
-//!   hash with global position tags, mirroring the parallel set logic.
+//! * **Sort** (here, `sort_spill`) — external sort: contiguous runs are
+//!   keyed, stably sorted and written out, then merged k-way with ties
+//!   resolved toward the earlier run (= the serial stable order).
 //!
 //! While spilling, an operator's bounded working memory (one partition
 //! at a time) is charged to the per-query cap only
@@ -28,18 +31,14 @@
 //! makes queries spill, never fail.
 
 use perm_algebra::plan::SortKey;
-use perm_storage::{SpillPartitions, SpillReader, SpillWriter};
-// End-of-test assertion helper: no spill temp file from this process
-// left on disk (cancellation and panic paths included).
-pub use perm_storage::spill_dir_is_clean;
-use perm_types::hash::set_with_capacity;
+use perm_storage::{SpillPartitions, SpillWriter};
 use perm_types::{QueryContext, Result, Tuple, Value};
 
 use crate::compile::CompiledExpr;
 use crate::eval::Env;
 use crate::executor::Executor;
 use crate::memory::MemoryReservation;
-use crate::parallel::{chunk_ranges, cmp_keys, partition_of};
+use crate::parallel::{chunk_ranges, cmp_keys, merge_runs, partition_of};
 
 /// External sort: key + stably sort + spill contiguous runs, then k-way
 /// merge. Runs cover the input in order, so key-evaluation errors
@@ -100,114 +99,54 @@ pub(crate) fn sort_spill(
     }
     drop(rows);
 
-    let mut readers: Vec<SpillReader> = writers
-        .into_iter()
-        .map(SpillWriter::into_reader)
-        .collect::<Result<_>>()?;
-    let split = |row: Tuple| -> (Vec<Value>, Tuple) {
-        let mut vals = row.into_values();
-        let rest = vals.split_off(kn);
-        (vals, Tuple::new(rest))
-    };
-    let mut heads: Vec<Option<(Vec<Value>, Tuple)>> = Vec::with_capacity(readers.len());
+    // Merge: split each composite record back into (keys, row).
     let mut total = 0usize;
-    // no-cancel: head priming, bounded by the run count.
-    for r in &mut readers {
-        total += r.remaining() + usize::from(r.remaining() > 0);
-        heads.push(match r.next() {
-            Some(rec) => Some(split(rec?.1)),
-            None => None,
-        });
+    let mut runs = Vec::with_capacity(writers.len());
+    // no-cancel: opening the runs, bounded by the run count.
+    for w in writers {
+        let reader = w.into_reader()?;
+        total += reader.remaining();
+        runs.push(reader.map(move |rec| {
+            let mut vals = rec?.1.into_values();
+            let rest = vals.split_off(kn);
+            Ok((vals, Tuple::new(rest)))
+        }));
     }
-    let mut out = Vec::with_capacity(total);
-    loop {
-        // Masked cancellation check per 4096 merged rows.
-        if out.len() % 4096 == 0 {
-            exec.check_cancelled()?;
-        }
-        let mut best: Option<usize> = None;
-        // no-cancel: head scan, bounded by the run count.
-        for i in 0..heads.len() {
-            let Some((hk, _)) = &heads[i] else { continue };
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    // INVARIANT: heads[b] is Some — b was picked above.
-                    let (bk, _) = heads[b].as_ref().expect("best head present");
-                    if cmp_keys(hk, bk, keys) == std::cmp::Ordering::Less {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let Some(b) = best else { break };
-        // INVARIANT: `best` was only ever set to an index whose head is
-        // Some in the selection loop above.
-        let (_, row) = heads[b].take().expect("best head present");
-        out.push(row);
-        heads[b] = match readers[b].next() {
-            Some(rec) => Some(split(rec?.1)),
-            None => None,
-        };
-    }
-    Ok(out)
+    merge_runs(exec.context(), runs, keys, total)
 }
 
-/// Partitioned on-disk duplicate elimination: rows scatter by their own
-/// hash tagged with their input position, each partition keeps first
-/// occurrences (in tag order), and the final sort by tag restores the
-/// serial first-occurrence output exactly.
-pub(crate) fn distinct_spill(
+/// Scatter `rows` into `parts` partition files by row hash, tagging each
+/// with `offset +` its input position — the on-disk mirror of
+/// [`crate::parallel::partition_tagged`]. Equal rows colocate and every
+/// partition reads back in tag order.
+pub(super) fn scatter_tagged(
     ctx: &QueryContext,
     rows: Vec<Tuple>,
+    offset: u64,
     parts: usize,
-    res: &MemoryReservation,
-) -> Result<Vec<Tuple>> {
+) -> Result<SpillPartitions> {
     let mut files = SpillPartitions::create(parts)?;
     for (i, t) in rows.iter().enumerate() {
         // Masked cancellation check per 4096 scattered rows.
         if i % 4096 == 0 {
             ctx.check()?;
         }
-        files.push(partition_of(t, parts), i as u64, t)?;
+        files.push(partition_of(t, parts), offset + i as u64, t)?;
     }
-    drop(rows);
-
-    let mut kept: Vec<(u64, Tuple)> = Vec::new();
-    for reader in files.into_readers()? {
-        // Partition boundary: cancellation point (temp files are cleaned
-        // by the readers' Drop even on the early-return path).
-        ctx.check()?;
-        let mut charged = 0usize;
-        let mut seen = set_with_capacity(reader.remaining());
-        for (k, rec) in reader.enumerate() {
-            // Masked cancellation check per 4096 reloaded rows.
-            if k % 4096 == 0 {
-                ctx.check()?;
-            }
-            let (tag, row) = rec?;
-            if !seen.contains(&row) {
-                let bytes = row.size_bytes();
-                res.grow_unpooled(bytes)?;
-                charged += bytes;
-                seen.insert(row.clone());
-                kept.push((tag, row));
-            }
-        }
-        res.shrink(charged);
-    }
-    kept.sort_unstable_by_key(|(i, _)| *i);
-    Ok(kept.into_iter().map(|(_, t)| t).collect())
+    Ok(files)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::memory::{MemoryPool, QueryMemory};
+    use crate::operators::setop::distinct_spill;
     use perm_storage::Catalog;
     use std::sync::Arc;
+
+    // Spill files are process-global state: every test here takes
+    // `perm_fault::test_guard()` so the clean-directory assertion of the
+    // cancellation test cannot see a sibling's files.
 
     fn res() -> (QueryMemory, MemoryReservation) {
         let q = QueryMemory::new(MemoryPool::with_budget(1), None);
@@ -223,6 +162,7 @@ mod tests {
 
     #[test]
     fn external_sort_matches_in_memory_stable_sort() {
+        let _g = perm_fault::test_guard();
         let exec = Executor::new(Arc::new(Catalog::new()));
         let (_q, r) = res();
         let input = rows(&[5, 3, 8, 3, 1, 9, 3, 7, 2, 5, 0, 6]);
@@ -242,6 +182,7 @@ mod tests {
 
     #[test]
     fn spilled_distinct_keeps_first_occurrence_order() {
+        let _g = perm_fault::test_guard();
         let (_q, r) = res();
         let input = rows(&[4, 1, 4, 2, 1, 3, 2, 4]);
         let got = distinct_spill(&QueryContext::detached(), input, 3, &r).unwrap();
@@ -251,6 +192,7 @@ mod tests {
 
     #[test]
     fn empty_input_spills_to_empty_output() {
+        let _g = perm_fault::test_guard();
         let exec = Executor::new(Arc::new(Catalog::new()));
         let (_q, r) = res();
         assert!(sort_spill(&exec, Vec::new(), &[], 4, &r)
@@ -263,7 +205,7 @@ mod tests {
 
     #[test]
     fn cancelled_spill_sort_cleans_its_temp_files() {
-        let exec_dir_empty = crate::operators::spill::spill_dir_is_clean;
+        let _g = perm_fault::test_guard();
         let ctx = QueryContext::new(11, None, None);
         ctx.handle().cancel();
         let catalog = Arc::new(Catalog::new());
@@ -277,6 +219,9 @@ mod tests {
         let err = sort_spill(&exec, input, &keys, 4, &r).unwrap_err();
         assert_eq!(err.kind(), "cancelled");
         assert_eq!(r.size(), 0, "working memory released on cancellation");
-        assert!(exec_dir_empty(), "cancelled sort left spill temp files");
+        assert!(
+            perm_storage::spill_dir_is_clean(),
+            "cancelled sort left spill temp files"
+        );
     }
 }

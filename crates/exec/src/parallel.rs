@@ -10,6 +10,16 @@
 //! counterpart would. Operators whose merge is order-sensitive
 //! (aggregation, sort) use contiguous *chunks* instead: each worker owns
 //! one contiguous range and partial states merge in chunk order.
+//! Operators that need equal rows to meet (DISTINCT, set operations) use
+//! *hash partitions*: [`partition_tagged`] tags rows with their input
+//! position, [`map_partitions`] runs one worker per partition, and
+//! [`restore_order`] — the only place the order-restoring tag sort
+//! happens — puts the output back in input order.
+//!
+//! These schedulers are **drivers**: the operator bodies live in
+//! [`crate::operators`], each written once and shared with the serial
+//! driver (one partition, already in order: no tags, no sort) and the
+//! spill drivers.
 //!
 //! Everything here is built from `std` only (the environment has no
 //! crates.io access): [`Channel`] is a crossbeam-style Mutex + Condvar
@@ -23,8 +33,9 @@
 //!
 //! Workers never evaluate expressions containing sublinks (the planner
 //! only assigns a degree of parallelism > 1 to subquery-free pipelines),
-//! so each worker runs against its own lightweight [`Executor`] over the
-//! shared catalog snapshot. A worker that hits an error stops claiming
+//! so each worker runs against its own lightweight [`Executor`] (from
+//! the parent's [`Executor::worker_factory`]) over the shared catalog
+//! snapshot. A worker that hits an error stops claiming
 //! morsels and the merge step re-raises the error of the
 //! **lowest-indexed** failed morsel — which is exactly the error serial
 //! execution would have raised first, because morsels are claimed in
@@ -42,6 +53,7 @@
 //! queries never observe the panic.
 
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -425,18 +437,17 @@ where
     Ok(out)
 }
 
-/// Partition index of a tuple: high hash bits, so the per-partition hash
-/// tables built afterwards (which consume the *low* bits for buckets)
-/// don't lose entropy to the partitioning.
-pub(crate) fn partition_of(t: &Tuple, partitions: usize) -> usize {
-    use std::hash::{Hash, Hasher};
+/// Partition index of a row or key: high hash bits, so the per-partition
+/// hash tables built afterwards (which consume the *low* bits for
+/// buckets) don't lose entropy to the partitioning.
+pub(crate) fn partition_of<T: Hash>(t: &T, partitions: usize) -> usize {
     let mut h = FxHasher::default();
     t.hash(&mut h);
     ((h.finish() >> 32) as usize) % partitions
 }
 
 // ----------------------------------------------------------------------
-// Parallel operators: scan, sort, distinct
+// Parallel operators: scan, sort
 // ----------------------------------------------------------------------
 
 use perm_algebra::expr::ScalarExpr;
@@ -459,18 +470,13 @@ pub(crate) fn scan_parallel(
     allow_batch: bool,
 ) -> Result<Vec<Tuple>> {
     let total = exec.catalog().table(table)?.rows().len();
-    let catalog = exec.catalog_arc();
+    let worker = exec.worker_factory();
     let outer = exec.outer_stack();
     let table = table.to_string();
     let filter = filter.cloned();
     let project: Option<Vec<ScalarExpr>> = project.map(<[ScalarExpr]>::to_vec);
-    let columnar = exec.columnar();
-    let ctx = exec.context().clone();
-    let sub_ctx = ctx.clone();
-    let parts = map_morsels(&ctx, dop, total, move |range| {
-        let sub = Executor::new(Arc::clone(&catalog))
-            .with_columnar(columnar)
-            .with_context(sub_ctx.clone());
+    let parts = map_morsels(exec.context(), dop, total, move |range| {
+        let sub = worker();
         let t = sub.catalog().table(&table)?;
         sub.scan_emit(
             t.rows()[range].iter(),
@@ -483,7 +489,7 @@ pub(crate) fn scan_parallel(
     Ok(concat(parts))
 }
 
-pub(crate) fn concat(parts: Vec<Vec<Tuple>>) -> Vec<Tuple> {
+pub(crate) fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
     let n: usize = parts.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(n);
     // no-cancel: reassembly of already-computed morsel outputs.
@@ -520,135 +526,139 @@ pub(crate) fn sort_parallel(
     allow_batch: bool,
 ) -> Result<Vec<Tuple>> {
     let total = rows.len();
-    let rows = Arc::new(rows);
-    let catalog = exec.catalog_arc();
+    let worker = exec.worker_factory();
     let outer = exec.outer_stack();
-    let keys_owned: Arc<Vec<SortKey>> = Arc::new(keys.to_vec());
-    let columnar = exec.columnar();
-    let ctx = exec.context().clone();
-    let chunks = {
-        let rows = Arc::clone(&rows);
-        let keys = Arc::clone(&keys_owned);
-        let sub_ctx = ctx.clone();
-        map_chunks(&ctx, dop, total, move |range| {
-            let sub = Executor::new(Arc::clone(&catalog))
-                .with_columnar(columnar)
-                .with_context(sub_ctx.clone());
-            let compiled: Vec<CompiledExpr> = keys
-                .iter()
-                .map(|k| CompiledExpr::compile(&sub, &k.expr))
-                .collect();
-            let key_rows =
-                sub.compute_keys(&rows[range.clone()], &compiled, &outer, allow_batch)?;
-            let mut keyed: Vec<(Vec<Value>, Tuple)> = key_rows
-                .into_iter()
-                .zip(rows[range].iter().cloned())
-                .collect();
-            keyed.sort_by(|(a, _), (b, _)| cmp_keys(a, b, &keys));
-            Ok(keyed)
-        })?
-    };
+    let worker_keys = keys.to_vec();
+    let ctx = exec.context();
+    let chunks = map_chunks(ctx, dop, total, move |range| {
+        let sub = worker();
+        let compiled: Vec<CompiledExpr> = worker_keys
+            .iter()
+            .map(|k| CompiledExpr::compile(&sub, &k.expr))
+            .collect();
+        let key_rows = sub.compute_keys(&rows[range.clone()], &compiled, &outer, allow_batch)?;
+        let mut keyed: Vec<(Vec<Value>, Tuple)> = key_rows
+            .into_iter()
+            .zip(rows[range].iter().cloned())
+            .collect();
+        keyed.sort_by(|(a, _), (b, _)| cmp_keys(a, b, &worker_keys));
+        Ok(keyed)
+    })?;
+    let runs = chunks.into_iter().map(|c| c.into_iter().map(Ok)).collect();
+    merge_runs(ctx, runs, keys, total)
+}
 
-    // Stable k-way merge: smallest key wins, ties take the earlier chunk
-    // (chunks are contiguous, so this reproduces the stable serial
-    // order). The chunk count is small (≤ dop), so a linear scan of the
-    // heads beats heap bookkeeping.
-    let mut heads: Vec<usize> = vec![0; chunks.len()];
-    let mut out = Vec::with_capacity(total);
+/// Stable k-way merge of sorted runs — the one merge behind the parallel
+/// chunk sort and the external sort: smallest key wins, ties take the
+/// earlier run (runs cover the input in order, so this reproduces the
+/// stable serial order). The run count is small (≤ dop or the spill
+/// fanout), so a linear scan of the heads beats heap bookkeeping.
+pub(crate) fn merge_runs<I>(
+    ctx: &QueryContext,
+    mut runs: Vec<I>,
+    keys: &[SortKey],
+    capacity: usize,
+) -> Result<Vec<Tuple>>
+where
+    I: Iterator<Item = Result<(Vec<Value>, Tuple)>>,
+{
+    let mut heads: Vec<Option<(Vec<Value>, Tuple)>> = Vec::with_capacity(runs.len());
+    // no-cancel: head priming, bounded by the run count.
+    for run in &mut runs {
+        heads.push(run.next().transpose()?);
+    }
+    let mut out = Vec::with_capacity(capacity);
     loop {
         // Masked cancellation check: once per 4096 merged rows keeps the
         // hot merge loop cheap while still bounding cancel latency.
         if out.len() % 4096 == 0 {
             ctx.check()?;
         }
-        let mut best: Option<usize> = None;
-        // no-cancel: head scan, bounded by dop.
-        for (c, chunk) in chunks.iter().enumerate() {
-            if heads[c] >= chunk.len() {
-                continue;
+        let mut best: Option<(usize, &[Value])> = None;
+        // no-cancel: head scan, bounded by the run count.
+        for (i, head) in heads.iter().enumerate() {
+            let Some((hk, _)) = head else { continue };
+            if best.is_none_or(|(_, bk)| cmp_keys(hk, bk, keys) == std::cmp::Ordering::Less) {
+                best = Some((i, hk));
             }
-            best = match best {
-                None => Some(c),
-                Some(b) => {
-                    let (bk, _) = &chunks[b][heads[b]];
-                    let (ck, _) = &chunk[heads[c]];
-                    if cmp_keys(ck, bk, keys) == std::cmp::Ordering::Less {
-                        Some(c)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
         }
-        let Some(c) = best else { break };
-        let (_, t) = &chunks[c][heads[c]];
-        out.push(t.clone());
-        heads[c] += 1;
+        let Some((b, _)) = best else { break };
+        if let Some((_, row)) = heads[b].take() {
+            out.push(row);
+        }
+        heads[b] = runs[b].next().transpose()?;
     }
-    drop(chunks);
     Ok(out)
 }
 
-/// Hash-partitioned parallel DISTINCT. Phase 1 buckets contiguous chunks
-/// by tuple hash (tagging each row with its global index); phase 2
-/// dedups every partition independently, keeping the first occurrence by
-/// global index; the final index sort restores exactly the serial
-/// first-occurrence output order.
-pub(crate) fn distinct_parallel(
+// ----------------------------------------------------------------------
+// Hash-partitioned operators: tag, scatter, run per partition, restore
+// ----------------------------------------------------------------------
+
+/// Hash-partition `rows` into `parts` buckets in parallel, tagging each
+/// row with `offset +` its input position. Buckets come back sorted by
+/// tag (chunks are contiguous and merge in chunk order). Equal rows land
+/// in the same bucket, so DISTINCT and the set operations run their
+/// kernel on each bucket independently.
+pub(crate) fn partition_tagged(
     ctx: &QueryContext,
     rows: Vec<Tuple>,
-    dop: usize,
-) -> Result<Vec<Tuple>> {
-    use perm_types::hash::FxHashSet;
-
+    offset: u64,
+    parts: usize,
+) -> Result<Vec<Vec<(u64, Tuple)>>> {
     let total = rows.len();
-    let rows = Arc::new(rows);
-    let buckets = {
-        let rows = Arc::clone(&rows);
-        let ctx = ctx.clone();
-        map_chunks(&ctx.clone(), dop, total, move |range| {
-            let mut parts: Vec<Vec<(usize, Tuple)>> = vec![Vec::new(); dop];
-            for (i, t) in rows[range.clone()].iter().enumerate() {
-                // Masked cancellation check per 4096 scattered rows.
-                if i % 4096 == 0 {
-                    ctx.check()?;
-                }
-                parts[partition_of(t, dop)].push((range.start + i, t.clone()));
+    let worker_ctx = ctx.clone();
+    let chunked = map_chunks(ctx, parts, total, move |range| {
+        let mut buckets: Vec<Vec<(u64, Tuple)>> = vec![Vec::new(); parts];
+        for (i, t) in rows[range.clone()].iter().enumerate() {
+            // Masked cancellation check per 4096 scattered rows.
+            if i % 4096 == 0 {
+                worker_ctx.check()?;
             }
-            Ok(parts)
-        })?
-    };
-    let buckets = Arc::new(buckets);
-    let deduped = {
-        let buckets = Arc::clone(&buckets);
-        let ctx = ctx.clone();
-        run_workers(dop, move |p| -> Result<Vec<(usize, Tuple)>> {
-            let mut seen: FxHashSet<Tuple> = FxHashSet::default();
-            let mut kept: Vec<(usize, Tuple)> = Vec::new();
-            let mut scanned = 0usize;
-            for chunk in buckets.iter() {
-                for (idx, t) in &chunk[p] {
-                    // Masked cancellation check per 4096 probed rows.
-                    if scanned.is_multiple_of(4096) {
-                        ctx.check()?;
-                    }
-                    scanned += 1;
-                    if !seen.contains(t) {
-                        seen.insert(t.clone());
-                        kept.push((*idx, t.clone()));
-                    }
-                }
-            }
-            Ok(kept)
-        })?
-    };
-    let mut all: Vec<(usize, Tuple)> = Vec::new();
-    // no-cancel: reassembly of already-computed partition outputs.
-    for part in deduped {
-        all.extend(part?);
+            let tag = offset + (range.start + i) as u64;
+            buckets[partition_of(t, parts)].push((tag, t.clone()));
+        }
+        Ok(buckets)
+    })?;
+    let mut out: Vec<Vec<(u64, Tuple)>> = vec![Vec::new(); parts];
+    // no-cancel: reassembly of already-computed buckets.
+    for chunk in chunked {
+        // no-cancel: bounded by the partition count.
+        for (p, items) in chunk.into_iter().enumerate() {
+            out[p].extend(items);
+        }
     }
-    all.sort_unstable_by_key(|(idx, _)| *idx);
-    Ok(all.into_iter().map(|(_, t)| t).collect())
+    Ok(out)
+}
+
+/// Run `f` once per partition on the pool, each worker taking ownership
+/// of its partition (so a by-value kernel moves rows instead of cloning
+/// them), and concatenate the partition outputs in partition order.
+pub(crate) fn map_partitions<P, R, F>(parts: Vec<P>, f: F) -> Result<Vec<R>>
+where
+    P: Send + 'static,
+    R: Send + 'static,
+    F: Fn(P) -> Result<Vec<R>> + Send + Sync + 'static,
+{
+    let slots: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    let outputs = run_workers(slots.len(), move |w| {
+        // INVARIANT: worker `w` is the only taker of slot `w`.
+        let part = slots[w].lock().expect("partition slot lock").take();
+        f(part.expect("partition taken once"))
+    })?;
+    Ok(concat(outputs.into_iter().collect::<Result<Vec<_>>>()?))
+}
+
+/// Undo a hash partitioning: sort position-tagged output rows back into
+/// input order and drop the tags. Every partitioned driver (parallel or
+/// spilled DISTINCT / set operation, Grace join, spilled aggregation)
+/// ends here; the serial drivers run their body on one partition whose
+/// rows are already in order and skip it. The sort is stable because a
+/// join emits several rows per probe position, already in serial
+/// candidate order.
+pub(crate) fn restore_order(mut tagged: Vec<(u64, Tuple)>) -> Vec<Tuple> {
+    tagged.sort_by_key(|(tag, _)| *tag);
+    tagged.into_iter().map(|(_, t)| t).collect()
 }
 
 #[cfg(test)]

@@ -187,16 +187,15 @@ impl ExchangeCursor {
         filter: Option<&ScalarExpr>,
         project: Option<&[ScalarExpr]>,
         dop: usize,
-        columnar: bool,
+        allow_batch: bool,
     ) -> Result<ExchangeCursor> {
-        let catalog = exec.catalog_arc();
-        let total = catalog.table(table)?.rows().len();
+        let total = exec.catalog().table(table)?.rows().len();
         let queue = Arc::new(MorselQueue::new(total, MORSEL_ROWS));
         let rx: Arc<Channel<MorselMsg>> = Arc::new(Channel::bounded(dop * 2));
         let expected = queue.morsel_count();
         let mut handles = Vec::with_capacity(dop);
         for i in 0..dop {
-            let catalog = Arc::clone(&catalog);
+            let worker = exec.worker_factory();
             let queue = Arc::clone(&queue);
             let tx = Arc::clone(&rx);
             let ctx = exec.context().clone();
@@ -207,9 +206,7 @@ impl ExchangeCursor {
                 std::thread::Builder::new()
                     .name(format!("perm-exchange-{i}"))
                     .spawn(move || {
-                        let sub = Executor::new(catalog)
-                            .with_columnar(columnar)
-                            .with_context(ctx.clone());
+                        let sub = worker();
                         // Cancellation is observed at every morsel claim;
                         // a producer panic is contained to this query as a
                         // typed error sent through the channel.
@@ -231,7 +228,7 @@ impl ExchangeCursor {
                                                 filter.as_ref(),
                                                 project.as_deref(),
                                                 &[],
-                                                true,
+                                                allow_batch,
                                             )
                                         })
                                     }))
@@ -327,7 +324,7 @@ impl Cursor {
                         filter.as_ref(),
                         project.as_deref(),
                         *dop,
-                        exec.columnar() && batch.is_batch(),
+                        batch.is_batch(),
                     )?));
                 }
                 let mut cursor = Cursor::Scan {

@@ -1,0 +1,239 @@
+//! Pre-cancelled operator matrix: every hash operator, under every driver
+//! the planner can stamp on it, observes a cancellation that happened
+//! before it started.
+//!
+//! The operators share one body per operator between their serial,
+//! parallel and spilled drivers, so "is this loop cancellable" has one
+//! answer per operator — this matrix pins it for all five hashed
+//! `(op, all)` set operations, `HashDistinct`, `HashJoin` (every kind the
+//! drivers accept, both build sides where legal) and `IndexNLJoin`, each
+//! at `dop` 1 and 2 and, where the node may spill, under a 1-byte
+//! per-query cap that denies the reservation. (It was born from a drift
+//! between the copies: serial `INTERSECT` / `EXCEPT` with set semantics
+//! returned rows on a cancelled context while their parallel twins
+//! returned `Cancelled`.)
+//!
+//! Plans are built by hand so the `dop` / `spill` stamps are exactly the
+//! ones under test, and checked with the physical plan verifier so the
+//! matrix only contains plans the planner could legally emit.
+
+use std::sync::Arc;
+
+use perm_algebra::expr::{BinOp, ScalarExpr};
+use perm_algebra::plan::{JoinType, SetOpType};
+use perm_exec::physical::{BatchMode, BuildSide, EquiKey, PhysicalPlan};
+use perm_exec::{verify_physical, Executor, MemoryPool, QueryMemory, SPILL_PARTITIONS};
+use perm_storage::{spill_dir_is_clean, Catalog, Table};
+use perm_types::{Column, DataType, QueryContext, Schema, Tuple, Value};
+
+fn int_table(name: &str, cols: [&str; 2], rows: impl Iterator<Item = (i64, i64)>) -> Table {
+    let mut t = Table::new(
+        name,
+        Schema::new(vec![
+            Column::new(cols[0], DataType::Int),
+            Column::new(cols[1], DataType::Int),
+        ]),
+    );
+    for (a, b) in rows {
+        t.insert(Tuple::new(vec![Value::Int(a), Value::Int(b)]))
+            .expect("row matches schema");
+    }
+    t
+}
+
+/// `t1(a, b)` and `t2(c, d)`: overlapping, duplicate-heavy, `t2` indexed
+/// on `c` for the index nested-loop join.
+fn catalog() -> Arc<Catalog> {
+    let mut cat = Catalog::new();
+    cat.create_table(int_table("t1", ["a", "b"], (0..60).map(|i| (i % 7, i % 3))))
+        .unwrap();
+    cat.create_table(int_table("t2", ["c", "d"], (0..45).map(|i| (i % 5, i % 3))))
+        .unwrap();
+    cat.table_mut("t2").unwrap().create_index(0).unwrap();
+    Arc::new(cat)
+}
+
+/// A bare scan: a bulk clone of the base rows with no loop of its own, so
+/// it succeeds on a cancelled context and the operator above it is the
+/// one that has to notice.
+fn scan(cat: &Catalog, name: &str) -> Box<PhysicalPlan> {
+    Box::new(PhysicalPlan::FusedScanProjectFilter {
+        table: name.into(),
+        schema: cat.table(name).unwrap().schema().clone(),
+        filter: None,
+        project: None,
+        est_rows: 50.0,
+        dop: 1,
+        batch: BatchMode::Row,
+    })
+}
+
+/// Every operator node of the matrix at one `dop`, labelled. Nodes that
+/// can spill carry the planner's default partition count.
+fn operators(cat: &Catalog, dop: usize) -> Vec<(String, PhysicalPlan)> {
+    let spill = Some(SPILL_PARTITIONS);
+    let mut ops = Vec::new();
+    for (op, all) in [
+        (SetOpType::Union, false),
+        (SetOpType::Intersect, false),
+        (SetOpType::Intersect, true),
+        (SetOpType::Except, false),
+        (SetOpType::Except, true),
+    ] {
+        ops.push((
+            format!("{op:?} all={all} dop={dop}"),
+            PhysicalPlan::HashSetOp {
+                op,
+                all,
+                left: scan(cat, "t1"),
+                right: scan(cat, "t2"),
+                dop,
+                spill,
+            },
+        ));
+    }
+    ops.push((
+        format!("HashDistinct dop={dop}"),
+        PhysicalPlan::HashDistinct {
+            input: scan(cat, "t1"),
+            dop,
+            spill,
+        },
+    ));
+    // b < d over the combined row: a residual that keeps some matches.
+    let residual = ScalarExpr::binary(BinOp::Lt, ScalarExpr::Column(1), ScalarExpr::Column(3));
+    for (kind, build_side) in [
+        (JoinType::Inner, BuildSide::Right),
+        (JoinType::Inner, BuildSide::Left),
+        (JoinType::Left, BuildSide::Right),
+        (JoinType::Semi, BuildSide::Right),
+        (JoinType::Anti, BuildSide::Right),
+    ] {
+        ops.push((
+            format!("HashJoin {kind:?} build={build_side:?} dop={dop}"),
+            PhysicalPlan::HashJoin {
+                left: scan(cat, "t1"),
+                right: scan(cat, "t2"),
+                kind,
+                keys: vec![EquiKey {
+                    left: ScalarExpr::Column(0),
+                    right: ScalarExpr::Column(0),
+                    null_safe: false,
+                }],
+                residual: Some(residual.clone()),
+                build_side,
+                nl: 2,
+                nr: 2,
+                out_slots: None,
+                est_rows: 100.0,
+                dop,
+                spill,
+            },
+        ));
+    }
+    for kind in [
+        JoinType::Inner,
+        JoinType::Left,
+        JoinType::Semi,
+        JoinType::Anti,
+    ] {
+        ops.push((
+            format!("IndexNLJoin {kind:?} dop={dop}"),
+            PhysicalPlan::IndexNLJoin {
+                outer: scan(cat, "t1"),
+                kind,
+                table: "t2".into(),
+                schema: cat.table("t2").unwrap().schema().clone(),
+                column: 0,
+                key: ScalarExpr::Column(0),
+                inner_filter: None,
+                inner_project: None,
+                residual: Some(residual.clone()),
+                nl: 2,
+                nr: 2,
+                out_slots: None,
+                est_rows: 100.0,
+                dop,
+            },
+        ));
+    }
+    for (label, plan) in &ops {
+        verify_physical(plan, "cancel-matrix").unwrap_or_else(|e| panic!("{label}: {e}"));
+    }
+    ops
+}
+
+#[test]
+fn pre_cancelled_operators_return_cancelled_and_leak_nothing() {
+    // Spill files are process-global: serialize with the control below.
+    let _g = perm_fault::test_guard();
+    let cat = catalog();
+    for dop in [1, 2] {
+        for (label, plan) in operators(&cat, dop) {
+            // Unbounded memory runs the in-memory driver `dop` selects; a
+            // 1-byte per-query cap denies the reservation and, where the
+            // node carries a spill stamp, runs the spilled driver.
+            let caps: &[Option<usize>] = if plan.spill().is_some() {
+                &[None, Some(1)]
+            } else {
+                &[None]
+            };
+            for &cap in caps {
+                let ctx = QueryContext::new(42, None, None);
+                ctx.handle().cancel();
+                let pool = MemoryPool::unbounded();
+                let exec = Executor::new(Arc::clone(&cat))
+                    .with_context(ctx)
+                    .with_memory(QueryMemory::new(pool.clone(), cap));
+                let got = exec.run_physical(&plan);
+                let what = format!("{label} cap={cap:?}");
+                match got {
+                    Err(e) => assert_eq!(e.kind(), "cancelled", "{what}: {e}"),
+                    Ok(rows) => panic!("{what}: ran to {} rows on a cancelled context", rows.len()),
+                }
+                drop(exec);
+                assert_eq!(pool.used(), 0, "{what}: pool must drain to zero");
+                assert!(spill_dir_is_clean(), "{what}: spill temp files left behind");
+            }
+        }
+    }
+}
+
+/// The control that keeps the matrix honest: on a live context every plan
+/// of the matrix runs — in memory at both `dop`s, and spilled under a
+/// 1-byte pool — to exactly the serial in-memory answer, so a `Cancelled`
+/// above can only come from the cancellation.
+#[test]
+fn matrix_plans_run_to_the_serial_answer_on_a_live_context() {
+    let _g = perm_fault::test_guard();
+    let cat = catalog();
+    let serial: Vec<Vec<Tuple>> = operators(&cat, 1)
+        .iter()
+        .map(|(label, plan)| {
+            Executor::new(Arc::clone(&cat))
+                .run_physical(plan)
+                .unwrap_or_else(|e| panic!("{label}: {e}"))
+        })
+        .collect();
+    assert!(
+        serial.iter().all(|rows| !rows.is_empty()),
+        "every matrix plan must produce rows, or its loops never run"
+    );
+    for dop in [1, 2] {
+        for ((label, plan), expected) in operators(&cat, dop).iter().zip(&serial) {
+            for budget in [None, Some(1)] {
+                if budget.is_some() && plan.spill().is_none() {
+                    continue;
+                }
+                let pool = budget.map_or_else(MemoryPool::unbounded, MemoryPool::with_budget);
+                let got = Executor::new(Arc::clone(&cat))
+                    .with_memory(QueryMemory::new(pool.clone(), None))
+                    .run_physical(plan)
+                    .unwrap_or_else(|e| panic!("{label} budget={budget:?}: {e}"));
+                assert_eq!(&got, expected, "{label} budget={budget:?}");
+                assert_eq!(pool.used(), 0, "{label} budget={budget:?}");
+            }
+        }
+    }
+    assert!(spill_dir_is_clean());
+}

@@ -51,10 +51,18 @@
 //!     A check inside a nested loop satisfies the enclosing loops (the
 //!     inner body is on the outer loop's path), but an outer check never
 //!     satisfies an inner loop.
+//! 12. **`Executor::new(` in `perm-exec` only inside `executor.rs`** —
+//!     worker threads get their executor from the one constructor
+//!     (`Executor::worker_factory`), which decides once what a worker
+//!     inherits from its parent (catalog snapshot, lifecycle context,
+//!     columnar switch). A hand-built sub-executor elsewhere silently
+//!     drops whichever of those it forgets — a worker that never sees
+//!     the cancel token, or runs the row interpreter under a columnar
+//!     parent.
 //!
 //! Test code (files under a `tests` directory, `*/tests.rs`, and
 //! `#[cfg(test)]` modules, tracked by brace depth) is exempt from rules
-//! 1–3: tests may unwrap and spawn freely.
+//! 1–3 and 12: tests may unwrap, spawn and build executors freely.
 //!
 //! Deliberately `std`-only and line-based: the handful of false-positive
 //! shapes a real parser would handle (braces in string literals are
@@ -128,6 +136,11 @@ const CANCEL_CHECK_FILES: &[&str] = &[
     "crates/exec/src/stream.rs",
     "crates/exec/src/operators/",
 ];
+
+/// Where rule 12 applies (`perm-exec`'s sources) and the one file in it
+/// allowed to construct an `Executor` directly.
+const EXECUTOR_CTOR_CHECKED: &str = "crates/exec/src/";
+const EXECUTOR_CTOR_ALLOWED: &str = "crates/exec/src/executor.rs";
 
 /// Calls that count as a cooperative cancellation check (rule 11):
 /// `Executor::check_cancelled` and `QueryContext::check`.
@@ -261,6 +274,8 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
     let failpoint_wrapped = matches_any(rel, FAILPOINT_WRAPPED);
     let kernel_loops_checked = matches_any(rel, KERNEL_LOOP_FILES);
     let cancel_checked = !test_file && matches_any(rel, CANCEL_CHECK_FILES);
+    let executor_ctor_checked =
+        !test_file && rel.starts_with(EXECUTOR_CTOR_CHECKED) && rel != EXECUTOR_CTOR_ALLOWED;
 
     let lines: Vec<&str> = source.lines().collect();
     // `#[cfg(test)]` module tracking: once the attribute's item opens a
@@ -439,6 +454,16 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
                     "spawn-outside-parallel",
                     "thread spawn outside parallel.rs/stream.rs; route workers through the \
                      morsel pool"
+                        .into(),
+                );
+            }
+
+            // Rule 12: sub-executors come from the one constructor.
+            if executor_ctor_checked && code.contains("Executor::new(") {
+                report(
+                    "executor-ctor-confined",
+                    "`Executor::new(` outside executor.rs; build worker executors with \
+                     `Executor::worker_factory` so they inherit the parent's context"
                         .into(),
                 );
             }
@@ -910,6 +935,24 @@ mod tests {
         // Test code may loop freely.
         let in_test_mod = "#[cfg(test)]\nmod tests {\n  fn t() {\n    for i in 0..3 {\n      g(i);\n    }\n  }\n}\n";
         assert!(run("crates/exec/src/operators/join.rs", in_test_mod).is_empty());
+    }
+
+    #[test]
+    fn executors_are_constructed_only_in_executor_rs() {
+        let src = "fn f(c: Arc<Catalog>) { let sub = Executor::new(c).with_context(ctx); }\n";
+        for file in ["parallel.rs", "stream.rs", "operators/join.rs"] {
+            assert_eq!(
+                run(&format!("crates/exec/src/{file}"), src),
+                ["executor-ctor-confined"]
+            );
+        }
+        assert!(run("crates/exec/src/executor.rs", src).is_empty());
+        // Other crates embed the executor; tests build them freely.
+        assert!(run("crates/core/src/session.rs", src).is_empty());
+        assert!(run("crates/exec/src/tests.rs", src).is_empty());
+        assert!(run("crates/exec/tests/equivalence_props.rs", src).is_empty());
+        let in_test_mod = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(run("crates/exec/src/operators/spill.rs", &in_test_mod).is_empty());
     }
 
     #[test]
