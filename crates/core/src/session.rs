@@ -321,7 +321,7 @@ impl Session {
     /// A fresh per-statement lifecycle context: unique query id, the
     /// session's statement deadline (clock starts now, admission wait
     /// included), and the server's shutdown flag.
-    fn query_context(&self) -> QueryContext {
+    pub(crate) fn query_context(&self) -> QueryContext {
         let timeout = (self.options.statement_timeout_ms > 0)
             .then(|| Duration::from_millis(self.options.statement_timeout_ms));
         QueryContext::new(
@@ -352,7 +352,7 @@ impl Session {
     /// fresh per-query memory view — the server pool plus the session's
     /// per-query cap ([`SessionOptions::memory_budget`]) — and the
     /// statement's lifecycle context.
-    fn executor(&self, snapshot: Arc<Catalog>, ctx: QueryContext) -> Executor {
+    pub(crate) fn executor(&self, snapshot: Arc<Catalog>, ctx: QueryContext) -> Executor {
         let cap = (self.options.memory_budget > 0).then_some(self.options.memory_budget);
         Executor::new(snapshot)
             .with_parallelism(

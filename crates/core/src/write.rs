@@ -3,10 +3,11 @@
 
 use std::sync::Arc;
 
+use perm_algebra::expr::ScalarExpr;
 use perm_algebra::BoundStatement;
-use perm_exec::Executor;
+use perm_exec::{Executor, Pipe};
 use perm_sql::{ObjectKind, Statement};
-use perm_storage::{CatalogWriteGuard, Table, WalRecord};
+use perm_storage::{Catalog, CatalogWriteGuard, Table, WalRecord};
 use perm_types::{Column, Result, Schema, Tuple};
 
 use crate::result::StatementResult;
@@ -178,24 +179,13 @@ impl Session {
                 // Evaluate the predicate against a pre-mutation snapshot,
                 // then delete through the write guard. Storage rebuilds
                 // indexes and invalidates the statistics cache.
-                let doomed = {
-                    let snapshot = guard.snapshot();
-                    let executor = Executor::new(Arc::clone(&snapshot));
-                    let t = snapshot.table(&table)?;
-                    match &predicate {
-                        None => (0..t.row_count()).collect::<Vec<_>>(),
-                        Some(p) => {
-                            let compiled = perm_exec::CompiledExpr::compile(&executor, p);
-                            let mut out = Vec::new();
-                            for (i, row) in t.rows().iter().enumerate() {
-                                let env = perm_exec::eval::Env::new(row, &[]);
-                                if compiled.eval_bool(&executor, &env)? == Some(true) {
-                                    out.push(i);
-                                }
-                            }
-                            out
-                        }
-                    }
+                let doomed: Vec<usize> = match &predicate {
+                    None => (0..guard.snapshot().table(&table)?.row_count()).collect(),
+                    Some(p) => self
+                        .scan_for_write(guard.snapshot(), &table, Some(p), None)?
+                        .into_iter()
+                        .map(|(i, _)| i)
+                        .collect(),
                 };
                 let n = guard.table_mut(&table)?.delete_rows(&doomed);
                 Ok(StatementResult::Deleted(n))
@@ -205,33 +195,20 @@ impl Session {
                 assignments,
                 predicate,
             } => {
-                let updates = {
-                    let snapshot = guard.snapshot();
-                    let executor = Executor::new(Arc::clone(&snapshot));
-                    let t = snapshot.table(&table)?;
-                    let compiled_pred = predicate
-                        .as_ref()
-                        .map(|p| perm_exec::CompiledExpr::compile(&executor, p));
-                    let compiled_assign: Vec<(usize, perm_exec::CompiledExpr)> = assignments
-                        .iter()
-                        .map(|(pos, e)| (*pos, perm_exec::CompiledExpr::compile(&executor, e)))
-                        .collect();
-                    let mut out = Vec::new();
-                    for (i, row) in t.rows().iter().enumerate() {
-                        let env = perm_exec::eval::Env::new(row, &[]);
-                        if let Some(p) = &compiled_pred {
-                            if p.eval_bool(&executor, &env)? != Some(true) {
-                                continue;
-                            }
-                        }
-                        let mut vals = row.values().to_vec();
-                        for (pos, e) in &compiled_assign {
-                            vals[*pos] = e.eval(&executor, &env)?;
-                        }
-                        out.push((i, Tuple::new(vals)));
-                    }
-                    out
-                };
+                // The replacement row is a projection of the old one: every
+                // column itself, assigned columns their expression (a later
+                // assignment to the same column wins).
+                let width = guard.snapshot().table(&table)?.schema().len();
+                let mut new_row: Vec<ScalarExpr> = (0..width).map(ScalarExpr::Column).collect();
+                for (pos, e) in assignments {
+                    new_row[pos] = e;
+                }
+                let updates = self.scan_for_write(
+                    guard.snapshot(),
+                    &table,
+                    predicate.as_ref(),
+                    Some(&new_row),
+                )?;
                 let n = guard.table_mut(&table)?.update_rows(updates)?;
                 Ok(StatementResult::Updated(n))
             }
@@ -240,13 +217,41 @@ impl Session {
             }
         }
     }
+
+    /// The scan of `DELETE` / `UPDATE`: pull `table`'s pre-mutation rows
+    /// one at a time through the executor's filter/projection body (the
+    /// stream cursor's way of driving it — positions are needed, not just
+    /// rows), under an executor carrying the session's options and a fresh
+    /// statement context (deadline, shutdown). Returns each passing row's
+    /// position with its output row.
+    fn scan_for_write(
+        &self,
+        snapshot: Arc<Catalog>,
+        table: &str,
+        filter: Option<&ScalarExpr>,
+        project: Option<&[ScalarExpr]>,
+    ) -> Result<Vec<(usize, Tuple)>> {
+        let executor = self.executor(snapshot, self.query_context());
+        let pipe = Pipe::compile(&executor, filter, project, false);
+        let mut hits = Vec::new();
+        for (i, row) in executor.catalog().table(table)?.rows().iter().enumerate() {
+            // Masked cancellation check per 1024 scanned rows.
+            if i % 1024 == 0 {
+                executor.check_cancelled()?;
+            }
+            if let Some(out) = pipe.row(&executor, row)? {
+                hits.push((i, out));
+            }
+        }
+        Ok(hits)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::session::tests::seeded;
     use crate::{PermServer, SessionOptions, StatementResult};
-    use perm_types::{PermError, Tuple, Value};
+    use perm_types::{CancelReason, PermError, Tuple, Value};
 
     #[test]
     fn create_insert_select_roundtrip() {
@@ -381,6 +386,43 @@ mod tests {
             StatementResult::Deleted(2)
         );
         assert!(db.query("SELECT * FROM t").unwrap().is_empty());
+    }
+
+    #[test]
+    fn update_and_delete_observe_the_statement_deadline() {
+        // The DML scans run under the session's statement context like any
+        // query: a 1 ms deadline cancels them mid-scan, atomically.
+        let server = PermServer::new();
+        let loader = server.session();
+        loader.execute("CREATE TABLE big (x int, y int)").unwrap();
+        {
+            let mut w = loader.catalog_write();
+            let t = w.table_mut("big").unwrap();
+            for i in 0..300_000 {
+                t.push_raw(Tuple::new(vec![Value::Int(i), Value::Int(i % 7)]));
+            }
+        }
+        let before = loader.query("SELECT sum(y), count(*) FROM big").unwrap();
+        let timed =
+            server.session_with_options(SessionOptions::default().with_statement_timeout_ms(1));
+        for dml in [
+            "UPDATE big SET y = y + 1 WHERE x % 2 = 0",
+            "DELETE FROM big WHERE x % 2 = 0",
+        ] {
+            let err = timed.execute(dml).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PermError::Cancelled {
+                        reason: CancelReason::DeadlineExceeded,
+                        ..
+                    }
+                ),
+                "{dml}: {err}"
+            );
+            let after = loader.query("SELECT sum(y), count(*) FROM big").unwrap();
+            assert_eq!(after, before, "{dml}: table must be unchanged");
+        }
     }
 
     #[test]

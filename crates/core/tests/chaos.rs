@@ -205,6 +205,66 @@ fn worker_panic_fails_one_query_and_spares_siblings() {
 }
 
 // ----------------------------------------------------------------------
+// Exchange start-up
+// ----------------------------------------------------------------------
+
+/// Live exchange producer threads of this process (Linux: thread names
+/// under `/proc/self/task`; elsewhere the check is vacuous).
+fn exchange_threads() -> usize {
+    std::fs::read_dir("/proc/self/task").map_or(0, |tasks| {
+        tasks
+            .flatten()
+            .filter(|t| {
+                std::fs::read_to_string(t.path().join("comm"))
+                    .is_ok_and(|name| name.starts_with("perm-exchange"))
+            })
+            .count()
+    })
+}
+
+#[test]
+fn refused_exchange_thread_fails_one_stream_and_leaks_nothing() {
+    let _guard = perm_fault::test_guard();
+    perm_fault::clear();
+    let server = seeded_server(4_000);
+    let parallel = SessionOptions::default()
+        .with_max_parallelism(4)
+        .with_parallel_row_threshold(1);
+    let session = server.session_with_options(parallel);
+    let sibling = server.session_with_options(parallel);
+    let sql = "SELECT v FROM facts WHERE v % 3 = 0";
+    let baseline = sibling.query(sql).unwrap();
+
+    // The third producer is refused its thread: the stream fails with a
+    // typed error — not a panic on the caller's thread — and the two
+    // producers already running are aborted and joined.
+    perm_fault::configure("exec.exchange.spawn=io_err@3").unwrap();
+    let err = match session.query_stream(sql) {
+        Err(e) => e,
+        Ok(_) => panic!("stream started although a producer was refused"),
+    };
+    assert_eq!(err.kind(), "execution", "{err}");
+    assert!(err.to_string().contains("exec.exchange.spawn"), "{err}");
+    assert_eq!(exchange_threads(), 0, "started producers must be joined");
+    perm_fault::clear();
+
+    // The sibling streams the same plan, in parallel, right after.
+    let after: Vec<Tuple> = sibling
+        .query_stream(sql)
+        .unwrap()
+        .collect::<Result<_, _>>()
+        .unwrap();
+    assert_eq!(after, baseline.rows, "sibling diverged");
+    assert_eq!(
+        exchange_threads(),
+        0,
+        "a drained stream joins its producers"
+    );
+    drop((session, sibling));
+    assert_drained(&server);
+}
+
+// ----------------------------------------------------------------------
 // Server shutdown
 // ----------------------------------------------------------------------
 

@@ -9,9 +9,9 @@
 //! plan once per executor (cached by plan identity) and executes the
 //! result.
 //!
-//! Join, aggregation, set-operation and DISTINCT implementations live in
-//! `crate::operators`; this module provides the dispatch loop, scans,
-//! filters, projections, sorting, limits and the subquery result cache.
+//! Every operator body lives in `crate::operators`; this module provides
+//! the [`Executor`] itself, the dispatch loop over [`PhysicalPlan`]
+//! nodes, `VALUES`, `LIMIT` and the subquery result caches.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -24,11 +24,10 @@ use perm_algebra::expr::ScalarExpr;
 use perm_algebra::plan::LogicalPlan;
 use perm_storage::Catalog;
 
-use crate::compile::{CompiledExpr, CompiledProjection};
 use crate::eval::{eval, Env};
-use crate::kernels::{BatchPredicate, BatchScan, VecKeys, BATCH_ROWS};
-use crate::memory::{grow_batched, QueryMemory};
-use crate::operators::{aggregate, join, setop, spill};
+use crate::memory::QueryMemory;
+use crate::operators::scan::{self, Pipe};
+use crate::operators::{aggregate, join, setop, sort};
 use crate::physical::{PhysicalPlan, PhysicalPlanner};
 
 /// Cached first-column set of an uncorrelated IN subquery: the hashed
@@ -295,24 +294,12 @@ impl Executor {
                     // morsel-parallelism would only contend on refcounts.
                     return Ok(t.rows().to_vec());
                 }
+                let pipe =
+                    Pipe::compile(self, filter.as_ref(), project.as_deref(), batch.is_batch());
                 if *dop > 1 {
-                    return crate::parallel::scan_parallel(
-                        self,
-                        table,
-                        filter.as_ref(),
-                        project.as_deref(),
-                        *dop,
-                        batch.is_batch(),
-                    );
+                    return scan::scan_parallel(self, table, pipe, *dop);
                 }
-                let outer = self.outer_stack();
-                self.scan_emit(
-                    t.rows().iter(),
-                    filter.as_ref(),
-                    project.as_deref(),
-                    &outer,
-                    batch.is_batch(),
-                )
+                pipe.run(self, t.rows().iter())
             }
             PhysicalPlan::IndexScan {
                 table,
@@ -325,14 +312,12 @@ impl Executor {
             } => {
                 let t = self.catalog.table(table)?;
                 check_scan_schema(t, table, schema)?;
-                let outer = self.outer_stack();
+                // IndexScan is unstamped (point lookups return a handful
+                // of rows); the executor-level switch alone decides.
                 match t.index_lookup(*column, key) {
                     Some(row_ids) => {
-                        let rows = row_ids.iter().map(|&r| &t.rows()[r]);
-                        // IndexScan is unstamped (point lookups return a
-                        // handful of rows); the executor-level switch
-                        // alone decides.
-                        self.scan_emit(rows, residual.as_ref(), project.as_deref(), &outer, true)
+                        Pipe::compile(self, residual.as_ref(), project.as_deref(), true)
+                            .run(self, row_ids.iter().map(|&r| &t.rows()[r]))
                     }
                     None => {
                         // The index vanished since planning (e.g. the
@@ -346,13 +331,8 @@ impl Executor {
                             .chain(residual.clone())
                             .collect(),
                         );
-                        self.scan_emit(
-                            t.rows().iter(),
-                            Some(&full),
-                            project.as_deref(),
-                            &outer,
-                            true,
-                        )
+                        Pipe::compile(self, Some(&full), project.as_deref(), true)
+                            .run(self, t.rows().iter())
                     }
                 }
             }
@@ -379,31 +359,7 @@ impl Executor {
                 batch,
             } => {
                 let rows = self.run_physical(input)?;
-                let outer = self.outer_stack();
-                let projection = CompiledProjection::compile(self, exprs);
-                if self.columnar && batch.is_batch() {
-                    if let Some(scan) = BatchScan::lower(None, Some(&projection)) {
-                        let cap = rows.len();
-                        return self.scan_emit_batched(
-                            rows.iter(),
-                            &scan,
-                            None,
-                            Some(&projection),
-                            &outer,
-                            cap,
-                        );
-                    }
-                }
-                let mut out = Vec::with_capacity(rows.len());
-                for (i, t) in rows.iter().enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if i % 4096 == 0 {
-                        self.check_cancelled()?;
-                    }
-                    let env = Env::new(t, &outer);
-                    out.push(projection.apply(self, &env)?);
-                }
-                Ok(out)
+                Pipe::compile(self, None, Some(exprs), batch.is_batch()).run(self, rows.iter())
             }
             PhysicalPlan::Filter {
                 input,
@@ -411,8 +367,7 @@ impl Executor {
                 batch,
             } => {
                 let rows = self.run_physical(input)?;
-                let outer = self.outer_stack();
-                self.filter_rows(rows, Some(predicate), &outer, batch.is_batch())
+                Pipe::compile(self, Some(predicate), None, batch.is_batch()).run(self, rows.iter())
             }
             PhysicalPlan::HashJoin { .. } => join::hash_join(self, plan),
             PhysicalPlan::NLJoin { .. } => join::nested_loop(self, plan),
@@ -441,47 +396,16 @@ impl Executor {
                 dop,
                 spill,
                 batch,
-            } => {
-                let rows = self.run_physical(input)?;
-                // The sort buffer holds every input row plus its
-                // computed keys: charge input bytes; a denial switches
-                // to the external run-sort + k-way merge.
-                let reservation = self.memory.register("Sort");
-                if let Err(denied) = grow_batched(&reservation, rows.iter().map(Tuple::size_bytes))
-                {
-                    reservation.free();
-                    let Some(parts) = spill else {
-                        return Err(denied.into_error());
-                    };
-                    return spill::sort_spill(self, rows, keys, *parts, &reservation);
-                }
-                if *dop > 1 {
-                    return crate::parallel::sort_parallel(
-                        self,
-                        rows,
-                        keys,
-                        *dop,
-                        batch.is_batch(),
-                    );
-                }
-                let outer = self.outer_stack();
-                let compiled: Vec<CompiledExpr> = keys
-                    .iter()
-                    .map(|k| CompiledExpr::compile(self, &k.expr))
-                    .collect();
-                // Precompute sort keys (batched when columnar), then
-                // sort stably.
-                let key_rows = self.compute_keys(&rows, &compiled, &outer, batch.is_batch())?;
-                let mut keyed: Vec<(Vec<Value>, Tuple)> = key_rows.into_iter().zip(rows).collect();
-                keyed.sort_by(|(a, _), (b, _)| crate::parallel::cmp_keys(a, b, keys));
-                Ok(keyed.into_iter().map(|(_, t)| t).collect())
-            }
+            } => sort::run_sort(self, input, keys, *dop, *spill, batch.is_batch()),
             PhysicalPlan::Limit {
                 input,
                 limit,
                 offset,
             } => {
                 let rows = self.run_physical(input)?;
+                // No loop of its own, and a bare scan below has none
+                // either: the one cancellation point of such a plan.
+                self.check_cancelled()?;
                 let start = (*offset as usize).min(rows.len());
                 let end = match limit {
                     Some(l) => (start + *l as usize).min(rows.len()),
@@ -490,237 +414,6 @@ impl Executor {
                 Ok(rows[start..end].to_vec())
             }
         }
-    }
-
-    /// Emit rows from a borrowed base-row iterator, applying the fused
-    /// residual filter and projection. Base rows are only cloned (or
-    /// projected) when they pass — the scan copy and the filter's
-    /// intermediate result never materialize.
-    ///
-    /// When the executor is columnar and the expressions lower to
-    /// vectorized kernels, rows run through [`BatchScan`] a batch at a
-    /// time; a batch whose kernels error is re-run through the row path
-    /// below, which reproduces the interpreter's first error in row
-    /// order (or succeeds, if narrowing had already masked the lane).
-    /// Otherwise the four filter/projection combinations get their own
-    /// row loops so the per-row path carries no branching.
-    pub(crate) fn scan_emit<'t>(
-        &self,
-        rows: impl Iterator<Item = &'t Tuple>,
-        filter: Option<&ScalarExpr>,
-        project: Option<&[ScalarExpr]>,
-        outer: &[Tuple],
-        allow_batch: bool,
-    ) -> Result<Vec<Tuple>> {
-        let cap = rows.size_hint().0;
-        let f = filter.map(|f| CompiledExpr::compile(self, f));
-        let p = project.map(|p| CompiledProjection::compile(self, p));
-        if self.columnar && allow_batch {
-            if let Some(scan) = BatchScan::lower(f.as_ref(), p.as_ref()) {
-                return self.scan_emit_batched(rows, &scan, f.as_ref(), p.as_ref(), outer, cap);
-            }
-        }
-        match (f, p) {
-            (None, None) => Ok(rows.cloned().collect()),
-            (Some(f), None) => {
-                let mut out = Vec::new();
-                for (i, row) in rows.enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if i % 4096 == 0 {
-                        self.check_cancelled()?;
-                    }
-                    let env = Env::new(row, outer);
-                    if f.eval_bool(self, &env)? == Some(true) {
-                        out.push(row.clone());
-                    }
-                }
-                Ok(out)
-            }
-            (None, Some(p)) => {
-                let mut out = Vec::with_capacity(cap);
-                for (i, row) in rows.enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if i % 4096 == 0 {
-                        self.check_cancelled()?;
-                    }
-                    let env = Env::new(row, outer);
-                    out.push(p.apply(self, &env)?);
-                }
-                Ok(out)
-            }
-            (Some(f), Some(p)) => {
-                let mut out = Vec::new();
-                for (i, row) in rows.enumerate() {
-                    // Masked cancellation check per 4096 rows.
-                    if i % 4096 == 0 {
-                        self.check_cancelled()?;
-                    }
-                    let env = Env::new(row, outer);
-                    if f.eval_bool(self, &env)? == Some(true) {
-                        out.push(p.apply(self, &env)?);
-                    }
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    /// The columnar scan loop: batches of [`BATCH_ROWS`] borrowed rows
-    /// through the lowered kernels, with the row interpreter as the
-    /// per-batch fallback (values, row order and first-error equivalence
-    /// with the row path are pinned by the batch/row property tests).
-    fn scan_emit_batched<'t>(
-        &self,
-        mut rows: impl Iterator<Item = &'t Tuple>,
-        scan: &BatchScan,
-        f: Option<&CompiledExpr>,
-        p: Option<&CompiledProjection>,
-        outer: &[Tuple],
-        cap: usize,
-    ) -> Result<Vec<Tuple>> {
-        let mut out = Vec::with_capacity(if f.is_none() { cap } else { 0 });
-        let mut buf: Vec<&Tuple> = Vec::with_capacity(BATCH_ROWS);
-        loop {
-            buf.clear();
-            buf.extend(rows.by_ref().take(BATCH_ROWS));
-            if buf.is_empty() {
-                return Ok(out);
-            }
-            // Batch boundary: cancellation point + chaos site.
-            self.check_cancelled()?;
-            perm_fault::exec_point("exec.kernel.batch", "batch scan")?;
-            let before = out.len();
-            if scan.run_batch(&buf, outer, &mut out).is_err() {
-                // Discard the batch's partial output and replay it row
-                // by row: same rows in, same rows (or same error) out.
-                out.truncate(before);
-                for row in &buf {
-                    let env = Env::new(row, outer);
-                    let pass = match f {
-                        Some(f) => f.eval_bool(self, &env)? == Some(true),
-                        None => true,
-                    };
-                    if pass {
-                        out.push(match p {
-                            Some(p) => p.apply(self, &env)?,
-                            None => (*row).clone(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Evaluate `compiled` (sort keys) for every row, one key row per
-    /// input row in input order — batched through [`VecKeys`] when
-    /// columnar, with the interpreter as the per-batch fallback. Shared
-    /// by the serial sort and the parallel chunk sort.
-    pub(crate) fn compute_keys(
-        &self,
-        rows: &[Tuple],
-        compiled: &[CompiledExpr],
-        outer: &[Tuple],
-        allow_batch: bool,
-    ) -> Result<Vec<Vec<Value>>> {
-        let mut out: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
-        let vk = if self.columnar && allow_batch {
-            VecKeys::lower(compiled)
-        } else {
-            None
-        };
-        match vk {
-            Some(vk) => {
-                let mut refs: Vec<&Tuple> = Vec::with_capacity(BATCH_ROWS);
-                for chunk in rows.chunks(BATCH_ROWS) {
-                    // Batch boundary: cancellation point.
-                    self.check_cancelled()?;
-                    refs.clear();
-                    refs.extend(chunk.iter());
-                    match vk.eval_batch(&refs, outer) {
-                        Ok(cols) => {
-                            for i in 0..chunk.len() {
-                                out.push(cols.iter().map(|c| c.get(i)).collect());
-                            }
-                        }
-                        Err(_) => self.keys_rowwise(chunk, compiled, outer, &mut out)?,
-                    }
-                }
-            }
-            None => self.keys_rowwise(rows, compiled, outer, &mut out)?,
-        }
-        Ok(out)
-    }
-
-    fn keys_rowwise(
-        &self,
-        rows: &[Tuple],
-        compiled: &[CompiledExpr],
-        outer: &[Tuple],
-        out: &mut Vec<Vec<Value>>,
-    ) -> Result<()> {
-        for (i, t) in rows.iter().enumerate() {
-            // Masked cancellation check per 4096 rows.
-            if i % 4096 == 0 {
-                self.check_cancelled()?;
-            }
-            let env = Env::new(t, outer);
-            let mut ks = Vec::with_capacity(compiled.len());
-            for c in compiled {
-                ks.push(c.eval(self, &env)?);
-            }
-            out.push(ks);
-        }
-        Ok(())
-    }
-
-    fn filter_rows(
-        &self,
-        rows: Vec<Tuple>,
-        predicate: Option<&ScalarExpr>,
-        outer: &[Tuple],
-        allow_batch: bool,
-    ) -> Result<Vec<Tuple>> {
-        let Some(pred) = predicate else {
-            return Ok(rows);
-        };
-        let compiled = CompiledExpr::compile(self, pred);
-        if self.columnar && allow_batch {
-            if let Some(vp) = BatchPredicate::lower(&compiled) {
-                // Batched mask over borrowed rows, then an in-place
-                // order-preserving retain of the owned tuples — the
-                // passing rows move exactly as on the row path.
-                let mut mask: Vec<bool> = Vec::with_capacity(rows.len());
-                let mut refs: Vec<&Tuple> = Vec::with_capacity(BATCH_ROWS);
-                for chunk in rows.chunks(BATCH_ROWS) {
-                    // Batch boundary: cancellation point.
-                    self.check_cancelled()?;
-                    refs.clear();
-                    refs.extend(chunk.iter());
-                    if vp.mask_batch(&refs, outer, &mut mask).is_err() {
-                        for t in chunk {
-                            let env = Env::new(t, outer);
-                            mask.push(compiled.eval_bool(self, &env)? == Some(true));
-                        }
-                    }
-                }
-                let mut rows = rows;
-                let mut pass = mask.into_iter();
-                rows.retain(|_| pass.next().unwrap_or(false));
-                return Ok(rows);
-            }
-        }
-        let mut out = Vec::new();
-        for (i, t) in rows.into_iter().enumerate() {
-            // Masked cancellation check per 4096 rows.
-            if i % 4096 == 0 {
-                self.check_cancelled()?;
-            }
-            let env = Env::new(&t, outer);
-            if compiled.eval_bool(self, &env)? == Some(true) {
-                out.push(t);
-            }
-        }
-        Ok(out)
     }
 
     /// Execute a (correlated) subplan with an explicit outer-tuple stack.

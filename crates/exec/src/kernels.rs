@@ -1181,42 +1181,6 @@ impl BatchScan {
     }
 }
 
-/// A standalone vectorized predicate (the `Filter` operator above
-/// materialized inputs): produces a pass/fail mask instead of cloning
-/// rows, so the caller can `retain` owned tuples in place.
-#[derive(Debug)]
-pub(crate) struct BatchPredicate(VecExpr);
-
-impl BatchPredicate {
-    pub(crate) fn lower(c: &CompiledExpr) -> Option<BatchPredicate> {
-        VecExpr::lower(c).map(BatchPredicate)
-    }
-
-    /// Append one `passes` flag per row of the batch to `mask`. On `Err`
-    /// nothing is appended; the caller re-runs the batch row-wise.
-    pub(crate) fn mask_batch(
-        &self,
-        rows: &[&Tuple],
-        outer: &[Tuple],
-        mask: &mut Vec<bool>,
-    ) -> Result<()> {
-        let before = mask.len();
-        let r = (|| {
-            let mut cx = Cx::new(rows, outer);
-            let all = Sel::All(rows.len());
-            let col = self.0.eval(&mut cx, &all)?;
-            for_lanes!(&all, i => {
-                mask.push(bool_lane(&col, i)? == Some(true));
-            });
-            Ok(())
-        })();
-        if r.is_err() {
-            mask.truncate(before);
-        }
-        r
-    }
-}
-
 /// A projection-shaped list of vectorized expressions (sort keys, join
 /// keys, group keys): evaluates each expression over a whole batch and
 /// returns the result columns.

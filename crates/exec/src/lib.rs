@@ -43,8 +43,8 @@
 //! sort buffers, and a denied grow switches them to a partitioned
 //! spill-to-disk driver (`operators`, files written through
 //! [`perm_storage::spill`]) whose results are identical — rows, order
-//! and errors — to the in-memory path: each hash operator has one body
-//! that its serial, parallel and spilled drivers all run.
+//! and errors — to the in-memory path: each operator has one body that
+//! its serial, parallel, spilled and row-pull drivers all run.
 //!
 //! Every phase of the two-phase optimizer is backed by a **static plan
 //! verifier** ([`verify`], plus the logical side in
@@ -72,6 +72,7 @@ pub use adapter::{CatalogAdapter, CatalogStats};
 pub use compile::CompiledExpr;
 pub use executor::Executor;
 pub use memory::{MemoryPool, MemoryReservation, QueryMemory};
+pub use operators::scan::Pipe;
 pub use parallel::{auto_parallelism, DEFAULT_PARALLEL_THRESHOLD, MORSEL_ROWS};
 pub use physical::{
     estimated_peak_bytes, physical_tree, physical_tree_verbose, plan_physical,

@@ -1,24 +1,41 @@
 //! Physical operator implementations.
 //!
-//! Every hash operator here — join, aggregation, set operations, DISTINCT
-//! — has **one body**, written over a stream of position-tagged rows, and
-//! thin drivers that decide how rows reach it: *serial* (the whole input,
-//! in order), *parallel* (morsels, chunks or hash partitions on the
-//! worker pool) and *spilled* (hash partitions read back from disk after
-//! a denied memory reservation). The drivers are picked by the `dop` /
-//! `spill` stamps the planner put on the node and by the reservation's
-//! answer — never by an option. Because all three run the same body, a
-//! parallel or spilled execution returns the serial rows, order and
-//! first error by construction; the drivers only have to put tagged
-//! output back in input order
-//! ([`restore_order`](crate::parallel::restore_order)), which the serial
-//! driver — one partition, already in order — skips.
+//! Every operator here has **one body** and thin drivers that decide how
+//! rows reach it: *serial* (the whole input, in order), *parallel*
+//! (morsels, chunks or hash partitions on the worker pool) and *spilled*
+//! (partitions or runs read back from disk after a denied memory
+//! reservation). The drivers are picked by the `dop` / `spill` stamps the
+//! planner put on the node and by the reservation's answer — never by an
+//! option. Because all of them run the same body, a parallel or spilled
+//! execution returns the serial rows, order and first error by
+//! construction.
+//!
+//! * The **hash operators** — join, aggregation, set operations, DISTINCT
+//!   ([`join`], [`aggregate`], [`setop`]) — are written over a stream of
+//!   position-tagged rows of one hash partition; their drivers only have
+//!   to put tagged output back in input order
+//!   ([`restore_order`](crate::parallel::restore_order)), which the
+//!   serial driver — one partition, already in order — skips.
+//! * **Scan / filter / project** ([`scan::Pipe`]) is compiled once per
+//!   node and written over a borrowed run of rows. Drivers: the fused
+//!   scan, index scan, `Filter` and `Project` arms of
+//!   [`Executor::run_physical`](crate::Executor::run_physical) (whole
+//!   input), the scan morsels and the stream's exchange producers (one
+//!   morsel per call, all workers sharing the pipe), and — one row per
+//!   call through `Pipe::row` — the stream cursor (so a satisfied `LIMIT`
+//!   stops at the exact row) and the `DELETE` / `UPDATE` scans.
+//! * **Sort** ([`sort`]) keys and stably sorts one contiguous run.
+//!   Drivers: serial (one run, no merge), parallel (a run per chunk, then
+//!   the stable k-way merge) and spilled (runs written to disk, then the
+//!   same merge).
 
 use perm_types::{PermError, Result, Tuple};
 
 pub(crate) mod aggregate;
 pub(crate) mod join;
+pub(crate) mod scan;
 pub(crate) mod setop;
+pub(crate) mod sort;
 pub(crate) mod spill;
 
 #[cfg(test)]

@@ -1,0 +1,144 @@
+//! The scan / filter / project body.
+//!
+//! A [`Pipe`] is one node's residual filter and output projection,
+//! compiled — and, when the node is batch-stamped and the executor is
+//! columnar, lowered to vectorized kernels — **once**. [`Pipe::row`] is
+//! the only place a predicate or a projection is evaluated against a row;
+//! [`Pipe::run`] is the only loop over rows: a batch at a time through
+//! the kernels (a batch they abort on is replayed through `row`), or
+//! straight through `row` when there are none.
+//! Its drivers (listed in [`crate::operators`]) only decide which rows it
+//! sees, and chunking cannot change the answer: `run` over any split of
+//! the input, concatenated, and `row` over each input row, give the same
+//! rows in the same order and the same first error as one whole-input
+//! `run` (pinned in `operators/tests.rs`).
+
+use std::sync::Arc;
+
+use perm_algebra::expr::ScalarExpr;
+use perm_types::{Result, Tuple};
+
+use crate::compile::{CompiledExpr, CompiledProjection};
+use crate::eval::Env;
+use crate::executor::Executor;
+use crate::kernels::{BatchScan, BATCH_ROWS};
+use crate::parallel::{concat, map_morsels};
+
+/// A compiled filter + projection pair over one row shape. `None` filter
+/// passes every row; `None` projection emits the row itself.
+#[derive(Debug)]
+pub struct Pipe {
+    filter: Option<CompiledExpr>,
+    project: Option<CompiledProjection>,
+    /// The vectorized lowering of the pair, when there is one.
+    kernels: Option<BatchScan>,
+    /// The outer-tuple stack the expressions resolve correlated
+    /// references against, captured when the node starts executing.
+    outer: Arc<Vec<Tuple>>,
+}
+
+impl Pipe {
+    /// Compile `filter` / `project` against `exec`'s current outer scopes.
+    /// `allow_batch` is the node's batch stamp: with it (and a columnar
+    /// executor) the pair is also lowered to kernels, if it lowers.
+    pub fn compile(
+        exec: &Executor,
+        filter: Option<&ScalarExpr>,
+        project: Option<&[ScalarExpr]>,
+        allow_batch: bool,
+    ) -> Pipe {
+        let filter = filter.map(|f| CompiledExpr::compile(exec, f));
+        let project = project.map(|p| CompiledProjection::compile(exec, p));
+        let kernels = (allow_batch && exec.columnar())
+            .then(|| BatchScan::lower(filter.as_ref(), project.as_ref()))
+            .flatten();
+        Pipe {
+            filter,
+            project,
+            kernels,
+            outer: exec.outer_stack(),
+        }
+    }
+
+    /// One input row: `None` if the filter rejects it, else the projected
+    /// (or, without a projection, the shared) output row. The reference
+    /// semantics of the pipe.
+    pub fn row(&self, exec: &Executor, row: &Tuple) -> Result<Option<Tuple>> {
+        let env = Env::new(row, &self.outer);
+        if let Some(f) = &self.filter {
+            if f.eval_bool(exec, &env)? != Some(true) {
+                return Ok(None);
+            }
+        }
+        Ok(Some(match &self.project {
+            Some(p) => p.apply(exec, &env)?,
+            None => row.clone(),
+        }))
+    }
+
+    /// Every row of `rows`, in order. Rows are borrowed and only cloned
+    /// (a refcount bump) or projected when they pass. With kernels, each
+    /// batch of [`BATCH_ROWS`] goes through them, and a batch they abort on
+    /// — which discards its partial output — is replayed through
+    /// [`Pipe::row`], which reproduces the first error in row order (or
+    /// succeeds, if narrowing had already masked the lane). Without
+    /// kernels every row goes through `row`.
+    pub fn run<'t>(
+        &self,
+        exec: &Executor,
+        mut rows: impl Iterator<Item = &'t Tuple>,
+    ) -> Result<Vec<Tuple>> {
+        let cap = rows.size_hint().0;
+        let mut out = Vec::with_capacity(if self.filter.is_none() { cap } else { 0 });
+        let Some(kernels) = &self.kernels else {
+            for (i, row) in rows.enumerate() {
+                // Masked cancellation check per 4096 rows.
+                if i % 4096 == 0 {
+                    exec.check_cancelled()?;
+                }
+                out.extend(self.row(exec, row)?);
+            }
+            return Ok(out);
+        };
+        let mut batch: Vec<&Tuple> = Vec::with_capacity(BATCH_ROWS);
+        loop {
+            batch.clear();
+            batch.extend(rows.by_ref().take(BATCH_ROWS));
+            if batch.is_empty() {
+                return Ok(out);
+            }
+            // Batch boundary: cancellation point + chaos site.
+            exec.check_cancelled()?;
+            perm_fault::exec_point("exec.kernel.batch", "batch scan")?;
+            let before = out.len();
+            if kernels.run_batch(&batch, &self.outer, &mut out).is_err() {
+                out.truncate(before);
+                // no-cancel: one batch, bounded by BATCH_ROWS.
+                for row in &batch {
+                    out.extend(self.row(exec, row)?);
+                }
+            }
+        }
+    }
+}
+
+/// Morsel-parallel `FusedScanProjectFilter`: workers claim row ranges of
+/// the base table and run the shared pipe over borrowed base rows;
+/// per-morsel outputs concatenate in morsel order, so the result is
+/// byte-identical to the serial scan.
+pub(crate) fn scan_parallel(
+    exec: &Executor,
+    table: &str,
+    pipe: Pipe,
+    dop: usize,
+) -> Result<Vec<Tuple>> {
+    let total = exec.catalog().table(table)?.rows().len();
+    let worker = exec.worker_factory();
+    let table = table.to_string();
+    let parts = map_morsels(exec.context(), dop, total, move |range| {
+        let sub = worker();
+        let t = sub.catalog().table(&table)?;
+        pipe.run(&sub, t.rows()[range].iter())
+    })?;
+    Ok(concat(parts))
+}

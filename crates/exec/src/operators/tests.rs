@@ -1,20 +1,24 @@
-//! The property every partitioned driver relies on, tested on the
-//! operator bodies directly: running a body once per hash partition (any
-//! partition count) and merging the tagged outputs by tag gives exactly
-//! what running it once over the whole input gives — the same rows in
-//! the same order and, when evaluation fails, the same first error.
+//! The property every driver relies on, tested on the operator bodies
+//! directly: running a body once per hash partition (any partition
+//! count) and merging the tagged outputs by tag — or, for the pipelined
+//! bodies, once per contiguous chunk (any chunk count, down to one row
+//! per call) and concatenating / merging the runs — gives exactly what
+//! running it once over the whole input gives: the same rows in the same
+//! order and, when evaluation fails, the same first error.
 
 use std::sync::Arc;
 
 use perm_algebra::expr::{BinOp, ScalarExpr};
-use perm_algebra::plan::{JoinType, SetOpType};
+use perm_algebra::plan::{JoinType, SetOpType, SortKey};
 use perm_storage::Catalog;
 use perm_types::{PermError, QueryContext, Result, Tuple, Value};
 
 use super::join::HashProbe;
+use super::scan::Pipe;
 use super::setop::{keep_first, setop_kernel};
+use super::sort::SortRun;
 use crate::executor::Executor;
-use crate::parallel::{partition_of, restore_order};
+use crate::parallel::{chunk_ranges, partition_of, restore_order};
 use crate::physical::{BuildSide, EquiKey, PhysicalPlan};
 
 const PARTITION_COUNTS: [usize; 3] = [1, 2, 7];
@@ -253,6 +257,192 @@ fn hash_probe_is_partition_invariant() {
                     .clone()
                     .map(|(rows, matched)| (restore_order(rows), matched));
                 assert_eq!(merged, expected, "{what} k={k}");
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Pipelined bodies: chunk invariance
+// ----------------------------------------------------------------------
+
+/// Input of the pipelined-body tests: `(a, b) = (i, i % 5)`, three
+/// kernel batches long so chunk and batch boundaries interleave.
+const PIPE_ROWS: i64 = 3_000;
+
+fn pipe_rows() -> Vec<Tuple> {
+    (0..PIPE_ROWS).map(|i| row(Some(i), i % 5)).collect()
+}
+
+fn col(i: usize) -> ScalarExpr {
+    ScalarExpr::Column(i)
+}
+
+fn int(v: i64) -> ScalarExpr {
+    ScalarExpr::Literal(Value::Int(v))
+}
+
+/// `a * BIG + 100 / (a - k)`: division by zero on row `k`, and an integer
+/// overflow *naming `a`* on every row past 1000 — so an error says which
+/// row raised it, and a kernel that evaluates the multiplication over a
+/// whole batch first aborts on a lane the row order never reaches.
+fn fails_on_row(k: i64) -> ScalarExpr {
+    let big = int(i64::MAX / 1000);
+    ScalarExpr::binary(
+        BinOp::Add,
+        ScalarExpr::binary(BinOp::Mul, col(0), big),
+        ScalarExpr::binary(
+            BinOp::Div,
+            int(100),
+            ScalarExpr::binary(BinOp::Sub, col(0), int(k)),
+        ),
+    )
+}
+
+/// `CASE WHEN b = 0 THEN then ELSE otherwise END` — row-only.
+fn case_b_zero(then: ScalarExpr, otherwise: ScalarExpr) -> ScalarExpr {
+    ScalarExpr::Case {
+        operand: None,
+        branches: vec![(ScalarExpr::eq(col(1), int(0)), then)],
+        else_branch: Some(Box::new(otherwise)),
+    }
+}
+
+type Outcome = std::result::Result<Vec<Tuple>, String>;
+
+fn outcome(r: Result<Vec<Tuple>>) -> Outcome {
+    r.map_err(|e| e.to_string())
+}
+
+#[test]
+fn pipe_is_chunk_invariant() {
+    let exec = Executor::new(Arc::new(Catalog::new()));
+    let rows = pipe_rows();
+    let a_mod = |m: i64| ScalarExpr::binary(BinOp::Mod, col(0), int(m));
+    // (flavour, filter, projection, vectorizable, fails)
+    let mut flavours = vec![
+        (
+            "vectorizable".to_string(),
+            ScalarExpr::eq(a_mod(3), int(0)),
+            vec![ScalarExpr::binary(BinOp::Add, col(0), col(1)), col(1)],
+            true,
+            false,
+        ),
+        (
+            "case".to_string(),
+            case_b_zero(
+                ScalarExpr::Literal(Value::Bool(true)),
+                ScalarExpr::eq(a_mod(2), int(0)),
+            ),
+            vec![case_b_zero(
+                col(0),
+                ScalarExpr::binary(BinOp::Add, col(0), int(1)),
+            )],
+            false,
+            false,
+        ),
+    ];
+    // The chosen failing row: first and last row of a kernel batch, a row
+    // in the middle, and one the overflowing rows shadow.
+    for k in [0, 700, 1023, 1024, PIPE_ROWS - 1] {
+        flavours.push((
+            format!("fails on row {k}"),
+            ScalarExpr::binary(BinOp::Gt, fails_on_row(k), int(-1)),
+            vec![fails_on_row(k)],
+            true,
+            true,
+        ));
+    }
+    for (flavour, filter, project, vectorizable, fails) in &flavours {
+        assert_eq!(filter.vectorizable(), *vectorizable, "{flavour}");
+        assert!(
+            project.iter().all(|e| e.vectorizable() == *vectorizable),
+            "{flavour}"
+        );
+        for (shape, f, p) in [
+            ("filter", Some(filter), None),
+            ("project", None, Some(project.as_slice())),
+            ("both", Some(filter), Some(project.as_slice())),
+        ] {
+            for allow_batch in [true, false] {
+                let what = format!("{flavour} / {shape} / batch={allow_batch}");
+                let pipe = Pipe::compile(&exec, f, p, allow_batch);
+                let whole = outcome(pipe.run(&exec, rows.iter()));
+                match &whole {
+                    Ok(out) => {
+                        assert!(!fails, "{what}: expected an error");
+                        assert!(!out.is_empty(), "{what}: vacuous");
+                        assert!(f.is_none() || out.len() < rows.len(), "{what}: vacuous");
+                    }
+                    Err(e) => assert!(*fails, "{what}: {e}"),
+                }
+                for k in PARTITION_COUNTS {
+                    let chunked = chunk_ranges(rows.len(), k)
+                        .into_iter()
+                        .map(|range| pipe.run(&exec, rows[range].iter()))
+                        .collect::<Result<Vec<_>>>()
+                        .map(|parts| parts.concat());
+                    assert_eq!(outcome(chunked), whole, "{what} chunks={k}");
+                }
+                let pulled = rows
+                    .iter()
+                    .filter_map(|t| pipe.row(&exec, t).transpose())
+                    .collect::<Result<Vec<_>>>();
+                assert_eq!(outcome(pulled), whole, "{what} row-at-a-time");
+            }
+        }
+    }
+}
+
+#[test]
+fn sorted_runs_merge_to_the_single_stable_sort() {
+    let exec = Executor::new(Arc::new(Catalog::new()));
+    let ctx = QueryContext::detached();
+    let rows = pipe_rows();
+    let key = |expr, desc| SortKey { expr, desc };
+    // b ascending, then a % 4 descending: 20 distinct keys over 3000
+    // rows, so every run is mostly ties.
+    let tie_heavy = vec![
+        key(col(1), false),
+        key(ScalarExpr::binary(BinOp::Mod, col(0), int(4)), true),
+    ];
+    let mut cases = vec![("tie-heavy".to_string(), tie_heavy, false)];
+    for k in [0, 700, 1024, PIPE_ROWS - 1] {
+        cases.push((
+            format!("key fails on row {k}"),
+            vec![key(col(1), false), key(fails_on_row(k), false)],
+            true,
+        ));
+    }
+    for (name, keys, fails) in &cases {
+        for allow_batch in [true, false] {
+            let what = format!("{name} / batch={allow_batch}");
+            let sorter = SortRun::compile(&exec, keys, allow_batch);
+            let single = outcome(
+                sorter
+                    .run(&exec, rows.clone())
+                    .map(|run| run.into_iter().map(|(_, t)| t).collect()),
+            );
+            assert_eq!(single.is_err(), *fails, "{what}: {single:?}");
+            if let Ok(sorted) = &single {
+                let b_of = |t: &Tuple| t.get(1).clone();
+                assert!(
+                    sorted
+                        .windows(2)
+                        .all(|w| b_of(&w[0]).sort_cmp(&b_of(&w[1])).is_le()),
+                    "{what}: not sorted"
+                );
+            }
+            for k in PARTITION_COUNTS {
+                let merged = chunk_ranges(rows.len(), k)
+                    .into_iter()
+                    .map(|range| sorter.run(&exec, rows[range].to_vec()))
+                    .collect::<Result<Vec<_>>>()
+                    .and_then(|runs| {
+                        let runs = runs.into_iter().map(|r| r.into_iter().map(Ok)).collect();
+                        sorter.merge_runs(&ctx, runs, rows.len())
+                    });
+                assert_eq!(outcome(merged), single, "{what} runs={k}");
             }
         }
     }

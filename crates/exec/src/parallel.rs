@@ -16,10 +16,13 @@
 //! [`restore_order`] — the only place the order-restoring tag sort
 //! happens — puts the output back in input order.
 //!
-//! These schedulers are **drivers**: the operator bodies live in
-//! [`crate::operators`], each written once and shared with the serial
-//! driver (one partition, already in order: no tags, no sort) and the
-//! spill drivers.
+//! These schedulers are **drivers** and nothing else: every operator
+//! body lives in [`crate::operators`] — the parallel scan and sort next
+//! to their bodies in `operators::scan` / `operators::sort` — each
+//! written once and shared with the serial driver (one partition or run,
+//! already in order: no tags, no sort, no merge) and the spill drivers.
+//! Closures handed to [`map_morsels`] / [`map_chunks`] compile nothing:
+//! they share the node's one compiled body.
 //!
 //! Everything here is built from `std` only (the environment has no
 //! crates.io access): [`Channel`] is a crossbeam-style Mutex + Condvar
@@ -33,9 +36,9 @@
 //!
 //! Workers never evaluate expressions containing sublinks (the planner
 //! only assigns a degree of parallelism > 1 to subquery-free pipelines),
-//! so each worker runs against its own lightweight [`Executor`] (from
-//! the parent's [`Executor::worker_factory`]) over the shared catalog
-//! snapshot. A worker that hits an error stops claiming
+//! so each worker runs against its own lightweight
+//! [`Executor`](crate::Executor) (from the parent's
+//! `Executor::worker_factory`) over the shared catalog snapshot. A worker that hits an error stops claiming
 //! morsels and the merge step re-raises the error of the
 //! **lowest-indexed** failed morsel — which is exactly the error serial
 //! execution would have raised first, because morsels are claimed in
@@ -64,7 +67,7 @@ use perm_types::{PermError, QueryContext, Result, Tuple};
 
 /// Rows per morsel. Small enough that `LIMIT` over an exchange stops
 /// early and the morsel queue load-balances skewed filters; large enough
-/// that per-morsel setup (an executor, compiled expressions) is noise.
+/// that per-morsel setup (a worker executor) is noise.
 pub const MORSEL_ROWS: usize = 2048;
 
 /// Default minimum estimated input rows before the planner considers a
@@ -446,49 +449,7 @@ pub(crate) fn partition_of<T: Hash>(t: &T, partitions: usize) -> usize {
     ((h.finish() >> 32) as usize) % partitions
 }
 
-// ----------------------------------------------------------------------
-// Parallel operators: scan, sort
-// ----------------------------------------------------------------------
-
-use perm_algebra::expr::ScalarExpr;
-use perm_algebra::plan::SortKey;
-use perm_types::Value;
-
-use crate::compile::CompiledExpr;
-use crate::executor::Executor;
-
-/// Morsel-parallel `FusedScanProjectFilter`: workers claim row ranges of
-/// the base table and run the fused filter/projection over borrowed base
-/// rows; per-morsel outputs concatenate in morsel order, so the result
-/// is byte-identical to the serial scan.
-pub(crate) fn scan_parallel(
-    exec: &Executor,
-    table: &str,
-    filter: Option<&ScalarExpr>,
-    project: Option<&[ScalarExpr]>,
-    dop: usize,
-    allow_batch: bool,
-) -> Result<Vec<Tuple>> {
-    let total = exec.catalog().table(table)?.rows().len();
-    let worker = exec.worker_factory();
-    let outer = exec.outer_stack();
-    let table = table.to_string();
-    let filter = filter.cloned();
-    let project: Option<Vec<ScalarExpr>> = project.map(<[ScalarExpr]>::to_vec);
-    let parts = map_morsels(exec.context(), dop, total, move |range| {
-        let sub = worker();
-        let t = sub.catalog().table(&table)?;
-        sub.scan_emit(
-            t.rows()[range].iter(),
-            filter.as_ref(),
-            project.as_deref(),
-            &outer,
-            allow_batch,
-        )
-    })?;
-    Ok(concat(parts))
-}
-
+/// Concatenate per-morsel (or per-partition) outputs in order.
 pub(crate) fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
     let n: usize = parts.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(n);
@@ -497,98 +458,6 @@ pub(crate) fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
         out.extend(p);
     }
     out
-}
-
-/// The sort comparator over precomputed key rows — the single
-/// definition of sort order, shared by the serial path
-/// ([`Executor::run_physical`]) and the parallel chunk sort + merge so
-/// the two can never drift apart.
-pub(crate) fn cmp_keys(a: &[Value], b: &[Value], keys: &[SortKey]) -> std::cmp::Ordering {
-    // no-cancel: bounded by the (tiny) sort-key count.
-    for (i, k) in keys.iter().enumerate() {
-        let ord = a[i].sort_cmp(&b[i]);
-        let ord = if k.desc { ord.reverse() } else { ord };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-/// Parallel sort: workers key and stably sort contiguous chunks, then a
-/// serial k-way merge (ties resolved toward the earlier chunk) rebuilds
-/// exactly the order the serial stable sort produces.
-pub(crate) fn sort_parallel(
-    exec: &Executor,
-    rows: Vec<Tuple>,
-    keys: &[SortKey],
-    dop: usize,
-    allow_batch: bool,
-) -> Result<Vec<Tuple>> {
-    let total = rows.len();
-    let worker = exec.worker_factory();
-    let outer = exec.outer_stack();
-    let worker_keys = keys.to_vec();
-    let ctx = exec.context();
-    let chunks = map_chunks(ctx, dop, total, move |range| {
-        let sub = worker();
-        let compiled: Vec<CompiledExpr> = worker_keys
-            .iter()
-            .map(|k| CompiledExpr::compile(&sub, &k.expr))
-            .collect();
-        let key_rows = sub.compute_keys(&rows[range.clone()], &compiled, &outer, allow_batch)?;
-        let mut keyed: Vec<(Vec<Value>, Tuple)> = key_rows
-            .into_iter()
-            .zip(rows[range].iter().cloned())
-            .collect();
-        keyed.sort_by(|(a, _), (b, _)| cmp_keys(a, b, &worker_keys));
-        Ok(keyed)
-    })?;
-    let runs = chunks.into_iter().map(|c| c.into_iter().map(Ok)).collect();
-    merge_runs(ctx, runs, keys, total)
-}
-
-/// Stable k-way merge of sorted runs — the one merge behind the parallel
-/// chunk sort and the external sort: smallest key wins, ties take the
-/// earlier run (runs cover the input in order, so this reproduces the
-/// stable serial order). The run count is small (≤ dop or the spill
-/// fanout), so a linear scan of the heads beats heap bookkeeping.
-pub(crate) fn merge_runs<I>(
-    ctx: &QueryContext,
-    mut runs: Vec<I>,
-    keys: &[SortKey],
-    capacity: usize,
-) -> Result<Vec<Tuple>>
-where
-    I: Iterator<Item = Result<(Vec<Value>, Tuple)>>,
-{
-    let mut heads: Vec<Option<(Vec<Value>, Tuple)>> = Vec::with_capacity(runs.len());
-    // no-cancel: head priming, bounded by the run count.
-    for run in &mut runs {
-        heads.push(run.next().transpose()?);
-    }
-    let mut out = Vec::with_capacity(capacity);
-    loop {
-        // Masked cancellation check: once per 4096 merged rows keeps the
-        // hot merge loop cheap while still bounding cancel latency.
-        if out.len() % 4096 == 0 {
-            ctx.check()?;
-        }
-        let mut best: Option<(usize, &[Value])> = None;
-        // no-cancel: head scan, bounded by the run count.
-        for (i, head) in heads.iter().enumerate() {
-            let Some((hk, _)) = head else { continue };
-            if best.is_none_or(|(_, bk)| cmp_keys(hk, bk, keys) == std::cmp::Ordering::Less) {
-                best = Some((i, hk));
-            }
-        }
-        let Some((b, _)) = best else { break };
-        if let Some((_, row)) = heads[b].take() {
-            out.push(row);
-        }
-        heads[b] = runs[b].next().transpose()?;
-    }
-    Ok(out)
 }
 
 // ----------------------------------------------------------------------

@@ -6,10 +6,15 @@
 //! filters and projections), standalone filters/projections, limits —
 //! produce it on demand. A `LIMIT k` over a streamable chain therefore
 //! pulls only as many base-table rows as it needs instead of
-//! materializing the whole input first. Blocking operators (joins,
-//! aggregation, sorts, set operations, DISTINCT) have no incremental
-//! form in this executor; a blocking subtree is materialized through
-//! [`Executor::run_physical`] on first pull and drained from its buffer.
+//! materializing the whole input first. The stream evaluates nothing
+//! itself: it is a *driver* of the scan/filter/project body
+//! ([`Pipe`]) — the serial cursor pulls one row at a time through
+//! `Pipe::row`, the exchange producers run whole morsels through
+//! `Pipe::run` — so a streamed row is the row [`Executor::run_physical`]
+//! computes. Blocking operators (joins, aggregation, sorts, set
+//! operations, DISTINCT) have no incremental form in this executor; a
+//! blocking subtree is materialized through [`Executor::run_physical`]
+//! on first pull and drained from its buffer.
 //!
 //! The cursor tree is built from the **physical** plan, so every
 //! strategy decision (fusion, index usage, join algorithms inside
@@ -23,14 +28,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use perm_algebra::expr::ScalarExpr;
 use perm_algebra::plan::LogicalPlan;
 use perm_storage::Catalog;
-use perm_types::{Result, Tuple};
+use perm_types::{PermError, Result, Tuple};
 
-use crate::compile::{CompiledExpr, CompiledProjection};
-use crate::eval::Env;
 use crate::executor::Executor;
+use crate::operators::scan::Pipe;
 use crate::parallel::{Channel, MorselQueue, MORSEL_ROWS};
 use crate::physical::PhysicalPlan;
 
@@ -126,17 +129,9 @@ enum Cursor {
     /// rules forbid caching `&Table` next to the owning snapshot) is an
     /// allocation-free map lookup.
     Scan { key: String, next: usize },
-    /// Streaming filter: pulls from the input until the predicate holds.
-    /// The predicate is compiled once at stream construction.
-    Filter {
-        input: Box<Cursor>,
-        predicate: CompiledExpr,
-    },
-    /// Streaming projection (expressions compiled once).
-    Project {
-        input: Box<Cursor>,
-        projection: CompiledProjection,
-    },
+    /// Streaming filter and/or projection: pulls from the input until a
+    /// row passes the pipe (compiled once at stream construction).
+    Pipe { input: Box<Cursor>, pipe: Pipe },
     /// Streaming OFFSET/LIMIT: stops pulling once exhausted.
     Limit {
         input: Box<Cursor>,
@@ -154,8 +149,8 @@ enum Cursor {
 
 /// The consumer side of a scan exchange.
 ///
-/// `dop` producer threads claim morsels of the base table, run the fused
-/// filter/projection, and send `(morsel index, rows scanned, result)`
+/// `dop` producer threads claim morsels of the base table, run the shared
+/// [`Pipe`] over each, and send `(morsel index, rows scanned, result)`
 /// through a **bounded** channel — so a consumer that stops pulling
 /// (e.g. a satisfied `LIMIT`) back-pressures the producers after a few
 /// morsels, preserving the early-termination benefit at morsel
@@ -181,81 +176,71 @@ pub(crate) struct ExchangeCursor {
 }
 
 impl ExchangeCursor {
-    fn spawn(
-        exec: &Executor,
-        table: &str,
-        filter: Option<&ScalarExpr>,
-        project: Option<&[ScalarExpr]>,
-        dop: usize,
-        allow_batch: bool,
-    ) -> Result<ExchangeCursor> {
+    fn spawn(exec: &Executor, table: &str, pipe: Pipe, dop: usize) -> Result<ExchangeCursor> {
         let total = exec.catalog().table(table)?.rows().len();
         let queue = Arc::new(MorselQueue::new(total, MORSEL_ROWS));
-        let rx: Arc<Channel<MorselMsg>> = Arc::new(Channel::bounded(dop * 2));
-        let expected = queue.morsel_count();
-        let mut handles = Vec::with_capacity(dop);
-        for i in 0..dop {
-            let worker = exec.worker_factory();
-            let queue = Arc::clone(&queue);
-            let tx = Arc::clone(&rx);
-            let ctx = exec.context().clone();
-            let table = table.to_string();
-            let filter = filter.cloned();
-            let project: Option<Vec<ScalarExpr>> = project.map(<[ScalarExpr]>::to_vec);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("perm-exchange-{i}"))
-                    .spawn(move || {
-                        let sub = worker();
-                        // Cancellation is observed at every morsel claim;
-                        // a producer panic is contained to this query as a
-                        // typed error sent through the channel.
-                        while let Some((idx, range)) = queue.claim() {
-                            let scanned = range.len();
-                            let result = ctx
-                                .check()
-                                .and_then(|()| {
-                                    perm_fault::exec_point(
-                                        "exec.exchange.send",
-                                        "exchange producer",
-                                    )
-                                })
-                                .and_then(|()| {
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        sub.catalog().table(&table).and_then(|t| {
-                                            sub.scan_emit(
-                                                t.rows()[range].iter(),
-                                                filter.as_ref(),
-                                                project.as_deref(),
-                                                &[],
-                                                allow_batch,
-                                            )
-                                        })
-                                    }))
-                                    .unwrap_or_else(|p| Err(crate::parallel::panic_error(p)))
-                                });
-                            let failed = result.is_err();
-                            if tx.send((idx, scanned, result)).is_err() {
-                                break; // consumer went away
-                            }
-                            if failed {
-                                queue.abort();
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn exchange producer"),
-            );
-        }
-        Ok(ExchangeCursor {
-            rx,
+        let pipe = Arc::new(pipe);
+        // Built before the first spawn: if a later spawn fails, dropping
+        // the cursor aborts and joins the producers already running.
+        let mut cursor = ExchangeCursor {
+            rx: Arc::new(Channel::bounded(dop * 2)),
+            expected: queue.morsel_count(),
             queue,
             pending: HashMap::new(),
             next_idx: 0,
-            expected,
             current: Vec::new().into_iter(),
-            handles,
-        })
+            handles: Vec::with_capacity(dop),
+        };
+        // no-cancel: thread start-up, bounded by dop.
+        for i in 0..dop {
+            let worker = exec.worker_factory();
+            let queue = Arc::clone(&cursor.queue);
+            let tx = Arc::clone(&cursor.rx);
+            let ctx = exec.context().clone();
+            let table = table.to_string();
+            let pipe = Arc::clone(&pipe);
+            let producer = move || {
+                let sub = worker();
+                // Cancellation is observed at every morsel claim; a
+                // producer panic is contained to this query as a typed
+                // error sent through the channel.
+                while let Some((idx, range)) = queue.claim() {
+                    let scanned = range.len();
+                    let result = ctx
+                        .check()
+                        .and_then(|()| {
+                            perm_fault::exec_point("exec.exchange.send", "exchange producer")
+                        })
+                        .and_then(|()| {
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                sub.catalog()
+                                    .table(&table)
+                                    .and_then(|t| pipe.run(&sub, t.rows()[range].iter()))
+                            }))
+                            .unwrap_or_else(|p| Err(crate::parallel::panic_error(p)))
+                        });
+                    let failed = result.is_err();
+                    if tx.send((idx, scanned, result)).is_err() {
+                        break; // consumer went away
+                    }
+                    if failed {
+                        queue.abort();
+                        break;
+                    }
+                }
+            };
+            // The OS can refuse a thread (process or cgroup limits): that
+            // fails this statement, not the caller's thread.
+            perm_fault::exec_point("exec.exchange.spawn", "exchange producer spawn")?;
+            let handle = std::thread::Builder::new()
+                .name(format!("perm-exchange-{i}"))
+                .spawn(producer)
+                .map_err(|e| {
+                    PermError::Execution(format!("cannot start exchange producer: {e}"))
+                })?;
+            cursor.handles.push(handle);
+        }
+        Ok(cursor)
     }
 
     fn next(&mut self, scanned: &mut usize) -> Option<Result<Tuple>> {
@@ -317,43 +302,36 @@ impl Cursor {
                 // change under us).
                 let t = exec.catalog().table(table)?;
                 crate::executor::check_scan_schema(t, table, schema)?;
-                if *dop > 1 && (filter.is_some() || project.is_some()) {
-                    return Ok(Cursor::Exchange(ExchangeCursor::spawn(
-                        exec,
-                        table,
-                        filter.as_ref(),
-                        project.as_deref(),
-                        *dop,
-                        batch.is_batch(),
-                    )?));
-                }
-                let mut cursor = Cursor::Scan {
+                let scan = Cursor::Scan {
                     key: Catalog::key_of(table),
                     next: 0,
                 };
-                if let Some(f) = filter {
-                    cursor = Cursor::Filter {
-                        input: Box::new(cursor),
-                        predicate: CompiledExpr::compile(exec, f),
-                    };
+                if filter.is_none() && project.is_none() {
+                    return Ok(scan);
                 }
-                if let Some(p) = project {
-                    cursor = Cursor::Project {
-                        input: Box::new(cursor),
-                        projection: CompiledProjection::compile(exec, p),
-                    };
+                // Producers run whole morsels through the kernels; the
+                // serial cursor pulls row by row and never would.
+                let stamp = *dop > 1 && batch.is_batch();
+                let pipe = Pipe::compile(exec, filter.as_ref(), project.as_deref(), stamp);
+                if *dop > 1 {
+                    return Ok(Cursor::Exchange(ExchangeCursor::spawn(
+                        exec, table, pipe, *dop,
+                    )?));
                 }
-                cursor
+                Cursor::Pipe {
+                    input: Box::new(scan),
+                    pipe,
+                }
             }
             PhysicalPlan::Filter {
                 input, predicate, ..
-            } => Cursor::Filter {
+            } => Cursor::Pipe {
                 input: Box::new(Cursor::build(exec, input)?),
-                predicate: CompiledExpr::compile(exec, predicate),
+                pipe: Pipe::compile(exec, Some(predicate), None, false),
             },
-            PhysicalPlan::Project { input, exprs, .. } => Cursor::Project {
+            PhysicalPlan::Project { input, exprs, .. } => Cursor::Pipe {
                 input: Box::new(Cursor::build(exec, input)?),
-                projection: CompiledProjection::compile(exec, exprs),
+                pipe: Pipe::compile(exec, None, Some(exprs), false),
             },
             PhysicalPlan::Limit {
                 input,
@@ -383,7 +361,7 @@ impl Cursor {
                 *scanned += 1;
                 Some(Ok(row))
             }
-            Cursor::Filter { input, predicate } => loop {
+            Cursor::Pipe { input, pipe } => loop {
                 // A selective predicate can reject rows for a long time
                 // without yielding: check cancellation on every pull.
                 if let Err(e) = exec.check_cancelled() {
@@ -393,22 +371,11 @@ impl Cursor {
                     Ok(t) => t,
                     Err(e) => return Some(Err(e)),
                 };
-                // Top-level plans have no outer scopes.
-                let env = Env::new(&t, &[]);
-                match predicate.eval_bool(exec, &env) {
-                    Ok(Some(true)) => return Some(Ok(t)),
-                    Ok(_) => continue,
-                    Err(e) => return Some(Err(e)),
+                match pipe.row(exec, &t).transpose() {
+                    Some(item) => return Some(item),
+                    None => continue,
                 }
             },
-            Cursor::Project { input, projection } => {
-                let t = match input.next(exec, scanned)? {
-                    Ok(t) => t,
-                    Err(e) => return Some(Err(e)),
-                };
-                let env = Env::new(&t, &[]);
-                Some(projection.apply(exec, &env))
-            }
             Cursor::Limit {
                 input,
                 skip,

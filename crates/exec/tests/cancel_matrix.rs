@@ -1,17 +1,20 @@
-//! Pre-cancelled operator matrix: every hash operator, under every driver
-//! the planner can stamp on it, observes a cancellation that happened
-//! before it started.
+//! Pre-cancelled operator matrix: every operator, under every driver the
+//! planner can stamp on it, observes a cancellation that happened before
+//! it started.
 //!
 //! The operators share one body per operator between their serial,
 //! parallel and spilled drivers, so "is this loop cancellable" has one
 //! answer per operator — this matrix pins it for all five hashed
 //! `(op, all)` set operations, `HashDistinct`, `HashJoin` (every kind the
-//! drivers accept, both build sides where legal) and `IndexNLJoin`, each
-//! at `dop` 1 and 2 and, where the node may spill, under a 1-byte
-//! per-query cap that denies the reservation. (It was born from a drift
-//! between the copies: serial `INTERSECT` / `EXCEPT` with set semantics
-//! returned rows on a cancelled context while their parallel twins
-//! returned `Cancelled`.)
+//! drivers accept, both build sides where legal), `IndexNLJoin`, the
+//! fused scan (filter, projection, both, and a row-only `CASE` filter),
+//! standalone `Filter` / `Project`, `Sort` and `Limit`, each at `dop` 1
+//! and 2 and, where the node may spill, under a 1-byte per-query cap that
+//! denies the reservation — materialized through `run_physical` and
+//! pulled through `into_stream_physical` (row-pull cursors, exchange
+//! producers). (It was born from a drift between the copies: serial
+//! `INTERSECT` / `EXCEPT` with set semantics returned rows on a cancelled
+//! context while their parallel twins returned `Cancelled`.)
 //!
 //! Plans are built by hand so the `dop` / `spill` stamps are exactly the
 //! ones under test, and checked with the physical plan verifier so the
@@ -20,11 +23,11 @@
 use std::sync::Arc;
 
 use perm_algebra::expr::{BinOp, ScalarExpr};
-use perm_algebra::plan::{JoinType, SetOpType};
+use perm_algebra::plan::{JoinType, SetOpType, SortKey};
 use perm_exec::physical::{BatchMode, BuildSide, EquiKey, PhysicalPlan};
 use perm_exec::{verify_physical, Executor, MemoryPool, QueryMemory, SPILL_PARTITIONS};
 use perm_storage::{spill_dir_is_clean, Catalog, Table};
-use perm_types::{Column, DataType, QueryContext, Schema, Tuple, Value};
+use perm_types::{Column, DataType, QueryContext, Result, Schema, Tuple, Value};
 
 fn int_table(name: &str, cols: [&str; 2], rows: impl Iterator<Item = (i64, i64)>) -> Table {
     let mut t = Table::new(
@@ -157,10 +160,97 @@ fn operators(cat: &Catalog, dop: usize) -> Vec<(String, PhysicalPlan)> {
             },
         ));
     }
+    // The pipelined operators. a % 2 = 0 and a + b have kernels; the
+    // CASE filter pins its scan to the row path.
+    let int = |v| ScalarExpr::Literal(Value::Int(v));
+    let even = ScalarExpr::eq(
+        ScalarExpr::binary(BinOp::Mod, ScalarExpr::Column(0), int(2)),
+        int(0),
+    );
+    let sum = vec![ScalarExpr::binary(
+        BinOp::Add,
+        ScalarExpr::Column(0),
+        ScalarExpr::Column(1),
+    )];
+    let case = ScalarExpr::Case {
+        operand: None,
+        branches: vec![(
+            ScalarExpr::eq(ScalarExpr::Column(1), int(0)),
+            ScalarExpr::Literal(Value::Bool(true)),
+        )],
+        else_branch: Some(Box::new(even.clone())),
+    };
+    let batch = BatchMode::Batch { width: 2 };
+    for (what, filter, project, batch) in [
+        ("filter", Some(even.clone()), None, batch),
+        ("project", None, Some(sum.clone()), batch),
+        ("both", Some(even.clone()), Some(sum.clone()), batch),
+        ("row-only filter", Some(case), None, BatchMode::Row),
+    ] {
+        ops.push((
+            format!("FusedScanProjectFilter {what} dop={dop}"),
+            PhysicalPlan::FusedScanProjectFilter {
+                table: "t1".into(),
+                schema: cat.table("t1").unwrap().schema().clone(),
+                filter,
+                project,
+                est_rows: 50.0,
+                dop,
+                batch,
+            },
+        ));
+    }
+    ops.push((
+        "Filter".into(),
+        PhysicalPlan::Filter {
+            input: scan(cat, "t1"),
+            predicate: even,
+            batch,
+        },
+    ));
+    ops.push((
+        "Project".into(),
+        PhysicalPlan::Project {
+            input: scan(cat, "t1"),
+            exprs: sum,
+            batch,
+        },
+    ));
+    ops.push((
+        format!("Sort dop={dop}"),
+        PhysicalPlan::Sort {
+            input: scan(cat, "t1"),
+            keys: vec![SortKey {
+                expr: ScalarExpr::Column(1),
+                desc: true,
+            }],
+            dop,
+            spill,
+            batch,
+        },
+    ));
+    ops.push((
+        "Limit".into(),
+        PhysicalPlan::Limit {
+            input: scan(cat, "t1"),
+            limit: Some(5),
+            offset: 1,
+        },
+    ));
     for (label, plan) in &ops {
         verify_physical(plan, "cancel-matrix").unwrap_or_else(|e| panic!("{label}: {e}"));
     }
     ops
+}
+
+/// The two ways a plan's rows are consumed: materialized through
+/// `run_physical`, or pulled through the stream cursor tree.
+fn execute(exec: Executor, plan: &PhysicalPlan, streamed: bool) -> Result<Vec<Tuple>> {
+    if streamed {
+        exec.into_stream_physical(plan)?.collect()
+    } else {
+        exec.run_physical(plan)
+    }
 }
 
 #[test]
@@ -178,20 +268,18 @@ fn pre_cancelled_operators_return_cancelled_and_leak_nothing() {
             } else {
                 &[None]
             };
-            for &cap in caps {
+            for (&cap, streamed) in caps.iter().flat_map(|c| [(c, false), (c, true)]) {
                 let ctx = QueryContext::new(42, None, None);
                 ctx.handle().cancel();
                 let pool = MemoryPool::unbounded();
                 let exec = Executor::new(Arc::clone(&cat))
                     .with_context(ctx)
                     .with_memory(QueryMemory::new(pool.clone(), cap));
-                let got = exec.run_physical(&plan);
-                let what = format!("{label} cap={cap:?}");
-                match got {
+                let what = format!("{label} cap={cap:?} streamed={streamed}");
+                match execute(exec, &plan, streamed) {
                     Err(e) => assert_eq!(e.kind(), "cancelled", "{what}: {e}"),
                     Ok(rows) => panic!("{what}: ran to {} rows on a cancelled context", rows.len()),
                 }
-                drop(exec);
                 assert_eq!(pool.used(), 0, "{what}: pool must drain to zero");
                 assert!(spill_dir_is_clean(), "{what}: spill temp files left behind");
             }
@@ -225,13 +313,16 @@ fn matrix_plans_run_to_the_serial_answer_on_a_live_context() {
                 if budget.is_some() && plan.spill().is_none() {
                     continue;
                 }
-                let pool = budget.map_or_else(MemoryPool::unbounded, MemoryPool::with_budget);
-                let got = Executor::new(Arc::clone(&cat))
-                    .with_memory(QueryMemory::new(pool.clone(), None))
-                    .run_physical(plan)
-                    .unwrap_or_else(|e| panic!("{label} budget={budget:?}: {e}"));
-                assert_eq!(&got, expected, "{label} budget={budget:?}");
-                assert_eq!(pool.used(), 0, "{label} budget={budget:?}");
+                for streamed in [false, true] {
+                    let what = format!("{label} budget={budget:?} streamed={streamed}");
+                    let pool = budget.map_or_else(MemoryPool::unbounded, MemoryPool::with_budget);
+                    let exec = Executor::new(Arc::clone(&cat))
+                        .with_memory(QueryMemory::new(pool.clone(), None));
+                    let got =
+                        execute(exec, plan, streamed).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!(&got, expected, "{what}");
+                    assert_eq!(pool.used(), 0, "{what}");
+                }
             }
         }
     }

@@ -557,6 +557,100 @@ proptest! {
         }
     }
 
+    /// Pulling a plan through the stream cursor tree (row-pull scans,
+    /// filters and projections at DOP 1; exchange producers at DOP 3;
+    /// blocking subtrees materialized underneath) yields exactly the rows
+    /// `run_physical` returns, in the same order; the two fail together;
+    /// and a consumer that stops after `k` rows has seen a prefix. The
+    /// `scan_only` variant makes the whole plan streamable, `div_by_key`
+    /// plants a row error, `project_on_top` a computed projection.
+    #[test]
+    fn streamed_execution_matches_materialized(
+        case in plan_case(),
+        scan_only in any::<bool>(),
+        div_by_key in any::<bool>(),
+        project_on_top in any::<bool>(),
+        k in 0..6usize,
+    ) {
+        let mut cat = Catalog::new();
+        cat.create_table(int_table("t1", ["a", "b"], &case.t1_rows)).unwrap();
+        cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows)).unwrap();
+        let mut plan = if scan_only {
+            LogicalPlan::Scan {
+                table: "t1".into(),
+                schema: cat.table("t1").unwrap().schema().clone(),
+                provenance_cols: vec![],
+            }
+        } else {
+            build_plan(&case, &cat)
+        };
+        if div_by_key {
+            plan = LogicalPlan::filter(
+                plan,
+                ScalarExpr::binary(
+                    BinOp::GtEq,
+                    ScalarExpr::binary(
+                        BinOp::Div,
+                        ScalarExpr::Column(1),
+                        ScalarExpr::Column(0),
+                    ),
+                    ScalarExpr::Literal(Value::Int(-1000)),
+                ),
+            );
+        }
+        if project_on_top {
+            let schema = Schema::new(vec![Column::new("p", DataType::Int)]);
+            plan = LogicalPlan::Project {
+                input: Box::new(plan),
+                exprs: vec![ScalarExpr::binary(
+                    BinOp::Add,
+                    ScalarExpr::Column(0),
+                    ScalarExpr::Literal(Value::Int(1)),
+                )],
+                schema,
+            };
+        }
+        let cat = Arc::new(cat);
+        let optimized = match optimize_verified(plan, &CatalogStats(&cat)) {
+            Ok(p) => p,
+            Err(e) => return Err(TestCaseError::fail(format!("verifier: {e}"))),
+        };
+        for dop in [1usize, 3] {
+            let physical = match perm_exec::PhysicalPlanner::new(&cat)
+                .max_parallelism(dop)
+                .parallel_threshold(1)
+                .plan_verified(&optimized)
+            {
+                Ok(p) => p,
+                Err(e) => return Err(TestCaseError::fail(format!("physical verifier: {e}"))),
+            };
+            let exec = || Executor::new(Arc::clone(&cat));
+            let materialized = exec().run_physical(&physical);
+            let streamed: Result<Vec<Tuple>, _> = exec()
+                .into_stream_physical(&physical)
+                .and_then(|s| s.collect());
+            match (&materialized, &streamed) {
+                (Ok(m), Ok(s)) => prop_assert_eq!(m, s, "stream diverges at dop {} for {:?}", dop, case),
+                (Err(_), Err(_)) => {}
+                (m, s) => prop_assert!(
+                    false,
+                    "one mode failed at dop {}: materialized={:?} streamed={:?} case={:?}",
+                    dop, m, s, case
+                ),
+            }
+            if let Ok(rows) = &materialized {
+                let taken: Result<Vec<Tuple>, _> = exec()
+                    .into_stream_physical(&physical)
+                    .and_then(|s| s.take(k).collect());
+                prop_assert_eq!(
+                    taken.as_deref().map_err(|e| e.to_string()),
+                    Ok(&rows[..k.min(rows.len())]),
+                    "take({}) is not a prefix at dop {} for {:?}", k, dop, case
+                );
+            }
+        }
+    }
+
     /// A query forced over budget — every buffering operator's memory
     /// reservation is denied by a 1-byte pool, so hash joins Grace-
     /// partition, aggregates/distincts/set-ops partition to disk, and

@@ -42,9 +42,10 @@
 //! |---|---|
 //! | `exec.worker.start` | pool worker task startup (`parallel::run_workers`) |
 //! | `exec.morsel.claim` | per-morsel claim loop (`parallel::map_morsels`) |
-//! | `exec.kernel.batch` | per-batch kernel dispatch (`executor`) |
+//! | `exec.kernel.batch` | per-batch kernel dispatch (`operators::scan`) |
 //! | `exec.memory.grow` | reservation grow (`memory::try_grow`) |
 //! | `exec.exchange.send` | exchange producer send loop (`stream`) |
+//! | `exec.exchange.spawn` | exchange producer thread start-up (`stream`) |
 //! | `exec.admission.wait` | admission wait loop (`core::admission`) |
 //! | `exec.replay.statement` | WAL replay loop (`core::server`) |
 

@@ -129,8 +129,9 @@ const STORAGE_FILE_CREATION_ALLOWED: &[&str] = &[
 const FAILPOINT_WRAPPED: &[&str] = &["crates/storage/src/wal.rs", "crates/storage/src/durable.rs"];
 
 /// Files whose loops must carry a cooperative cancellation check
-/// (rule 11): the morsel pool, the stream/exchange pipeline, and the
-/// operator build/probe/spill paths.
+/// (rule 11): the morsel pool, the stream/exchange pipeline, and every
+/// operator body and driver (scan/filter/project, sort, build/probe,
+/// spill).
 const CANCEL_CHECK_FILES: &[&str] = &[
     "crates/exec/src/parallel.rs",
     "crates/exec/src/stream.rs",
