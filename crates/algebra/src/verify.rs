@@ -54,7 +54,9 @@ fn boolish(t: DataType) -> bool {
 /// matches its children, every expression (including inside sublink
 /// subplans) typechecks against its input with all slot references in
 /// bounds. `pass` names the transformation that produced the plan and is
-/// included in any error.
+/// included in any error; the `column-pruning` pass is additionally held
+/// to its own postcondition, `single-carry`: below a join, filter, sort,
+/// limit or aggregate no slot-only projection repeats or reorders slots.
 pub fn verify_logical(plan: &LogicalPlan, pass: &str) -> Result<()> {
     verify_node(plan, pass, "", &[])
 }
@@ -278,6 +280,43 @@ fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, outer: &[Schema]) -> 
         }
         // Pass-through operators: nothing to check beyond their children.
         LogicalPlan::Distinct { .. } | LogicalPlan::Limit { .. } | LogicalPlan::Boundary { .. } => {
+        }
+    }
+
+    // Postcondition of column pruning alone (join reordering may add
+    // compensating permutations afterwards): a column is carried once.
+    // Below the operators that read their input through remapped
+    // expressions, a slot-only projection may narrow but never repeat or
+    // reorder slots — fan-out belongs at the root or under a width-rigid
+    // parent.
+    let remaps_input = matches!(
+        plan,
+        LogicalPlan::Join { .. }
+            | LogicalPlan::Filter { .. }
+            | LogicalPlan::Sort { .. }
+            | LogicalPlan::Limit { .. }
+            | LogicalPlan::Aggregate { .. }
+    );
+    if pass == "column-pruning" && remaps_input {
+        for child in plan.children() {
+            let LogicalPlan::Project { exprs, .. } = child else {
+                continue;
+            };
+            let slots: Option<Vec<usize>> = exprs
+                .iter()
+                .map(|e| match e {
+                    ScalarExpr::Column(i) => Some(*i),
+                    _ => None,
+                })
+                .collect();
+            if slots.is_some_and(|s| !s.windows(2).all(|w| w[0] < w[1])) {
+                return Err(violation(
+                    pass,
+                    "single-carry",
+                    &format!("{path} > Project"),
+                    "slot-only projection below a remapping operator repeats or reorders slots",
+                ));
+            }
         }
     }
 

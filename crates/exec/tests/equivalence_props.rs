@@ -219,6 +219,11 @@ struct PlanCase {
     /// Optional aggregate on top: GROUP BY first output column with
     /// count(*) + sum(second column).
     aggregate: bool,
+    /// Both scans become the provenance rewriter's leaf — every column
+    /// followed by its copy — and the join is keyed on the copies, so
+    /// column pruning carries each column once and fans out at the root
+    /// (or reads the base slots from under the aggregate).
+    fan_out: bool,
 }
 
 fn plan_case() -> impl Strategy<Value = PlanCase> {
@@ -240,7 +245,7 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
                 Just(JoinType::Anti),
             ],
         ),
-        (any::<bool>(), 0..2usize, 0..2usize),
+        (any::<bool>(), 0..2usize, 0..2usize, any::<bool>()),
         (
             proptest::option::of(-2i64..3),
             proptest::option::of(-2i64..3),
@@ -250,7 +255,7 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
         .prop_map(
             |(
                 (t1_rows, t2_rows, kind),
-                (null_safe, lkey, rkey),
+                (null_safe, lkey, rkey, fan_out),
                 (residual, filter_lit, aggregate),
             )| {
                 PlanCase {
@@ -263,6 +268,7 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
                     residual,
                     filter_lit,
                     aggregate,
+                    fan_out,
                 }
             },
         )
@@ -287,11 +293,22 @@ fn int_table(name: &str, cols: [&str; 2], rows: &[(Option<i64>, Option<i64>)]) -
 }
 
 fn build_plan(case: &PlanCase, cat: &Catalog) -> LogicalPlan {
-    let scan = |name: &str| LogicalPlan::Scan {
-        table: name.into(),
-        schema: cat.table(name).unwrap().schema().clone(),
-        provenance_cols: vec![],
+    let scan = |name: &str| {
+        let scan = LogicalPlan::Scan {
+            table: name.into(),
+            schema: cat.table(name).unwrap().schema().clone(),
+            provenance_cols: vec![],
+        };
+        if case.fan_out {
+            LogicalPlan::project_positions(scan, &[0, 1, 0, 1])
+        } else {
+            scan
+        }
     };
+    // Each side's width, and where the columns the condition reads start
+    // (the copies, under `fan_out`). Columns 0 and 1 of the output are
+    // t1's own in every shape.
+    let (width, read) = if case.fan_out { (4, 2) } else { (2, 0) };
     let op = if case.null_safe {
         BinOp::NotDistinctFrom
     } else {
@@ -299,13 +316,13 @@ fn build_plan(case: &PlanCase, cat: &Catalog) -> LogicalPlan {
     };
     let mut cond = vec![ScalarExpr::binary(
         op,
-        ScalarExpr::Column(case.lkey),
-        ScalarExpr::Column(2 + case.rkey),
+        ScalarExpr::Column(read + case.lkey),
+        ScalarExpr::Column(width + read + case.rkey),
     )];
     if let Some(lit) = case.residual {
         cond.push(ScalarExpr::binary(
             BinOp::Lt,
-            ScalarExpr::Column(1),
+            ScalarExpr::Column(read + 1),
             ScalarExpr::Literal(Value::Int(lit)),
         ));
     }

@@ -9,8 +9,8 @@
 //!
 //! The corpus spans both verifier layers:
 //! * logical ([`perm_algebra::verify`]): slot bounds, expression typing,
-//!   schema arity/preservation, join conditions, the provenance-rewrite
-//!   contract;
+//!   schema arity/preservation, join conditions, column pruning's
+//!   single-carry postcondition, the provenance-rewrite contract;
 //! * physical ([`perm_exec::verify_physical`]): operator arity plumbing
 //!   and the parallel-legality rules of the morsel runtime (sublink
 //!   pipelines, FULL joins, DISTINCT aggregates and UNION ALL appends
@@ -98,6 +98,33 @@ fn out_of_bounds_slot_is_slot_bounds_violation() {
     };
     let err = verify_logical(&plan, "column-pruning").unwrap_err();
     assert_names(&err, "slot-bounds", "column-pruning");
+}
+
+#[test]
+fn duplicating_projection_below_a_join_is_single_carry_violation() {
+    // The rewriter's leaf shape surviving under a join: what column
+    // pruning leaves behind when it forgets to dissolve a slot-only
+    // projection (both copies would be carried through the join).
+    let dup = LogicalPlan::project_positions(scan(), &[0, 1, 0, 1]);
+    let plan = LogicalPlan::join(
+        dup,
+        scan(),
+        JoinType::Inner,
+        Some(ScalarExpr::eq(ScalarExpr::Column(2), ScalarExpr::Column(4))),
+    )
+    .unwrap();
+    let err = verify_logical(&plan, "column-pruning").unwrap_err();
+    assert_names(&err, "single-carry", "column-pruning");
+    // Reordering counts too; narrowing does not; and the phases before
+    // and after pruning may hold such projections legitimately.
+    let sorted = |positions: &[usize]| LogicalPlan::Sort {
+        input: Box::new(LogicalPlan::project_positions(scan(), positions)),
+        keys: vec![],
+    };
+    assert!(verify_logical(&sorted(&[1, 0]), "column-pruning").is_err());
+    verify_logical(&sorted(&[1]), "column-pruning").unwrap();
+    verify_logical(&plan, "rule-rewrites").unwrap();
+    verify_logical(&plan, "join-reordering").unwrap();
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Optimizer soundness: the planner's rewrites (boundary elimination,
-//! projection merging, filter pushdown, filter merging) must never change
-//! results. Every query shape in the repertoire — and randomly generated
+//! projection merging, filter pushdown, filter merging, column pruning
+//! with fan-out at the root) must never change results. Every query shape in the repertoire — and randomly generated
 //! filters — is executed both unoptimized and optimized and compared as a
 //! bag of rows.
 
@@ -13,10 +13,14 @@ use perm_core::{PermServer, Session, StatementResult, Tuple};
 use perm_exec::{optimize, Executor};
 
 /// Execute `sql` with and without the optimizer; return both row bags.
+/// The optimizer must hand back the bound plan's columns — order, names
+/// and types — whatever it did below the root.
 fn both_ways(db: &Session, sql: &str) -> (Vec<Tuple>, Vec<Tuple>) {
     let plan = db.bind_sql(sql).expect("binds");
     let raw = Executor::new(db.snapshot()).run(&plan).expect("raw runs");
+    let columns = plan.schema().clone();
     let optimized_plan = optimize(plan);
+    assert_eq!(optimized_plan.schema(), &columns, "columns of {sql:?}");
     let optimized = Executor::new(db.snapshot())
         .run(&optimized_plan)
         .expect("optimized runs");
@@ -199,5 +203,74 @@ proptest! {
         );
         let (raw, optimized) = both_ways(&db, &sql);
         prop_assert_eq!(bag(&raw), bag(&optimized));
+    }
+
+    /// Duplicate-heavy select lists over 2–4-way joins: column pruning
+    /// carries each base column once and fans the duplicates out at the
+    /// root (or under DISTINCT / UNION), so every position must still
+    /// show the value — or the NULL of an unmatched outer-join row — it
+    /// showed before.
+    #[test]
+    fn duplicated_columns_survive_pruning(
+        rows in prop::collection::vec((-3i64..4, -3i64..4), 1..16),
+        picks in prop::collection::vec(0..8usize, 1..7),
+        joins in 1..4usize,
+        left_join in any::<bool>(),
+        shape in 0..6usize,
+    ) {
+        let db = PermServer::new().session();
+        db.run_script(
+            "CREATE TABLE a (x int, y int); CREATE TABLE b (x int, y int);
+             CREATE TABLE c (x int, y int); CREATE TABLE d (x int, y int);
+             CREATE VIEW ab AS SELECT x, y FROM a UNION SELECT x, y FROM b;",
+        )
+        .unwrap();
+        // Each table sees the pairs shifted differently, so every join
+        // has matching keys, repeated keys and keys without a partner.
+        for (i, (x, y)) in rows.iter().enumerate() {
+            db.run_script(&format!(
+                "INSERT INTO a VALUES ({x}, {y}); INSERT INTO b VALUES ({y}, {x});
+                 INSERT INTO c VALUES ({}, {i}); INSERT INTO d VALUES ({i}, {});",
+                x + 1,
+                y - 1,
+            ))
+            .unwrap();
+        }
+        let join = if left_join { "LEFT JOIN" } else { "JOIN" };
+        let from = ["b ON a.y = b.x", "c ON b.y = c.x", "d ON c.y = d.x"][..joins]
+            .iter()
+            .fold("a".to_string(), |from, next| format!("{from} {join} {next}"));
+        // `SELECT a.x, a.x, b.y, a.x …`: any column of a joined table, any
+        // number of times, in any order.
+        let columns = ["a.x", "a.y", "b.x", "b.y", "c.x", "c.y", "d.x", "d.y"];
+        let list = picks
+            .iter()
+            .map(|&p| columns[p % (2 * (joins + 1))])
+            .collect::<Vec<_>>()
+            .join(", ");
+        let sql = match shape {
+            0 => format!("SELECT {list} FROM {from}"),
+            1 => format!("SELECT PROVENANCE {list} FROM {from}"),
+            2 => format!("SELECT PROVENANCE DISTINCT {list} FROM {from}"),
+            3 => format!("SELECT PROVENANCE ab.x, ab.x, c.y FROM ab {join} c ON ab.y = c.x"),
+            4 => format!(
+                "SELECT q.t, q.t, q.prov_public_a_y FROM \
+                 (SELECT PROVENANCE a.x AS t, b.y FROM {from}) q"
+            ),
+            _ => {
+                // Ordered by a provenance attribute first, then by every
+                // output column, so that LIMIT cuts a total order.
+                let every = (1..=picks.len() + 2 * (joins + 1))
+                    .map(|i| i.to_string())
+                    .collect::<Vec<_>>()
+                    .join(", ");
+                format!(
+                    "SELECT PROVENANCE {list} FROM {from} \
+                     ORDER BY prov_public_a_y DESC, {every} LIMIT 5"
+                )
+            }
+        };
+        let (raw, optimized) = both_ways(&db, &sql);
+        prop_assert_eq!(bag(&raw), bag(&optimized), "{}", sql);
     }
 }
