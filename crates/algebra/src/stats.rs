@@ -3,8 +3,7 @@
 //! One trait — [`CardinalityEstimator`] — feeds **both** consumers of
 //! cardinality information in the pipeline:
 //!
-//! * the provenance rewriter's cost-based *strategy* chooser
-//!   (`perm_rewrite::cost` re-exports this module), which ranks
+//! * the provenance rewriter's cost-based *strategy* chooser, which ranks
 //!   alternative rewrites of the same operator, and
 //! * the executor's *physical* planner, which picks join order, join
 //!   strategy (hash / nested-loop / index-nested-loop), build sides and

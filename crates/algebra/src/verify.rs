@@ -22,7 +22,7 @@
 use perm_types::{DataType, PermError, Result, Schema, Value};
 
 use crate::expr::{AggCall, BinOp, ScalarExpr, UnOp};
-use crate::plan::{JoinType, LogicalPlan};
+use crate::plan::{JoinType, LogicalPlan, SetOpType};
 use crate::typecheck;
 
 /// Build the uniform verifier error: category `plan`, message naming the
@@ -747,6 +747,162 @@ fn truth_on_null(pred: &ScalarExpr, is_target: &dyn Fn(usize) -> bool) -> Truth 
             }
         }
         _ => Truth::ANY,
+    }
+}
+
+// ----------------------------------------------------------------------
+// Certificates for moving DISTINCT toward the scans
+// ----------------------------------------------------------------------
+
+/// What a plan can put in one of its output columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fill {
+    /// NULL on every row.
+    Null,
+    /// Never NULL.
+    NonNull,
+    Any,
+}
+
+impl Fill {
+    /// The column as seen through an outer join's null-extending side.
+    fn null_extended(self) -> Fill {
+        match self {
+            Fill::Null => Fill::Null,
+            _ => Fill::Any,
+        }
+    }
+}
+
+/// Per output column, what `plan` can put there — derived bottom-up from
+/// the base tables' declared nullability and from projected literals.
+/// `VALUES` lists, aggregates and set operations answer [`Fill::Any`]
+/// throughout.
+fn fills(plan: &LogicalPlan) -> Vec<Fill> {
+    match plan {
+        LogicalPlan::Scan { schema, .. } => schema
+            .iter()
+            .map(|c| if c.nullable { Fill::Any } else { Fill::NonNull })
+            .collect(),
+        LogicalPlan::Project { input, exprs, .. } => {
+            let below = fills(input);
+            exprs
+                .iter()
+                .map(|e| match e {
+                    ScalarExpr::Literal(Value::Null) => Fill::Null,
+                    ScalarExpr::Literal(_) => Fill::NonNull,
+                    ScalarExpr::Column(i) => below.get(*i).copied().unwrap_or(Fill::Any),
+                    _ => Fill::Any,
+                })
+                .collect()
+        }
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Distinct { input }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. }
+        | LogicalPlan::Boundary { input, .. } => fills(input),
+        LogicalPlan::Join {
+            left, right, kind, ..
+        } => {
+            let (l, r) = (fills(left), fills(right));
+            match kind {
+                JoinType::Inner | JoinType::Cross => l.into_iter().chain(r).collect(),
+                JoinType::Left => l
+                    .into_iter()
+                    .chain(r.into_iter().map(Fill::null_extended))
+                    .collect(),
+                JoinType::Full => l.into_iter().chain(r).map(Fill::null_extended).collect(),
+                JoinType::Semi | JoinType::Anti => l,
+            }
+        }
+        LogicalPlan::Values { .. } | LogicalPlan::Aggregate { .. } | LogicalPlan::SetOp { .. } => {
+            vec![Fill::Any; plan.arity()]
+        }
+    }
+}
+
+/// True if no row of `left` can equal a row of `right` (under grouping
+/// equality, where NULL equals NULL): some column is NULL on every row of
+/// one branch and never NULL on any row of the other. The certificate
+/// `Distinct(UnionAll(A, B)) → UnionAll(Distinct(A), Distinct(B))`
+/// needs, computed bottom-up by its own walk from base-table nullability
+/// and projected literals, independently of the optimizer's top-down
+/// slot tracing, so the verifier cross-checks the optimizer rather than
+/// re-running it.
+pub fn branches_disjoint(left: &LogicalPlan, right: &LogicalPlan) -> bool {
+    fills(left).into_iter().zip(fills(right)).any(|pair| {
+        matches!(
+            pair,
+            (Fill::Null, Fill::NonNull) | (Fill::NonNull, Fill::Null)
+        )
+    })
+}
+
+/// Verify that a DISTINCT over `input` may move below it, as the
+/// optimizer's rule rounds do: below a UNION ALL only when its branches
+/// are disjoint ([`branches_disjoint`], invariant `disjoint-branches`),
+/// below a projection only when the projection is injective — bare
+/// columns covering every input column plus constants (invariant
+/// `injective-projection`). Both moves keep every first occurrence in
+/// place, so the result is unchanged row for row. Any other input is a
+/// `distinct-pushdown` violation, except a DISTINCT, which absorbs one.
+pub fn verify_distinct_pushdown(input: &LogicalPlan, pass: &str) -> Result<()> {
+    let path = format!("Distinct > {}", input.node_name());
+    match input {
+        LogicalPlan::Distinct { .. } => Ok(()),
+        LogicalPlan::SetOp {
+            op: SetOpType::Union,
+            all: true,
+            left,
+            right,
+            ..
+        } => {
+            if branches_disjoint(left, right) {
+                Ok(())
+            } else {
+                Err(violation(
+                    pass,
+                    "disjoint-branches",
+                    &path,
+                    "no column is NULL in one branch and never NULL in the other, \
+                     so a row may occur in both",
+                ))
+            }
+        }
+        LogicalPlan::Project { input, exprs, .. } => {
+            let mut columns: Vec<usize> = Vec::new();
+            for e in exprs {
+                match e {
+                    ScalarExpr::Column(i) => columns.push(*i),
+                    ScalarExpr::Literal(_) => {}
+                    computed => {
+                        return Err(violation(
+                            pass,
+                            "injective-projection",
+                            &path,
+                            format!("the projection computes {computed}"),
+                        ))
+                    }
+                }
+            }
+            columns.sort_unstable();
+            columns.dedup();
+            match (0..input.arity()).find(|i| columns.binary_search(i).is_err()) {
+                None => Ok(()),
+                Some(dropped) => Err(violation(
+                    pass,
+                    "injective-projection",
+                    &path,
+                    format!("the projection drops input column {dropped}"),
+                )),
+            }
+        }
+        other => Err(violation(
+            pass,
+            "distinct-pushdown",
+            &path,
+            format!("DISTINCT cannot move below {}", other.node_name()),
+        )),
     }
 }
 

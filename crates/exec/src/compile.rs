@@ -467,21 +467,97 @@ impl CompiledExpr {
     }
 }
 
+/// One output column of a [`Gather`]: a copy of an input slot, or a
+/// constant.
+#[derive(Debug, Clone)]
+enum Gathered {
+    Slot(usize),
+    Const(Value),
+}
+
+/// A projection made of bare slots and constants — the shape provenance
+/// rewrites produce when they shuffle, duplicate and NULL-pad columns.
+/// Each output row is built in one allocation with no per-expression
+/// dispatch; a slot-only projection is the special case without
+/// constants.
+#[derive(Debug, Clone)]
+pub struct Gather {
+    items: Vec<Gathered>,
+    /// The minimal input arity (largest gathered slot + 1).
+    width_needed: usize,
+}
+
+impl Gather {
+    /// The gather computing `compiled`, if every expression is a slot
+    /// load or a (folded) constant.
+    fn new(compiled: &[CompiledExpr]) -> Option<Gather> {
+        let items = compiled
+            .iter()
+            .map(|c| match c {
+                CompiledExpr::Slot(i) => Some(Gathered::Slot(*i)),
+                CompiledExpr::Const(v) => Some(Gathered::Const(v.clone())),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let width_needed = items
+            .iter()
+            .map(|g| match g {
+                Gathered::Slot(i) => i + 1,
+                Gathered::Const(_) => 0,
+            })
+            .max()
+            .unwrap_or(0);
+        Some(Gather {
+            items,
+            width_needed,
+        })
+    }
+
+    /// Build the output row for `row`. A row narrower than a gathered slot
+    /// raises the interpreter's out-of-range error for the first such
+    /// slot (constants never fail).
+    pub fn apply(&self, row: &Tuple) -> Result<Tuple> {
+        if row.len() < self.width_needed {
+            let bad = self
+                .items
+                .iter()
+                .find_map(|g| match g {
+                    Gathered::Slot(i) if *i >= row.len() => Some(*i),
+                    _ => None,
+                })
+                // INVARIANT: width_needed = max(slots) + 1, so a row
+                // shorter than it has an out-of-range slot.
+                .expect("some slot is out of range");
+            return Err(PermError::Execution(format!(
+                "column position {bad} out of range for tuple of width {}",
+                row.len()
+            )));
+        }
+        if self.items.is_empty() {
+            // Global aggregates group on the shared empty tuple.
+            return Ok(Tuple::empty());
+        }
+        Ok(self
+            .items
+            .iter()
+            .map(|g| match g {
+                Gathered::Slot(i) => row.get(*i).clone(),
+                Gathered::Const(v) => v.clone(),
+            })
+            .collect())
+    }
+}
+
 /// A compiled projection (or group-key) list.
 ///
-/// Provenance rewrites mostly *shuffle and widen* columns — their
-/// projections are long lists of plain column references. `Slots` detects
-/// that shape and builds each output row by direct copy (one allocation,
-/// no per-expression dispatch); anything else evaluates through
-/// [`CompiledExpr`].
+/// Provenance rewrites mostly *shuffle, widen and pad* columns — their
+/// projections are long lists of plain column references and NULLs.
+/// [`Gather`] detects that shape and builds each output row by direct
+/// copy; anything else evaluates through [`CompiledExpr`].
 #[derive(Debug)]
 pub enum CompiledProjection {
-    /// Every expression is a column reference: rows are built by copying
-    /// slots. `width_needed` is the minimal input arity.
-    Slots {
-        slots: Vec<usize>,
-        width_needed: usize,
-    },
+    /// Every expression is a column reference or a constant.
+    Gather(Gather),
     /// General expressions.
     Exprs(Vec<CompiledExpr>),
 }
@@ -492,28 +568,16 @@ impl CompiledProjection {
             .iter()
             .map(|e| CompiledExpr::compile(exec, e))
             .collect();
-        if compiled.iter().all(|c| matches!(c, CompiledExpr::Slot(_))) {
-            let slots: Vec<usize> = compiled
-                .iter()
-                .map(|c| match c {
-                    CompiledExpr::Slot(i) => *i,
-                    _ => unreachable!("checked above"),
-                })
-                .collect();
-            let width_needed = slots.iter().map(|&i| i + 1).max().unwrap_or(0);
-            CompiledProjection::Slots {
-                slots,
-                width_needed,
-            }
-        } else {
-            CompiledProjection::Exprs(compiled)
+        match Gather::new(&compiled) {
+            Some(gather) => CompiledProjection::Gather(gather),
+            None => CompiledProjection::Exprs(compiled),
         }
     }
 
     /// Number of output columns.
     pub fn width(&self) -> usize {
         match self {
-            CompiledProjection::Slots { slots, .. } => slots.len(),
+            CompiledProjection::Gather(g) => g.items.len(),
             CompiledProjection::Exprs(exprs) => exprs.len(),
         }
     }
@@ -521,29 +585,7 @@ impl CompiledProjection {
     /// Build one output row.
     pub fn apply(&self, exec: &Executor, env: &Env<'_>) -> Result<Tuple> {
         match self {
-            CompiledProjection::Slots {
-                slots,
-                width_needed,
-            } => {
-                if slots.is_empty() {
-                    // Global aggregates group on the shared empty tuple.
-                    return Ok(Tuple::empty());
-                }
-                if env.tuple.len() < *width_needed {
-                    // Reproduce the interpreter's out-of-range error.
-                    let bad = slots
-                        .iter()
-                        .find(|&&i| i >= env.tuple.len())
-                        // INVARIANT: width_needed = max(slots) + 1, so a
-                        // tuple shorter than it has an out-of-range slot.
-                        .expect("some slot is out of range");
-                    return Err(PermError::Execution(format!(
-                        "column position {bad} out of range for tuple of width {}",
-                        env.tuple.len()
-                    )));
-                }
-                Ok(env.tuple.project(slots))
-            }
+            CompiledProjection::Gather(g) => g.apply(env.tuple),
             CompiledProjection::Exprs(exprs) => {
                 let mut vals = Vec::with_capacity(exprs.len());
                 for e in exprs {

@@ -38,7 +38,7 @@ use perm_types::{PermError, Result, Tuple, Value};
 
 use perm_algebra::expr::{BinOp, ScalarFunc, UnOp};
 
-use crate::compile::{hashed_in, CompiledExpr, CompiledProjection};
+use crate::compile::{hashed_in, CompiledExpr, CompiledProjection, Gather};
 use crate::eval::in_semantics;
 
 /// Rows per batch; re-exported from the shared columnar type layer.
@@ -1046,19 +1046,17 @@ pub(crate) struct BatchScan {
 
 #[derive(Debug)]
 enum BatchProjection {
-    /// Column-shuffle projections stay row-wise copies (already a single
-    /// `memcpy`-style slot gather per row — no kernel can beat it).
-    Slots {
-        slots: Vec<usize>,
-        width_needed: usize,
-    },
+    /// Slot-and-constant projections stay row-wise gathers (one
+    /// allocation per surviving row, the values copied straight out of
+    /// the input row — no kernel can beat it).
+    Gather(Gather),
     Exprs(Vec<VecExpr>),
 }
 
 impl BatchScan {
     /// Lower the compiled filter/projection pair; `None` when nothing
-    /// here benefits from batching (no filter and a slot projection) or
-    /// when an expression cannot lower.
+    /// here benefits from batching (no filter and a gather) or when an
+    /// expression cannot lower.
     pub(crate) fn lower(
         filter: Option<&CompiledExpr>,
         project: Option<&CompiledProjection>,
@@ -1068,13 +1066,7 @@ impl BatchScan {
             None => None,
         };
         let project_vec = match project {
-            Some(CompiledProjection::Slots {
-                slots,
-                width_needed,
-            }) => Some(BatchProjection::Slots {
-                slots: slots.clone(),
-                width_needed: *width_needed,
-            }),
+            Some(CompiledProjection::Gather(g)) => Some(BatchProjection::Gather(g.clone())),
             Some(CompiledProjection::Exprs(exprs)) => Some(BatchProjection::Exprs(
                 exprs
                     .iter()
@@ -1084,8 +1076,8 @@ impl BatchScan {
             None => None,
         };
         if filter_vec.is_none() && !matches!(project_vec, Some(BatchProjection::Exprs(_))) {
-            // Nothing vectorizable to run: bare scans and pure slot
-            // shuffles stay on the (already optimal) row path.
+            // Nothing vectorizable to run: bare scans and pure gathers
+            // stay on the (already optimal) row path.
             return None;
         }
         Some(BatchScan {
@@ -1126,16 +1118,12 @@ impl BatchScan {
                     out.push(rows[i].clone());
                 });
             }
-            Some(BatchProjection::Slots {
-                slots,
-                width_needed,
-            }) => {
+            Some(BatchProjection::Gather(g)) => {
                 for_lanes!(&sel, i => {
-                    if rows[i].len() < *width_needed {
-                        // Row too narrow: the row path owns the error.
-                        return Err(batch_abort());
-                    }
-                    out.push(rows[i].project(slots));
+                    // per-lane alloc: the output row itself, one allocation.
+                    // A row too narrow errs, and the row replay owns the
+                    // error's order.
+                    out.push(g.apply(rows[i])?);
                 });
             }
             Some(BatchProjection::Exprs(exprs)) => {

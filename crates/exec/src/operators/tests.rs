@@ -17,6 +17,8 @@ use super::join::HashProbe;
 use super::scan::Pipe;
 use super::setop::{keep_first, setop_kernel};
 use super::sort::SortRun;
+use crate::compile::CompiledProjection;
+use crate::eval::{eval, Env};
 use crate::executor::Executor;
 use crate::parallel::{chunk_ranges, partition_of, restore_order};
 use crate::physical::{BuildSide, EquiKey, PhysicalPlan};
@@ -389,6 +391,62 @@ fn pipe_is_chunk_invariant() {
                     .filter_map(|t| pipe.row(&exec, t).transpose())
                     .collect::<Result<Vec<_>>>();
                 assert_eq!(outcome(pulled), whole, "{what} row-at-a-time");
+            }
+        }
+    }
+}
+
+#[test]
+fn gather_pipe_matches_the_interpreter() {
+    // Slots and constants — a provenance padding — compile to one gather,
+    // which the row path runs per row and the kernels per surviving lane
+    // behind a vectorized filter.
+    let exec = Executor::new(Arc::new(Catalog::new()));
+    let project = vec![
+        col(1),
+        ScalarExpr::Literal(Value::Null),
+        col(0),
+        ScalarExpr::Literal(Value::text("x")),
+        col(1),
+    ];
+    assert!(matches!(
+        CompiledProjection::compile(&exec, &project),
+        CompiledProjection::Gather(_)
+    ));
+    let filter = ScalarExpr::eq(ScalarExpr::binary(BinOp::Mod, col(0), int(3)), int(0));
+    // A one-column row mid-batch that passes the filter: the gather's
+    // out-of-range error must surface exactly as the interpreter's.
+    let mut narrow = pipe_rows();
+    narrow.insert(1500, Tuple::new(vec![Value::Int(3)]));
+    for (rows, fails) in [(pipe_rows(), false), (narrow, true)] {
+        for f in [None, Some(&filter)] {
+            let reference = rows
+                .iter()
+                .filter_map(|t| {
+                    let env = Env::new(t, &[]);
+                    let passes = f.map_or(Ok(Some(true)), |f| eval(&exec, f, &env)?.as_bool());
+                    match passes {
+                        Ok(Some(true)) => {
+                            Some(project.iter().map(|e| eval(&exec, e, &env)).collect())
+                        }
+                        Ok(_) => None,
+                        Err(e) => Some(Err(e)),
+                    }
+                })
+                .collect::<Result<Vec<Tuple>>>();
+            let reference = outcome(reference);
+            assert_eq!(reference.is_err(), fails, "{reference:?}");
+            for allow_batch in [true, false] {
+                let what = format!("filter={} batch={allow_batch}", f.is_some());
+                let pipe = Pipe::compile(&exec, f, Some(&project), allow_batch);
+                for k in PARTITION_COUNTS {
+                    let chunked = chunk_ranges(rows.len(), k)
+                        .into_iter()
+                        .map(|range| pipe.run(&exec, rows[range].iter()))
+                        .collect::<Result<Vec<_>>>()
+                        .map(|parts| parts.concat());
+                    assert_eq!(outcome(chunked), reference, "{what} chunks={k}");
+                }
             }
         }
     }

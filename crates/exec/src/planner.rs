@@ -18,6 +18,21 @@
 //!    * **projection merging** — the rewrite rules stack projections
 //!      (duplicate-as-provenance, normalization, padding), which fold into
 //!      one;
+//!    * **duplicate elimination pushdown** — the padded-union rewrite of a
+//!      set-semantics UNION de-duplicates rows that are mostly provenance
+//!      padding; DISTINCT moves below a UNION ALL whose branches are
+//!      provably disjoint (at some position one branch is a NULL literal
+//!      and the other a non-null literal or a `NOT NULL` base column
+//!      reached through projections, filters and the non-null-extended
+//!      sides of joins), and below a projection of bare columns and
+//!      constants that covers every input column (injective, so it
+//!      commutes with DISTINCT). DISTINCT over DISTINCT collapses. Each
+//!      move keeps every first occurrence in place, so results match row
+//!      for row, order included, and a padded union de-duplicates its
+//!      narrow base rows and pads only the survivors. Under plan
+//!      verification each move is first re-proved by the verifier's
+//!      independent certificate
+//!      ([`perm_algebra::verify::verify_distinct_pushdown`]);
 //! 3. **column pruning** — provenance rewrites duplicate whole
 //!    base-relation schemas (`R+ = Π_{R, R→P(R)}(R)` at every leaf); a
 //!    top-down pass drops every slot no ancestor references (through
@@ -50,13 +65,14 @@
 use perm_algebra::expr::{BinOp, ScalarExpr, UnOp};
 use perm_algebra::plan::{JoinType, LogicalPlan, SetOpType};
 use perm_algebra::stats::{estimate_rows, CardinalityEstimator, UnknownCardinality};
-use perm_types::{Result, Schema};
+use perm_types::{PermError, Result, Schema};
 
 /// Number of rule rounds. The rules are applied bottom-up, and two rounds
 /// reach a fixpoint — counted, not guessed: over every plan the test suite
-/// optimizes (3 942, among them the planner unit tests,
-/// `tests/optimizer_equivalence.rs` and every statement of the five
-/// benchmark workloads) a third round changed none. The second is needed
+/// optimizes (4 007 with the DISTINCT moves among the rules, among them
+/// the planner unit tests, `tests/optimizer_equivalence.rs` and every
+/// statement of the five benchmark workloads) a third round changed none.
+/// The second is needed
 /// when round one pushes a filter into a join side that already carries
 /// one and the two then merge (67 plans, all randomized ones of
 /// `equivalence_props`; none of the benchmark's statements): see
@@ -83,13 +99,13 @@ pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
 pub fn optimize_with(plan: LogicalPlan, est: &dyn CardinalityEstimator) -> LogicalPlan {
     if cfg!(debug_assertions) {
         let mut verifier = verifying_observer(plan.schema().clone());
-        match optimize_observed(plan, est, &mut verifier) {
+        match optimize_observed(plan, est, &mut verifier, true) {
             Ok(p) => p,
             Err(e) => panic!("{e}"),
         }
     } else {
         let mut noop = |_: &'static str, _: &LogicalPlan| Ok(());
-        match optimize_observed(plan, est, &mut noop) {
+        match optimize_observed(plan, est, &mut noop, false) {
             Ok(p) => p,
             // The no-op observer never fails.
             Err(e) => panic!("{e}"),
@@ -103,7 +119,7 @@ pub fn optimize_with(plan: LogicalPlan, est: &dyn CardinalityEstimator) -> Logic
 /// `SessionOptions::verify_plans` and `EXPLAIN VERIFY`.
 pub fn optimize_verified(plan: LogicalPlan, est: &dyn CardinalityEstimator) -> Result<LogicalPlan> {
     let mut verifier = verifying_observer(plan.schema().clone());
-    optimize_observed(plan, est, &mut verifier)
+    optimize_observed(plan, est, &mut verifier, true)
 }
 
 /// [`optimize_verified`] that additionally records which phases actually
@@ -120,7 +136,7 @@ pub fn optimize_traced(
         phases.push(phase);
         Ok(())
     };
-    let optimized = optimize_observed(plan, est, &mut observe)?;
+    let optimized = optimize_observed(plan, est, &mut observe, true)?;
     Ok((optimized, phases))
 }
 
@@ -146,15 +162,19 @@ fn verifying_observer(original: Schema) -> impl FnMut(&'static str, &LogicalPlan
 /// The optimizer pipeline with a phase observer: `observe(phase, plan)`
 /// runs after each named phase and aborts optimization by returning an
 /// error (the verifying observer does; the no-op observer never does).
+/// With `certify`, the rule rounds re-prove every DISTINCT they move with
+/// the verifier's certificate and fail on the first refuted one.
 fn optimize_observed(
     plan: LogicalPlan,
     est: &dyn CardinalityEstimator,
     observe: &mut dyn FnMut(&'static str, &LogicalPlan) -> Result<()>,
+    certify: bool,
 ) -> Result<LogicalPlan> {
+    let certify = |phase| certify.then_some(phase);
     let mut p = strip_boundaries(plan);
     observe("boundary-elimination", &p)?;
     for _ in 0..PASSES {
-        p = rewrite_bottom_up(p);
+        p = rewrite_bottom_up(p, certify("rule-rewrites"))?;
     }
     observe("rule-rewrites", &p)?;
     if !plan_has_sublinks(&p) {
@@ -165,8 +185,8 @@ fn optimize_observed(
         p = reorder_joins(p, est);
         observe("join-reordering", &p)?;
         // One round: measured the same way as `PASSES`, a second cleanup
-        // round changed none of 3 927 pruned plans.
-        p = rewrite_bottom_up(p);
+        // round changed none of 3 992 pruned plans.
+        p = rewrite_bottom_up(p, certify("cleanup-rewrites"))?;
         observe("cleanup-rewrites", &p)?;
     }
     Ok(p)
@@ -185,23 +205,27 @@ fn plan_has_sublinks(plan: &LogicalPlan) -> bool {
 
 /// Remove SQL-PLE boundary markers (no-ops for execution).
 fn strip_boundaries(plan: LogicalPlan) -> LogicalPlan {
-    map_children(plan, &|p| match p {
+    map_children(plan, &mut |p| match p {
         LogicalPlan::Boundary { input, .. } => *input,
         other => other,
     })
 }
 
-fn rewrite_bottom_up(plan: LogicalPlan) -> LogicalPlan {
-    map_children(plan, &|p| {
-        let p = merge_filters(p);
-        let p = push_filter(p);
-        merge_projects(p)
-    })
+/// One round of the rule rewrites. `certify` names the phase when every
+/// DISTINCT move must first pass the verifier's certificate; the first
+/// refuted move is the round's error (and is not made).
+fn rewrite_bottom_up(plan: LogicalPlan, certify: Option<&str>) -> Result<LogicalPlan> {
+    let mut refuted = None;
+    let plan = map_children(plan, &mut |p| {
+        let p = merge_projects(push_filter(merge_filters(p)));
+        push_distinct(p, certify, &mut refuted)
+    });
+    refuted.map_or(Ok(plan), Err)
 }
 
 /// Rebuild the plan bottom-up, applying `f` at every node after its
 /// children were processed.
-fn map_children(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+fn map_children(plan: LogicalPlan, f: &mut impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
     let rebuilt = match plan {
         LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => plan,
         LogicalPlan::Project {
@@ -621,6 +645,139 @@ fn merge_projects(plan: LogicalPlan) -> LogicalPlan {
         exprs: merged,
         schema,
     }
+}
+
+/// Move a DISTINCT below a disjoint UNION ALL, below an injective
+/// projection, or into a DISTINCT it sits on — recursively, so a padded
+/// union ends up de-duplicating its base rows. `certify` and `refuted` as
+/// in [`rewrite_bottom_up`].
+fn push_distinct(
+    plan: LogicalPlan,
+    certify: Option<&str>,
+    refuted: &mut Option<PermError>,
+) -> LogicalPlan {
+    let LogicalPlan::Distinct { input } = plan else {
+        return plan;
+    };
+    let movable = match &*input {
+        LogicalPlan::Distinct { .. } => true,
+        LogicalPlan::SetOp {
+            op: SetOpType::Union,
+            all: true,
+            left,
+            right,
+            ..
+        } => disjoint_branches(left, right),
+        LogicalPlan::Project { input, exprs, .. } => covers_input(exprs, input.arity()),
+        _ => false,
+    };
+    if !movable {
+        return LogicalPlan::Distinct { input };
+    }
+    if let Some(pass) = certify {
+        if let Err(e) = perm_algebra::verify::verify_distinct_pushdown(&input, pass) {
+            refuted.get_or_insert(e);
+            return LogicalPlan::Distinct { input };
+        }
+    }
+    let mut below = |input| {
+        Box::new(push_distinct(
+            LogicalPlan::Distinct { input },
+            certify,
+            refuted,
+        ))
+    };
+    match *input {
+        inner @ LogicalPlan::Distinct { .. } => inner,
+        LogicalPlan::SetOp {
+            op,
+            all,
+            left,
+            right,
+            schema,
+        } => LogicalPlan::SetOp {
+            op,
+            all,
+            left: below(left),
+            right: below(right),
+            schema,
+        },
+        LogicalPlan::Project {
+            input,
+            exprs,
+            schema,
+        } => LogicalPlan::Project {
+            input: below(input),
+            exprs,
+            schema,
+        },
+        other => unreachable!("{} is not movable", other.node_name()),
+    }
+}
+
+/// True if no row of `left` can equal a row of `right`: at some position
+/// one branch always holds NULL and the other never does.
+fn disjoint_branches(left: &LogicalPlan, right: &LogicalPlan) -> bool {
+    (0..left.arity()).any(|k| {
+        matches!(
+            (null_at(left, k), null_at(right, k)),
+            (Some(true), Some(false)) | (Some(false), Some(true))
+        )
+    })
+}
+
+/// Whether output slot `k` of `plan` is NULL on every row (`Some(true)`:
+/// a NULL literal) or on none (`Some(false)`: a non-null literal or a
+/// `NOT NULL` base column), traced down through projections, filters,
+/// duplicate elimination, sorts, limits and the sides of joins that are
+/// not null-extended. `None` when neither is provable — an aggregate, a
+/// set operation, an outer join's null-extended side, a computed
+/// expression.
+fn null_at(plan: &LogicalPlan, k: usize) -> Option<bool> {
+    match plan {
+        LogicalPlan::Scan { schema, .. } => (!schema.column(k).nullable).then_some(false),
+        LogicalPlan::Project { input, exprs, .. } => match &exprs[k] {
+            ScalarExpr::Literal(v) => Some(v.is_null()),
+            ScalarExpr::Column(c) => null_at(input, *c),
+            _ => None,
+        },
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Distinct { input }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. }
+        | LogicalPlan::Boundary { input, .. } => null_at(input, k),
+        LogicalPlan::Join {
+            left, right, kind, ..
+        } => {
+            let nl = left.arity();
+            match kind {
+                JoinType::Inner | JoinType::Cross if k >= nl => null_at(right, k - nl),
+                JoinType::Full => None,
+                // Only FULL joins null-extend the left side.
+                _ if k < nl => null_at(left, k),
+                _ => None,
+            }
+        }
+        LogicalPlan::Values { .. } | LogicalPlan::Aggregate { .. } | LogicalPlan::SetOp { .. } => {
+            None
+        }
+    }
+}
+
+/// True if `exprs` are bare columns and constants whose columns cover
+/// every position of an `arity`-wide input: the projection is then
+/// injective, so it commutes with duplicate elimination.
+fn covers_input(exprs: &[ScalarExpr], arity: usize) -> bool {
+    let mut covered = vec![false; arity];
+    let bare = exprs.iter().all(|e| match e {
+        ScalarExpr::Column(i) => {
+            covered[*i] = true;
+            true
+        }
+        ScalarExpr::Literal(_) => true,
+        _ => false,
+    });
+    bare && covered.into_iter().all(|c| c)
 }
 
 // ----------------------------------------------------------------------
@@ -1359,11 +1516,12 @@ mod tests {
         let left = LogicalPlan::filter(scan("a", 2), col_gt(1, 5));
         let join = LogicalPlan::join(left, scan("b", 2), JoinType::Cross, None).unwrap();
         let p = LogicalPlan::filter(join, col_gt(0, 1));
-        let one = rewrite_bottom_up(p);
-        let two = rewrite_bottom_up(one.clone());
+        let round = |p| rewrite_bottom_up(p, Some("rule-rewrites")).unwrap();
+        let one = round(p);
+        let two = round(one.clone());
         assert_ne!(one, two, "{}", plan_tree(&one));
         assert_eq!(plan_tree(&two).matches("Filter").count(), 1);
-        assert_eq!(rewrite_bottom_up(two.clone()), two);
+        assert_eq!(round(two.clone()), two);
     }
 
     #[test]
@@ -1746,8 +1904,8 @@ mod tests {
 
     #[test]
     fn width_rigid_operators_keep_their_exact_layout() {
-        // DISTINCT and the set-semantics operations compare whole rows:
-        // the fan-out is owed directly below them, not at the root.
+        // The set-semantics operations compare whole rows: the fan-out is
+        // owed directly below them, not at the root.
         let set_op = |op| LogicalPlan::SetOp {
             op,
             all: false,
@@ -1756,12 +1914,6 @@ mod tests {
             schema: dup("a").schema().clone(),
         };
         for (rigid, name) in [
-            (
-                LogicalPlan::Distinct {
-                    input: Box::new(dup("a")),
-                },
-                "Distinct",
-            ),
             (set_op(SetOpType::Union), "Union"),
             (set_op(SetOpType::Intersect), "Intersect"),
         ] {
@@ -1783,6 +1935,136 @@ mod tests {
                 "{tree}"
             );
         }
+    }
+
+    /// [`optimized_tree`] that also pins the row order: the DISTINCT
+    /// moves keep every first occurrence where it was.
+    fn optimized_in_order(plan: LogicalPlan) -> String {
+        let exec = crate::Executor::new(dup_catalog());
+        let optimized = optimize(plan.clone());
+        assert_eq!(exec.run(&optimized).unwrap(), exec.run(&plan).unwrap());
+        optimized_tree(plan)
+    }
+
+    /// [`scan`] with its first column declared `NOT NULL` (true of
+    /// [`dup_catalog`]'s rows).
+    fn keyed_scan(name: &str) -> LogicalPlan {
+        let mut plan = scan(name, 2);
+        if let LogicalPlan::Scan { schema, .. } = &mut plan {
+            let mut columns = schema.columns().to_vec();
+            columns[0] = columns[0].clone().not_null();
+            *schema = Schema::new(columns);
+        }
+        plan
+    }
+
+    /// The padded-union rewrite of `a ∪ b`: each branch's row, its
+    /// provenance copy, and NULLs for the other branch's provenance.
+    fn padded_union(a: LogicalPlan, b: LogicalPlan) -> LogicalPlan {
+        let pad = |side: LogicalPlan, own_first: bool| {
+            let null = || ScalarExpr::Literal(Value::Null);
+            let mut exprs = vec![ScalarExpr::Column(0), ScalarExpr::Column(1)];
+            let own = [ScalarExpr::Column(0), ScalarExpr::Column(1)];
+            let nulls = [null(), null()];
+            if own_first {
+                exprs.extend(own.into_iter().chain(nulls));
+            } else {
+                exprs.extend(nulls.into_iter().chain(own));
+            }
+            let columns = (0..6)
+                .map(|i| Column::new(format!("c{i}"), DataType::Int))
+                .collect();
+            LogicalPlan::Project {
+                input: Box::new(side),
+                exprs,
+                schema: Schema::new(columns),
+            }
+        };
+        let (left, right) = (pad(a, true), pad(b, false));
+        LogicalPlan::Distinct {
+            input: Box::new(LogicalPlan::SetOp {
+                op: SetOpType::Union,
+                all: true,
+                schema: left.schema().clone(),
+                left: Box::new(left),
+                right: Box::new(right),
+            }),
+        }
+    }
+
+    #[test]
+    fn distinct_moves_below_an_injective_fan_out() {
+        let tree = optimized_in_order(LogicalPlan::Distinct {
+            input: Box::new(dup("a")),
+        });
+        assert_eq!(
+            tree,
+            "Project [#0, #1, #0, #1]\n\
+             └── Distinct\n    \
+                 └── Scan(a)\n"
+        );
+        // A projection that drops a column is not injective: it stays.
+        let narrowed = LogicalPlan::Distinct {
+            input: Box::new(LogicalPlan::project_positions(scan("a", 2), &[0, 0])),
+        };
+        assert!(optimized_tree(narrowed).starts_with("Distinct\n"));
+        // DISTINCT over DISTINCT collapses.
+        let twice = LogicalPlan::Distinct {
+            input: Box::new(LogicalPlan::Distinct {
+                input: Box::new(scan("a", 2)),
+            }),
+        };
+        assert_eq!(optimized_tree(twice), "Distinct\n└── Scan(a)\n");
+    }
+
+    #[test]
+    fn distinct_splits_a_padded_union_with_a_not_null_witness() {
+        let tree = optimized_in_order(padded_union(keyed_scan("a"), keyed_scan("b")));
+        assert_eq!(
+            tree,
+            "UnionAll\n\
+             ├── Project [#0, #1, #0, #1, null, null]\n\
+             │   └── Distinct\n\
+             │       └── Scan(a)\n\
+             └── Project [#0, #1, null, null, #0, #1]\n    \
+                 └── Distinct\n        \
+                     └── Scan(b)\n"
+        );
+    }
+
+    #[test]
+    fn distinct_stays_above_a_union_without_a_witness() {
+        // Nullable columns: a NULL-padded row of one branch may equal a
+        // row of the other, so DISTINCT must see both.
+        let tree = optimized_in_order(padded_union(scan("a", 2), scan("b", 2)));
+        assert!(tree.starts_with("Distinct\n└── UnionAll\n"), "{tree}");
+        // A NOT NULL column null-extended by a LEFT join is no witness.
+        let on = ScalarExpr::eq(ScalarExpr::Column(0), ScalarExpr::Column(2));
+        let left_joined = |name| {
+            let join = LogicalPlan::join(
+                scan(name, 2),
+                keyed_scan("b"),
+                JoinType::Left,
+                Some(on.clone()),
+            )
+            .unwrap();
+            LogicalPlan::project_positions(join, &[2, 3])
+        };
+        let tree = optimized_in_order(padded_union(left_joined("a"), left_joined("b")));
+        assert!(tree.starts_with("Distinct\n└── UnionAll\n"), "{tree}");
+        // Through an INNER join it is one.
+        let inner_joined = |name| {
+            let join = LogicalPlan::join(
+                scan(name, 2),
+                keyed_scan("b"),
+                JoinType::Inner,
+                Some(on.clone()),
+            )
+            .unwrap();
+            LogicalPlan::project_positions(join, &[2, 3])
+        };
+        let tree = optimized_in_order(padded_union(inner_joined("a"), inner_joined("b")));
+        assert!(tree.starts_with("UnionAll\n"), "{tree}");
     }
 
     #[test]

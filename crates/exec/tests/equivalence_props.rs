@@ -224,6 +224,10 @@ struct PlanCase {
     /// column pruning carries each column once and fans out at the root
     /// (or reads the base slots from under the aggregate).
     fan_out: bool,
+    /// Each leaf is padded the way a padded-union branch is — a NULL and
+    /// a constant appended — so the executor runs it as a gather of slots
+    /// and constants (behind a vectorized filter when one is pushed in).
+    pad: bool,
 }
 
 fn plan_case() -> impl Strategy<Value = PlanCase> {
@@ -245,7 +249,13 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
                 Just(JoinType::Anti),
             ],
         ),
-        (any::<bool>(), 0..2usize, 0..2usize, any::<bool>()),
+        (
+            any::<bool>(),
+            0..2usize,
+            0..2usize,
+            any::<bool>(),
+            any::<bool>(),
+        ),
         (
             proptest::option::of(-2i64..3),
             proptest::option::of(-2i64..3),
@@ -255,7 +265,7 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
         .prop_map(
             |(
                 (t1_rows, t2_rows, kind),
-                (null_safe, lkey, rkey, fan_out),
+                (null_safe, lkey, rkey, fan_out, pad),
                 (residual, filter_lit, aggregate),
             )| {
                 PlanCase {
@@ -269,6 +279,7 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
                     filter_lit,
                     aggregate,
                     fan_out,
+                    pad,
                 }
             },
         )
@@ -299,16 +310,34 @@ fn build_plan(case: &PlanCase, cat: &Catalog) -> LogicalPlan {
             schema: cat.table(name).unwrap().schema().clone(),
             provenance_cols: vec![],
         };
-        if case.fan_out {
+        let leaf = if case.fan_out {
             LogicalPlan::project_positions(scan, &[0, 1, 0, 1])
         } else {
             scan
+        };
+        if !case.pad {
+            return leaf;
+        }
+        let mut columns = leaf.schema().columns().to_vec();
+        columns.push(Column::new("pad", DataType::Int));
+        columns.push(Column::new("tag", DataType::Int));
+        LogicalPlan::Project {
+            exprs: (0..leaf.arity())
+                .map(ScalarExpr::Column)
+                .chain([
+                    ScalarExpr::Literal(Value::Null),
+                    ScalarExpr::Literal(Value::Int(7)),
+                ])
+                .collect(),
+            input: Box::new(leaf),
+            schema: Schema::new(columns),
         }
     };
     // Each side's width, and where the columns the condition reads start
     // (the copies, under `fan_out`). Columns 0 and 1 of the output are
     // t1's own in every shape.
     let (width, read) = if case.fan_out { (4, 2) } else { (2, 0) };
+    let width = if case.pad { width + 2 } else { width };
     let op = if case.null_safe {
         BinOp::NotDistinctFrom
     } else {

@@ -10,7 +10,9 @@
 //! The corpus spans both verifier layers:
 //! * logical ([`perm_algebra::verify`]): slot bounds, expression typing,
 //!   schema arity/preservation, join conditions, column pruning's
-//!   single-carry postcondition, the provenance-rewrite contract;
+//!   single-carry postcondition, the certificates for moving DISTINCT
+//!   below a UNION ALL (disjoint branches) or a projection (injective),
+//!   the provenance-rewrite contract;
 //! * physical ([`perm_exec::verify_physical`]): operator arity plumbing
 //!   and the parallel-legality rules of the morsel runtime (sublink
 //!   pipelines, FULL joins, DISTINCT aggregates and UNION ALL appends
@@ -18,7 +20,10 @@
 
 use perm_algebra::expr::{AggCall, AggFunc, ScalarExpr, SubqueryExpr, SubqueryKind};
 use perm_algebra::plan::{JoinType, LogicalPlan, SetOpType, SortKey};
-use perm_algebra::verify::{verify_logical, verify_provenance_schema, verify_schema_preserved};
+use perm_algebra::verify::{
+    branches_disjoint, verify_distinct_pushdown, verify_logical, verify_provenance_schema,
+    verify_schema_preserved,
+};
 use perm_exec::physical::{BatchMode, BuildSide, EquiKey, PhysicalPlan};
 use perm_exec::verify_physical;
 use perm_types::{Column, DataType, Schema, Value};
@@ -179,6 +184,145 @@ fn join_schema_drift_is_schema_consistency_violation() {
 }
 
 // ----------------------------------------------------------------------
+// DISTINCT moved toward the scans without a certificate
+// ----------------------------------------------------------------------
+
+/// `t` with its first column declared NOT NULL.
+fn keyed_scan() -> LogicalPlan {
+    LogicalPlan::Scan {
+        table: "k".into(),
+        schema: Schema::new(vec![
+            Column::new("a", DataType::Int).not_null(),
+            Column::new("b", DataType::Text),
+        ]),
+        provenance_cols: vec![],
+    }
+}
+
+/// A padded-union branch: `input`'s first column, then either it and a
+/// NULL (`own_first`) or a NULL and it — the witness position is 1 or 2.
+fn padded(input: LogicalPlan, own_first: bool) -> LogicalPlan {
+    let (own, null) = (ScalarExpr::Column(0), ScalarExpr::Literal(Value::Null));
+    let exprs = if own_first {
+        vec![own.clone(), own, null]
+    } else {
+        vec![own.clone(), null, own]
+    };
+    let columns = ["a", "p1", "p2"]
+        .into_iter()
+        .map(|n| Column::new(n, DataType::Int))
+        .collect();
+    LogicalPlan::Project {
+        input: Box::new(input),
+        exprs,
+        schema: Schema::new(columns),
+    }
+}
+
+fn union_all(left: LogicalPlan, right: LogicalPlan) -> LogicalPlan {
+    LogicalPlan::SetOp {
+        op: SetOpType::Union,
+        all: true,
+        schema: left.schema().clone(),
+        left: Box::new(left),
+        right: Box::new(right),
+    }
+}
+
+#[test]
+fn distinct_split_over_a_nullable_witness_is_disjoint_branches_violation() {
+    // A NULL in one branch faces a nullable column in the other: a
+    // NULL-padded row of one branch may equal a row of the other, so
+    // splitting the DISTINCT would keep both copies.
+    let split = union_all(padded(scan(), true), padded(scan(), false));
+    let err = verify_distinct_pushdown(&split, "rule-rewrites").unwrap_err();
+    assert_names(&err, "disjoint-branches", "rule-rewrites");
+    // Declared NOT NULL at the base table, the same column is a witness.
+    let keyed = union_all(padded(keyed_scan(), true), padded(keyed_scan(), false));
+    verify_distinct_pushdown(&keyed, "rule-rewrites").unwrap();
+    assert!(branches_disjoint(
+        &padded(keyed_scan(), true),
+        &padded(keyed_scan(), false)
+    ));
+}
+
+#[test]
+fn distinct_split_over_a_left_join_witness_is_disjoint_branches_violation() {
+    // The witness column is NOT NULL in its table, but only below a LEFT
+    // join's null-extended side: unmatched rows carry NULL there.
+    let joined = |kind| {
+        let join = LogicalPlan::join(
+            scan(),
+            keyed_scan(),
+            kind,
+            Some(ScalarExpr::eq(ScalarExpr::Column(0), ScalarExpr::Column(2))),
+        )
+        .unwrap();
+        LogicalPlan::project_positions(join, &[2])
+    };
+    let split = union_all(
+        padded(joined(JoinType::Left), true),
+        padded(joined(JoinType::Left), false),
+    );
+    let err = verify_distinct_pushdown(&split, "cleanup-rewrites").unwrap_err();
+    assert_names(&err, "disjoint-branches", "cleanup-rewrites");
+    // Through an inner join the column keeps its NOT NULL guarantee.
+    let inner = union_all(
+        padded(joined(JoinType::Inner), true),
+        padded(joined(JoinType::Inner), false),
+    );
+    verify_distinct_pushdown(&inner, "cleanup-rewrites").unwrap();
+}
+
+#[test]
+fn distinct_swapped_below_a_narrowing_projection_is_injective_projection_violation() {
+    // `Project(Distinct(t))` from `Distinct(Project(t))` where the
+    // projection drops `b`: rows differing only in `b` collapse into
+    // one after the swap but not before it.
+    let dropping = LogicalPlan::Project {
+        input: Box::new(scan()),
+        exprs: vec![ScalarExpr::Column(0), ScalarExpr::Literal(Value::Null)],
+        schema: Schema::new(vec![
+            Column::new("a", DataType::Int),
+            Column::new("pad", DataType::Int),
+        ]),
+    };
+    let err = verify_distinct_pushdown(&dropping, "rule-rewrites").unwrap_err();
+    assert_names(&err, "injective-projection", "rule-rewrites");
+    assert!(err.message().contains("drops input column 1"), "{err}");
+    // A computed column is not a copy either; slots covering the input
+    // plus constants are.
+    let computed = LogicalPlan::Project {
+        input: Box::new(scan()),
+        exprs: vec![
+            ScalarExpr::Column(1),
+            ScalarExpr::binary(
+                perm_algebra::expr::BinOp::Add,
+                ScalarExpr::Column(0),
+                ScalarExpr::Literal(Value::Int(1)),
+            ),
+        ],
+        schema: two_col_schema(),
+    };
+    let err = verify_distinct_pushdown(&computed, "rule-rewrites").unwrap_err();
+    assert_names(&err, "injective-projection", "rule-rewrites");
+    let covering = LogicalPlan::Project {
+        input: Box::new(scan()),
+        exprs: vec![
+            ScalarExpr::Column(1),
+            ScalarExpr::Literal(Value::Null),
+            ScalarExpr::Column(0),
+        ],
+        schema: Schema::new(vec![
+            Column::new("b", DataType::Text),
+            Column::new("pad", DataType::Int),
+            Column::new("a", DataType::Int),
+        ]),
+    };
+    verify_distinct_pushdown(&covering, "rule-rewrites").unwrap();
+}
+
+// ----------------------------------------------------------------------
 // Provenance-rewrite contract corruptions
 // ----------------------------------------------------------------------
 
@@ -262,6 +406,39 @@ fn physical_out_of_bounds_projection_slot() {
         input: values(2),
         exprs: vec![ScalarExpr::Column(7)],
         batch: BatchMode::Row,
+    };
+    let err = verify_physical(&plan, "physical-planning").unwrap_err();
+    assert_names(&err, "slot-bounds", "physical-planning");
+}
+
+#[test]
+fn physical_gather_slot_out_of_bounds() {
+    // A projection of slots and constants — what the executor runs as a
+    // gather — is held to the same bounds, standing alone and fused into
+    // a filtered scan.
+    let gather = vec![
+        ScalarExpr::Column(0),
+        ScalarExpr::Literal(Value::Null),
+        ScalarExpr::Column(2),
+    ];
+    let plan = PhysicalPlan::Project {
+        input: values(2),
+        exprs: gather.clone(),
+        batch: BatchMode::Row,
+    };
+    let err = verify_physical(&plan, "physical-planning").unwrap_err();
+    assert_names(&err, "slot-bounds", "physical-planning");
+    let plan = PhysicalPlan::FusedScanProjectFilter {
+        table: "t".into(),
+        schema: two_col_schema(),
+        filter: Some(ScalarExpr::eq(
+            ScalarExpr::Column(0),
+            ScalarExpr::Literal(Value::Int(1)),
+        )),
+        project: Some(gather),
+        est_rows: 10.0,
+        dop: 1,
+        batch: BatchMode::Batch { width: 2 },
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "slot-bounds", "physical-planning");

@@ -19,7 +19,8 @@
 //!   (PI-CS), `COPY [PARTIAL|COMPLETE]` (Copy-CS / Where-provenance) and
 //!   `LINEAGE` (Cui-Widom).
 //! * **Alternative rewrite strategies** with heuristic and cost-based
-//!   selection ([`options::StrategyMode`], [`cost`]).
+//!   selection ([`options::StrategyMode`], costed through
+//!   [`perm_algebra::stats`]).
 //! * **External provenance**: `PROVENANCE (attrs)` FROM-items and tables
 //!   with recorded provenance columns propagate foreign provenance
 //!   untouched.
@@ -31,7 +32,6 @@
 
 pub mod aggregate;
 pub mod copy;
-pub mod cost;
 pub mod options;
 pub mod provattr;
 pub mod rules;
@@ -44,10 +44,10 @@ use perm_algebra::catalog::{ProvenancePlan, ProvenanceTransform};
 use perm_algebra::plan::LogicalPlan;
 use perm_types::Result;
 
-pub use cost::{CardinalityEstimator, FixedCardinalities, UnknownCardinality};
 pub use options::{
     ContributionSemantics, CopyMode, RewriteOptions, Semantics, StrategyMode, UnionStrategy,
 };
+pub use perm_algebra::stats::{CardinalityEstimator, FixedCardinalities, UnknownCardinality};
 pub use provattr::{is_provenance_name, provenance_name, ProvAttrInfo};
 pub use rules::{Ctx, Rewritten};
 

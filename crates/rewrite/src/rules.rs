@@ -22,8 +22,8 @@ use perm_types::{PermError, Result, Schema, Value};
 
 use perm_algebra::expr::ScalarExpr;
 use perm_algebra::plan::{BoundaryKind, JoinType, LogicalPlan, SortKey};
+use perm_algebra::stats::CardinalityEstimator;
 
-use crate::cost::CardinalityEstimator;
 use crate::options::{RewriteOptions, Semantics};
 use crate::provattr::ProvAttrInfo;
 use crate::{aggregate, setops, sublink};

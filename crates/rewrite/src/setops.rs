@@ -11,8 +11,8 @@ use perm_types::{PermError, Result, Schema, Value};
 
 use perm_algebra::expr::ScalarExpr;
 use perm_algebra::plan::{JoinType, LogicalPlan, SetOpType};
+use perm_algebra::stats::estimate_cost;
 
-use crate::cost::estimate_cost;
 use crate::options::{Semantics, StrategyMode, UnionStrategy};
 use crate::provattr::ProvAttrInfo;
 use crate::rules::{Ctx, Rewritten};

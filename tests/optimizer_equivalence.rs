@@ -273,4 +273,61 @@ proptest! {
         let (raw, optimized) = both_ways(&db, &sql);
         prop_assert_eq!(bag(&raw), bag(&optimized), "{}", sql);
     }
+
+    /// Set-semantics unions and DISTINCT over UNION ALL, plain and under
+    /// `SELECT PROVENANCE [DISTINCT]`, over tables with and without
+    /// `NOT NULL` columns: DISTINCT moves below the provenance padding
+    /// only where the branches cannot share a row, and keeps every first
+    /// occurrence in place — so the two results are equal row for row,
+    /// order included. Base rows repeat, all-NULL rows sit in both
+    /// nullable tables, and one `NOT NULL` column is null-extended by a
+    /// LEFT join.
+    #[test]
+    fn distinct_moves_below_padded_unions(
+        rows in prop::collection::vec(
+            (proptest::option::of(-2i64..3), proptest::option::of(-2i64..3)),
+            1..12,
+        ),
+        shape in 0..10usize,
+    ) {
+        let db = PermServer::new().session();
+        db.run_script(
+            "CREATE TABLE p (k int NOT NULL, v int); CREATE TABLE q (k int NOT NULL, v int);
+             CREATE TABLE n1 (k int, v int); CREATE TABLE n2 (k int, v int);
+             CREATE TABLE r (k int NOT NULL, w int);
+             CREATE VIEW v1 AS SELECT k, v FROM p UNION SELECT k, v FROM q;
+             INSERT INTO n1 VALUES (NULL, NULL); INSERT INTO n2 VALUES (NULL, NULL);",
+        )
+        .unwrap();
+        let lit = |x: Option<i64>| x.map_or("NULL".to_string(), |x| x.to_string());
+        for (i, (k, v)) in rows.iter().enumerate() {
+            let (key, k, v) = (k.unwrap_or(0), lit(*k), lit(*v));
+            db.run_script(&format!(
+                "INSERT INTO p VALUES ({key}, {v}); INSERT INTO q VALUES ({}, {v});
+                 INSERT INTO n1 VALUES ({k}, {v}); INSERT INTO n2 VALUES ({v}, {k});
+                 INSERT INTO r VALUES ({}, {i});",
+                -key,
+                key + 1,
+            ))
+            .unwrap();
+        }
+        let sql = [
+            "SELECT PROVENANCE k, v FROM p UNION SELECT k, v FROM q",
+            "SELECT PROVENANCE DISTINCT * FROM \
+             (SELECT k, v FROM p UNION ALL SELECT k, v FROM q) u",
+            "SELECT DISTINCT * FROM (SELECT k, v FROM p UNION ALL SELECT k, v FROM n1) u",
+            "SELECT PROVENANCE k, v FROM p UNION SELECT k, v FROM q UNION SELECT k, v FROM n1",
+            "SELECT PROVENANCE * FROM (SELECT k, v FROM n1 UNION SELECT k, v FROM p) x \
+             UNION SELECT k, v FROM q",
+            "SELECT PROVENANCE k, v FROM v1 WHERE k >= 0",
+            "SELECT PROVENANCE k FROM v1",
+            "SELECT PROVENANCE k, v FROM n1 UNION SELECT k, v FROM n2",
+            "SELECT PROVENANCE n1.k, n1.v FROM n1 LEFT JOIN r ON n1.k = r.k \
+             UNION SELECT k, v FROM n2",
+            "SELECT PROVENANCE DISTINCT v FROM \
+             (SELECT k, v FROM p UNION SELECT k, v FROM n1) u",
+        ][shape];
+        let (raw, optimized) = both_ways(&db, sql);
+        prop_assert_eq!(raw, optimized, "{}", sql);
+    }
 }

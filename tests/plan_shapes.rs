@@ -6,7 +6,8 @@
 //! tests pin what `EXPLAIN` shows for the statements `perm_bench` times
 //! (SQL text copied, not imported): the join-shaped `q+` plans have
 //! nothing but plain or narrowing leaves and the same join strategies and
-//! order as their `q`; the single-table control plans are pinned whole.
+//! order as their `q`; the padded-union `q+` plans de-duplicate base rows
+//! below the padding; the single-table control plans are pinned whole.
 
 use perm_core::{PermServer, Session};
 
@@ -211,6 +212,80 @@ fn aggregation_and_sublink_provenance_carry_each_base_column_once() {
         assert_leaves_carry_each_column_once(&prov);
         assert!(prov.starts_with("HashJoin(Inner"), "{prov}");
     }
+}
+
+const SET_OPERATION: &str = "SELECT mid, text FROM messages UNION SELECT mid, text FROM imports";
+const SETOP_VIEW: &str = "SELECT mid, text FROM v1 WHERE mid % 3 = 0";
+
+/// The padded union of `messages` and `imports`: each branch's base rows
+/// de-duplicated first (`left` / `right` are the branch leaves), then
+/// padded — `mid` is `NOT NULL`, so a row padded with a NULL `mid` on one
+/// side can never equal a row of the other, and DISTINCT splits.
+fn padded_union(left: &str, right: &str) -> String {
+    format!(
+        "Append\n\
+         ├── Project [#0, #1, #0, #1, #2, null, null, null] [batch w=3]\n\
+         │   └── HashDistinct\n\
+         │       └── {left}\n\
+         └── Project [#0, #1, null, null, null, #0, #1, #2] [batch w=3]\n    \
+             └── HashDistinct\n        \
+                 └── {right}"
+    )
+}
+
+/// `setop` and `setop_view` (and `setop_q1`, the same statement at
+/// `interactive_small`'s scale): the `q+` plans de-duplicate narrow base
+/// rows and pad only the survivors, with the view's filter fused into
+/// the scans below the DISTINCT.
+#[test]
+fn padded_unions_deduplicate_base_rows_then_pad() {
+    for indexes in [false, true] {
+        let db = forum(SCALE, indexes);
+        assert_eq!(
+            explain(&db, &provenance_of(SET_OPERATION)),
+            padded_union(
+                "SeqScan(messages)  (~200 rows)",
+                "SeqScan(imports)  (~100 rows)"
+            )
+        );
+        assert_eq!(
+            explain(&db, &provenance_of(SETOP_VIEW)),
+            padded_union(
+                "FusedScan(messages) filter=((#0 % 3) = 0)  (~20 rows) [batch w=3]",
+                "FusedScan(imports) filter=((#0 % 3) = 0)  (~10 rows) [batch w=3]"
+            )
+        );
+    }
+    assert_eq!(
+        explain(&forum(50, false), &provenance_of(SET_OPERATION)),
+        padded_union(
+            "SeqScan(messages)  (~50 rows)",
+            "SeqScan(imports)  (~25 rows)"
+        )
+    );
+}
+
+/// Without a `NOT NULL` witness the branches may share a row — here the
+/// all-NULL row of each table, padded to all NULLs — so DISTINCT stays
+/// above the append and keeps one of the two.
+#[test]
+fn a_union_of_nullable_columns_deduplicates_above_the_append() {
+    let db = forum(SCALE, false);
+    db.run_script(
+        "CREATE TABLE notes (author int, body text); CREATE TABLE drafts (author int, body text);
+         INSERT INTO notes VALUES (1, 'a'), (NULL, NULL);
+         INSERT INTO drafts VALUES (1, 'a'), (NULL, NULL);",
+    )
+    .unwrap();
+    let q = "SELECT PROVENANCE author, body FROM notes UNION SELECT author, body FROM drafts";
+    assert_eq!(
+        explain(&db, q),
+        "HashDistinct\n\
+         └── Append\n    \
+             ├── FusedScan(notes) project=[#0, #1, #0, #1, null, null]  (~2 rows) [batch w=2]\n    \
+             └── FusedScan(drafts) project=[#0, #1, null, null, #0, #1]  (~2 rows) [batch w=2]"
+    );
+    assert_eq!(db.query(q).unwrap().row_count(), 3);
 }
 
 /// The control: `scan_filter`'s statements have no join to carry columns
