@@ -22,7 +22,7 @@ use crate::catalog::{CatalogProvider, ProvenanceTransform};
 use crate::expr::{
     AggCall, AggFunc, BinOp, ScalarExpr, ScalarFunc, SubqueryExpr, SubqueryKind, UnOp,
 };
-use crate::plan::{BoundaryKind, JoinType, LogicalPlan, SetOpType, SortKey};
+use crate::plan::{AggOutput, BoundaryKind, JoinType, LogicalPlan, SetOpType, SortKey};
 use crate::typecheck::{agg_type, expr_type};
 
 /// Maximum view-unfolding depth (guards against recursive views).
@@ -573,6 +573,7 @@ impl<'a> Binder<'a> {
             group_by: agg.group_exprs.clone(),
             aggs: agg.aggs.iter().map(|(_, c, _)| c.clone()).collect(),
             schema: agg_schema.clone(),
+            output: AggOutput::Groups,
         };
 
         // HAVING sits above the aggregate.

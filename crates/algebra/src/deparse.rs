@@ -10,12 +10,12 @@
 //! output unambiguous even when provenance attributes duplicate names
 //! (e.g. self-joins).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use perm_types::Value;
 
 use crate::expr::{BinOp, ScalarExpr, SubqueryKind, UnOp};
-use crate::plan::{JoinType, LogicalPlan, SetOpType};
+use crate::plan::{AggOutput, JoinType, LogicalPlan, SetOpType};
 
 /// Render a plan as a SQL `SELECT` statement.
 pub fn deparse(plan: &LogicalPlan) -> String {
@@ -187,11 +187,31 @@ impl Deparser {
                     names: out_names,
                 }
             }
+            // A witness aggregate has no SQL spelling of its own: render
+            // the join-back it stands for.
             LogicalPlan::Aggregate {
                 input,
                 group_by,
                 aggs,
                 schema,
+                output: AggOutput::Witnesses,
+            } => {
+                let width = group_by.len() + aggs.len();
+                let groups = LogicalPlan::Aggregate {
+                    input: input.clone(),
+                    group_by: group_by.clone(),
+                    aggs: aggs.clone(),
+                    schema: schema.project(&(0..width).collect::<Vec<_>>()),
+                    output: AggOutput::Groups,
+                };
+                self.select_of(&LogicalPlan::join_back(groups, (**input).clone(), group_by))
+            }
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+                schema,
+                output: AggOutput::Groups,
             } => {
                 let (fi, _alias, in_names) = self.render_from_item(input);
                 let out_names = unique_names(&schema.names());
@@ -305,23 +325,34 @@ impl Deparser {
 }
 
 /// Make a list of column names unique by suffixing duplicates with `_2`,
-/// `_3`, …, and sanitize empty names.
+/// `_3`, …, and sanitize empty names. A suffix skips every name already
+/// taken — a listed name or an earlier suffix — so `[mid, mid, mid_2]`
+/// becomes `mid, mid_3, mid_2`.
 fn unique_names(names: &[&str]) -> Vec<String> {
+    let base = |n: &str| {
+        if n.is_empty() || n == "?column?" {
+            "col".to_string()
+        } else {
+            n.to_string()
+        }
+    };
+    let mut taken: HashSet<String> = names.iter().map(|n| base(n)).collect();
     let mut seen: HashMap<String, usize> = HashMap::new();
     names
         .iter()
         .map(|n| {
-            let base = if n.is_empty() || *n == "?column?" {
-                "col".to_string()
-            } else {
-                n.to_string()
-            };
+            let base = base(n);
             let count = seen.entry(base.clone()).or_insert(0);
             *count += 1;
             if *count == 1 {
-                base
-            } else {
-                format!("{base}_{count}")
+                return base;
+            }
+            loop {
+                let candidate = format!("{base}_{count}");
+                if taken.insert(candidate.clone()) {
+                    return candidate;
+                }
+                *count += 1;
             }
         })
         .collect()
@@ -488,9 +519,37 @@ mod tests {
     }
 
     #[test]
+    fn suffixes_skip_names_already_taken() {
+        assert_eq!(
+            unique_names(&["mid", "mid", "mid_2", ""]),
+            vec!["mid", "mid_3", "mid_2", "col"]
+        );
+    }
+
+    #[test]
     fn string_literals_escape_quotes() {
         assert_eq!(render_value(&Value::text("it's")), "'it''s'");
         assert_eq!(render_value(&Value::Null), "NULL");
+    }
+
+    #[test]
+    fn witness_aggregate_renders_as_its_join_back() {
+        let t = scan("t", &["k", "v"]);
+        let schema = Schema::new(vec![Column::new("k", DataType::Int)]);
+        let witnesses = LogicalPlan::Aggregate {
+            input: Box::new(t.clone()),
+            group_by: vec![ScalarExpr::Column(0)],
+            aggs: vec![],
+            schema: schema.join(&t.schema().nullable()),
+            output: AggOutput::Witnesses,
+        };
+        let sql = deparse(&witnesses);
+        assert_eq!(
+            sql,
+            "SELECT t2.k AS k, t3.k AS k_2, t3.v AS v FROM \
+             (SELECT k AS k FROM t AS t1(k, v) GROUP BY k) AS t2(k) \
+             LEFT JOIN t AS t3(k, v) ON (t2.k IS NOT DISTINCT FROM t3.k)"
+        );
     }
 
     #[test]

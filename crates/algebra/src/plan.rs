@@ -79,6 +79,23 @@ pub enum BoundaryKind {
     External { attrs: Vec<usize> },
 }
 
+/// What a [`LogicalPlan::Aggregate`] emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum AggOutput {
+    /// One row per group: the group columns, then one column per
+    /// aggregate.
+    #[default]
+    Groups,
+    /// One row per *input* row — under PI-CS every input tuple of a group
+    /// witnesses that group's result (paper §2.2): the group columns, the
+    /// aggregates, then the input row itself. A global aggregate over an
+    /// empty input still emits its one row, with the input columns NULL.
+    /// This is exactly the aggregation rule's join-back of an aggregate
+    /// to its own input ([`LogicalPlan::join_back`]), computed in one
+    /// pass; the optimizer introduces it, nothing else does.
+    Witnesses,
+}
+
 /// A logical query plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
@@ -117,8 +134,11 @@ pub enum LogicalPlan {
         input: Box<LogicalPlan>,
         group_by: Vec<ScalarExpr>,
         aggs: Vec<AggCall>,
-        /// Group columns first, then one column per aggregate.
+        /// Group columns first, then one column per aggregate; with
+        /// [`AggOutput::Witnesses`] followed by the input's columns
+        /// (nullable).
         schema: Schema,
+        output: AggOutput,
     },
     /// Duplicate elimination over all columns.
     Distinct { input: Box<LogicalPlan> },
@@ -197,7 +217,14 @@ impl LogicalPlan {
             LogicalPlan::Project { .. } => "Project".into(),
             LogicalPlan::Filter { .. } => "Filter".into(),
             LogicalPlan::Join { kind, .. } => format!("{}Join", kind.name()),
-            LogicalPlan::Aggregate { .. } => "Aggregate".into(),
+            LogicalPlan::Aggregate {
+                output: AggOutput::Groups,
+                ..
+            } => "Aggregate".into(),
+            LogicalPlan::Aggregate {
+                output: AggOutput::Witnesses,
+                ..
+            } => "WitnessAggregate".into(),
             LogicalPlan::Distinct { .. } => "Distinct".into(),
             LogicalPlan::SetOp { op, all, .. } => {
                 format!("{}{}", op.name(), if *all { "All" } else { "" })
@@ -438,6 +465,27 @@ impl LogicalPlan {
         })
     }
 
+    /// The aggregation rule's join-back, `aggregate ⟕_{G ≡ keys} right`:
+    /// group column `i` of `aggregate` (group columns come first)
+    /// NULL-safe-equal to `keys[i]` evaluated over `right` — NULL-safe
+    /// because `GROUP BY` groups NULLs together. A global aggregate joins
+    /// its one row to every row of `right` (`ON true`), so an empty
+    /// `right` keeps it, NULL-extended.
+    pub fn join_back(
+        aggregate: LogicalPlan,
+        right: LogicalPlan,
+        keys: &[ScalarExpr],
+    ) -> LogicalPlan {
+        let condition = join_back_condition(keys, aggregate.arity());
+        LogicalPlan::Join {
+            schema: aggregate.schema().join(&right.schema().nullable()),
+            left: Box::new(aggregate),
+            right: Box::new(right),
+            kind: JoinType::Left,
+            condition: Some(condition),
+        }
+    }
+
     /// A single-row, zero-column Values node (`SELECT` without `FROM` scans
     /// exactly one empty tuple).
     pub fn empty_row() -> LogicalPlan {
@@ -446,6 +494,19 @@ impl LogicalPlan {
             schema: Schema::empty(),
         }
     }
+}
+
+/// The condition of [`LogicalPlan::join_back`]: `#i ≡ keys[i]` shifted
+/// past the `width` columns of the aggregate side, `true` without keys.
+pub fn join_back_condition(keys: &[ScalarExpr], width: usize) -> ScalarExpr {
+    ScalarExpr::conjunction(
+        keys.iter()
+            .enumerate()
+            .map(|(i, k)| {
+                ScalarExpr::not_distinct(ScalarExpr::Column(i), k.map_columns(&|c| c + width))
+            })
+            .collect(),
+    )
 }
 
 /// Derive the output column for an expression (used by binder and rewriter

@@ -94,7 +94,12 @@ fn describe(plan: &LogicalPlan) -> String {
         LogicalPlan::Aggregate { group_by, aggs, .. } => {
             let g: Vec<String> = group_by.iter().map(|e| e.to_string()).collect();
             let a: Vec<String> = aggs.iter().map(|c| c.to_string()).collect();
-            format!("Aggregate group=[{}] aggs=[{}]", g.join(", "), a.join(", "))
+            format!(
+                "{} group=[{}] aggs=[{}]",
+                plan.node_name(),
+                g.join(", "),
+                a.join(", ")
+            )
         }
         LogicalPlan::Distinct { .. } => "Distinct".into(),
         LogicalPlan::SetOp { op, all, .. } => {

@@ -23,7 +23,7 @@
 use std::collections::HashMap;
 
 use crate::expr::{BinOp, ScalarExpr};
-use crate::plan::{JoinType, LogicalPlan, SetOpType};
+use crate::plan::{AggOutput, JoinType, LogicalPlan, SetOpType};
 
 /// Source of base-table statistics. Everything defaults to "unknown", so
 /// minimal implementations only answer [`table_rows`](Self::table_rows).
@@ -255,10 +255,16 @@ pub fn estimate_rows(plan: &LogicalPlan, est: &dyn CardinalityEstimator) -> f64 
             }
         }
         LogicalPlan::Aggregate {
-            input, group_by, ..
+            input,
+            group_by,
+            output,
+            ..
         } => {
             let n = estimate_rows(input, est);
-            if group_by.is_empty() {
+            if *output == AggOutput::Witnesses {
+                // One row per input row (one for an empty global input).
+                n.max(1.0)
+            } else if group_by.is_empty() {
                 1.0
             } else {
                 // Distinct count of a single grouping column bounds the
@@ -406,6 +412,7 @@ mod tests {
             group_by: vec![],
             aggs: vec![],
             schema: Schema::empty(),
+            output: AggOutput::Groups,
         };
         assert_eq!(estimate_rows(&agg, &est), 1.0);
     }

@@ -22,7 +22,7 @@
 use perm_types::{DataType, PermError, Result, Schema, Value};
 
 use crate::expr::{AggCall, BinOp, ScalarExpr, UnOp};
-use crate::plan::{JoinType, LogicalPlan, SetOpType};
+use crate::plan::{AggOutput, JoinType, LogicalPlan, SetOpType};
 use crate::typecheck;
 
 /// Build the uniform verifier error: category `plan`, message naming the
@@ -207,19 +207,37 @@ fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, outer: &[Schema]) -> 
             group_by,
             aggs,
             schema,
+            output,
         } => {
-            if group_by.len() + aggs.len() != schema.len() {
+            let width = group_by.len() + aggs.len();
+            let witnesses = match output {
+                AggOutput::Groups => 0,
+                AggOutput::Witnesses => input.arity(),
+            };
+            if width + witnesses != schema.len() {
                 return Err(violation(
                     pass,
                     "schema-arity",
                     &path,
                     format!(
-                        "{} group keys + {} aggregates but the schema declares {} columns",
+                        "{} group keys + {} aggregates + {witnesses} witness columns but \
+                         the schema declares {} columns",
                         group_by.len(),
                         aggs.len(),
                         schema.len()
                     ),
                 ));
+            }
+            for k in 0..witnesses {
+                let (got, want) = (schema.column(width + k).ty, input.schema().column(k).ty);
+                if !compatible(got, want) {
+                    return Err(violation(
+                        pass,
+                        "expr-type",
+                        &path,
+                        format!("witness column {k} declares {got} but the input column is {want}"),
+                    ));
+                }
             }
             for (i, e) in group_by.iter().enumerate() {
                 let ty = check_expr(
@@ -902,6 +920,123 @@ pub fn verify_distinct_pushdown(input: &LogicalPlan, pass: &str) -> Result<()> {
             "distinct-pushdown",
             &path,
             format!("DISTINCT cannot move below {}", other.node_name()),
+        )),
+    }
+}
+
+// ----------------------------------------------------------------------
+// Certificates for the witness aggregate
+// ----------------------------------------------------------------------
+
+/// True if `join` is an aggregate LEFT-joined back to its own input on its
+/// group keys — `α_{G,agg}(A) ⟕_{G ≡ G(A)} A` — the shape the optimizer
+/// collapses into one witness-emitting aggregate. Checked by its own walk
+/// over the condition, independently of the optimizer's match against the
+/// rewriter's exact form: every conjunct must be `#i ≡ G_i` (either operand
+/// order) with `G_i` shifted past the aggregate's width, every group column
+/// must be covered, and the right side must equal the aggregate's input.
+/// A global aggregate qualifies with `ON true`.
+pub fn is_self_join_back(join: &LogicalPlan) -> bool {
+    let LogicalPlan::Join {
+        left,
+        right,
+        kind: JoinType::Left,
+        condition: Some(condition),
+        ..
+    } = join
+    else {
+        return false;
+    };
+    let LogicalPlan::Aggregate {
+        input,
+        group_by,
+        output: AggOutput::Groups,
+        ..
+    } = &**left
+    else {
+        return false;
+    };
+    if input != right {
+        return false;
+    }
+    let width = left.arity();
+    let mut covered = vec![false; group_by.len()];
+    for c in condition.split_conjunction() {
+        let (a, b) = match c {
+            ScalarExpr::Literal(Value::Bool(true)) => continue,
+            ScalarExpr::Binary {
+                op: BinOp::NotDistinctFrom,
+                left,
+                right,
+            } => (&**left, &**right),
+            _ => return false,
+        };
+        let matched = [(a, b), (b, a)]
+            .into_iter()
+            .find_map(|(col, key)| match col {
+                ScalarExpr::Column(i) if *i < group_by.len() => {
+                    let shifted = group_by[*i].map_columns(&|c| c + width);
+                    (*key == shifted).then_some(*i)
+                }
+                _ => None,
+            });
+        match matched {
+            Some(i) if !covered[i] => covered[i] = true,
+            _ => return false,
+        }
+    }
+    covered.into_iter().all(|c| c)
+}
+
+/// Verify that `join` may collapse into a witness aggregate
+/// ([`is_self_join_back`], invariant `self-join-back`).
+pub fn verify_join_back_collapse(join: &LogicalPlan, pass: &str) -> Result<()> {
+    if is_self_join_back(join) {
+        return Ok(());
+    }
+    let children: Vec<String> = join.children().iter().map(|c| c.node_name()).collect();
+    Err(violation(
+        pass,
+        "self-join-back",
+        &format!("{} > [{}]", join.node_name(), children.join(", ")),
+        "not an aggregate LEFT-joined back to its own input on every group key",
+    ))
+}
+
+/// Verify that `predicate`, written over `aggregate`'s output, may move
+/// below it: it reads group columns only (invariant `group-key-pushdown`).
+/// Whole groups pass or fail such a predicate, so filtering the input
+/// first changes neither the surviving groups' aggregates nor their
+/// witnesses; a predicate on an aggregate or on a witness column changes
+/// both.
+pub fn verify_aggregate_pushdown(
+    aggregate: &LogicalPlan,
+    predicate: &ScalarExpr,
+    pass: &str,
+) -> Result<()> {
+    let LogicalPlan::Aggregate { group_by, .. } = aggregate else {
+        return Err(violation(
+            pass,
+            "group-key-pushdown",
+            &format!("Filter > {}", aggregate.node_name()),
+            "not an aggregate",
+        ));
+    };
+    match predicate
+        .referenced_columns()
+        .into_iter()
+        .find(|&i| i >= group_by.len())
+    {
+        None => Ok(()),
+        Some(i) => Err(violation(
+            pass,
+            "group-key-pushdown",
+            &format!("Filter > {}", aggregate.node_name()),
+            format!(
+                "predicate ({predicate}) reads column {i}, which is not one of the {} \
+                 group columns",
+                group_by.len()
+            ),
         )),
     }
 }

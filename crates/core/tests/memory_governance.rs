@@ -86,6 +86,38 @@ fn over_budget_queries_spill_and_still_answer_exactly() {
     assert_eq!(server.memory_pool().used(), 0);
 }
 
+#[test]
+fn witness_aggregates_spill_or_fail_typed_and_always_drain() {
+    // Aggregation provenance is one witness-emitting aggregate, which
+    // holds every input row until it emits them.
+    let (server, session) = server_with_rows(2_000);
+    let grouped = "SELECT PROVENANCE x, count(*), sum(y) FROM big GROUP BY x";
+    let global = "SELECT PROVENANCE count(*) FROM big";
+    let explain = session.query(&format!("EXPLAIN {grouped}")).unwrap();
+    assert!(
+        explain.rows[0]
+            .get(0)
+            .to_string()
+            .contains("emit=witnesses"),
+        "{explain:?}"
+    );
+    let unconstrained = session.query(grouped).unwrap();
+    assert_eq!(unconstrained.row_count(), 2_000);
+    assert_eq!(session.query(global).unwrap().row_count(), 2_000);
+    let pool = server.memory_pool();
+    assert_eq!(pool.used(), 0);
+    assert!(pool.peak() > 0, "the retained witness rows were charged");
+    // Over budget the grouped one spills and answers exactly; the global
+    // one has no partitions to spill to and fails with the typed error.
+    server.set_memory_budget(Some(1));
+    assert_eq!(session.query(grouped).unwrap(), unconstrained);
+    assert_eq!(pool.used(), 0);
+    let err = session.query(global).unwrap_err();
+    assert_eq!(err.kind(), "resource", "{err}");
+    assert!(err.message().contains("HashAggregate"), "{err}");
+    assert_eq!(pool.used(), 0);
+}
+
 // ----------------------------------------------------------------------
 // Typed resource errors
 // ----------------------------------------------------------------------

@@ -378,7 +378,8 @@ impl Executor {
                 aggs,
                 dop,
                 spill,
-            } => aggregate::run_aggregate(self, input, group_by, aggs, *dop, *spill),
+                output,
+            } => aggregate::run_aggregate(self, input, group_by, aggs, *dop, *spill, *output),
             PhysicalPlan::HashDistinct { input, dop, spill } => {
                 setop::run_distinct(self, input, *dop, *spill)
             }

@@ -9,6 +9,7 @@ use perm_types::ops;
 use perm_types::{PermError, Result, Tuple, Value};
 
 use perm_algebra::expr::{AggCall, AggFunc, ScalarExpr};
+use perm_algebra::plan::AggOutput;
 
 use crate::compile::{CompiledExpr, CompiledProjection};
 use crate::eval::Env;
@@ -16,6 +17,7 @@ use crate::executor::Executor;
 use crate::memory::{grow_batched, MemoryDenied, MemoryReservation};
 use crate::operators::{before, positions, RowError};
 use crate::parallel::{partition_of, restore_order};
+use crate::physical::{out_arity, PhysicalPlan};
 
 /// Running state of one aggregate within one group.
 enum AggState {
@@ -284,7 +286,7 @@ impl GroupState {
 /// keys on the bare [`Value`], skipping the per-row `Tuple` allocation
 /// the general shape pays.
 #[derive(PartialEq, Eq, Hash, Clone)]
-enum GroupKey {
+pub(super) enum GroupKey {
     One(Value),
     Many(Tuple),
 }
@@ -323,27 +325,40 @@ impl KeyPlan {
     }
 }
 
-/// Partial aggregation state over one stretch of input: group keys in
-/// first-appearance order, each with the position tag of the row that
-/// opened it, plus their accumulators.
-struct AggPartial {
-    order: Vec<(u64, GroupKey)>,
-    groups: FxHashMap<GroupKey, GroupState>,
+/// One group of a partial: the position tag of the row that opened it,
+/// its key and its accumulators.
+struct Group {
+    pos: u64,
+    key: GroupKey,
+    state: GroupState,
+}
+
+/// Partial aggregation state over one stretch of input: the groups in
+/// first-appearance order, the index from key to group, and — when the
+/// aggregate emits witnesses — the group of every accumulated row, in
+/// input order.
+#[derive(Default)]
+pub(super) struct AggPartial {
+    groups: Vec<Group>,
+    index: FxHashMap<GroupKey, usize>,
+    members: Vec<usize>,
 }
 
 /// The one accumulate loop, shared by the serial driver (the whole
 /// input), every chunk-parallel worker (one contiguous chunk) and the
 /// spilled driver (one hash partition read back from disk): fold
 /// position-tagged `rows` into a fresh partial. `on_new_group` lets the
-/// spilled driver charge each group it opens. An evaluation error carries
-/// the position of the row that raised it (see [`RowError`]).
-fn accumulate<P: Borrow<Tuple>>(
+/// spilled driver charge each group it opens; `witnesses` records each
+/// row's group for [`finish`]. An evaluation error carries the position
+/// of the row that raised it (see [`RowError`]).
+pub(super) fn accumulate<P: Borrow<Tuple>>(
     exec: &Executor,
     rows: impl Iterator<Item = Result<(u64, P)>>,
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
     outer: &[Tuple],
     mut on_new_group: impl FnMut(&GroupKey) -> Result<()>,
+    witnesses: bool,
 ) -> std::result::Result<AggPartial, RowError> {
     // Group-by keys and aggregate arguments are compiled once, evaluated
     // per row (plain-column group keys build by direct slot copy).
@@ -355,9 +370,7 @@ fn accumulate<P: Borrow<Tuple>>(
 
     // Group order: first appearance (deterministic output for tests; final
     // ordering comes from ORDER BY anyway).
-    let mut order: Vec<(u64, GroupKey)> = Vec::new();
-    let mut groups: FxHashMap<GroupKey, GroupState> = FxHashMap::default();
-
+    let mut partial = AggPartial::default();
     let fatal = |e| (None, e);
     for (ri, rec) in rows.enumerate() {
         // Masked cancellation check per 4096 accumulated rows.
@@ -369,15 +382,23 @@ fn accumulate<P: Borrow<Tuple>>(
         let env = Env::new(t.borrow(), outer);
         let key = group_c.apply(exec, &env).map_err(at)?;
         // One hash per row: the entry API probes once, and only a *new*
-        // group clones its key (a refcount bump) into the order list.
-        let state = match groups.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+        // group clones its key (a refcount bump) into the group list.
+        let g = match partial.index.entry(key) {
+            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
             std::collections::hash_map::Entry::Vacant(v) => {
                 on_new_group(v.key()).map_err(fatal)?;
-                order.push((pos, v.key().clone()));
-                v.insert(GroupState::new(aggs))
+                partial.groups.push(Group {
+                    pos,
+                    key: v.key().clone(),
+                    state: GroupState::new(aggs),
+                });
+                *v.insert(partial.groups.len() - 1)
             }
         };
+        if witnesses {
+            partial.members.push(g);
+        }
+        let state = &mut partial.groups[g].state;
         // no-cancel: bounded by the aggregate-call count.
         for (i, arg_expr) in arg_c.iter().enumerate() {
             let arg = match arg_expr {
@@ -392,21 +413,20 @@ fn accumulate<P: Borrow<Tuple>>(
             state.states[i].update(arg.as_ref()).map_err(at)?;
         }
     }
-    Ok(AggPartial { order, groups })
+    Ok(partial)
 }
 
 /// Fold `later` (a strictly later contiguous chunk) into `into`. New
 /// groups append in `later`'s first-appearance order, so the merged
-/// order is global first-appearance order — exactly the serial order.
-fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result<()> {
-    let AggPartial { order, mut groups } = later;
+/// order is global first-appearance order — exactly the serial order —
+/// and `later`'s row memberships, renumbered, follow `into`'s.
+pub(super) fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result<()> {
+    let mut renumber = Vec::with_capacity(later.groups.len());
     // no-cancel: merge of already-computed partial states.
-    for (pos, key) in order {
-        // INVARIANT: `order` holds exactly the keys of `groups`.
-        let state = groups.remove(&key).expect("group registered");
-        match into.groups.entry(key) {
+    for Group { pos, key, state } in later.groups {
+        match into.index.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
-                let target = e.into_mut();
+                let target = &mut into.groups[*e.get()].state;
                 debug_assert!(
                     state.distinct_seen.iter().all(Option::is_none),
                     "DISTINCT aggregates are planned serial"
@@ -415,36 +435,50 @@ fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result<()> {
                 for (t, s) in target.states.iter_mut().zip(state.states) {
                     t.merge(s)?;
                 }
+                renumber.push(*e.get());
             }
             std::collections::hash_map::Entry::Vacant(v) => {
-                into.order.push((pos, v.key().clone()));
-                v.insert(state);
+                into.groups.push(Group {
+                    pos,
+                    key: v.key().clone(),
+                    state,
+                });
+                renumber.push(*v.insert(into.groups.len() - 1));
             }
         }
     }
+    into.members
+        .extend(later.members.into_iter().map(|g| renumber[g]));
     Ok(())
 }
 
 /// Turn a partial into output rows, in its first-appearance order; `tag`
 /// sees each group's opening position (the spilled driver keeps it to
 /// restore the global order, the others drop it).
-fn finish<O>(
+///
+/// With `witnesses = Some((rows, width))` — `rows[i]` is the partial's
+/// accumulated row `i`, `width` the input arity — each group emits its
+/// member rows in input order, every one behind the group's columns and
+/// aggregates; a global aggregate over no rows emits its one row
+/// NULL-extended, as the join-back it replaces does.
+pub(super) fn finish<O>(
+    exec: &Executor,
     mut partial: AggPartial,
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
+    witnesses: Option<(&[Tuple], usize)>,
     tag: impl Fn(u64, Tuple) -> O,
-) -> Vec<O> {
+) -> Result<Vec<O>> {
     // A global aggregate over an empty input still yields one row.
-    if group_by.is_empty() && partial.order.is_empty() {
-        let empty_key = GroupKey::Many(Tuple::empty());
-        partial.order.push((0, empty_key.clone()));
-        partial.groups.insert(empty_key, GroupState::new(aggs));
+    if group_by.is_empty() && partial.groups.is_empty() {
+        partial.groups.push(Group {
+            pos: 0,
+            key: GroupKey::Many(Tuple::empty()),
+            state: GroupState::new(aggs),
+        });
     }
-    let mut out = Vec::with_capacity(partial.order.len());
     // no-cancel: output assembly from already-computed group states.
-    for (pos, key) in partial.order {
-        // INVARIANT: `order` holds exactly the keys of `groups`.
-        let state = partial.groups.remove(&key).expect("group registered");
+    let heads = partial.groups.into_iter().map(|Group { pos, key, state }| {
         let mut vals = match key {
             GroupKey::One(v) => {
                 let mut vs = Vec::with_capacity(1 + aggs.len());
@@ -453,31 +487,73 @@ fn finish<O>(
             }
             GroupKey::Many(t) => t.into_values(),
         };
-        // no-cancel: bounded by the aggregate-call count.
-        for s in state.states {
-            vals.push(s.finish());
-        }
-        out.push(tag(pos, Tuple::new(vals)));
+        vals.extend(state.states.into_iter().map(AggState::finish));
+        (pos, Tuple::new(vals))
+    });
+    let Some((rows, width)) = witnesses else {
+        return Ok(heads.map(|(pos, t)| tag(pos, t)).collect());
+    };
+    let heads: Vec<(u64, Tuple)> = heads.collect();
+    // Counting sort of the accumulated rows by group: `start[g]..start[g
+    // + 1]` of `order` lists group g's rows in input order.
+    let mut start = vec![0usize; heads.len() + 1];
+    // no-cancel: one counter bump per row; the emit loop below checks.
+    for &g in &partial.members {
+        start[g + 1] += 1;
     }
-    out
+    // no-cancel: bounded by the group count.
+    for g in 0..heads.len() {
+        start[g + 1] += start[g];
+    }
+    let mut next = start.clone();
+    let mut order = vec![0usize; partial.members.len()];
+    // no-cancel: one store per row; the emit loop below checks.
+    for (i, &g) in partial.members.iter().enumerate() {
+        order[next[g]] = i;
+        next[g] += 1;
+    }
+    let nulls = Tuple::nulls(width);
+    let mut out = Vec::with_capacity(order.len().max(heads.len()));
+    for (g, (pos, head)) in heads.iter().enumerate() {
+        let members = &order[start[g]..start[g + 1]];
+        if members.is_empty() {
+            out.push(tag(*pos, head.concat(&nulls)));
+        }
+        for &i in members {
+            // Masked cancellation check per 4096 emitted rows.
+            if out.len() % 4096 == 0 {
+                exec.check_cancelled()?;
+            }
+            // per-lane alloc: the output row, built in one allocation.
+            out.push(tag(*pos, head.concat(&rows[i])));
+        }
+    }
+    Ok(out)
 }
 
 pub(crate) fn run_aggregate(
     exec: &Executor,
-    input: &crate::physical::PhysicalPlan,
+    input: &PhysicalPlan,
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
     dop: usize,
     spill: Option<usize>,
+    output: AggOutput,
 ) -> Result<Vec<Tuple>> {
     let mut rows = exec.run_physical(input)?;
     let outer = exec.outer_stack();
+    // A witness aggregate's input arity: the NULL padding of a global
+    // aggregate over no rows.
+    let witnesses = (output == AggOutput::Witnesses).then(|| out_arity(input));
 
     // Global aggregates keep O(1) state regardless of input size:
     // nothing to charge, nothing to spill. Grouped aggregation charges
     // the input bytes — the hash table's keys and states are bounded by
-    // them — and a denial switches to the partitioned on-disk path.
-    let charge = !group_by.is_empty();
+    // them — and a denial switches to the partitioned on-disk path. A
+    // witness aggregate holds every input row until it emits them, so it
+    // charges them too; a global one has no partitions to spill to.
+    let charge = !group_by.is_empty() || witnesses.is_some();
+    let spill = spill.filter(|_| !group_by.is_empty());
     let reservation = exec.memory().register("HashAggregate");
 
     if dop > 1 {
@@ -507,6 +583,7 @@ pub(crate) fn run_aggregate(
                     &aggs_owned,
                     &outer,
                     |_| Ok(()),
+                    witnesses.is_some(),
                 )
                 .map_err(|(_, e)| e)
             })
@@ -519,10 +596,7 @@ pub(crate) fn run_aggregate(
         match partials {
             Ok(partials) => {
                 let mut iter = partials.into_iter();
-                let mut acc = iter.next().unwrap_or_else(|| AggPartial {
-                    order: Vec::new(),
-                    groups: FxHashMap::default(),
-                });
+                let mut acc = iter.next().unwrap_or_default();
                 let mut merged = Ok(());
                 // no-cancel: merge of already-computed partials, bounded
                 // by dop.
@@ -532,9 +606,12 @@ pub(crate) fn run_aggregate(
                         break;
                     }
                 }
+                let out = merged.and_then(|()| {
+                    let kept = witnesses.map(|width| (&rows_arc[..], width));
+                    finish(exec, acc, group_by, aggs, kept, |_, t| t)
+                });
                 reservation.free();
-                merged?;
-                return Ok(finish(acc, group_by, aggs, |_, t| t));
+                return out;
             }
             // A denied worker reservation falls back to the serial spill
             // path — legal because parallel aggregation is exactly
@@ -547,7 +624,7 @@ pub(crate) fn run_aggregate(
                 // INVARIANT: the guard above checked `spill.is_some()`.
                 let parts = spill.expect("guard checked is_some");
                 let result =
-                    aggregate_spill(exec, rows, group_by, aggs, &outer, parts, &reservation);
+                    aggregate_spill(exec, rows, group_by, aggs, parts, &reservation, witnesses);
                 reservation.free();
                 return result;
             }
@@ -564,19 +641,31 @@ pub(crate) fn run_aggregate(
             let Some(parts) = spill else {
                 return Err(denied.into_error());
             };
-            return aggregate_spill(exec, rows, group_by, aggs, &outer, parts, &reservation);
+            return aggregate_spill(exec, rows, group_by, aggs, parts, &reservation, witnesses);
         }
     }
-    let partial = accumulate(exec, positions(&rows), group_by, aggs, &outer, |_| Ok(()))
-        .map_err(|(_, e)| e)?;
-    Ok(finish(partial, group_by, aggs, |_, t| t))
+    let partial = accumulate(
+        exec,
+        positions(&rows),
+        group_by,
+        aggs,
+        &outer,
+        |_| Ok(()),
+        witnesses.is_some(),
+    )
+    .map_err(|(_, e)| e)?;
+    let kept = witnesses.map(|width| (&rows[..], width));
+    finish(exec, partial, group_by, aggs, kept, |_, t| t)
 }
 
 /// The spilled driver of [`accumulate`]: input rows scatter to partition
 /// files by group-key hash, tagged with their input position. Each
 /// partition then accumulates in tag order, every group remembering the
 /// tag that opened it; [`restore_order`] over those tags restores global
-/// first-appearance order — exactly the serial output.
+/// first-appearance order — exactly the serial output. A witness
+/// aggregate keeps each partition's rows (charged as working memory) and
+/// tags every one it emits with its group's opening tag, so the stable
+/// reorder also keeps each group's rows in input order.
 ///
 /// Error ordering matches serial execution: the serial loop evaluates a
 /// row's group key, then its aggregate arguments, before looking at the
@@ -589,15 +678,16 @@ fn aggregate_spill(
     rows: Vec<Tuple>,
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
-    outer: &[Tuple],
     parts: usize,
     res: &MemoryReservation,
+    witnesses: Option<usize>,
 ) -> Result<Vec<Tuple>> {
     debug_assert!(!group_by.is_empty(), "global aggregates never spill");
     debug_assert!(
         aggs.iter().all(|c| !c.distinct),
         "DISTINCT aggregates never spill"
     );
+    let outer = exec.outer_stack();
     let group_c = KeyPlan::compile(exec, group_by);
     let mut files = SpillPartitions::create(parts)?;
     let mut best_err: Option<(u64, PermError)> = None;
@@ -606,7 +696,7 @@ fn aggregate_spill(
         if i % 4096 == 0 {
             exec.check_cancelled()?;
         }
-        match group_c.apply(exec, &Env::new(t, outer)) {
+        match group_c.apply(exec, &Env::new(t, &outer)) {
             Ok(key) => files.push(partition_of(&key, parts), i as u64, t)?,
             Err(e) => {
                 best_err = Some((i as u64, e));
@@ -630,13 +720,39 @@ fn aggregate_spill(
             charged += bytes;
             Ok(())
         };
-        let rows = reader.take_while(before(&best_err));
-        match accumulate(exec, rows, group_by, aggs, outer, charge_group) {
-            Ok(partial) => out.extend(finish(partial, group_by, aggs, |tag, t| (tag, t))),
+        // A witness aggregate keeps the partition's rows for `finish`.
+        let mut kept: Vec<Tuple> = Vec::new();
+        let mut kept_bytes = 0usize;
+        let rows = reader.take_while(before(&best_err)).map(|rec| {
+            let (tag, t) = rec?;
+            if witnesses.is_some() {
+                let bytes = t.size_bytes();
+                res.grow_unpooled(bytes)?;
+                kept_bytes += bytes;
+                kept.push(t.clone());
+            }
+            Ok((tag, t))
+        });
+        let accumulated = accumulate(
+            exec,
+            rows,
+            group_by,
+            aggs,
+            &outer,
+            charge_group,
+            witnesses.is_some(),
+        );
+        match accumulated {
+            Ok(partial) => {
+                let kept = witnesses.map(|width| (&kept[..], width));
+                out.extend(finish(exec, partial, group_by, aggs, kept, |tag, t| {
+                    (tag, t)
+                })?);
+            }
             Err((Some(tag), e)) => best_err = Some((tag, e)),
             Err((None, e)) => return Err(e),
         }
-        res.shrink(charged);
+        res.shrink(charged + kept_bytes);
     }
     if let Some((_, e)) = best_err {
         return Err(e);

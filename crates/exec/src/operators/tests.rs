@@ -8,11 +8,12 @@
 
 use std::sync::Arc;
 
-use perm_algebra::expr::{BinOp, ScalarExpr};
-use perm_algebra::plan::{JoinType, SetOpType, SortKey};
+use perm_algebra::expr::{AggCall, AggFunc, BinOp, ScalarExpr};
+use perm_algebra::plan::{AggOutput, JoinType, SetOpType, SortKey};
 use perm_storage::Catalog;
 use perm_types::{PermError, QueryContext, Result, Tuple, Value};
 
+use super::aggregate::{accumulate, finish, merge_partials};
 use super::join::HashProbe;
 use super::scan::Pipe;
 use super::setop::{keep_first, setop_kernel};
@@ -20,6 +21,7 @@ use super::sort::SortRun;
 use crate::compile::CompiledProjection;
 use crate::eval::{eval, Env};
 use crate::executor::Executor;
+use crate::memory::{MemoryPool, QueryMemory};
 use crate::parallel::{chunk_ranges, partition_of, restore_order};
 use crate::physical::{BuildSide, EquiKey, PhysicalPlan};
 
@@ -504,4 +506,188 @@ fn sorted_runs_merge_to_the_single_stable_sort() {
             }
         }
     }
+}
+
+/// `GROUP BY a` with `count(*)` and `sum(b)`.
+fn witness_aggregate() -> (Vec<ScalarExpr>, Vec<AggCall>) {
+    let call = |func, arg| AggCall {
+        func,
+        arg,
+        distinct: false,
+    };
+    (
+        vec![col(0)],
+        vec![call(AggFunc::Count, None), call(AggFunc::Sum, Some(col(1)))],
+    )
+}
+
+/// The witness output by its definition — the join-back of the grouped
+/// result to its input: groups in first-appearance order, each followed
+/// by every input row whose key is grouping-equal, in input order.
+fn witnesses_by_definition(rows: &[Tuple]) -> Vec<Tuple> {
+    let mut keys: Vec<&Value> = Vec::new();
+    for t in rows {
+        if !keys.contains(&t.get(0)) {
+            keys.push(t.get(0));
+        }
+    }
+    let mut out = Vec::new();
+    for key in keys {
+        let members: Vec<&Tuple> = rows.iter().filter(|t| t.get(0) == key).collect();
+        let sum: i64 = members
+            .iter()
+            .map(|t| match t.get(1) {
+                Value::Int(b) => *b,
+                other => panic!("{other:?}"),
+            })
+            .sum();
+        let head = Tuple::new(vec![
+            key.clone(),
+            Value::Int(members.len() as i64),
+            Value::Int(sum),
+        ]);
+        out.extend(members.into_iter().map(|t| head.concat(t)));
+    }
+    out
+}
+
+#[test]
+fn witness_output_is_chunk_and_partition_invariant() {
+    let exec = Executor::new(Arc::new(Catalog::new()));
+    let (group_by, aggs) = witness_aggregate();
+    let tagged = tagged_rows(3_000, 13, 0);
+    let rows: Vec<Tuple> = tagged.iter().map(|(_, t)| t.clone()).collect();
+    let reference = witnesses_by_definition(&rows);
+    let run =
+        |rows: Tagged| accumulate(&exec, stream(rows), &group_by, &aggs, &[], |_| Ok(()), true);
+    let whole = run(tagged.clone()).map_err(|(_, e)| e).unwrap();
+    let out = finish(&exec, whole, &group_by, &aggs, Some((&rows, 2)), |_, t| t).unwrap();
+    assert_eq!(out, reference);
+    for k in PARTITION_COUNTS {
+        // Contiguous chunks, merged in order (the chunk-parallel driver).
+        let mut merged = None;
+        for range in chunk_ranges(rows.len(), k) {
+            let part = run(tagged[range].to_vec()).map_err(|(_, e)| e).unwrap();
+            match &mut merged {
+                None => merged = Some(part),
+                Some(acc) => merge_partials(acc, part).unwrap(),
+            }
+        }
+        let merged = merged.unwrap();
+        let out = finish(&exec, merged, &group_by, &aggs, Some((&rows, 2)), |_, t| t).unwrap();
+        assert_eq!(out, reference, "chunks={k}");
+        // Hash partitions, reordered by the groups' opening tags (the
+        // spilled driver).
+        let mut tagged_out = Vec::new();
+        for part in split(&tagged, k, |t| partition_of(&t.get(0), k)) {
+            let kept: Vec<Tuple> = part.iter().map(|(_, t)| t.clone()).collect();
+            let partial = run(part).map_err(|(_, e)| e).unwrap();
+            tagged_out.extend(
+                finish(
+                    &exec,
+                    partial,
+                    &group_by,
+                    &aggs,
+                    Some((&kept, 2)),
+                    |tag, t| (tag, t),
+                )
+                .unwrap(),
+            );
+        }
+        assert_eq!(restore_order(tagged_out), reference, "partitions={k}");
+    }
+}
+
+#[test]
+fn a_global_witness_aggregate_over_no_rows_is_one_null_extended_row() {
+    let exec = Executor::new(Arc::new(Catalog::new()));
+    let (_, aggs) = witness_aggregate();
+    let empty = accumulate(&exec, stream(vec![]), &[], &aggs, &[], |_| Ok(()), true)
+        .map_err(|(_, e)| e)
+        .unwrap();
+    let out = finish(&exec, empty, &[], &aggs, Some((&[], 2)), |_, t| t).unwrap();
+    assert_eq!(
+        out,
+        vec![Tuple::new(vec![
+            Value::Int(0),
+            Value::Null,
+            Value::Null,
+            Value::Null
+        ])]
+    );
+}
+
+/// The witness `HashAggregate` node under every driver: serial and
+/// chunk-parallel (DOP 1 and 4), in memory and spilled through a 1-byte
+/// pool (which must drain), row and columnar executors, materialized and
+/// pulled through the stream cursor — all emit the definition's rows in
+/// its order. A cancelled query fails with the typed error.
+#[test]
+fn witness_aggregate_node_matches_the_definition_under_every_driver() {
+    let cat = Arc::new(Catalog::new());
+    let (group_by, aggs) = witness_aggregate();
+    let rows: Vec<Tuple> = tagged_rows(3_000, 13, 0)
+        .into_iter()
+        .map(|(_, t)| t)
+        .collect();
+    let reference = witnesses_by_definition(&rows);
+    let values = |t: &Tuple| t.iter().cloned().map(ScalarExpr::Literal).collect();
+    let node = |dop, spill| PhysicalPlan::HashAggregate {
+        input: Box::new(PhysicalPlan::Values {
+            rows: rows.iter().map(values).collect(),
+            arity: 2,
+        }),
+        group_by: group_by.clone(),
+        aggs: aggs.clone(),
+        dop,
+        spill,
+        output: AggOutput::Witnesses,
+    };
+    for dop in [1, 4] {
+        for spill in [false, true] {
+            for columnar in [false, true] {
+                let what = format!("dop={dop} spill={spill} columnar={columnar}");
+                let plan = node(dop, Some(8));
+                crate::verify::verify_physical(&plan, "test").unwrap();
+                let pool = MemoryPool::with_budget(if spill { 1 } else { 1 << 30 });
+                let exec = || {
+                    Executor::new(Arc::clone(&cat))
+                        .with_columnar(columnar)
+                        .with_memory(QueryMemory::new(pool.clone(), None))
+                };
+                assert_eq!(exec().run_physical(&plan).unwrap(), reference, "{what}");
+                let streamed: Result<Vec<Tuple>> =
+                    exec().into_stream_physical(&plan).and_then(|s| s.collect());
+                assert_eq!(streamed.unwrap(), reference, "{what} streamed");
+                assert_eq!(pool.used(), 0, "{what}: pool must drain");
+            }
+        }
+    }
+    // A global witness aggregate cannot spill: over budget it fails with
+    // the typed resource error and leaves the pool drained.
+    let pool = MemoryPool::with_budget(1);
+    let PhysicalPlan::HashAggregate { input, .. } = node(1, None) else {
+        unreachable!()
+    };
+    let global = PhysicalPlan::HashAggregate {
+        input,
+        group_by: vec![],
+        aggs: aggs.clone(),
+        dop: 1,
+        spill: None,
+        output: AggOutput::Witnesses,
+    };
+    let err = Executor::new(Arc::clone(&cat))
+        .with_memory(QueryMemory::new(pool.clone(), None))
+        .run_physical(&global)
+        .unwrap_err();
+    assert_eq!(err.kind(), "resource", "{err}");
+    assert_eq!(pool.used(), 0);
+    let ctx = QueryContext::detached();
+    ctx.handle().cancel();
+    let err = Executor::new(cat)
+        .with_context(ctx)
+        .run_physical(&node(4, Some(8)))
+        .unwrap_err();
+    assert_eq!(err.kind(), "cancelled", "{err}");
 }

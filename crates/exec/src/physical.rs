@@ -38,7 +38,7 @@
 use std::fmt::Write as _;
 
 use perm_algebra::expr::{AggCall, ScalarExpr};
-use perm_algebra::plan::{JoinType, LogicalPlan, SetOpType, SortKey};
+use perm_algebra::plan::{AggOutput, JoinType, LogicalPlan, SetOpType, SortKey};
 use perm_algebra::stats::{estimate_rows, CardinalityEstimator};
 use perm_storage::Catalog;
 use perm_types::{Schema, Value};
@@ -252,6 +252,10 @@ pub enum PhysicalPlan {
         /// table's memory reservation is denied; `None` = must not spill
         /// (DISTINCT aggregates, sublink pipelines).
         spill: Option<usize>,
+        /// One row per group, or one per input row with its group's
+        /// columns in front ([`AggOutput::Witnesses`]; the input row
+        /// follows the aggregates).
+        output: AggOutput,
     },
     /// Hash duplicate elimination.
     HashDistinct {
@@ -492,11 +496,20 @@ impl PhysicalPlan {
                 s.push_str(&rows(*est_rows));
                 s
             }
-            PhysicalPlan::HashAggregate { group_by, aggs, .. } => {
+            PhysicalPlan::HashAggregate {
+                group_by,
+                aggs,
+                output,
+                ..
+            } => {
                 let g: Vec<String> = group_by.iter().map(|e| e.to_string()).collect();
                 let a: Vec<String> = aggs.iter().map(|c| c.to_string()).collect();
+                let witnesses = match output {
+                    AggOutput::Groups => "",
+                    AggOutput::Witnesses => " emit=witnesses",
+                };
                 format!(
-                    "HashAggregate group=[{}] aggs=[{}]",
+                    "HashAggregate group=[{}] aggs=[{}]{witnesses}",
                     g.join(", "),
                     a.join(", ")
                 )
@@ -715,7 +728,19 @@ pub(crate) fn out_arity(plan: &PhysicalPlan) -> usize {
             },
             Vec::len,
         ),
-        PhysicalPlan::HashAggregate { group_by, aggs, .. } => group_by.len() + aggs.len(),
+        PhysicalPlan::HashAggregate {
+            input,
+            group_by,
+            aggs,
+            output,
+            ..
+        } => {
+            let witnesses = match output {
+                AggOutput::Groups => 0,
+                AggOutput::Witnesses => out_arity(input),
+            };
+            group_by.len() + aggs.len() + witnesses
+        }
         PhysicalPlan::HashSetOp { left, .. } => out_arity(left),
     }
 }
@@ -733,9 +758,14 @@ fn est_out_rows(plan: &PhysicalPlan) -> f64 {
         PhysicalPlan::Project { input, .. } => est_out_rows(input),
         PhysicalPlan::Filter { input, .. } => est_out_rows(input) * 0.5,
         PhysicalPlan::HashAggregate {
-            input, group_by, ..
+            input,
+            group_by,
+            output,
+            ..
         } => {
-            if group_by.is_empty() {
+            if *output == AggOutput::Witnesses {
+                est_out_rows(input).max(1.0)
+            } else if group_by.is_empty() {
                 1.0
             } else {
                 (est_out_rows(input) * 0.1).max(1.0)
@@ -1069,6 +1099,7 @@ impl<'a> PhysicalPlanner<'a> {
                 input,
                 group_by,
                 aggs,
+                output,
                 ..
             } => {
                 // Partial-aggregate merging cannot reproduce per-group
@@ -1089,6 +1120,7 @@ impl<'a> PhysicalPlanner<'a> {
                     // like the parallel path does, so it shares the same
                     // legality condition.
                     spill: safe.then_some(self.spill_fanout.get()),
+                    output: *output,
                 }
             }
             LogicalPlan::Distinct { input } => PhysicalPlan::HashDistinct {

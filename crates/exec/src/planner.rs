@@ -10,9 +10,22 @@
 //! 1. **boundary elimination** — SQL-PLE markers are meaningless after the
 //!    rewrite;
 //! 2. bottom-up rule passes (`PASSES` rounds to fixpoint):
+//!    * **join-back collapse** — the aggregation rewrite joins an
+//!      aggregate back to its input on the group keys; when that input
+//!      *is* the join's other side (`α_{G,agg}(A) ⟕_{G ≡ G(A)} A`, which
+//!      the rewriter emits whenever `A` has one provenance row per row),
+//!      the join becomes one witness-emitting aggregate over `A`
+//!      ([`AggOutput::Witnesses`]): `A` runs once and no hash table is
+//!      built over its rows. Visited before every other rule at a node,
+//!      so both copies are still equal; under plan verification each
+//!      collapse is first re-proved by the verifier's certificate
+//!      ([`perm_algebra::verify::is_self_join_back`]). Join reordering
+//!      treats the result as the region boundary any aggregate is;
 //!    * **filter merging** — adjacent filters combine into one conjunction;
 //!    * **filter pushdown** — through projections, past sorts, into
-//!      inner/cross join sides and union branches; predicates on the
+//!      inner/cross join sides and union branches, and below aggregates
+//!      when a conjunct reads group columns only (never an aggregate or
+//!      a witness column); predicates on the
 //!      preserved side push below LEFT joins, and null-rejecting
 //!      predicates on the nullable side demote LEFT joins to INNER first;
 //!    * **projection merging** — the rewrite rules stack projections
@@ -36,7 +49,8 @@
 //! 3. **column pruning** — provenance rewrites duplicate whole
 //!    base-relation schemas (`R+ = Π_{R, R→P(R)}(R)` at every leaf); a
 //!    top-down pass drops every slot no ancestor references (through
-//!    Project/Join/Aggregate/UnionAll) and carries the rest *once*. Each
+//!    Project/Join/Aggregate/UnionAll; a witness aggregate passes on only
+//!    the input slots asked for) and carries the rest *once*. Each
 //!    node hands its parent a map *original position → new position*
 //!    that may be many-to-one: a projection of bare column references
 //!    dissolves into its input, `mid` and `prov_messages_mid` point at
@@ -63,15 +77,16 @@
 //! for the same reason).
 
 use perm_algebra::expr::{BinOp, ScalarExpr, UnOp};
-use perm_algebra::plan::{JoinType, LogicalPlan, SetOpType};
+use perm_algebra::plan::{join_back_condition, AggOutput, JoinType, LogicalPlan, SetOpType};
 use perm_algebra::stats::{estimate_rows, CardinalityEstimator, UnknownCardinality};
 use perm_types::{PermError, Result, Schema};
 
 /// Number of rule rounds. The rules are applied bottom-up, and two rounds
 /// reach a fixpoint — counted, not guessed: over every plan the test suite
-/// optimizes (4 007 with the DISTINCT moves among the rules, among them
-/// the planner unit tests, `tests/optimizer_equivalence.rs` and every
-/// statement of the five benchmark workloads) a third round changed none.
+/// optimizes (4 213 with the join-back collapse and the DISTINCT moves
+/// among the rules, among them the planner unit tests,
+/// `tests/optimizer_equivalence.rs` and the benchmark statements of
+/// `tests/plan_shapes.rs`) a third round changed none.
 /// The second is needed
 /// when round one pushes a filter into a join side that already carries
 /// one and the two then merge (67 plans, all randomized ones of
@@ -162,8 +177,9 @@ fn verifying_observer(original: Schema) -> impl FnMut(&'static str, &LogicalPlan
 /// The optimizer pipeline with a phase observer: `observe(phase, plan)`
 /// runs after each named phase and aborts optimization by returning an
 /// error (the verifying observer does; the no-op observer never does).
-/// With `certify`, the rule rounds re-prove every DISTINCT they move with
-/// the verifier's certificate and fail on the first refuted one.
+/// With `certify`, the rule rounds re-prove every DISTINCT they move and
+/// every join-back they collapse with the verifier's certificates and fail
+/// on the first refuted one.
 fn optimize_observed(
     plan: LogicalPlan,
     est: &dyn CardinalityEstimator,
@@ -185,7 +201,7 @@ fn optimize_observed(
         p = reorder_joins(p, est);
         observe("join-reordering", &p)?;
         // One round: measured the same way as `PASSES`, a second cleanup
-        // round changed none of 3 992 pruned plans.
+        // round changed none of the pruned plans.
         p = rewrite_bottom_up(p, certify("cleanup-rewrites"))?;
         observe("cleanup-rewrites", &p)?;
     }
@@ -212,94 +228,87 @@ fn strip_boundaries(plan: LogicalPlan) -> LogicalPlan {
 }
 
 /// One round of the rule rewrites. `certify` names the phase when every
-/// DISTINCT move must first pass the verifier's certificate; the first
-/// refuted move is the round's error (and is not made).
+/// DISTINCT move and join-back collapse must first pass the verifier's
+/// certificate; the first refuted move is the round's error (and is not
+/// made).
 fn rewrite_bottom_up(plan: LogicalPlan, certify: Option<&str>) -> Result<LogicalPlan> {
     let mut refuted = None;
     let plan = map_children(plan, &mut |p| {
+        let p = collapse_join_back(p, certify, &mut refuted);
         let p = merge_projects(push_filter(merge_filters(p)));
         push_distinct(p, certify, &mut refuted)
     });
     refuted.map_or(Ok(plan), Err)
 }
 
-/// Rebuild the plan bottom-up, applying `f` at every node after its
-/// children were processed.
-fn map_children(plan: LogicalPlan, f: &mut impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    let rebuilt = match plan {
-        LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => plan,
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(map_children(*input, f)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(map_children(*input, f)),
-            predicate,
-        },
+/// `Join(Left, Aggregate{G, aggs, A}, A, ∧ᵢ #i ≡ G_i⁺)` →
+/// `Aggregate{G, aggs, A, output: Witnesses}`: the aggregation rule's
+/// join-back of an aggregate to its own input, in one pass over `A`
+/// instead of evaluating `A` twice and hash-joining the copies. Each
+/// group's rows are exactly the right-side rows its key matches (NULL-safe
+/// equality is grouping equality), and a global aggregate over an empty
+/// `A` keeps its one NULL-extended row, so the output is the join's, row
+/// for row, for any deterministic `A`. The first node the rule round
+/// visits above both copies, so no other rule has touched either; the
+/// condition must be exactly the one [`LogicalPlan::join_back`] builds.
+/// `certify` and `refuted` as in [`rewrite_bottom_up`].
+fn collapse_join_back(
+    plan: LogicalPlan,
+    certify: Option<&str>,
+    refuted: &mut Option<PermError>,
+) -> LogicalPlan {
+    let collapsible = match &plan {
         LogicalPlan::Join {
             left,
             right,
-            kind,
-            condition,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(map_children(*left, f)),
-            right: Box::new(map_children(*right, f)),
-            kind,
-            condition,
-            schema,
+            kind: JoinType::Left,
+            condition: Some(condition),
+            ..
+        } => match &**left {
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                output: AggOutput::Groups,
+                ..
+            } => input == right && *condition == join_back_condition(group_by, left.arity()),
+            _ => false,
         },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(map_children(*input, f)),
-            group_by,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(map_children(*input, f)),
-        },
-        LogicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            schema,
-        } => LogicalPlan::SetOp {
-            op,
-            all,
-            left: Box::new(map_children(*left, f)),
-            right: Box::new(map_children(*right, f)),
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(map_children(*input, f)),
-            keys,
-        },
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(map_children(*input, f)),
-            limit,
-            offset,
-        },
-        LogicalPlan::Boundary { input, name, kind } => LogicalPlan::Boundary {
-            input: Box::new(map_children(*input, f)),
-            name,
-            kind,
-        },
+        _ => false,
     };
+    if !collapsible {
+        return plan;
+    }
+    if let Some(pass) = certify {
+        if let Err(e) = perm_algebra::verify::verify_join_back_collapse(&plan, pass) {
+            refuted.get_or_insert(e);
+            return plan;
+        }
+    }
+    let LogicalPlan::Join { left, schema, .. } = plan else {
+        unreachable!("checked above")
+    };
+    let LogicalPlan::Aggregate {
+        input,
+        group_by,
+        aggs,
+        ..
+    } = *left
+    else {
+        unreachable!("checked above")
+    };
+    LogicalPlan::Aggregate {
+        input,
+        group_by,
+        aggs,
+        schema,
+        output: AggOutput::Witnesses,
+    }
+}
+
+/// Rebuild the plan bottom-up, applying `f` at every node after its
+/// children were processed.
+fn map_children(plan: LogicalPlan, f: &mut impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+    let rebuilt = map_children_once(plan, &mut |child| map_children(child, f));
     f(rebuilt)
 }
 
@@ -520,6 +529,7 @@ fn push_filter(plan: LogicalPlan) -> LogicalPlan {
                 predicate,
             })),
         },
+        agg @ LogicalPlan::Aggregate { .. } => push_below_aggregate(agg, predicate),
         // Filter past sort (sort doesn't change values).
         LogicalPlan::Sort { input: sin, keys } => LogicalPlan::Sort {
             input: Box::new(push_filter(LogicalPlan::Filter {
@@ -532,6 +542,74 @@ fn push_filter(plan: LogicalPlan) -> LogicalPlan {
             input: Box::new(other),
             predicate,
         },
+    }
+}
+
+/// `Filter(Aggregate)`: a conjunct on group columns only passes or fails
+/// whole groups, so it filters the aggregate's input instead, with the
+/// group expressions substituted. Conjuncts on aggregates or witness
+/// columns stay above. Debug builds re-prove each move with the
+/// verifier's certificate ([`perm_algebra::verify::verify_aggregate_pushdown`]).
+fn push_below_aggregate(aggregate: LogicalPlan, predicate: ScalarExpr) -> LogicalPlan {
+    let LogicalPlan::Aggregate { group_by, .. } = &aggregate else {
+        unreachable!("called on an aggregate")
+    };
+    let (down, keep): (Vec<ScalarExpr>, Vec<ScalarExpr>) = predicate
+        .split_conjunction()
+        .into_iter()
+        .cloned()
+        .partition(|c| {
+            let cols = c.referenced_columns();
+            !cols.is_empty()
+                && cols
+                    .iter()
+                    .all(|&i| i < group_by.len() && !group_by[i].contains_subquery())
+        });
+    if down.is_empty() {
+        return LogicalPlan::Filter {
+            input: Box::new(aggregate),
+            predicate,
+        };
+    }
+    let down = ScalarExpr::conjunction(down);
+    if cfg!(debug_assertions) {
+        if let Err(e) =
+            perm_algebra::verify::verify_aggregate_pushdown(&aggregate, &down, "rule-rewrites")
+        {
+            panic!("{e}");
+        }
+    }
+    let LogicalPlan::Aggregate {
+        input,
+        group_by,
+        aggs,
+        schema,
+        output,
+    } = aggregate
+    else {
+        unreachable!("matched above")
+    };
+    let pushed = down.transform(&|e| match e {
+        ScalarExpr::Column(i) => group_by[i].clone(),
+        other => other,
+    });
+    let aggregate = LogicalPlan::Aggregate {
+        input: Box::new(push_filter(LogicalPlan::Filter {
+            input,
+            predicate: pushed,
+        })),
+        group_by,
+        aggs,
+        schema,
+        output,
+    };
+    if keep.is_empty() {
+        aggregate
+    } else {
+        LogicalPlan::Filter {
+            input: Box::new(aggregate),
+            predicate: ScalarExpr::conjunction(keep),
+        }
     }
 }
 
@@ -1021,21 +1099,37 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, SlotMap) {
             group_by,
             aggs,
             schema,
+            output,
         } => {
             // Group columns define the groups — all stay. Aggregates stay
-            // only if required.
+            // only if required; so do witness columns, which pass the
+            // (pruned) input row through whole.
             let g = group_by.len();
+            let width = g + aggs.len();
             let kept_aggs: Vec<usize> = (0..aggs.len())
                 .filter(|&j| required.binary_search(&(g + j)).is_ok())
                 .collect();
             let kept_out: Vec<usize> = (0..g).chain(kept_aggs.iter().map(|&j| g + j)).collect();
+            let witnesses: Vec<usize> = required
+                .iter()
+                .filter(|&&i| i >= width)
+                .map(|&i| i - width)
+                .collect();
             let child_req = union_refs(
-                &[],
+                &witnesses,
                 group_by
                     .iter()
                     .chain(kept_aggs.iter().filter_map(|&j| aggs[j].arg.as_ref())),
             );
             let (child, map) = prune(*input, &child_req);
+            let mut out_map = onto(arity, &kept_out);
+            let mut out_schema = schema.project(&kept_out);
+            if output == AggOutput::Witnesses {
+                for &w in &witnesses {
+                    out_map[width + w] = Some(kept_out.len() + slot(&map, w));
+                }
+                out_schema = out_schema.join(&child.schema().nullable());
+            }
             let group_by = group_by
                 .iter()
                 .map(|e| e.map_columns(&|i| slot(&map, i)))
@@ -1056,9 +1150,10 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, SlotMap) {
                     input: Box::new(child),
                     group_by,
                     aggs,
-                    schema: schema.project(&kept_out),
+                    schema: out_schema,
+                    output,
                 },
-                onto(arity, &kept_out),
+                out_map,
             )
         }
         // The width-rigid operators keep their own layout and owe their
@@ -1175,11 +1270,13 @@ fn map_children_once(
             group_by,
             aggs,
             schema,
+            output,
         } => LogicalPlan::Aggregate {
             input: Box::new(f(*input)),
             group_by,
             aggs,
             schema,
+            output,
         },
         LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
             input: Box::new(f(*input)),
@@ -1803,6 +1900,62 @@ mod tests {
         LogicalPlan::join(dup("a"), dup("b"), kind, Some(on)).unwrap()
     }
 
+    /// `GROUP BY #0` with `count(*)` over `input`.
+    fn count_by_first(input: LogicalPlan) -> LogicalPlan {
+        LogicalPlan::Aggregate {
+            input: Box::new(input),
+            group_by: vec![ScalarExpr::Column(0)],
+            aggs: vec![perm_algebra::expr::AggCall {
+                func: perm_algebra::expr::AggFunc::Count,
+                arg: None,
+                distinct: false,
+            }],
+            schema: Schema::new(vec![
+                Column::new("g", DataType::Int),
+                Column::new("n", DataType::Int),
+            ]),
+            output: AggOutput::Groups,
+        }
+    }
+
+    #[test]
+    fn a_join_back_to_its_own_input_becomes_one_witness_aggregate() {
+        // The provenance rewrite's join-back over a duplicated-leaf join,
+        // with a filter on the group column (moves below the aggregate,
+        // into the scans) and one on a witness column (stays above: it
+        // must not shrink any group's count).
+        let input = keyed_join(JoinType::Inner);
+        let join = LogicalPlan::join_back(
+            count_by_first(input.clone()),
+            input,
+            &[ScalarExpr::Column(0)],
+        );
+        let plan = LogicalPlan::filter(
+            join,
+            ScalarExpr::binary(BinOp::And, col_gt(0, 0), col_gt(7, 1)),
+        );
+        assert_eq!(
+            optimized_tree(plan),
+            "Project [#0, #1, #2, #3, #2, #3, #4, #5, #4, #5]\n\
+             └── Filter (#5 > 1)\n    \
+                 └── WitnessAggregate group=[#0] aggs=[count(*)]\n        \
+                     └── InnerJoin on (#0 = #2)\n            \
+                         ├── Filter (#0 > 0)\n            \
+                         │   └── Scan(a)\n            \
+                         └── Scan(b)\n"
+        );
+    }
+
+    #[test]
+    fn a_join_back_to_a_different_input_stays_a_join() {
+        let input = keyed_join(JoinType::Inner);
+        let other = LogicalPlan::filter(input.clone(), col_gt(1, 0));
+        let join = LogicalPlan::join_back(count_by_first(input), other, &[ScalarExpr::Column(0)]);
+        let tree = optimized_tree(join);
+        assert!(tree.contains("LeftJoin"), "{tree}");
+        assert!(!tree.contains("WitnessAggregate"), "{tree}");
+    }
+
     #[test]
     fn duplicated_slots_under_an_inner_join_fan_out_at_the_root() {
         let tree = optimized_tree(keyed_join(JoinType::Inner));
@@ -1858,6 +2011,7 @@ mod tests {
                 Column::new("g", DataType::Int),
                 Column::new("s", DataType::Int),
             ]),
+            output: AggOutput::Groups,
         };
         let tree = optimized_tree(p);
         assert_eq!(

@@ -31,7 +31,7 @@
 //! responsible pass, the violated invariant and the node path.
 
 use perm_algebra::expr::ScalarExpr;
-use perm_algebra::plan::JoinType;
+use perm_algebra::plan::{AggOutput, JoinType};
 use perm_algebra::typecheck;
 use perm_types::{Column, DataType, PermError, Result, Schema};
 
@@ -725,6 +725,7 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
             input,
             group_by,
             aggs,
+            output,
             ..
         } => {
             let in_schema = verify_node(input, pass, path)?;
@@ -760,7 +761,12 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                 }
             }
             check_dop(plan, &exprs, pass, path)?;
-            Ok(synthesized(types))
+            // Witness output: the group's columns, then the input row
+            // itself — every later slot reference is checked against it.
+            Ok(match output {
+                AggOutput::Groups => synthesized(types),
+                AggOutput::Witnesses => synthesized(types).join(&in_schema),
+            })
         }
         PhysicalPlan::HashDistinct { input, .. } => {
             let in_schema = verify_node(input, pass, path)?;
@@ -908,6 +914,7 @@ mod tests {
             }],
             dop: 2,
             spill: None,
+            output: perm_algebra::plan::AggOutput::Groups,
         };
         let err = verify_physical(&plan, "parallelization").unwrap_err();
         assert!(err.message().contains("DISTINCT aggregate"), "{err}");
@@ -1037,6 +1044,7 @@ mod tests {
             }],
             dop: 1,
             spill: Some(8),
+            output: perm_algebra::plan::AggOutput::Groups,
         };
         let err = verify_physical(&distinct, "physical-planning").unwrap_err();
         assert!(err.message().contains("spill-legality"), "{err}");

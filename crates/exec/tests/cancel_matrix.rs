@@ -5,8 +5,9 @@
 //! The operators share one body per operator between their serial,
 //! parallel and spilled drivers, so "is this loop cancellable" has one
 //! answer per operator — this matrix pins it for all five hashed
-//! `(op, all)` set operations, `HashDistinct`, `HashJoin` (every kind the
-//! drivers accept, both build sides where legal), `IndexNLJoin`, the
+//! `(op, all)` set operations, `HashDistinct`, `HashAggregate` (one row
+//! per group, and one per witness, grouped and global), `HashJoin` (every
+//! kind the drivers accept, both build sides where legal), `IndexNLJoin`, the
 //! fused scan (filter, projection, both, and a row-only `CASE` filter),
 //! standalone `Filter` / `Project`, `Sort` and `Limit`, each at `dop` 1
 //! and 2 and, where the node may spill, under a 1-byte per-query cap that
@@ -22,8 +23,8 @@
 
 use std::sync::Arc;
 
-use perm_algebra::expr::{BinOp, ScalarExpr};
-use perm_algebra::plan::{JoinType, SetOpType, SortKey};
+use perm_algebra::expr::{AggCall, AggFunc, BinOp, ScalarExpr};
+use perm_algebra::plan::{AggOutput, JoinType, SetOpType, SortKey};
 use perm_exec::physical::{BatchMode, BuildSide, EquiKey, PhysicalPlan};
 use perm_exec::{verify_physical, Executor, MemoryPool, QueryMemory, SPILL_PARTITIONS};
 use perm_storage::{spill_dir_is_clean, Catalog, Table};
@@ -103,6 +104,37 @@ fn operators(cat: &Catalog, dop: usize) -> Vec<(String, PhysicalPlan)> {
             spill,
         },
     ));
+    // Grouped aggregation one row per group and one per witness, and a
+    // global witness aggregate (never spills: no partitions to spill to).
+    let aggs = vec![
+        AggCall {
+            func: AggFunc::Count,
+            arg: None,
+            distinct: false,
+        },
+        AggCall {
+            func: AggFunc::Sum,
+            arg: Some(ScalarExpr::Column(1)),
+            distinct: false,
+        },
+    ];
+    for (output, group_by, spill) in [
+        (AggOutput::Groups, vec![ScalarExpr::Column(0)], spill),
+        (AggOutput::Witnesses, vec![ScalarExpr::Column(0)], spill),
+        (AggOutput::Witnesses, vec![], None),
+    ] {
+        ops.push((
+            format!("HashAggregate {output:?} keys={} dop={dop}", group_by.len()),
+            PhysicalPlan::HashAggregate {
+                input: scan(cat, "t1"),
+                group_by,
+                aggs: aggs.clone(),
+                dop,
+                spill,
+                output,
+            },
+        ));
+    }
     // b < d over the combined row: a residual that keeps some matches.
     let residual = ScalarExpr::binary(BinOp::Lt, ScalarExpr::Column(1), ScalarExpr::Column(3));
     for (kind, build_side) in [

@@ -37,7 +37,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use perm_algebra::expr::{AggCall, AggFunc, BinOp, ScalarExpr, ScalarFunc, UnOp};
-use perm_algebra::plan::{JoinType, LogicalPlan, SetOpType};
+use perm_algebra::plan::{AggOutput, JoinType, LogicalPlan, SetOpType};
 use perm_exec::eval::{eval, Env};
 use perm_exec::{optimize_verified, CatalogStats, CompiledExpr, Executor, MemoryPool, QueryMemory};
 use perm_storage::{Catalog, Table};
@@ -217,8 +217,11 @@ struct PlanCase {
     /// Optional filter on top of the join.
     filter_lit: Option<i64>,
     /// Optional aggregate on top: GROUP BY first output column with
-    /// count(*) + sum(second column).
-    aggregate: bool,
+    /// count(*) + sum(second column). `Witnesses` builds the provenance
+    /// rewrite's join-back of that aggregate to its own input instead,
+    /// which the optimizer collapses into a witness-emitting aggregate
+    /// (so the unoptimized reference runs the join-back itself).
+    aggregate: Option<AggOutput>,
     /// Both scans become the provenance rewriter's leaf — every column
     /// followed by its copy — and the join is keyed on the copies, so
     /// column pruning carries each column once and fans out at the root
@@ -259,7 +262,11 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
         (
             proptest::option::of(-2i64..3),
             proptest::option::of(-2i64..3),
-            any::<bool>(),
+            prop_oneof![
+                Just(None),
+                Just(Some(AggOutput::Groups)),
+                Just(Some(AggOutput::Witnesses)),
+            ],
         ),
     )
         .prop_map(
@@ -372,14 +379,14 @@ fn build_plan(case: &PlanCase, cat: &Catalog) -> LogicalPlan {
             ),
         );
     }
-    if case.aggregate {
+    if let Some(output) = case.aggregate {
         let schema = Schema::new(vec![
             Column::new("g", DataType::Int),
             Column::new("c", DataType::Int),
             Column::new("s", DataType::Int),
         ]);
-        plan = LogicalPlan::Aggregate {
-            input: Box::new(plan),
+        let aggregate = LogicalPlan::Aggregate {
+            input: Box::new(plan.clone()),
             group_by: vec![ScalarExpr::Column(0)],
             aggs: vec![
                 AggCall {
@@ -394,6 +401,13 @@ fn build_plan(case: &PlanCase, cat: &Catalog) -> LogicalPlan {
                 },
             ],
             schema,
+            output: AggOutput::Groups,
+        };
+        plan = match output {
+            AggOutput::Groups => aggregate,
+            AggOutput::Witnesses => {
+                LogicalPlan::join_back(aggregate, plan, &[ScalarExpr::Column(0)])
+            }
         };
     }
     plan

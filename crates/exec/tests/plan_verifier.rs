@@ -12,17 +12,20 @@
 //!   schema arity/preservation, join conditions, column pruning's
 //!   single-carry postcondition, the certificates for moving DISTINCT
 //!   below a UNION ALL (disjoint branches) or a projection (injective),
-//!   the provenance-rewrite contract;
+//!   for collapsing an aggregate's join-back to its own input into a
+//!   witness aggregate (self-join-back) and for moving a filter below an
+//!   aggregate (group-key-pushdown), the witness schema, the
+//!   provenance-rewrite contract;
 //! * physical ([`perm_exec::verify_physical`]): operator arity plumbing
 //!   and the parallel-legality rules of the morsel runtime (sublink
 //!   pipelines, FULL joins, DISTINCT aggregates and UNION ALL appends
 //!   must be serial; dop is bounded by the worker pool).
 
 use perm_algebra::expr::{AggCall, AggFunc, ScalarExpr, SubqueryExpr, SubqueryKind};
-use perm_algebra::plan::{JoinType, LogicalPlan, SetOpType, SortKey};
+use perm_algebra::plan::{AggOutput, JoinType, LogicalPlan, SetOpType, SortKey};
 use perm_algebra::verify::{
-    branches_disjoint, verify_distinct_pushdown, verify_logical, verify_provenance_schema,
-    verify_schema_preserved,
+    branches_disjoint, is_self_join_back, verify_aggregate_pushdown, verify_distinct_pushdown,
+    verify_join_back_collapse, verify_logical, verify_provenance_schema, verify_schema_preserved,
 };
 use perm_exec::physical::{BatchMode, BuildSide, EquiKey, PhysicalPlan};
 use perm_exec::verify_physical;
@@ -326,6 +329,168 @@ fn distinct_swapped_below_a_narrowing_projection_is_injective_projection_violati
 // Provenance-rewrite contract corruptions
 // ----------------------------------------------------------------------
 
+// ----------------------------------------------------------------------
+// A join-back collapsed into a witness aggregate without a certificate
+// ----------------------------------------------------------------------
+
+/// `GROUP BY a` with `count(*)` over `input`.
+fn count_by_a(input: LogicalPlan) -> LogicalPlan {
+    LogicalPlan::Aggregate {
+        input: Box::new(input),
+        group_by: vec![ScalarExpr::Column(0)],
+        aggs: vec![AggCall {
+            func: AggFunc::Count,
+            arg: None,
+            distinct: false,
+        }],
+        schema: Schema::new(vec![
+            Column::new("a", DataType::Int),
+            Column::new("count", DataType::Int),
+        ]),
+        output: AggOutput::Groups,
+    }
+}
+
+fn b_is(v: &str) -> ScalarExpr {
+    ScalarExpr::eq(ScalarExpr::Column(1), ScalarExpr::Literal(Value::text(v)))
+}
+
+#[test]
+fn join_back_to_its_own_input_is_certified() {
+    let input = LogicalPlan::filter(scan(), b_is("x"));
+    let join = LogicalPlan::join_back(count_by_a(input.clone()), input, &[ScalarExpr::Column(0)]);
+    assert!(is_self_join_back(&join));
+    verify_join_back_collapse(&join, "rule-rewrites").unwrap();
+    // The operand order of `≡` does not matter to the certificate.
+    let LogicalPlan::Join {
+        left, right, kind, ..
+    } = join
+    else {
+        unreachable!()
+    };
+    let swapped = LogicalPlan::join(
+        *left,
+        *right,
+        kind,
+        Some(ScalarExpr::not_distinct(
+            ScalarExpr::Column(2),
+            ScalarExpr::Column(0),
+        )),
+    )
+    .unwrap();
+    assert!(is_self_join_back(&swapped));
+}
+
+#[test]
+fn join_back_to_a_different_input_is_self_join_back_violation() {
+    // The right side carries one filter more than the aggregate's input:
+    // its rows are not the groups' witnesses.
+    let input = LogicalPlan::filter(scan(), b_is("x"));
+    let narrower = LogicalPlan::filter(input.clone(), b_is("y"));
+    let join = LogicalPlan::join_back(count_by_a(input), narrower, &[ScalarExpr::Column(0)]);
+    assert!(!is_self_join_back(&join));
+    let err = verify_join_back_collapse(&join, "rule-rewrites").unwrap_err();
+    assert_names(&err, "self-join-back", "rule-rewrites");
+}
+
+#[test]
+fn join_back_missing_a_group_column_is_self_join_back_violation() {
+    // GROUP BY a, b joined back on a alone pairs each group with the
+    // witnesses of its sibling groups too.
+    let by_ab = LogicalPlan::Aggregate {
+        input: Box::new(scan()),
+        group_by: vec![ScalarExpr::Column(0), ScalarExpr::Column(1)],
+        aggs: vec![],
+        schema: two_col_schema(),
+        output: AggOutput::Groups,
+    };
+    let keys = [ScalarExpr::Column(0), ScalarExpr::Column(1)];
+    let complete = LogicalPlan::join_back(by_ab.clone(), scan(), &keys);
+    verify_join_back_collapse(&complete, "rule-rewrites").unwrap();
+    let partial = LogicalPlan::join_back(by_ab, scan(), &keys[..1]);
+    let err = verify_join_back_collapse(&partial, "rule-rewrites").unwrap_err();
+    assert_names(&err, "self-join-back", "rule-rewrites");
+}
+
+#[test]
+fn inner_join_back_is_self_join_back_violation() {
+    // An INNER join-back drops a global aggregate's row over an empty
+    // input; only the LEFT join is what the witness aggregate computes.
+    let global = LogicalPlan::Aggregate {
+        input: Box::new(scan()),
+        group_by: vec![],
+        aggs: vec![],
+        schema: Schema::empty(),
+        output: AggOutput::Groups,
+    };
+    let left = LogicalPlan::join_back(global.clone(), scan(), &[]);
+    verify_join_back_collapse(&left, "cleanup-rewrites").unwrap();
+    let inner = LogicalPlan::join(
+        global,
+        scan(),
+        JoinType::Inner,
+        Some(ScalarExpr::Literal(Value::Bool(true))),
+    )
+    .unwrap();
+    let err = verify_join_back_collapse(&inner, "cleanup-rewrites").unwrap_err();
+    assert_names(&err, "self-join-back", "cleanup-rewrites");
+}
+
+#[test]
+fn witness_column_filter_below_a_witness_aggregate_is_group_key_pushdown_violation() {
+    let LogicalPlan::Join { left, schema, .. } =
+        LogicalPlan::join_back(count_by_a(scan()), scan(), &[ScalarExpr::Column(0)])
+    else {
+        unreachable!()
+    };
+    let LogicalPlan::Aggregate {
+        input,
+        group_by,
+        aggs,
+        ..
+    } = *left
+    else {
+        unreachable!()
+    };
+    let witnesses = LogicalPlan::Aggregate {
+        input,
+        group_by,
+        aggs,
+        schema,
+        output: AggOutput::Witnesses,
+    };
+    verify_logical(&witnesses, "rule-rewrites").unwrap();
+    // Output: a, count, then the witness row (a, b) at 2 and 3. A filter
+    // on the group column moves below; one on a witness column (or on the
+    // count) would drop group members and change the count.
+    let on = |i| ScalarExpr::eq(ScalarExpr::Column(i), ScalarExpr::Literal(Value::Int(1)));
+    verify_aggregate_pushdown(&witnesses, &on(0), "rule-rewrites").unwrap();
+    for i in [1, 2, 3] {
+        let err = verify_aggregate_pushdown(&witnesses, &on(i), "rule-rewrites").unwrap_err();
+        assert_names(&err, "group-key-pushdown", "rule-rewrites");
+    }
+    // And the witness schema must carry the whole input row.
+    let LogicalPlan::Aggregate {
+        input,
+        group_by,
+        aggs,
+        schema,
+        output,
+    } = witnesses
+    else {
+        unreachable!()
+    };
+    let truncated = LogicalPlan::Aggregate {
+        input,
+        group_by,
+        aggs,
+        schema: schema.project(&[0, 1, 2]),
+        output,
+    };
+    let err = verify_logical(&truncated, "column-pruning").unwrap_err();
+    assert_names(&err, "schema-arity", "column-pruning");
+}
+
 #[test]
 fn provenance_columns_not_trailing_is_rejected() {
     let original = Schema::new(vec![Column::new("a", DataType::Int)]);
@@ -445,6 +610,37 @@ fn physical_gather_slot_out_of_bounds() {
 }
 
 #[test]
+fn physical_witness_aggregate_exposes_its_input_row() {
+    // A witness HashAggregate outputs group columns, aggregates, then the
+    // input row: slot 3 exists above one over a two-column input, slot 4
+    // does not; a plain aggregate stops at slot 1.
+    let aggregate = |output| {
+        Box::new(PhysicalPlan::HashAggregate {
+            input: values(2),
+            group_by: vec![ScalarExpr::Column(0)],
+            aggs: vec![AggCall {
+                func: AggFunc::Count,
+                arg: None,
+                distinct: false,
+            }],
+            dop: 1,
+            spill: Some(8),
+            output,
+        })
+    };
+    let above = |output, slot| PhysicalPlan::Project {
+        input: aggregate(output),
+        exprs: vec![ScalarExpr::Column(slot)],
+        batch: BatchMode::Row,
+    };
+    verify_physical(&above(AggOutput::Witnesses, 3), "physical-planning").unwrap();
+    for (output, slot) in [(AggOutput::Witnesses, 4), (AggOutput::Groups, 2)] {
+        let err = verify_physical(&above(output, slot), "physical-planning").unwrap_err();
+        assert_names(&err, "slot-bounds", "physical-planning");
+    }
+}
+
+#[test]
 fn parallel_scan_over_sublink_pipeline_is_illegal() {
     // PR 5 rule: pipelines evaluating sublinks run serial (the sublink
     // cache is per-executor). A dop > 1 here is a parallelizer bug.
@@ -499,6 +695,7 @@ fn parallel_distinct_aggregate_is_illegal() {
         }],
         dop: 2,
         spill: None,
+        output: AggOutput::Groups,
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "parallel-legality", "physical-planning");

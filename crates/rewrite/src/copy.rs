@@ -85,5 +85,6 @@ pub fn apply_copy_mode(rw: Rewritten, mode: CopyMode) -> Rewritten {
         prov: rw.prov,
         attrs: rw.attrs,
         copy_sets: rw.copy_sets,
+        one_per_row: rw.one_per_row,
     }
 }

@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 use perm_types::{PermError, Result, Schema, Value};
 
 use perm_algebra::expr::ScalarExpr;
-use perm_algebra::plan::{BoundaryKind, JoinType, LogicalPlan, SortKey};
+use perm_algebra::plan::{AggOutput, BoundaryKind, JoinType, LogicalPlan, SortKey};
 use perm_algebra::stats::CardinalityEstimator;
 
 use crate::options::{RewriteOptions, Semantics};
@@ -46,6 +46,15 @@ pub struct Rewritten {
     /// into that column — the static copy map driving Copy-CS
     /// (Where-provenance) semantics.
     pub copy_sets: Vec<BTreeSet<usize>>,
+    /// `plan` has exactly one row per row of the original operator's
+    /// result, so projecting it onto `orig` gives that result back as a
+    /// bag (`Π_T(T+) = T`). Per rule: base access, `VALUES`, both
+    /// boundary kinds, projection, sort, sublink-free selection, every
+    /// join over flagged inputs and UNION ALL over flagged branches keep
+    /// it; duplicate elimination, aggregation, the other set operations
+    /// and sublink rewrites (which join or pad per witness) clear it.
+    /// [`crate::aggregate`] reads it.
+    pub one_per_row: bool,
 }
 
 impl Rewritten {
@@ -58,6 +67,7 @@ impl Rewritten {
             prov: vec![],
             attrs: vec![],
             copy_sets: vec![BTreeSet::new(); n],
+            one_per_row: true,
         }
     }
 
@@ -106,6 +116,7 @@ impl Rewritten {
             prov: (n..n + self.prov.len()).collect(),
             attrs: self.attrs,
             copy_sets: self.copy_sets,
+            one_per_row: self.one_per_row,
         }
     }
 }
@@ -157,7 +168,16 @@ impl<'a> Ctx<'a> {
                 group_by,
                 aggs,
                 schema,
+                output: AggOutput::Groups,
             } => aggregate::rewrite_aggregate(self, plan, input, group_by, aggs, schema),
+            LogicalPlan::Aggregate {
+                output: AggOutput::Witnesses,
+                ..
+            } => Err(PermError::Rewrite(
+                "witness aggregates are introduced by the optimizer and \
+                 cannot be re-rewritten"
+                    .into(),
+            )),
             LogicalPlan::Distinct { input } => self.rewrite_distinct(input),
             LogicalPlan::SetOp {
                 op,
@@ -215,6 +235,7 @@ impl<'a> Ctx<'a> {
                 prov: provenance_cols.to_vec(),
                 attrs,
                 copy_sets,
+                one_per_row: true,
             };
         }
         duplicate_as_provenance(plan, table, self.next_group())
@@ -253,6 +274,7 @@ impl<'a> Ctx<'a> {
                     prov: attrs.clone(),
                     attrs: infos,
                     copy_sets,
+                    one_per_row: true,
                 })
             }
         }
@@ -295,6 +317,7 @@ impl<'a> Ctx<'a> {
             prov: (n..n + rt.prov.len()).collect(),
             attrs: rt.attrs,
             copy_sets,
+            one_per_row: rt.one_per_row,
         })
     }
 
@@ -374,6 +397,7 @@ impl<'a> Ctx<'a> {
             prov,
             attrs,
             copy_sets,
+            one_per_row: lt.one_per_row && rt.one_per_row,
         })
     }
 
@@ -389,6 +413,7 @@ impl<'a> Ctx<'a> {
             prov: rt.prov,
             attrs: rt.attrs,
             copy_sets: rt.copy_sets,
+            one_per_row: false,
         })
     }
 
@@ -438,6 +463,7 @@ pub fn duplicate_as_provenance(plan: LogicalPlan, relation: &str, group: usize) 
         attrs,
         // Each original column is (trivially) a copy of its duplicate.
         copy_sets: (0..n).map(|i| BTreeSet::from([i])).collect(),
+        one_per_row: true,
     }
 }
 
@@ -467,6 +493,7 @@ pub fn pad_null_provenance(rw: Rewritten, pad_attrs: &[ProvAttrInfo]) -> Rewritt
         prov: (n..n + p + pad_attrs.len()).collect(),
         attrs,
         copy_sets: rw.copy_sets,
+        one_per_row: rw.one_per_row,
     }
 }
 

@@ -112,6 +112,7 @@ fn padded_union(
         };
     }
 
+    let one_per_row = all && lt.one_per_row && rt.one_per_row;
     let mut attrs = lt.attrs;
     attrs.extend(rt.attrs);
     let copy_sets: Vec<BTreeSet<usize>> = (0..n)
@@ -127,6 +128,7 @@ fn padded_union(
         prov: (n..n + pl + pr).collect(),
         attrs,
         copy_sets,
+        one_per_row,
     })
 }
 
@@ -159,6 +161,7 @@ fn join_back_union(
         prov: (n..n + p).collect(),
         attrs: padded.attrs,
         copy_sets: padded.copy_sets,
+        one_per_row: false,
     })
 }
 
@@ -221,6 +224,7 @@ fn rewrite_intersect(
         prov: (n..n + pl + pr).collect(),
         attrs,
         copy_sets,
+        one_per_row: false,
     })
 }
 
@@ -275,6 +279,7 @@ fn rewrite_except(
                 prov: (n..n + pl + pr).collect(),
                 attrs,
                 copy_sets,
+                one_per_row: false,
             })
         }
         Semantics::Influence | Semantics::Copy(_) => {
@@ -285,6 +290,7 @@ fn rewrite_except(
                 prov: (n..n + pl).collect(),
                 attrs: lt.attrs,
                 copy_sets,
+                one_per_row: false,
             };
             Ok(crate::rules::pad_null_provenance(rw, &rt.attrs))
         }
@@ -338,5 +344,6 @@ fn align(rw: Rewritten, before: &[ProvAttrInfo], after: &[ProvAttrInfo]) -> Rewr
         prov: (n..n + total).collect(),
         attrs: rw.attrs, // caller rebuilds the combined attribute list
         copy_sets: rw.copy_sets,
+        one_per_row: rw.one_per_row,
     }
 }

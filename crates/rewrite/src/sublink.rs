@@ -109,6 +109,7 @@ pub fn rewrite_filter_with_sublinks(
                 .collect(),
             attrs,
             copy_sets: acc.copy_sets,
+            one_per_row: false,
         };
         let _ = (sub_n, sub_p);
     }
@@ -122,6 +123,10 @@ pub fn rewrite_filter_with_sublinks(
         }
         acc = pad_null_provenance(acc, &pad);
     }
+    // A positive sublink pairs each row with every witness of the
+    // subquery, so the result has no longer one row per row; every
+    // sublink rewrite clears the flag alike.
+    acc.one_per_row = false;
     Ok(acc)
 }
 

@@ -178,6 +178,32 @@ fn boundary_nodes_are_transparent_to_execution() {
     assert_eq!(raw.len(), 4);
 }
 
+/// A witness aggregate deparses to the join-back it stands for: the SQL
+/// re-parses, and runs (through the optimizer, which collapses it again)
+/// to the same rows as the optimized plan it came from.
+#[test]
+fn witness_aggregates_deparse_to_their_join_back() {
+    let db = forum_db();
+    for sql in [
+        "SELECT PROVENANCE a.mid, count(*) FROM messages m \
+         JOIN approved a ON m.mid = a.mid GROUP BY a.mid",
+        "SELECT PROVENANCE count(*), max(mid) FROM messages WHERE mid > 100",
+        SEC24_PROVENANCE_AGG,
+    ] {
+        let optimized = optimize(db.bind_sql(sql).expect("binds"));
+        let rows = Executor::new(db.snapshot()).run(&optimized).unwrap();
+        let deparsed = perm_algebra::deparse(&optimized);
+        assert!(
+            !sql.contains("GROUP BY a.mid") || deparsed.contains("LEFT JOIN"),
+            "{deparsed}"
+        );
+        let reparsed = db
+            .query(&deparsed)
+            .unwrap_or_else(|e| panic!("{deparsed}: {e}"));
+        assert_eq!(bag(&reparsed.rows), bag(&rows), "{sql}\n{deparsed}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -329,5 +355,134 @@ proptest! {
         ][shape];
         let (raw, optimized) = both_ways(&db, sql);
         prop_assert_eq!(raw, optimized, "{}", sql);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Aggregation provenance joins each group back to its witnesses.
+    /// When the input's provenance has one row per input row, the
+    /// optimizer computes that join-back as one witness-emitting
+    /// aggregate; otherwise (a sublink, a nested aggregate, a UNION view)
+    /// the join-back stays. Either way the optimized result equals the
+    /// unoptimized one as a bag, q+ projected onto q's columns and
+    /// de-duplicated is q, and a filter on a provenance attribute above
+    /// the aggregate does not change any group's count.
+    #[test]
+    fn aggregation_provenance_in_one_pass(
+        rows in prop::collection::vec(
+            (proptest::option::of(-2i64..3), proptest::option::of(-3i64..4), 0i64..3),
+            0..12,
+        ),
+        lit in -3i64..4,
+        shape in 0..14usize,
+    ) {
+        let db = PermServer::new().session();
+        db.run_script(
+            "CREATE TABLE g (k int, v int, w int NOT NULL); CREATE TABLE h (k int, z int);
+             CREATE TABLE e (x int);
+             CREATE VIEW u1 AS SELECT k, v FROM g UNION SELECT k, z FROM h;",
+        )
+        .unwrap();
+        let value = |x: Option<i64>| x.map_or("NULL".to_string(), |x| x.to_string());
+        for (k, v, w) in &rows {
+            db.run_script(&format!(
+                "INSERT INTO g VALUES ({}, {}, {w}); INSERT INTO h VALUES ({}, {w});",
+                value(*k),
+                value(*v),
+                value(v.map(|v| v % 2)),
+            ))
+            .unwrap();
+        }
+        // (q, the SQL-PLE prefix of q+, whether the plan must emit
+        // witnesses from one aggregate).
+        let (q, prefix, one_pass) = [
+            ("SELECT k, count(*), sum(v) FROM g GROUP BY k", "PROVENANCE", true),
+            (
+                "SELECT k, w, count(DISTINCT v), min(v), max(v), avg(v) FROM g GROUP BY k, w",
+                "PROVENANCE",
+                true,
+            ),
+            ("SELECT k, count(*) FROM g GROUP BY k HAVING count(*) > 1", "PROVENANCE", true),
+            ("SELECT count(*), sum(x) FROM e", "PROVENANCE", true),
+            ("SELECT count(*), max(v) FROM g WHERE v > 2", "PROVENANCE", true),
+            (
+                "SELECT g.k, count(h.z) FROM g LEFT JOIN h ON g.k = h.k GROUP BY g.k",
+                "PROVENANCE",
+                true,
+            ),
+            (
+                "SELECT k, count(*) FROM g WHERE k IN (SELECT k FROM h) GROUP BY k",
+                "PROVENANCE",
+                false,
+            ),
+            (
+                "SELECT c, count(*) FROM (SELECT k, count(*) AS c FROM g GROUP BY k) s GROUP BY c",
+                "PROVENANCE",
+                true, // the inner aggregate's join-back; the outer one falls back
+            ),
+            ("SELECT k, count(*) FROM u1 GROUP BY k", "PROVENANCE", false),
+            ("SELECT k, count(*) FROM g GROUP BY k", "PROVENANCE ON CONTRIBUTION (COPY)", true),
+            (
+                "SELECT k, sum(w) FROM g GROUP BY k",
+                "PROVENANCE ON CONTRIBUTION (INFLUENCE)",
+                true,
+            ),
+            ("SELECT k + w, count(*) FROM g GROUP BY k + w", "PROVENANCE", true),
+            ("SELECT k, count(*) FROM g GROUP BY k", "PROVENANCE", true),
+            ("SELECT k, count(*) FROM g GROUP BY k", "PROVENANCE", true),
+        ][shape];
+        let prov = q.replacen("SELECT ", &format!("SELECT {prefix} "), 1);
+        let plain = db.query(q).unwrap();
+        let n = plain.columns.len();
+        let counts: HashMap<Tuple, Tuple> = plain
+            .rows
+            .iter()
+            .map(|t| (Tuple::new(t.values()[..1].to_vec()), t.clone()))
+            .collect();
+        // Shapes 12 and 13 query the provenance: a forward trace on a
+        // witness column, which must stay above the aggregate, and a
+        // point trace on the group column, which may move below it.
+        let sql = match shape {
+            12 => format!("SELECT * FROM ({prov}) p WHERE p.prov_public_g_v = {lit}"),
+            13 => format!("SELECT * FROM ({prov}) p WHERE p.k = {lit}"),
+            _ => prov.clone(),
+        };
+        let (raw, optimized) = both_ways(&db, &sql);
+        prop_assert_eq!(bag(&raw), bag(&optimized), "{}", sql);
+        let StatementResult::Explain(plan) = db.execute(&format!("EXPLAIN {sql}")).unwrap() else {
+            panic!("EXPLAIN did not explain");
+        };
+        prop_assert_eq!(plan.contains("emit=witnesses"), one_pass, "{}\n{}", sql, plan);
+        if shape >= 12 {
+            // Every traced row still carries its whole group's count.
+            for t in &optimized {
+                let key = Tuple::new(t.values()[..1].to_vec());
+                prop_assert_eq!(&Tuple::new(t.values()[..n].to_vec()), &counts[&key], "{}", sql);
+            }
+            return Ok(());
+        }
+        // The contract: q+ projected onto q's columns, de-duplicated, is q.
+        let mut projected: Vec<Tuple> = optimized
+            .iter()
+            .map(|t| Tuple::new(t.values()[..n].to_vec()))
+            .collect();
+        projected.sort_by_key(|t| format!("{t:?}"));
+        projected.dedup();
+        let mut expected = plain.rows.clone();
+        expected.sort_by_key(|t| format!("{t:?}"));
+        prop_assert_eq!(projected, expected, "{}", sql);
+        if shape == 0 {
+            // Every input row witnesses its group: a group's count(*) is
+            // its number of witness rows.
+            for (key, row) in &counts {
+                let witnesses = optimized
+                    .iter()
+                    .filter(|t| t.values()[..1] == *key.values())
+                    .count() as i64;
+                prop_assert_eq!(row.get(1), &perm_core::Value::Int(witnesses));
+            }
+        }
     }
 }

@@ -195,23 +195,61 @@ fn provenance_joins_carry_each_base_column_once() {
 fn aggregation_and_sublink_provenance_carry_each_base_column_once() {
     for indexes in [false, true] {
         let db = forum(SCALE, indexes);
-        // `agg`: the join-back evaluates q's join twice — once under the
-        // aggregate, once as the witness side — with q's strategy both
-        // times, under one LEFT join.
+        // `agg`: the aggregate is joined back to its own input, which the
+        // optimizer collapses into one witness-emitting aggregate over
+        // q's join — q's strategy and order, evaluated once — with the
+        // provenance layout straight out of the aggregate (no root
+        // projection).
         let plain = explain(&db, AGG);
         let prov = explain(&db, &provenance_of(AGG));
         assert_leaves_carry_each_column_once(&prov);
-        let shape = join_shape(&plain);
-        let mut expected = vec!["HashJoin(Left, build=right)".to_string()];
-        expected.extend(shape.iter().cloned());
-        expected.extend(shape.iter().cloned());
-        assert_eq!(join_shape(&prov), expected, "q:\n{plain}\nq+:\n{prov}");
+        assert_eq!(
+            join_shape(&prov),
+            join_shape(&plain),
+            "q:\n{plain}\nq+:\n{prov}"
+        );
+        let root = prov.lines().next().unwrap();
+        assert_eq!(
+            root,
+            "HashAggregate group=[#4] aggs=[count(*)] emit=witnesses"
+        );
         // `nested`: q filters through a sublink, q+ joins; nothing to
         // compare strategies with, but the leaves obey the same rule.
         let prov = explain(&db, &provenance_of(NESTED));
         assert_leaves_carry_each_column_once(&prov);
         assert!(prov.starts_with("HashJoin(Inner"), "{prov}");
     }
+}
+
+/// `q3` aggregates over the `UNION` view `v1`, whose provenance has one
+/// row per distinct witness rather than per row: the aggregate keeps
+/// running over the original input, and the join-back stays a LEFT hash
+/// join over two different inputs.
+#[test]
+fn aggregation_over_a_union_view_keeps_its_join_back() {
+    let db = forum(SCALE, false);
+    let q3 = "SELECT PROVENANCE count(*), text FROM v1 JOIN approved a ON (v1.mId = a.mId) \
+              GROUP BY v1.mId, text";
+    assert_eq!(
+        explain(&db, q3),
+        "HashJoin(Left, build=right) on [#0 <=> #0, #1 <=> #1] \
+         project=[2, 1, 5, 6, 7, 8, 9, 10, 11, 12]  (~181 rows)\n\
+         ├── HashAggregate group=[#0, #1] aggs=[count(*)]\n\
+         │   └── HashJoin(Inner, build=right) on [#0 = #0]  (~800 rows)\n\
+         │       ├── HashUnion\n\
+         │       │   ├── FusedScan(messages) project=[#0, #1]  (~200 rows) [batch w=3]\n\
+         │       │   └── FusedScan(imports) project=[#0, #1]  (~100 rows) [batch w=3]\n\
+         │       └── FusedScan(approved) project=[#1]  (~400 rows) [batch w=2]\n\
+         └── HashJoin(Inner, build=right) on [#0 = #1]  (~640 rows)\n    \
+             ├── Append\n    \
+             │   ├── Project [#0, #1, #0, #1, #2, null, null, null] [batch w=3]\n    \
+             │   │   └── HashDistinct\n    \
+             │   │       └── SeqScan(messages)  (~200 rows)\n    \
+             │   └── Project [#0, #1, null, null, null, #0, #1, #2] [batch w=3]\n    \
+             │       └── HashDistinct\n    \
+             │           └── SeqScan(imports)  (~100 rows)\n    \
+             └── SeqScan(approved)  (~400 rows)"
+    );
 }
 
 const SET_OPERATION: &str = "SELECT mid, text FROM messages UNION SELECT mid, text FROM imports";
