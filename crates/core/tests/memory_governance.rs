@@ -118,6 +118,50 @@ fn witness_aggregates_spill_or_fail_typed_and_always_drain() {
     assert_eq!(pool.used(), 0);
 }
 
+#[test]
+fn a_join_chain_whose_inner_build_is_denied_spills_and_answers_exactly() {
+    // Joins pass row references up a chain; a spilled join in the middle
+    // hands up its gathered rows instead. The budget admits the outer
+    // join's build over `small` but not the inner self-join's build over
+    // `big`, so only the inner join runs as a Grace join.
+    const BUDGET: usize = 4_096;
+    let setup = |budget: Option<usize>| {
+        let (server, session) = server_with_rows(2_000);
+        session
+            .run_script(
+                "CREATE TABLE small (k int, tag text);
+                 INSERT INTO small VALUES (0, 'a'), (1, 'b'), (2, 'c'), (3, 'd'), (5, 'e');",
+            )
+            .unwrap();
+        server.set_memory_budget(budget);
+        (server, session)
+    };
+    let (free, unconstrained) = setup(None);
+    let (tight, constrained) = setup(Some(BUDGET));
+    for sql in [
+        "SELECT b1.y, b2.y, s.tag FROM big b1 JOIN big b2 ON b1.y = b2.y + 1 \
+         JOIN small s ON s.k = b1.x",
+        "SELECT PROVENANCE b1.y, s.tag FROM big b1 JOIN big b2 ON b1.y = b2.y + 1 \
+         JOIN small s ON s.k = b2.x",
+    ] {
+        let expected = unconstrained.query(sql).unwrap();
+        assert!(expected.row_count() > 0, "{sql}");
+        assert!(
+            free.memory_pool().peak() > BUDGET,
+            "{sql}: the inner build must not fit the budget"
+        );
+        assert_eq!(constrained.query(sql).unwrap(), expected, "{sql}");
+        let pool = tight.memory_pool();
+        assert_eq!(pool.used(), 0, "{sql}");
+        assert!(
+            pool.peak() > 0 && pool.peak() <= BUDGET,
+            "{sql}: the outer build ran in memory (peak {})",
+            pool.peak()
+        );
+    }
+    assert_eq!(free.memory_pool().used(), 0);
+}
+
 // ----------------------------------------------------------------------
 // Typed resource errors
 // ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 //! Hash aggregation with SQL NULL semantics, `DISTINCT` aggregates and the
 //! `any_value` leniency aggregate.
 
-use std::borrow::Borrow;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use perm_storage::SpillPartitions;
 use perm_types::hash::{FxHashMap, FxHashSet};
@@ -15,9 +16,10 @@ use crate::compile::{CompiledExpr, CompiledProjection};
 use crate::eval::Env;
 use crate::executor::Executor;
 use crate::memory::{grow_batched, MemoryDenied, MemoryReservation};
-use crate::operators::{before, positions, RowError};
+use crate::operators::join::{refs_of, JoinRefs, RowRef, View};
+use crate::operators::{before, RowError};
 use crate::parallel::{partition_of, restore_order};
-use crate::physical::{out_arity, PhysicalPlan};
+use crate::physical::PhysicalPlan;
 
 /// Running state of one aggregate within one group.
 enum AggState {
@@ -301,6 +303,36 @@ impl GroupKey {
     }
 }
 
+/// One row being accumulated: a plain-column argument or single-column
+/// key reads straight through [`RowRef::value`] (a join input's layout
+/// included); anything else evaluates over the row as a tuple, gathered
+/// at most once per row.
+struct Input<'r, R> {
+    row: &'r R,
+    tuple: Option<Cow<'r, Tuple>>,
+}
+
+impl<'r, R: RowRef> Input<'r, R> {
+    fn new(row: &'r R) -> Input<'r, R> {
+        Input { row, tuple: None }
+    }
+
+    /// The row as a tuple, gathered on first use.
+    fn tuple(&mut self) -> &Tuple {
+        let row = self.row;
+        self.tuple.get_or_insert_with(|| row.tuple())
+    }
+
+    fn eval(&mut self, exec: &Executor, e: &CompiledExpr, outer: &[Tuple]) -> Result<Value> {
+        if let CompiledExpr::Slot(i) = e {
+            if *i < self.row.width() {
+                return Ok(self.row.value(*i).clone());
+            }
+        }
+        e.eval(exec, &Env::new(self.tuple(), outer))
+    }
+}
+
 /// Compiled group-key plan matching [`GroupKey`]'s two shapes.
 enum KeyPlan {
     One(CompiledExpr),
@@ -317,10 +349,17 @@ impl KeyPlan {
     }
 
     #[inline]
-    fn apply(&self, exec: &Executor, env: &Env<'_>) -> Result<GroupKey> {
+    fn apply<R: RowRef>(
+        &self,
+        exec: &Executor,
+        input: &mut Input<'_, R>,
+        outer: &[Tuple],
+    ) -> Result<GroupKey> {
         match self {
-            KeyPlan::One(e) => Ok(GroupKey::One(e.eval(exec, env)?)),
-            KeyPlan::Many(p) => Ok(GroupKey::Many(p.apply(exec, env)?)),
+            KeyPlan::One(e) => Ok(GroupKey::One(input.eval(exec, e, outer)?)),
+            KeyPlan::Many(p) => Ok(GroupKey::Many(
+                p.apply(exec, &Env::new(input.tuple(), outer))?,
+            )),
         }
     }
 }
@@ -347,13 +386,14 @@ pub(super) struct AggPartial {
 /// The one accumulate loop, shared by the serial driver (the whole
 /// input), every chunk-parallel worker (one contiguous chunk) and the
 /// spilled driver (one hash partition read back from disk): fold
-/// position-tagged `rows` into a fresh partial. `on_new_group` lets the
-/// spilled driver charge each group it opens; `witnesses` records each
-/// row's group for [`finish`]. An evaluation error carries the position
-/// of the row that raised it (see [`RowError`]).
-pub(super) fn accumulate<P: Borrow<Tuple>>(
+/// position-tagged `rows` — a join's refs or materialized tuples, see
+/// [`RowRef`] — into a fresh partial. `on_new_group` lets the spilled
+/// driver charge each group it opens; `witnesses` records each row's
+/// group for [`finish`]. An evaluation error carries the position of the
+/// row that raised it (see [`RowError`]).
+pub(super) fn accumulate<R: RowRef>(
     exec: &Executor,
-    rows: impl Iterator<Item = Result<(u64, P)>>,
+    rows: impl Iterator<Item = Result<(u64, R)>>,
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
     outer: &[Tuple],
@@ -361,7 +401,7 @@ pub(super) fn accumulate<P: Borrow<Tuple>>(
     witnesses: bool,
 ) -> std::result::Result<AggPartial, RowError> {
     // Group-by keys and aggregate arguments are compiled once, evaluated
-    // per row (plain-column group keys build by direct slot copy).
+    // per row (plain-column keys and arguments by direct slot copy).
     let group_c = KeyPlan::compile(exec, group_by);
     let arg_c: Vec<Option<CompiledExpr>> = aggs
         .iter()
@@ -379,8 +419,8 @@ pub(super) fn accumulate<P: Borrow<Tuple>>(
         }
         let (pos, t) = rec.map_err(fatal)?;
         let at = |e| (Some(pos), e);
-        let env = Env::new(t.borrow(), outer);
-        let key = group_c.apply(exec, &env).map_err(at)?;
+        let mut input = Input::new(&t);
+        let key = group_c.apply(exec, &mut input, outer).map_err(at)?;
         // One hash per row: the entry API probes once, and only a *new*
         // group clones its key (a refcount bump) into the group list.
         let g = match partial.index.entry(key) {
@@ -402,7 +442,7 @@ pub(super) fn accumulate<P: Borrow<Tuple>>(
         // no-cancel: bounded by the aggregate-call count.
         for (i, arg_expr) in arg_c.iter().enumerate() {
             let arg = match arg_expr {
-                Some(e) => Some(e.eval(exec, &env).map_err(at)?),
+                Some(e) => Some(input.eval(exec, e, outer).map_err(at)?),
                 None => None,
             };
             if let (Some(seen), Some(v)) = (&mut state.distinct_seen[i], &arg) {
@@ -456,17 +496,17 @@ pub(super) fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result
 /// sees each group's opening position (the spilled driver keeps it to
 /// restore the global order, the others drop it).
 ///
-/// With `witnesses = Some((rows, width))` — `rows[i]` is the partial's
-/// accumulated row `i`, `width` the input arity — each group emits its
-/// member rows in input order, every one behind the group's columns and
-/// aggregates; a global aggregate over no rows emits its one row
-/// NULL-extended, as the join-back it replaces does.
+/// With `witnesses = Some(rows)` — row `i` of `rows` is the partial's
+/// accumulated row `i` — each group emits its member rows in input
+/// order, each gathered once behind the group's columns and aggregates;
+/// a global aggregate over no rows emits its one row NULL-extended, as
+/// the join-back it replaces does.
 pub(super) fn finish<O>(
     exec: &Executor,
     mut partial: AggPartial,
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
-    witnesses: Option<(&[Tuple], usize)>,
+    witnesses: Option<&View<'_>>,
     tag: impl Fn(u64, Tuple) -> O,
 ) -> Result<Vec<O>> {
     // A global aggregate over an empty input still yields one row.
@@ -490,7 +530,7 @@ pub(super) fn finish<O>(
         vals.extend(state.states.into_iter().map(AggState::finish));
         (pos, Tuple::new(vals))
     });
-    let Some((rows, width)) = witnesses else {
+    let Some(rows) = witnesses else {
         return Ok(heads.map(|(pos, t)| tag(pos, t)).collect());
     };
     let heads: Vec<(u64, Tuple)> = heads.collect();
@@ -512,7 +552,7 @@ pub(super) fn finish<O>(
         order[next[g]] = i;
         next[g] += 1;
     }
-    let nulls = Tuple::nulls(width);
+    let nulls = Tuple::nulls(rows.width());
     let mut out = Vec::with_capacity(order.len().max(heads.len()));
     for (g, (pos, head)) in heads.iter().enumerate() {
         let members = &order[start[g]..start[g + 1]];
@@ -525,7 +565,7 @@ pub(super) fn finish<O>(
                 exec.check_cancelled()?;
             }
             // per-lane alloc: the output row, built in one allocation.
-            out.push(tag(*pos, head.concat(&rows[i])));
+            out.push(tag(*pos, rows.gather_behind(head.values(), i)));
         }
     }
     Ok(out)
@@ -540,11 +580,13 @@ pub(crate) fn run_aggregate(
     spill: Option<usize>,
     output: AggOutput,
 ) -> Result<Vec<Tuple>> {
-    let mut rows = exec.run_physical(input)?;
+    // A join input stays refs: keys and arguments read through its
+    // layout, and witness rows are gathered once, in `finish`.
+    let refs = refs_of(exec, input)?;
     let outer = exec.outer_stack();
     // A witness aggregate's input arity: the NULL padding of a global
     // aggregate over no rows.
-    let witnesses = (output == AggOutput::Witnesses).then(|| out_arity(input));
+    let witnesses = (output == AggOutput::Witnesses).then(|| refs.width());
 
     // Global aggregates keep O(1) state regardless of input size:
     // nothing to charge, nothing to spill. Grouped aggregation charges
@@ -561,24 +603,25 @@ pub(crate) fn run_aggregate(
         // into a private hash table; partials merge in chunk order. The
         // workers share one reservation (clones share accounting), so
         // concurrent chunks charge the same query budget.
-        use std::sync::Arc;
         let worker = exec.worker_factory();
-        let rows_arc = Arc::new(rows);
-        let total = rows_arc.len();
+        let refs = Arc::new(refs);
+        let total = refs.len();
         let group_by_owned: Arc<Vec<ScalarExpr>> = Arc::new(group_by.to_vec());
         let aggs_owned: Arc<Vec<AggCall>> = Arc::new(aggs.to_vec());
         let partials = {
-            let rows = Arc::clone(&rows_arc);
+            let refs = Arc::clone(&refs);
             let outer = outer.clone();
             let shared = reservation.clone();
             crate::parallel::map_chunks(exec.context(), dop, total, move |range| {
+                let sub = worker();
+                let view = refs.view(&sub)?;
                 if charge {
-                    grow_batched(&shared, rows[range.clone()].iter().map(Tuple::size_bytes))
+                    grow_batched(&shared, range.clone().map(|r| view.size_bytes(r)))
                         .map_err(MemoryDenied::into_error)?;
                 }
                 accumulate(
-                    &worker(),
-                    positions(&rows[range]),
+                    &sub,
+                    view.positions(range),
                     &group_by_owned,
                     &aggs_owned,
                     &outer,
@@ -607,7 +650,8 @@ pub(crate) fn run_aggregate(
                     }
                 }
                 let out = merged.and_then(|()| {
-                    let kept = witnesses.map(|width| (&rows_arc[..], width));
+                    let view = refs.view(exec)?;
+                    let kept = witnesses.map(|_| &view);
                     finish(exec, acc, group_by, aggs, kept, |_, t| t)
                 });
                 reservation.free();
@@ -620,11 +664,11 @@ pub(crate) fn run_aggregate(
             // "resource" error here can only be our own denial.
             Err(e) if e.kind() == "resource" && spill.is_some() => {
                 reservation.free();
-                rows = Arc::try_unwrap(rows_arc).unwrap_or_else(|a| (*a).clone());
                 // INVARIANT: the guard above checked `spill.is_some()`.
                 let parts = spill.expect("guard checked is_some");
-                let result =
-                    aggregate_spill(exec, rows, group_by, aggs, parts, &reservation, witnesses);
+                let result = refs.gather(exec).and_then(|rows| {
+                    aggregate_spill(exec, rows, group_by, aggs, parts, &reservation, witnesses)
+                });
                 reservation.free();
                 return result;
             }
@@ -635,18 +679,21 @@ pub(crate) fn run_aggregate(
         }
     }
 
+    let view = refs.view(exec)?;
     if charge {
-        if let Err(denied) = grow_batched(&reservation, rows.iter().map(Tuple::size_bytes)) {
+        let sizes = (0..view.len()).map(|r| view.size_bytes(r));
+        if let Err(denied) = grow_batched(&reservation, sizes) {
             reservation.free();
             let Some(parts) = spill else {
                 return Err(denied.into_error());
             };
+            let rows = refs.gather(exec)?;
             return aggregate_spill(exec, rows, group_by, aggs, parts, &reservation, witnesses);
         }
     }
     let partial = accumulate(
         exec,
-        positions(&rows),
+        view.positions(0..view.len()),
         group_by,
         aggs,
         &outer,
@@ -654,8 +701,14 @@ pub(crate) fn run_aggregate(
         witnesses.is_some(),
     )
     .map_err(|(_, e)| e)?;
-    let kept = witnesses.map(|width| (&rows[..], width));
-    finish(exec, partial, group_by, aggs, kept, |_, t| t)
+    finish(
+        exec,
+        partial,
+        group_by,
+        aggs,
+        witnesses.map(|_| &view),
+        |_, t| t,
+    )
 }
 
 /// The spilled driver of [`accumulate`]: input rows scatter to partition
@@ -696,7 +749,7 @@ fn aggregate_spill(
         if i % 4096 == 0 {
             exec.check_cancelled()?;
         }
-        match group_c.apply(exec, &Env::new(t, &outer)) {
+        match group_c.apply(exec, &mut Input::new(t), &outer) {
             Ok(key) => files.push(partition_of(&key, parts), i as u64, t)?,
             Err(e) => {
                 best_err = Some((i as u64, e));
@@ -744,10 +797,18 @@ fn aggregate_spill(
         );
         match accumulated {
             Ok(partial) => {
-                let kept = witnesses.map(|width| (&kept[..], width));
-                out.extend(finish(exec, partial, group_by, aggs, kept, |tag, t| {
-                    (tag, t)
-                })?);
+                let kept = witnesses
+                    .map(|width| JoinRefs::rows(kept, width))
+                    .transpose()?;
+                let view = kept.as_ref().map(|k| k.view(exec)).transpose()?;
+                out.extend(finish(
+                    exec,
+                    partial,
+                    group_by,
+                    aggs,
+                    view.as_ref(),
+                    |tag, t| (tag, t),
+                )?);
             }
             Err((Some(tag), e)) => best_err = Some((tag, e)),
             Err((None, e)) => return Err(e),

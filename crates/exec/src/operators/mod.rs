@@ -11,11 +11,23 @@
 //! construction.
 //!
 //! * The **hash operators** — join, aggregation, set operations, DISTINCT
-//!   ([`join`], [`aggregate`], [`setop`]) — are written over a stream of
-//!   position-tagged rows of one hash partition; their drivers only have
-//!   to put tagged output back in input order
+//!   ([`join`], [`aggregate`], [`setop`]) — are written over the rows of
+//!   one hash partition, tagged with their input positions; their drivers
+//!   only have to put tagged output back in input order
 //!   ([`restore_order`](crate::parallel::restore_order)), which the
 //!   serial driver — one partition, already in order — skips.
+//! * **Joins return row references** ([`join::JoinRefs`]): the rows of
+//!   each non-join input, one row id per input per output row, and an
+//!   output layout. A join or an aggregate over a join reads its input
+//!   through that layout, so a chain of joins builds no intermediate
+//!   row; every other consumer —
+//!   [`Executor::run_physical`](crate::Executor::run_physical), and
+//!   through it the stream cursor and the spill drivers — takes rows from
+//!   one gather, which builds each output row in one allocation. The join
+//!   bodies append ids serially, per morsel range (the ids concatenate in
+//!   morsel order) or per spill partition (gathered under input
+//!   positions), so the id lists, and the rows gathered from them, are
+//!   the serial ones.
 //! * **Scan / filter / project** ([`scan::Pipe`]) is compiled once per
 //!   node and written over a borrowed run of rows. Drivers: the fused
 //!   scan, index scan, `Filter` and `Project` arms of
@@ -48,12 +60,6 @@ mod tests;
 /// (cancellation, spill I/O, a denied reservation) is positionless and
 /// final. Serial and parallel drivers drop the position.
 type RowError = (Option<u64>, PermError);
-
-/// In-memory rows as an operator body's input stream: infallible, tagged
-/// with their position in `rows`.
-fn positions(rows: &[Tuple]) -> impl Iterator<Item = Result<(u64, &Tuple)>> {
-    rows.iter().enumerate().map(|(i, t)| Ok((i as u64, t)))
-}
 
 /// `take_while` predicate for a spill partition's reader: rows at or past
 /// the earliest known evaluation error cannot matter (tags ascend within

@@ -14,7 +14,7 @@ use perm_storage::Catalog;
 use perm_types::{PermError, QueryContext, Result, Tuple, Value};
 
 use super::aggregate::{accumulate, finish, merge_partials};
-use super::join::HashProbe;
+use super::join::{refs_of, HashProbe, JoinRefs};
 use super::scan::Pipe;
 use super::setop::{keep_first, setop_kernel};
 use super::sort::SortRun;
@@ -23,7 +23,7 @@ use crate::eval::{eval, Env};
 use crate::executor::Executor;
 use crate::memory::{MemoryPool, QueryMemory};
 use crate::parallel::{chunk_ranges, partition_of, restore_order};
-use crate::physical::{BuildSide, EquiKey, PhysicalPlan};
+use crate::physical::{out_arity, BuildSide, EquiKey, PhysicalPlan};
 
 const PARTITION_COUNTS: [usize; 3] = [1, 2, 7];
 
@@ -220,12 +220,9 @@ fn hash_probe_is_partition_invariant() {
             let run = |build: Tagged, probe_rows: Tagged| -> ProbeOutcome {
                 let build_rows: Vec<Tuple> = build.into_iter().map(|(_, t)| t).collect();
                 let mut matched = vec![false; build_rows.len()];
-                let table = probe.build(&exec, build_rows).unwrap();
                 let mut out: Tagged = Vec::new();
                 let bitmap = matches!(kind, JoinType::Full).then_some(matched.as_mut_slice());
-                match probe.run(&exec, &table, stream(probe_rows), bitmap, 0, |tag, t| {
-                    out.push((tag, t))
-                }) {
+                match probe.probe_tagged(&exec, build_rows, probe_rows, bitmap, 0, &mut out) {
                     Ok(()) => Ok((out, matched.iter().filter(|m| **m).count())),
                     Err((Some(pos), e)) => Err((pos, e.to_string())),
                     Err((None, e)) => panic!("{what}: positionless error {e}"),
@@ -561,7 +558,9 @@ fn witness_output_is_chunk_and_partition_invariant() {
     let run =
         |rows: Tagged| accumulate(&exec, stream(rows), &group_by, &aggs, &[], |_| Ok(()), true);
     let whole = run(tagged.clone()).map_err(|(_, e)| e).unwrap();
-    let out = finish(&exec, whole, &group_by, &aggs, Some((&rows, 2)), |_, t| t).unwrap();
+    let refs = JoinRefs::rows(rows.clone(), 2).unwrap();
+    let view = refs.view(&exec).unwrap();
+    let out = finish(&exec, whole, &group_by, &aggs, Some(&view), |_, t| t).unwrap();
     assert_eq!(out, reference);
     for k in PARTITION_COUNTS {
         // Contiguous chunks, merged in order (the chunk-parallel driver).
@@ -574,23 +573,20 @@ fn witness_output_is_chunk_and_partition_invariant() {
             }
         }
         let merged = merged.unwrap();
-        let out = finish(&exec, merged, &group_by, &aggs, Some((&rows, 2)), |_, t| t).unwrap();
+        let out = finish(&exec, merged, &group_by, &aggs, Some(&view), |_, t| t).unwrap();
         assert_eq!(out, reference, "chunks={k}");
         // Hash partitions, reordered by the groups' opening tags (the
         // spilled driver).
         let mut tagged_out = Vec::new();
         for part in split(&tagged, k, |t| partition_of(&t.get(0), k)) {
             let kept: Vec<Tuple> = part.iter().map(|(_, t)| t.clone()).collect();
+            let kept = JoinRefs::rows(kept, 2).unwrap();
+            let kept = kept.view(&exec).unwrap();
             let partial = run(part).map_err(|(_, e)| e).unwrap();
             tagged_out.extend(
-                finish(
-                    &exec,
-                    partial,
-                    &group_by,
-                    &aggs,
-                    Some((&kept, 2)),
-                    |tag, t| (tag, t),
-                )
+                finish(&exec, partial, &group_by, &aggs, Some(&kept), |tag, t| {
+                    (tag, t)
+                })
                 .unwrap(),
             );
         }
@@ -605,7 +601,9 @@ fn a_global_witness_aggregate_over_no_rows_is_one_null_extended_row() {
     let empty = accumulate(&exec, stream(vec![]), &[], &aggs, &[], |_| Ok(()), true)
         .map_err(|(_, e)| e)
         .unwrap();
-    let out = finish(&exec, empty, &[], &aggs, Some((&[], 2)), |_, t| t).unwrap();
+    let none = JoinRefs::rows(vec![], 2).unwrap();
+    let none = none.view(&exec).unwrap();
+    let out = finish(&exec, empty, &[], &aggs, Some(&none), |_, t| t).unwrap();
     assert_eq!(
         out,
         vec![Tuple::new(vec![
@@ -690,4 +688,601 @@ fn witness_aggregate_node_matches_the_definition_under_every_driver() {
         .run_physical(&node(4, Some(8)))
         .unwrap_err();
     assert_eq!(err.kind(), "cancelled", "{err}");
+}
+
+// ----------------------------------------------------------------------
+// Join refs: chains, padding, residual scratch rows, morsel ranges
+// ----------------------------------------------------------------------
+
+/// Two-column integer rows.
+fn ints(rows: &[(Option<i64>, i64)]) -> Vec<Tuple> {
+    rows.iter().map(|&(a, b)| row(a, b)).collect()
+}
+
+fn values(rows: &[Tuple]) -> PhysicalPlan {
+    let literals = |t: &Tuple| t.iter().cloned().map(ScalarExpr::Literal).collect();
+    PhysicalPlan::Values {
+        rows: rows.iter().map(literals).collect(),
+        arity: 2,
+    }
+}
+
+/// A hash join building right, keyed on `(left slot, right slot,
+/// null-safe)` pairs.
+fn hash_join(
+    left: PhysicalPlan,
+    right: PhysicalPlan,
+    kind: JoinType,
+    keys: &[(usize, usize, bool)],
+    residual: Option<ScalarExpr>,
+    dop: usize,
+) -> PhysicalPlan {
+    let (nl, nr) = (out_arity(&left), out_arity(&right));
+    PhysicalPlan::HashJoin {
+        left: Box::new(left),
+        right: Box::new(right),
+        kind,
+        keys: keys
+            .iter()
+            .map(|&(l, r, null_safe)| EquiKey {
+                left: col(l),
+                right: col(r),
+                null_safe,
+            })
+            .collect(),
+        residual,
+        build_side: BuildSide::Right,
+        nl,
+        nr,
+        out_slots: None,
+        est_rows: 0.0,
+        dop,
+        spill: None,
+    }
+}
+
+/// A join by its definition, as a nested loop in left-row order: the
+/// rows `on` accepts, left ++ right (SEMI/ANTI: the left row alone);
+/// unmatched left rows NULL-padded for LEFT/FULL and, for FULL,
+/// unmatched right rows behind NULLs at the end. `widths` are the
+/// inputs' arities.
+fn join_by_definition(
+    kind: JoinType,
+    (left, right): (&[Tuple], &[Tuple]),
+    (nl, nr): (usize, usize),
+    on: impl Fn(&Tuple, &Tuple) -> bool,
+) -> Vec<Tuple> {
+    let mut out = Vec::new();
+    let mut right_matched = vec![false; right.len()];
+    for l in left {
+        let mut matched = false;
+        for (ri, r) in right.iter().enumerate() {
+            if on(l, r) {
+                matched = true;
+                right_matched[ri] = true;
+                if kind.produces_both_sides() {
+                    out.push(l.concat(r));
+                }
+            }
+        }
+        match kind {
+            JoinType::Semi if matched => out.push(l.clone()),
+            JoinType::Anti if !matched => out.push(l.clone()),
+            JoinType::Left | JoinType::Full if !matched => out.push(l.concat(&Tuple::nulls(nr))),
+            _ => {}
+        }
+    }
+    if kind == JoinType::Full {
+        for (r, m) in right.iter().zip(right_matched) {
+            if !m {
+                out.push(Tuple::nulls(nl).concat(r));
+            }
+        }
+    }
+    out
+}
+
+/// SQL equality of two key values (NULL-safe: NULL matches NULL).
+fn keys_match(a: &Value, b: &Value, null_safe: bool) -> bool {
+    if a.is_null() || b.is_null() {
+        return null_safe && a.is_null() && b.is_null();
+    }
+    a == b
+}
+
+const ALL_KINDS: [JoinType; 5] = [
+    JoinType::Inner,
+    JoinType::Left,
+    JoinType::Full,
+    JoinType::Semi,
+    JoinType::Anti,
+];
+
+#[test]
+fn padded_rows_gather_as_nulls_and_key_as_null() {
+    let exec = Executor::new(Arc::new(Catalog::new()));
+    let l = ints(&[(Some(1), 10), (Some(2), 20), (Some(3), 30)]);
+    let r = ints(&[(Some(1), 100), (Some(3), 300), (Some(3), 301)]);
+    let lower = hash_join(
+        values(&l),
+        values(&r),
+        JoinType::Left,
+        &[(0, 0, false)],
+        None,
+        1,
+    );
+    let padded = join_by_definition(JoinType::Left, (&l, &r), (2, 2), |a, b| {
+        a.get(0) == b.get(0)
+    });
+    assert_eq!(
+        padded[1],
+        Tuple::new(vec![
+            Value::Int(2),
+            Value::Int(20),
+            Value::Null,
+            Value::Null
+        ])
+    );
+    assert_eq!(exec.run_physical(&lower).unwrap(), padded);
+    // A join keyed on the padded column: a padded row joins nothing under
+    // SQL equality and matches a NULL key NULL-safely.
+    let p = ints(&[(None, 7), (Some(3), 8)]);
+    for null_safe in [false, true] {
+        let chain = hash_join(
+            lower.clone(),
+            values(&p),
+            JoinType::Inner,
+            &[(2, 0, null_safe)],
+            None,
+            1,
+        );
+        let expected = join_by_definition(JoinType::Inner, (&padded, &p), (4, 2), |a, b| {
+            keys_match(a.get(2), b.get(0), null_safe)
+        });
+        assert_eq!(
+            exec.run_physical(&chain).unwrap(),
+            expected,
+            "null_safe={null_safe}"
+        );
+    }
+    // An aggregate over the LEFT join groups the padding as NULL.
+    let count = AggCall {
+        func: AggFunc::Count,
+        arg: Some(col(3)),
+        distinct: false,
+    };
+    let grouped = PhysicalPlan::HashAggregate {
+        input: Box::new(lower),
+        group_by: vec![col(2)],
+        aggs: vec![count],
+        dop: 1,
+        spill: None,
+        output: AggOutput::Groups,
+    };
+    let int = |v: i64| Value::Int(v);
+    assert_eq!(
+        exec.run_physical(&grouped).unwrap(),
+        vec![
+            Tuple::new(vec![int(1), int(1)]),
+            Tuple::new(vec![Value::Null, int(0)]),
+            Tuple::new(vec![int(3), int(2)]),
+        ]
+    );
+}
+
+/// Every pair of join kinds, chained: the upper join keys on the lower
+/// output's last column — the right side's (perhaps padded) for
+/// LEFT/FULL, the left side's for SEMI/ANTI — and matches the
+/// definition, order included; so does a witness aggregate over it.
+#[test]
+fn join_chains_of_every_kind_match_the_definition() {
+    let exec = Executor::new(Arc::new(Catalog::new()));
+    let a = ints(&[
+        (Some(1), 1),
+        (Some(2), 2),
+        (None, 3),
+        (Some(4), 1),
+        (Some(1), 2),
+    ]);
+    let b = ints(&[(Some(1), 2), (Some(4), 5), (Some(4), 1), (Some(9), 3)]);
+    let c = ints(&[
+        (Some(2), 0),
+        (Some(1), 1),
+        (Some(5), 2),
+        (None, 3),
+        (Some(2), 4),
+    ]);
+    for lower_kind in ALL_KINDS {
+        for upper_kind in ALL_KINDS {
+            let what = format!("{lower_kind:?} then {upper_kind:?}");
+            let lower = hash_join(
+                values(&a),
+                values(&b),
+                lower_kind,
+                &[(0, 0, false)],
+                None,
+                1,
+            );
+            let lower_rows = join_by_definition(lower_kind, (&a, &b), (2, 2), |l, r| {
+                keys_match(l.get(0), r.get(0), false)
+            });
+            let last = out_arity(&lower) - 1;
+            let upper = hash_join(lower, values(&c), upper_kind, &[(last, 0, false)], None, 1);
+            let widths = (last + 1, 2);
+            let expected = join_by_definition(upper_kind, (&lower_rows, &c), widths, |l, r| {
+                keys_match(l.get(last), r.get(0), false)
+            });
+            assert_eq!(exec.run_physical(&upper).unwrap(), expected, "{what}");
+            if [lower_kind, upper_kind].contains(&JoinType::Full) {
+                // The definition's witness sums need t1's columns unpadded.
+                continue;
+            }
+            let (group_by, aggs) = witness_aggregate();
+            let witnesses = PhysicalPlan::HashAggregate {
+                input: Box::new(upper),
+                group_by,
+                aggs,
+                dop: 1,
+                spill: None,
+                output: AggOutput::Witnesses,
+            };
+            assert_eq!(
+                exec.run_physical(&witnesses).unwrap(),
+                witnesses_by_definition(&expected),
+                "{what}: witnesses"
+            );
+        }
+    }
+}
+
+/// A residual over a chain reads a scratch row gathered from all three
+/// sources — through a hash join and a nested-loop join alike — and a
+/// failing residual raises the error the definition's evaluation does.
+#[test]
+fn residuals_read_a_scratch_row_gathered_across_the_chain() {
+    let exec = Executor::new(Arc::new(Catalog::new()));
+    let a = ints(&[(Some(1), 1), (Some(2), 5), (Some(1), 3), (None, 0)]);
+    let b = ints(&[(Some(1), 7), (Some(2), 2), (Some(1), 4)]);
+    let c = ints(&[(Some(7), 2), (Some(2), 6), (Some(4), 1), (Some(4), 9)]);
+    let lower = hash_join(
+        values(&a),
+        values(&b),
+        JoinType::Inner,
+        &[(0, 0, false)],
+        None,
+        1,
+    );
+    let lower_rows = join_by_definition(JoinType::Inner, (&a, &b), (2, 2), |l, r| {
+        keys_match(l.get(0), r.get(0), false)
+    });
+    // b.d = c.e, residual a.b < c.f: columns of the first and third source.
+    let residual = ScalarExpr::binary(BinOp::Lt, col(1), col(5));
+    let int = |v: &Value| match v {
+        Value::Int(i) => *i,
+        other => panic!("{other:?}"),
+    };
+    for kind in ALL_KINDS {
+        let expected = join_by_definition(kind, (&lower_rows, &c), (4, 2), |l, r| {
+            keys_match(l.get(3), r.get(0), false) && int(l.get(1)) < int(r.get(1))
+        });
+        let hashed = hash_join(
+            lower.clone(),
+            values(&c),
+            kind,
+            &[(3, 0, false)],
+            Some(residual.clone()),
+            1,
+        );
+        assert_eq!(
+            exec.run_physical(&hashed).unwrap(),
+            expected,
+            "{kind:?} hash"
+        );
+        let looped = PhysicalPlan::NLJoin {
+            left: Box::new(lower.clone()),
+            right: Box::new(values(&c)),
+            kind,
+            condition: Some(ScalarExpr::conjunction(vec![
+                ScalarExpr::binary(BinOp::Eq, col(3), col(4)),
+                residual.clone(),
+            ])),
+            nl: 4,
+            nr: 2,
+            out_slots: None,
+            est_rows: 0.0,
+        };
+        assert_eq!(
+            exec.run_physical(&looped).unwrap(),
+            expected,
+            "{kind:?} nested loop"
+        );
+    }
+    // 10 / (c.f - 6) fails on the row whose c.f is 6.
+    let failing = ScalarExpr::binary(
+        BinOp::Lt,
+        ScalarExpr::binary(
+            BinOp::Div,
+            int_lit(10),
+            ScalarExpr::binary(BinOp::Sub, col(5), int_lit(6)),
+        ),
+        int_lit(100),
+    );
+    let hashed = hash_join(
+        lower,
+        values(&c),
+        JoinType::Inner,
+        &[(3, 0, false)],
+        Some(failing),
+        1,
+    );
+    let err = exec.run_physical(&hashed).unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err}");
+}
+
+fn int_lit(v: i64) -> ScalarExpr {
+    ScalarExpr::Literal(Value::Int(v))
+}
+
+/// Empty inputs at either level of a chain give the definition's
+/// (possibly empty, possibly all-padded) rows.
+#[test]
+fn empty_join_sides_match_the_definition() {
+    let exec = Executor::new(Arc::new(Catalog::new()));
+    let full = ints(&[(Some(1), 1), (Some(2), 2), (None, 3)]);
+    let c = ints(&[(Some(1), 0), (None, 1)]);
+    for kind in ALL_KINDS {
+        for (a, b) in [
+            (&[][..], &full[..]),
+            (&full[..], &[][..]),
+            (&[][..], &[][..]),
+        ] {
+            let lower = hash_join(values(a), values(b), kind, &[(0, 0, false)], None, 1);
+            let lower_rows = join_by_definition(kind, (a, b), (2, 2), |l, r| {
+                keys_match(l.get(0), r.get(0), false)
+            });
+            assert_eq!(
+                exec.run_physical(&lower).unwrap(),
+                lower_rows,
+                "{kind:?} lower"
+            );
+            for upper_kind in [JoinType::Inner, JoinType::Left, JoinType::Full] {
+                for (upper_right, rows) in [(values(&c), &c[..]), (values(&[]), &[][..])] {
+                    let upper = hash_join(
+                        lower.clone(),
+                        upper_right,
+                        upper_kind,
+                        &[(0, 0, true)],
+                        None,
+                        1,
+                    );
+                    let widths = (out_arity(&lower), 2);
+                    let expected =
+                        join_by_definition(upper_kind, (&lower_rows, rows), widths, |l, r| {
+                            keys_match(l.get(0), r.get(0), true)
+                        });
+                    assert_eq!(
+                        exec.run_physical(&upper).unwrap(),
+                        expected,
+                        "{kind:?} then {upper_kind:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The morsel driver's premise: the probe body run over 1, 2 or 7
+/// contiguous ranges of a chained (multi-source) probe side appends
+/// exactly the ids of one serial run.
+#[test]
+fn probe_ranges_reproduce_the_serial_ids() {
+    let exec = Executor::new(Arc::new(Catalog::new()));
+    let a = ints(
+        &(0..60)
+            .map(|i| ((i % 9 != 4).then_some(i % 7), i))
+            .collect::<Vec<_>>(),
+    );
+    let b = ints(&(0..40).map(|i| (Some(i % 5), i % 3)).collect::<Vec<_>>());
+    let c = ints(
+        &(0..30)
+            .map(|i| ((i % 6 != 0).then_some(i % 4), i))
+            .collect::<Vec<_>>(),
+    );
+    let lower = hash_join(
+        values(&a),
+        values(&b),
+        JoinType::Left,
+        &[(0, 0, false)],
+        None,
+        1,
+    );
+    let left = refs_of(&exec, &lower).unwrap();
+    let right = JoinRefs::rows(c, 2).unwrap();
+    let (lv, rv) = (left.view(&exec).unwrap(), right.view(&exec).unwrap());
+    for kind in [
+        JoinType::Inner,
+        JoinType::Left,
+        JoinType::Semi,
+        JoinType::Anti,
+    ] {
+        for residual in [None, Some(ScalarExpr::binary(BinOp::Lt, col(1), col(5)))] {
+            let what = format!("{kind:?} residual={residual:?}");
+            let node = hash_join(
+                lower.clone(),
+                values(&[]),
+                kind,
+                &[(3, 0, false)],
+                residual,
+                1,
+            );
+            let probe = HashProbe::compile(&exec, &node);
+            let table = probe.build(&exec, &rv).unwrap();
+            let mut serial = Vec::new();
+            probe
+                .run(&exec, &table, &rv, &lv, 0..lv.len(), None, 0, &mut serial)
+                .unwrap();
+            assert!(!serial.is_empty(), "{what}: vacuous");
+            for k in PARTITION_COUNTS {
+                let mut split = Vec::new();
+                for range in chunk_ranges(lv.len(), k) {
+                    probe
+                        .run(&exec, &table, &rv, &lv, range, None, 0, &mut split)
+                        .unwrap();
+                }
+                assert_eq!(split, serial, "{what} ranges={k}");
+            }
+        }
+    }
+}
+
+/// A chain through an index nested-loop join over base tables — bare
+/// scans read in place — gives the same rows, in the same order, under
+/// the serial driver and the morsel drivers at DOP 2 and 7.
+#[test]
+fn a_chain_through_an_index_join_is_morsel_invariant() {
+    let table = |name: &str, rows: Vec<Tuple>| {
+        let schema = perm_types::Schema::new(vec![
+            perm_types::Column::new("x", perm_types::DataType::Int),
+            perm_types::Column::new("y", perm_types::DataType::Int),
+        ]);
+        let mut t = perm_storage::Table::new(name, schema);
+        for r in rows {
+            t.insert(r).unwrap();
+        }
+        t
+    };
+    let n = 3 * crate::parallel::MORSEL_ROWS as i64;
+    let mut cat = Catalog::new();
+    cat.create_table(table("a", (0..n).map(|i| row(Some(i % 97), i)).collect()))
+        .unwrap();
+    cat.create_table(table(
+        "b",
+        (0..300)
+            .map(|i| row((i % 7 != 0).then_some(i % 50), i))
+            .collect(),
+    ))
+    .unwrap();
+    cat.table_mut("b").unwrap().create_index(0).unwrap();
+    cat.create_table(table("c", (0..40).map(|i| row(Some(i), i)).collect()))
+        .unwrap();
+    let cat = Arc::new(cat);
+    let scan = |name: &str| PhysicalPlan::FusedScanProjectFilter {
+        table: name.into(),
+        schema: cat.table(name).unwrap().schema().clone(),
+        filter: None,
+        project: None,
+        est_rows: 0.0,
+        dop: 1,
+        batch: crate::physical::BatchMode::Row,
+    };
+    let chain = |dop: usize| {
+        let inlj = PhysicalPlan::IndexNLJoin {
+            outer: Box::new(scan("a")),
+            kind: JoinType::Left,
+            table: "b".into(),
+            schema: cat.table("b").unwrap().schema().clone(),
+            column: 0,
+            key: col(0),
+            inner_filter: None,
+            inner_project: None,
+            residual: Some(ScalarExpr::binary(BinOp::Lt, col(3), int_lit(250))),
+            nl: 2,
+            nr: 2,
+            out_slots: None,
+            est_rows: 0.0,
+            dop,
+        };
+        let mut plan = hash_join(
+            inlj,
+            scan("c"),
+            JoinType::Inner,
+            &[(3, 0, false)],
+            None,
+            dop,
+        );
+        if let PhysicalPlan::HashJoin { out_slots, .. } = &mut plan {
+            *out_slots = Some(vec![5, 1, 3, 2]);
+        }
+        plan
+    };
+    let exec = || Executor::new(Arc::clone(&cat));
+    let serial = exec().run_physical(&chain(1)).unwrap();
+    let (a, b, c) = (
+        cat.table("a").unwrap().rows(),
+        cat.table("b").unwrap().rows(),
+        cat.table("c").unwrap().rows(),
+    );
+    let lower = join_by_definition(JoinType::Left, (a, b), (2, 2), |l, r| {
+        keys_match(l.get(0), r.get(0), false) && matches!(r.get(1), Value::Int(v) if *v < 250)
+    });
+    let expected: Vec<Tuple> = join_by_definition(JoinType::Inner, (&lower, c), (4, 2), |l, r| {
+        keys_match(l.get(3), r.get(0), false)
+    })
+    .iter()
+    .map(|t| t.project(&[5, 1, 3, 2]))
+    .collect();
+    assert!(
+        expected.len() > crate::parallel::MORSEL_ROWS,
+        "spans morsels"
+    );
+    assert_eq!(serial, expected);
+    for dop in [2, 7] {
+        assert_eq!(
+            exec().run_physical(&chain(dop)).unwrap(),
+            serial,
+            "dop={dop}"
+        );
+    }
+}
+
+/// A residual that fails on a candidate leaves none of that candidate's
+/// ids behind: a spilled SEMI/ANTI join whose build side outnumbers its
+/// probe side returns the same typed error as the in-memory join (a
+/// stray build id read as a probe id would index past the probe rows).
+#[test]
+fn a_failing_residual_leaves_no_candidate_ids_behind() {
+    let cat = Arc::new(Catalog::new());
+    let probe = ints(&[(Some(1), 0), (Some(1), 1), (Some(1), 2)]);
+    let build: Vec<Tuple> = (0..60).map(|i| row(Some(1), i)).collect();
+    // 6 / (r.d - 50) > 0: false for the first 50 candidates, then
+    // division by zero on build row 50.
+    let failing = ScalarExpr::binary(
+        BinOp::Gt,
+        ScalarExpr::binary(
+            BinOp::Div,
+            int_lit(6),
+            ScalarExpr::binary(BinOp::Sub, col(3), int_lit(50)),
+        ),
+        int_lit(0),
+    );
+    for kind in [
+        JoinType::Inner,
+        JoinType::Left,
+        JoinType::Semi,
+        JoinType::Anti,
+    ] {
+        for parts in [None, Some(1), Some(3)] {
+            let mut plan = hash_join(
+                values(&probe),
+                values(&build),
+                kind,
+                &[(0, 0, false)],
+                Some(failing.clone()),
+                1,
+            );
+            if let PhysicalPlan::HashJoin { spill, .. } = &mut plan {
+                *spill = parts;
+            }
+            let pool = MemoryPool::with_budget(if parts.is_some() { 1 } else { 1 << 30 });
+            let err = Executor::new(Arc::clone(&cat))
+                .with_memory(QueryMemory::new(pool.clone(), None))
+                .run_physical(&plan)
+                .unwrap_err();
+            assert!(
+                err.to_string().contains("division by zero"),
+                "{kind:?} spill={parts:?}: {err}"
+            );
+            assert_eq!(pool.used(), 0, "{kind:?} spill={parts:?}: pool must drain");
+        }
+    }
 }

@@ -7,7 +7,8 @@
 //! answer per operator — this matrix pins it for all five hashed
 //! `(op, all)` set operations, `HashDistinct`, `HashAggregate` (one row
 //! per group, and one per witness, grouped and global), `HashJoin` (every
-//! kind the drivers accept, both build sides where legal), `IndexNLJoin`, the
+//! kind the drivers accept, both build sides where legal), `IndexNLJoin`,
+//! a join chain and aggregates over a join (row references passed up), the
 //! fused scan (filter, projection, both, and a row-only `CASE` filter),
 //! standalone `Filter` / `Project`, `Sort` and `Limit`, each at `dop` 1
 //! and 2 and, where the node may spill, under a 1-byte per-query cap that
@@ -189,6 +190,76 @@ fn operators(cat: &Catalog, dop: usize) -> Vec<(String, PhysicalPlan)> {
                 out_slots: None,
                 est_rows: 100.0,
                 dop,
+            },
+        ));
+    }
+    // Joins over joins pass row references up: a chain HashJoin ←
+    // IndexNLJoin ← HashJoin, and grouped and witness aggregates over a
+    // join, read their inputs through the references.
+    let col = ScalarExpr::Column;
+    let hash_join = |left, right, key: (usize, usize), residual, nl| PhysicalPlan::HashJoin {
+        left,
+        right,
+        kind: JoinType::Inner,
+        keys: vec![EquiKey {
+            left: col(key.0),
+            right: col(key.1),
+            null_safe: false,
+        }],
+        residual,
+        build_side: BuildSide::Right,
+        nl,
+        nr: 2,
+        out_slots: None,
+        est_rows: 100.0,
+        dop,
+        spill,
+    };
+    let lower = || {
+        Box::new(hash_join(
+            scan(cat, "t1"),
+            scan(cat, "t2"),
+            (0, 0),
+            Some(residual.clone()),
+            2,
+        ))
+    };
+    let chain = hash_join(
+        Box::new(PhysicalPlan::IndexNLJoin {
+            outer: lower(),
+            kind: JoinType::Inner,
+            table: "t2".into(),
+            schema: cat.table("t2").unwrap().schema().clone(),
+            column: 0,
+            key: col(3),
+            inner_filter: None,
+            inner_project: None,
+            residual: None,
+            nl: 4,
+            nr: 2,
+            out_slots: None,
+            est_rows: 100.0,
+            dop,
+        }),
+        scan(cat, "t1"),
+        (4, 0),
+        Some(ScalarExpr::binary(BinOp::Lt, col(5), col(7))),
+        6,
+    );
+    ops.push((
+        format!("HashJoin <- IndexNLJoin <- HashJoin dop={dop}"),
+        chain,
+    ));
+    for output in [AggOutput::Groups, AggOutput::Witnesses] {
+        ops.push((
+            format!("HashAggregate {output:?} over HashJoin dop={dop}"),
+            PhysicalPlan::HashAggregate {
+                input: lower(),
+                group_by: vec![col(3)],
+                aggs: aggs.clone(),
+                dop,
+                spill,
+                output,
             },
         ));
     }

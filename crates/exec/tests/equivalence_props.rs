@@ -30,6 +30,12 @@
 //!    spilling: the result is either exactly the reference answer or
 //!    the typed `cancelled` error — never a panic, never a wrong or
 //!    truncated answer — and the memory pool always drains to zero.
+//!
+//! Every random plan may carry a third table joined on top of the first
+//! join (inner, LEFT, SEMI or ANTI; keyed on either lower side's column
+//! or a computed key; with or without a residual and an index on the
+//! new side), so each property also covers 3-way join chains and
+//! (witness) aggregates over them.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -200,8 +206,26 @@ fn expr() -> impl Strategy<Value = ScalarExpr> {
 }
 
 // ----------------------------------------------------------------------
-// Plan generator: join + filter + aggregate over two random tables
+// Plan generator: join (chain) + filter + aggregate over random tables
 // ----------------------------------------------------------------------
+
+/// A third table `t3(e, f)` joined on top of `t1 ⋈ t2`.
+#[derive(Debug, Clone)]
+struct Chain {
+    rows: Vec<(Option<i64>, Option<i64>)>,
+    /// Inner | Left | Semi | Anti.
+    kind: JoinType,
+    /// Which lower side the key reads (0 = t1, 1 = t2 — t1 when the
+    /// lower join keeps only its left side) and which of its columns.
+    side: usize,
+    column: usize,
+    /// Key `#i + 0` instead of the bare column.
+    computed: bool,
+    /// Optional residual comparison `t3.f < literal`.
+    residual: Option<i64>,
+    /// A hash index on `t3.e`, so the index nested-loop join is planned.
+    index: bool,
+}
 
 #[derive(Debug, Clone)]
 struct PlanCase {
@@ -231,14 +255,48 @@ struct PlanCase {
     /// a constant appended — so the executor runs it as a gather of slots
     /// and constants (behind a vectorized filter when one is pushed in).
     pad: bool,
+    chain: Option<Chain>,
+}
+
+fn cell() -> impl Strategy<Value = Option<i64>> {
+    proptest::option::of(-3i64..4)
+}
+
+fn chain() -> impl Strategy<Value = Chain> {
+    (
+        (
+            prop::collection::vec((cell(), cell()), 0..10),
+            prop_oneof![
+                Just(JoinType::Inner),
+                Just(JoinType::Left),
+                Just(JoinType::Semi),
+                Just(JoinType::Anti),
+            ],
+            0..2usize,
+        ),
+        (
+            0..2usize,
+            any::<bool>(),
+            proptest::option::of(-2i64..3),
+            any::<bool>(),
+        ),
+    )
+        .prop_map(
+            |((rows, kind, side), (column, computed, residual, index))| Chain {
+                rows,
+                kind,
+                side,
+                column,
+                computed,
+                residual,
+                index,
+            },
+        )
 }
 
 fn plan_case() -> impl Strategy<Value = PlanCase> {
-    // The vendored proptest's OptionStrategy is not Clone; build fresh.
-    fn cell() -> impl Strategy<Value = Option<i64>> {
-        proptest::option::of(-3i64..4)
-    }
-    // Nested tuples: the vendored proptest implements Strategy for
+    // The vendored proptest's OptionStrategy is not Clone: `cell()`
+    // builds a fresh one per use. Nested tuples: the vendored proptest implements Strategy for
     // tuples of up to six elements.
     (
         (
@@ -268,12 +326,14 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
                 Just(Some(AggOutput::Witnesses)),
             ],
         ),
+        prop_oneof![Just(None), chain().prop_map(Some)],
     )
         .prop_map(
             |(
                 (t1_rows, t2_rows, kind),
                 (null_safe, lkey, rkey, fan_out, pad),
                 (residual, filter_lit, aggregate),
+                chain,
             )| {
                 PlanCase {
                     t1_rows,
@@ -287,9 +347,31 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
                     aggregate,
                     fan_out,
                     pad,
+                    chain,
                 }
             },
         )
+}
+
+/// The case's tables: `t1(a, b)`, `t2(c, d)` — with a hash index on
+/// `t2.c` when `t2_index` — and the chain's `t3(e, f)`.
+fn tables(case: &PlanCase, t2_index: bool) -> Catalog {
+    let mut cat = Catalog::new();
+    cat.create_table(int_table("t1", ["a", "b"], &case.t1_rows))
+        .unwrap();
+    cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows))
+        .unwrap();
+    if t2_index {
+        cat.table_mut("t2").unwrap().create_index(0).unwrap();
+    }
+    if let Some(chain) = &case.chain {
+        cat.create_table(int_table("t3", ["e", "f"], &chain.rows))
+            .unwrap();
+        if chain.index {
+            cat.table_mut("t3").unwrap().create_index(0).unwrap();
+        }
+    }
+    cat
 }
 
 fn int_table(name: &str, cols: [&str; 2], rows: &[(Option<i64>, Option<i64>)]) -> Table {
@@ -369,6 +451,38 @@ fn build_plan(case: &PlanCase, cat: &Catalog) -> LogicalPlan {
         Some(ScalarExpr::conjunction(cond)),
     )
     .expect("join plan is well-formed");
+    if let Some(chain) = &case.chain {
+        // t1's columns lead the lower join's output; t2's follow unless
+        // the lower join keeps its left side only.
+        let both = case.kind.produces_both_sides();
+        let lower = if both { 2 * width } else { width };
+        let side = if both { chain.side * width } else { 0 };
+        let column = ScalarExpr::Column(side + read + chain.column);
+        let key = if chain.computed {
+            ScalarExpr::binary(BinOp::Add, column, ScalarExpr::Literal(Value::Int(0)))
+        } else {
+            column
+        };
+        let mut cond = vec![ScalarExpr::binary(
+            BinOp::Eq,
+            key,
+            ScalarExpr::Column(lower + read),
+        )];
+        if let Some(lit) = chain.residual {
+            cond.push(ScalarExpr::binary(
+                BinOp::Lt,
+                ScalarExpr::Column(lower + read + 1),
+                ScalarExpr::Literal(Value::Int(lit)),
+            ));
+        }
+        plan = LogicalPlan::join(
+            plan,
+            scan("t3"),
+            chain.kind,
+            Some(ScalarExpr::conjunction(cond)),
+        )
+        .expect("chained join plan is well-formed");
+    }
     if let Some(lit) = case.filter_lit {
         plan = LogicalPlan::filter(
             plan,
@@ -488,12 +602,9 @@ proptest! {
         case in plan_case(),
         keep in prop::collection::vec(any::<bool>(), 8),
     ) {
-        let mut cat = Catalog::new();
-        cat.create_table(int_table("t1", ["a", "b"], &case.t1_rows)).unwrap();
-        cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows)).unwrap();
         // An index on one join column so the planner can (and sometimes
         // will) pick the index nested-loop strategy.
-        cat.table_mut("t2").unwrap().create_index(0).unwrap();
+        let cat = tables(&case, true);
         let mut plan = build_plan(&case, &cat);
         // A random projection on top exercises column pruning and the
         // fused join output projections.
@@ -546,10 +657,7 @@ proptest! {
         div_by_key in any::<bool>(),
         sort_on_top in any::<bool>(),
     ) {
-        let mut cat = Catalog::new();
-        cat.create_table(int_table("t1", ["a", "b"], &case.t1_rows)).unwrap();
-        cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows)).unwrap();
-        cat.table_mut("t2").unwrap().create_index(0).unwrap();
+        let cat = tables(&case, true);
         let mut plan = build_plan(&case, &cat);
         if div_by_key {
             // `b / a` raises division-by-zero on any row with a = 0;
@@ -632,9 +740,7 @@ proptest! {
         project_on_top in any::<bool>(),
         k in 0..6usize,
     ) {
-        let mut cat = Catalog::new();
-        cat.create_table(int_table("t1", ["a", "b"], &case.t1_rows)).unwrap();
-        cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows)).unwrap();
+        let cat = tables(&case, false);
         let mut plan = if scan_only {
             LogicalPlan::Scan {
                 table: "t1".into(),
@@ -735,9 +841,7 @@ proptest! {
             kind: if case.kind == JoinType::Full { JoinType::Left } else { case.kind },
             ..case
         };
-        let mut cat = Catalog::new();
-        cat.create_table(int_table("t1", ["a", "b"], &case.t1_rows)).unwrap();
-        cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows)).unwrap();
+        let cat = tables(&case, false);
         let mut plan = match shape {
             // Set operations need equal arities: run them straight over
             // the two base tables (union distinct, intersect all and
@@ -857,10 +961,7 @@ proptest! {
             kind: if spill && case.kind == JoinType::Full { JoinType::Left } else { case.kind },
             ..case
         };
-        let mut cat = Catalog::new();
-        cat.create_table(int_table("t1", ["a", "b"], &case.t1_rows)).unwrap();
-        cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows)).unwrap();
-        cat.table_mut("t2").unwrap().create_index(0).unwrap();
+        let cat = tables(&case, true);
         let mut plan = build_plan(&case, &cat);
         if div_by_key {
             // `b / a` raises division-by-zero on any row with a = 0;
@@ -999,9 +1100,7 @@ proptest! {
             kind: if spill && case.kind == JoinType::Full { JoinType::Left } else { case.kind },
             ..case
         };
-        let mut cat = Catalog::new();
-        cat.create_table(int_table("t1", ["a", "b"], &case.t1_rows)).unwrap();
-        cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows)).unwrap();
+        let cat = tables(&case, false);
         let plan = build_plan(&case, &cat);
         let cat = Arc::new(cat);
         let reference = Executor::new_nested_loop_only(Arc::clone(&cat))
@@ -1050,9 +1149,7 @@ proptest! {
     /// on randomized join/filter/aggregate plans.
     #[test]
     fn executors_agree_on_random_plans(case in plan_case()) {
-        let mut cat = Catalog::new();
-        cat.create_table(int_table("t1", ["a", "b"], &case.t1_rows)).unwrap();
-        cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows)).unwrap();
+        let cat = tables(&case, false);
         let plan = build_plan(&case, &cat);
         // Every generated plan must satisfy the logical invariants before
         // it is meaningful to compare executors on it.

@@ -88,7 +88,10 @@ const HOT_PATHS: &[&str] = &[
 /// Files whose loops are vectorized kernel loops (rule 10): allocation
 /// inside a loop body needs a `batch-alloc:`/`per-lane alloc:`
 /// justification.
-const KERNEL_LOOP_FILES: &[&str] = &["crates/exec/src/kernels.rs"];
+const KERNEL_LOOP_FILES: &[&str] = &[
+    "crates/exec/src/kernels.rs",
+    "crates/exec/src/operators/join.rs",
+];
 
 /// Allocation shapes rule 10 bans inside kernel loops. Line-based like
 /// the other rules: each pattern is an allocator call, not a type name.
