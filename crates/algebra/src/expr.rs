@@ -505,23 +505,6 @@ impl ScalarExpr {
         found
     }
 
-    /// True if the expression can be lowered to a per-batch vectorized
-    /// kernel. Sublinks execute whole subplans through the executor and
-    /// `CASE` demands lazy per-branch evaluation, so both pin their
-    /// containing expression to the row interpreter; everything else has
-    /// a (typed or lane-at-a-time) kernel. The physical planner stamps
-    /// batch mode with this predicate and the plan verifier re-checks it,
-    /// so planner, verifier and kernel lowering cannot drift apart.
-    pub fn vectorizable(&self) -> bool {
-        let mut ok = true;
-        self.visit(&mut |e| {
-            if matches!(e, ScalarExpr::Subquery(_) | ScalarExpr::Case { .. }) {
-                ok = false;
-            }
-        });
-        ok
-    }
-
     /// Pre-order visit of the expression tree (depth 0; does not descend
     /// into subquery plans, but does visit the sublink node itself).
     pub fn visit(&self, f: &mut impl FnMut(&ScalarExpr)) {

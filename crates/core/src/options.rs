@@ -101,10 +101,10 @@ pub struct SessionOptions {
     /// The clock starts when the statement starts (admission wait
     /// included) — a statement queued past its deadline never runs.
     pub statement_timeout_ms: u64,
-    /// Run vectorizable scans/filters/projections over columnar batches
-    /// (on by default). Off = the row interpreter everywhere: the
-    /// reference semantics, and the baseline the `columnar` bench
-    /// section and the batch/row equivalence property compare against.
+    /// Run filters, computed projections and sort keys over columnar
+    /// batches where every expression has a kernel (on by default). Off =
+    /// the row interpreter everywhere: the reference semantics, and the
+    /// baseline the batch/row equivalence tests compare against.
     pub columnar: bool,
 }
 

@@ -208,15 +208,21 @@ mod tests {
     #[test]
     fn trace_shows_the_plan_that_ran() {
         // The displayed physical plan is lowered under the session's
-        // options (not the planner defaults): with columnar execution off
-        // it equals what `prepare` builds and carries no batch stamp.
-        let session = forum_db().with_options(SessionOptions::default().with_columnar(false));
+        // options (not the planner defaults): with a parallel threshold
+        // of one row it equals what `prepare` builds, and the scan runs
+        // at DOP 2, which the default threshold never picks for the
+        // demo's tables.
+        let session = forum_db().with_options(
+            SessionOptions::default()
+                .with_max_parallelism(2)
+                .with_parallel_row_threshold(1),
+        );
         let sql = "SELECT PROVENANCE mid, text FROM messages WHERE mid > 1";
         let trace = StageTrace::run(&session, sql).unwrap();
         let shown = physical_tree(&trace.physical_plan);
         let prepared = session.prepare(sql).unwrap();
         assert_eq!(shown, physical_tree(prepared.physical_plan()));
-        assert!(!shown.contains("[batch"), "{shown}");
+        assert!(shown.contains("[dop=2]"), "{shown}");
     }
 
     #[test]

@@ -269,13 +269,11 @@ impl Session {
     }
 
     /// The lowering half of [`Session::plan`]: the session's parallelism
-    /// and columnar options reach the physical planner here and nowhere
-    /// else.
+    /// options reach the physical planner here and nowhere else.
     fn lower(&self, catalog: &Catalog, optimized: LogicalPlan, verify: bool) -> Result<Planned> {
         let planner = PhysicalPlanner::new(catalog)
             .max_parallelism(self.options.max_parallelism)
-            .parallel_threshold(self.options.parallel_row_threshold)
-            .columnar(self.options.columnar);
+            .parallel_threshold(self.options.parallel_row_threshold);
         let physical = if verify {
             planner.plan_verified(&optimized)?
         } else {

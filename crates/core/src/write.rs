@@ -232,7 +232,7 @@ impl Session {
         project: Option<&[ScalarExpr]>,
     ) -> Result<Vec<(usize, Tuple)>> {
         let executor = self.executor(snapshot, self.query_context());
-        let pipe = Pipe::compile(&executor, filter, project, false);
+        let pipe = Pipe::compile(&executor, filter, project);
         let mut hits = Vec::new();
         for (i, row) in executor.catalog().table(table)?.rows().iter().enumerate() {
             // Masked cancellation check per 1024 scanned rows.

@@ -469,7 +469,7 @@ impl CompiledExpr {
 
 /// One output column of a [`Gather`]: a copy of an input slot, or a
 /// constant.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Gathered {
     Slot(usize),
     Const(Value),
@@ -480,7 +480,7 @@ enum Gathered {
 /// Each output row is built in one allocation with no per-expression
 /// dispatch; a slot-only projection is the special case without
 /// constants.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Gather {
     items: Vec<Gathered>,
     /// The minimal input arity (largest gathered slot + 1).

@@ -4,9 +4,13 @@
 //! The executor makes **no strategy decisions**: join algorithms, build
 //! sides, index usage and operator fusion are all chosen by the physical
 //! planner ([`crate::physical`]) — this module only runs the operators it
-//! is handed. Callers holding a [`LogicalPlan`] (sublink subplans, tests,
-//! one-shot statements) go through [`Executor::run`], which lowers the
-//! plan once per executor (cached by plan identity) and executes the
+//! is handed. (Whether a node evaluates its expressions row by row or
+//! over columnar batches is not in the plan either: the node's body
+//! decides it where the kernels run, [`crate::kernels`].) Sessions lower a statement's plan themselves and run it
+//! through [`Executor::run_physical`] (or stream it through
+//! [`Executor::into_stream_physical`]); callers holding a [`LogicalPlan`]
+//! (sublink subplans, tests) go through [`Executor::run`], which lowers
+//! the plan once per executor (cached by plan identity) and executes the
 //! result.
 //!
 //! Every operator body lives in `crate::operators`; this module provides
@@ -83,10 +87,11 @@ pub struct Executor {
     /// This query's view of the server memory pool. Buffering operators
     /// register reservations here; the default is unbounded.
     memory: QueryMemory,
-    /// Run vectorizable scans/filters/projections over columnar batches
-    /// ([`crate::kernels`]); off = the row interpreter everywhere (the
-    /// reference semantics, and the baseline the equivalence property
-    /// pins the batch path against).
+    /// Run filters, computed projections and sort keys over columnar
+    /// batches where every expression has a kernel ([`crate::kernels`]);
+    /// off = the row interpreter everywhere (the reference semantics, and
+    /// the baseline the equivalence property pins the batch path
+    /// against).
     columnar: bool,
     /// This statement's lifecycle context: cancellation token + optional
     /// deadline, checked cooperatively at batch boundaries and operator
@@ -171,7 +176,8 @@ impl Executor {
         self
     }
 
-    /// True if vectorizable pipelines run over columnar batches.
+    /// True if nodes whose expressions all have kernels run over columnar
+    /// batches.
     pub fn columnar(&self) -> bool {
         self.columnar
     }
@@ -241,7 +247,6 @@ impl Executor {
                 .nested_loop_only(self.nested_loop_only)
                 .max_parallelism(self.max_parallelism)
                 .parallel_threshold(self.parallel_threshold)
-                .columnar(self.columnar)
                 .plan(plan),
         );
         self.physical_cache
@@ -284,7 +289,6 @@ impl Executor {
                 filter,
                 project,
                 dop,
-                batch,
                 ..
             } => {
                 let t = self.catalog.table(table)?;
@@ -294,8 +298,7 @@ impl Executor {
                     // morsel-parallelism would only contend on refcounts.
                     return Ok(t.rows().to_vec());
                 }
-                let pipe =
-                    Pipe::compile(self, filter.as_ref(), project.as_deref(), batch.is_batch());
+                let pipe = Pipe::compile(self, filter.as_ref(), project.as_deref());
                 if *dop > 1 {
                     return scan::scan_parallel(self, table, pipe, *dop);
                 }
@@ -312,13 +315,9 @@ impl Executor {
             } => {
                 let t = self.catalog.table(table)?;
                 check_scan_schema(t, table, schema)?;
-                // IndexScan is unstamped (point lookups return a handful
-                // of rows); the executor-level switch alone decides.
                 match t.index_lookup(*column, key) {
-                    Some(row_ids) => {
-                        Pipe::compile(self, residual.as_ref(), project.as_deref(), true)
-                            .run(self, row_ids.iter().map(|&r| &t.rows()[r]))
-                    }
+                    Some(row_ids) => Pipe::compile(self, residual.as_ref(), project.as_deref())
+                        .run(self, row_ids.iter().map(|&r| &t.rows()[r])),
                     None => {
                         // The index vanished since planning (e.g. the
                         // table was rebuilt): fall back to a sequential
@@ -331,7 +330,7 @@ impl Executor {
                             .chain(residual.clone())
                             .collect(),
                         );
-                        Pipe::compile(self, Some(&full), project.as_deref(), true)
+                        Pipe::compile(self, Some(&full), project.as_deref())
                             .run(self, t.rows().iter())
                     }
                 }
@@ -353,21 +352,13 @@ impl Executor {
                 }
                 Ok(out)
             }
-            PhysicalPlan::Project {
-                input,
-                exprs,
-                batch,
-            } => {
+            PhysicalPlan::Project { input, exprs } => {
                 let rows = self.run_physical(input)?;
-                Pipe::compile(self, None, Some(exprs), batch.is_batch()).run(self, rows.iter())
+                Pipe::compile(self, None, Some(exprs)).run(self, rows.iter())
             }
-            PhysicalPlan::Filter {
-                input,
-                predicate,
-                batch,
-            } => {
+            PhysicalPlan::Filter { input, predicate } => {
                 let rows = self.run_physical(input)?;
-                Pipe::compile(self, Some(predicate), None, batch.is_batch()).run(self, rows.iter())
+                Pipe::compile(self, Some(predicate), None).run(self, rows.iter())
             }
             PhysicalPlan::HashJoin { .. } => join::hash_join(self, plan),
             PhysicalPlan::NLJoin { .. } => join::nested_loop(self, plan),
@@ -396,8 +387,7 @@ impl Executor {
                 keys,
                 dop,
                 spill,
-                batch,
-            } => sort::run_sort(self, input, keys, *dop, *spill, batch.is_batch()),
+            } => sort::run_sort(self, input, keys, *dop, *spill),
             PhysicalPlan::Limit {
                 input,
                 limit,

@@ -1,13 +1,20 @@
 //! Vectorized expression kernels: the columnar half of the executor.
 //!
-//! A [`CompiledExpr`] lowers once per operator into a `VecExpr`, which
-//! evaluates an entire batch of rows per call — typed `i64`/`&str` loops
-//! for the common arithmetic/comparison/`LIKE`/`IN` shapes, a
-//! lane-at-a-time generic path (through the very same [`ops`] functions
-//! the row interpreter calls) for everything else. Expressions containing
-//! sublinks or `CASE` do not lower (see
-//! [`perm_algebra::expr::ScalarExpr::vectorizable`]); their operators stay
-//! on the row path.
+//! `eval` evaluates a [`CompiledExpr`] — the very expression the row
+//! interpreter ([`CompiledExpr::eval`]) runs — over an entire batch of
+//! rows per call: typed `i64`/`&str` loops for the common
+//! arithmetic/comparison/`LIKE`/`IN` shapes, a lane-at-a-time generic
+//! path (through the very same [`ops`] functions the row interpreter
+//! calls) for everything else.
+//!
+//! This module is also the one place that decides whether a node runs
+//! over batches at all (`batched`): the executor must be columnar, the
+//! node must have an expression to compute (a filter, a non-gather
+//! projection, sort keys), and every expression must have a kernel
+//! (`batchable`: no `CASE`, which needs lazy per-branch evaluation, and
+//! no sublink, which runs a subplan). The plan carries no batch stamp;
+//! the bodies that run kernels — `Pipe` and `SortRun` — ask here once,
+//! when they compile.
 //!
 //! ## Semantics contract
 //!
@@ -32,13 +39,12 @@
 use std::sync::Arc;
 
 use perm_types::batch::{ColumnVec, NullBitmap};
-use perm_types::hash::FxHashSet;
-use perm_types::ops::{self, ArithOp, LikeMatcher};
+use perm_types::ops::{self, ArithOp};
 use perm_types::{PermError, Result, Tuple, Value};
 
 use perm_algebra::expr::{BinOp, ScalarFunc, UnOp};
 
-use crate::compile::{hashed_in, CompiledExpr, CompiledProjection, Gather};
+use crate::compile::{hashed_in, CompiledExpr, CompiledProjection};
 use crate::eval::in_semantics;
 
 /// Rows per batch; re-exported from the shared columnar type layer.
@@ -48,7 +54,7 @@ pub use perm_types::batch::DEFAULT_BATCH_ROWS as BATCH_ROWS;
 /// explicit (sorted) index list — the batch-side equivalent of the row
 /// loop's "rows still in play".
 #[derive(Debug, Clone)]
-pub(crate) enum Sel {
+enum Sel {
     All(usize),
     Idx(Vec<u32>),
 }
@@ -84,7 +90,7 @@ macro_rules! for_lanes {
 /// Per-batch evaluation context: the pivoted input columns (gathered
 /// lazily per referenced slot and cached, so a slot used by both filter
 /// and projection pivots once) plus the outer-tuple stack.
-pub(crate) struct Cx<'a> {
+struct Cx<'a> {
     rows: &'a [&'a Tuple],
     outer: &'a [Tuple],
     n: usize,
@@ -92,7 +98,7 @@ pub(crate) struct Cx<'a> {
 }
 
 impl<'a> Cx<'a> {
-    pub(crate) fn new(rows: &'a [&'a Tuple], outer: &'a [Tuple]) -> Cx<'a> {
+    fn new(rows: &'a [&'a Tuple], outer: &'a [Tuple]) -> Cx<'a> {
         Cx {
             rows,
             outer,
@@ -126,333 +132,233 @@ fn batch_abort() -> PermError {
     PermError::Execution("batch kernel abort; row fallback".into())
 }
 
-/// A [`CompiledExpr`] lowered to per-batch kernels. Lowering fails (and
-/// the operator stays row-based) only for sublink and `CASE` subtrees.
-#[derive(Debug)]
-pub(crate) enum VecExpr {
-    Const(Value),
-    Slot(usize),
-    Outer {
-        levels_up: usize,
-        index: usize,
-    },
-    Binary {
-        op: BinOp,
-        left: Box<VecExpr>,
-        right: Box<VecExpr>,
-    },
-    And(Vec<VecExpr>),
-    Or(Vec<VecExpr>),
-    Unary {
-        op: UnOp,
-        expr: Box<VecExpr>,
-    },
-    IsNull {
-        expr: Box<VecExpr>,
-        negated: bool,
-    },
-    LikeConst {
-        expr: Box<VecExpr>,
-        matcher: LikeMatcher,
-        negated: bool,
-    },
-    Like {
-        expr: Box<VecExpr>,
-        pattern: Box<VecExpr>,
-        negated: bool,
-    },
-    InHashed {
-        expr: Box<VecExpr>,
-        set: FxHashSet<Value>,
-        has_null: bool,
-        representative: Value,
-        negated: bool,
-    },
-    InList {
-        expr: Box<VecExpr>,
-        list: Vec<VecExpr>,
-        negated: bool,
-    },
-    Cast {
-        expr: Box<VecExpr>,
-        ty: perm_types::DataType,
-    },
-    Fn {
-        func: ScalarFunc,
-        args: Vec<VecExpr>,
-    },
+/// True when `e` has a kernel: everything except `CASE` (its branches
+/// evaluate lazily, per row) and sublinks ([`CompiledExpr::Interp`],
+/// which run subplans through the executor). A `CASE` the compiler
+/// folded to a constant is a constant.
+fn batchable(e: &CompiledExpr) -> bool {
+    match e {
+        CompiledExpr::Case { .. } | CompiledExpr::Interp(_) => false,
+        CompiledExpr::Const(_) | CompiledExpr::Slot(_) | CompiledExpr::Outer { .. } => true,
+        CompiledExpr::Binary { left, right, .. } => batchable(left) && batchable(right),
+        CompiledExpr::Like { expr, pattern, .. } => batchable(expr) && batchable(pattern),
+        CompiledExpr::And(items)
+        | CompiledExpr::Or(items)
+        | CompiledExpr::Fn { args: items, .. } => items.iter().all(batchable),
+        CompiledExpr::InList { expr, list, .. } => batchable(expr) && list.iter().all(batchable),
+        CompiledExpr::Unary { expr, .. }
+        | CompiledExpr::IsNull { expr, .. }
+        | CompiledExpr::LikeConst { expr, .. }
+        | CompiledExpr::InHashed { expr, .. }
+        | CompiledExpr::Cast { expr, .. } => batchable(expr),
+    }
 }
 
-impl VecExpr {
-    /// Lower a compiled expression; `None` when a subtree demands the row
-    /// interpreter (sublinks via [`CompiledExpr::Interp`], lazy `CASE`).
-    pub(crate) fn lower(c: &CompiledExpr) -> Option<VecExpr> {
-        Some(match c {
-            CompiledExpr::Const(v) => VecExpr::Const(v.clone()),
-            CompiledExpr::Slot(i) => VecExpr::Slot(*i),
-            CompiledExpr::Outer { levels_up, index } => VecExpr::Outer {
-                levels_up: *levels_up,
-                index: *index,
-            },
-            CompiledExpr::Binary { op, left, right } => VecExpr::Binary {
-                op: *op,
-                left: Box::new(VecExpr::lower(left)?),
-                right: Box::new(VecExpr::lower(right)?),
-            },
-            CompiledExpr::And(items) => {
-                VecExpr::And(items.iter().map(VecExpr::lower).collect::<Option<_>>()?)
-            }
-            CompiledExpr::Or(items) => {
-                VecExpr::Or(items.iter().map(VecExpr::lower).collect::<Option<_>>()?)
-            }
-            CompiledExpr::Unary { op, expr } => VecExpr::Unary {
-                op: *op,
-                expr: Box::new(VecExpr::lower(expr)?),
-            },
-            CompiledExpr::IsNull { expr, negated } => VecExpr::IsNull {
-                expr: Box::new(VecExpr::lower(expr)?),
-                negated: *negated,
-            },
-            CompiledExpr::LikeConst {
-                expr,
-                matcher,
-                negated,
-            } => VecExpr::LikeConst {
-                expr: Box::new(VecExpr::lower(expr)?),
-                matcher: matcher.clone(),
-                negated: *negated,
-            },
-            CompiledExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => VecExpr::Like {
-                expr: Box::new(VecExpr::lower(expr)?),
-                pattern: Box::new(VecExpr::lower(pattern)?),
-                negated: *negated,
-            },
-            CompiledExpr::InHashed {
-                expr,
-                set,
-                has_null,
-                representative,
-                negated,
-            } => VecExpr::InHashed {
-                expr: Box::new(VecExpr::lower(expr)?),
-                set: set.clone(),
-                has_null: *has_null,
-                representative: representative.clone(),
-                negated: *negated,
-            },
-            CompiledExpr::InList {
-                expr,
-                list,
-                negated,
-            } => VecExpr::InList {
-                expr: Box::new(VecExpr::lower(expr)?),
-                list: list.iter().map(VecExpr::lower).collect::<Option<_>>()?,
-                negated: *negated,
-            },
-            CompiledExpr::Cast { expr, ty } => VecExpr::Cast {
-                expr: Box::new(VecExpr::lower(expr)?),
-                ty: *ty,
-            },
-            CompiledExpr::Fn { func, args } => VecExpr::Fn {
-                func: *func,
-                args: args.iter().map(VecExpr::lower).collect::<Option<_>>()?,
-            },
-            CompiledExpr::Case { .. } | CompiledExpr::Interp(_) => return None,
-        })
-    }
+/// The batch-or-row decision of one node, made once when its body
+/// compiles: run `exprs` — the node's filter, non-gather projection or
+/// sort keys — over batches when the executor is `columnar`, there is at
+/// least one expression to compute, and every one is [`batchable`].
+/// Slot-and-constant gathers are not passed in: a row-wise gather is
+/// already one allocation per row, and no kernel beats it.
+pub(crate) fn batched<'e>(
+    columnar: bool,
+    exprs: impl IntoIterator<Item = &'e CompiledExpr>,
+) -> bool {
+    let mut exprs = exprs.into_iter().peekable();
+    columnar && exprs.peek().is_some() && exprs.all(batchable)
+}
 
-    /// Evaluate over the selected lanes of the batch. Lanes outside `sel`
-    /// hold unspecified placeholders in the result.
-    fn eval(&self, cx: &mut Cx<'_>, sel: &Sel) -> Result<Arc<ColumnVec>> {
-        let n = cx.n;
-        match self {
-            VecExpr::Const(v) => Ok(Arc::new(ColumnVec::Const(v.clone(), n))),
-            VecExpr::Slot(i) => cx.slot_col(*i),
-            VecExpr::Outer { levels_up, index } => {
-                // The outer stack is fixed for the whole batch: resolve
-                // once, broadcast as a constant. Resolution failures
-                // abort to the row path, which raises the exact error.
-                let k = cx
-                    .outer
-                    .len()
-                    .checked_sub(*levels_up)
-                    .ok_or_else(batch_abort)?;
-                let v = cx.outer[k].get(*index).clone();
-                Ok(Arc::new(ColumnVec::Const(v, n)))
-            }
-            VecExpr::Binary { op, left, right } => {
-                let l = left.eval(cx, sel)?;
-                let r = right.eval(cx, sel)?;
-                eval_binary(*op, &l, &r, sel, n)
-            }
-            VecExpr::And(items) => eval_chain(items, cx, sel, n, false),
-            VecExpr::Or(items) => eval_chain(items, cx, sel, n, true),
-            VecExpr::Unary { op, expr } => {
-                let c = expr.eval(cx, sel)?;
-                match op {
-                    UnOp::Not => match &*c {
-                        ColumnVec::Bools(v, nulls) => {
-                            let mut out = vec![false; n];
-                            for_lanes!(sel, i => {
-                                out[i] = !v[i];
-                            });
-                            Ok(Arc::new(ColumnVec::Bools(out, nulls.clone())))
-                        }
-                        _ => lanewise1(&c, sel, n, ops::not),
-                    },
-                    UnOp::Neg => match int_src(&c) {
-                        Some(IntSrc::Null) => Ok(Arc::new(ColumnVec::Const(Value::Null, n))),
-                        Some(src) => {
-                            let mut out = vec![0i64; n];
-                            let mut nulls = NullBitmap::new_valid(n);
-                            for_lanes!(sel, i => {
-                                match src.lane(i) {
-                                    None => nulls.set_null(i),
-                                    Some(x) => match x.checked_neg() {
-                                        Some(v) => out[i] = v,
-                                        None => return Err(PermError::Value(
-                                            "integer overflow in negation".into(),
-                                        )),
-                                    },
-                                }
-                            });
-                            Ok(Arc::new(ColumnVec::Ints(out, nulls)))
-                        }
-                        None => lanewise1(&c, sel, n, ops::neg),
-                    },
-                }
-            }
-            VecExpr::IsNull { expr, negated } => {
-                let c = expr.eval(cx, sel)?;
-                let mut out = vec![false; n];
-                for_lanes!(sel, i => {
-                    out[i] = c.is_null(i) != *negated;
-                });
-                Ok(Arc::new(ColumnVec::Bools(out, NullBitmap::new_valid(n))))
-            }
-            VecExpr::LikeConst {
-                expr,
-                matcher,
-                negated,
-            } => {
-                let c = expr.eval(cx, sel)?;
-                match &*c {
-                    ColumnVec::Texts(v, in_nulls) => {
+/// Evaluate `e` over the selected lanes of the batch — the same
+/// [`CompiledExpr`] [`CompiledExpr::eval`] runs per row. Lanes outside
+/// `sel` hold unspecified placeholders in the result.
+fn eval(e: &CompiledExpr, cx: &mut Cx<'_>, sel: &Sel) -> Result<Arc<ColumnVec>> {
+    let n = cx.n;
+    match e {
+        CompiledExpr::Const(v) => Ok(Arc::new(ColumnVec::Const(v.clone(), n))),
+        CompiledExpr::Slot(i) => cx.slot_col(*i),
+        CompiledExpr::Outer { levels_up, index } => {
+            // The outer stack is fixed for the whole batch: resolve
+            // once, broadcast as a constant. Resolution failures
+            // abort to the row path, which raises the exact error.
+            let k = cx
+                .outer
+                .len()
+                .checked_sub(*levels_up)
+                .ok_or_else(batch_abort)?;
+            let v = cx.outer[k].get(*index).clone();
+            Ok(Arc::new(ColumnVec::Const(v, n)))
+        }
+        CompiledExpr::Binary { op, left, right } => {
+            let l = eval(left, cx, sel)?;
+            let r = eval(right, cx, sel)?;
+            eval_binary(*op, &l, &r, sel, n)
+        }
+        CompiledExpr::And(items) => eval_chain(items, cx, sel, n, false),
+        CompiledExpr::Or(items) => eval_chain(items, cx, sel, n, true),
+        CompiledExpr::Unary { op, expr } => {
+            let c = eval(expr, cx, sel)?;
+            match op {
+                UnOp::Not => match &*c {
+                    ColumnVec::Bools(v, nulls) => {
                         let mut out = vec![false; n];
+                        for_lanes!(sel, i => {
+                            out[i] = !v[i];
+                        });
+                        Ok(Arc::new(ColumnVec::Bools(out, nulls.clone())))
+                    }
+                    _ => lanewise1(&c, sel, n, ops::not),
+                },
+                UnOp::Neg => match int_src(&c) {
+                    Some(IntSrc::Null) => Ok(Arc::new(ColumnVec::Const(Value::Null, n))),
+                    Some(src) => {
+                        let mut out = vec![0i64; n];
                         let mut nulls = NullBitmap::new_valid(n);
                         for_lanes!(sel, i => {
-                            if in_nulls.is_null(i) {
-                                nulls.set_null(i);
-                            } else {
-                                out[i] = matcher.matches(&v[i]) != *negated;
+                            match src.lane(i) {
+                                None => nulls.set_null(i),
+                                Some(x) => match x.checked_neg() {
+                                    Some(v) => out[i] = v,
+                                    None => return Err(PermError::Value(
+                                        "integer overflow in negation".into(),
+                                    )),
+                                },
                             }
                         });
-                        Ok(Arc::new(ColumnVec::Bools(out, nulls)))
+                        Ok(Arc::new(ColumnVec::Ints(out, nulls)))
                     }
-                    _ => lanewise1(&c, sel, n, |v| {
-                        let m = match v {
-                            Value::Null => Value::Null,
-                            Value::Text(s) => Value::Bool(matcher.matches(s)),
-                            other => {
-                                return Err(PermError::Value(format!(
-                                    "LIKE requires text operands, got {} and {}",
-                                    other.data_type(),
-                                    perm_types::DataType::Text
-                                )))
-                            }
-                        };
-                        if *negated {
-                            ops::not(&m)
-                        } else {
-                            Ok(m)
-                        }
-                    }),
-                }
+                    None => lanewise1(&c, sel, n, ops::neg),
+                },
             }
-            VecExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let v = expr.eval(cx, sel)?;
-                let p = pattern.eval(cx, sel)?;
-                lanewise2(&v, &p, sel, n, |v, p| {
-                    let m = ops::like(v, p)?;
+        }
+        CompiledExpr::IsNull { expr, negated } => {
+            let c = eval(expr, cx, sel)?;
+            let mut out = vec![false; n];
+            for_lanes!(sel, i => {
+                out[i] = c.is_null(i) != *negated;
+            });
+            Ok(Arc::new(ColumnVec::Bools(out, NullBitmap::new_valid(n))))
+        }
+        CompiledExpr::LikeConst {
+            expr,
+            matcher,
+            negated,
+        } => {
+            let c = eval(expr, cx, sel)?;
+            match &*c {
+                ColumnVec::Texts(v, in_nulls) => {
+                    let mut out = vec![false; n];
+                    let mut nulls = NullBitmap::new_valid(n);
+                    for_lanes!(sel, i => {
+                        if in_nulls.is_null(i) {
+                            nulls.set_null(i);
+                        } else {
+                            out[i] = matcher.matches(&v[i]) != *negated;
+                        }
+                    });
+                    Ok(Arc::new(ColumnVec::Bools(out, nulls)))
+                }
+                _ => lanewise1(&c, sel, n, |v| {
+                    let m = match v {
+                        Value::Null => Value::Null,
+                        Value::Text(s) => Value::Bool(matcher.matches(s)),
+                        other => {
+                            return Err(PermError::Value(format!(
+                                "LIKE requires text operands, got {} and {}",
+                                other.data_type(),
+                                perm_types::DataType::Text
+                            )))
+                        }
+                    };
                     if *negated {
                         ops::not(&m)
                     } else {
                         Ok(m)
                     }
-                })
-            }
-            VecExpr::InHashed {
-                expr,
-                set,
-                has_null,
-                representative,
-                negated,
-            } => {
-                let c = expr.eval(cx, sel)?;
-                lanewise1(&c, sel, n, |v| {
-                    let r = hashed_in(v, set, *has_null, representative)?;
-                    if *negated {
-                        ops::not(&r)
-                    } else {
-                        Ok(r)
-                    }
-                })
-            }
-            VecExpr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let needle = expr.eval(cx, sel)?;
-                // batch-alloc: one column per list element, reused by every lane.
-                let items: Vec<Arc<ColumnVec>> = list
-                    .iter()
-                    .map(|e| e.eval(cx, sel))
-                    .collect::<Result<_>>()?;
-                let mut out = vec![Value::Null; n];
-                // batch-alloc: candidate buffer reused across lanes.
-                let mut cands: Vec<Value> = Vec::with_capacity(items.len());
-                for_lanes!(sel, i => {
-                    cands.clear();
-                    for item in &items {
-                        cands.push(item.get(i));
-                    }
-                    let r = in_semantics(&needle.get(i), cands.iter())?;
-                    out[i] = if *negated { ops::not(&r)? } else { r };
-                });
-                Ok(Arc::new(ColumnVec::Vals(out)))
-            }
-            VecExpr::Cast { expr, ty } => {
-                let c = expr.eval(cx, sel)?;
-                lanewise1(&c, sel, n, |v| v.cast(*ty))
-            }
-            VecExpr::Fn { func, args } => {
-                // Fused string-function-over-column kernel: reading the
-                // slot straight out of each row skips the gather (and its
-                // per-lane `Arc<str>` refcount round trip) entirely.
-                if let (
-                    ScalarFunc::Upper | ScalarFunc::Lower | ScalarFunc::Length,
-                    [VecExpr::Slot(slot)],
-                ) = (*func, args.as_slice())
-                {
-                    return eval_fn_slot(*func, *slot, cx, sel);
-                }
-                // batch-alloc: one column per argument, shared by all lanes.
-                let cols: Vec<Arc<ColumnVec>> = args
-                    .iter()
-                    .map(|a| a.eval(cx, sel))
-                    .collect::<Result<_>>()?;
-                eval_fn(*func, &cols, sel, n)
+                }),
             }
         }
+        CompiledExpr::Like {
+            expr,
+            pattern,
+            negated,
+        } => {
+            let v = eval(expr, cx, sel)?;
+            let p = eval(pattern, cx, sel)?;
+            lanewise2(&v, &p, sel, n, |v, p| {
+                let m = ops::like(v, p)?;
+                if *negated {
+                    ops::not(&m)
+                } else {
+                    Ok(m)
+                }
+            })
+        }
+        CompiledExpr::InHashed {
+            expr,
+            set,
+            has_null,
+            representative,
+            negated,
+        } => {
+            let c = eval(expr, cx, sel)?;
+            lanewise1(&c, sel, n, |v| {
+                let r = hashed_in(v, set, *has_null, representative)?;
+                if *negated {
+                    ops::not(&r)
+                } else {
+                    Ok(r)
+                }
+            })
+        }
+        CompiledExpr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let needle = eval(expr, cx, sel)?;
+            // batch-alloc: one column per list element, reused by every lane.
+            let items: Vec<Arc<ColumnVec>> = list
+                .iter()
+                .map(|e| eval(e, cx, sel))
+                .collect::<Result<_>>()?;
+            let mut out = vec![Value::Null; n];
+            // batch-alloc: candidate buffer reused across lanes.
+            let mut cands: Vec<Value> = Vec::with_capacity(items.len());
+            for_lanes!(sel, i => {
+                cands.clear();
+                for item in &items {
+                    cands.push(item.get(i));
+                }
+                let r = in_semantics(&needle.get(i), cands.iter())?;
+                out[i] = if *negated { ops::not(&r)? } else { r };
+            });
+            Ok(Arc::new(ColumnVec::Vals(out)))
+        }
+        CompiledExpr::Cast { expr, ty } => {
+            let c = eval(expr, cx, sel)?;
+            lanewise1(&c, sel, n, |v| v.cast(*ty))
+        }
+        CompiledExpr::Fn { func, args } => {
+            // Fused string-function-over-column kernel: reading the
+            // slot straight out of each row skips the gather (and its
+            // per-lane `Arc<str>` refcount round trip) entirely.
+            if let (
+                ScalarFunc::Upper | ScalarFunc::Lower | ScalarFunc::Length,
+                [CompiledExpr::Slot(slot)],
+            ) = (*func, args.as_slice())
+            {
+                return eval_fn_slot(*func, *slot, cx, sel);
+            }
+            // batch-alloc: one column per argument, shared by all lanes.
+            let cols: Vec<Arc<ColumnVec>> = args
+                .iter()
+                .map(|a| eval(a, cx, sel))
+                .collect::<Result<_>>()?;
+            eval_fn(*func, &cols, sel, n)
+        }
+        // `batched` keeps these out of batch-running nodes; one that got
+        // here anyway aborts the batch to the row replay.
+        CompiledExpr::Case { .. } | CompiledExpr::Interp(_) => Err(batch_abort()),
     }
 }
 
@@ -715,7 +621,7 @@ fn eval_binary(
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
             unreachable!("arithmetic handled above")
         }
-        BinOp::And | BinOp::Or => unreachable!("AND/OR lower to chains"),
+        BinOp::And | BinOp::Or => unreachable!("AND/OR compile to chains"),
     };
     lanewise2(l, r, sel, n, f)
 }
@@ -729,7 +635,7 @@ fn eval_binary(
 /// elements are not evaluated there — mirroring the row path's
 /// short-circuit, which is what keeps batch and row errors identical.
 fn eval_chain(
-    items: &[VecExpr],
+    items: &[CompiledExpr],
     cx: &mut Cx<'_>,
     sel: &Sel,
     n: usize,
@@ -743,7 +649,7 @@ fn eval_chain(
         if alive.count() == 0 {
             break;
         }
-        let col = item.eval(cx, &alive)?;
+        let col = eval(item, cx, &alive)?;
         // batch-alloc: the narrowed selection for the next chain element.
         let mut next: Vec<u32> = Vec::with_capacity(alive.count());
         for_lanes!(&alive, i => {
@@ -1035,164 +941,105 @@ fn lanewise2(
 // Operator-facing entry points
 // ----------------------------------------------------------------------
 
-/// The batch plan of one fused scan: an optional vectorized filter plus
-/// an optional projection. Built once per operator from the compiled row
-/// expressions; `None` when any expression refuses to lower.
-#[derive(Debug)]
-pub(crate) struct BatchScan {
-    filter: Option<VecExpr>,
-    project: Option<BatchProjection>,
-}
-
-#[derive(Debug)]
-enum BatchProjection {
-    /// Slot-and-constant projections stay row-wise gathers (one
-    /// allocation per surviving row, the values copied straight out of
-    /// the input row — no kernel can beat it).
-    Gather(Gather),
-    Exprs(Vec<VecExpr>),
-}
-
-impl BatchScan {
-    /// Lower the compiled filter/projection pair; `None` when nothing
-    /// here benefits from batching (no filter and a gather) or when an
-    /// expression cannot lower.
-    pub(crate) fn lower(
-        filter: Option<&CompiledExpr>,
-        project: Option<&CompiledProjection>,
-    ) -> Option<BatchScan> {
-        let filter_vec = match filter {
-            Some(f) => Some(VecExpr::lower(f)?),
-            None => None,
-        };
-        let project_vec = match project {
-            Some(CompiledProjection::Gather(g)) => Some(BatchProjection::Gather(g.clone())),
-            Some(CompiledProjection::Exprs(exprs)) => Some(BatchProjection::Exprs(
-                exprs
-                    .iter()
-                    .map(VecExpr::lower)
-                    .collect::<Option<Vec<_>>>()?,
-            )),
-            None => None,
-        };
-        if filter_vec.is_none() && !matches!(project_vec, Some(BatchProjection::Exprs(_))) {
-            // Nothing vectorizable to run: bare scans and pure gathers
-            // stay on the (already optimal) row path.
-            return None;
+/// Run one batch of rows through an optional filter and an optional
+/// projection (a fused scan's, a `Filter`'s or a `Project`'s), appending
+/// passing (projected) rows to `out`. On `Err` the caller must discard
+/// any rows this call appended and re-run the batch through the row
+/// path.
+pub(crate) fn filter_project(
+    filter: Option<&CompiledExpr>,
+    project: Option<&CompiledProjection>,
+    rows: &[&Tuple],
+    outer: &[Tuple],
+    out: &mut Vec<Tuple>,
+) -> Result<()> {
+    let mut cx = Cx::new(rows, outer);
+    let n = rows.len();
+    let sel = match filter {
+        None => Sel::All(n),
+        Some(f) => {
+            let col = eval(f, &mut cx, &Sel::All(n))?;
+            // batch-alloc: the surviving-lane list.
+            let mut keep: Vec<u32> = Vec::new();
+            let all = Sel::All(n);
+            for_lanes!(&all, i => {
+                if bool_lane(&col, i)? == Some(true) {
+                    keep.push(i as u32);
+                }
+            });
+            Sel::Idx(keep)
         }
-        Some(BatchScan {
-            filter: filter_vec,
-            project: project_vec,
-        })
-    }
-
-    /// Run one batch of rows, appending passing (projected) rows to
-    /// `out`. On `Err` the caller must discard any rows this call
-    /// appended and re-run the batch through the row path.
-    pub(crate) fn run_batch(
-        &self,
-        rows: &[&Tuple],
-        outer: &[Tuple],
-        out: &mut Vec<Tuple>,
-    ) -> Result<()> {
-        let mut cx = Cx::new(rows, outer);
-        let n = rows.len();
-        let sel = match &self.filter {
-            None => Sel::All(n),
-            Some(f) => {
-                let col = f.eval(&mut cx, &Sel::All(n))?;
-                // batch-alloc: the surviving-lane list.
-                let mut keep: Vec<u32> = Vec::new();
-                let all = Sel::All(n);
-                for_lanes!(&all, i => {
-                    if bool_lane(&col, i)? == Some(true) {
-                        keep.push(i as u32);
-                    }
-                });
-                Sel::Idx(keep)
+    };
+    match project {
+        None => {
+            for_lanes!(&sel, i => {
+                out.push(rows[i].clone());
+            });
+        }
+        Some(CompiledProjection::Gather(g)) => {
+            // Slot-and-constant projections stay row-wise gathers (one
+            // allocation per surviving row, the values copied straight
+            // out of the input row — no kernel can beat it).
+            for_lanes!(&sel, i => {
+                // per-lane alloc: the output row itself, one allocation.
+                // A row too narrow errs, and the row replay owns the
+                // error's order.
+                out.push(g.apply(rows[i])?);
+            });
+        }
+        Some(CompiledProjection::Exprs(exprs)) => {
+            // batch-alloc: one result column per output expression.
+            let mut cols: Vec<Arc<ColumnVec>> = Vec::with_capacity(exprs.len());
+            for e in exprs {
+                cols.push(eval(e, &mut cx, &sel)?);
             }
-        };
-        match &self.project {
-            None => {
-                for_lanes!(&sel, i => {
-                    out.push(rows[i].clone());
-                });
-            }
-            Some(BatchProjection::Gather(g)) => {
-                for_lanes!(&sel, i => {
-                    // per-lane alloc: the output row itself, one allocation.
-                    // A row too narrow errs, and the row replay owns the
-                    // error's order.
-                    out.push(g.apply(rows[i])?);
-                });
-            }
-            Some(BatchProjection::Exprs(exprs)) => {
-                // batch-alloc: one result column per output expression.
-                let mut cols: Vec<Arc<ColumnVec>> = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    cols.push(e.eval(&mut cx, &sel)?);
+            if let Sel::All(_) = sel {
+                // Dense batch: move values out of uniquely-owned
+                // result columns instead of cloning lane by lane, so
+                // text payloads transfer into the output tuples with
+                // no refcount traffic. Slot-cached columns are shared
+                // (the `Cx` cache holds a second `Arc`) and keep the
+                // per-lane `get` clone.
+                // batch-alloc: per-column value vectors for the pivot.
+                let mut moved: Vec<Vec<Value>> = cols
+                    .into_iter()
+                    .map(|c| match Arc::try_unwrap(c) {
+                        Ok(col) => col.into_vals(),
+                        Err(shared) => (0..n).map(|i| shared.get(i)).collect(),
+                    })
+                    .collect();
+                for i in 0..n {
+                    out.push(
+                        moved
+                            .iter_mut()
+                            .map(|c| std::mem::replace(&mut c[i], Value::Null))
+                            // per-lane alloc: the output row itself
+                            // (downstream operators consume Tuples).
+                            .collect(),
+                    );
                 }
-                if let Sel::All(_) = sel {
-                    // Dense batch: move values out of uniquely-owned
-                    // result columns instead of cloning lane by lane, so
-                    // text payloads transfer into the output tuples with
-                    // no refcount traffic. Slot-cached columns are shared
-                    // (the `Cx` cache holds a second `Arc`) and keep the
-                    // per-lane `get` clone.
-                    // batch-alloc: per-column value vectors for the pivot.
-                    let mut moved: Vec<Vec<Value>> = cols
-                        .into_iter()
-                        .map(|c| match Arc::try_unwrap(c) {
-                            Ok(col) => col.into_vals(),
-                            Err(shared) => (0..n).map(|i| shared.get(i)).collect(),
-                        })
-                        .collect();
-                    for i in 0..n {
-                        out.push(
-                            moved
-                                .iter_mut()
-                                .map(|c| std::mem::replace(&mut c[i], Value::Null))
-                                // per-lane alloc: the output row itself
-                                // (downstream operators consume Tuples).
-                                .collect(),
-                        );
-                    }
-                } else {
-                    for_lanes!(&sel, i => {
-                        // per-lane alloc: the output row itself.
-                        out.push(cols.iter().map(|c| c.get(i)).collect());
-                    });
-                }
+            } else {
+                for_lanes!(&sel, i => {
+                    // per-lane alloc: the output row itself.
+                    out.push(cols.iter().map(|c| c.get(i)).collect());
+                });
             }
         }
-        Ok(())
     }
+    Ok(())
 }
 
-/// A projection-shaped list of vectorized expressions (sort keys, join
-/// keys, group keys): evaluates each expression over a whole batch and
-/// returns the result columns.
-#[derive(Debug)]
-pub(crate) struct VecKeys(Vec<VecExpr>);
-
-impl VecKeys {
-    pub(crate) fn lower(exprs: &[CompiledExpr]) -> Option<VecKeys> {
-        Some(VecKeys(
-            exprs.iter().map(VecExpr::lower).collect::<Option<_>>()?,
-        ))
-    }
-
-    /// Evaluate every key over the batch. On `Err` the caller re-runs
-    /// the batch's rows through the row path.
-    pub(crate) fn eval_batch(
-        &self,
-        rows: &[&Tuple],
-        outer: &[Tuple],
-    ) -> Result<Vec<Arc<ColumnVec>>> {
-        let mut cx = Cx::new(rows, outer);
-        let sel = Sel::All(rows.len());
-        self.0.iter().map(|e| e.eval(&mut cx, &sel)).collect()
-    }
+/// Evaluate every expression of a projection-shaped list (sort keys)
+/// over one batch, returning the result columns. On `Err` the caller
+/// re-runs the batch's rows through the row path.
+pub(crate) fn eval_all(
+    exprs: &[CompiledExpr],
+    rows: &[&Tuple],
+    outer: &[Tuple],
+) -> Result<Vec<Arc<ColumnVec>>> {
+    let mut cx = Cx::new(rows, outer);
+    let sel = Sel::All(rows.len());
+    exprs.iter().map(|e| eval(e, &mut cx, &sel)).collect()
 }
 
 #[cfg(test)]
@@ -1266,20 +1113,20 @@ mod tests {
             .map(|v| Tuple::new(vec![v.map_or(Value::Null, Value::Int)]))
             .collect();
         let refs: Vec<&Tuple> = rows.iter().collect();
-        let expr = VecExpr::And(vec![
-            VecExpr::Binary {
+        let expr = CompiledExpr::And(vec![
+            CompiledExpr::Binary {
                 op: BinOp::GtEq,
-                left: Box::new(VecExpr::Slot(0)),
-                right: Box::new(VecExpr::Const(Value::Int(2))),
+                left: Box::new(CompiledExpr::Slot(0)),
+                right: Box::new(CompiledExpr::Const(Value::Int(2))),
             },
-            VecExpr::Binary {
+            CompiledExpr::Binary {
                 op: BinOp::Lt,
-                left: Box::new(VecExpr::Slot(0)),
-                right: Box::new(VecExpr::Const(Value::Int(4))),
+                left: Box::new(CompiledExpr::Slot(0)),
+                right: Box::new(CompiledExpr::Const(Value::Int(4))),
             },
         ]);
         let mut cx = Cx::new(&refs, &[]);
-        let out = expr.eval(&mut cx, &Sel::All(4)).unwrap();
+        let out = eval(&expr, &mut cx, &Sel::All(4)).unwrap();
         assert_eq!(out.get(0), Value::Bool(false));
         assert_eq!(out.get(1), Value::Bool(true));
         assert_eq!(out.get(2), Value::Null);
@@ -1295,39 +1142,36 @@ mod tests {
             .map(|v| Tuple::new(vec![Value::Int(*v)]))
             .collect();
         let refs: Vec<&Tuple> = rows.iter().collect();
-        let expr = VecExpr::And(vec![
-            VecExpr::Binary {
+        let expr = CompiledExpr::And(vec![
+            CompiledExpr::Binary {
                 op: BinOp::NotEq,
-                left: Box::new(VecExpr::Slot(0)),
-                right: Box::new(VecExpr::Const(Value::Int(0))),
+                left: Box::new(CompiledExpr::Slot(0)),
+                right: Box::new(CompiledExpr::Const(Value::Int(0))),
             },
-            VecExpr::Binary {
+            CompiledExpr::Binary {
                 op: BinOp::Gt,
-                left: Box::new(VecExpr::Binary {
+                left: Box::new(CompiledExpr::Binary {
                     op: BinOp::Div,
-                    left: Box::new(VecExpr::Const(Value::Int(10))),
-                    right: Box::new(VecExpr::Slot(0)),
+                    left: Box::new(CompiledExpr::Const(Value::Int(10))),
+                    right: Box::new(CompiledExpr::Slot(0)),
                 }),
-                right: Box::new(VecExpr::Const(Value::Int(1))),
+                right: Box::new(CompiledExpr::Const(Value::Int(1))),
             },
         ]);
         let mut cx = Cx::new(&refs, &[]);
-        let out = expr.eval(&mut cx, &Sel::All(2)).unwrap();
+        let out = eval(&expr, &mut cx, &Sel::All(2)).unwrap();
         assert_eq!(out.get(0), Value::Bool(false));
         assert_eq!(out.get(1), Value::Bool(true));
     }
 
     #[test]
     fn empty_batch_runs_clean() {
-        let scan = BatchScan {
-            filter: Some(VecExpr::IsNull {
-                expr: Box::new(VecExpr::Slot(0)),
-                negated: false,
-            }),
-            project: None,
+        let filter = CompiledExpr::IsNull {
+            expr: Box::new(CompiledExpr::Slot(0)),
+            negated: false,
         };
         let mut out = Vec::new();
-        scan.run_batch(&[], &[], &mut out).unwrap();
+        filter_project(Some(&filter), None, &[], &[], &mut out).unwrap();
         assert!(out.is_empty());
     }
 }

@@ -30,6 +30,11 @@
 //! fuses projection/filter chains into scans and slot-only projections
 //! into join output. Rows themselves are `Arc`-shared
 //! ([`perm_types::Tuple`]), so operators move references, not values.
+//! On a columnar executor ([`Executor::with_columnar`], the default),
+//! filters, computed projections and sort keys whose every expression
+//! has a kernel evaluate those same compiled expressions over batches of
+//! rows ([`kernels`]). The plan carries no row/batch decision: each
+//! node's body makes it once, when it compiles.
 //!
 //! Results can be consumed two ways: [`Executor::run`] materializes the
 //! whole result, while [`Executor::into_stream`] returns a pull-based

@@ -1,12 +1,12 @@
 //! The scan / filter / project body.
 //!
 //! A [`Pipe`] is one node's residual filter and output projection,
-//! compiled — and, when the node is batch-stamped and the executor is
-//! columnar, lowered to vectorized kernels — **once**. [`Pipe::row`] is
-//! the only place a predicate or a projection is evaluated against a row;
-//! [`Pipe::run`] is the only loop over rows: a batch at a time through
-//! the kernels (a batch they abort on is replayed through `row`), or
-//! straight through `row` when there are none.
+//! compiled **once**, together with the node's batch-or-row decision
+//! ([`crate::kernels::batched`]). [`Pipe::row`] is the only place a
+//! predicate or a projection is evaluated against a row; [`Pipe::run`]
+//! is the only loop over rows: a batch at a time through the kernels (a
+//! batch they abort on is replayed through `row`), or straight through
+//! `row` when the node does not run batches.
 //! Its drivers (listed in [`crate::operators`]) only decide which rows it
 //! sees, and chunking cannot change the answer: `run` over any split of
 //! the input, concatenated, and `row` over each input row, give the same
@@ -21,7 +21,7 @@ use perm_types::{Result, Tuple};
 use crate::compile::{CompiledExpr, CompiledProjection};
 use crate::eval::Env;
 use crate::executor::Executor;
-use crate::kernels::{BatchScan, BATCH_ROWS};
+use crate::kernels::{self, BATCH_ROWS};
 use crate::parallel::{concat, map_morsels};
 
 /// A compiled filter + projection pair over one row shape. `None` filter
@@ -30,32 +30,34 @@ use crate::parallel::{concat, map_morsels};
 pub struct Pipe {
     filter: Option<CompiledExpr>,
     project: Option<CompiledProjection>,
-    /// The vectorized lowering of the pair, when there is one.
-    kernels: Option<BatchScan>,
+    /// Run the pair over batches through the kernels.
+    pub(super) batched: bool,
     /// The outer-tuple stack the expressions resolve correlated
     /// references against, captured when the node starts executing.
     outer: Arc<Vec<Tuple>>,
 }
 
 impl Pipe {
-    /// Compile `filter` / `project` against `exec`'s current outer scopes.
-    /// `allow_batch` is the node's batch stamp: with it (and a columnar
-    /// executor) the pair is also lowered to kernels, if it lowers.
+    /// Compile `filter` / `project` against `exec`'s current outer scopes,
+    /// and decide whether [`Pipe::run`] goes through the kernels: on a
+    /// columnar executor, when there is a filter or a computed (non-gather)
+    /// projection and every one of those expressions has a kernel.
     pub fn compile(
         exec: &Executor,
         filter: Option<&ScalarExpr>,
         project: Option<&[ScalarExpr]>,
-        allow_batch: bool,
     ) -> Pipe {
         let filter = filter.map(|f| CompiledExpr::compile(exec, f));
         let project = project.map(|p| CompiledProjection::compile(exec, p));
-        let kernels = (allow_batch && exec.columnar())
-            .then(|| BatchScan::lower(filter.as_ref(), project.as_ref()))
-            .flatten();
+        let computed = match &project {
+            Some(CompiledProjection::Exprs(exprs)) => exprs.as_slice(),
+            _ => &[],
+        };
+        let batched = kernels::batched(exec.columnar(), filter.iter().chain(computed));
         Pipe {
             filter,
             project,
-            kernels,
+            batched,
             outer: exec.outer_stack(),
         }
     }
@@ -77,12 +79,12 @@ impl Pipe {
     }
 
     /// Every row of `rows`, in order. Rows are borrowed and only cloned
-    /// (a refcount bump) or projected when they pass. With kernels, each
-    /// batch of [`BATCH_ROWS`] goes through them, and a batch they abort on
-    /// — which discards its partial output — is replayed through
-    /// [`Pipe::row`], which reproduces the first error in row order (or
-    /// succeeds, if narrowing had already masked the lane). Without
-    /// kernels every row goes through `row`.
+    /// (a refcount bump) or projected when they pass. When the pipe runs
+    /// batches, each batch of [`BATCH_ROWS`] goes through the kernels, and
+    /// a batch they abort on — which discards its partial output — is
+    /// replayed through [`Pipe::row`], which reproduces the first error in
+    /// row order (or succeeds, if narrowing had already masked the lane).
+    /// Otherwise every row goes through `row`.
     pub fn run<'t>(
         &self,
         exec: &Executor,
@@ -90,7 +92,7 @@ impl Pipe {
     ) -> Result<Vec<Tuple>> {
         let cap = rows.size_hint().0;
         let mut out = Vec::with_capacity(if self.filter.is_none() { cap } else { 0 });
-        let Some(kernels) = &self.kernels else {
+        if !self.batched {
             for (i, row) in rows.enumerate() {
                 // Masked cancellation check per 4096 rows.
                 if i % 4096 == 0 {
@@ -99,7 +101,7 @@ impl Pipe {
                 out.extend(self.row(exec, row)?);
             }
             return Ok(out);
-        };
+        }
         let mut batch: Vec<&Tuple> = Vec::with_capacity(BATCH_ROWS);
         loop {
             batch.clear();
@@ -111,7 +113,14 @@ impl Pipe {
             exec.check_cancelled()?;
             perm_fault::exec_point("exec.kernel.batch", "batch scan")?;
             let before = out.len();
-            if kernels.run_batch(&batch, &self.outer, &mut out).is_err() {
+            let ran = kernels::filter_project(
+                self.filter.as_ref(),
+                self.project.as_ref(),
+                &batch,
+                &self.outer,
+                &mut out,
+            );
+            if ran.is_err() {
                 out.truncate(before);
                 // no-cancel: one batch, bounded by BATCH_ROWS.
                 for row in &batch {

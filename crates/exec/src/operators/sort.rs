@@ -1,16 +1,17 @@
 //! Sorting.
 //!
-//! The body is [`SortRun`]: the sort keys compiled (and, when the node is
-//! batch-stamped, lowered to kernels) once, and [`SortRun::run`], which
-//! keys one contiguous run of rows — a batch at a time through the
-//! kernels, replayed row by row when there are none or they abort — and
-//! stably sorts it. The drivers in [`run_sort`] only decide what the runs
-//! are: the whole input (serial: nothing to merge), one run per chunk on
-//! the pool (`dop > 1`) or one run per spill file (reservation denied),
-//! the latter two put together by [`SortRun::merge_runs`]. Runs cover the
-//! input in order and the merge resolves ties toward the earlier run, so
-//! any split reproduces the single stable sort, and a key-evaluation
-//! error is raised at the row serial execution fails on.
+//! The body is [`SortRun`]: the sort keys compiled once, with the
+//! batch-or-row decision ([`crate::kernels::batched`]), and
+//! [`SortRun::run`], which keys one contiguous run of rows — a batch at a
+//! time through the kernels, row by row when the keys do not run batches
+//! or the kernels abort — and stably sorts it. The drivers in
+//! [`run_sort`] only decide what the runs are: the whole input (serial:
+//! nothing to merge), one run per chunk on the pool (`dop > 1`) or one
+//! run per spill file (reservation denied), the latter two put together
+//! by [`SortRun::merge_runs`]. Runs cover the input in order and the
+//! merge resolves ties toward the earlier run, so any split reproduces
+//! the single stable sort, and a key-evaluation error is raised at the
+//! row serial execution fails on.
 
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -22,7 +23,7 @@ use perm_types::{QueryContext, Result, Tuple, Value};
 use crate::compile::CompiledExpr;
 use crate::eval::Env;
 use crate::executor::Executor;
-use crate::kernels::{VecKeys, BATCH_ROWS};
+use crate::kernels::{self, BATCH_ROWS};
 use crate::memory::{grow_batched, MemoryReservation};
 use crate::parallel::{chunk_ranges, map_chunks};
 use crate::physical::PhysicalPlan;
@@ -36,10 +37,9 @@ pub(crate) fn run_sort(
     keys: &[SortKey],
     dop: usize,
     spill: Option<usize>,
-    allow_batch: bool,
 ) -> Result<Vec<Tuple>> {
     let rows = exec.run_physical(input)?;
-    let sorter = SortRun::compile(exec, keys, allow_batch);
+    let sorter = SortRun::compile(exec, keys);
     // The sort buffer holds every input row plus its computed keys:
     // charge input bytes; a denial switches to the external run-sort +
     // k-way merge.
@@ -77,24 +77,21 @@ pub(super) struct SortRun {
     /// One compiled expression and one descending flag per sort key.
     compiled: Vec<CompiledExpr>,
     desc: Vec<bool>,
-    /// The vectorized lowering of the keys, when there is one.
-    kernels: Option<VecKeys>,
+    /// Key whole batches through the kernels.
+    pub(super) batched: bool,
     outer: Arc<Vec<Tuple>>,
 }
 
 impl SortRun {
-    pub(super) fn compile(exec: &Executor, keys: &[SortKey], allow_batch: bool) -> SortRun {
+    pub(super) fn compile(exec: &Executor, keys: &[SortKey]) -> SortRun {
         let compiled: Vec<CompiledExpr> = keys
             .iter()
             .map(|k| CompiledExpr::compile(exec, &k.expr))
             .collect();
-        let kernels = (allow_batch && exec.columnar())
-            .then(|| VecKeys::lower(&compiled))
-            .flatten();
         SortRun {
             desc: keys.iter().map(|k| k.desc).collect(),
+            batched: kernels::batched(exec.columnar(), &compiled),
             compiled,
-            kernels,
             outer: exec.outer_stack(),
         }
     }
@@ -112,16 +109,18 @@ impl SortRun {
         for chunk in rows.chunks(BATCH_ROWS) {
             // Batch boundary: cancellation point.
             exec.check_cancelled()?;
-            let cols = self.kernels.as_ref().and_then(|kernels| {
+            let cols = if self.batched {
                 batch.clear();
                 batch.extend(chunk.iter().map(Borrow::borrow));
-                kernels.eval_batch(&batch, &self.outer).ok()
-            });
+                kernels::eval_all(&self.compiled, &batch, &self.outer).ok()
+            } else {
+                None
+            };
             match cols {
                 Some(cols) => {
                     keys.extend((0..chunk.len()).map(|i| cols.iter().map(|c| c.get(i)).collect()))
                 }
-                // No kernels, or they aborted: the row interpreter raises
+                // Row keys, or the kernels aborted: the row interpreter raises
                 // the batch's first error in row order.
                 None => {
                     // no-cancel: one batch, bounded by BATCH_ROWS.
@@ -285,7 +284,7 @@ mod tests {
         let exec = Executor::new(Arc::new(Catalog::new()));
         let (_q, r) = res();
         let input = rows(&[5, 3, 8, 3, 1, 9, 3, 7, 2, 5, 0, 6]);
-        let sorter = SortRun::compile(&exec, &by_second_column(), false);
+        let sorter = SortRun::compile(&exec, &by_second_column());
         let mut expected = input.clone();
         expected.sort_by_key(|t| match t.get(1) {
             Value::Int(i) => *i,
@@ -301,7 +300,7 @@ mod tests {
         let _g = perm_fault::test_guard();
         let exec = Executor::new(Arc::new(Catalog::new()));
         let (_q, r) = res();
-        let sorter = SortRun::compile(&exec, &[], false);
+        let sorter = SortRun::compile(&exec, &[]);
         assert!(sort_spill(&exec, &sorter, Vec::new(), 4, &r)
             .unwrap()
             .is_empty());
@@ -315,7 +314,7 @@ mod tests {
         let exec = Executor::new(Arc::new(Catalog::new())).with_context(ctx);
         let (_q, r) = res();
         let input = rows(&[5, 3, 8, 3, 1, 9, 3, 7, 2, 5, 0, 6]);
-        let sorter = SortRun::compile(&exec, &by_second_column(), false);
+        let sorter = SortRun::compile(&exec, &by_second_column());
         let err = sort_spill(&exec, &sorter, input, 4, &r).unwrap_err();
         assert_eq!(err.kind(), "cancelled");
         assert_eq!(r.size(), 0, "working memory released on cancellation");

@@ -8,10 +8,10 @@
 
 use std::sync::Arc;
 
-use perm_algebra::expr::{AggCall, AggFunc, BinOp, ScalarExpr};
-use perm_algebra::plan::{AggOutput, JoinType, SetOpType, SortKey};
+use perm_algebra::expr::{AggCall, AggFunc, BinOp, ScalarExpr, SubqueryExpr, SubqueryKind};
+use perm_algebra::plan::{AggOutput, JoinType, LogicalPlan, SetOpType, SortKey};
 use perm_storage::Catalog;
-use perm_types::{PermError, QueryContext, Result, Tuple, Value};
+use perm_types::{Column, DataType, PermError, QueryContext, Result, Schema, Tuple, Value};
 
 use super::aggregate::{accumulate, finish, merge_partials};
 use super::join::{refs_of, HashProbe, JoinRefs};
@@ -315,15 +315,19 @@ fn outcome(r: Result<Vec<Tuple>>) -> Outcome {
     r.map_err(|e| e.to_string())
 }
 
+/// An executor with the columnar switch set to `columnar`.
+fn executor(columnar: bool) -> Executor {
+    Executor::new(Arc::new(Catalog::new())).with_columnar(columnar)
+}
+
 #[test]
 fn pipe_is_chunk_invariant() {
-    let exec = Executor::new(Arc::new(Catalog::new()));
     let rows = pipe_rows();
     let a_mod = |m: i64| ScalarExpr::binary(BinOp::Mod, col(0), int(m));
-    // (flavour, filter, projection, vectorizable, fails)
+    // (flavour, filter, projection, batchable, fails)
     let mut flavours = vec![
         (
-            "vectorizable".to_string(),
+            "batchable".to_string(),
             ScalarExpr::eq(a_mod(3), int(0)),
             vec![ScalarExpr::binary(BinOp::Add, col(0), col(1)), col(1)],
             true,
@@ -354,20 +358,17 @@ fn pipe_is_chunk_invariant() {
             true,
         ));
     }
-    for (flavour, filter, project, vectorizable, fails) in &flavours {
-        assert_eq!(filter.vectorizable(), *vectorizable, "{flavour}");
-        assert!(
-            project.iter().all(|e| e.vectorizable() == *vectorizable),
-            "{flavour}"
-        );
+    for (flavour, filter, project, batchable, fails) in &flavours {
         for (shape, f, p) in [
             ("filter", Some(filter), None),
             ("project", None, Some(project.as_slice())),
             ("both", Some(filter), Some(project.as_slice())),
         ] {
-            for allow_batch in [true, false] {
-                let what = format!("{flavour} / {shape} / batch={allow_batch}");
-                let pipe = Pipe::compile(&exec, f, p, allow_batch);
+            for columnar in [true, false] {
+                let what = format!("{flavour} / {shape} / columnar={columnar}");
+                let exec = executor(columnar);
+                let pipe = Pipe::compile(&exec, f, p);
+                assert_eq!(pipe.batched, columnar && *batchable, "{what}");
                 let whole = outcome(pipe.run(&exec, rows.iter()));
                 match &whole {
                     Ok(out) => {
@@ -435,9 +436,10 @@ fn gather_pipe_matches_the_interpreter() {
                 .collect::<Result<Vec<Tuple>>>();
             let reference = outcome(reference);
             assert_eq!(reference.is_err(), fails, "{reference:?}");
-            for allow_batch in [true, false] {
-                let what = format!("filter={} batch={allow_batch}", f.is_some());
-                let pipe = Pipe::compile(&exec, f, Some(&project), allow_batch);
+            for columnar in [true, false] {
+                let what = format!("filter={} columnar={columnar}", f.is_some());
+                let exec = executor(columnar);
+                let pipe = Pipe::compile(&exec, f, Some(&project));
                 for k in PARTITION_COUNTS {
                     let chunked = chunk_ranges(rows.len(), k)
                         .into_iter()
@@ -453,7 +455,6 @@ fn gather_pipe_matches_the_interpreter() {
 
 #[test]
 fn sorted_runs_merge_to_the_single_stable_sort() {
-    let exec = Executor::new(Arc::new(Catalog::new()));
     let ctx = QueryContext::detached();
     let rows = pipe_rows();
     let key = |expr, desc| SortKey { expr, desc };
@@ -472,9 +473,10 @@ fn sorted_runs_merge_to_the_single_stable_sort() {
         ));
     }
     for (name, keys, fails) in &cases {
-        for allow_batch in [true, false] {
-            let what = format!("{name} / batch={allow_batch}");
-            let sorter = SortRun::compile(&exec, keys, allow_batch);
+        for columnar in [true, false] {
+            let what = format!("{name} / columnar={columnar}");
+            let exec = executor(columnar);
+            let sorter = SortRun::compile(&exec, keys);
             let single = outcome(
                 sorter
                     .run(&exec, rows.clone())
@@ -501,6 +503,88 @@ fn sorted_runs_merge_to_the_single_stable_sort() {
                     });
                 assert_eq!(outcome(merged), single, "{what} runs={k}");
             }
+        }
+    }
+}
+
+/// `EXISTS (VALUES (1))`: a sublink, which runs a subplan per row.
+fn exists_sublink() -> ScalarExpr {
+    ScalarExpr::Subquery(SubqueryExpr {
+        kind: SubqueryKind::Exists,
+        plan: Box::new(LogicalPlan::Values {
+            rows: vec![vec![int(1)]],
+            schema: Schema::new(vec![Column::new("v", DataType::Int)]),
+        }),
+        negated: false,
+        operand: None,
+        correlated: false,
+    })
+}
+
+#[test]
+fn kernels_run_iff_columnar_with_batchable_work() {
+    // The one batch-or-row decision, taken where the bodies compile: a
+    // pipe or a sort runs kernels iff the executor is columnar, there is
+    // something to compute (a filter, a computed projection, sort keys),
+    // and every expression has a kernel.
+    let a_mod_3 = ScalarExpr::eq(ScalarExpr::binary(BinOp::Mod, col(0), int(3)), int(0));
+    let case = case_b_zero(ScalarExpr::Literal(Value::Bool(true)), a_mod_3.clone());
+    // `CASE WHEN true THEN 0 ELSE 1 END` folds to `0` when it compiles.
+    let folded_case = ScalarExpr::eq(
+        ScalarExpr::binary(BinOp::Mod, col(0), int(3)),
+        ScalarExpr::Case {
+            operand: None,
+            branches: vec![(ScalarExpr::Literal(Value::Bool(true)), int(0))],
+            else_branch: Some(Box::new(int(1))),
+        },
+    );
+    let sublink = ScalarExpr::binary(BinOp::And, a_mod_3.clone(), exists_sublink());
+    let sum = [ScalarExpr::binary(BinOp::Add, col(0), col(1))];
+    let slots = [col(1), col(0)];
+    let padded = [col(0), ScalarExpr::Literal(Value::Null), col(1)];
+    // (case, filter, projection, runs kernels on a columnar executor)
+    let pipes = [
+        ("batchable filter", Some(&a_mod_3), None, true),
+        ("computed projection", None, Some(&sum[..]), true),
+        ("slot gather", None, Some(&slots[..]), false),
+        ("slot+NULL gather", None, Some(&padded[..]), false),
+        (
+            "gather behind a batchable filter",
+            Some(&a_mod_3),
+            Some(&padded[..]),
+            true,
+        ),
+        ("bare pipe", None, None, false),
+        ("CASE filter", Some(&case), None, false),
+        ("sublink filter", Some(&sublink), None, false),
+        ("CASE folded to a constant", Some(&folded_case), None, true),
+    ];
+    let key = |expr| SortKey { expr, desc: false };
+    let sorts = [
+        (
+            "batchable sort key",
+            vec![key(col(1)), key(a_mod_3.clone())],
+            true,
+        ),
+        ("CASE sort key", vec![key(col(1)), key(case.clone())], false),
+    ];
+    for columnar in [true, false] {
+        let exec = executor(columnar);
+        for (what, filter, project, batched) in pipes {
+            let pipe = Pipe::compile(&exec, filter, project);
+            assert_eq!(
+                pipe.batched,
+                columnar && batched,
+                "{what} / columnar={columnar}"
+            );
+        }
+        for (what, keys, batched) in &sorts {
+            let sorter = SortRun::compile(&exec, keys);
+            assert_eq!(
+                sorter.batched,
+                columnar && *batched,
+                "{what} / columnar={columnar}"
+            );
         }
     }
 }
@@ -1173,7 +1257,6 @@ fn a_chain_through_an_index_join_is_morsel_invariant() {
         project: None,
         est_rows: 0.0,
         dop: 1,
-        batch: crate::physical::BatchMode::Row,
     };
     let chain = |dop: usize| {
         let inlj = PhysicalPlan::IndexNLJoin {

@@ -89,38 +89,6 @@ pub struct EquiKey {
     pub null_safe: bool,
 }
 
-/// How a vectorizable operator evaluates its expressions: row-at-a-time
-/// through the compiled interpreter, or over columnar batches via the
-/// kernels in [`crate::kernels`].
-///
-/// The planner stamps `Batch` in a post-pass ([`PhysicalPlanner::plan`])
-/// when every expression of the node is
-/// [`ScalarExpr::vectorizable`] — the stamp is *permission*, not
-/// obligation: the executor may still run a `Batch` node row-wise (its
-/// own columnar switch is off, or the kernel lowering declines, e.g. a
-/// pure-slot projection with nothing to compute), and row execution is
-/// always the reference semantics. `width` declares the arity of the
-/// rows the node's kernels read (its *input* schema), making the
-/// row↔batch pivot boundary explicit in the plan; the verifier checks
-/// both legality and width (`batch-legality` / `batch-width`
-/// invariants).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchMode {
-    /// Row-at-a-time through the compiled interpreter (the reference
-    /// path; always legal).
-    Row,
-    /// The node's expressions may run over columnar batches of
-    /// `width`-column input rows.
-    Batch { width: usize },
-}
-
-impl BatchMode {
-    /// True for [`BatchMode::Batch`].
-    pub fn is_batch(self) -> bool {
-        matches!(self, BatchMode::Batch { .. })
-    }
-}
-
 /// Which input of a [`PhysicalPlan::HashJoin`] the hash table is built on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildSide {
@@ -146,9 +114,6 @@ pub enum PhysicalPlan {
         est_rows: f64,
         /// Degree of parallelism: morsel-parallel scan when > 1.
         dop: usize,
-        /// Columnar execution stamp for the fused filter/projection
-        /// (`width` = base schema arity).
-        batch: BatchMode,
     },
     /// Hash-index point lookup `column = key`, plus residual predicate
     /// and fused projection. Falls back to a filtered sequential scan at
@@ -171,15 +136,11 @@ pub enum PhysicalPlan {
     Project {
         input: Box<PhysicalPlan>,
         exprs: Vec<ScalarExpr>,
-        /// Columnar execution stamp (`width` = input arity).
-        batch: BatchMode,
     },
     /// Filter over an arbitrary input.
     Filter {
         input: Box<PhysicalPlan>,
         predicate: ScalarExpr,
-        /// Columnar execution stamp (`width` = input arity).
-        batch: BatchMode,
     },
     /// Hash join on extracted equi-keys.
     HashJoin {
@@ -287,9 +248,6 @@ pub enum PhysicalPlan {
         /// buffer's memory reservation is denied; `None` = must not
         /// spill (sublink sort keys).
         spill: Option<usize>,
-        /// Columnar execution stamp for sort-key evaluation (`width` =
-        /// input arity).
-        batch: BatchMode,
     },
     Limit {
         input: Box<PhysicalPlan>,
@@ -315,18 +273,6 @@ impl PhysicalPlan {
             PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::NLJoin { left, right, .. }
             | PhysicalPlan::HashSetOp { left, right, .. } => vec![left, right],
-        }
-    }
-
-    /// This node's columnar execution stamp ([`BatchMode::Row`] for
-    /// operators without a batch implementation).
-    pub fn batch(&self) -> BatchMode {
-        match self {
-            PhysicalPlan::FusedScanProjectFilter { batch, .. }
-            | PhysicalPlan::Project { batch, .. }
-            | PhysicalPlan::Filter { batch, .. }
-            | PhysicalPlan::Sort { batch, .. } => *batch,
-            _ => BatchMode::Row,
         }
     }
 
@@ -568,9 +514,6 @@ fn render(plan: &PhysicalPlan, line_prefix: &str, is_last: bool, verbose: bool, 
     if plan.dop() > 1 {
         let _ = write!(out, " [dop={}]", plan.dop());
     }
-    if let BatchMode::Batch { width } = plan.batch() {
-        let _ = write!(out, " [batch w={width}]");
-    }
     if verbose {
         let peak = node_peak_bytes(plan);
         if peak > 0.0 {
@@ -606,81 +549,6 @@ const EST_ROW_OVERHEAD: f64 = 16.0;
 
 fn est_row_bytes(width: usize) -> f64 {
     EST_ROW_OVERHEAD + EST_VALUE_BYTES * width.max(1) as f64
-}
-
-/// Planner post-pass: stamp [`BatchMode::Batch`] on every operator whose
-/// expressions all lower to vectorized kernels
-/// ([`ScalarExpr::vectorizable`]), recording as `width` the arity of the
-/// rows its kernels read (the input schema). A fused scan with neither
-/// filter nor projection has no expressions to vectorize and stays
-/// [`BatchMode::Row`], as does everything non-vectorizable.
-/// Construction sites always build `Row`; only this pass (and verifier
-/// tests) write `Batch`, so the planner's stamp, the verifier's
-/// re-check and the kernel lowering cannot drift apart.
-fn stamp_batch(plan: &mut PhysicalPlan) {
-    match plan {
-        PhysicalPlan::FusedScanProjectFilter {
-            schema,
-            filter,
-            project,
-            batch,
-            ..
-        } => {
-            let any_work = filter.is_some() || project.is_some();
-            let vectorizable = filter.iter().all(ScalarExpr::vectorizable)
-                && project.iter().flatten().all(ScalarExpr::vectorizable);
-            if any_work && vectorizable {
-                *batch = BatchMode::Batch {
-                    width: schema.len(),
-                };
-            }
-        }
-        PhysicalPlan::Project {
-            input,
-            exprs,
-            batch,
-        } => {
-            stamp_batch(input);
-            if exprs.iter().all(ScalarExpr::vectorizable) {
-                *batch = BatchMode::Batch {
-                    width: out_arity(input),
-                };
-            }
-        }
-        PhysicalPlan::Filter {
-            input,
-            predicate,
-            batch,
-        } => {
-            stamp_batch(input);
-            if predicate.vectorizable() {
-                *batch = BatchMode::Batch {
-                    width: out_arity(input),
-                };
-            }
-        }
-        PhysicalPlan::Sort {
-            input, keys, batch, ..
-        } => {
-            stamp_batch(input);
-            if keys.iter().all(|k| k.expr.vectorizable()) {
-                *batch = BatchMode::Batch {
-                    width: out_arity(input),
-                };
-            }
-        }
-        PhysicalPlan::IndexScan { .. } | PhysicalPlan::Values { .. } => {}
-        PhysicalPlan::HashAggregate { input, .. }
-        | PhysicalPlan::HashDistinct { input, .. }
-        | PhysicalPlan::Limit { input, .. } => stamp_batch(input),
-        PhysicalPlan::IndexNLJoin { outer, .. } => stamp_batch(outer),
-        PhysicalPlan::HashJoin { left, right, .. }
-        | PhysicalPlan::NLJoin { left, right, .. }
-        | PhysicalPlan::HashSetOp { left, right, .. } => {
-            stamp_batch(left);
-            stamp_batch(right);
-        }
-    }
 }
 
 /// Output arity of a physical node (exact — every operator knows its
@@ -930,13 +798,10 @@ pub struct PhysicalPlanner<'a> {
     max_parallelism: usize,
     parallel_threshold: usize,
     /// Plan-wide spill fanout, sized from the cardinality estimates at
-    /// the top of [`PhysicalPlanner::plan`] (a `Cell` because lowering
-    /// takes `&self`). One value per plan keeps the verifier's
+    /// the top of every lowering (a `Cell` because lowering takes
+    /// `&self`). One value per plan keeps the verifier's
     /// spill-consistency invariant trivially true.
     spill_fanout: std::cell::Cell<usize>,
-    /// Stamp [`BatchMode::Batch`] on vectorizable operators (on by
-    /// default; off plans everything [`BatchMode::Row`]).
-    columnar: bool,
 }
 
 /// Lower `plan` against `catalog` (the common entry point).
@@ -952,15 +817,14 @@ impl<'a> PhysicalPlanner<'a> {
             max_parallelism: auto_parallelism(),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             spill_fanout: std::cell::Cell::new(SPILL_PARTITIONS),
-            columnar: true,
         }
     }
 
-    /// Enable or disable [`BatchMode`] stamping (on by default). Off,
-    /// every operator is planned [`BatchMode::Row`] — the reference
-    /// interpreter everywhere.
-    pub fn columnar(mut self, on: bool) -> PhysicalPlanner<'a> {
-        self.columnar = on;
+    /// Has no effect: the plan carries no row/batch decision. Whether a
+    /// node runs over columnar batches is decided by the executor's
+    /// columnar switch ([`crate::Executor::with_columnar`]) where the
+    /// kernels run ([`crate::kernels`]). Kept so existing callers build.
+    pub fn columnar(self, _on: bool) -> PhysicalPlanner<'a> {
         self
     }
 
@@ -1028,12 +892,7 @@ impl<'a> PhysicalPlanner<'a> {
     /// panics; release builds skip the check unless they opt in through
     /// [`PhysicalPlanner::plan_verified`].
     pub fn plan(&self, plan: &LogicalPlan) -> PhysicalPlan {
-        self.spill_fanout
-            .set(spill_fanout_for_rows(self.max_est(plan)));
-        let mut physical = self.plan_node(plan);
-        if self.columnar {
-            stamp_batch(&mut physical);
-        }
+        let physical = self.lower(plan);
         #[cfg(debug_assertions)]
         if let Err(e) = crate::verify::verify_physical(&physical, "physical-planning") {
             panic!("{e}");
@@ -1046,14 +905,18 @@ impl<'a> PhysicalPlanner<'a> {
     /// panicking on) the first violation. Entry point behind
     /// `SessionOptions::verify_plans` and `EXPLAIN VERIFY`.
     pub fn plan_verified(&self, plan: &LogicalPlan) -> perm_types::Result<PhysicalPlan> {
-        self.spill_fanout
-            .set(spill_fanout_for_rows(self.max_est(plan)));
-        let mut physical = self.plan_node(plan);
-        if self.columnar {
-            stamp_batch(&mut physical);
-        }
+        let physical = self.lower(plan);
         crate::verify::verify_physical(&physical, "physical-planning")?;
         Ok(physical)
+    }
+
+    /// The lowering [`PhysicalPlanner::plan`] and
+    /// [`PhysicalPlanner::plan_verified`] share: size the plan-wide spill
+    /// fanout, then lower the tree.
+    fn lower(&self, plan: &LogicalPlan) -> PhysicalPlan {
+        self.spill_fanout
+            .set(spill_fanout_for_rows(self.max_est(plan)));
+        self.plan_node(plan)
     }
 
     /// The largest estimated row count of any node in the logical tree —
@@ -1078,7 +941,6 @@ impl<'a> PhysicalPlanner<'a> {
                 project: None,
                 est_rows: self.est(plan),
                 dop: self.choose_dop(self.table_rows(table), true),
-                batch: BatchMode::Row,
             },
             LogicalPlan::Values { rows, schema } => PhysicalPlan::Values {
                 rows: rows.clone(),
@@ -1154,7 +1016,6 @@ impl<'a> PhysicalPlanner<'a> {
                     keys: keys.clone(),
                     dop: self.choose_dop(self.est(input), safe),
                     spill: safe.then_some(self.spill_fanout.get()),
-                    batch: BatchMode::Row,
                 }
             }
             LogicalPlan::Limit {
@@ -1201,19 +1062,16 @@ impl<'a> PhysicalPlanner<'a> {
                 project: project.map(<[ScalarExpr]>::to_vec),
                 est_rows,
                 dop,
-                batch: BatchMode::Row,
             };
         }
         let filtered = PhysicalPlan::Filter {
             input: Box::new(self.plan_node(input)),
             predicate: predicate.clone(),
-            batch: BatchMode::Row,
         };
         match project {
             Some(exprs) => PhysicalPlan::Project {
                 input: Box::new(filtered),
                 exprs: exprs.to_vec(),
-                batch: BatchMode::Row,
             },
             None => filtered,
         }
@@ -1245,7 +1103,6 @@ impl<'a> PhysicalPlanner<'a> {
                     self.table_rows(table),
                     Self::safe(&exprs.iter().collect::<Vec<_>>()),
                 ),
-                batch: BatchMode::Row,
             },
             LogicalPlan::Filter {
                 input: finput,
@@ -1274,14 +1131,12 @@ impl<'a> PhysicalPlanner<'a> {
                     PhysicalPlan::Project {
                         input: Box::new(self.plan_node(input)),
                         exprs: exprs.to_vec(),
-                        batch: BatchMode::Row,
                     }
                 }
             }
             other => PhysicalPlan::Project {
                 input: Box::new(self.plan_node(other)),
                 exprs: exprs.to_vec(),
-                batch: BatchMode::Row,
             },
         }
     }

@@ -294,7 +294,6 @@ impl Cursor {
                 filter,
                 project,
                 dop,
-                batch,
                 ..
             } => {
                 // Same staleness check Executor::run_physical performs,
@@ -309,10 +308,7 @@ impl Cursor {
                 if filter.is_none() && project.is_none() {
                     return Ok(scan);
                 }
-                // Producers run whole morsels through the kernels; the
-                // serial cursor pulls row by row and never would.
-                let stamp = *dop > 1 && batch.is_batch();
-                let pipe = Pipe::compile(exec, filter.as_ref(), project.as_deref(), stamp);
+                let pipe = Pipe::compile(exec, filter.as_ref(), project.as_deref());
                 if *dop > 1 {
                     return Ok(Cursor::Exchange(ExchangeCursor::spawn(
                         exec, table, pipe, *dop,
@@ -323,15 +319,13 @@ impl Cursor {
                     pipe,
                 }
             }
-            PhysicalPlan::Filter {
-                input, predicate, ..
-            } => Cursor::Pipe {
+            PhysicalPlan::Filter { input, predicate } => Cursor::Pipe {
                 input: Box::new(Cursor::build(exec, input)?),
-                pipe: Pipe::compile(exec, Some(predicate), None, false),
+                pipe: Pipe::compile(exec, Some(predicate), None),
             },
-            PhysicalPlan::Project { input, exprs, .. } => Cursor::Pipe {
+            PhysicalPlan::Project { input, exprs } => Cursor::Pipe {
                 input: Box::new(Cursor::build(exec, input)?),
-                pipe: Pipe::compile(exec, None, Some(exprs), false),
+                pipe: Pipe::compile(exec, None, Some(exprs)),
             },
             PhysicalPlan::Limit {
                 input,

@@ -18,14 +18,10 @@
 //!   on: sublink-carrying pipelines stay serial, FULL joins stay serial,
 //!   DISTINCT aggregates stay serial, `UNION ALL` appends stay serial,
 //!   and every `dop` is between 1 and the worker-pool size.
-//! * **Batch legality** — a node stamped [`BatchMode::Batch`] may run
-//!   its expressions through the vectorized kernels
-//!   ([`crate::kernels`]), so every one of them must be
-//!   [`ScalarExpr::vectorizable`] (`batch-legality`) and the declared
-//!   batch width must equal the arity of the input rows the kernels
-//!   read (`batch-width`) — the explicit row↔batch pivot boundary.
-//!   `Row` stamps are always legal: row execution is the reference
-//!   semantics.
+//!
+//! Whether a node runs over columnar batches is not in the plan (its
+//! body decides when it compiles, [`crate::kernels`]), so it is not
+//! verified here.
 //!
 //! Like the logical verifier ([`perm_algebra::verify`]), errors name the
 //! responsible pass, the violated invariant and the node path.
@@ -36,7 +32,7 @@ use perm_algebra::typecheck;
 use perm_types::{Column, DataType, PermError, Result, Schema};
 
 use crate::parallel::pool_parallelism;
-use crate::physical::{BatchMode, PhysicalPlan};
+use crate::physical::PhysicalPlan;
 
 fn violation(pass: &str, invariant: &str, path: &str, detail: impl std::fmt::Display) -> PermError {
     PermError::Plan(format!(
@@ -368,40 +364,6 @@ fn check_spill_partitions(
     Ok(())
 }
 
-/// Batch-legality of one stamped node: every expression the node would
-/// run through the vectorized kernels must be
-/// [`ScalarExpr::vectorizable`], and the declared batch `width` must be
-/// the arity of the node's *input* rows — the schema the kernels read.
-/// [`BatchMode::Row`] is always legal.
-fn check_batch(
-    batch: BatchMode,
-    in_arity: usize,
-    exprs: &[&ScalarExpr],
-    pass: &str,
-    path: &str,
-) -> Result<()> {
-    let BatchMode::Batch { width } = batch else {
-        return Ok(());
-    };
-    if let Some(e) = exprs.iter().find(|e| !e.vectorizable()) {
-        return Err(violation(
-            pass,
-            "batch-legality",
-            path,
-            format!("batch-stamped node evaluates {e}, which has no vectorized kernel"),
-        ));
-    }
-    if width != in_arity {
-        return Err(violation(
-            pass,
-            "batch-width",
-            path,
-            format!("declared batch width {width}, but the input rows have {in_arity} columns"),
-        ));
-    }
-    Ok(())
-}
-
 /// Verify one node and return its output schema (types derived bottom-up;
 /// synthetic column names).
 fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
@@ -418,7 +380,6 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
             schema,
             filter,
             project,
-            batch,
             ..
         } => {
             let mut exprs: Vec<&ScalarExpr> = Vec::new();
@@ -444,7 +405,6 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                 None => schema.clone(),
             };
             check_dop(plan, &exprs, pass, path)?;
-            check_batch(*batch, schema.len(), &exprs, pass, path)?;
             Ok(out)
         }
         PhysicalPlan::IndexScan {
@@ -513,11 +473,7 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
             }
             Ok(synthesized(vec![DataType::Unknown; *arity]))
         }
-        PhysicalPlan::Project {
-            input,
-            exprs,
-            batch,
-        } => {
+        PhysicalPlan::Project { input, exprs } => {
             let in_schema = verify_node(input, pass, path)?;
             let mut refs: Vec<&ScalarExpr> = Vec::with_capacity(exprs.len());
             let mut types = Vec::with_capacity(exprs.len());
@@ -526,18 +482,12 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                 refs.push(e);
             }
             check_dop(plan, &refs, pass, path)?;
-            check_batch(*batch, in_schema.len(), &refs, pass, path)?;
             Ok(synthesized(types))
         }
-        PhysicalPlan::Filter {
-            input,
-            predicate,
-            batch,
-        } => {
+        PhysicalPlan::Filter { input, predicate } => {
             let in_schema = verify_node(input, pass, path)?;
             check_bool_expr(predicate, &in_schema, pass, path, "predicate")?;
             check_dop(plan, &[predicate], pass, path)?;
-            check_batch(*batch, in_schema.len(), &[predicate], pass, path)?;
             Ok(in_schema)
         }
         PhysicalPlan::HashJoin {
@@ -787,9 +737,7 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
             check_dop(plan, &[], pass, path)?;
             Ok(ls)
         }
-        PhysicalPlan::Sort {
-            input, keys, batch, ..
-        } => {
+        PhysicalPlan::Sort { input, keys, .. } => {
             let in_schema = verify_node(input, pass, path)?;
             let mut exprs: Vec<&ScalarExpr> = Vec::with_capacity(keys.len());
             for (i, k) in keys.iter().enumerate() {
@@ -797,7 +745,6 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                 exprs.push(&k.expr);
             }
             check_dop(plan, &exprs, pass, path)?;
-            check_batch(*batch, in_schema.len(), &exprs, pass, path)?;
             Ok(in_schema)
         }
         PhysicalPlan::Limit { input, .. } => verify_node(input, pass, path),
@@ -839,7 +786,6 @@ mod tests {
             project: None,
             est_rows: 100.0,
             dop,
-            batch: BatchMode::Row,
         }
     }
 
@@ -852,7 +798,6 @@ mod tests {
                 ScalarExpr::Column(0),
                 ScalarExpr::Literal(Value::Int(3)),
             ),
-            batch: BatchMode::Row,
         };
         verify_physical(&plan, "physical-planning").unwrap();
     }
@@ -862,7 +807,6 @@ mod tests {
         let plan = PhysicalPlan::Project {
             input: Box::new(scan(1)),
             exprs: vec![ScalarExpr::Column(5)],
-            batch: BatchMode::Row,
         };
         let err = verify_physical(&plan, "physical-planning").unwrap_err();
         assert!(err.message().contains("slot-bounds"), "{err}");
@@ -955,7 +899,6 @@ mod tests {
         let narrow = PhysicalPlan::Project {
             input: Box::new(scan(1)),
             exprs: vec![ScalarExpr::Column(0)],
-            batch: BatchMode::Row,
         };
         let plan = PhysicalPlan::HashSetOp {
             op: SetOpType::Intersect,
@@ -999,7 +942,6 @@ mod tests {
             // In range (8..=64, power of two) but differing from the
             // sibling's 8 — the mismatch check must catch it.
             spill: Some(16),
-            batch: BatchMode::Row,
         };
         let err = verify_physical(&plan, "physical-planning").unwrap_err();
         assert!(err.message().contains("spill-consistency"), "{err}");

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use perm_algebra::expr::{AggCall, AggFunc, BinOp, ScalarExpr};
 use perm_algebra::plan::{AggOutput, JoinType, SetOpType, SortKey};
-use perm_exec::physical::{BatchMode, BuildSide, EquiKey, PhysicalPlan};
+use perm_exec::physical::{BuildSide, EquiKey, PhysicalPlan};
 use perm_exec::{verify_physical, Executor, MemoryPool, QueryMemory, SPILL_PARTITIONS};
 use perm_storage::{spill_dir_is_clean, Catalog, Table};
 use perm_types::{Column, DataType, QueryContext, Result, Schema, Tuple, Value};
@@ -69,7 +69,6 @@ fn scan(cat: &Catalog, name: &str) -> Box<PhysicalPlan> {
         project: None,
         est_rows: 50.0,
         dop: 1,
-        batch: BatchMode::Row,
     })
 }
 
@@ -283,12 +282,11 @@ fn operators(cat: &Catalog, dop: usize) -> Vec<(String, PhysicalPlan)> {
         )],
         else_branch: Some(Box::new(even.clone())),
     };
-    let batch = BatchMode::Batch { width: 2 };
-    for (what, filter, project, batch) in [
-        ("filter", Some(even.clone()), None, batch),
-        ("project", None, Some(sum.clone()), batch),
-        ("both", Some(even.clone()), Some(sum.clone()), batch),
-        ("row-only filter", Some(case), None, BatchMode::Row),
+    for (what, filter, project) in [
+        ("filter", Some(even.clone()), None),
+        ("project", None, Some(sum.clone())),
+        ("both", Some(even.clone()), Some(sum.clone())),
+        ("row-only filter", Some(case), None),
     ] {
         ops.push((
             format!("FusedScanProjectFilter {what} dop={dop}"),
@@ -299,7 +297,6 @@ fn operators(cat: &Catalog, dop: usize) -> Vec<(String, PhysicalPlan)> {
                 project,
                 est_rows: 50.0,
                 dop,
-                batch,
             },
         ));
     }
@@ -308,7 +305,6 @@ fn operators(cat: &Catalog, dop: usize) -> Vec<(String, PhysicalPlan)> {
         PhysicalPlan::Filter {
             input: scan(cat, "t1"),
             predicate: even,
-            batch,
         },
     ));
     ops.push((
@@ -316,7 +312,6 @@ fn operators(cat: &Catalog, dop: usize) -> Vec<(String, PhysicalPlan)> {
         PhysicalPlan::Project {
             input: scan(cat, "t1"),
             exprs: sum,
-            batch,
         },
     ));
     ops.push((
@@ -329,7 +324,6 @@ fn operators(cat: &Catalog, dop: usize) -> Vec<(String, PhysicalPlan)> {
             }],
             dop,
             spill,
-            batch,
         },
     ));
     ops.push((

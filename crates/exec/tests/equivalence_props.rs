@@ -936,16 +936,16 @@ proptest! {
     /// Columnar batch execution is observationally identical to the row
     /// interpreter — the reference-semantics oracle the batch kernels
     /// are pinned against. The same optimized logical plan runs through
-    /// two executors that differ only in their columnar switch: the
-    /// row lowering stamps every operator `BatchMode::Row`, the batch
-    /// lowering stamps vectorizable operators `BatchMode::Batch` and
-    /// routes them through the kernels. Same rows, in the same order,
+    /// two executors that differ only in their columnar switch: off,
+    /// every expression runs through the row interpreter; on, every
+    /// filter, computed projection and sort-key list whose expressions
+    /// all have kernels runs through them. Same rows, in the same order,
     /// and the same errors (the `div_by_key` variant plants a division
     /// that blows up mid-batch; the kernel abort must replay row-wise
     /// and surface exactly the row path's first error) — at DOP 1 and
     /// DOP 3, in memory and under a 1-byte pool that forces every
-    /// buffering operator to spill, with both lowerings re-verified by
-    /// the static plan verifier (the `PERM_VERIFY_PLANS=1` posture).
+    /// buffering operator to spill, with the lowering re-verified by the
+    /// static plan verifier (the `PERM_VERIFY_PLANS=1` posture).
     #[test]
     fn batch_execution_matches_row(
         case in plan_case(),
@@ -1026,19 +1026,13 @@ proptest! {
             Err(e) => return Err(TestCaseError::fail(format!("verifier: {e}"))),
         };
         let (dop, threshold) = if parallel { (3, 1) } else { (1, 2) };
-        // Both lowerings must satisfy the physical invariants — the
-        // batch one includes the batch-legality/batch-width stamps.
-        for columnar in [false, true] {
-            if let Err(e) = perm_exec::PhysicalPlanner::new(&cat)
-                .columnar(columnar)
-                .max_parallelism(dop)
-                .parallel_threshold(threshold)
-                .plan_verified(&optimized)
-            {
-                return Err(TestCaseError::fail(format!(
-                    "physical verifier (columnar={columnar}): {e}"
-                )));
-            }
+        // The lowering must satisfy the physical invariants.
+        if let Err(e) = perm_exec::PhysicalPlanner::new(&cat)
+            .max_parallelism(dop)
+            .parallel_threshold(threshold)
+            .plan_verified(&optimized)
+        {
+            return Err(TestCaseError::fail(format!("physical verifier: {e}")));
         }
         let run = |columnar: bool| {
             let exec = Executor::new(Arc::clone(&cat))

@@ -27,7 +27,7 @@ use perm_algebra::verify::{
     branches_disjoint, is_self_join_back, verify_aggregate_pushdown, verify_distinct_pushdown,
     verify_join_back_collapse, verify_logical, verify_provenance_schema, verify_schema_preserved,
 };
-use perm_exec::physical::{BatchMode, BuildSide, EquiKey, PhysicalPlan};
+use perm_exec::physical::{BuildSide, EquiKey, PhysicalPlan};
 use perm_exec::verify_physical;
 use perm_types::{Column, DataType, Schema, Value};
 
@@ -570,7 +570,6 @@ fn physical_out_of_bounds_projection_slot() {
     let plan = PhysicalPlan::Project {
         input: values(2),
         exprs: vec![ScalarExpr::Column(7)],
-        batch: BatchMode::Row,
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "slot-bounds", "physical-planning");
@@ -589,7 +588,6 @@ fn physical_gather_slot_out_of_bounds() {
     let plan = PhysicalPlan::Project {
         input: values(2),
         exprs: gather.clone(),
-        batch: BatchMode::Row,
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "slot-bounds", "physical-planning");
@@ -603,7 +601,6 @@ fn physical_gather_slot_out_of_bounds() {
         project: Some(gather),
         est_rows: 10.0,
         dop: 1,
-        batch: BatchMode::Batch { width: 2 },
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "slot-bounds", "physical-planning");
@@ -631,7 +628,6 @@ fn physical_witness_aggregate_exposes_its_input_row() {
     let above = |output, slot| PhysicalPlan::Project {
         input: aggregate(output),
         exprs: vec![ScalarExpr::Column(slot)],
-        batch: BatchMode::Row,
     };
     verify_physical(&above(AggOutput::Witnesses, 3), "physical-planning").unwrap();
     for (output, slot) in [(AggOutput::Witnesses, 4), (AggOutput::Groups, 2)] {
@@ -651,7 +647,6 @@ fn parallel_scan_over_sublink_pipeline_is_illegal() {
         project: None,
         est_rows: 1e6,
         dop: 2,
-        batch: BatchMode::Row,
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "parallel-legality", "physical-planning");
@@ -725,7 +720,6 @@ fn dop_beyond_worker_pool_is_illegal() {
         project: None,
         est_rows: 1e6,
         dop: 10_000,
-        batch: BatchMode::Row,
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "parallel-legality", "physical-planning");
@@ -744,7 +738,6 @@ fn spilling_sublink_sort_is_illegal() {
         }],
         dop: 1,
         spill: Some(8),
-        batch: BatchMode::Row,
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "spill-legality", "physical-planning");
@@ -790,103 +783,6 @@ fn hash_join_child_width_mismatch_is_rejected() {
 }
 
 // ----------------------------------------------------------------------
-// Batch-stamp corruptions (columnar execution)
-// ----------------------------------------------------------------------
-
-/// A CASE expression: lazily-evaluated branches have no vectorized
-/// kernel, so it is the canonical non-vectorizable (sublink-free)
-/// expression.
-fn case_expr() -> ScalarExpr {
-    ScalarExpr::Case {
-        operand: None,
-        branches: vec![(
-            ScalarExpr::eq(ScalarExpr::Column(0), ScalarExpr::Literal(Value::Int(1))),
-            ScalarExpr::Literal(Value::Int(1)),
-        )],
-        else_branch: Some(Box::new(ScalarExpr::Literal(Value::Int(0)))),
-    }
-}
-
-#[test]
-fn batch_stamp_on_nonvectorizable_filter_is_illegal() {
-    // A pass that stamps Batch on a CASE-bearing predicate promises the
-    // executor a kernel that does not exist.
-    let plan = PhysicalPlan::Filter {
-        input: values(2),
-        predicate: ScalarExpr::eq(case_expr(), ScalarExpr::Literal(Value::Int(1))),
-        batch: BatchMode::Batch { width: 2 },
-    };
-    let err = verify_physical(&plan, "physical-planning").unwrap_err();
-    assert_names(&err, "batch-legality", "physical-planning");
-    // Row-stamped, the same plan is fine: row execution is always legal.
-    let plan = PhysicalPlan::Filter {
-        input: values(2),
-        predicate: ScalarExpr::eq(case_expr(), ScalarExpr::Literal(Value::Int(1))),
-        batch: BatchMode::Row,
-    };
-    verify_physical(&plan, "physical-planning").unwrap();
-}
-
-#[test]
-fn batch_stamp_on_nonvectorizable_projection_is_illegal() {
-    let plan = PhysicalPlan::Project {
-        input: values(2),
-        exprs: vec![ScalarExpr::Column(0), case_expr()],
-        batch: BatchMode::Batch { width: 2 },
-    };
-    let err = verify_physical(&plan, "physical-planning").unwrap_err();
-    assert_names(&err, "batch-legality", "physical-planning");
-}
-
-#[test]
-fn batch_stamp_on_nonvectorizable_sort_key_is_illegal() {
-    let plan = PhysicalPlan::Sort {
-        input: values(1),
-        keys: vec![SortKey {
-            expr: case_expr(),
-            desc: false,
-        }],
-        dop: 1,
-        spill: Some(8),
-        batch: BatchMode::Batch { width: 1 },
-    };
-    let err = verify_physical(&plan, "physical-planning").unwrap_err();
-    assert_names(&err, "batch-legality", "physical-planning");
-}
-
-#[test]
-fn batch_width_must_match_input_arity() {
-    // The declared width is the explicit row↔batch pivot boundary; a
-    // width that disagrees with the input schema means a pass rewrote
-    // the child without restamping.
-    let plan = PhysicalPlan::Filter {
-        input: values(2),
-        predicate: ScalarExpr::eq(ScalarExpr::Column(0), ScalarExpr::Literal(Value::Int(1))),
-        batch: BatchMode::Batch { width: 3 },
-    };
-    let err = verify_physical(&plan, "physical-planning").unwrap_err();
-    assert_names(&err, "batch-width", "physical-planning");
-    assert!(err.message().contains("width 3"), "{err}");
-}
-
-#[test]
-fn batch_width_of_fused_scan_is_the_base_schema() {
-    // A fused scan's kernels read *base* rows; its width must be the
-    // base arity even when the projection narrows the output.
-    let plan = PhysicalPlan::FusedScanProjectFilter {
-        table: "t".into(),
-        schema: two_col_schema(),
-        filter: None,
-        project: Some(vec![ScalarExpr::Column(1)]),
-        est_rows: 10.0,
-        dop: 1,
-        batch: BatchMode::Batch { width: 1 }, // output width, not input
-    };
-    let err = verify_physical(&plan, "physical-planning").unwrap_err();
-    assert_names(&err, "batch-width", "physical-planning");
-}
-
-// ----------------------------------------------------------------------
 // Sanity: well-formed plans pass both layers, and errors carry node paths
 // ----------------------------------------------------------------------
 
@@ -908,7 +804,6 @@ fn well_formed_plans_verify_clean() {
         project: Some(vec![ScalarExpr::Column(1)]),
         est_rows: 10.0,
         dop: 1,
-        batch: BatchMode::Batch { width: 2 },
     };
     verify_physical(&physical, "physical-planning").unwrap();
 }
@@ -921,7 +816,6 @@ fn violations_name_the_node_path() {
         input: Box::new(PhysicalPlan::Project {
             input: values(2),
             exprs: vec![ScalarExpr::Column(9)],
-            batch: BatchMode::Row,
         }),
         dop: 1,
         spill: Some(8),

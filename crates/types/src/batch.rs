@@ -1,17 +1,18 @@
-//! Columnar batches: the unit of vectorized execution.
+//! Typed column vectors: the data layout of vectorized execution.
 //!
-//! A [`Batch`] holds up to ~[`DEFAULT_BATCH_ROWS`] rows pivoted into
-//! per-column typed vectors ([`ColumnVec`]) with [`NullBitmap`]s, the way
-//! arrow-style engines lay out execution memory. The executor gathers row
-//! slices into batches at pivot boundaries, runs tight typed kernels over
-//! the columns, and scatters back to [`Tuple`]s where the plan stays
-//! row-based (sublinks, FULL joins, output).
+//! The executor's kernels work on a batch of up to
+//! [`DEFAULT_BATCH_ROWS`] row references. They gather each slot an
+//! expression reads, lazily and once per batch, into a typed vector
+//! ([`ColumnVec`]) with a [`NullBitmap`] — the way arrow-style engines
+//! lay out execution memory — run tight typed loops over those columns,
+//! and build the output [`Tuple`]s directly. There is no batch container:
+//! the rows stay where they are, and only the referenced columns are
+//! ever pivoted.
 //!
 //! Columns are adaptively typed: a gather starts from the values it sees,
 //! so a column whose non-null values are all `Int` becomes
 //! [`ColumnVec::Ints`] and mixed-type columns degrade to the generic
-//! [`ColumnVec::Vals`] — never an error, just a slower lane. Column data
-//! is `Arc`-shared, which makes [`Batch::slice`] zero-copy.
+//! [`ColumnVec::Vals`] — never an error, just a slower lane.
 
 use std::sync::Arc;
 
@@ -293,88 +294,6 @@ fn gather_vals(rows: &[&Tuple], slot: usize) -> ColumnVec {
     )
 }
 
-/// A columnar batch: `Arc`-shared columns over a common lane range, so
-/// [`Batch::slice`] is zero-copy. Columns are gathered per referenced
-/// slot; unreferenced slots stay `None` (never materialized).
-#[derive(Debug, Clone)]
-pub struct Batch {
-    cols: Vec<Option<Arc<ColumnVec>>>,
-    offset: usize,
-    len: usize,
-}
-
-impl Batch {
-    /// Pivot `rows` into a batch, gathering only the slots for which
-    /// `wanted` is true (`wanted.len()` fixes the batch width).
-    pub fn from_rows(rows: &[&Tuple], wanted: &[bool]) -> Batch {
-        let cols = wanted
-            .iter()
-            .enumerate()
-            .map(|(slot, want)| want.then(|| Arc::new(ColumnVec::gather(rows, slot))))
-            .collect();
-        Batch {
-            cols,
-            offset: 0,
-            len: rows.len(),
-        }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the batch holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of column slots (gathered or not).
-    pub fn width(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// First lane of this batch's view into the shared columns.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
-    /// The gathered column for `slot`, if it was requested.
-    pub fn col(&self, slot: usize) -> Option<&ColumnVec> {
-        self.cols.get(slot).and_then(|c| c.as_deref())
-    }
-
-    /// A zero-copy sub-range view: columns are shared, only the window
-    /// moves. Lane `i` of the slice is lane `offset + from + i` of the
-    /// underlying columns.
-    pub fn slice(&self, from: usize, len: usize) -> Batch {
-        assert!(from + len <= self.len, "slice out of range");
-        Batch {
-            cols: self.cols.clone(),
-            offset: self.offset + from,
-            len,
-        }
-    }
-
-    /// Materialize row `i` (of this view) from the gathered columns;
-    /// ungathered slots come back NULL.
-    pub fn row(&self, i: usize) -> Tuple {
-        assert!(i < self.len);
-        self.cols
-            .iter()
-            .map(|c| match c {
-                Some(col) => col.get(self.offset + i),
-                None => Value::Null,
-            })
-            .collect()
-    }
-
-    /// Materialize every row of this view.
-    pub fn to_rows(&self) -> Vec<Tuple> {
-        (0..self.len).map(|i| self.row(i)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,24 +303,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_has_no_lanes() {
-        let rows: Vec<&Tuple> = Vec::new();
-        let b = Batch::from_rows(&rows, &[true, true]);
-        assert_eq!(b.len(), 0);
-        assert!(b.is_empty());
-        assert_eq!(b.width(), 2);
-        assert!(b.to_rows().is_empty());
-        let c = b.col(0).unwrap();
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn all_null_column_gathers_with_full_bitmap() {
         let rows = [t(vec![Value::Null]), t(vec![Value::Null])];
         let refs: Vec<&Tuple> = rows.iter().collect();
-        let b = Batch::from_rows(&refs, &[true]);
-        let c = b.col(0).unwrap();
-        match c {
+        let c = ColumnVec::gather(&refs, 0);
+        match &c {
             ColumnVec::Ints(_, nulls) => {
                 assert!(nulls.all_null());
                 assert_eq!(nulls.null_count(), 2);
@@ -421,8 +327,8 @@ mod tests {
             t(vec![Value::Int(3)]),
         ];
         let refs: Vec<&Tuple> = rows.iter().collect();
-        let b = Batch::from_rows(&refs, &[true]);
-        match b.col(0).unwrap() {
+        let c = ColumnVec::gather(&refs, 0);
+        match &c {
             ColumnVec::Ints(v, nulls) => {
                 assert_eq!(v[0], 1);
                 assert!(nulls.is_null(1));
@@ -431,15 +337,14 @@ mod tests {
             }
             other => panic!("expected Ints, got {other:?}"),
         }
-        assert_eq!(b.row(1), t(vec![Value::Null]));
+        assert_eq!(c.get(1), Value::Null);
     }
 
     #[test]
     fn mixed_types_degrade_to_vals() {
         let rows = [t(vec![Value::Int(1)]), t(vec![Value::text("x")])];
         let refs: Vec<&Tuple> = rows.iter().collect();
-        let b = Batch::from_rows(&refs, &[true]);
-        match b.col(0).unwrap() {
+        match ColumnVec::gather(&refs, 0) {
             ColumnVec::Vals(v) => assert_eq!(v[1], Value::text("x")),
             other => panic!("expected Vals, got {other:?}"),
         }
@@ -447,32 +352,20 @@ mod tests {
 
     #[test]
     fn unwanted_slots_stay_ungathered() {
-        let rows = [t(vec![Value::Int(1), Value::Int(2)])];
+        // A gather reads only its own slot: slot 0 mixes types, and
+        // slot 1 still gathers as a typed column.
+        let rows = [
+            t(vec![Value::Int(1), Value::Int(2)]),
+            t(vec![Value::text("x"), Value::Int(3)]),
+        ];
         let refs: Vec<&Tuple> = rows.iter().collect();
-        let b = Batch::from_rows(&refs, &[false, true]);
-        assert!(b.col(0).is_none());
-        assert!(b.col(1).is_some());
-        // Materializing through an ungathered slot yields NULL.
-        assert_eq!(b.row(0), t(vec![Value::Null, Value::Int(2)]));
-    }
-
-    #[test]
-    fn slicing_is_a_window_over_shared_columns() {
-        let rows: Vec<Tuple> = (0..10).map(|i| t(vec![Value::Int(i)])).collect();
-        let refs: Vec<&Tuple> = rows.iter().collect();
-        let b = Batch::from_rows(&refs, &[true]);
-        let s = b.slice(4, 3);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.offset(), 4);
-        assert_eq!(s.row(0), t(vec![Value::Int(4)]));
-        assert_eq!(s.row(2), t(vec![Value::Int(6)]));
-        // The column is shared, not copied.
-        assert!(std::ptr::eq(
-            b.col(0).unwrap() as *const ColumnVec,
-            s.col(0).unwrap() as *const ColumnVec
-        ));
-        let ss = s.slice(1, 1);
-        assert_eq!(ss.row(0), t(vec![Value::Int(5)]));
+        match ColumnVec::gather(&refs, 1) {
+            ColumnVec::Ints(v, nulls) => {
+                assert_eq!(v, [2, 3]);
+                assert!(nulls.none_null());
+            }
+            other => panic!("expected Ints, got {other:?}"),
+        }
     }
 
     #[test]
@@ -482,9 +375,9 @@ mod tests {
             t(vec![Value::Int(3)]),
         ];
         let refs: Vec<&Tuple> = rows.iter().collect();
-        let b = Batch::from_rows(&refs, &[true, true]);
-        assert!(b.col(1).unwrap().is_null(1));
-        assert_eq!(b.col(1).unwrap().get(0), Value::Int(2));
+        let c = ColumnVec::gather(&refs, 1);
+        assert!(c.is_null(1));
+        assert_eq!(c.get(0), Value::Int(2));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod tuple;
 pub mod types;
 pub mod value;
 
-pub use batch::{Batch, ColumnVec, NullBitmap, DEFAULT_BATCH_ROWS};
+pub use batch::{ColumnVec, NullBitmap, DEFAULT_BATCH_ROWS};
 pub use error::{PermError, Result};
 pub use lifecycle::{CancelHandle, CancelReason, QueryContext};
 pub use schema::{Column, Schema};

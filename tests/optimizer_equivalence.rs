@@ -2,7 +2,9 @@
 //! projection merging, filter pushdown, filter merging, column pruning
 //! with fan-out at the root) must never change results. Every query shape in the repertoire — and randomly generated
 //! filters — is executed both unoptimized and optimized and compared as a
-//! bag of rows.
+//! bag of rows. The columnar switch must not change results either: the
+//! benchmark's statements return the same rows, in the same order, with
+//! it on and off.
 
 use std::collections::HashMap;
 
@@ -201,6 +203,141 @@ fn witness_aggregates_deparse_to_their_join_back() {
             .query(&deparsed)
             .unwrap_or_else(|e| panic!("{deparsed}: {e}"));
         assert_eq!(bag(&reparsed.rows), bag(&rows), "{sql}\n{deparsed}");
+    }
+}
+
+/// The Figure-1 forum shaped like the benchmark's generator (the same
+/// shape `tests/plan_shapes.rs` builds): `scale` messages, `scale / 10`
+/// users, `scale / 2` imports, `2 * scale` approvals, optional hash
+/// indexes on the join columns, and the view `v1`.
+fn scaled_forum(scale: usize, indexes: bool) -> Session {
+    let db = PermServer::new().session();
+    db.run_script(
+        "CREATE TABLE messages (mId int NOT NULL, text text, uId int);
+         CREATE TABLE users (uId int NOT NULL, name text);
+         CREATE TABLE imports (mId int NOT NULL, text text, origin text);
+         CREATE TABLE approved (uId int NOT NULL, mId int NOT NULL);",
+    )
+    .unwrap();
+    let users = (scale / 10).max(3);
+    let mut script = String::new();
+    for u in 0..users {
+        script.push_str(&format!("INSERT INTO users VALUES ({u}, 'user{u}');\n"));
+    }
+    for m in 0..scale {
+        script.push_str(&format!(
+            "INSERT INTO messages VALUES ({m}, 'message body {m}', {});\n",
+            (m * 7) % users
+        ));
+        for k in 0..[0, 1, 3, 4][m % 4] {
+            script.push_str(&format!(
+                "INSERT INTO approved VALUES ({}, {m});\n",
+                (m + 3 * k) % users
+            ));
+        }
+    }
+    for m in 0..scale / 2 {
+        script.push_str(&format!(
+            "INSERT INTO imports VALUES ({}, 'imported body {m}', 'origin{}');\n",
+            scale + m,
+            m % 4
+        ));
+    }
+    db.run_script(&script).unwrap();
+    if indexes {
+        db.create_index("users", "uid").unwrap();
+        db.create_index("messages", "mid").unwrap();
+        db.create_index("approved", "mid").unwrap();
+    }
+    db.execute(
+        "CREATE VIEW v1 AS SELECT mId, text FROM messages UNION SELECT mId, text FROM imports",
+    )
+    .unwrap();
+    db
+}
+
+/// Columnar execution is invisible at SQL level: the `q` and `q+` of
+/// every statement the benchmark times (SQL text copied, not imported)
+/// return the same rows in the same order with the columnar switch off
+/// (the row interpreter everywhere) and on (the default), serial and at
+/// a forced DOP 2, materialized and streamed. The forum spans more than
+/// one kernel batch, with and without the join-column indexes.
+#[test]
+fn benchmark_statements_agree_with_columnar_off() {
+    const SCALE: usize = 1100;
+    let half = SCALE / 10 / 2;
+    let pair = |q: &str| {
+        (
+            q.to_string(),
+            q.replacen("SELECT ", "SELECT PROVENANCE ", 1),
+        )
+    };
+    let mut pairs: Vec<(String, String)> = [
+        "SELECT m.text, u.name FROM messages m JOIN users u ON m.uid = u.uid \
+         WHERE m.mid % 4 = 0",
+        "SELECT a.mid, count(*) FROM messages m JOIN approved a ON m.mid = a.mid GROUP BY a.mid",
+        "SELECT mid, text FROM messages UNION SELECT mid, text FROM imports",
+        "SELECT text FROM messages WHERE mid IN (SELECT mid FROM approved)",
+        "SELECT count(*), text FROM v1 JOIN approved a ON (v1.mId = a.mId) \
+         GROUP BY v1.mId, text",
+        "SELECT mid, text FROM messages WHERE mid % 4 = 0 AND uid >= 10",
+        "SELECT mid * 2 + 1, upper(text), length(text) - 5 FROM messages",
+        "SELECT mid FROM messages WHERE text LIKE 'message body 1%'",
+        "SELECT mid, uid FROM messages WHERE uid IN (1, 2, 3, 5, 8, 13, 21, 34)",
+        "SELECT mid, uid FROM messages WHERE mid % 2 = 0 ORDER BY uid * 1000000 + mid LIMIT 50",
+        "SELECT mid, text FROM v1 WHERE mid % 3 = 0",
+    ]
+    .into_iter()
+    .map(pair)
+    .collect();
+    pairs.push(pair(&format!(
+        "SELECT a.mid, m.text, u.name FROM approved a \
+         JOIN messages m ON a.mid = m.mid JOIN users u ON m.uid = u.uid \
+         WHERE u.uid < {half}"
+    )));
+    pairs.push(pair(&format!(
+        "SELECT ua.name, m.text FROM approved a JOIN users ua ON a.uid = ua.uid \
+         JOIN messages m ON a.mid = m.mid JOIN users um ON m.uid = um.uid \
+         WHERE um.uid < {half}"
+    )));
+    pairs.push((
+        "SELECT text FROM v1 WHERE mid > 3".into(),
+        "SELECT PROVENANCE text FROM v1 BASERELATION WHERE mid > 3".into(),
+    ));
+    for indexes in [false, true] {
+        let db = scaled_forum(SCALE, indexes);
+        for sql in pairs.iter().flat_map(|(q, prov)| [q, prov]) {
+            let run = |columnar: bool, dop: usize, streamed: bool| -> Vec<Tuple> {
+                let options = perm_core::SessionOptions::default()
+                    .with_columnar(columnar)
+                    .with_max_parallelism(dop)
+                    .with_parallel_row_threshold(1);
+                let session = db.clone().with_options(options);
+                if streamed {
+                    session
+                        .query_stream(sql)
+                        .unwrap()
+                        .collect::<Result<_, _>>()
+                        .unwrap()
+                } else {
+                    session.query(sql).unwrap().rows
+                }
+            };
+            let reference = run(false, 1, false);
+            assert!(!reference.is_empty(), "vacuous: {sql}");
+            for dop in [1, 2] {
+                for streamed in [false, true] {
+                    for columnar in [false, true] {
+                        assert_eq!(
+                            run(columnar, dop, streamed),
+                            reference,
+                            "{sql} indexes={indexes} columnar={columnar} dop={dop} \
+                             streamed={streamed}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -237,15 +237,15 @@ fn aggregation_over_a_union_view_keeps_its_join_back() {
          ├── HashAggregate group=[#0, #1] aggs=[count(*)]\n\
          │   └── HashJoin(Inner, build=right) on [#0 = #0]  (~800 rows)\n\
          │       ├── HashUnion\n\
-         │       │   ├── FusedScan(messages) project=[#0, #1]  (~200 rows) [batch w=3]\n\
-         │       │   └── FusedScan(imports) project=[#0, #1]  (~100 rows) [batch w=3]\n\
-         │       └── FusedScan(approved) project=[#1]  (~400 rows) [batch w=2]\n\
+         │       │   ├── FusedScan(messages) project=[#0, #1]  (~200 rows)\n\
+         │       │   └── FusedScan(imports) project=[#0, #1]  (~100 rows)\n\
+         │       └── FusedScan(approved) project=[#1]  (~400 rows)\n\
          └── HashJoin(Inner, build=right) on [#0 = #1]  (~640 rows)\n    \
              ├── Append\n    \
-             │   ├── Project [#0, #1, #0, #1, #2, null, null, null] [batch w=3]\n    \
+             │   ├── Project [#0, #1, #0, #1, #2, null, null, null]\n    \
              │   │   └── HashDistinct\n    \
              │   │       └── SeqScan(messages)  (~200 rows)\n    \
-             │   └── Project [#0, #1, null, null, null, #0, #1, #2] [batch w=3]\n    \
+             │   └── Project [#0, #1, null, null, null, #0, #1, #2]\n    \
              │       └── HashDistinct\n    \
              │           └── SeqScan(imports)  (~100 rows)\n    \
              └── SeqScan(approved)  (~400 rows)"
@@ -262,10 +262,10 @@ const SETOP_VIEW: &str = "SELECT mid, text FROM v1 WHERE mid % 3 = 0";
 fn padded_union(left: &str, right: &str) -> String {
     format!(
         "Append\n\
-         ├── Project [#0, #1, #0, #1, #2, null, null, null] [batch w=3]\n\
+         ├── Project [#0, #1, #0, #1, #2, null, null, null]\n\
          │   └── HashDistinct\n\
          │       └── {left}\n\
-         └── Project [#0, #1, null, null, null, #0, #1, #2] [batch w=3]\n    \
+         └── Project [#0, #1, null, null, null, #0, #1, #2]\n    \
              └── HashDistinct\n        \
                  └── {right}"
     )
@@ -289,8 +289,8 @@ fn padded_unions_deduplicate_base_rows_then_pad() {
         assert_eq!(
             explain(&db, &provenance_of(SETOP_VIEW)),
             padded_union(
-                "FusedScan(messages) filter=((#0 % 3) = 0)  (~20 rows) [batch w=3]",
-                "FusedScan(imports) filter=((#0 % 3) = 0)  (~10 rows) [batch w=3]"
+                "FusedScan(messages) filter=((#0 % 3) = 0)  (~20 rows)",
+                "FusedScan(imports) filter=((#0 % 3) = 0)  (~10 rows)"
             )
         );
     }
@@ -320,8 +320,8 @@ fn a_union_of_nullable_columns_deduplicates_above_the_append() {
         explain(&db, q),
         "HashDistinct\n\
          └── Append\n    \
-             ├── FusedScan(notes) project=[#0, #1, #0, #1, null, null]  (~2 rows) [batch w=2]\n    \
-             └── FusedScan(drafts) project=[#0, #1, null, null, #0, #1]  (~2 rows) [batch w=2]"
+             ├── FusedScan(notes) project=[#0, #1, #0, #1, null, null]  (~2 rows)\n    \
+             └── FusedScan(drafts) project=[#0, #1, null, null, #0, #1]  (~2 rows)"
     );
     assert_eq!(db.query(q).unwrap().row_count(), 3);
 }
@@ -338,47 +338,47 @@ fn single_table_plans_are_pinned() {
         (
             "SELECT mid, text FROM messages WHERE mid % 4 = 0 AND uid >= 10",
             "FusedScan(messages) filter=(((#0 % 4) = 0) AND (#2 >= 10)) project=[#0, #1]  \
-             (~6 rows) [batch w=3]",
+             (~6 rows)",
             "FusedScan(messages) filter=(((#0 % 4) = 0) AND (#2 >= 10)) \
-             project=[#0, #1, #0, #1, #2]  (~6 rows) [batch w=3]",
+             project=[#0, #1, #0, #1, #2]  (~6 rows)",
         ),
         (
             "SELECT mid * 2 + 1, upper(text), length(text) - 5 FROM messages",
             "FusedScan(messages) project=[((#0 * 2) + 1), upper(#1), (length(#1) - 5)]  \
-             (~200 rows) [batch w=3]",
+             (~200 rows)",
             "FusedScan(messages) project=[((#0 * 2) + 1), upper(#1), (length(#1) - 5), \
-             #0, #1, #2]  (~200 rows) [batch w=3]",
+             #0, #1, #2]  (~200 rows)",
         ),
         (
             "SELECT mid FROM messages WHERE text LIKE 'message body 1%'",
             "FusedScan(messages) filter=(#1 LIKE 'message body 1%') project=[#0]  \
-             (~60 rows) [batch w=3]",
+             (~60 rows)",
             "FusedScan(messages) filter=(#1 LIKE 'message body 1%') project=[#0, #0, #1, #2]  \
-             (~60 rows) [batch w=3]",
+             (~60 rows)",
         ),
         (
             "SELECT mid, uid FROM messages WHERE uid IN (1, 2, 3, 5, 8, 13, 21, 34)",
             "FusedScan(messages) filter=(#2 IN (1, 2, 3, 5, 8, 13, 21, 34)) project=[#0, #2]  \
-             (~160 rows) [batch w=3]",
+             (~160 rows)",
             "FusedScan(messages) filter=(#2 IN (1, 2, 3, 5, 8, 13, 21, 34)) \
-             project=[#0, #2, #0, #1, #2]  (~160 rows) [batch w=3]",
+             project=[#0, #2, #0, #1, #2]  (~160 rows)",
         ),
         (
             "SELECT mid, uid FROM messages WHERE mid % 2 = 0 \
              ORDER BY uid * 1000000 + mid LIMIT 50",
             "Limit 50 offset 0\n\
-             └── Sort [((#1 * 1000000) + #0)] [batch w=2]\n    \
+             └── Sort [((#1 * 1000000) + #0)]\n    \
                  └── FusedScan(messages) filter=((#0 % 2) = 0) project=[#0, #2]  \
-             (~20 rows) [batch w=3]",
+             (~20 rows)",
             // Parent commit:
             //   Limit 50 offset 0
-            //   └── Sort [((#1 * 1000000) + #0)] [batch w=5]
+            //   └── Sort [((#1 * 1000000) + #0)]
             //       └── FusedScan(messages) filter=((#0 % 2) = 0)
-            //             project=[#0, #2, #0, #1, #2]  (~20 rows) [batch w=3]
-            "Project [#0, #2, #0, #1, #2] [batch w=3]\n\
+            //             project=[#0, #2, #0, #1, #2]  (~20 rows)
+            "Project [#0, #2, #0, #1, #2]\n\
              └── Limit 50 offset 0\n    \
-                 └── Sort [((#2 * 1000000) + #0)] [batch w=3]\n        \
-                     └── FusedScan(messages) filter=((#0 % 2) = 0)  (~20 rows) [batch w=3]",
+                 └── Sort [((#2 * 1000000) + #0)]\n        \
+                     └── FusedScan(messages) filter=((#0 % 2) = 0)  (~20 rows)",
         ),
     ];
     for indexes in [false, true] {

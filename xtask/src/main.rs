@@ -1,6 +1,10 @@
-//! `cargo run -p xtask -- lint` — in-tree static source lints.
+//! In-tree source tooling:
 //!
-//! Line-oriented checks over `crates/**/*.rs` that encode the engine's
+//! * `cargo run -p xtask -- lint [root]` — static source lints;
+//! * `cargo run -p xtask -- loc [root]` — non-test and test line counts
+//!   per crate, split by the same test-code classifier the lint uses.
+//!
+//! The lint is a set of line-oriented checks over `crates/**/*.rs` that encode the engine's
 //! concurrency and hot-path discipline (the rules a reviewer would
 //! otherwise enforce by hand):
 //!
@@ -185,12 +189,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(args.get(1).map(String::as_str)),
+        Some("loc") => loc(args.get(1).map(String::as_str)),
         Some(other) => {
-            eprintln!("unknown task '{other}'; available tasks: lint [root]");
+            eprintln!("unknown task '{other}'; available tasks: lint [root], loc [root]");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo run -p xtask -- lint [root]");
+            eprintln!("usage: cargo run -p xtask -- <lint|loc> [root]");
             ExitCode::FAILURE
         }
     }
@@ -234,6 +239,106 @@ fn lint(root: Option<&str>) -> ExitCode {
     }
 }
 
+/// Print non-test and test line counts (physical lines, blank and
+/// comment lines included) per crate under `crates/`, then for the root
+/// package (`src/`, `tests/`, `examples/`) and `xtask/`.
+fn loc(root: Option<&str>) -> ExitCode {
+    let root = root.map(PathBuf::from).unwrap_or_else(workspace_root);
+    let Ok(entries) = std::fs::read_dir(root.join("crates")) else {
+        eprintln!("xtask loc: no crates directory under {}", root.display());
+        return ExitCode::FAILURE;
+    };
+    let mut crates: Vec<PathBuf> = entries
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.is_dir())
+        .collect();
+    crates.sort();
+    let mut rows = Vec::new();
+    for dir in &crates {
+        let name = format!(
+            "crates/{}",
+            dir.file_name().unwrap_or_default().to_string_lossy()
+        );
+        rows.push((name, count_lines(&root, std::slice::from_ref(dir))));
+    }
+    let sum = |rows: &[(String, (usize, usize))]| {
+        rows.iter()
+            .fold((0, 0), |(n, t), (_, (rn, rt))| (n + rn, t + rt))
+    };
+    let crates_total = sum(&rows);
+    let root_package = ["src", "tests", "examples"].map(|d| root.join(d));
+    let extra = [
+        (
+            "perm (src, tests, examples)".to_string(),
+            count_lines(&root, &root_package),
+        ),
+        (
+            "xtask".to_string(),
+            count_lines(&root, &[root.join("xtask")]),
+        ),
+    ];
+    println!("{:<30} {:>9} {:>9}", "crate", "non-test", "test");
+    for (name, (code, test)) in &rows {
+        println!("{name:<30} {code:>9} {test:>9}");
+    }
+    println!(
+        "{:<30} {:>9} {:>9}",
+        "crates/ total", crates_total.0, crates_total.1
+    );
+    for (name, (code, test)) in &extra {
+        println!("{name:<30} {code:>9} {test:>9}");
+    }
+    let all = (
+        crates_total.0 + extra.iter().map(|(_, (c, _))| c).sum::<usize>(),
+        crates_total.1 + extra.iter().map(|(_, (_, t))| t).sum::<usize>(),
+    );
+    println!("{:<30} {:>9} {:>9}", "all", all.0, all.1);
+    ExitCode::SUCCESS
+}
+
+/// Non-test and test lines of every `.rs` file under `dirs`.
+fn count_lines(root: &Path, dirs: &[PathBuf]) -> (usize, usize) {
+    let mut files = Vec::new();
+    for dir in dirs {
+        collect_rs_files(dir, &mut files);
+    }
+    let mut total = (0, 0);
+    for file in files {
+        let Ok(source) = std::fs::read_to_string(&file) else {
+            continue;
+        };
+        let rel = file
+            .strip_prefix(root)
+            .unwrap_or(&file)
+            .to_string_lossy()
+            .replace('\\', "/");
+        let (code, test) = split_lines(&rel, &source);
+        total = (total.0 + code, total.1 + test);
+    }
+    total
+}
+
+/// `(non-test, test)` line counts of one file: a test file is all test
+/// code, anything else is split at its `#[cfg(test)]` items.
+fn split_lines(rel: &str, source: &str) -> (usize, usize) {
+    if is_test_file(rel) {
+        return (0, source.lines().count());
+    }
+    let mut scope = TestScope::default();
+    let mut counts = (0, 0);
+    for raw in source.lines() {
+        let code = strip_comments_and_strings(raw);
+        if scope.enter(&code) {
+            counts.1 += 1;
+        } else {
+            counts.0 += 1;
+        }
+        scope.leave(&code);
+    }
+    counts
+}
+
 /// The workspace root: this file is compiled in-tree, so the manifest dir
 /// of the `xtask` package is `<root>/xtask`.
 fn workspace_root() -> PathBuf {
@@ -258,7 +363,48 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// A whole file that only contains test code (integration tests, in-tree
 /// `tests.rs` modules): exempt from the hot-path and spawn rules.
 fn is_test_file(rel: &str) -> bool {
-    rel.contains("/tests/") || rel.ends_with("/tests.rs")
+    rel.starts_with("tests/") || rel.contains("/tests/") || rel.ends_with("/tests.rs")
+}
+
+/// Line-by-line `#[cfg(test)]` tracking by brace depth: once the
+/// attribute's item opens a brace, everything until the matching close
+/// is test code. Feed each line (comments and strings stripped) to
+/// [`TestScope::enter`], then to [`TestScope::leave`].
+#[derive(Default)]
+struct TestScope {
+    /// Brace depth at the start of the current line.
+    depth: i32,
+    cfg_test_pending: bool,
+    test_mod_depth: Option<i32>,
+}
+
+impl TestScope {
+    /// Start a line; true when it is inside a `#[cfg(test)]` item.
+    fn enter(&mut self, code: &str) -> bool {
+        // A single-line test module (`mod t { ... }`) is already test
+        // code on its own line.
+        if code.contains("#[cfg(test)]") {
+            self.cfg_test_pending = true;
+        }
+        if self.cfg_test_pending && code.contains('{') {
+            if self.test_mod_depth.is_none() {
+                self.test_mod_depth = Some(self.depth);
+            }
+            self.cfg_test_pending = false;
+        } else if self.cfg_test_pending && code.trim_end().ends_with(';') {
+            // `#[cfg(test)]` on a braceless item (use, macro call).
+            self.cfg_test_pending = false;
+        }
+        self.test_mod_depth.is_some()
+    }
+
+    /// Finish the line: apply its braces to the depth.
+    fn leave(&mut self, code: &str) {
+        self.depth += code.matches('{').count() as i32 - code.matches('}').count() as i32;
+        if self.test_mod_depth.is_some_and(|d| self.depth <= d) {
+            self.test_mod_depth = None;
+        }
+    }
 }
 
 fn matches_any(rel: &str, prefixes: &[&str]) -> bool {
@@ -282,11 +428,7 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
         !test_file && rel.starts_with(EXECUTOR_CTOR_CHECKED) && rel != EXECUTOR_CTOR_ALLOWED;
 
     let lines: Vec<&str> = source.lines().collect();
-    // `#[cfg(test)]` module tracking: once the attribute's item opens a
-    // brace, everything until the matching close is test code.
-    let mut depth: i32 = 0;
-    let mut cfg_test_pending = false;
-    let mut test_mod_depth: Option<i32> = None;
+    let mut scope = TestScope::default();
     // Loop-body tracking for rule 10: the depth at which each active
     // loop body opened. A multi-line loop header (rustfmt-wrapped) sets
     // `loop_pending` until its `{` arrives.
@@ -312,22 +454,10 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
         let code = strip_comments_and_strings(raw);
 
         // `#[cfg(test)]` tracking first, so a single-line test module
-        // (`mod t { ... }`) is already exempt on its own line.
-        if code.contains("#[cfg(test)]") {
-            cfg_test_pending = true;
-        }
-        let opens = code.matches('{').count() as i32;
-        let closes = code.matches('}').count() as i32;
-        if cfg_test_pending && opens > 0 {
-            if test_mod_depth.is_none() {
-                test_mod_depth = Some(depth);
-            }
-            cfg_test_pending = false;
-        } else if cfg_test_pending && code.trim_end().ends_with(';') {
-            // `#[cfg(test)]` on a braceless item (use, macro call).
-            cfg_test_pending = false;
-        }
-        let in_test = test_file || test_mod_depth.is_some();
+        // is already exempt on its own line.
+        let in_test = scope.enter(&code) || test_file;
+        let depth = scope.depth;
+        let opens = code.matches('{').count();
 
         // Rule 10 looks at whether this line sits inside an already-open
         // loop body, *before* any loop this line itself starts: the
@@ -520,12 +650,8 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
             }
         }
 
-        depth += opens - closes;
-        if let Some(d) = test_mod_depth {
-            if depth <= d {
-                test_mod_depth = None;
-            }
-        }
+        scope.leave(&code);
+        let depth = scope.depth;
         while loop_stack.last().is_some_and(|&d| depth <= d) {
             loop_stack.pop();
         }
@@ -965,6 +1091,35 @@ mod tests {
         assert_eq!(
             run("crates/storage/src/table.rs", src),
             ["no-unwrap-in-hot-path"]
+        );
+    }
+
+    #[test]
+    fn loc_splits_test_code_like_the_lint() {
+        let src = "use std::fmt;\n\
+                   \n\
+                   // A comment: still a line.\n\
+                   fn f() -> &'static str {\n\
+                   \x20   \"#[cfg(test)] { in a string\"\n\
+                   }\n\
+                   #[cfg(test)]\n\
+                   use std::sync::Arc;\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   \x20   #[test]\n\
+                   \x20   fn t() {}\n\
+                   }\n\
+                   fn after_tests() {}\n";
+        // The `mod tests { .. }` block is test code; everything else —
+        // the attribute lines, the `#[cfg(test)]` use, a brace inside a
+        // string — is not.
+        assert_eq!(split_lines("crates/exec/src/lib.rs", src), (10, 4));
+        // Integration tests and `tests.rs` modules are all test code.
+        assert_eq!(split_lines("crates/exec/tests/props.rs", src), (0, 14));
+        assert_eq!(split_lines("tests/figures.rs", src), (0, 14));
+        assert_eq!(
+            split_lines("crates/exec/src/operators/tests.rs", src),
+            (0, 14)
         );
     }
 
