@@ -178,7 +178,7 @@ impl Session {
             BoundStatement::Delete { table, predicate } => {
                 // Evaluate the predicate against a pre-mutation snapshot,
                 // then delete through the write guard. Storage rebuilds
-                // indexes and invalidates the statistics cache.
+                // indexes and keeps the statistics exact in place.
                 let doomed: Vec<usize> = match &predicate {
                     None => (0..guard.snapshot().table(&table)?.row_count()).collect(),
                     Some(p) => self

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use perm_core::{DurabilityOptions, FsyncPolicy, PermServer, Session};
-use perm_storage::{failpoint, wal, Catalog, Relation, WAL_FILE};
+use perm_storage::{failpoint, wal, Catalog, Relation, TableStats, WAL_FILE};
 
 /// One step of the recovery script. `Index` exercises the non-SQL WAL
 /// record kind (`CREATE INDEX` has no syntax; it is an API call).
@@ -82,11 +82,19 @@ fn opts() -> DurabilityOptions {
 /// A canonical, deterministic rendering of a catalog: schemas, rows (in
 /// storage order — replay preserves it), index and provenance columns,
 /// view definitions. Two catalogs are "the same state" iff dumps match.
+/// Each table's statistics, which replay maintains write by write, must
+/// also equal a fresh computation over its rows.
 fn dump(cat: &Catalog) -> String {
     let mut out = String::new();
     for rel in cat.relations() {
         match rel {
             Relation::Table(t) => {
+                assert_eq!(
+                    t.stats(),
+                    &TableStats::compute(t.schema(), t.rows()),
+                    "statistics of '{}'",
+                    t.name()
+                );
                 out.push_str(&format!(
                     "table {} schema={:?} prov={:?} idx={:?} rows={:?}\n",
                     t.name(),

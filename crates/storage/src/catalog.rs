@@ -1,6 +1,7 @@
 //! The catalog: named tables and views.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use perm_sql::Query;
 use perm_types::{PermError, Result, Schema};
@@ -31,9 +32,13 @@ impl Relation {
 /// The database catalog. Names are case-insensitive (folded to lower case,
 /// like PostgreSQL's unquoted identifiers) and shared between tables and
 /// views, so a view cannot shadow a table.
+///
+/// Each relation sits behind its own [`Arc`]: cloning a catalog copies a
+/// map of pointers, and [`Catalog::table_mut`] copies only the table it
+/// hands out, and only if another catalog still shares it.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
-    relations: BTreeMap<String, Relation>,
+    relations: BTreeMap<String, Arc<Relation>>,
 }
 
 impl Catalog {
@@ -54,7 +59,7 @@ impl Catalog {
                 table.name()
             )));
         }
-        self.relations.insert(key, Relation::Table(table));
+        self.relations.insert(key, Arc::new(Relation::Table(table)));
         Ok(())
     }
 
@@ -85,7 +90,7 @@ impl Catalog {
                 view.name()
             )));
         }
-        self.relations.insert(key, Relation::View(view));
+        self.relations.insert(key, Arc::new(Relation::View(view)));
         Ok(())
     }
 
@@ -121,7 +126,7 @@ impl Catalog {
 
     /// Look up any relation.
     pub fn get(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(&Self::key(name))
+        self.relations.get(&Self::key(name)).map(Arc::as_ref)
     }
 
     /// Look up a table.
@@ -140,7 +145,7 @@ impl Catalog {
     /// Table lookup by a pre-computed [`Catalog::key_of`] key
     /// (allocation-free).
     pub fn table_by_key(&self, key: &str) -> Result<&Table> {
-        match self.relations.get(key) {
+        match self.relations.get(key).map(Arc::as_ref) {
             Some(Relation::Table(t)) => Ok(t),
             Some(Relation::View(_)) => Err(PermError::Catalog(format!(
                 "'{key}' is a view, not a table"
@@ -152,8 +157,9 @@ impl Catalog {
     }
 
     /// Mutable table access (INSERT, materialization, index creation).
+    /// Copies the table first if another catalog (a snapshot) shares it.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        match self.relations.get_mut(&Self::key(name)) {
+        match self.relations.get_mut(&Self::key(name)).map(Arc::make_mut) {
             Some(Relation::Table(t)) => Ok(t),
             Some(Relation::View(_)) => Err(PermError::Catalog(format!(
                 "'{name}' is a view, not a table"
@@ -185,13 +191,13 @@ impl Catalog {
 
     /// Names of all relations, sorted.
     pub fn relation_names(&self) -> Vec<&str> {
-        self.relations.values().map(Relation::name).collect()
+        self.relations.values().map(|r| r.name()).collect()
     }
 
     /// Every relation, in sorted key order (deterministic — checkpoints
     /// of equal catalogs are byte-identical).
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
-        self.relations.values()
+        self.relations.values().map(Arc::as_ref)
     }
 
     pub fn len(&self) -> usize {

@@ -6,11 +6,12 @@ use perm_types::{Tuple, Value};
 
 /// An equality hash index on a single column.
 ///
-/// The index maps a column value to the row ids holding it, in insertion
-/// order. NULL keys are indexed too (under [`Value::Null`], which hashes and
-/// compares as equal to itself in grouping semantics) — this matters for the
-/// NULL-safe (`IS NOT DISTINCT FROM`) joins that Perm's aggregation rewrite
-/// produces, where an index point-lookup on NULL must find NULL rows.
+/// The index maps a column value to the row ids holding it, in ascending
+/// row-id order. NULL keys are indexed too (under [`Value::Null`], which
+/// hashes and compares as equal to itself in grouping semantics) — this
+/// matters for the NULL-safe (`IS NOT DISTINCT FROM`) joins that Perm's
+/// aggregation rewrite produces, where an index point-lookup on NULL must
+/// find NULL rows.
 #[derive(Debug, Clone, Default)]
 pub struct HashIndex {
     column: usize,
@@ -36,6 +37,29 @@ impl HashIndex {
             .entry(tuple.get(self.column).clone())
             .or_default()
             .push(row_id);
+    }
+
+    /// Move `row_id` from `old`'s key to `new`'s if the indexed value
+    /// changed (`UPDATE`, where row ids do not shift). The id goes in at
+    /// its sorted position, so every list stays identical to a rebuilt
+    /// index's; index nested-loop joins emit rows in that order.
+    pub(crate) fn rekey(&mut self, row_id: usize, old: &Tuple, new: &Tuple) {
+        let (old, new) = (old.get(self.column), new.get(self.column));
+        if old == new {
+            return;
+        }
+        // INVARIANT: every stored row is listed once, in ascending id
+        // order, under the key its indexed column holds.
+        let ids = self.entries.get_mut(old).expect("indexed row has a key");
+        // INVARIANT: as above, `old`'s list holds `row_id`.
+        let at = ids.binary_search(&row_id).expect("indexed row is listed");
+        ids.remove(at);
+        if ids.is_empty() {
+            self.entries.remove(old);
+        }
+        let ids = self.entries.entry(new.clone()).or_default();
+        let at = ids.binary_search(&row_id).expect_err("a row has one key");
+        ids.insert(at, row_id);
     }
 
     /// The row ids whose indexed column equals `key` (grouping equality:

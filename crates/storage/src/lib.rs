@@ -31,7 +31,10 @@
 //! For concurrent servers, [`shared::SharedCatalog`] wraps a [`Catalog`]
 //! in copy-on-write snapshots behind a reader/writer lock: readers plan
 //! and execute lock-free against immutable snapshots while writers apply
-//! DDL/DML through a write guard.
+//! DDL/DML through a write guard. The copy-on-write unit is one table: a
+//! write copies the table it mutates and shares every other one with the
+//! snapshots, and it maintains that table's statistics in place
+//! ([`stats`]) rather than leaving the next reader to rescan them.
 
 #![forbid(unsafe_code)]
 

@@ -8,8 +8,11 @@
 //! and mutate through [`Arc::make_mut`]: if no snapshot is outstanding the
 //! mutation happens in place; if readers still hold snapshots (for example
 //! a streaming result that is mid-scan), the catalog is cloned first and
-//! the readers keep their consistent view. This is the storage-level
-//! foundation of the `PermServer` / `Session` API.
+//! the readers keep their consistent view. The unit of copy-on-write is
+//! one table: the catalog clone copies a map of per-relation `Arc`s, and
+//! only the table a write mutates is copied (see [`Catalog::table_mut`]);
+//! every other table stays shared with the snapshots. This is the
+//! storage-level foundation of the `PermServer` / `Session` API.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, PoisonError, RwLock, RwLockWriteGuard};
@@ -49,9 +52,9 @@ impl SharedCatalog {
     /// Exclusive write access for DDL/DML.
     ///
     /// The returned guard dereferences to [`Catalog`]; the first mutable
-    /// access clones the catalog if (and only if) snapshots are still
-    /// outstanding, so readers are never blocked by in-place updates they
-    /// could observe half-done.
+    /// access clones the catalog's relation map if (and only if)
+    /// snapshots are still outstanding, and a mutated table is copied on
+    /// the same condition, so readers never observe an update half-done.
     pub fn write(&self) -> CatalogWriteGuard<'_> {
         CatalogWriteGuard(self.inner.write().unwrap_or_else(PoisonError::into_inner))
     }
@@ -177,6 +180,31 @@ mod tests {
         let c = shared.snapshot();
         assert_eq!(c.table("t").unwrap().row_count(), 0, "insert rolled back");
         assert!(c.table("u").is_err(), "DDL rolled back");
+    }
+
+    #[test]
+    fn a_write_copies_only_the_table_it_mutates() {
+        let shared = SharedCatalog::default();
+        shared.write().create_table(table("t")).unwrap();
+        shared.write().create_table(table("u")).unwrap();
+        let old = shared.snapshot();
+        shared
+            .write()
+            .table_mut("t")
+            .unwrap()
+            .insert(Tuple::new(vec![Value::Int(1)]))
+            .unwrap();
+        let new = shared.snapshot();
+        assert!(!Arc::ptr_eq(&old, &new), "the held snapshot forced a copy");
+        assert!(std::ptr::eq(
+            old.table("u").unwrap(),
+            new.table("u").unwrap()
+        ));
+        assert!(!std::ptr::eq(
+            old.table("t").unwrap(),
+            new.table("t").unwrap()
+        ));
+        assert_eq!(old.table("t").unwrap().row_count(), 0, "old snapshot");
     }
 
     #[test]

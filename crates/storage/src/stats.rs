@@ -4,8 +4,14 @@
 //! counts, null counts, min/max) because tables are in-memory and modest in
 //! size; what matters for Perm is that the **cost-based rewrite-strategy
 //! chooser** and the join planner share one source of cardinality truth.
+//!
+//! They stay exact under writes: a table computes them on first use, then
+//! every insert, update, delete and truncate maintains them in place
+//! through `MaintainedStats`, which keeps each column's value
+//! multiplicities next to the statistics. A write costs what it changes,
+//! not a rescan of the table.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 use perm_types::{Schema, Tuple, Value};
 
@@ -61,34 +67,7 @@ impl TableStats {
 
     /// Scan `rows` once and compute exact statistics.
     pub fn compute(schema: &Schema, rows: &[Tuple]) -> TableStats {
-        let n = schema.len();
-        let mut distinct: Vec<HashSet<Value>> = vec![HashSet::new(); n];
-        let mut stats = TableStats::empty(n);
-        stats.row_count = rows.len();
-        for row in rows {
-            for (i, v) in row.values().iter().enumerate().take(n) {
-                let cs = &mut stats.columns[i];
-                if v.is_null() {
-                    cs.null_count += 1;
-                    continue;
-                }
-                distinct[i].insert(v.clone());
-                match &cs.min {
-                    None => cs.min = Some(v.clone()),
-                    Some(m) if v.sort_cmp(m).is_lt() => cs.min = Some(v.clone()),
-                    _ => {}
-                }
-                match &cs.max {
-                    None => cs.max = Some(v.clone()),
-                    Some(m) if v.sort_cmp(m).is_gt() => cs.max = Some(v.clone()),
-                    _ => {}
-                }
-            }
-        }
-        for (i, set) in distinct.into_iter().enumerate() {
-            stats.columns[i].n_distinct = set.len();
-        }
-        stats
+        MaintainedStats::compute(schema, rows).stats
     }
 
     /// Estimated selectivity of an equality predicate on column `col`.
@@ -96,6 +75,120 @@ impl TableStats {
         self.columns
             .get(col)
             .map_or(0.1, ColumnStats::eq_selectivity)
+    }
+}
+
+/// [`TableStats`] plus each column's non-null value multiplicities: what
+/// a write needs to keep the statistics exact without a rescan. The maps
+/// are long-lived and keyed by user data, so they keep std's SipHash.
+#[derive(Debug, Clone)]
+pub(crate) struct MaintainedStats {
+    stats: TableStats,
+    counts: Vec<HashMap<Value, usize>>,
+}
+
+impl MaintainedStats {
+    fn empty(n_columns: usize) -> MaintainedStats {
+        MaintainedStats {
+            stats: TableStats::empty(n_columns),
+            counts: vec![HashMap::new(); n_columns],
+        }
+    }
+
+    /// The statistics of `rows`: a fold of the [`MaintainedStats::add`]
+    /// that inserts call.
+    pub(crate) fn compute(schema: &Schema, rows: &[Tuple]) -> MaintainedStats {
+        rows.iter()
+            .fold(MaintainedStats::empty(schema.len()), |mut s, row| {
+                s.add(row);
+                s
+            })
+    }
+
+    pub(crate) fn stats(&self) -> &TableStats {
+        &self.stats
+    }
+
+    /// Count one more row.
+    pub(crate) fn add(&mut self, row: &Tuple) {
+        self.stats.row_count += 1;
+        for (i, v) in row.values().iter().enumerate().take(self.counts.len()) {
+            self.add_value(i, v);
+        }
+    }
+
+    /// Count one row fewer; `row` must have been added.
+    pub(crate) fn remove(&mut self, row: &Tuple) {
+        self.stats.row_count -= 1;
+        for (i, v) in row.values().iter().enumerate().take(self.counts.len()) {
+            self.remove_value(i, v);
+        }
+    }
+
+    /// Replace the added row `old` by `new`, touching only the columns
+    /// whose value changed.
+    pub(crate) fn replace(&mut self, old: &Tuple, new: &Tuple) {
+        let pairs = old.values().iter().zip(new.values());
+        for (i, (o, n)) in pairs.enumerate().take(self.counts.len()) {
+            if o != n {
+                // Adding first means a new value that undercuts the old
+                // extreme takes its place without a rescan of the keys.
+                self.add_value(i, n);
+                self.remove_value(i, o);
+            }
+        }
+    }
+
+    /// Forget every row.
+    pub(crate) fn clear(&mut self) {
+        *self = MaintainedStats::empty(self.counts.len());
+    }
+
+    fn add_value(&mut self, col: usize, v: &Value) {
+        let cs = &mut self.stats.columns[col];
+        if v.is_null() {
+            cs.null_count += 1;
+            return;
+        }
+        let counts = &mut self.counts[col];
+        match counts.get_mut(v) {
+            Some(c) => *c += 1,
+            None => {
+                counts.insert(v.clone(), 1);
+                cs.n_distinct += 1;
+            }
+        }
+        if cs.min.as_ref().is_none_or(|m| v.sort_cmp(m).is_lt()) {
+            cs.min = Some(v.clone());
+        }
+        if cs.max.as_ref().is_none_or(|m| v.sort_cmp(m).is_gt()) {
+            cs.max = Some(v.clone());
+        }
+    }
+
+    fn remove_value(&mut self, col: usize, v: &Value) {
+        let cs = &mut self.stats.columns[col];
+        if v.is_null() {
+            cs.null_count -= 1;
+            return;
+        }
+        let counts = &mut self.counts[col];
+        // INVARIANT: every stored row was counted by `add`, so each of its
+        // non-null values has a multiplicity of at least one.
+        let c = counts.get_mut(v).expect("removed value was counted");
+        *c -= 1;
+        if *c > 0 {
+            return;
+        }
+        counts.remove(v);
+        cs.n_distinct -= 1;
+        // Only the last copy of an extreme moves it: rescan the keys.
+        if cs.min.as_ref() == Some(v) {
+            cs.min = counts.keys().min_by(|a, b| a.sort_cmp(b)).cloned();
+        }
+        if cs.max.as_ref() == Some(v) {
+            cs.max = counts.keys().max_by(|a, b| a.sort_cmp(b)).cloned();
+        }
     }
 }
 

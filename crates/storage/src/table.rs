@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 use perm_types::{PermError, Result, Schema, Tuple, Value};
 
 use crate::index::HashIndex;
-use crate::stats::TableStats;
+use crate::stats::{MaintainedStats, TableStats};
 
 /// An in-memory heap table: a schema plus a vector of tuples.
 ///
@@ -15,33 +15,17 @@ use crate::stats::TableStats;
 /// that a later `SELECT PROVENANCE … FROM p` treats those columns as
 /// external provenance and propagates them untouched instead of duplicating
 /// `p`'s columns.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     rows: Vec<Tuple>,
     provenance_columns: Vec<usize>,
     indexes: Vec<HashIndex>,
-    /// Lazily computed statistics, cached through a shared reference so
-    /// read-only sessions on a shared catalog can use them; reset on
-    /// mutation.
-    stats: OnceLock<TableStats>,
-}
-
-impl Clone for Table {
-    fn clone(&self) -> Table {
-        Table {
-            name: self.name.clone(),
-            schema: self.schema.clone(),
-            rows: self.rows.clone(),
-            provenance_columns: self.provenance_columns.clone(),
-            indexes: self.indexes.clone(),
-            stats: match self.stats.get() {
-                Some(s) => OnceLock::from(s.clone()),
-                None => OnceLock::new(),
-            },
-        }
-    }
+    /// Statistics computed on first use through a shared reference (so
+    /// read-only sessions on a shared catalog can fill it), then
+    /// maintained in place by every mutation.
+    stats: OnceLock<MaintainedStats>,
 }
 
 impl Table {
@@ -117,14 +101,17 @@ impl Table {
     }
 
     /// Append a tuple that is already known to match the schema
-    /// (engine-internal materialization). Indexes and stats stay coherent.
+    /// (engine-internal materialization). Indexes gain the new row id;
+    /// the statistics, once computed, count the row in place.
     pub fn push_raw(&mut self, tuple: Tuple) {
         let row_id = self.rows.len();
         for idx in &mut self.indexes {
             idx.insert(&tuple, row_id);
         }
+        if let Some(s) = self.stats.get_mut() {
+            s.add(&tuple);
+        }
         self.rows.push(tuple);
-        self.stats.take();
     }
 
     fn check_tuple(&self, tuple: Tuple) -> Result<Tuple> {
@@ -179,13 +166,15 @@ impl Table {
         for idx in &mut self.indexes {
             idx.clear();
         }
-        self.stats.take();
+        if let Some(s) = self.stats.get_mut() {
+            s.clear();
+        }
     }
 
     /// Remove the rows whose positions are in `doomed` (`DELETE`),
     /// returning how many were removed. Indexes are rebuilt (row ids
-    /// shift) and the statistics cache is invalidated, so the cost model
-    /// never plans against stale row counts.
+    /// shift); the statistics, once computed, drop each removed row in
+    /// place, so the cost model never plans against stale row counts.
     pub fn delete_rows(&mut self, doomed: &[usize]) -> usize {
         if doomed.is_empty() {
             return 0;
@@ -196,19 +185,28 @@ impl Table {
         }
         let before = self.rows.len();
         let mut it = kill.iter();
-        self.rows
+        let mut stats = self.stats.get_mut();
+        self.rows.retain(|row| {
             // INVARIANT: `kill` was built with one entry per row, so the
             // iterator cannot run out before `retain` does.
-            .retain(|_| !*it.next().expect("mask covers all rows"));
+            let doomed = *it.next().expect("mask covers all rows");
+            if doomed {
+                if let Some(s) = &mut stats {
+                    s.remove(row);
+                }
+            }
+            !doomed
+        });
         self.rebuild_indexes();
-        self.stats.take();
         before - self.rows.len()
     }
 
     /// Replace the rows at the given positions (`UPDATE`), validating
     /// each replacement against the schema (types coerced, NOT NULL
-    /// enforced). Indexes are rebuilt and the statistics cache is
-    /// invalidated. Nothing is written if any replacement fails.
+    /// enforced). Row ids do not shift, so each index moves only the rows
+    /// whose indexed value changed; the statistics, once computed, are
+    /// updated for the changed columns. Nothing is written if any
+    /// replacement fails.
     pub fn update_rows(&mut self, updates: Vec<(usize, Tuple)>) -> Result<usize> {
         let checked: Vec<(usize, Tuple)> = updates
             .into_iter()
@@ -216,17 +214,20 @@ impl Table {
             .collect::<Result<_>>()?;
         let n = checked.len();
         for (i, t) in checked {
+            let old = &self.rows[i];
+            for idx in &mut self.indexes {
+                idx.rekey(i, old, &t);
+            }
+            if let Some(s) = self.stats.get_mut() {
+                s.replace(old, &t);
+            }
             self.rows[i] = t;
-        }
-        if n > 0 {
-            self.rebuild_indexes();
-            self.stats.take();
         }
         Ok(n)
     }
 
-    /// Rebuild every index from the current rows (after deletes/updates
-    /// shifted or replaced row ids).
+    /// Rebuild every index from the current rows (after a delete shifted
+    /// row ids).
     fn rebuild_indexes(&mut self) {
         for idx in &mut self.indexes {
             idx.clear();
@@ -272,13 +273,14 @@ impl Table {
         self.index_on(column).map(|i| i.lookup(key))
     }
 
-    /// Current statistics, computed on first use and cached until the next
-    /// mutation. Works through shared references, so any number of
-    /// concurrent readers of a shared catalog get (and reuse) the same
-    /// cached statistics.
+    /// Current statistics, computed on first use and from then on kept
+    /// exact by every mutation. Works through shared references, so any
+    /// number of concurrent readers of a shared catalog get (and reuse)
+    /// the same statistics.
     pub fn stats(&self) -> &TableStats {
         self.stats
-            .get_or_init(|| TableStats::compute(&self.schema, &self.rows))
+            .get_or_init(|| MaintainedStats::compute(&self.schema, &self.rows))
+            .stats()
     }
 }
 

@@ -1,9 +1,10 @@
-//! Property tests on the storage substrate: index/scan agreement and
-//! insert validation under random data.
+//! Property tests on the storage substrate: index/scan agreement,
+//! insert validation, and statistics and indexes that writes maintain in
+//! place, under random data.
 
 use proptest::prelude::*;
 
-use perm_storage::{Catalog, Table};
+use perm_storage::{Catalog, Table, TableStats};
 use perm_types::{Column, DataType, Schema, Tuple, Value};
 
 fn schema() -> Schema {
@@ -13,8 +14,130 @@ fn schema() -> Schema {
     ])
 }
 
+/// A `k` column of unknown type, so `Int(2)` and `Float(2.0)` are both
+/// stored as given (equal keys, different representations), and a text
+/// payload.
+fn mixed_schema() -> Schema {
+    Schema::new(vec![
+        Column::new("k", DataType::Unknown),
+        Column::new("v", DataType::Text),
+    ])
+}
+
+/// A key drawn from a small domain, so duplicates, collisions between
+/// `Int(n)` and `Float(n)`, and removals of the current min/max are common.
+fn key((kind, n): (u8, i64)) -> Value {
+    match kind {
+        0 => Value::Int(n),
+        1 => Value::Float(n as f64),
+        _ => Value::Null,
+    }
+}
+
+fn row(k: Value, v: i64) -> Tuple {
+    Tuple::new(vec![k, Value::text(format!("v{v}"))])
+}
+
+/// The same rows, loaded into a fresh table with freshly built indexes.
+fn rebuilt(t: &Table) -> Table {
+    let mut fresh = Table::new("fresh", t.schema().clone());
+    for r in t.rows() {
+        fresh.push_raw(r.clone());
+    }
+    for c in t.index_columns() {
+        fresh.create_index(c).unwrap();
+    }
+    fresh
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Statistics maintained through any interleaving of insert, NULL
+    /// insert, update, delete and truncate equal a fresh computation, at
+    /// random points (which is also when the cache is first filled, so
+    /// writes run both before and after the statistics exist).
+    #[test]
+    fn maintained_stats_equal_a_fresh_compute(ops in prop::collection::vec(
+        (0u8..20, (0u8..3, -3i64..4), 0usize..64, 0u8..4), 0..80,
+    )) {
+        let mut t = Table::new("t", mixed_schema());
+        for (op, k, at, check) in ops {
+            let n = t.row_count();
+            match op {
+                0..=5 => t.insert(row(key(k), at as i64 % 3)).unwrap(),
+                6 => t.insert(row(Value::Null, 0)).unwrap(),
+                7..=10 if n > 0 => {
+                    let old = t.rows()[at % n].get(1).clone();
+                    t.update_rows(vec![(at % n, Tuple::new(vec![key(k), old]))]).unwrap();
+                }
+                11 if n > 0 => {
+                    let k = t.rows()[at % n].get(0).clone();
+                    t.update_rows(vec![(at % n, Tuple::new(vec![k, Value::Null]))]).unwrap();
+                }
+                12..=14 if n > 0 => {
+                    t.delete_rows(&[at % n]);
+                }
+                15..=17 => {
+                    // Every row holding the current min or max of `k`.
+                    let stats = TableStats::compute(t.schema(), t.rows());
+                    let extreme = if op == 15 { &stats.columns[0].max } else { &stats.columns[0].min };
+                    let doomed: Vec<usize> = (0..n)
+                        .filter(|&i| Some(t.rows()[i].get(0)) == extreme.as_ref())
+                        .collect();
+                    t.delete_rows(&doomed);
+                }
+                18 => t.truncate(),
+                _ => {}
+            }
+            if check == 0 {
+                prop_assert_eq!(t.stats(), &TableStats::compute(t.schema(), t.rows()));
+            }
+        }
+        prop_assert_eq!(t.stats(), &TableStats::compute(t.schema(), t.rows()));
+    }
+
+    /// After random updates (and inserts between them), every index
+    /// equals a freshly built one: the same keys, the same row-id lists in
+    /// the same order.
+    #[test]
+    fn updated_indexes_equal_rebuilt_ones(
+        rows in prop::collection::vec(((0u8..3, -3i64..4), 0i64..3), 0..40),
+        ops in prop::collection::vec(
+            (0u8..4, prop::collection::vec((0usize..64, (0u8..3, -3i64..4)), 1..4)),
+            0..30,
+        ),
+    ) {
+        let mut t = Table::new("t", mixed_schema());
+        t.create_index(0).unwrap();
+        t.create_index(1).unwrap();
+        for (k, v) in rows {
+            t.insert(row(key(k), v)).unwrap();
+        }
+        for (op, targets) in ops {
+            let n = t.row_count();
+            if op == 0 || n == 0 {
+                t.insert(row(key(targets[0].1), 0)).unwrap();
+                continue;
+            }
+            let updates = targets
+                .into_iter()
+                .map(|(at, k)| {
+                    let v = (at % 3) as i64;
+                    (at % n, if op == 1 { row(t.rows()[at % n].get(0).clone(), v) } else { row(key(k), v) })
+                })
+                .collect();
+            t.update_rows(updates).unwrap();
+        }
+        let fresh = rebuilt(&t);
+        for c in t.index_columns() {
+            let (got, want) = (t.index_on(c).unwrap(), fresh.index_on(c).unwrap());
+            prop_assert_eq!(got.distinct_keys(), want.distinct_keys());
+            for r in t.rows() {
+                prop_assert_eq!(got.lookup(r.get(c)), want.lookup(r.get(c)));
+            }
+        }
+    }
 
     /// An index point-lookup returns exactly the rows a scan finds,
     /// regardless of whether the index was built before or after loading.

@@ -5,9 +5,10 @@
 //! release (`cargo test --release` in CI), all querying one `PermServer` —
 //! including `SELECT PROVENANCE` — while a writer applies DDL/DML.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 
+use perm::storage::{Relation, TableStats};
 use perm::{PermServer, Session, SessionOptions, Tuple, Value};
 
 /// The paper's Figure 1 forum database, loaded through a server session.
@@ -393,6 +394,93 @@ fn parallel_readers_survive_concurrent_ddl_and_dml() {
     });
 
     assert_eq!(errors.load(Ordering::Relaxed), 0);
+}
+
+/// A writer runs the benchmark's mixed read/write cycle against indexed
+/// tables (insert a message and its approval, update the message, delete
+/// the pair inserted two cycles earlier) while readers plan provenance
+/// queries. Every table of every snapshot a reader takes carries exact
+/// statistics, including tables the writer copied while a reader was
+/// still filling their statistics.
+#[test]
+fn readers_see_exact_statistics_while_a_writer_runs_the_mixed_cycle() {
+    let server = big_forum_server();
+    let setup = server.session();
+    setup.create_index("messages", "mid").unwrap();
+    setup.create_index("approved", "mid").unwrap();
+    let done = AtomicBool::new(false);
+
+    thread::scope(|s| {
+        let mut handles = Vec::new();
+        for _ in 0..reader_threads() {
+            let session = server.session();
+            let done = &done;
+            handles.push(s.spawn(move || loop {
+                let finished = done.load(Ordering::SeqCst);
+                let snapshot = session.snapshot();
+                session
+                    .query(
+                        "SELECT PROVENANCE m.mid, a.uid FROM messages m \
+                         JOIN approved a ON m.mid = a.mid WHERE m.uid = 2",
+                    )
+                    .unwrap();
+                session
+                    .query("SELECT PROVENANCE uid, count(*) FROM messages GROUP BY uid")
+                    .unwrap();
+                for rel in snapshot.relations() {
+                    if let Relation::Table(t) = rel {
+                        let fresh = TableStats::compute(t.schema(), t.rows());
+                        assert_eq!(t.stats(), &fresh, "statistics of '{}'", t.name());
+                    }
+                }
+                if finished {
+                    break;
+                }
+            }));
+        }
+
+        let writer = server.session();
+        let done = &done;
+        handles.push(s.spawn(move || {
+            let id = |k: i64| 50_000 + k;
+            for k in 0..40i64 {
+                writer
+                    .execute(&format!(
+                        "INSERT INTO messages VALUES ({}, 'rw body {k}', {})",
+                        id(k),
+                        k % 3 + 1
+                    ))
+                    .unwrap();
+                writer
+                    .execute(&format!(
+                        "INSERT INTO approved VALUES ({}, {})",
+                        k % 3 + 1,
+                        id(k)
+                    ))
+                    .unwrap();
+                writer
+                    .execute(&format!(
+                        "UPDATE messages SET text = 'rw edit {k}' WHERE mid = {}",
+                        id(k)
+                    ))
+                    .unwrap();
+                if k >= 2 {
+                    let old = id(k - 2);
+                    writer
+                        .execute(&format!("DELETE FROM approved WHERE mid = {old}"))
+                        .unwrap();
+                    writer
+                        .execute(&format!("DELETE FROM messages WHERE mid = {old}"))
+                        .unwrap();
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        }));
+
+        for h in handles {
+            h.join().unwrap();
+        }
+    });
 }
 
 #[test]
