@@ -39,27 +39,40 @@ impl HashIndex {
             .push(row_id);
     }
 
-    /// Move `row_id` from `old`'s key to `new`'s if the indexed value
-    /// changed (`UPDATE`, where row ids do not shift). The id goes in at
-    /// its sorted position, so every list stays identical to a rebuilt
-    /// index's; index nested-loop joins emit rows in that order.
-    pub(crate) fn rekey(&mut self, row_id: usize, old: &Tuple, new: &Tuple) {
-        let (old, new) = (old.get(self.column), new.get(self.column));
-        if old == new {
-            return;
+    /// Move the rows of one `UPDATE` (where row ids do not shift) whose
+    /// indexed value changed. `moved` holds `(row_id, old, new)` in
+    /// ascending row-id order, each id once. Each list a move touches is
+    /// filtered once and merged once, so every list stays identical to a
+    /// rebuilt index's (index nested-loop joins emit rows in that order)
+    /// at a cost linear in the lists touched.
+    pub(crate) fn rekey(&mut self, moved: &[(usize, &Tuple, &Tuple)]) {
+        let mut gone: HashMap<&Value, Vec<usize>> = HashMap::new();
+        let mut came: HashMap<&Value, Vec<usize>> = HashMap::new();
+        for &(row_id, old, new) in moved {
+            let (old, new) = (old.get(self.column), new.get(self.column));
+            if old != new {
+                gone.entry(old).or_default().push(row_id);
+                came.entry(new).or_default().push(row_id);
+            }
         }
-        // INVARIANT: every stored row is listed once, in ascending id
-        // order, under the key its indexed column holds.
-        let ids = self.entries.get_mut(old).expect("indexed row has a key");
-        // INVARIANT: as above, `old`'s list holds `row_id`.
-        let at = ids.binary_search(&row_id).expect("indexed row is listed");
-        ids.remove(at);
-        if ids.is_empty() {
-            self.entries.remove(old);
+        for (key, out) in gone {
+            // INVARIANT: every stored row is listed once, in ascending id
+            // order, under the key its indexed column holds.
+            let ids = self.entries.get_mut(key).expect("indexed row has a key");
+            // Both lists ascend, so one cursor over `out` finds each id.
+            let mut out = out.iter().peekable();
+            ids.retain(|id| out.next_if_eq(&id).is_none());
+            assert!(out.next().is_none(), "every moved row was listed");
+            if ids.is_empty() {
+                self.entries.remove(key);
+            }
         }
-        let ids = self.entries.entry(new.clone()).or_default();
-        let at = ids.binary_search(&row_id).expect_err("a row has one key");
-        ids.insert(at, row_id);
+        for (key, ins) in came {
+            let ids = self.entries.entry(key.clone()).or_default();
+            ids.extend(ins);
+            // Two ascending runs: the stable sort merges them in one pass.
+            ids.sort();
+        }
     }
 
     /// The row ids whose indexed column equals `key` (grouping equality:

@@ -9,7 +9,9 @@
 //! every insert, update, delete and truncate maintains them in place
 //! through `MaintainedStats`, which keeps each column's value
 //! multiplicities next to the statistics. A write costs what it changes,
-//! not a rescan of the table.
+//! not a rescan of the table: a statement that removes a column's last
+//! copy of its min or max only marks that column, and one `settle` at the
+//! end of the statement rescans each marked column's distinct values once.
 
 use std::collections::HashMap;
 
@@ -85,6 +87,9 @@ impl TableStats {
 pub(crate) struct MaintainedStats {
     stats: TableStats,
     counts: Vec<HashMap<Value, usize>>,
+    /// Columns whose min or max lost its last copy since the last
+    /// [`MaintainedStats::settle`].
+    unsettled: Vec<bool>,
 }
 
 impl MaintainedStats {
@@ -92,6 +97,7 @@ impl MaintainedStats {
         MaintainedStats {
             stats: TableStats::empty(n_columns),
             counts: vec![HashMap::new(); n_columns],
+            unsettled: vec![false; n_columns],
         }
     }
 
@@ -105,7 +111,10 @@ impl MaintainedStats {
             })
     }
 
+    /// The statistics; a statement that removed rows must have called
+    /// [`MaintainedStats::settle`] first.
     pub(crate) fn stats(&self) -> &TableStats {
+        debug_assert!(!self.unsettled.contains(&true), "statistics read unsettled");
         &self.stats
     }
 
@@ -117,7 +126,8 @@ impl MaintainedStats {
         }
     }
 
-    /// Count one row fewer; `row` must have been added.
+    /// Count one row fewer; `row` must have been added. Call
+    /// [`MaintainedStats::settle`] after the statement's last removal.
     pub(crate) fn remove(&mut self, row: &Tuple) {
         self.stats.row_count -= 1;
         for (i, v) in row.values().iter().enumerate().take(self.counts.len()) {
@@ -126,15 +136,28 @@ impl MaintainedStats {
     }
 
     /// Replace the added row `old` by `new`, touching only the columns
-    /// whose value changed.
+    /// whose value changed. Call [`MaintainedStats::settle`] after the
+    /// statement's last replacement.
     pub(crate) fn replace(&mut self, old: &Tuple, new: &Tuple) {
         let pairs = old.values().iter().zip(new.values());
         for (i, (o, n)) in pairs.enumerate().take(self.counts.len()) {
             if o != n {
-                // Adding first means a new value that undercuts the old
-                // extreme takes its place without a rescan of the keys.
                 self.add_value(i, n);
                 self.remove_value(i, o);
+            }
+        }
+    }
+
+    /// Recompute the min and max of every column whose extreme a removal
+    /// took away: one pass over that column's distinct values per
+    /// statement, however many rows it removed.
+    pub(crate) fn settle(&mut self) {
+        for (col, unsettled) in self.unsettled.iter_mut().enumerate() {
+            if std::mem::take(unsettled) {
+                let keys = self.counts[col].keys();
+                let cs = &mut self.stats.columns[col];
+                cs.min = keys.clone().min_by(|a, b| a.sort_cmp(b)).cloned();
+                cs.max = keys.max_by(|a, b| a.sort_cmp(b)).cloned();
             }
         }
     }
@@ -182,12 +205,11 @@ impl MaintainedStats {
         }
         counts.remove(v);
         cs.n_distinct -= 1;
-        // Only the last copy of an extreme moves it: rescan the keys.
-        if cs.min.as_ref() == Some(v) {
-            cs.min = counts.keys().min_by(|a, b| a.sort_cmp(b)).cloned();
-        }
-        if cs.max.as_ref() == Some(v) {
-            cs.max = counts.keys().max_by(|a, b| a.sort_cmp(b)).cloned();
+        // Only the last copy of an extreme moves it; `settle` finds the
+        // new one. (While a column is unsettled, `add_value` may compare
+        // against a removed extreme; `settle` overwrites the result.)
+        if cs.min.as_ref() == Some(v) || cs.max.as_ref() == Some(v) {
+            self.unsettled[col] = true;
         }
     }
 }

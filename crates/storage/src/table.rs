@@ -174,7 +174,8 @@ impl Table {
     /// Remove the rows whose positions are in `doomed` (`DELETE`),
     /// returning how many were removed. Indexes are rebuilt (row ids
     /// shift); the statistics, once computed, drop each removed row in
-    /// place, so the cost model never plans against stale row counts.
+    /// place and settle once, so the cost model never plans against stale
+    /// row counts.
     pub fn delete_rows(&mut self, doomed: &[usize]) -> usize {
         if doomed.is_empty() {
             return 0;
@@ -197,15 +198,19 @@ impl Table {
             }
             !doomed
         });
+        if let Some(s) = stats {
+            s.settle();
+        }
         self.rebuild_indexes();
         before - self.rows.len()
     }
 
-    /// Replace the rows at the given positions (`UPDATE`), validating
-    /// each replacement against the schema (types coerced, NOT NULL
-    /// enforced). Row ids do not shift, so each index moves only the rows
-    /// whose indexed value changed; the statistics, once computed, are
-    /// updated for the changed columns. Nothing is written if any
+    /// Replace the rows at the given positions (`UPDATE`; a later
+    /// replacement of the same position wins), validating each
+    /// replacement against the schema (types coerced, NOT NULL enforced).
+    /// Row ids do not shift, so each index moves only the rows whose
+    /// indexed value changed; the statistics, once computed, are updated
+    /// for the changed columns and settle once. Nothing is written if any
     /// replacement fails.
     pub fn update_rows(&mut self, updates: Vec<(usize, Tuple)>) -> Result<usize> {
         let checked: Vec<(usize, Tuple)> = updates
@@ -213,15 +218,28 @@ impl Table {
             .map(|(i, t)| Ok((i, self.check_tuple(t)?)))
             .collect::<Result<_>>()?;
         let n = checked.len();
+        let mut stats = self.stats.get_mut();
+        let mut old_rows = Vec::with_capacity(n);
         for (i, t) in checked {
-            let old = &self.rows[i];
+            if let Some(s) = &mut stats {
+                s.replace(&self.rows[i], &t);
+            }
+            old_rows.push((i, std::mem::replace(&mut self.rows[i], t)));
+        }
+        if let Some(s) = stats {
+            s.settle();
+        }
+        if !self.indexes.is_empty() {
+            // A row replaced twice moves once, from its first old value.
+            old_rows.sort_by_key(|&(i, _)| i);
+            old_rows.dedup_by_key(|&mut (i, _)| i);
+            let moved: Vec<(usize, &Tuple, &Tuple)> = old_rows
+                .iter()
+                .map(|(i, old)| (*i, old, &self.rows[*i]))
+                .collect();
             for idx in &mut self.indexes {
-                idx.rekey(i, old, &t);
+                idx.rekey(&moved);
             }
-            if let Some(s) = self.stats.get_mut() {
-                s.replace(old, &t);
-            }
-            self.rows[i] = t;
         }
         Ok(n)
     }

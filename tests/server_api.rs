@@ -396,6 +396,15 @@ fn parallel_readers_survive_concurrent_ddl_and_dml() {
     assert_eq!(errors.load(Ordering::Relaxed), 0);
 }
 
+/// Sets its flag when dropped.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
 /// A writer runs the benchmark's mixed read/write cycle against indexed
 /// tables (insert a message and its approval, update the message, delete
 /// the pair inserted two cycles earlier) while readers plan provenance
@@ -442,6 +451,9 @@ fn readers_see_exact_statistics_while_a_writer_runs_the_mixed_cycle() {
         let writer = server.session();
         let done = &done;
         handles.push(s.spawn(move || {
+            // Set on the way out, panic included, so the readers stop and
+            // a writer failure surfaces through `join` instead of a hang.
+            let _stop_readers = SetOnDrop(done);
             let id = |k: i64| 50_000 + k;
             for k in 0..40i64 {
                 writer
@@ -474,7 +486,6 @@ fn readers_see_exact_statistics_while_a_writer_runs_the_mixed_cycle() {
                         .unwrap();
                 }
             }
-            done.store(true, Ordering::SeqCst);
         }));
 
         for h in handles {
