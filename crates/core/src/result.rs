@@ -119,7 +119,7 @@ pub struct RowStream {
     /// The query's lifecycle context: the stream hands out cancel
     /// handles ([`RowStream::cancel_handle`]) and cancels the query
     /// itself when dropped, so a consumer that walks away mid-result
-    /// stops the exchange producers instead of orphaning them.
+    /// frees its admission slot at once.
     ctx: QueryContext,
     /// The stream's admission slot; releasing it (on drop) lets queued
     /// queries run, so a stream counts as "running" until the consumer
@@ -191,9 +191,9 @@ impl Iterator for RowStream {
 impl Drop for RowStream {
     fn drop(&mut self) {
         // A dropped stream is a disconnected consumer: cancel the query
-        // so exchange producers stop scanning, and — if the query was
-        // still queued for admission — its ticket leaves the queue
-        // immediately. Cancelling an already-finished query is a no-op.
+        // so — if it was still queued for admission — its ticket leaves
+        // the queue immediately. Cancelling an already-finished query is
+        // a no-op.
         self.ctx.handle().cancel();
     }
 }

@@ -1,22 +1,26 @@
 //! The executor ("Executor" stage of Figure 3): interprets a
-//! [`PhysicalPlan`] against the storage catalog, operator at a time.
+//! [`PhysicalPlan`] against the storage catalog.
 //!
 //! The executor makes **no strategy decisions**: join algorithms, build
 //! sides, index usage and operator fusion are all chosen by the physical
 //! planner ([`crate::physical`]) — this module only runs the operators it
 //! is handed. (Whether a node evaluates its expressions row by row or
 //! over columnar batches is not in the plan either: the node's body
-//! decides it where the kernels run, [`crate::kernels`].) Sessions lower a statement's plan themselves and run it
-//! through [`Executor::run_physical`] (or stream it through
-//! [`Executor::into_stream_physical`]); callers holding a [`LogicalPlan`]
-//! (sublink subplans, tests) go through [`Executor::run`], which lowers
-//! the plan once per executor (cached by plan identity) and executes the
-//! result.
+//! decides it where the kernels run, [`crate::kernels`].)
+//!
+//! There is one driver, the chunk cursor of [`crate::stream`]:
+//! [`Executor::run_physical`] drains it and
+//! [`Executor::into_stream_physical`] pulls it on demand. Sessions lower
+//! a statement's plan themselves and hand it to one of the two; callers
+//! holding a [`LogicalPlan`] (sublink subplans, tests) go through
+//! [`Executor::run`], which lowers the plan once per executor (cached by
+//! plan identity) and drains the result.
 //!
 //! Every operator body lives in `crate::operators`; this module provides
-//! the [`Executor`] itself, the dispatch loop over [`PhysicalPlan`]
-//! nodes, `VALUES`, `LIMIT` and the subquery result caches.
+//! the [`Executor`] itself, the dispatch of a blocking node to its body,
+//! `VALUES` and the subquery result caches.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,9 +34,9 @@ use perm_storage::Catalog;
 
 use crate::eval::{eval, Env};
 use crate::memory::QueryMemory;
-use crate::operators::scan::{self, Pipe};
 use crate::operators::{aggregate, join, setop, sort};
 use crate::physical::{PhysicalPlan, PhysicalPlanner};
+use crate::stream::Cursor;
 
 /// Cached first-column set of an uncorrelated IN subquery: the hashed
 /// non-NULL values plus whether a NULL was present.
@@ -280,61 +284,16 @@ impl Executor {
         self.run_physical(&physical)
     }
 
-    /// Execute a physical plan and materialize its result.
+    /// Execute a physical plan and materialize its result: build the one
+    /// chunk cursor over it ([`crate::stream`]) and drain it.
     pub fn run_physical(&self, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
+        Cursor::build(self, plan, Cow::Borrowed)?.drain(self)
+    }
+
+    /// Run a blocking node's body once, over its materialized inputs: the
+    /// first pull of the node's cursor.
+    pub(crate) fn run_blocking(&self, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
         match plan {
-            PhysicalPlan::FusedScanProjectFilter {
-                table,
-                schema,
-                filter,
-                project,
-                dop,
-                ..
-            } => {
-                let t = self.catalog.table(table)?;
-                check_scan_schema(t, table, schema)?;
-                if filter.is_none() && project.is_none() {
-                    // A bare scan is a bulk clone of `Arc`-shared rows;
-                    // morsel-parallelism would only contend on refcounts.
-                    return Ok(t.rows().to_vec());
-                }
-                let pipe = Pipe::compile(self, filter.as_ref(), project.as_deref());
-                if *dop > 1 {
-                    return scan::scan_parallel(self, table, pipe, *dop);
-                }
-                pipe.run(self, t.rows().iter())
-            }
-            PhysicalPlan::IndexScan {
-                table,
-                schema,
-                column,
-                key,
-                residual,
-                project,
-                ..
-            } => {
-                let t = self.catalog.table(table)?;
-                check_scan_schema(t, table, schema)?;
-                match t.index_lookup(*column, key) {
-                    Some(row_ids) => Pipe::compile(self, residual.as_ref(), project.as_deref())
-                        .run(self, row_ids.iter().map(|&r| &t.rows()[r])),
-                    None => {
-                        // The index vanished since planning (e.g. the
-                        // table was rebuilt): fall back to a sequential
-                        // scan with the full predicate.
-                        let full = ScalarExpr::conjunction(
-                            std::iter::once(ScalarExpr::eq(
-                                ScalarExpr::Column(*column),
-                                ScalarExpr::Literal(key.clone()),
-                            ))
-                            .chain(residual.clone())
-                            .collect(),
-                        );
-                        Pipe::compile(self, Some(&full), project.as_deref())
-                            .run(self, t.rows().iter())
-                    }
-                }
-            }
             PhysicalPlan::Values { rows, .. } => {
                 // Each expression is evaluated exactly once, so the
                 // interpreter is the right tool here — compilation would
@@ -351,14 +310,6 @@ impl Executor {
                     out.push(Tuple::new(vals));
                 }
                 Ok(out)
-            }
-            PhysicalPlan::Project { input, exprs } => {
-                let rows = self.run_physical(input)?;
-                Pipe::compile(self, None, Some(exprs)).run(self, rows.iter())
-            }
-            PhysicalPlan::Filter { input, predicate } => {
-                let rows = self.run_physical(input)?;
-                Pipe::compile(self, Some(predicate), None).run(self, rows.iter())
             }
             PhysicalPlan::HashJoin { .. } => join::hash_join(self, plan),
             PhysicalPlan::NLJoin { .. } => join::nested_loop(self, plan),
@@ -388,21 +339,12 @@ impl Executor {
                 dop,
                 spill,
             } => sort::run_sort(self, input, keys, *dop, *spill),
-            PhysicalPlan::Limit {
-                input,
-                limit,
-                offset,
-            } => {
-                let rows = self.run_physical(input)?;
-                // No loop of its own, and a bare scan below has none
-                // either: the one cancellation point of such a plan.
-                self.check_cancelled()?;
-                let start = (*offset as usize).min(rows.len());
-                let end = match limit {
-                    Some(l) => (start + *l as usize).min(rows.len()),
-                    None => rows.len(),
-                };
-                Ok(rows[start..end].to_vec())
+            PhysicalPlan::FusedScanProjectFilter { .. }
+            | PhysicalPlan::IndexScan { .. }
+            | PhysicalPlan::Filter { .. }
+            | PhysicalPlan::Project { .. }
+            | PhysicalPlan::Limit { .. } => {
+                unreachable!("pipeline nodes are cursors, never blocking")
             }
         }
     }

@@ -36,10 +36,12 @@
 //! rows ([`kernels`]). The plan carries no row/batch decision: each
 //! node's body makes it once, when it compiles.
 //!
-//! Results can be consumed two ways: [`Executor::run`] materializes the
-//! whole result, while [`Executor::into_stream`] returns a pull-based
-//! [`stream::TupleStream`] that yields tuples on demand (so `LIMIT k`
-//! over a streamable operator chain reads only the base rows it needs).
+//! Every plan is driven by one chunk cursor ([`stream`]), consumed two
+//! ways: [`Executor::run`] drains it into the whole result, while
+//! [`Executor::into_stream`] returns a pull-based
+//! [`stream::TupleStream`] that yields tuples on demand. Either way,
+//! `LIMIT k` over a streamable operator chain reads only the base rows
+//! it needs.
 //! The executor owns an `Arc` catalog snapshot, making plans, executors
 //! and streams `Send` — the foundation of the concurrent `PermServer`.
 //!
@@ -49,7 +51,7 @@
 //! spill-to-disk driver (`operators`, files written through
 //! [`perm_storage::spill`]) whose results are identical — rows, order
 //! and errors — to the in-memory path: each operator has one body that
-//! its serial, parallel, spilled and row-pull drivers all run.
+//! its serial, parallel and spilled drivers all run.
 //!
 //! Every phase of the two-phase optimizer is backed by a **static plan
 //! verifier** ([`verify`], plus the logical side in

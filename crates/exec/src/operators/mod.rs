@@ -20,22 +20,21 @@
 //!   each non-join input, one row id per input per output row, and an
 //!   output layout. A join or an aggregate over a join reads its input
 //!   through that layout, so a chain of joins builds no intermediate
-//!   row; every other consumer —
-//!   [`Executor::run_physical`](crate::Executor::run_physical), and
-//!   through it the stream cursor and the spill drivers — takes rows from
-//!   one gather, which builds each output row in one allocation. The join
+//!   row; every other consumer — the chunk cursor
+//!   ([`crate::stream`]) and the spill drivers — takes rows from one
+//!   gather, which builds each output row in one allocation. The join
 //!   bodies append ids serially, per morsel range (the ids concatenate in
 //!   morsel order) or per spill partition (gathered under input
 //!   positions), so the id lists, and the rows gathered from them, are
 //!   the serial ones.
 //! * **Scan / filter / project** ([`scan::Pipe`]) is compiled once per
-//!   node and written over a borrowed run of rows. Drivers: the fused
-//!   scan, index scan, `Filter` and `Project` arms of
-//!   [`Executor::run_physical`](crate::Executor::run_physical) (whole
-//!   input), the scan morsels and the stream's exchange producers (one
-//!   morsel per call, all workers sharing the pipe), and — one row per
-//!   call through `Pipe::row` — the stream cursor (so a satisfied `LIMIT`
-//!   stops at the exact row) and the `DELETE` / `UPDATE` scans.
+//!   node and written over a borrowed run of rows. Drivers: the chunk
+//!   cursor's scan, index scan, `Filter` and `Project` nodes (one chunk
+//!   of at most the pull's demand per call — the whole input when
+//!   [`Executor::run_physical`](crate::Executor::run_physical) drains
+//!   it), the scan morsels of a parallel scan's window (one morsel per
+//!   call, all workers sharing the pipe), and — one row per call through
+//!   `Pipe::row` — the `DELETE` / `UPDATE` scans.
 //! * **Sort** ([`sort`]) keys and stably sorts one contiguous run.
 //!   Drivers: serial (one run, no merge), parallel (a run per chunk, then
 //!   the stable k-way merge) and spilled (runs written to disk, then the

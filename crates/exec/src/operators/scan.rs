@@ -11,7 +11,8 @@
 //! sees, and chunking cannot change the answer: `run` over any split of
 //! the input, concatenated, and `row` over each input row, give the same
 //! rows in the same order and the same first error as one whole-input
-//! `run` (pinned in `operators/tests.rs`).
+//! `run`, and a failed `run` leaves the rows `row` produced before the
+//! failing one (pinned in `operators/tests.rs`).
 
 use std::sync::Arc;
 
@@ -22,7 +23,6 @@ use crate::compile::{CompiledExpr, CompiledProjection};
 use crate::eval::Env;
 use crate::executor::Executor;
 use crate::kernels::{self, BATCH_ROWS};
-use crate::parallel::{concat, map_morsels};
 
 /// A compiled filter + projection pair over one row shape. `None` filter
 /// passes every row; `None` projection emits the row itself.
@@ -78,20 +78,24 @@ impl Pipe {
         }))
     }
 
-    /// Every row of `rows`, in order. Rows are borrowed and only cloned
-    /// (a refcount bump) or projected when they pass. When the pipe runs
-    /// batches, each batch of [`BATCH_ROWS`] goes through the kernels, and
-    /// a batch they abort on — which discards its partial output — is
-    /// replayed through [`Pipe::row`], which reproduces the first error in
-    /// row order (or succeeds, if narrowing had already masked the lane).
-    /// Otherwise every row goes through `row`.
+    /// Append the output of every row of `rows` to `out`, in order. Rows
+    /// are borrowed and only cloned (a refcount bump) or projected when
+    /// they pass. When the pipe runs batches, each batch of [`BATCH_ROWS`]
+    /// goes through the kernels, and a batch they abort on — which
+    /// discards its partial output — is replayed through [`Pipe::row`],
+    /// which reproduces the first error in row order (or succeeds, if
+    /// narrowing had already masked the lane). Otherwise every row goes
+    /// through `row`. Either way, on an error `out` holds the output of
+    /// exactly the rows before the failing one.
     pub fn run<'t>(
         &self,
         exec: &Executor,
         mut rows: impl Iterator<Item = &'t Tuple>,
-    ) -> Result<Vec<Tuple>> {
-        let cap = rows.size_hint().0;
-        let mut out = Vec::with_capacity(if self.filter.is_none() { cap } else { 0 });
+        out: &mut Vec<Tuple>,
+    ) -> Result<()> {
+        if self.filter.is_none() {
+            out.reserve(rows.size_hint().0);
+        }
         if !self.batched {
             for (i, row) in rows.enumerate() {
                 // Masked cancellation check per 4096 rows.
@@ -100,14 +104,14 @@ impl Pipe {
                 }
                 out.extend(self.row(exec, row)?);
             }
-            return Ok(out);
+            return Ok(());
         }
         let mut batch: Vec<&Tuple> = Vec::with_capacity(BATCH_ROWS);
         loop {
             batch.clear();
             batch.extend(rows.by_ref().take(BATCH_ROWS));
             if batch.is_empty() {
-                return Ok(out);
+                return Ok(());
             }
             // Batch boundary: cancellation point + chaos site.
             exec.check_cancelled()?;
@@ -118,7 +122,7 @@ impl Pipe {
                 self.project.as_ref(),
                 &batch,
                 &self.outer,
-                &mut out,
+                out,
             );
             if ran.is_err() {
                 out.truncate(before);
@@ -129,25 +133,4 @@ impl Pipe {
             }
         }
     }
-}
-
-/// Morsel-parallel `FusedScanProjectFilter`: workers claim row ranges of
-/// the base table and run the shared pipe over borrowed base rows;
-/// per-morsel outputs concatenate in morsel order, so the result is
-/// byte-identical to the serial scan.
-pub(crate) fn scan_parallel(
-    exec: &Executor,
-    table: &str,
-    pipe: Pipe,
-    dop: usize,
-) -> Result<Vec<Tuple>> {
-    let total = exec.catalog().table(table)?.rows().len();
-    let worker = exec.worker_factory();
-    let table = table.to_string();
-    let parts = map_morsels(exec.context(), dop, total, move |range| {
-        let sub = worker();
-        let t = sub.catalog().table(&table)?;
-        pipe.run(&sub, t.rows()[range].iter())
-    })?;
-    Ok(concat(parts))
 }

@@ -315,6 +315,12 @@ fn outcome(r: Result<Vec<Tuple>>) -> Outcome {
     r.map_err(|e| e.to_string())
 }
 
+/// `Pipe::run` over `rows` into a fresh vector: its rows, or its error.
+fn run_pipe(pipe: &Pipe, exec: &Executor, rows: &[Tuple]) -> Result<Vec<Tuple>> {
+    let mut out = Vec::new();
+    pipe.run(exec, rows.iter(), &mut out).map(|()| out)
+}
+
 /// An executor with the columnar switch set to `columnar`.
 fn executor(columnar: bool) -> Executor {
     Executor::new(Arc::new(Catalog::new())).with_columnar(columnar)
@@ -369,7 +375,9 @@ fn pipe_is_chunk_invariant() {
                 let exec = executor(columnar);
                 let pipe = Pipe::compile(&exec, f, p);
                 assert_eq!(pipe.batched, columnar && *batchable, "{what}");
-                let whole = outcome(pipe.run(&exec, rows.iter()));
+                let mut prefix = Vec::new();
+                let ran = pipe.run(&exec, rows.iter(), &mut prefix);
+                let whole = outcome(ran.map(|()| prefix.clone()));
                 match &whole {
                     Ok(out) => {
                         assert!(!fails, "{what}: expected an error");
@@ -381,7 +389,7 @@ fn pipe_is_chunk_invariant() {
                 for k in PARTITION_COUNTS {
                     let chunked = chunk_ranges(rows.len(), k)
                         .into_iter()
-                        .map(|range| pipe.run(&exec, rows[range].iter()))
+                        .map(|range| run_pipe(&pipe, &exec, &rows[range]))
                         .collect::<Result<Vec<_>>>()
                         .map(|parts| parts.concat());
                     assert_eq!(outcome(chunked), whole, "{what} chunks={k}");
@@ -391,6 +399,14 @@ fn pipe_is_chunk_invariant() {
                     .filter_map(|t| pipe.row(&exec, t).transpose())
                     .collect::<Result<Vec<_>>>();
                 assert_eq!(outcome(pulled), whole, "{what} row-at-a-time");
+                // A failed run leaves the rows produced before the failing one.
+                let before: Vec<Tuple> = rows
+                    .iter()
+                    .map(|t| pipe.row(&exec, t))
+                    .take_while(Result::is_ok)
+                    .filter_map(|r| r.ok().flatten())
+                    .collect();
+                assert_eq!(prefix, before, "{what} prefix before the error");
             }
         }
     }
@@ -443,7 +459,7 @@ fn gather_pipe_matches_the_interpreter() {
                 for k in PARTITION_COUNTS {
                     let chunked = chunk_ranges(rows.len(), k)
                         .into_iter()
-                        .map(|range| pipe.run(&exec, rows[range].iter()))
+                        .map(|range| run_pipe(&pipe, &exec, &rows[range]))
                         .collect::<Result<Vec<_>>>()
                         .map(|parts| parts.concat());
                     assert_eq!(outcome(chunked), reference, "{what} chunks={k}");

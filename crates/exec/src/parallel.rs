@@ -27,10 +27,10 @@
 //! Everything here is built from `std` only (the environment has no
 //! crates.io access): [`Channel`] is a crossbeam-style Mutex + Condvar
 //! MPMC channel, `WorkerPool` a fixed set of detached threads feeding
-//! off an unbounded job channel. The pool is global and lazily created;
-//! tasks submitted to it must be finite (long-lived producers — the
-//! stream exchange operator — spawn dedicated threads instead, see
-//! [`crate::stream`]).
+//! off an unbounded job channel. The pool is global and lazily created,
+//! and it is the only place a thread is started; tasks submitted to it
+//! are finite — a stream's parallel scan submits one window of morsels
+//! per pull ([`crate::stream`]), so no worker waits on a consumer.
 //!
 //! # Error and determinism contract
 //!
@@ -65,9 +65,9 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use perm_types::hash::FxHasher;
 use perm_types::{PermError, QueryContext, Result, Tuple};
 
-/// Rows per morsel. Small enough that `LIMIT` over an exchange stops
-/// early and the morsel queue load-balances skewed filters; large enough
-/// that per-morsel setup (a worker executor) is noise.
+/// Rows per morsel. Small enough that the morsel queue load-balances
+/// skewed filters; large enough that per-morsel setup (a worker
+/// executor) is noise.
 pub const MORSEL_ROWS: usize = 2048;
 
 /// Default minimum estimated input rows before the planner considers a
@@ -93,85 +93,38 @@ pub fn pool_parallelism() -> usize {
 // Channel
 // ----------------------------------------------------------------------
 
-struct ChannelState<T> {
-    queue: VecDeque<T>,
-    closed: bool,
-}
-
-/// A crossbeam-style MPMC channel: `Mutex<VecDeque>` + two condvars,
-/// optionally bounded (senders block while full). Closing wakes every
-/// blocked sender and receiver; receivers drain buffered items first.
+/// A crossbeam-style unbounded MPMC channel: `Mutex<VecDeque>` + a
+/// condvar. The pool's job queue and each submission's result queue;
+/// neither is ever closed.
 pub struct Channel<T> {
-    state: Mutex<ChannelState<T>>,
+    queue: Mutex<VecDeque<T>>,
     not_empty: Condvar,
-    not_full: Condvar,
-    bound: usize,
 }
 
 impl<T> Channel<T> {
-    pub fn unbounded() -> Channel<T> {
-        Channel::with_bound(usize::MAX)
-    }
-
-    pub fn bounded(bound: usize) -> Channel<T> {
-        Channel::with_bound(bound.max(1))
-    }
-
-    fn with_bound(bound: usize) -> Channel<T> {
+    pub fn new() -> Channel<T> {
         Channel {
-            state: Mutex::new(ChannelState {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
+            queue: Mutex::new(VecDeque::new()),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            bound,
         }
     }
 
-    /// Send `value`, blocking while the channel is full. Returns
-    /// `Err(value)` if the channel was closed (the receiver went away).
-    pub fn send(&self, value: T) -> std::result::Result<(), T> {
-        let mut st = self.state.lock().expect("channel lock");
-        // no-cancel: condvar wait loop; a cancelled consumer closes the
-        // channel, which wakes and releases every blocked sender.
-        loop {
-            if st.closed {
-                return Err(value);
-            }
-            if st.queue.len() < self.bound {
-                st.queue.push_back(value);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            st = self.not_full.wait(st).expect("channel lock");
-        }
+    pub fn send(&self, value: T) {
+        self.queue.lock().expect("channel lock").push_back(value);
+        self.not_empty.notify_one();
     }
 
     /// Receive the next value, blocking while the channel is empty.
-    /// Returns `None` once the channel is closed *and* drained.
-    pub fn recv(&self) -> Option<T> {
-        let mut st = self.state.lock().expect("channel lock");
-        // no-cancel: condvar wait loop; producers observe cancellation at
-        // their morsel claims and close/drain the channel promptly.
+    pub fn recv(&self) -> T {
+        let mut queue = self.queue.lock().expect("channel lock");
+        // no-cancel: condvar wait loop; senders observe cancellation at
+        // their morsel claims and send promptly.
         loop {
-            if let Some(v) = st.queue.pop_front() {
-                self.not_full.notify_one();
-                return Some(v);
+            if let Some(v) = queue.pop_front() {
+                return v;
             }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).expect("channel lock");
+            queue = self.not_empty.wait(queue).expect("channel lock");
         }
-    }
-
-    /// Close the channel: senders fail fast, receivers drain then stop.
-    pub fn close(&self) {
-        let mut st = self.state.lock().expect("channel lock");
-        st.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
@@ -195,7 +148,7 @@ impl WorkerPool {
         static POOL: OnceLock<WorkerPool> = OnceLock::new();
         POOL.get_or_init(|| {
             let size = pool_parallelism();
-            let jobs: Arc<Channel<Job>> = Arc::new(Channel::unbounded());
+            let jobs: Arc<Channel<Job>> = Arc::new(Channel::new());
             // no-cancel: pool construction, bounded by the pool size.
             for i in 0..size {
                 let jobs = Arc::clone(&jobs);
@@ -204,11 +157,11 @@ impl WorkerPool {
                     .spawn(move || {
                         // no-cancel: the pool outlives every query; jobs
                         // observe cancellation via their own contexts.
-                        while let Some(job) = jobs.recv() {
+                        loop {
                             // Keep the pool alive whatever a job does;
                             // run_workers reports the panic as a typed
                             // error to the submitting thread.
-                            let _ = catch_unwind(AssertUnwindSafe(job));
+                            let _ = catch_unwind(AssertUnwindSafe(jobs.recv()));
                         }
                     })
                     .expect("spawn pool worker");
@@ -218,7 +171,7 @@ impl WorkerPool {
     }
 
     fn submit(&self, job: Job) {
-        self.jobs.send(job).ok();
+        self.jobs.send(job);
     }
 }
 
@@ -252,7 +205,7 @@ where
         };
     }
     let task = Arc::new(task);
-    let results: Arc<Channel<(usize, std::thread::Result<T>)>> = Arc::new(Channel::unbounded());
+    let results: Arc<Channel<(usize, std::thread::Result<T>)>> = Arc::new(Channel::new());
     let pool = WorkerPool::global();
     // no-cancel: job submission, bounded by dop.
     for w in 0..dop {
@@ -268,7 +221,7 @@ where
                 }
                 task(w)
             }));
-            let _ = results.send((w, r));
+            results.send((w, r));
         }));
     }
     let mut out: Vec<Option<T>> = (0..dop).map(|_| None).collect();
@@ -276,7 +229,7 @@ where
     // no-cancel: result collection, bounded by dop; each worker observes
     // cancellation through the query context inside its task.
     for _ in 0..dop {
-        let (w, r) = results.recv().expect("worker results channel open");
+        let (w, r) = results.recv();
         match r {
             Ok(v) => out[w] = Some(v),
             Err(p) => {
@@ -339,10 +292,6 @@ impl MorselQueue {
 
     pub(crate) fn abort(&self) {
         self.abort.store(true, Ordering::Relaxed);
-    }
-
-    pub(crate) fn morsel_count(&self) -> usize {
-        self.total.div_ceil(self.step)
     }
 }
 
@@ -535,31 +484,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn channel_delivers_in_order_and_drains_after_close() {
-        let ch: Channel<u32> = Channel::unbounded();
-        ch.send(1).unwrap();
-        ch.send(2).unwrap();
-        ch.close();
-        assert!(ch.send(3).is_err());
-        assert_eq!(ch.recv(), Some(1));
-        assert_eq!(ch.recv(), Some(2));
-        assert_eq!(ch.recv(), None);
-    }
-
-    #[test]
-    fn bounded_channel_applies_backpressure() {
-        let ch: Arc<Channel<u32>> = Arc::new(Channel::bounded(2));
-        ch.send(1).unwrap();
-        ch.send(2).unwrap();
-        let sender = {
-            let ch = Arc::clone(&ch);
-            std::thread::spawn(move || ch.send(3).is_ok())
-        };
-        // The blocked sender completes once a slot frees up.
-        assert_eq!(ch.recv(), Some(1));
-        assert!(sender.join().unwrap());
-        assert_eq!(ch.recv(), Some(2));
-        assert_eq!(ch.recv(), Some(3));
+    fn channel_delivers_in_order() {
+        let ch: Channel<u32> = Channel::new();
+        ch.send(1);
+        ch.send(2);
+        assert_eq!(ch.recv(), 1);
+        assert_eq!(ch.recv(), 2);
     }
 
     #[test]
@@ -587,7 +517,6 @@ mod tests {
     #[test]
     fn morsel_queue_covers_the_range_exactly_once() {
         let q = MorselQueue::new(10, 4);
-        assert_eq!(q.morsel_count(), 3);
         assert_eq!(q.claim(), Some((0, 0..4)));
         assert_eq!(q.claim(), Some((1, 4..8)));
         assert_eq!(q.claim(), Some((2, 8..10)));

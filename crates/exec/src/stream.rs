@@ -1,40 +1,54 @@
-//! Pull-based execution: a cursor tree that yields tuples one at a time.
+//! The one pull driver: a chunk cursor over a physical plan.
 //!
-//! [`TupleStream`] drives a top-level plan cursor-style, the way a
-//! PostgreSQL client consumes a portal: `next()` pulls one row, and the
-//! pipeline-friendly operators — sequential scans (with their fused
-//! filters and projections), standalone filters/projections, limits —
-//! produce it on demand. A `LIMIT k` over a streamable chain therefore
-//! pulls only as many base-table rows as it needs instead of
-//! materializing the whole input first. The stream evaluates nothing
-//! itself: it is a *driver* of the scan/filter/project body
-//! ([`Pipe`]) — the serial cursor pulls one row at a time through
-//! `Pipe::row`, the exchange producers run whole morsels through
-//! `Pipe::run` — so a streamed row is the row [`Executor::run_physical`]
-//! computes. Blocking operators (joins, aggregation, sorts, set
-//! operations, DISTINCT) have no incremental form in this executor; a
-//! blocking subtree is materialized through [`Executor::run_physical`]
-//! on first pull and drained from its buffer.
+//! Every plan runs through a `Cursor` tree, and its one pull,
+//! `next_chunk(exec, want)`, is the whole driving contract. Its two
+//! consumers only differ in how much they ask for:
+//!
+//! * [`Executor::run_physical`] drains the cursor with `want =
+//!   usize::MAX` — one chunk per node, so a node's body runs once over
+//!   its whole input (the materialized result);
+//! * [`TupleStream`] pulls the way a PostgreSQL client consumes a
+//!   portal, with a demand that starts at one row and doubles up to
+//!   [`BATCH_ROWS`], and stops pulling when its consumer stops.
+//!
+//! The pipeline nodes produce rows on demand: a scan reads at most `want`
+//! base rows per pull (a table's rows or an index's id list, read in
+//! place) through the node's one [`Pipe::run`] — on the worker pool at
+//! `dop > 1`, over the next `want` rows' morsels — a standalone filter or
+//! projection runs its pipe over its input's chunk, and a `LIMIT` asks
+//! its input for `offset + limit` rows (further ahead, doubling, while a
+//! filter below it comes back short). A row error inside a chunk is
+//! raised at the *next* pull, after the chunk's rows before it, so a
+//! `LIMIT k` over scans, filters and projections returns exactly the rows
+//! and errors of a row-at-a-time executor, whichever consumer pulls it.
+//! Blocking operators (joins,
+//! aggregation, sorts, set operations, DISTINCT, `VALUES`) run their
+//! body once on the first pull (`Executor::run_blocking`) and hand the
+//! result out `want` rows at a time. The cursor evaluates nothing
+//! itself, so a pulled row is the row the body computes.
 //!
 //! The cursor tree is built from the **physical** plan, so every
 //! strategy decision (fusion, index usage, join algorithms inside
-//! blocking subtrees) was already made by the planner.
+//! blocking subtrees) was already made by the planner. A draining cursor
+//! borrows its blocking subtrees from the plan; a stream owns copies.
 //!
 //! The stream owns its [`Executor`] — and through it an immutable catalog
 //! snapshot — so it keeps yielding a consistent result however long the
 //! consumer takes, even while concurrent sessions run DDL against the
 //! shared catalog.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
+use perm_algebra::expr::ScalarExpr;
 use perm_algebra::plan::LogicalPlan;
 use perm_storage::Catalog;
-use perm_types::{PermError, Result, Tuple};
+use perm_types::{PermError, Result, Schema, Tuple, Value};
 
-use crate::executor::Executor;
+use crate::executor::{check_scan_schema, Executor};
+use crate::kernels::BATCH_ROWS;
 use crate::operators::scan::Pipe;
-use crate::parallel::{Channel, MorselQueue, MORSEL_ROWS};
+use crate::parallel::{map_morsels, MORSEL_ROWS};
 use crate::physical::PhysicalPlan;
 
 /// A pull-based result: `Iterator<Item = Result<Tuple>>` over a plan.
@@ -43,9 +57,11 @@ use crate::physical::PhysicalPlan;
 /// first error (or the natural end) it yields `None` forever.
 pub struct TupleStream {
     exec: Executor,
-    cursor: Cursor,
-    rows_scanned: usize,
-    pulls: usize,
+    cursor: Cursor<'static>,
+    /// The last pulled chunk, handed out row by row.
+    chunk: std::vec::IntoIter<Tuple>,
+    /// Demand of the next pull: 1, then doubling up to [`BATCH_ROWS`].
+    want: usize,
     done: bool,
 }
 
@@ -53,12 +69,12 @@ impl TupleStream {
     /// Build a stream over a physical plan, validating its base-table
     /// scans against the executor's catalog snapshot up front.
     pub fn new(exec: Executor, plan: &PhysicalPlan) -> Result<TupleStream> {
-        let cursor = Cursor::build(&exec, plan)?;
+        let cursor = Cursor::build(&exec, plan, |p| Cow::Owned(p.clone()))?;
         Ok(TupleStream {
             exec,
             cursor,
-            rows_scanned: 0,
-            pulls: 0,
+            chunk: Vec::new().into_iter(),
+            want: 1,
             done: false,
         })
     }
@@ -70,7 +86,7 @@ impl TupleStream {
     /// `LIMIT k` over a streamable chain stops after pulling the few scan
     /// rows it needed.
     pub fn rows_scanned(&self) -> usize {
-        self.rows_scanned
+        self.cursor.rows_scanned()
     }
 }
 
@@ -78,25 +94,27 @@ impl Iterator for TupleStream {
     type Item = Result<Tuple>;
 
     fn next(&mut self) -> Option<Result<Tuple>> {
-        if self.done {
-            return None;
-        }
-        // Masked cancellation check per 1024 pulls: covers the cursor
-        // variants with no per-row check of their own (plain scans,
-        // drained buffers).
-        self.pulls += 1;
-        if self.pulls.is_multiple_of(1024) {
-            if let Err(e) = self.exec.check_cancelled() {
-                self.done = true;
-                return Some(Err(e));
+        // no-cancel: a pull that reads or hands out rows checks first
+        // (`Cursor::next_chunk`).
+        loop {
+            if let Some(t) = self.chunk.next() {
+                return Some(Ok(t));
+            }
+            if self.done {
+                return None;
+            }
+            match self.cursor.next_chunk(&self.exec, self.want) {
+                Ok(Some(rows)) => {
+                    self.chunk = rows.into_iter();
+                    self.want = (self.want * 2).min(BATCH_ROWS);
+                }
+                Ok(None) => self.done = true,
+                Err(e) => {
+                    self.done = true;
+                    return Some(Err(e));
+                }
             }
         }
-        let item = self.cursor.next(&self.exec, &mut self.rows_scanned);
-        match &item {
-            None | Some(Err(_)) => self.done = true,
-            Some(Ok(_)) => {}
-        }
-        item
     }
 }
 
@@ -120,173 +138,65 @@ impl Executor {
     }
 }
 
-/// One node of the cursor tree. Streamable operators hold just the state
-/// they need (compiled out of the plan, so the stream is self-contained);
-/// everything else lazily materializes via [`Executor::run_physical`].
-enum Cursor {
-    /// Base-table scan: yields `rows()[next]` on each pull. Holds the
-    /// pre-folded catalog key so the per-pull re-resolution (the borrow
-    /// rules forbid caching `&Table` next to the owning snapshot) is an
-    /// allocation-free map lookup.
-    Scan { key: String, next: usize },
-    /// Streaming filter and/or projection: pulls from the input until a
-    /// row passes the pipe (compiled once at stream construction).
-    Pipe { input: Box<Cursor>, pipe: Pipe },
-    /// Streaming OFFSET/LIMIT: stops pulling once exhausted.
+/// One node of the cursor tree. Pipeline nodes hold just the state they
+/// need (compiled out of the plan, so a stream is self-contained); a
+/// blocking node holds its subtree until the first pull runs it.
+pub(crate) enum Cursor<'p> {
+    Scan(Scan),
+    /// A standalone filter or projection over any input; `failed` is a
+    /// row error deferred to the next pull (see [`Scan`]).
+    Pipe {
+        input: Box<Cursor<'p>>,
+        pipe: Pipe,
+        failed: Option<PermError>,
+    },
+    /// OFFSET / LIMIT: `skip` rows still to drop, `remaining` to pass, and
+    /// the least demand of the next pull — doubled whenever a pull comes
+    /// back short, so a selective filter below is read in growing chunks
+    /// instead of `offset + limit` rows at a time.
     Limit {
-        input: Box<Cursor>,
+        input: Box<Cursor<'p>>,
         skip: usize,
         remaining: Option<usize>,
+        ahead: usize,
     },
-    /// A blocking subtree, not yet executed.
-    Pending(Box<PhysicalPlan>),
-    /// A materialized buffer being drained.
-    Drained(std::vec::IntoIter<Tuple>),
-    /// A parallel scan behind an exchange: producer threads push morsel
-    /// results through a bounded channel, the consumer reorders them.
-    Exchange(ExchangeCursor),
+    /// A blocking subtree, not yet run: borrowed from the plan when
+    /// draining, owned in a stream.
+    Pending(Cow<'p, PhysicalPlan>),
+    /// A blocking subtree's result, handed out `want` rows per pull.
+    Buffered(std::vec::IntoIter<Tuple>),
 }
 
-/// The consumer side of a scan exchange.
+/// A scan leaf: base rows read in place — a table's rows, or the id list
+/// of one index key — `next` of them consumed so far.
 ///
-/// `dop` producer threads claim morsels of the base table, run the shared
-/// [`Pipe`] over each, and send `(morsel index, rows scanned, result)`
-/// through a **bounded** channel — so a consumer that stops pulling
-/// (e.g. a satisfied `LIMIT`) back-pressures the producers after a few
-/// morsels, preserving the early-termination benefit at morsel
-/// granularity. The consumer reassembles morsels in index order, so the
-/// stream yields exactly the serial scan order; dropping the cursor
-/// closes the channel and joins the producers.
-///
-/// Producers are dedicated threads, not pool workers: a stream can stay
-/// open indefinitely, and parking pool workers on it would starve other
-/// queries' parallel operators.
-/// What a producer sends per morsel: `(morsel index, base rows scanned,
-/// filtered/projected result)`.
-type MorselMsg = (usize, usize, Result<Vec<Tuple>>);
-
-pub(crate) struct ExchangeCursor {
-    rx: Arc<Channel<MorselMsg>>,
-    queue: Arc<MorselQueue>,
-    pending: HashMap<usize, (usize, Result<Vec<Tuple>>)>,
-    next_idx: usize,
-    expected: usize,
-    current: std::vec::IntoIter<Tuple>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+/// A row error in a chunk is deferred: the pull hands out the rows before
+/// the failing one and keeps the error in `failed` for the next pull, so a
+/// consumer that needs no more rows — a satisfied `LIMIT` — never raises
+/// it, however far ahead the chunk read.
+pub(crate) struct Scan {
+    /// The pre-folded catalog key: the table is re-resolved per pull (the
+    /// borrow rules forbid caching `&Table` next to the owning snapshot)
+    /// with an allocation-free map lookup.
+    table: String,
+    /// `Some((column, key))`: read `column`'s index entry for `key`.
+    index: Option<(usize, Value)>,
+    /// The node's filter / projection; `None` passes base rows through.
+    pipe: Option<Arc<Pipe>>,
+    dop: usize,
+    next: usize,
+    failed: Option<PermError>,
 }
 
-impl ExchangeCursor {
-    fn spawn(exec: &Executor, table: &str, pipe: Pipe, dop: usize) -> Result<ExchangeCursor> {
-        let total = exec.catalog().table(table)?.rows().len();
-        let queue = Arc::new(MorselQueue::new(total, MORSEL_ROWS));
-        let pipe = Arc::new(pipe);
-        // Built before the first spawn: if a later spawn fails, dropping
-        // the cursor aborts and joins the producers already running.
-        let mut cursor = ExchangeCursor {
-            rx: Arc::new(Channel::bounded(dop * 2)),
-            expected: queue.morsel_count(),
-            queue,
-            pending: HashMap::new(),
-            next_idx: 0,
-            current: Vec::new().into_iter(),
-            handles: Vec::with_capacity(dop),
-        };
-        // no-cancel: thread start-up, bounded by dop.
-        for i in 0..dop {
-            let worker = exec.worker_factory();
-            let queue = Arc::clone(&cursor.queue);
-            let tx = Arc::clone(&cursor.rx);
-            let ctx = exec.context().clone();
-            let table = table.to_string();
-            let pipe = Arc::clone(&pipe);
-            let producer = move || {
-                let sub = worker();
-                // Cancellation is observed at every morsel claim; a
-                // producer panic is contained to this query as a typed
-                // error sent through the channel.
-                while let Some((idx, range)) = queue.claim() {
-                    let scanned = range.len();
-                    let result = ctx
-                        .check()
-                        .and_then(|()| {
-                            perm_fault::exec_point("exec.exchange.send", "exchange producer")
-                        })
-                        .and_then(|()| {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                sub.catalog()
-                                    .table(&table)
-                                    .and_then(|t| pipe.run(&sub, t.rows()[range].iter()))
-                            }))
-                            .unwrap_or_else(|p| Err(crate::parallel::panic_error(p)))
-                        });
-                    let failed = result.is_err();
-                    if tx.send((idx, scanned, result)).is_err() {
-                        break; // consumer went away
-                    }
-                    if failed {
-                        queue.abort();
-                        break;
-                    }
-                }
-            };
-            // The OS can refuse a thread (process or cgroup limits): that
-            // fails this statement, not the caller's thread.
-            perm_fault::exec_point("exec.exchange.spawn", "exchange producer spawn")?;
-            let handle = std::thread::Builder::new()
-                .name(format!("perm-exchange-{i}"))
-                .spawn(producer)
-                .map_err(|e| {
-                    PermError::Execution(format!("cannot start exchange producer: {e}"))
-                })?;
-            cursor.handles.push(handle);
-        }
-        Ok(cursor)
-    }
-
-    fn next(&mut self, scanned: &mut usize) -> Option<Result<Tuple>> {
-        // no-cancel: producers check at every morsel claim; a cancelled
-        // producer delivers the typed error through the channel, which
-        // this loop surfaces in morsel order.
-        loop {
-            if let Some(t) = self.current.next() {
-                return Some(Ok(t));
-            }
-            if let Some((n, result)) = self.pending.remove(&self.next_idx) {
-                self.next_idx += 1;
-                *scanned += n;
-                match result {
-                    Ok(rows) => {
-                        self.current = rows.into_iter();
-                        continue;
-                    }
-                    Err(e) => return Some(Err(e)),
-                }
-            }
-            if self.next_idx >= self.expected {
-                return None;
-            }
-            // Morsels complete out of order; buffer until ours arrives.
-            // An error aborts the queue, so morsels past it never come —
-            // but every earlier morsel was already claimed and will.
-            let (idx, n, result) = self.rx.recv()?;
-            self.pending.insert(idx, (n, result));
-        }
-    }
-}
-
-impl Drop for ExchangeCursor {
-    fn drop(&mut self) {
-        self.queue.abort();
-        self.rx.close();
-        // no-cancel: joining producers after abort, bounded by dop.
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Cursor {
-    fn build(exec: &Executor, plan: &PhysicalPlan) -> Result<Cursor> {
+impl<'p> Cursor<'p> {
+    /// Build the cursor over `plan`, checking every scan against the
+    /// executor's catalog snapshot. `hold` keeps a blocking subtree:
+    /// `Cow::Borrowed` to drain it now, an owned copy for a stream.
+    pub(crate) fn build<'q>(
+        exec: &Executor,
+        plan: &'q PhysicalPlan,
+        hold: fn(&'q PhysicalPlan) -> Cow<'p, PhysicalPlan>,
+    ) -> Result<Cursor<'p>> {
         Ok(match plan {
             PhysicalPlan::FusedScanProjectFilter {
                 table,
@@ -295,115 +205,264 @@ impl Cursor {
                 project,
                 dop,
                 ..
+            } => Cursor::Scan(Scan::new(
+                exec,
+                table,
+                schema,
+                None,
+                filter.as_ref(),
+                project.as_deref(),
+                *dop,
+            )?),
+            PhysicalPlan::IndexScan {
+                table,
+                schema,
+                column,
+                key,
+                residual,
+                project,
+                ..
             } => {
-                // Same staleness check Executor::run_physical performs,
-                // done once at stream construction (the snapshot cannot
-                // change under us).
-                let t = exec.catalog().table(table)?;
-                crate::executor::check_scan_schema(t, table, schema)?;
-                let scan = Cursor::Scan {
-                    key: Catalog::key_of(table),
-                    next: 0,
+                let (index, full);
+                let filter = if exec
+                    .catalog()
+                    .table(table)?
+                    .index_lookup(*column, key)
+                    .is_some()
+                {
+                    index = Some((*column, key.clone()));
+                    residual.as_ref()
+                } else {
+                    // The index vanished since planning (e.g. the table
+                    // was rebuilt): scan the table with the full predicate.
+                    index = None;
+                    full = ScalarExpr::conjunction(
+                        std::iter::once(ScalarExpr::eq(
+                            ScalarExpr::Column(*column),
+                            ScalarExpr::Literal(key.clone()),
+                        ))
+                        .chain(residual.clone())
+                        .collect(),
+                    );
+                    Some(&full)
                 };
-                if filter.is_none() && project.is_none() {
-                    return Ok(scan);
-                }
-                let pipe = Pipe::compile(exec, filter.as_ref(), project.as_deref());
-                if *dop > 1 {
-                    return Ok(Cursor::Exchange(ExchangeCursor::spawn(
-                        exec, table, pipe, *dop,
-                    )?));
-                }
-                Cursor::Pipe {
-                    input: Box::new(scan),
-                    pipe,
-                }
+                let scan = Scan::new(exec, table, schema, index, filter, project.as_deref(), 1)?;
+                Cursor::Scan(scan)
             }
             PhysicalPlan::Filter { input, predicate } => Cursor::Pipe {
-                input: Box::new(Cursor::build(exec, input)?),
+                input: Box::new(Cursor::build(exec, input, hold)?),
                 pipe: Pipe::compile(exec, Some(predicate), None),
+                failed: None,
             },
             PhysicalPlan::Project { input, exprs } => Cursor::Pipe {
-                input: Box::new(Cursor::build(exec, input)?),
+                input: Box::new(Cursor::build(exec, input, hold)?),
                 pipe: Pipe::compile(exec, None, Some(exprs)),
+                failed: None,
             },
             PhysicalPlan::Limit {
                 input,
                 limit,
                 offset,
             } => Cursor::Limit {
-                input: Box::new(Cursor::build(exec, input)?),
+                input: Box::new(Cursor::build(exec, input, hold)?),
                 skip: *offset as usize,
                 remaining: limit.map(|l| l as usize),
+                ahead: 0,
             },
-            // Index scans, joins, aggregates, sorts, set ops, DISTINCT and
-            // VALUES are blocking (or already small): materialize on first
-            // pull.
-            other => Cursor::Pending(Box::new(other.clone())),
+            other => Cursor::Pending(hold(other)),
         })
     }
 
-    fn next(&mut self, exec: &Executor, scanned: &mut usize) -> Option<Result<Tuple>> {
-        match self {
-            Cursor::Scan { key, next } => {
-                let t = match exec.catalog().table_by_key(key) {
-                    Ok(t) => t,
-                    Err(e) => return Some(Err(e)),
-                };
-                let row = t.rows().get(*next)?.clone();
-                *next += 1;
-                *scanned += 1;
-                Some(Ok(row))
+    /// Pull every remaining row: the materialized result.
+    pub(crate) fn drain(mut self, exec: &Executor) -> Result<Vec<Tuple>> {
+        let mut out = Vec::new();
+        // no-cancel: a pull that reads or hands out rows checks first
+        // (`next_chunk`).
+        while let Some(rows) = self.next_chunk(exec, usize::MAX)? {
+            if out.is_empty() {
+                out = rows;
+            } else {
+                out.extend(rows);
             }
-            Cursor::Pipe { input, pipe } => loop {
-                // A selective predicate can reject rows for a long time
-                // without yielding: check cancellation on every pull.
-                if let Err(e) = exec.check_cancelled() {
-                    return Some(Err(e));
+        }
+        Ok(out)
+    }
+
+    /// The one pull: the next chunk for a demand of `want` rows — a leaf
+    /// reads at most `want`, a `LIMIT` may read further ahead — possibly
+    /// empty while a filter rejects a chunk, or `None` once the node is
+    /// exhausted. It is the pull's one cancellation point: the leaf checks
+    /// before it reads or hands out rows — never at an exhausted node, so
+    /// a statement whose work is done keeps its result.
+    fn next_chunk(&mut self, exec: &Executor, want: usize) -> Result<Option<Vec<Tuple>>> {
+        match self {
+            Cursor::Scan(scan) => scan.next_chunk(exec, want),
+            Cursor::Pipe {
+                input,
+                pipe,
+                failed,
+            } => {
+                if let Some(e) = failed.take() {
+                    return Err(e);
                 }
-                let t = match input.next(exec, scanned)? {
-                    Ok(t) => t,
-                    Err(e) => return Some(Err(e)),
+                let Some(rows) = input.next_chunk(exec, want)? else {
+                    return Ok(None);
                 };
-                match pipe.row(exec, &t).transpose() {
-                    Some(item) => return Some(item),
-                    None => continue,
-                }
-            },
+                let mut out = Vec::new();
+                *failed = pipe.run(exec, rows.iter(), &mut out).err();
+                Ok(Some(out))
+            }
             Cursor::Limit {
                 input,
                 skip,
                 remaining,
+                ahead,
             } => {
-                // OFFSET burns rows without yielding any: check
-                // cancellation on every skipped pull.
-                while *skip > 0 {
-                    if let Err(e) = exec.check_cancelled() {
-                        return Some(Err(e));
-                    }
-                    match input.next(exec, scanned)? {
-                        Ok(_) => *skip -= 1,
-                        Err(e) => return Some(Err(e)),
-                    }
+                if *remaining == Some(0) {
+                    return Ok(None);
                 }
+                let need = skip.saturating_add(remaining.map_or(want, |r| r.min(want)));
+                let demand = need.max(*ahead);
+                let Some(mut rows) = input.next_chunk(exec, demand)? else {
+                    return Ok(None);
+                };
+                if rows.len() < demand {
+                    *ahead = demand.saturating_mul(2);
+                }
+                let skipped = (*skip).min(rows.len());
+                rows.drain(..skipped);
+                *skip -= skipped;
                 if let Some(r) = remaining {
-                    if *r == 0 {
-                        return None;
-                    }
-                    *r -= 1;
+                    rows.truncate(*r);
+                    *r -= rows.len();
                 }
-                input.next(exec, scanned)
+                Ok(Some(rows))
             }
             Cursor::Pending(plan) => {
-                let rows = match exec.run_physical(plan) {
-                    Ok(rows) => rows,
-                    Err(e) => return Some(Err(e)),
-                };
-                *self = Cursor::Drained(rows.into_iter());
-                self.next(exec, scanned)
+                exec.check_cancelled()?;
+                let mut rows = exec.run_blocking(plan)?.into_iter();
+                let chunk = hand_out(&mut rows, want);
+                *self = Cursor::Buffered(rows);
+                Ok(chunk)
             }
-            Cursor::Drained(iter) => iter.next().map(Ok),
-            Cursor::Exchange(ex) => ex.next(scanned),
+            Cursor::Buffered(rows) if rows.len() == 0 => Ok(None),
+            Cursor::Buffered(rows) => {
+                exec.check_cancelled()?;
+                Ok(hand_out(rows, want))
+            }
         }
+    }
+
+    fn rows_scanned(&self) -> usize {
+        match self {
+            Cursor::Scan(scan) => scan.next,
+            Cursor::Pipe { input, .. } | Cursor::Limit { input, .. } => input.rows_scanned(),
+            Cursor::Pending(_) | Cursor::Buffered(_) => 0,
+        }
+    }
+}
+
+/// The next at most `want` buffered rows; the whole buffer, while
+/// unadvanced, is handed over without a copy.
+fn hand_out(rows: &mut std::vec::IntoIter<Tuple>, want: usize) -> Option<Vec<Tuple>> {
+    match rows.len() {
+        0 => None,
+        n if want >= n => Some(std::mem::take(rows).collect()),
+        _ => Some(rows.by_ref().take(want).collect()),
+    }
+}
+
+impl Scan {
+    /// A scan of `table`, checked against the plan's `schema`, compiling
+    /// the node's pipe if it has a filter or a projection.
+    fn new(
+        exec: &Executor,
+        table: &str,
+        schema: &Schema,
+        index: Option<(usize, Value)>,
+        filter: Option<&ScalarExpr>,
+        project: Option<&[ScalarExpr]>,
+        dop: usize,
+    ) -> Result<Scan> {
+        check_scan_schema(exec.catalog().table(table)?, table, schema)?;
+        let pipe = (filter.is_some() || project.is_some())
+            .then(|| Arc::new(Pipe::compile(exec, filter, project)));
+        Ok(Scan {
+            table: Catalog::key_of(table),
+            index,
+            pipe,
+            dop,
+            next: 0,
+            failed: None,
+        })
+    }
+
+    /// The next at most `want` base rows, through the node's pipe: at
+    /// `dop > 1` on the worker pool, one morsel of the window per claim,
+    /// reassembled in morsel order up to the first morsel that failed.
+    fn next_chunk(&mut self, exec: &Executor, want: usize) -> Result<Option<Vec<Tuple>>> {
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
+        let t = exec.catalog().table_by_key(&self.table)?;
+        let ids = match &self.index {
+            Some((column, key)) => t.index_lookup(*column, key),
+            None => None,
+        };
+        let total = ids.map_or(t.rows().len(), <[usize]>::len);
+        let start = self.next;
+        if start >= total {
+            return Ok(None);
+        }
+        exec.check_cancelled()?;
+        let end = start + want.min(total - start);
+        self.next = end;
+        let rows = t.rows();
+        let mut out = Vec::new();
+        let ran = match (&self.pipe, ids) {
+            (None, None) => {
+                out.extend_from_slice(&rows[start..end]);
+                Ok(())
+            }
+            (None, Some(ids)) => {
+                out.extend(ids[start..end].iter().map(|&r| rows[r].clone()));
+                Ok(())
+            }
+            (Some(pipe), Some(ids)) => {
+                pipe.run(exec, ids[start..end].iter().map(|&r| &rows[r]), &mut out)
+            }
+            (Some(pipe), None) if self.dop > 1 => {
+                let morsels = (end - start).div_ceil(MORSEL_ROWS);
+                let worker = exec.worker_factory();
+                let table = self.table.clone();
+                let pipe = Arc::clone(pipe);
+                let parts = map_morsels(
+                    exec.context(),
+                    self.dop.min(morsels),
+                    end - start,
+                    move |range| {
+                        let sub = worker();
+                        let rows = sub.catalog().table_by_key(&table)?.rows();
+                        let window = rows[start + range.start..start + range.end].iter();
+                        let mut out = Vec::new();
+                        let ran = pipe.run(&sub, window, &mut out);
+                        Ok((out, ran))
+                    },
+                )?;
+                let mut ran = Ok(());
+                // no-cancel: reassembly of already-computed morsel outputs.
+                for (part, part_ran) in parts {
+                    out.extend(part);
+                    if part_ran.is_err() {
+                        ran = part_ran;
+                        break;
+                    }
+                }
+                ran
+            }
+            (Some(pipe), None) => pipe.run(exec, rows[start..end].iter(), &mut out),
+        };
+        self.failed = ran.err();
+        Ok(Some(out))
     }
 }

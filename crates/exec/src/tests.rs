@@ -1198,9 +1198,12 @@ mod parallel_exec {
             .into_stream(&plan)
             .unwrap();
         let streamed: Vec<Tuple> = stream.map(|r| r.unwrap()).collect();
-        assert_eq!(serial, streamed, "exchange must preserve scan order");
+        assert_eq!(
+            serial, streamed,
+            "windowed morsels must preserve scan order"
+        );
 
-        // LIMIT over the exchange: producers stop after a few morsels.
+        // LIMIT over a parallel scan stops after a few chunks.
         let plan = bound(&cat, "SELECT n * 3 FROM numbers WHERE n % 2 = 0 LIMIT 5");
         let mut stream = Executor::new(Arc::new(cat.clone()))
             .with_parallelism(4, 2)
@@ -1213,6 +1216,27 @@ mod parallel_exec {
             "LIMIT pulled {} scan rows",
             stream.rows_scanned()
         );
+    }
+
+    #[test]
+    fn limit_never_raises_an_error_past_its_rows() {
+        // `LIMIT 2` reads ahead in doubling chunks; the one that holds its
+        // two rows (6000, 6500) runs on to row 7000, which divides by
+        // zero. A row-at-a-time executor never gets there, so neither
+        // consumer may fail — serial, or parallel, where that chunk is two
+        // morsels and the second holds both 6500 and the error.
+        let cat = numbers_catalog(12000);
+        let plan = bound(
+            &cat,
+            "SELECT n FROM numbers WHERE (n = 6000 OR n >= 6500) AND 10 / (n - 7000) < 100 LIMIT 2",
+        );
+        let expected: Vec<Tuple> = [6000, 6500].map(|n| Tuple::new(vec![Value::Int(n)])).into();
+        for dop in [1, 4] {
+            let exec = || Executor::new(Arc::new(cat.clone())).with_parallelism(dop, 2);
+            assert_eq!(exec().run(&plan).unwrap(), expected, "dop {dop}");
+            let streamed: Result<Vec<Tuple>> = exec().into_stream(&plan).unwrap().collect();
+            assert_eq!(streamed.unwrap(), expected, "streamed at dop {dop}");
+        }
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! standalone `Filter` / `Project`, `Sort` and `Limit`, each at `dop` 1
 //! and 2 and, where the node may spill, under a 1-byte per-query cap that
 //! denies the reservation — materialized through `run_physical` and
-//! pulled through `into_stream_physical` (row-pull cursors, exchange
-//! producers). (It was born from a drift between the copies: serial
+//! pulled through `into_stream_physical`. (It was born from a drift between the copies: serial
 //! `INTERSECT` / `EXCEPT` with set semantics returned rows on a cancelled
 //! context while their parallel twins returned `Cancelled`.)
 //!
@@ -58,9 +57,8 @@ fn catalog() -> Arc<Catalog> {
     Arc::new(cat)
 }
 
-/// A bare scan: a bulk clone of the base rows with no loop of its own, so
-/// it succeeds on a cancelled context and the operator above it is the
-/// one that has to notice.
+/// A bare scan: a bulk clone of the base rows with no loop of its own;
+/// the pull that reads it is its one cancellation point.
 fn scan(cat: &Catalog, name: &str) -> Box<PhysicalPlan> {
     Box::new(PhysicalPlan::FusedScanProjectFilter {
         table: name.into(),

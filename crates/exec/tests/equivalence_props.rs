@@ -725,19 +725,24 @@ proptest! {
         }
     }
 
-    /// Pulling a plan through the stream cursor tree (row-pull scans,
-    /// filters and projections at DOP 1; exchange producers at DOP 3;
-    /// blocking subtrees materialized underneath) yields exactly the rows
-    /// `run_physical` returns, in the same order; the two fail together;
-    /// and a consumer that stops after `k` rows has seen a prefix. The
-    /// `scan_only` variant makes the whole plan streamable, `div_by_key`
-    /// plants a row error, `project_on_top` a computed projection.
+    /// Pulling a plan through a stream (a demand of one row, doubling;
+    /// windowed morsels at DOP 3; blocking subtrees materialized
+    /// underneath) yields exactly the rows `run_physical` returns, in the
+    /// same order; the two fail together; and a consumer that stops after
+    /// `k` rows has seen a prefix. The `scan_only` variant makes the whole
+    /// plan streamable, `div_by_key` plants a row error, `project_on_top`
+    /// a computed projection, and the generated `LIMIT` / `OFFSET` on top
+    /// may stop both consumers before that error: the limited result is
+    /// its input's rows before the first error, cut by `OFFSET` /
+    /// `LIMIT`, and the error only if the cut reaches it.
     #[test]
     fn streamed_execution_matches_materialized(
         case in plan_case(),
         scan_only in any::<bool>(),
         div_by_key in any::<bool>(),
         project_on_top in any::<bool>(),
+        limit in proptest::option::of(0..8u64),
+        offset in 0..3u64,
         k in 0..6usize,
     ) {
         let cat = tables(&case, false);
@@ -776,6 +781,11 @@ proptest! {
                 schema,
             };
         }
+        plan = LogicalPlan::Limit {
+            input: Box::new(plan),
+            limit,
+            offset,
+        };
         let cat = Arc::new(cat);
         let optimized = match optimize_verified(plan, &CatalogStats(&cat)) {
             Ok(p) => p,
@@ -814,6 +824,40 @@ proptest! {
                     "take({}) is not a prefix at dop {} for {:?}", k, dop, case
                 );
             }
+            // What a row-at-a-time LIMIT returns (PostgreSQL's): the rows
+            // its input yields before its first error, cut by OFFSET /
+            // LIMIT — the error only if the cut reaches it. (Pruning may
+            // leave a projection above the LIMIT.)
+            let mut node = &physical;
+            while let perm_exec::PhysicalPlan::Project { input, .. } = node {
+                node = input;
+            }
+            let perm_exec::PhysicalPlan::Limit { input, .. } = node else {
+                return Err(TestCaseError::fail(format!("LIMIT planned away: {physical:?}")));
+            };
+            let mut pulled = Vec::new();
+            let mut failed = None;
+            for row in exec().into_stream_physical(input).map_err(|e| TestCaseError::fail(e.to_string()))? {
+                match row {
+                    Ok(t) => pulled.push(t),
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
+                }
+            }
+            let end = limit.map_or(usize::MAX, |l| (offset + l) as usize);
+            let expected = match failed {
+                // `LIMIT 0` pulls nothing, its OFFSET included.
+                _ if limit == Some(0) => Ok(Vec::new()),
+                Some(e) if pulled.len() < end => Err(e.to_string()),
+                _ => Ok(pulled[(offset as usize).min(pulled.len())..end.min(pulled.len())].to_vec()),
+            };
+            prop_assert_eq!(
+                exec().run_physical(node).map_err(|e| e.to_string()),
+                expected,
+                "LIMIT {:?} OFFSET {} diverges from its input at dop {} for {:?}", limit, offset, dop, case
+            );
         }
     }
 

@@ -3,8 +3,8 @@
 //!
 //! Every write, fsync, rename, truncate, and read the WAL / checkpoint /
 //! spill paths perform goes through the I/O wrappers in this crate, and
-//! the executor's worker, morsel, kernel, allocation and exchange paths
-//! carry [`exec_point`] sites. Each call site names a *failpoint site*
+//! the executor's worker, morsel, kernel and allocation paths carry
+//! [`exec_point`] sites. Each call site names a *failpoint site*
 //! (a stable string like `"wal.append.write"` or `"exec.worker.panic"`);
 //! when the process-global registry has an action configured for that
 //! site, the wrapper injects the failure instead of (or in the middle
@@ -44,8 +44,6 @@
 //! | `exec.morsel.claim` | per-morsel claim loop (`parallel::map_morsels`) |
 //! | `exec.kernel.batch` | per-batch kernel dispatch (`operators::scan`) |
 //! | `exec.memory.grow` | reservation grow (`memory::try_grow`) |
-//! | `exec.exchange.send` | exchange producer send loop (`stream`) |
-//! | `exec.exchange.spawn` | exchange producer thread start-up (`stream`) |
 //! | `exec.admission.wait` | admission wait loop (`core::admission`) |
 //! | `exec.replay.statement` | WAL replay loop (`core::server`) |
 

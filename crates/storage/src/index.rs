@@ -75,6 +75,23 @@ impl HashIndex {
         }
     }
 
+    /// Drop the rows of one `DELETE` and renumber the rest: `new_ids[id]`
+    /// is a surviving row's id after the delete, `None` for a removed
+    /// one. Renumbering keeps the order, so every list stays ascending,
+    /// and no key is rehashed.
+    pub(crate) fn delete(&mut self, new_ids: &[Option<usize>]) {
+        self.entries.retain(|_, ids| {
+            ids.retain_mut(|id| match new_ids[*id] {
+                Some(new) => {
+                    *id = new;
+                    true
+                }
+                None => false,
+            });
+            !ids.is_empty()
+        });
+    }
+
     /// The row ids whose indexed column equals `key` (grouping equality:
     /// NULL finds NULL, `Int(2)` finds `Float(2.0)`).
     pub fn lookup(&self, key: &Value) -> &[usize] {

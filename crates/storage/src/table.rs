@@ -172,8 +172,9 @@ impl Table {
     }
 
     /// Remove the rows whose positions are in `doomed` (`DELETE`),
-    /// returning how many were removed. Indexes are rebuilt (row ids
-    /// shift); the statistics, once computed, drop each removed row in
+    /// returning how many were removed. Each index drops the removed ids
+    /// and renumbers the rest (row ids shift down past them); the
+    /// statistics, once computed, drop each removed row in
     /// place and settle once, so the cost model never plans against stale
     /// row counts.
     pub fn delete_rows(&mut self, doomed: &[usize]) -> usize {
@@ -201,7 +202,22 @@ impl Table {
         if let Some(s) = stats {
             s.settle();
         }
-        self.rebuild_indexes();
+        if !self.indexes.is_empty() {
+            // A surviving row's new id: its old one less the removed
+            // rows below it.
+            let mut below = 0;
+            let new_ids: Vec<Option<usize>> = kill
+                .iter()
+                .enumerate()
+                .map(|(id, &doomed)| {
+                    below += usize::from(doomed);
+                    (!doomed).then(|| id - below)
+                })
+                .collect();
+            for idx in &mut self.indexes {
+                idx.delete(&new_ids);
+            }
+        }
         before - self.rows.len()
     }
 
@@ -242,17 +258,6 @@ impl Table {
             }
         }
         Ok(n)
-    }
-
-    /// Rebuild every index from the current rows (after a delete shifted
-    /// row ids).
-    fn rebuild_indexes(&mut self) {
-        for idx in &mut self.indexes {
-            idx.clear();
-            for (row_id, t) in self.rows.iter().enumerate() {
-                idx.insert(t, row_id);
-            }
-        }
     }
 
     /// Create a hash index on `column` (idempotent).

@@ -176,6 +176,44 @@ proptest! {
         assert_indexes_rebuilt(&t);
     }
 
+    /// After random deletes (and inserts between them), every index
+    /// equals a freshly built one: removed ids gone, the rest renumbered,
+    /// each list still ascending.
+    #[test]
+    fn deleted_indexes_equal_rebuilt_ones(
+        rows in prop::collection::vec(((0u8..3, -3i64..4), 0i64..3), 0..40),
+        ops in prop::collection::vec(
+            (0u8..4, prop::collection::vec((0usize..64, (0u8..3, -3i64..4)), 1..6)),
+            0..30,
+        ),
+    ) {
+        let mut t = Table::new("t", mixed_schema());
+        t.create_index(0).unwrap();
+        t.create_index(1).unwrap();
+        for (k, v) in rows {
+            t.insert(row(key(k), v)).unwrap();
+        }
+        for (op, targets) in ops {
+            let n = t.row_count();
+            match op {
+                _ if n == 0 => t.insert(row(key(targets[0].1), 0)).unwrap(),
+                0 => t.insert(row(key(targets[0].1), targets[0].0 as i64 % 3)).unwrap(),
+                // Every row holding one key, as `DELETE ... WHERE k = c`.
+                1 => {
+                    let k = key(targets[0].1);
+                    let doomed: Vec<usize> = (0..n).filter(|&i| t.rows()[i].get(0) == &k).collect();
+                    t.delete_rows(&doomed);
+                }
+                // Scattered positions, repeats included.
+                _ => {
+                    let doomed: Vec<usize> = targets.iter().map(|(at, _)| at % n).collect();
+                    t.delete_rows(&doomed);
+                }
+            }
+            assert_indexes_rebuilt(&t);
+        }
+    }
+
     /// An index point-lookup returns exactly the rows a scan finds,
     /// regardless of whether the index was built before or after loading.
     #[test]

@@ -3,7 +3,7 @@
 //! clean errors rather than panics.
 
 use perm_core::fixtures::forum_db;
-use perm_core::{PermServer, Value};
+use perm_core::{PermServer, Tuple, Value};
 
 // ----------------------------------------------------------------------
 // Empty inputs
@@ -201,6 +201,27 @@ fn limit_zero_and_large_offset() {
         .query("SELECT mid FROM messages OFFSET 100")
         .unwrap()
         .is_empty());
+}
+
+#[test]
+fn limit_stops_before_a_row_error_whether_materialized_or_streamed() {
+    // `messages` holds mid 1, then mid 4: the second row divides by zero,
+    // but `LIMIT 1` never reaches it, in either consumer.
+    let db = forum_db();
+    for sql in [
+        "SELECT 10 / (mid - 4) FROM messages LIMIT 1",
+        "SELECT PROVENANCE 10 / (mid - 4) FROM messages LIMIT 1",
+    ] {
+        let materialized = db.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let streamed: Vec<Tuple> = db
+            .query_stream(sql)
+            .unwrap()
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|e| panic!("{sql} streamed: {e}"));
+        assert_eq!(materialized.row_count(), 1, "{sql}");
+        assert_eq!(materialized.row(0)[0], Value::Int(-3), "{sql}");
+        assert_eq!(materialized.rows, streamed, "{sql}");
+    }
 }
 
 #[test]

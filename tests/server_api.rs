@@ -187,8 +187,8 @@ fn prepared_reuse_returns_identical_rows_to_one_shot_query() {
 #[test]
 fn row_stream_limit_pulls_only_k_rows_from_the_scan() {
     let server = PermServer::new();
-    // Serial plan: on a multi-core host the 10k-row scan would otherwise
-    // run behind an exchange, which stops at morsel granularity.
+    // Serial plan (`parallel_row_stream_limit_short_circuits` covers the
+    // parallel scan).
     let session = server.session_with_options(SessionOptions::default().with_max_parallelism(1));
     session.execute("CREATE TABLE big (x int)").unwrap();
     {
@@ -534,7 +534,7 @@ fn parallel_row_stream_limit_short_circuits() {
     assert_eq!(got.len(), 4);
     assert!(
         stream.rows_scanned() < 6002,
-        "exchange kept scanning: {} rows",
+        "the parallel scan kept reading: {} rows",
         stream.rows_scanned()
     );
 }

@@ -13,9 +13,9 @@
 //!    down; hot paths must return `Result` or justify with `.expect`.
 //! 2. **`.expect(` in hot-path files needs an `// INVARIANT:` comment**
 //!    (same or preceding line) stating why the failure is impossible.
-//! 3. **No thread spawns outside `parallel.rs` / `stream.rs`** — every
-//!    worker thread must go through the morsel pool or the stream
-//!    prefetcher so shutdown and panic propagation stay centralized.
+//! 3. **No thread spawns outside `parallel.rs`** — every worker thread
+//!    must go through the morsel pool so shutdown and panic propagation
+//!    stay centralized.
 //! 4. **No `Rc` in Send-exposed crates** (`types`, `storage`, `exec`,
 //!    `core`) — their types cross threads; a stray `Rc` makes a struct
 //!    silently `!Send` far from where it is embedded.
@@ -49,8 +49,8 @@
 //!     cooperative cancellation check** (`check_cancelled` or `.check()`)
 //!     or justify its absence with a `// no-cancel:` comment on the same
 //!     or the preceding line of the loop header. The files are the ones
-//!     whose loops can run long — the morsel pool, the stream/exchange
-//!     pipeline, and the operator build/probe/spill paths — where a
+//!     whose loops can run long — the morsel pool, the chunk cursor
+//!     (`stream.rs`), and the operator build/probe/spill paths — where a
 //!     missed check turns "cancel" into "hang until the query finishes".
 //!     A check inside a nested loop satisfies the enclosing loops (the
 //!     inner body is on the outer loop's path), but an outer check never
@@ -109,7 +109,7 @@ const KERNEL_LOOP_ALLOCS: &[&str] = &[
 ];
 
 /// The only modules allowed to start worker threads (rule 3).
-const SPAWN_ALLOWED: &[&str] = &["crates/exec/src/parallel.rs", "crates/exec/src/stream.rs"];
+const SPAWN_ALLOWED: &[&str] = &["crates/exec/src/parallel.rs"];
 
 /// Crates whose types are exposed across threads (rule 4).
 const SEND_EXPOSED: &[&str] = &[
@@ -136,7 +136,7 @@ const STORAGE_FILE_CREATION_ALLOWED: &[&str] = &[
 const FAILPOINT_WRAPPED: &[&str] = &["crates/storage/src/wal.rs", "crates/storage/src/durable.rs"];
 
 /// Files whose loops must carry a cooperative cancellation check
-/// (rule 11): the morsel pool, the stream/exchange pipeline, and every
+/// (rule 11): the morsel pool, the chunk cursor, and every
 /// operator body and driver (scan/filter/project, sort, build/probe,
 /// spill).
 const CANCEL_CHECK_FILES: &[&str] = &[
@@ -859,7 +859,10 @@ mod tests {
             ["spawn-outside-parallel"]
         );
         assert!(run("crates/exec/src/parallel.rs", src).is_empty());
-        assert!(run("crates/exec/src/stream.rs", src).is_empty());
+        assert_eq!(
+            run("crates/exec/src/stream.rs", src),
+            ["spawn-outside-parallel"]
+        );
         let builder = "fn f() { thread::Builder::new(); }\n";
         assert_eq!(
             run("crates/core/src/server.rs", builder),
