@@ -205,6 +205,43 @@ fn worker_panic_fails_one_query_and_spares_siblings() {
 }
 
 // ----------------------------------------------------------------------
+// Streamed parallel scans
+// ----------------------------------------------------------------------
+
+/// A stream's demand never exceeds a batch — less than a morsel — yet a
+/// parallel scan's windows double per pull up to `dop` morsels and run on
+/// the pool. `exec.worker.start` fires once per pool worker a window
+/// starts (a one-morsel window runs on the consumer's thread).
+#[test]
+fn streamed_parallel_scan_runs_its_windows_on_the_pool() {
+    let _guard = perm_fault::test_guard();
+    perm_fault::clear();
+    let server = seeded_server(20_000);
+    let session = server.session_with_options(
+        SessionOptions::default()
+            .with_max_parallelism(4)
+            .with_parallel_row_threshold(1),
+    );
+    let sql = "SELECT v + 1 FROM facts WHERE tag <> 'tag-3'";
+    let expected = session.query(sql).unwrap();
+    perm_fault::configure("exec.worker.start=stall(0)").unwrap();
+    let streamed: Vec<Tuple> = session
+        .query_stream(sql)
+        .unwrap()
+        .map(|r| r.unwrap())
+        .collect();
+    let workers = perm_fault::fired_count("exec.worker.start");
+    perm_fault::clear();
+    assert_eq!(streamed, expected.rows);
+    assert!(
+        workers >= 2,
+        "the streamed scan started {workers} pool workers"
+    );
+    drop(session);
+    assert_drained(&server);
+}
+
+// ----------------------------------------------------------------------
 // Server shutdown
 // ----------------------------------------------------------------------
 

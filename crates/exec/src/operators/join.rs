@@ -910,12 +910,12 @@ where
 {
     let worker = exec.worker_factory();
     let emitted = AtomicUsize::new(0);
-    let parts = map_morsels(exec.context(), dop, total, move |range| {
-        let mut out = Vec::new();
-        body(&worker(), range, emitted.load(Ordering::Relaxed), &mut out)?;
+    let (parts, ran) = map_morsels(exec.context(), dop, total, move |range, out| {
+        body(&worker(), range, emitted.load(Ordering::Relaxed), out)?;
         emitted.fetch_add(out.len() / k, Ordering::Relaxed);
-        Ok(out)
-    })?;
+        Ok(())
+    });
+    ran?;
     let out = concat(parts);
     exec.check_row_budget(out.len() / k)?;
     Ok(out)

@@ -30,7 +30,7 @@
 //! * **Scan / filter / project** ([`scan::Pipe`]) is compiled once per
 //!   node and written over a borrowed run of rows. Drivers: the chunk
 //!   cursor's scan, index scan, `Filter` and `Project` nodes (one chunk
-//!   of at most the pull's demand per call — the whole input when
+//!   per pull — the whole input when
 //!   [`Executor::run_physical`](crate::Executor::run_physical) drains
 //!   it), the scan morsels of a parallel scan's window (one morsel per
 //!   call, all workers sharing the pipe), and — one row per call through

@@ -296,34 +296,39 @@ impl MorselQueue {
 }
 
 /// Run `f` over every [`MORSEL_ROWS`]-sized morsel of `0..total` on `dop`
-/// workers and return the per-morsel results in morsel order. The first
-/// error in morsel order is returned, matching serial row order exactly.
-/// Every claim is a cooperative cancellation point: a cancelled `ctx`
-/// stops each worker before its next morsel.
+/// workers, each morsel writing into its own output, and return the
+/// outputs in morsel order up to the first morsel that failed — its
+/// output included, so a caller can keep the rows it produced before the
+/// failure — together with that morsel's error: exactly what serial
+/// execution would have produced and raised. A failure stops every
+/// worker at its next claim, and every claim is a cooperative
+/// cancellation point: a cancelled `ctx` stops each worker before its
+/// next morsel. A contained worker panic yields no outputs.
 pub(crate) fn map_morsels<R, F>(
     ctx: &QueryContext,
     dop: usize,
     total: usize,
     f: F,
-) -> Result<Vec<R>>
+) -> (Vec<R>, Result<()>)
 where
-    R: Send + 'static,
-    F: Fn(Range<usize>) -> Result<R> + Send + Sync + 'static,
+    R: Default + Send + 'static,
+    F: Fn(Range<usize>, &mut R) -> Result<()> + Send + Sync + 'static,
 {
     let queue = Arc::new(MorselQueue::new(total, MORSEL_ROWS));
     let worker_out = {
         let queue = Arc::clone(&queue);
         let ctx = ctx.clone();
         run_workers(dop, move |_w| {
-            let mut acc: Vec<(usize, Result<R>)> = Vec::new();
+            let mut acc: Vec<(usize, R, Result<()>)> = Vec::new();
             while let Some((idx, range)) = queue.claim() {
+                let mut out = R::default();
                 // Cancellation check + chaos site, once per claim.
                 let r = ctx
                     .check()
                     .and_then(|()| perm_fault::exec_point("exec.morsel.claim", "morsel worker"))
-                    .and_then(|()| f(range));
+                    .and_then(|()| f(range, &mut out));
                 let failed = r.is_err();
-                acc.push((idx, r));
+                acc.push((idx, out, r));
                 if failed {
                     queue.abort();
                     break;
@@ -331,15 +336,21 @@ where
             }
             acc
         })
-    }?;
-    let mut all: Vec<(usize, Result<R>)> = worker_out.into_iter().flatten().collect();
-    all.sort_unstable_by_key(|(idx, _)| *idx);
+    };
+    let mut all: Vec<(usize, R, Result<()>)> = match worker_out {
+        Ok(w) => w.into_iter().flatten().collect(),
+        Err(e) => return (Vec::new(), Err(e)),
+    };
+    all.sort_unstable_by_key(|(idx, ..)| *idx);
     let mut out = Vec::with_capacity(all.len());
     // no-cancel: reassembly of already-computed morsel results.
-    for (_, r) in all {
-        out.push(r?);
+    for (_, part, r) in all {
+        out.push(part);
+        if r.is_err() {
+            return (out, r);
+        }
     }
-    Ok(out)
+    (out, Ok(()))
 }
 
 /// Cut `0..total` into at most `dop` contiguous, non-empty ranges.
@@ -526,7 +537,11 @@ mod tests {
     #[test]
     fn map_morsels_reassembles_in_order() {
         let ctx = QueryContext::detached();
-        let out = map_morsels(&ctx, 4, MORSEL_ROWS * 3 + 7, |r| Ok(r.start)).unwrap();
+        let (out, ran) = map_morsels(&ctx, 4, MORSEL_ROWS * 3 + 7, |r, out| {
+            *out = r.start;
+            Ok(())
+        });
+        ran.unwrap();
         assert_eq!(out, vec![0, MORSEL_ROWS, MORSEL_ROWS * 2, MORSEL_ROWS * 3]);
     }
 
@@ -535,17 +550,43 @@ mod tests {
         use perm_types::PermError;
         let total = MORSEL_ROWS * 6;
         let ctx = QueryContext::detached();
-        let out: Result<Vec<usize>> = map_morsels(&ctx, 4, total, |r| {
+        // Each morsel writes its index before it may fail: the failing
+        // morsel's output is kept, nothing after it is.
+        let (out, ran) = map_morsels(&ctx, 4, total, |r, out: &mut usize| {
             let idx = r.start / MORSEL_ROWS;
+            *out = idx;
             if idx >= 2 {
                 Err(PermError::Execution(format!("morsel {idx}")))
             } else {
-                Ok(idx)
+                Ok(())
             }
         });
         assert_eq!(
-            out.unwrap_err(),
+            ran.unwrap_err(),
             PermError::Execution("morsel 2".to_string())
+        );
+        assert_eq!(out, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn map_morsels_stops_claiming_after_a_failure() {
+        use perm_types::PermError;
+        let ctx = QueryContext::detached();
+        let ran_morsels = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&ran_morsels);
+        let (_, ran) = map_morsels(&ctx, 1, MORSEL_ROWS * 8, move |r, _: &mut ()| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            if r.start == MORSEL_ROWS {
+                Err(PermError::Execution("row error".into()))
+            } else {
+                Ok(())
+            }
+        });
+        assert!(ran.is_err());
+        assert_eq!(
+            ran_morsels.load(Ordering::Relaxed),
+            2,
+            "morsels ran past the failure"
         );
     }
 
@@ -553,10 +594,11 @@ mod tests {
     fn map_morsels_observes_cancellation_at_the_next_claim() {
         let ctx = QueryContext::new(7, None, None);
         ctx.handle().cancel();
-        let out: Result<Vec<usize>> = map_morsels(&ctx, 4, MORSEL_ROWS * 8, |r| Ok(r.start));
-        let err = out.unwrap_err();
+        let (out, ran) = map_morsels(&ctx, 4, MORSEL_ROWS * 8, |_, _: &mut ()| Ok(()));
+        let err = ran.unwrap_err();
         assert_eq!(err.kind(), "cancelled");
         assert!(err.to_string().contains("query 7"), "{err}");
+        assert_eq!(out.len(), 1, "only the cancelled morsel reports");
     }
 
     #[test]

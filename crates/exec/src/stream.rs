@@ -11,10 +11,11 @@
 //!   portal, with a demand that starts at one row and doubles up to
 //!   [`BATCH_ROWS`], and stops pulling when its consumer stops.
 //!
-//! The pipeline nodes produce rows on demand: a scan reads at most `want`
-//! base rows per pull (a table's rows or an index's id list, read in
-//! place) through the node's one [`Pipe::run`] — on the worker pool at
-//! `dop > 1`, over the next `want` rows' morsels — a standalone filter or
+//! The pipeline nodes produce rows on demand: a scan reads `want` base
+//! rows per pull (a table's rows or an index's id list, read in place)
+//! through the node's one [`Pipe::run`] — at `dop > 1` it reads ahead, in
+//! windows that double per pull up to `dop` morsels, and runs each
+//! window's morsels on the worker pool — a standalone filter or
 //! projection runs its pipe over its input's chunk, and a `LIMIT` asks
 //! its input for `offset + limit` rows (further ahead, doubling, while a
 //! filter below it comes back short). A row error inside a chunk is
@@ -48,7 +49,7 @@ use perm_types::{PermError, Result, Schema, Tuple, Value};
 use crate::executor::{check_scan_schema, Executor};
 use crate::kernels::BATCH_ROWS;
 use crate::operators::scan::Pipe;
-use crate::parallel::{map_morsels, MORSEL_ROWS};
+use crate::parallel::{concat, map_morsels, MORSEL_ROWS};
 use crate::physical::PhysicalPlan;
 
 /// A pull-based result: `Iterator<Item = Result<Tuple>>` over a plan.
@@ -184,6 +185,10 @@ pub(crate) struct Scan {
     /// The node's filter / projection; `None` passes base rows through.
     pipe: Option<Arc<Pipe>>,
     dop: usize,
+    /// At `dop > 1`, the least base rows the next pull reads: doubled per
+    /// pull up to `dop` morsels, so a stream whose demand stays below a
+    /// morsel still reaches every worker after a few pulls.
+    ahead: usize,
     next: usize,
     failed: Option<PermError>,
 }
@@ -289,11 +294,11 @@ impl<'p> Cursor<'p> {
     }
 
     /// The one pull: the next chunk for a demand of `want` rows — a leaf
-    /// reads at most `want`, a `LIMIT` may read further ahead — possibly
-    /// empty while a filter rejects a chunk, or `None` once the node is
-    /// exhausted. It is the pull's one cancellation point: the leaf checks
-    /// before it reads or hands out rows — never at an exhausted node, so
-    /// a statement whose work is done keeps its result.
+    /// reads `want`, a parallel scan or a `LIMIT` may read further ahead —
+    /// possibly empty while a filter rejects a chunk, or `None` once the
+    /// node is exhausted. It is the pull's one cancellation point: the
+    /// leaf checks before it reads or hands out rows — never at an
+    /// exhausted node, so a statement whose work is done keeps its result.
     fn next_chunk(&mut self, exec: &Executor, want: usize) -> Result<Option<Vec<Tuple>>> {
         match self {
             Cursor::Scan(scan) => scan.next_chunk(exec, want),
@@ -392,14 +397,16 @@ impl Scan {
             index,
             pipe,
             dop,
+            ahead: 0,
             next: 0,
             failed: None,
         })
     }
 
-    /// The next at most `want` base rows, through the node's pipe: at
-    /// `dop > 1` on the worker pool, one morsel of the window per claim,
-    /// reassembled in morsel order up to the first morsel that failed.
+    /// The next `want` base rows, through the node's pipe; a parallel
+    /// scan reads at least `ahead` and runs a window of several morsels on
+    /// the worker pool, reassembled in morsel order up to the first morsel
+    /// that failed.
     fn next_chunk(&mut self, exec: &Executor, want: usize) -> Result<Option<Vec<Tuple>>> {
         if let Some(e) = self.failed.take() {
             return Err(e);
@@ -415,6 +422,9 @@ impl Scan {
             return Ok(None);
         }
         exec.check_cancelled()?;
+        let parallel = self.dop > 1 && ids.is_none() && self.pipe.is_some();
+        let want = if parallel { want.max(self.ahead) } else { want };
+        self.ahead = want.saturating_mul(2).min(self.dop * MORSEL_ROWS);
         let end = start + want.min(total - start);
         self.next = end;
         let rows = t.rows();
@@ -431,33 +441,23 @@ impl Scan {
             (Some(pipe), Some(ids)) => {
                 pipe.run(exec, ids[start..end].iter().map(|&r| &rows[r]), &mut out)
             }
-            (Some(pipe), None) if self.dop > 1 => {
+            (Some(pipe), None) if parallel && end - start > MORSEL_ROWS => {
                 let morsels = (end - start).div_ceil(MORSEL_ROWS);
                 let worker = exec.worker_factory();
                 let table = self.table.clone();
                 let pipe = Arc::clone(pipe);
-                let parts = map_morsels(
+                let (parts, ran) = map_morsels(
                     exec.context(),
                     self.dop.min(morsels),
                     end - start,
-                    move |range| {
+                    move |range, out| {
                         let sub = worker();
                         let rows = sub.catalog().table_by_key(&table)?.rows();
                         let window = rows[start + range.start..start + range.end].iter();
-                        let mut out = Vec::new();
-                        let ran = pipe.run(&sub, window, &mut out);
-                        Ok((out, ran))
+                        pipe.run(&sub, window, out)
                     },
-                )?;
-                let mut ran = Ok(());
-                // no-cancel: reassembly of already-computed morsel outputs.
-                for (part, part_ran) in parts {
-                    out.extend(part);
-                    if part_ran.is_err() {
-                        ran = part_ran;
-                        break;
-                    }
-                }
+                );
+                out = concat(parts);
                 ran
             }
             (Some(pipe), None) => pipe.run(exec, rows[start..end].iter(), &mut out),

@@ -1,6 +1,7 @@
 //! Pre-cancelled operator matrix: every operator, under every driver the
 //! planner can stamp on it, observes a cancellation that happened before
-//! it started.
+//! it started — and every blocking operator one that lands after it read
+//! its input, where only its own body can notice.
 //!
 //! The operators share one body per operator between their serial,
 //! parallel and spilled drivers, so "is this loop cancellable" has one
@@ -377,6 +378,86 @@ fn pre_cancelled_operators_return_cancelled_and_leak_nothing() {
                 }
                 assert_eq!(pool.used(), 0, "{what}: pool must drain to zero");
                 assert!(spill_dir_is_clean(), "{what}: spill temp files left behind");
+            }
+        }
+    }
+}
+
+/// A cancellation that lands after a body read its input. A pre-cancelled
+/// statement stops at the cursor's first pull, before any body runs, so
+/// this pins the bodies' own checks: the `exec.memory.grow` site stalls
+/// the first reservation — every blocking node of the matrix reserves
+/// after it has read its inputs, before its loops (or, under the 1-byte
+/// cap, before it spills) — until a canceller thread has cancelled the
+/// context. The pipeline nodes have no body; their pull is pinned above.
+/// A bare `IndexNLJoin` reserves nothing, so it is left out (the join
+/// chain holds one under a hash join).
+/// A canceller slower than the stall is retried with a longer one.
+#[test]
+fn operators_cancelled_after_reading_their_input_return_cancelled() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    let _g = perm_fault::test_guard();
+    let cat = catalog();
+    for dop in [1, 2] {
+        for (label, plan) in operators(&cat, dop) {
+            if matches!(
+                plan,
+                PhysicalPlan::FusedScanProjectFilter { .. }
+                    | PhysicalPlan::Filter { .. }
+                    | PhysicalPlan::Project { .. }
+                    | PhysicalPlan::Limit { .. }
+                    | PhysicalPlan::IndexNLJoin { .. }
+            ) {
+                continue;
+            }
+            let caps: &[Option<usize>] = if plan.spill().is_some() {
+                &[None, Some(1)]
+            } else {
+                &[None]
+            };
+            for (&cap, streamed) in caps.iter().flat_map(|c| [(c, false), (c, true)]) {
+                let what = format!("{label} cap={cap:?} streamed={streamed}");
+                let mut result = Ok(Vec::new());
+                for stall_ms in [10, 100, 1000] {
+                    perm_fault::configure(&format!("exec.memory.grow=stall({stall_ms})@1"))
+                        .unwrap();
+                    let ctx = QueryContext::new(42, None, None);
+                    let handle = ctx.handle();
+                    let done = Arc::new(AtomicBool::new(false));
+                    let canceller = {
+                        let done = Arc::clone(&done);
+                        std::thread::spawn(move || {
+                            while perm_fault::fired_count("exec.memory.grow") == 0 {
+                                if done.load(Ordering::Relaxed) {
+                                    return;
+                                }
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                            handle.cancel();
+                        })
+                    };
+                    let pool = MemoryPool::unbounded();
+                    let exec = Executor::new(Arc::clone(&cat))
+                        .with_context(ctx)
+                        .with_memory(QueryMemory::new(pool.clone(), cap));
+                    result = execute(exec, &plan, streamed);
+                    done.store(true, Ordering::Relaxed);
+                    canceller.join().unwrap();
+                    let stalled = perm_fault::fired_count("exec.memory.grow");
+                    perm_fault::clear();
+                    assert_eq!(stalled, 1, "{what}: the body never reserved");
+                    assert_eq!(pool.used(), 0, "{what}: pool must drain to zero");
+                    assert!(spill_dir_is_clean(), "{what}: spill temp files left behind");
+                    if result.is_err() {
+                        break;
+                    }
+                }
+                match result {
+                    Err(e) => assert_eq!(e.kind(), "cancelled", "{what}: {e}"),
+                    Ok(rows) => panic!("{what}: ran to {} rows after a cancellation", rows.len()),
+                }
             }
         }
     }

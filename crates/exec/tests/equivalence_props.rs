@@ -731,16 +731,17 @@ proptest! {
     /// same order; the two fail together; and a consumer that stops after
     /// `k` rows has seen a prefix. The `scan_only` variant makes the whole
     /// plan streamable, `div_by_key` plants a row error, `project_on_top`
-    /// a computed projection, and the generated `LIMIT` / `OFFSET` on top
-    /// may stop both consumers before that error: the limited result is
-    /// its input's rows before the first error, cut by `OFFSET` /
-    /// `LIMIT`, and the error only if the cut reaches it.
+    /// a computed projection, and half the cases get a generated `LIMIT` /
+    /// `OFFSET` on top, which may stop both consumers before that error:
+    /// the limited result is its input's rows before the first error, cut
+    /// by `OFFSET` / `LIMIT`, and the error only if the cut reaches it.
     #[test]
     fn streamed_execution_matches_materialized(
         case in plan_case(),
         scan_only in any::<bool>(),
         div_by_key in any::<bool>(),
         project_on_top in any::<bool>(),
+        limited in any::<bool>(),
         limit in proptest::option::of(0..8u64),
         offset in 0..3u64,
         k in 0..6usize,
@@ -781,11 +782,13 @@ proptest! {
                 schema,
             };
         }
-        plan = LogicalPlan::Limit {
-            input: Box::new(plan),
-            limit,
-            offset,
-        };
+        if limited {
+            plan = LogicalPlan::Limit {
+                input: Box::new(plan),
+                limit,
+                offset,
+            };
+        }
         let cat = Arc::new(cat);
         let optimized = match optimize_verified(plan, &CatalogStats(&cat)) {
             Ok(p) => p,
@@ -823,6 +826,9 @@ proptest! {
                     Ok(&rows[..k.min(rows.len())]),
                     "take({}) is not a prefix at dop {} for {:?}", k, dop, case
                 );
+            }
+            if !limited {
+                continue;
             }
             // What a row-at-a-time LIMIT returns (PostgreSQL's): the rows
             // its input yields before its first error, cut by OFFSET /
