@@ -1444,6 +1444,8 @@ pub enum BoundStatement {
     CreateView {
         name: String,
         definition: Query,
+        /// The definition's source text.
+        sql: String,
     },
     Insert {
         table: String,
@@ -1562,13 +1564,14 @@ pub fn bind_statement(
                 provenance_attrs,
             })
         }
-        Statement::CreateView { name, query } => {
+        Statement::CreateView { name, query, sql } => {
             // Validate the definition eagerly (so errors surface at CREATE
             // VIEW time), then store the raw AST.
             binder.bind_query(query)?;
             Ok(BoundStatement::CreateView {
                 name: name.clone(),
                 definition: query.clone(),
+                sql: sql.clone(),
             })
         }
         Statement::Insert {

@@ -72,7 +72,6 @@ mod prepared;
 pub mod result;
 pub mod server;
 mod session;
-pub mod sqlgen;
 mod write;
 
 pub use admission::{AdmissionPermit, ResourceGovernor, ADMISSION_QUEUE_BOUND};

@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use perm_exec::MemoryPool;
-use perm_storage::{failpoint, Catalog, DurableStore, SharedCatalog, WalRecord, WAL_FILE};
+use perm_storage::{Catalog, DurableStore, SharedCatalog, WalRecord, WAL_FILE};
 use perm_types::{PermError, Result};
 
 use crate::admission::ResourceGovernor;
@@ -171,8 +171,8 @@ impl PermServer {
     /// [`PermServer::open`] with explicit [`DurabilityOptions`].
     pub fn open_with(dir: impl AsRef<Path>, options: DurabilityOptions) -> Result<PermServer> {
         match &options.failpoints {
-            Some(spec) => failpoint::configure(spec)?,
-            None => failpoint::configure_from_env()?,
+            Some(spec) => perm_fault::configure(spec)?,
+            None => perm_fault::configure_from_env()?,
         }
         let dir = dir.as_ref();
         let outcome = DurableStore::open(dir, options.fsync)?;
@@ -183,15 +183,24 @@ impl PermServer {
         // statements must not be re-logged, and a plain server's write
         // path is exactly the commit path minus the WAL append.
         let replay_server = PermServer::with_catalog(outcome.base);
-        let session = replay_server.session();
         for (offset, record) in &outcome.replay {
             // Chaos site: an injected fault here aborts recovery with a
             // typed error (the on-disk log is intact — reopening retries),
             // exercising the bounded-termination property of replay.
             perm_fault::exec_point("exec.replay.statement", "WAL replay")?;
             let applied = match record {
-                WalRecord::Statement(sql) => session.execute(sql).map(|_| ()),
-                WalRecord::CreateIndex { table, column } => session.create_index(table, column),
+                // The default contribution semantics is the one session
+                // option that changes what a logged statement computes.
+                WalRecord::Statement { sql, semantics } => {
+                    let options = SessionOptions::default().with_default_semantics(*semantics);
+                    replay_server
+                        .session_with_options(options)
+                        .execute(sql)
+                        .map(|_| ())
+                }
+                WalRecord::CreateIndex { table, column } => {
+                    replay_server.session().create_index(table, column)
+                }
             };
             if let Err(e) = applied {
                 // A logged statement committed once and must re-apply
@@ -322,7 +331,7 @@ mod durability {
     fn fp_lock() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         let g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        failpoint::clear();
+        perm_fault::clear();
         g
     }
 
@@ -337,7 +346,7 @@ mod durability {
     }
     impl Drop for TempDir {
         fn drop(&mut self) {
-            failpoint::clear();
+            perm_fault::clear();
             let _ = std::fs::remove_dir_all(&self.0);
         }
     }
@@ -441,12 +450,12 @@ mod durability {
         s.execute("CREATE TABLE t (x int)").unwrap();
         s.execute("INSERT INTO t VALUES (1)").unwrap();
 
-        failpoint::configure("wal.append.write=io_err").unwrap();
+        perm_fault::configure("wal.append.write=io_err").unwrap();
         let err = s.execute("INSERT INTO t VALUES (2)").unwrap_err();
         assert_eq!(err.kind(), "io");
         // Not applied in memory (no phantom row a crash would lose) …
         assert_eq!(s.query("SELECT x FROM t").unwrap().row_count(), 1);
-        failpoint::clear();
+        perm_fault::clear();
 
         // … and the log tail is intact: later commits and recovery work.
         s.execute("INSERT INTO t VALUES (3)").unwrap();

@@ -114,18 +114,19 @@ impl Session {
     // Statement execution
     // ------------------------------------------------------------------
 
-    /// Execute one SQL / SQL-PLE statement.
+    /// Execute one SQL / SQL-PLE statement. On a durable server a write
+    /// is logged as `sql` itself, the text the user wrote.
     pub fn execute(&self, sql: &str) -> Result<StatementResult> {
         let stmt = parse_statement(sql)?;
-        self.execute_statement(&stmt)
+        self.execute_statement(&stmt, sql)
     }
 
-    /// Execute a parsed statement.
-    pub fn execute_statement(&self, stmt: &Statement) -> Result<StatementResult> {
+    /// Execute `stmt`, parsed from the source text `sql`.
+    fn execute_statement(&self, stmt: &Statement, sql: &str) -> Result<StatementResult> {
         match stmt {
             // Queries never take the write lock.
             Statement::Query(_) | Statement::Explain { .. } => self.execute_read(stmt),
-            _ => self.execute_write(stmt),
+            _ => self.execute_write(stmt, sql),
         }
     }
 
@@ -133,14 +134,15 @@ impl Session {
     ///
     /// Statements run in order; a failure reports the 1-based index of the
     /// statement that died and how many earlier statements had already
-    /// been applied (their effects are *not* rolled back).
+    /// been applied (their effects are *not* rolled back). On a durable
+    /// server each write is logged as its own slice of `sql`.
     pub fn run_script(&self, sql: &str) -> Result<Vec<StatementResult>> {
         let stmts = parse_statements(sql)?;
         let total = stmts.len();
         let mut results = Vec::with_capacity(total);
-        for (idx, stmt) in stmts.iter().enumerate() {
+        for (idx, (stmt, text)) in stmts.iter().enumerate() {
             let n = idx + 1;
-            results.push(self.execute_statement(stmt).map_err(|e| {
+            results.push(self.execute_statement(stmt, text).map_err(|e| {
                 let applied = match idx {
                     0 => "no earlier statements applied".to_string(),
                     1 => "statement 1 already applied".to_string(),

@@ -12,7 +12,6 @@ use perm_types::{Column, Result, Schema, Tuple};
 
 use crate::result::StatementResult;
 use crate::session::{Admission, Session};
-use crate::sqlgen::{query_to_sql, statement_to_sql};
 
 impl Session {
     /// Create a hash index on `table(column)`.
@@ -61,8 +60,11 @@ impl Session {
     /// the log (and fsynced, per policy) after it applies in memory and
     /// before `execute` returns; if the append fails, the statement rolls
     /// back and the error surfaces to the caller — no committed statement
-    /// is ever missing from the log.
-    pub(crate) fn execute_write(&self, stmt: &Statement) -> Result<StatementResult> {
+    /// is ever missing from the log. The log record is `sql`, the text
+    /// `stmt` was parsed from, with the session's default contribution
+    /// semantics: replay re-parses exactly what ran, under the semantics
+    /// it ran with.
+    pub(crate) fn execute_write(&self, stmt: &Statement, sql: &str) -> Result<StatementResult> {
         if let Some(d) = &self.server.durability {
             d.check_writable()?;
         }
@@ -76,7 +78,11 @@ impl Session {
             }
         };
         if let Some(d) = &self.server.durability {
-            if let Err(e) = d.log(&WalRecord::Statement(statement_to_sql(stmt))) {
+            let record = WalRecord::Statement {
+                sql: sql.to_string(),
+                semantics: self.options().rewrite.default_semantics,
+            };
+            if let Err(e) = d.log(&record) {
                 guard.restore(before);
                 return Err(e);
             }
@@ -138,10 +144,14 @@ impl Session {
                 guard.create_table(table)?;
                 Ok(StatementResult::TableCreated { name, rows: n })
             }
-            BoundStatement::CreateView { name, definition } => {
-                // Remember the defining SQL so durable checkpoints can
-                // persist the view (the AST itself is not serialized).
-                let sql = query_to_sql(&definition);
+            BoundStatement::CreateView {
+                name,
+                definition,
+                sql,
+            } => {
+                // Remember the definition's source text so durable
+                // checkpoints can persist the view (the AST itself is not
+                // serialized).
                 guard.create_view_with_sql(name.clone(), definition, sql)?;
                 Ok(StatementResult::ViewCreated { name })
             }

@@ -12,8 +12,11 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use perm_core::{DurabilityOptions, FsyncPolicy, PermServer, Session};
-use perm_storage::{failpoint, wal, Catalog, Relation, TableStats, WAL_FILE};
+use perm_core::{
+    ContributionSemantics, CopyMode, DurabilityOptions, FsyncPolicy, PermServer, Session,
+    SessionOptions,
+};
+use perm_storage::{wal, Catalog, Relation, TableStats, WAL_FILE};
 
 /// One step of the recovery script. `Index` exercises the non-SQL WAL
 /// record kind (`CREATE INDEX` has no syntax; it is an API call).
@@ -26,15 +29,23 @@ use Step::{Index, Sql};
 
 /// Every statement kind the WAL records, in one script: table + view DDL,
 /// multi-row insert, update, delete, eager provenance materialization,
-/// drop, and an index build.
+/// drop, and an index build. Quoted names and float literals that print
+/// differently from how they were written check that the log replays
+/// the statement's own text; the view `w` is created before the
+/// cadence-3 auto-checkpoint after step 6, which persists it by its SQL.
 const SCRIPT: &[Step] = &[
     Sql("CREATE TABLE t (x int NOT NULL, y text)"),
     Sql("INSERT INTO t VALUES (1, 'a'), (2, 'b')"),
     Index("t", "x"),
     Sql("CREATE VIEW v AS SELECT x, y FROM t WHERE x > 1"),
+    Sql("CREATE VIEW w AS SELECT x * 1e16 / 3 AS \"Big Y\" FROM t"),
     Sql("INSERT INTO t VALUES (3, 'c')"),
     Sql("UPDATE t SET y = 'zz' WHERE x = 2"),
     Sql("CREATE TABLE p AS SELECT PROVENANCE y FROM t"),
+    Sql("CREATE TABLE \"my table\" (x int)"),
+    Sql("INSERT INTO \"my table\" VALUES (7)"),
+    Sql("CREATE TABLE q AS SELECT 1e16 / 3 AS y"),
+    Sql("INSERT INTO q VALUES (1e300)"),
     Sql("DELETE FROM t WHERE x = 1"),
     Sql("CREATE TABLE u (k int)"),
     Sql("DROP TABLE u"),
@@ -54,7 +65,7 @@ fn run_step(session: &Session, step: &Step) -> perm_types::Result<()> {
 fn fp_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     let g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    failpoint::clear();
+    perm_fault::clear();
     g
 }
 
@@ -68,7 +79,7 @@ impl TempDir {
 }
 impl Drop for TempDir {
     fn drop(&mut self) {
-        failpoint::clear();
+        perm_fault::clear();
         let _ = std::fs::remove_dir_all(&self.0);
     }
 }
@@ -218,7 +229,7 @@ fn kill_at_every_append_failpoint_and_statement() {
                 let server =
                     PermServer::open_with(&dir.0, opts().with_fsync(FsyncPolicy::Always)).unwrap();
                 let session = server.session();
-                failpoint::configure(&spec).unwrap();
+                perm_fault::configure(&spec).unwrap();
                 let mut applied = 0;
                 for step in SCRIPT {
                     match run_step(&session, step) {
@@ -240,7 +251,7 @@ fn kill_at_every_append_failpoint_and_statement() {
                     expected[applied],
                     "{spec} @{kill_at}"
                 );
-                failpoint::clear();
+                perm_fault::clear();
                 applied
             };
             let server = open(&dir.0);
@@ -291,7 +302,7 @@ fn checkpoint_failures_never_lose_committed_statements() {
             let session = server.session();
             // Install after open: a fresh open writes a WAL header through
             // the wal.reset sites itself.
-            failpoint::configure(site).unwrap();
+            perm_fault::configure(site).unwrap();
             let mut applied = 0;
             for step in SCRIPT {
                 match run_step(&session, step) {
@@ -304,7 +315,7 @@ fn checkpoint_failures_never_lose_committed_statements() {
                     }
                 }
             }
-            failpoint::clear();
+            perm_fault::clear();
             applied
         };
         let server = open(&dir.0);
@@ -406,4 +417,74 @@ fn unreplayable_statement_degrades_to_read_only() {
     // Everything before the unreplayable record is served.
     let session = server.session();
     assert_eq!(session.query("SELECT x FROM t").unwrap().row_count(), 1);
+}
+
+/// Run `script` on a durable server under `options`, answer `query`,
+/// then reopen (from the log alone, and again after a checkpoint) and
+/// require the same answer with a clean recovery.
+fn restart_keeps_the_answer(name: &str, options: SessionOptions, script: &str, query: &str) {
+    for checkpoint in [false, true] {
+        let dir = TempDir::new(&format!("restart-{name}-{checkpoint}"));
+        let before = {
+            let server = open(&dir.0);
+            let session = server.session_with_options(options);
+            session.run_script(script).unwrap();
+            if checkpoint {
+                server.checkpoint().unwrap();
+            }
+            session.query(query).unwrap()
+        };
+        let server = open(&dir.0);
+        let label = format!("{name}, checkpoint: {checkpoint}");
+        assert_eq!(server.recovery_error(), None, "{label}");
+        let after = server.session_with_options(options).query(query).unwrap();
+        assert_eq!(after, before, "{label}");
+    }
+}
+
+#[test]
+fn restart_returns_what_the_statements_computed() {
+    let _g = fp_lock();
+    let options = SessionOptions::default();
+    restart_keeps_the_answer(
+        "quoted-table",
+        options,
+        "CREATE TABLE \"my table\" (x int); INSERT INTO \"my table\" VALUES (7)",
+        "SELECT x FROM \"my table\"",
+    );
+    restart_keeps_the_answer(
+        "huge-float",
+        options,
+        "CREATE TABLE g (f float); INSERT INTO g VALUES (1e300)",
+        "SELECT f FROM g",
+    );
+    restart_keeps_the_answer(
+        "float-division",
+        options,
+        "CREATE TABLE p AS SELECT 1e16 / 3 AS y",
+        "SELECT y FROM p",
+    );
+    restart_keeps_the_answer(
+        "quoted-alias-view",
+        options,
+        "CREATE TABLE t (x int); INSERT INTO t VALUES (1);
+         CREATE VIEW w AS SELECT x * 1e16 / 3 AS \"Big Y\" FROM t",
+        "SELECT \"Big Y\" FROM w",
+    );
+}
+
+#[test]
+fn eager_provenance_replays_under_its_sessions_semantics() {
+    let _g = fp_lock();
+    // Under COPY PARTIAL the provenance of `mid` copies nothing from
+    // `text`, so the stored `prov_public_m_text` is NULL; replayed under
+    // the default (INFLUENCE) it would be 'a'.
+    restart_keeps_the_answer(
+        "copy-partial",
+        SessionOptions::default()
+            .with_default_semantics(ContributionSemantics::Copy(CopyMode::Partial)),
+        "CREATE TABLE m (mid int, text text); INSERT INTO m VALUES (1, 'a');
+         CREATE TABLE p AS SELECT PROVENANCE mid FROM m",
+        "SELECT * FROM p",
+    );
 }

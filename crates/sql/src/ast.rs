@@ -17,8 +17,13 @@ pub enum Statement {
     /// path: materializing a `SELECT PROVENANCE` query stores provenance
     /// for later reuse (demo paper, Section 1).
     CreateTableAs { name: String, query: Query },
-    /// `CREATE VIEW name AS query` (q2 of Figure 1).
-    CreateView { name: String, query: Query },
+    /// `CREATE VIEW name AS query` (q2 of Figure 1). `sql` is the
+    /// query's source text, which is what a checkpoint stores.
+    CreateView {
+        name: String,
+        query: Query,
+        sql: String,
+    },
     /// `INSERT INTO name [(cols)] VALUES (…), (…)`.
     Insert {
         table: String,

@@ -14,22 +14,23 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
     Lexer::new(input).run()
 }
 
-struct Lexer<'a> {
+struct Lexer {
     chars: Vec<char>,
     pos: usize,
+    /// Byte offset of `chars[pos]` in the source.
+    offset: usize,
     line: u32,
     col: u32,
-    src: &'a str,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Lexer<'a> {
+impl Lexer {
+    fn new(src: &str) -> Lexer {
         Lexer {
             chars: src.chars().collect(),
             pos: 0,
+            offset: 0,
             line: 1,
             col: 1,
-            src,
         }
     }
 
@@ -44,6 +45,7 @@ impl<'a> Lexer<'a> {
     fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
         self.pos += 1;
+        self.offset += c.len_utf8();
         if c == '\n' {
             self.line += 1;
             self.col = 1;
@@ -66,12 +68,13 @@ impl<'a> Lexer<'a> {
         let mut out = Vec::new();
         loop {
             self.skip_trivia()?;
-            let (line, col) = (self.line, self.col);
+            let (line, col, start) = (self.line, self.col, self.offset);
             let Some(c) = self.peek() else {
                 out.push(Token {
                     kind: TokenKind::Eof,
                     line,
                     col,
+                    span: start..start,
                 });
                 return Ok(out);
             };
@@ -142,7 +145,12 @@ impl<'a> Lexer<'a> {
                 }
                 other => return Err(self.error(format!("unexpected character '{other}'"))),
             };
-            out.push(Token { kind, line, col });
+            out.push(Token {
+                kind,
+                line,
+                col,
+                span: start..self.offset,
+            });
         }
     }
 
@@ -290,12 +298,6 @@ impl<'a> Lexer<'a> {
                 .map(TokenKind::IntLit)
                 .map_err(|_| self.error(format!("integer literal '{text}' out of range")))
         }
-    }
-
-    // Diagnostic accessor kept for error-reporting call sites and tests.
-    #[allow(dead_code)]
-    fn src(&self) -> &str {
-        self.src
     }
 }
 

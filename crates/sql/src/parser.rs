@@ -21,8 +21,11 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
     Ok(stmt)
 }
 
-/// Parse a `;`-separated script.
-pub fn parse_statements(sql: &str) -> Result<Vec<Statement>> {
+/// Parse a `;`-separated script. Each statement comes with its source
+/// text, from its first token through its last: the separators and the
+/// comments between statements are not part of it, and the text
+/// re-parses through [`parse_statement`] to the same statement.
+pub fn parse_statements(sql: &str) -> Result<Vec<(Statement, &str)>> {
     let mut p = Parser::new(sql)?;
     let mut out = Vec::new();
     loop {
@@ -30,7 +33,9 @@ pub fn parse_statements(sql: &str) -> Result<Vec<Statement>> {
         if p.at_eof() {
             return Ok(out);
         }
-        out.push(p.parse_statement()?);
+        let first = p.pos;
+        let stmt = p.parse_statement()?;
+        out.push((stmt, p.text_from(first)));
         if !p.at_eof() && !p.check(&TokenKind::Semicolon) {
             return Err(p.error("expected ';' between statements"));
         }
@@ -107,15 +112,17 @@ fn is_reserved(word: &str) -> bool {
     RESERVED.iter().any(|r| r.eq_ignore_ascii_case(word))
 }
 
-struct Parser {
+struct Parser<'a> {
+    src: &'a str,
     tokens: Vec<Token>,
     pos: usize,
 }
 
-impl Parser {
-    fn new(sql: &str) -> Result<Parser> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Result<Parser<'a>> {
         Ok(Parser {
-            tokens: tokenize(sql)?,
+            src,
+            tokens: tokenize(src)?,
             pos: 0,
         })
     }
@@ -142,6 +149,11 @@ impl Parser {
             self.pos += 1;
         }
         t
+    }
+
+    /// The source text from token `first` through the last consumed one.
+    fn text_from(&self, first: usize) -> &'a str {
+        &self.src[self.tokens[first].span.start..self.tokens[self.pos - 1].span.end]
     }
 
     fn at_eof(&self) -> bool {
@@ -298,8 +310,10 @@ impl Parser {
         if self.eat_keyword("view") {
             let name = self.expect_ident()?;
             self.expect_keyword("as")?;
+            let first = self.pos;
             let query = self.parse_query()?;
-            return Ok(Statement::CreateView { name, query });
+            let sql = self.text_from(first).to_string();
+            return Ok(Statement::CreateView { name, query, sql });
         }
         self.expect_keyword("table")?;
         let name = self.expect_ident()?;

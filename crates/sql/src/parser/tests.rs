@@ -665,9 +665,13 @@ fn create_view_q2() {
         "CREATE VIEW v1 AS SELECT mId, text FROM messages \
          UNION SELECT mId, text FROM imports",
     ) {
-        Statement::CreateView { name, query } => {
+        Statement::CreateView { name, query, sql } => {
             assert_eq!(name, "v1");
             assert!(matches!(query.body, QueryBody::SetOp { .. }));
+            assert_eq!(
+                sql,
+                "SELECT mId, text FROM messages UNION SELECT mId, text FROM imports"
+            );
         }
         other => panic!("unexpected {other:?}"),
     }
@@ -800,7 +804,15 @@ fn parse_script_with_semicolons() {
     let stmts =
         parse_statements("CREATE TABLE t (x int); INSERT INTO t VALUES (1);; SELECT * FROM t;")
             .unwrap();
-    assert_eq!(stmts.len(), 3);
+    let texts: Vec<&str> = stmts.iter().map(|(_, text)| *text).collect();
+    assert_eq!(
+        texts,
+        [
+            "CREATE TABLE t (x int)",
+            "INSERT INTO t VALUES (1)",
+            "SELECT * FROM t"
+        ]
+    );
 }
 
 // ----------------------------------------------------------------------

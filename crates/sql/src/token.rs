@@ -1,8 +1,11 @@
 //! Token stream produced by the lexer.
 
 use std::fmt;
+use std::ops::Range;
 
-/// A lexical token with its source position (for error messages).
+/// A lexical token with its source position: line and column for error
+/// messages, the byte span for slicing a statement's text out of the
+/// source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Token {
     pub kind: TokenKind,
@@ -10,6 +13,8 @@ pub struct Token {
     pub line: u32,
     /// 1-based column of the token's first character.
     pub col: u32,
+    /// Byte range of the token in the source text.
+    pub span: Range<usize>,
 }
 
 /// The token kinds of our SQL dialect.

@@ -36,7 +36,6 @@ use perm_sql::{parse_statement, Statement};
 use perm_types::{Column, DataType, PermError, Result, Schema, Tuple, Value};
 
 use crate::catalog::{Catalog, Relation};
-use crate::failpoint;
 use crate::spill::{read_value, value_encoded_len, write_value};
 use crate::table::Table;
 use crate::wal::{crc32, scan, FsyncPolicy, TailState, WalRecord, WalWriter, WAL_HEADER_LEN};
@@ -301,7 +300,7 @@ fn read_checkpoint(path: &Path) -> Result<Option<(u64, u64, Catalog)>> {
     if std::fs::metadata(path).is_err() {
         return Ok(None);
     }
-    let bytes = failpoint::read_file("checkpoint.read", path, "checkpoint read")?;
+    let bytes = perm_fault::read_file("checkpoint.read", path, "checkpoint read")?;
     if bytes.len() < 16 {
         return Err(corrupt(path, 0, "checkpoint shorter than its header"));
     }
@@ -409,7 +408,7 @@ impl DurableStore {
             });
         }
 
-        let data = failpoint::read_file("wal.read", &wal_path, "wal recovery")?;
+        let data = perm_fault::read_file("wal.read", &wal_path, "wal recovery")?;
         let s = scan(&data);
 
         // A missing/torn header can only come from a crash while the log
@@ -537,12 +536,12 @@ impl DurableStore {
         let dest = self.dir.join(CHECKPOINT_FILE);
         let write = (|| {
             let mut f = File::create(&tmp).map_err(|e| io("checkpoint create", &tmp, e))?;
-            failpoint::write_all("checkpoint.write", &mut f, &bytes, "checkpoint", &tmp)?;
-            failpoint::sync("checkpoint.sync", &f, "checkpoint", &tmp)?;
-            failpoint::rename("checkpoint.rename", &tmp, &dest, "checkpoint")?;
+            perm_fault::write_all("checkpoint.write", &mut f, &bytes, "checkpoint", &tmp)?;
+            perm_fault::sync("checkpoint.sync", &f, "checkpoint", &tmp)?;
+            perm_fault::rename("checkpoint.rename", &tmp, &dest, "checkpoint")?;
             let dirf =
                 File::open(&self.dir).map_err(|e| io("checkpoint dir open", &self.dir, e))?;
-            failpoint::sync("checkpoint.dir_sync", &dirf, "checkpoint", &self.dir)
+            perm_fault::sync("checkpoint.dir_sync", &dirf, "checkpoint", &self.dir)
         })();
         match write {
             Ok(()) => {
@@ -563,7 +562,15 @@ impl DurableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perm_sql::ContributionSemantics;
     use perm_types::{Column, DataType};
+
+    fn stmt(sql: &str) -> WalRecord {
+        WalRecord::Statement {
+            sql: sql.into(),
+            semantics: ContributionSemantics::Influence,
+        }
+    }
 
     fn temp_dir(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("perm-durtest-{}-{name}", std::process::id()))
@@ -673,12 +680,8 @@ mod tests {
         let _c = Cleanup(dir.clone());
         let out = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
         let mut store = out.store.unwrap();
-        store
-            .append(&WalRecord::Statement("CREATE TABLE t (x int)".into()))
-            .unwrap();
-        store
-            .append(&WalRecord::Statement("INSERT INTO t VALUES (1)".into()))
-            .unwrap();
+        store.append(&stmt("CREATE TABLE t (x int)")).unwrap();
+        store.append(&stmt("INSERT INTO t VALUES (1)")).unwrap();
         assert_eq!(store.records_since_checkpoint(), 2);
         drop(store);
 
@@ -689,8 +692,8 @@ mod tests {
         assert_eq!(
             stmts,
             vec![
-                &WalRecord::Statement("CREATE TABLE t (x int)".into()),
-                &WalRecord::Statement("INSERT INTO t VALUES (1)".into()),
+                &stmt("CREATE TABLE t (x int)"),
+                &stmt("INSERT INTO t VALUES (1)"),
             ]
         );
     }
@@ -701,9 +704,7 @@ mod tests {
         let _c = Cleanup(dir.clone());
         let out = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
         let mut store = out.store.unwrap();
-        store
-            .append(&WalRecord::Statement("CREATE TABLE t (x int)".into()))
-            .unwrap();
+        store.append(&stmt("CREATE TABLE t (x int)")).unwrap();
         let mut catalog = Catalog::new();
         catalog
             .create_table(Table::new(
@@ -713,9 +714,7 @@ mod tests {
             .unwrap();
         store.checkpoint(&catalog).unwrap();
         assert_eq!(store.records_since_checkpoint(), 0);
-        store
-            .append(&WalRecord::Statement("INSERT INTO t VALUES (1)".into()))
-            .unwrap();
+        store.append(&stmt("INSERT INTO t VALUES (1)")).unwrap();
         drop(store);
 
         let out = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
@@ -724,7 +723,7 @@ mod tests {
         let stmts: Vec<&WalRecord> = out.replay.iter().map(|(_, r)| r).collect();
         assert_eq!(
             stmts,
-            vec![&WalRecord::Statement("INSERT INTO t VALUES (1)".into())],
+            vec![&stmt("INSERT INTO t VALUES (1)")],
             "only the post-checkpoint record replays"
         );
     }
@@ -737,9 +736,7 @@ mod tests {
         let _c = Cleanup(dir.clone());
         let out = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
         let mut store = out.store.unwrap();
-        store
-            .append(&WalRecord::Statement("CREATE TABLE t (x int)".into()))
-            .unwrap();
+        store.append(&stmt("CREATE TABLE t (x int)")).unwrap();
         let wal_before = std::fs::read(dir.join(WAL_FILE)).unwrap();
         let mut catalog = Catalog::new();
         catalog
@@ -789,12 +786,8 @@ mod tests {
         let _c = Cleanup(dir.clone());
         let out = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
         let mut store = out.store.unwrap();
-        store
-            .append(&WalRecord::Statement("CREATE TABLE t (x int)".into()))
-            .unwrap();
-        store
-            .append(&WalRecord::Statement("INSERT INTO t VALUES (1)".into()))
-            .unwrap();
+        store.append(&stmt("CREATE TABLE t (x int)")).unwrap();
+        store.append(&stmt("INSERT INTO t VALUES (1)")).unwrap();
         drop(store);
         let path = dir.join(WAL_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -816,12 +809,8 @@ mod tests {
         let _c = Cleanup(dir.clone());
         let out = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
         let mut store = out.store.unwrap();
-        store
-            .append(&WalRecord::Statement("CREATE TABLE t (x int)".into()))
-            .unwrap();
-        store
-            .append(&WalRecord::Statement("INSERT INTO t VALUES (1)".into()))
-            .unwrap();
+        store.append(&stmt("CREATE TABLE t (x int)")).unwrap();
+        store.append(&stmt("INSERT INTO t VALUES (1)")).unwrap();
         drop(store);
         let path = dir.join(WAL_FILE);
         let bytes = std::fs::read(&path).unwrap();
@@ -834,7 +823,7 @@ mod tests {
             let stmts: Vec<&WalRecord> = out.replay.iter().map(|(_, r)| r).collect();
             assert_eq!(
                 stmts,
-                vec![&WalRecord::Statement("CREATE TABLE t (x int)".into())],
+                vec![&stmt("CREATE TABLE t (x int)")],
                 "round {round}: torn record dropped, committed prefix kept"
             );
         }

@@ -24,9 +24,9 @@
 //! * [`wal`] + [`durable`]: the durability subsystem — a checksummed
 //!   write-ahead log of committed statements, snapshot checkpoints of
 //!   the catalog (atomic rename + log truncation), and crash recovery
-//!   that replays the log tail and truncates torn final records.
-//! * [`failpoint`]: deterministic fault injection (`PERM_FAILPOINTS`)
-//!   every write/fsync/rename/read in the above goes through.
+//!   that replays the log tail and truncates torn final records. Every
+//!   write/fsync/rename/read in them goes through a named [`perm_fault`]
+//!   failpoint (`PERM_FAILPOINTS`).
 //!
 //! For concurrent servers, [`shared::SharedCatalog`] wraps a [`Catalog`]
 //! in copy-on-write snapshots behind a reader/writer lock: readers plan
@@ -40,7 +40,6 @@
 
 pub mod catalog;
 pub mod durable;
-pub mod failpoint;
 pub mod index;
 pub mod shared;
 pub mod spill;

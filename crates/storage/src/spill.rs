@@ -40,8 +40,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use perm_types::{PermError, Result, Tuple, Value};
 
-use crate::failpoint;
-
 /// Process-wide counter making spill file names unique.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -245,7 +243,7 @@ impl SpillReader {
     /// `Execution`.
     fn try_read_record(&mut self) -> Result<(u64, Tuple)> {
         let path = &self.file.path;
-        if failpoint::hit("spill.read").is_some() {
+        if perm_fault::hit("spill.read").is_some() {
             return Err(PermError::Io {
                 operator: "spill read".into(),
                 path: path.display().to_string(),
@@ -398,7 +396,7 @@ mod tests {
     fn rows_round_trip_exactly_in_order() {
         // Reads spill records: must not overlap the tests below that
         // install `spill.read` failpoints (process-global state).
-        let _g = crate::failpoint::test_guard();
+        let _g = perm_fault::test_guard();
         let mut w = SpillWriter::create().unwrap();
         let rows = sample_rows();
         for (i, r) in rows.iter().enumerate() {
@@ -442,7 +440,7 @@ mod tests {
 
     #[test]
     fn partitions_scatter_and_read_back() {
-        let _g = crate::failpoint::test_guard();
+        let _g = perm_fault::test_guard();
         let mut parts = SpillPartitions::create(3).unwrap();
         for i in 0..10u64 {
             let row = Tuple::new(vec![Value::Int(i as i64)]);
@@ -475,8 +473,8 @@ mod tests {
 
     #[test]
     fn transient_read_error_is_retried() {
-        let _g = crate::failpoint::test_guard();
-        crate::failpoint::configure("spill.read=read_err@1").unwrap();
+        let _g = perm_fault::test_guard();
+        perm_fault::configure("spill.read=read_err@1").unwrap();
         let mut w = SpillWriter::create().unwrap();
         w.push(7, &Tuple::new(vec![Value::Int(7), Value::text("x")]))
             .unwrap();
@@ -486,25 +484,25 @@ mod tests {
         assert_eq!(got.len(), 2, "one transient failure must be absorbed");
         assert_eq!(got[0].0, 7);
         assert_eq!(got[1].0, 8);
-        assert_eq!(crate::failpoint::fired_count("spill.read"), 1);
-        crate::failpoint::clear();
+        assert_eq!(perm_fault::fired_count("spill.read"), 1);
+        perm_fault::clear();
     }
 
     #[test]
     fn persistent_read_error_fails_query_with_typed_io() {
-        let _g = crate::failpoint::test_guard();
-        crate::failpoint::configure("spill.read=read_err").unwrap();
+        let _g = perm_fault::test_guard();
+        perm_fault::configure("spill.read=read_err").unwrap();
         let mut w = SpillWriter::create().unwrap();
         w.push(7, &Tuple::new(vec![Value::Int(7)])).unwrap();
         let err = w.into_reader().unwrap().next().unwrap().unwrap_err();
         assert_eq!(err.kind(), "io");
         assert!(err.message().contains("injected read error"), "{err}");
         assert_eq!(
-            crate::failpoint::fired_count("spill.read"),
+            perm_fault::fired_count("spill.read"),
             1 + SPILL_READ_RETRIES as u64,
             "bounded retries, then give up"
         );
-        crate::failpoint::clear();
+        perm_fault::clear();
     }
 
     #[test]

@@ -14,10 +14,10 @@ use perm_sql::Query;
 pub struct View {
     name: String,
     definition: Query,
-    /// The defining query as SQL text, when the creator had it (views
-    /// made through the server always do). Checkpoints persist views by
-    /// this text and re-parse it on recovery, so the storage layer never
-    /// needs its own AST serializer.
+    /// The defining query's source text, as the user wrote it, when the
+    /// creator had it (views made through the server always do).
+    /// Checkpoints persist views by this text and re-parse it on
+    /// recovery, so the storage layer never needs its own AST serializer.
     sql: Option<String>,
 }
 
@@ -30,8 +30,8 @@ impl View {
         }
     }
 
-    /// A view that remembers its defining SQL text (required for
-    /// durable checkpoints).
+    /// A view that remembers the source text of its definition (required
+    /// for durable checkpoints).
     pub fn with_sql(name: impl Into<String>, definition: Query, sql: impl Into<String>) -> View {
         View {
             name: name.into(),
@@ -49,7 +49,7 @@ impl View {
         &self.definition
     }
 
-    /// The defining query as SQL text, if recorded at creation.
+    /// The defining query's source text, if recorded at creation.
     pub fn sql(&self) -> Option<&str> {
         self.sql.as_deref()
     }
@@ -67,7 +67,7 @@ mod tests {
              UNION SELECT mid, text FROM imports",
         )
         .unwrap();
-        let Statement::CreateView { name, query } = stmt else {
+        let Statement::CreateView { name, query, .. } = stmt else {
             panic!("expected CREATE VIEW");
         };
         let v = View::new(name, query.clone());

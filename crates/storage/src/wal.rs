@@ -9,9 +9,15 @@
 //! [8 bytes  b"PERMWAL1"] [u64 epoch LE]          -- 16-byte header
 //! record*
 //! record := [u32 len LE] [u32 crc32 LE] [payload]
-//! payload := 0x01 [UTF-8 SQL statement]
+//! payload := 0x03 [u8 semantics] [UTF-8 SQL statement]
+//!          | 0x01 [UTF-8 SQL statement]   -- older logs: INFLUENCE
 //!          | 0x02 [u32 len][table] [u32 len][column]   -- CREATE INDEX
 //! ```
+//!
+//! A statement record holds the text the statement was parsed from and
+//! the default contribution semantics of the session that ran it (the
+//! one session option that changes what a logged statement computes:
+//! an unqualified `SELECT PROVENANCE` under `CREATE TABLE AS`).
 //!
 //! The CRC (IEEE 802.3, the zlib polynomial) covers the payload only; the
 //! length prefix is validated against the file size. The `epoch` ties a
@@ -32,16 +38,15 @@
 //! statement); a bad record with valid data after it is real corruption
 //! and is surfaced as such, never silently dropped.
 //!
-//! All file I/O goes through the [`crate::failpoint`] wrappers; `xtask
+//! All file I/O goes through the [`perm_fault`] wrappers; `xtask
 //! lint` enforces that no raw write/sync/rename/truncate calls appear in
 //! this module.
 
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 
+use perm_sql::{ContributionSemantics, CopyMode};
 use perm_types::{PermError, Result};
-
-use crate::failpoint;
 
 /// Magic bytes opening every WAL file (version 1).
 pub const WAL_MAGIC: &[u8; 8] = b"PERMWAL1";
@@ -91,12 +96,25 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
+/// The contribution semantics a statement record can carry, indexed by
+/// its byte in the record.
+const SEMANTICS: [ContributionSemantics; 4] = [
+    ContributionSemantics::Influence,
+    ContributionSemantics::Copy(CopyMode::Partial),
+    ContributionSemantics::Copy(CopyMode::Complete),
+    ContributionSemantics::Lineage,
+];
+
 /// One logical WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// A committed DDL/DML statement, stored as deparsed SQL and replayed
-    /// through the full parse→plan→execute pipeline on recovery.
-    Statement(String),
+    /// A committed DDL/DML statement: the SQL text it was parsed from,
+    /// replayed through the full parse→plan→execute pipeline on recovery
+    /// under the default contribution semantics it ran with.
+    Statement {
+        sql: String,
+        semantics: ContributionSemantics,
+    },
     /// An index creation (there is no SQL surface syntax for it).
     CreateIndex { table: String, column: String },
 }
@@ -104,9 +122,11 @@ pub enum WalRecord {
 impl WalRecord {
     fn encode(&self) -> Vec<u8> {
         match self {
-            WalRecord::Statement(sql) => {
-                let mut out = Vec::with_capacity(1 + sql.len());
-                out.push(0x01);
+            WalRecord::Statement { sql, semantics } => {
+                let tag = SEMANTICS.iter().position(|s| s == semantics);
+                let mut out = Vec::with_capacity(2 + sql.len());
+                // INVARIANT: SEMANTICS lists every contribution semantics.
+                out.extend_from_slice(&[0x03, tag.expect("listed") as u8]);
                 out.extend_from_slice(sql.as_bytes());
                 out
             }
@@ -124,10 +144,13 @@ impl WalRecord {
 
     fn decode(payload: &[u8]) -> std::result::Result<WalRecord, String> {
         match payload.first() {
-            Some(0x01) => match std::str::from_utf8(&payload[1..]) {
-                Ok(sql) => Ok(WalRecord::Statement(sql.to_string())),
-                Err(_) => Err("statement record is not valid UTF-8".into()),
+            Some(0x03) => match payload.get(1).and_then(|&b| SEMANTICS.get(b as usize)) {
+                Some(&semantics) => decode_statement(&payload[2..], semantics),
+                None => Err("statement record has no valid contribution semantics".into()),
             },
+            // Written before records carried the semantics: such a
+            // statement always replayed under the default, INFLUENCE.
+            Some(0x01) => decode_statement(&payload[1..], ContributionSemantics::Influence),
             Some(0x02) => {
                 let rest = &payload[1..];
                 let (table, rest) = decode_str(rest)?;
@@ -140,6 +163,19 @@ impl WalRecord {
             Some(k) => Err(format!("unknown record kind {k:#04x}")),
             None => Err("empty record payload".into()),
         }
+    }
+}
+
+fn decode_statement(
+    sql: &[u8],
+    semantics: ContributionSemantics,
+) -> std::result::Result<WalRecord, String> {
+    match std::str::from_utf8(sql) {
+        Ok(sql) => Ok(WalRecord::Statement {
+            sql: sql.to_string(),
+            semantics,
+        }),
+        Err(_) => Err("statement record is not valid UTF-8".into()),
     }
 }
 
@@ -351,7 +387,7 @@ impl WalWriter {
         fsync: FsyncPolicy,
     ) -> Result<WalWriter> {
         let file = Self::open_file(path)?;
-        failpoint::set_len("wal.open.truncate", &file, valid_len, "wal recovery", path)?;
+        perm_fault::set_len("wal.open.truncate", &file, valid_len, "wal recovery", path)?;
         Ok(WalWriter {
             file,
             path: path.to_path_buf(),
@@ -364,19 +400,19 @@ impl WalWriter {
     }
 
     fn write_header(&mut self, epoch: u64) -> Result<()> {
-        failpoint::set_len("wal.reset", &self.file, 0, "wal reset", &self.path)?;
+        perm_fault::set_len("wal.reset", &self.file, 0, "wal reset", &self.path)?;
         self.len = 0;
         let mut header = Vec::with_capacity(WAL_HEADER_LEN as usize);
         header.extend_from_slice(WAL_MAGIC);
         header.extend_from_slice(&epoch.to_le_bytes());
-        failpoint::write_all(
+        perm_fault::write_all(
             "wal.reset.write",
             &mut self.file,
             &header,
             "wal reset",
             &self.path,
         )?;
-        failpoint::sync("wal.reset.sync", &self.file, "wal reset", &self.path)?;
+        perm_fault::sync("wal.reset.sync", &self.file, "wal reset", &self.path)?;
         self.len = WAL_HEADER_LEN;
         self.epoch = epoch;
         self.records_since_reset = 0;
@@ -399,10 +435,10 @@ impl WalWriter {
         let frame = encode_frame(rec);
         let pre_len = self.len;
         let result =
-            failpoint::write_all("wal.append.write", &mut self.file, &frame, OP, &self.path)
+            perm_fault::write_all("wal.append.write", &mut self.file, &frame, OP, &self.path)
                 .and_then(|()| match self.fsync {
                     FsyncPolicy::Always => {
-                        failpoint::sync("wal.append.sync", &self.file, OP, &self.path)
+                        perm_fault::sync("wal.append.sync", &self.file, OP, &self.path)
                     }
                     FsyncPolicy::Never => Ok(()),
                 });
@@ -413,7 +449,7 @@ impl WalWriter {
                 Ok(())
             }
             Err(e) => {
-                if failpoint::set_len("wal.rollback", &self.file, pre_len, OP, &self.path).is_err()
+                if perm_fault::set_len("wal.rollback", &self.file, pre_len, OP, &self.path).is_err()
                 {
                     self.poisoned = true;
                 }
@@ -471,6 +507,13 @@ impl WalWriter {
 mod tests {
     use super::*;
 
+    fn stmt(sql: &str) -> WalRecord {
+        WalRecord::Statement {
+            sql: sql.into(),
+            semantics: ContributionSemantics::Influence,
+        }
+    }
+
     fn temp_wal(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("perm-waltest-{}-{name}.log", std::process::id()))
     }
@@ -494,8 +537,8 @@ mod tests {
         let path = temp_wal("roundtrip");
         let _c = Cleanup(path.clone());
         let recs = vec![
-            WalRecord::Statement("CREATE TABLE t (x int)".into()),
-            WalRecord::Statement("INSERT INTO t VALUES (1)".into()),
+            stmt("CREATE TABLE t (x int)"),
+            stmt("INSERT INTO t VALUES (1)"),
             WalRecord::CreateIndex {
                 table: "t".into(),
                 column: "x".into(),
@@ -517,14 +560,30 @@ mod tests {
     }
 
     #[test]
+    fn statement_records_keep_their_semantics() {
+        for semantics in SEMANTICS {
+            let rec = WalRecord::Statement {
+                sql: "CREATE TABLE p AS SELECT PROVENANCE x FROM t".into(),
+                semantics,
+            };
+            assert_eq!(WalRecord::decode(&rec.encode()), Ok(rec));
+        }
+        // A record from a log written before statements carried their
+        // semantics replays under the default.
+        assert_eq!(
+            WalRecord::decode(b"\x01INSERT INTO t VALUES (1)"),
+            Ok(stmt("INSERT INTO t VALUES (1)"))
+        );
+        assert!(WalRecord::decode(b"\x03\x09SELECT 1").is_err());
+    }
+
+    #[test]
     fn torn_tail_is_detected_at_every_boundary() {
         let path = temp_wal("torn");
         let _c = Cleanup(path.clone());
         let mut w = WalWriter::create(&path, 1, FsyncPolicy::Never).unwrap();
-        w.append(&WalRecord::Statement("CREATE TABLE t (x int)".into()))
-            .unwrap();
-        w.append(&WalRecord::Statement("INSERT INTO t VALUES (42)".into()))
-            .unwrap();
+        w.append(&stmt("CREATE TABLE t (x int)")).unwrap();
+        w.append(&stmt("INSERT INTO t VALUES (42)")).unwrap();
         let data = std::fs::read(&path).unwrap();
         let full = scan(&data);
         assert_eq!(full.records.len(), 2);
@@ -549,8 +608,7 @@ mod tests {
         let path = temp_wal("zerofill");
         let _c = Cleanup(path.clone());
         let mut w = WalWriter::create(&path, 1, FsyncPolicy::Never).unwrap();
-        w.append(&WalRecord::Statement("CREATE TABLE t (x int)".into()))
-            .unwrap();
+        w.append(&stmt("CREATE TABLE t (x int)")).unwrap();
         let mut data = std::fs::read(&path).unwrap();
         let valid = data.len() as u64;
         data.extend_from_slice(&[0u8; 32]);
@@ -565,11 +623,9 @@ mod tests {
         let path = temp_wal("midlog");
         let _c = Cleanup(path.clone());
         let mut w = WalWriter::create(&path, 1, FsyncPolicy::Never).unwrap();
-        w.append(&WalRecord::Statement("CREATE TABLE t (x int)".into()))
-            .unwrap();
+        w.append(&stmt("CREATE TABLE t (x int)")).unwrap();
         let first_end = w.len();
-        w.append(&WalRecord::Statement("INSERT INTO t VALUES (1)".into()))
-            .unwrap();
+        w.append(&stmt("INSERT INTO t VALUES (1)")).unwrap();
         let mut data = std::fs::read(&path).unwrap();
         // Flip a payload byte of the FIRST record: valid data follows it.
         data[WAL_HEADER_LEN as usize + 9] ^= 0xFF;
@@ -593,8 +649,7 @@ mod tests {
         let path = temp_wal("reset");
         let _c = Cleanup(path.clone());
         let mut w = WalWriter::create(&path, 3, FsyncPolicy::Never).unwrap();
-        w.append(&WalRecord::Statement("CREATE TABLE t (x int)".into()))
-            .unwrap();
+        w.append(&stmt("CREATE TABLE t (x int)")).unwrap();
         w.reset(4).unwrap();
         assert!(w.is_empty());
         assert_eq!(w.epoch(), 4);

@@ -35,7 +35,7 @@
 //!    protocol and the spill accounting.
 //! 9. **No raw file I/O in the durability modules** — every write, sync,
 //!    rename and truncate in `wal.rs`/`durable.rs` must go through the
-//!    `failpoint::` wrappers so each durability write site carries a
+//!    `perm_fault::` wrappers so each durability write site carries a
 //!    named failpoint and stays covered by the crash-recovery matrix.
 //! 10. **No per-row `Vec`/`Arc` allocation inside kernel hot loops** —
 //!     the whole point of the batch kernels (`kernels.rs`) is to amortize
@@ -131,7 +131,7 @@ const STORAGE_FILE_CREATION_ALLOWED: &[&str] = &[
     "crates/storage/src/durable.rs",
 ];
 
-/// Durability modules whose file I/O must go through the `failpoint::`
+/// Durability modules whose file I/O must go through the `perm_fault::`
 /// wrappers (rule 9), so every write site has a named failpoint.
 const FAILPOINT_WRAPPED: &[&str] = &["crates/storage/src/wal.rs", "crates/storage/src/durable.rs"];
 
@@ -156,7 +156,7 @@ const CANCEL_CHECKS: &[&str] = &["check_cancelled", ".check()"];
 
 /// Raw I/O calls that rule 9 bans in the durability modules. The
 /// leading `.` (or `fs::` path) distinguishes a raw method call from
-/// the sanctioned `failpoint::write_all(...)`-style wrappers.
+/// the sanctioned `perm_fault::write_all(...)`-style wrappers.
 const RAW_DURABLE_IO: &[&str] = &[
     ".write_all(",
     ".sync_all(",
@@ -575,7 +575,7 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
                             "durable-io-needs-failpoint",
                             format!(
                                 "raw `{pat}..)` in a durability module; use the matching \
-                                 `failpoint::` wrapper so the write site has a named failpoint"
+                                 `perm_fault::` wrapper so the write site has a named failpoint"
                             ),
                         );
                     }
@@ -965,12 +965,12 @@ mod tests {
             ["durable-io-needs-failpoint"]
         );
         // The failpoint wrappers themselves are the sanctioned call shape.
-        let wrapped = "fn f(file: &mut File) { failpoint::write_all(\"wal.append.write\", \
+        let wrapped = "fn f(file: &mut File) { perm_fault::write_all(\"wal.append.write\", \
                        file, b\"x\", \"wal\", path) }\n";
         assert!(run("crates/storage/src/wal.rs", wrapped).is_empty());
-        // failpoint.rs holds the raw calls by design; spill.rs has its
+        // perm-fault holds the raw calls by design; spill.rs has its
         // own error mapping — neither is in scope for rule 9.
-        assert!(run("crates/storage/src/failpoint.rs", raw).is_empty());
+        assert!(run("crates/fault/src/lib.rs", raw).is_empty());
         assert!(run("crates/storage/src/spill.rs", raw).is_empty());
     }
 
