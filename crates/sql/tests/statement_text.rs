@@ -37,8 +37,8 @@ fn whitespace() -> impl Strategy<Value = String> {
         .prop_map(String::from_iter)
 }
 
-/// Whitespace, an optional comment, then `semicolons` runs of `;` each
-/// followed by whitespace.
+/// Whitespace, an optional comment, then a number of `;` drawn from
+/// `semicolons`, each followed by whitespace.
 fn separator(semicolons: Range<usize>) -> impl Strategy<Value = String> {
     (
         whitespace(),
