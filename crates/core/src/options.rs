@@ -171,7 +171,7 @@ impl SessionOptions {
         self
     }
 
-    /// Force a specific union strategy (browser toggle / ablations).
+    /// Force a specific union strategy (browser toggle, strategy tests).
     pub fn force_union_strategy(self, s: UnionStrategy) -> SessionOptions {
         self.with_union_strategy(StrategyMode::Fixed(s))
     }

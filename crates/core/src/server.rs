@@ -397,6 +397,35 @@ mod durability {
     }
 
     #[test]
+    fn a_guard_load_survives_a_reopen_once_checkpointed() {
+        let _g = fp_lock();
+        let dir = TempDir::new("guard-load");
+        {
+            let server = PermServer::open_with(&dir.0, opts()).unwrap();
+            let s = server.session();
+            s.execute("CREATE TABLE t (x int)").unwrap();
+            {
+                // The guard writes past the log.
+                let mut w = s.catalog_write();
+                let t = w.table_mut("t").unwrap();
+                t.insert(perm_types::Tuple::new(vec![Value::Int(1)]))
+                    .unwrap();
+                t.insert(perm_types::Tuple::new(vec![Value::Int(2)]))
+                    .unwrap();
+            }
+            server.checkpoint().unwrap();
+        }
+        let server = PermServer::open_with(&dir.0, opts()).unwrap();
+        assert_eq!(server.recovery_error(), None);
+        let r = server
+            .session()
+            .query("SELECT x FROM t ORDER BY x")
+            .unwrap();
+        assert_eq!(r.row_count(), 2);
+        assert_eq!(r.row(1)[0], Value::Int(2));
+    }
+
+    #[test]
     fn checkpoint_truncates_wal_and_recovery_uses_snapshot() {
         let _g = fp_lock();
         let dir = TempDir::new("ckpt");

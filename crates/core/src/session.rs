@@ -100,6 +100,8 @@ impl Session {
 
     /// Exclusive write access to the catalog (index creation, direct
     /// table loads). Blocks other writers; readers keep their snapshots.
+    /// On a durable server a write through the guard is not logged: it
+    /// survives a reopen only once [`PermServer::checkpoint`] follows it.
     ///
     /// **Drop the guard before querying from the same thread.** Query
     /// methods take the (non-reentrant) read lock to snapshot, so

@@ -75,8 +75,8 @@ pub struct Executor {
     /// (and its address reused) while this executor can still serve a
     /// cache hit for it.
     kept_exprs: RefCell<Vec<Arc<ScalarExpr>>>,
-    /// Disable hash joins (ablation benches measuring the join-back
-    /// implementation choice of the aggregation rewrite).
+    /// Disable hash joins: the nested-loop (NLJ) reference that the
+    /// equivalence properties check every join strategy against.
     nested_loop_only: bool,
     /// Parallelism cap handed to the physical planner when this executor
     /// lowers logical plans itself (`0` = the machine's parallelism).
@@ -194,7 +194,7 @@ impl Executor {
         self
     }
 
-    /// An executor that runs every join as a nested loop (ablations).
+    /// An executor that runs every join as a nested loop (the reference).
     pub fn new_nested_loop_only(catalog: Arc<Catalog>) -> Executor {
         Executor {
             nested_loop_only: true,
@@ -311,9 +311,9 @@ impl Executor {
                 }
                 Ok(out)
             }
-            PhysicalPlan::HashJoin { .. } => join::hash_join(self, plan),
-            PhysicalPlan::NLJoin { .. } => join::nested_loop(self, plan),
-            PhysicalPlan::IndexNLJoin { .. } => join::index_nl_join(self, plan),
+            PhysicalPlan::HashJoin { .. }
+            | PhysicalPlan::NLJoin { .. }
+            | PhysicalPlan::IndexNLJoin { .. } => join::join(self, plan),
             PhysicalPlan::HashAggregate {
                 input,
                 group_by,

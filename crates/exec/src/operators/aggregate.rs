@@ -4,7 +4,6 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use perm_storage::SpillPartitions;
 use perm_types::hash::{FxHashMap, FxHashSet};
 use perm_types::ops;
 use perm_types::{PermError, Result, Tuple, Value};
@@ -15,10 +14,10 @@ use perm_algebra::plan::AggOutput;
 use crate::compile::{CompiledExpr, CompiledProjection};
 use crate::eval::Env;
 use crate::executor::Executor;
-use crate::memory::{grow_batched, MemoryDenied, MemoryReservation};
-use crate::operators::join::{refs_of, JoinRefs, RowRef, View};
-use crate::operators::{before, RowError};
-use crate::parallel::{partition_of, restore_order};
+use crate::memory::{grow_batched, MemoryDenied};
+use crate::operators::join::{refs_of, JoinRefs, RefRow, RowRef, View};
+use crate::operators::spill::{charge_input, partition_of, partitioned, Backing, Rows};
+use crate::operators::RowError;
 use crate::physical::PhysicalPlan;
 
 /// Running state of one aggregate within one group.
@@ -293,16 +292,6 @@ pub(super) enum GroupKey {
     Many(Tuple),
 }
 
-impl GroupKey {
-    /// Bytes a group's key holds (spill working-memory accounting).
-    fn size_bytes(&self) -> usize {
-        match self {
-            GroupKey::One(v) => v.size_bytes(),
-            GroupKey::Many(t) => t.size_bytes(),
-        }
-    }
-}
-
 /// One row being accumulated: a plain-column argument or single-column
 /// key reads straight through [`RowRef::value`] (a join input's layout
 /// included); anything else evaluates over the row as a tuple, gathered
@@ -387,8 +376,7 @@ pub(super) struct AggPartial {
 /// input), every chunk-parallel worker (one contiguous chunk) and the
 /// spilled driver (one hash partition read back from disk): fold
 /// position-tagged `rows` — a join's refs or materialized tuples, see
-/// [`RowRef`] — into a fresh partial. `on_new_group` lets the spilled
-/// driver charge each group it opens; `witnesses` records each row's
+/// [`RowRef`] — into a fresh partial. `witnesses` records each row's
 /// group for [`finish`]. An evaluation error carries the position of the
 /// row that raised it (see [`RowError`]).
 pub(super) fn accumulate<R: RowRef>(
@@ -397,7 +385,6 @@ pub(super) fn accumulate<R: RowRef>(
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
     outer: &[Tuple],
-    mut on_new_group: impl FnMut(&GroupKey) -> Result<()>,
     witnesses: bool,
 ) -> std::result::Result<AggPartial, RowError> {
     // Group-by keys and aggregate arguments are compiled once, evaluated
@@ -426,7 +413,6 @@ pub(super) fn accumulate<R: RowRef>(
         let g = match partial.index.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => *e.get(),
             std::collections::hash_map::Entry::Vacant(v) => {
-                on_new_group(v.key()).map_err(fatal)?;
                 partial.groups.push(Group {
                     pos,
                     key: v.key().clone(),
@@ -577,12 +563,12 @@ pub(crate) fn run_aggregate(
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
     dop: usize,
-    spill: Option<usize>,
+    spill: bool,
     output: AggOutput,
 ) -> Result<Vec<Tuple>> {
     // A join input stays refs: keys and arguments read through its
     // layout, and witness rows are gathered once, in `finish`.
-    let refs = refs_of(exec, input)?;
+    let refs = Arc::new(refs_of(exec, input)?);
     let outer = exec.outer_stack();
     // A witness aggregate's input arity: the NULL padding of a global
     // aggregate over no rows.
@@ -595,8 +581,10 @@ pub(crate) fn run_aggregate(
     // witness aggregate holds every input row until it emits them, so it
     // charges them too; a global one has no partitions to spill to.
     let charge = !group_by.is_empty() || witnesses.is_some();
-    let spill = spill.filter(|_| !group_by.is_empty());
+    let spill = spill && !group_by.is_empty();
     let reservation = exec.memory().register("HashAggregate");
+    let on_disk =
+        |backing| aggregate_on_disk(exec, Arc::clone(&refs), group_by, aggs, backing, witnesses);
 
     if dop > 1 {
         // Chunk-parallel: each worker accumulates one contiguous chunk
@@ -604,7 +592,6 @@ pub(crate) fn run_aggregate(
         // workers share one reservation (clones share accounting), so
         // concurrent chunks charge the same query budget.
         let worker = exec.worker_factory();
-        let refs = Arc::new(refs);
         let total = refs.len();
         let group_by_owned: Arc<Vec<ScalarExpr>> = Arc::new(group_by.to_vec());
         let aggs_owned: Arc<Vec<AggCall>> = Arc::new(aggs.to_vec());
@@ -625,7 +612,6 @@ pub(crate) fn run_aggregate(
                     &group_by_owned,
                     &aggs_owned,
                     &outer,
-                    |_| Ok(()),
                     witnesses.is_some(),
                 )
                 .map_err(|(_, e)| e)
@@ -636,7 +622,7 @@ pub(crate) fn run_aggregate(
         // branch frees the shared accounting explicitly — relying on the
         // last clone's Drop would leave the pool charged for a moment
         // after the query returns.
-        match partials {
+        let out = match partials {
             Ok(partials) => {
                 let mut iter = partials.into_iter();
                 let mut acc = iter.next().unwrap_or_default();
@@ -649,46 +635,32 @@ pub(crate) fn run_aggregate(
                         break;
                     }
                 }
-                let out = merged.and_then(|()| {
+                merged.and_then(|()| {
                     let view = refs.view(exec)?;
                     let kept = witnesses.map(|_| &view);
                     finish(exec, acc, group_by, aggs, kept, |_, t| t)
-                });
-                reservation.free();
-                return out;
+                })
             }
             // A denied worker reservation falls back to the serial spill
             // path — legal because parallel aggregation is exactly
             // equivalent to serial. Parallel aggregates are sublink-free
             // (the legality rules keep sublink pipelines serial), so a
             // "resource" error here can only be our own denial.
-            Err(e) if e.kind() == "resource" && spill.is_some() => {
+            Err(e) if e.kind() == "resource" && spill => {
                 reservation.free();
-                // INVARIANT: the guard above checked `spill.is_some()`.
-                let parts = spill.expect("guard checked is_some");
-                let result = refs.gather(exec).and_then(|rows| {
-                    aggregate_spill(exec, rows, group_by, aggs, parts, &reservation, witnesses)
-                });
-                reservation.free();
-                return result;
+                on_disk(Backing::disk(&reservation, total))
             }
-            Err(e) => {
-                reservation.free();
-                return Err(e);
-            }
-        }
+            Err(e) => Err(e),
+        };
+        reservation.free();
+        return out;
     }
 
     let view = refs.view(exec)?;
     if charge {
         let sizes = (0..view.len()).map(|r| view.size_bytes(r));
-        if let Err(denied) = grow_batched(&reservation, sizes) {
-            reservation.free();
-            let Some(parts) = spill else {
-                return Err(denied.into_error());
-            };
-            let rows = refs.gather(exec)?;
-            return aggregate_spill(exec, rows, group_by, aggs, parts, &reservation, witnesses);
+        if let Some(backing) = charge_input(&reservation, sizes, view.len(), 1, spill)? {
+            return on_disk(backing);
         }
     }
     let partial = accumulate(
@@ -697,7 +669,6 @@ pub(crate) fn run_aggregate(
         group_by,
         aggs,
         &outer,
-        |_| Ok(()),
         witnesses.is_some(),
     )
     .map_err(|(_, e)| e)?;
@@ -711,28 +682,18 @@ pub(crate) fn run_aggregate(
     )
 }
 
-/// The spilled driver of [`accumulate`]: input rows scatter to partition
-/// files by group-key hash, tagged with their input position. Each
-/// partition then accumulates in tag order, every group remembering the
-/// tag that opened it; [`restore_order`] over those tags restores global
-/// first-appearance order — exactly the serial output. A witness
-/// aggregate keeps each partition's rows (charged as working memory) and
-/// tags every one it emits with its group's opening tag, so the stable
-/// reorder also keeps each group's rows in input order.
-///
-/// Error ordering matches serial execution: the serial loop evaluates a
-/// row's group key, then its aggregate arguments, before looking at the
-/// next row. A key error at input position `i` therefore stops the
-/// scatter (later rows can't matter), but the partitions still run over
-/// the rows before `i` — an argument error among them wins. Across
-/// partitions the error with the smallest input position wins.
-fn aggregate_spill(
+/// The spilled aggregate: the partition driver keyed by the group key,
+/// with [`accumulate`] / [`finish`] as the body. Groups (and a witness
+/// aggregate's kept rows) are emitted under the position that opened the
+/// group, so the driver's stable reorder restores the serial order. As
+/// in the serial loop (a row's key, then its arguments), a key error at
+/// `i` stops the scatter, but an argument error before `i` still wins.
+fn aggregate_on_disk(
     exec: &Executor,
-    rows: Vec<Tuple>,
+    refs: Arc<JoinRefs>,
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
-    parts: usize,
-    res: &MemoryReservation,
+    backing: Backing<'_>,
     witnesses: Option<usize>,
 ) -> Result<Vec<Tuple>> {
     debug_assert!(!group_by.is_empty(), "global aggregates never spill");
@@ -740,83 +701,32 @@ fn aggregate_spill(
         aggs.iter().all(|c| !c.distinct),
         "DISTINCT aggregates never spill"
     );
-    let outer = exec.outer_stack();
-    let group_c = KeyPlan::compile(exec, group_by);
-    let mut files = SpillPartitions::create(parts)?;
-    let mut best_err: Option<(u64, PermError)> = None;
-    for (i, t) in rows.iter().enumerate() {
-        // Masked cancellation check per 4096 scattered rows.
-        if i % 4096 == 0 {
-            exec.check_cancelled()?;
-        }
-        match group_c.apply(exec, &mut Input::new(t), &outer) {
-            Ok(key) => files.push(partition_of(&key, parts), i as u64, t)?,
-            Err(e) => {
-                best_err = Some((i as u64, e));
-                break;
-            }
-        }
-    }
-    drop(rows);
-
-    let mut out: Vec<(u64, Tuple)> = Vec::new();
-    for reader in files.into_readers()? {
-        // Partition boundary: cancellation point (temp files are cleaned
-        // by the readers' Drop even on the early-return path).
-        exec.check_cancelled()?;
-        let mut charged = 0usize;
-        // Group state (key + accumulators) is the memory the in-memory
-        // path would hold per group.
-        let charge_group = |key: &GroupKey| {
-            let bytes = key.size_bytes() + 32 * aggs.len().max(1);
-            res.grow_unpooled(bytes)?;
-            charged += bytes;
-            Ok(())
-        };
-        // A witness aggregate keeps the partition's rows for `finish`.
-        let mut kept: Vec<Tuple> = Vec::new();
-        let mut kept_bytes = 0usize;
-        let rows = reader.take_while(before(&best_err)).map(|rec| {
-            let (tag, t) = rec?;
-            if witnesses.is_some() {
-                let bytes = t.size_bytes();
-                res.grow_unpooled(bytes)?;
-                kept_bytes += bytes;
-                kept.push(t.clone());
-            }
-            Ok((tag, t))
+    let (group_c, outer) = (KeyPlan::compile(exec, group_by), exec.outer_stack());
+    let key_outer = Arc::clone(&outer);
+    let key = move |exec: &Executor, _, row: &RefRow<'_, '_>, parts| {
+        let key = group_c.apply(exec, &mut Input::new(row), &key_outer)?;
+        Ok(Some(partition_of(&key, parts)))
+    };
+    let (group_by, aggs) = (group_by.to_vec(), aggs.to_vec());
+    let body = move |exec: &Executor, [rows]: [Rows; 1], out: &mut Rows| {
+        let fatal = |e| (None, e);
+        let input = rows.iter().map(|(tag, t)| Ok((*tag, t)));
+        let partial = accumulate(exec, input, &group_by, &aggs, &outer, witnesses.is_some())?;
+        // A witness aggregate emits the partition's rows behind their groups.
+        let kept = witnesses
+            .map(|width| JoinRefs::rows(rows.into_iter().map(|(_, t)| t).collect(), width))
+            .transpose()
+            .map_err(fatal)?;
+        let view = kept
+            .as_ref()
+            .map(|k| k.view(exec))
+            .transpose()
+            .map_err(fatal)?;
+        let rows = finish(exec, partial, &group_by, &aggs, view.as_ref(), |tag, t| {
+            (tag, t)
         });
-        let accumulated = accumulate(
-            exec,
-            rows,
-            group_by,
-            aggs,
-            &outer,
-            charge_group,
-            witnesses.is_some(),
-        );
-        match accumulated {
-            Ok(partial) => {
-                let kept = witnesses
-                    .map(|width| JoinRefs::rows(kept, width))
-                    .transpose()?;
-                let view = kept.as_ref().map(|k| k.view(exec)).transpose()?;
-                out.extend(finish(
-                    exec,
-                    partial,
-                    group_by,
-                    aggs,
-                    view.as_ref(),
-                    |tag, t| (tag, t),
-                )?);
-            }
-            Err((Some(tag), e)) => best_err = Some((tag, e)),
-            Err((None, e)) => return Err(e),
-        }
-        res.shrink(charged + kept_bytes);
-    }
-    if let Some((_, e)) = best_err {
-        return Err(e);
-    }
-    Ok(restore_order(out))
+        out.extend(rows.map_err(fatal)?);
+        Ok(())
+    };
+    partitioned(exec, backing, [refs], key, body)
 }

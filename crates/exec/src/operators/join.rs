@@ -34,23 +34,26 @@
 //!   pool workers probe one morsel range each and the ids concatenate in
 //!   morsel order. Sources are `Arc`-shared, and a base-table source is
 //!   resolved through each worker's catalog snapshot.
-//! * **spilled** (build reservation denied) — a Grace join: both inputs
-//!   are gathered and scatter to disk by key hash, the body runs once per
-//!   partition over the rows read back, each partition's output is
-//!   gathered under its probe rows' input positions, and
-//!   [`restore_order`] sorts it back into probe order.
+//! * **spilled** (build reservation denied) — a Grace join through the
+//!   partition driver ([`super::spill`]): both inputs scatter to disk by
+//!   key hash, gathered a row at a time, the body runs once per partition
+//!   over the rows read back, and each partition's output is gathered
+//!   under its probe rows' input positions for the driver to put back in
+//!   probe order.
 //!
 //! The index nested-loop join has the same shape minus the spill driver
 //! ([`IndexProbe::run`], serial or per morsel). Which driver runs is
-//! decided by the node's `dop` / `spill` stamps and the reservation
-//! denial alone.
+//! decided by the node's `dop` and may-spill flag and the reservation
+//! denial alone. All three join loops — the hash probe, the index probe
+//! and the nested loop — weigh each candidate through one step
+//! ([`Candidates`]).
 
 use std::borrow::{Borrow, Cow};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use perm_storage::{SpillPartitions, Table};
+use perm_storage::Table;
 use perm_types::hash::{map_with_capacity, FxHashMap};
 use perm_types::{PermError, Result, Schema, Tuple, Value};
 
@@ -59,9 +62,9 @@ use perm_algebra::plan::JoinType;
 use crate::compile::CompiledExpr;
 use crate::eval::Env;
 use crate::executor::{check_scan_schema, Executor};
-use crate::memory::{grow_batched, MemoryReservation};
-use crate::operators::{before, RowError};
-use crate::parallel::{concat, map_morsels, partition_of, restore_order};
+use crate::operators::spill::{charge_input, partition_of, partitioned, Backing, Ran, Rows};
+use crate::operators::RowError;
+use crate::parallel::{concat, map_morsels};
 use crate::physical::{out_arity, BuildSide, PhysicalPlan};
 
 /// The row id of an outer join's padding: it gathers as NULLs and reads
@@ -258,7 +261,7 @@ impl<'a> View<'a> {
 
     /// Row `r` as a tuple: borrowed when the refs are one input read
     /// whole, gathered otherwise.
-    fn row(&self, r: usize) -> Cow<'a, Tuple> {
+    pub(super) fn row(&self, r: usize) -> Cow<'a, Tuple> {
         if self.identity {
             Cow::Borrowed(&self.rows[0][self.ids[r] as usize])
         } else {
@@ -290,7 +293,12 @@ impl<'a> View<'a> {
         &self,
         range: Range<usize>,
     ) -> impl Iterator<Item = Result<(u64, RefRow<'_, 'a>)>> {
-        range.map(move |r| Ok((r as u64, RefRow { view: self, r })))
+        range.map(move |r| Ok((r as u64, self.at(r))))
+    }
+
+    /// Row `r`, read through the refs.
+    pub(super) fn at(&self, r: usize) -> RefRow<'_, 'a> {
+        RefRow { view: self, r }
     }
 }
 
@@ -379,20 +387,95 @@ fn pad(out: &mut Vec<u32>, k: usize) {
     out.extend(std::iter::repeat_n(NULL_ROW, k));
 }
 
-/// A probe row's closing output once its candidates are walked: SEMI
-/// keeps the row if it matched, ANTI if it did not, LEFT/FULL pad an
-/// unmatched row with `pad_k` NULL ids. Returns whether a row was added.
-fn close_row(kind: JoinType, matched: bool, ids: &[u32], pad_k: usize, out: &mut Vec<u32>) -> bool {
-    match kind {
-        JoinType::Semi if matched => out.extend_from_slice(ids),
-        JoinType::Anti if !matched => out.extend_from_slice(ids),
-        JoinType::Left | JoinType::Full if !matched => {
-            out.extend_from_slice(ids);
-            pad(out, pad_k);
+/// The candidate step of the three join loops, one probe row at a time.
+struct Candidates<'a> {
+    kind: JoinType,
+    residual: Option<Residual<'a>>,
+    outer: &'a [Tuple],
+    /// Rows emitted so far, counted toward the runaway-result guard.
+    emitted: usize,
+    /// The current probe row has matched.
+    matched: bool,
+}
+
+impl<'a> Candidates<'a> {
+    fn new(
+        kind: JoinType,
+        residual: Option<Residual<'a>>,
+        outer: &'a [Tuple],
+        emitted: usize,
+    ) -> Candidates<'a> {
+        Candidates {
+            kind,
+            residual,
+            outer,
+            emitted,
+            matched: false,
         }
-        _ => return false,
     }
-    true
+
+    /// Weigh the candidate whose ids were just appended at `out[start..]`:
+    /// a residual miss (or error) takes them back; a match takes SEMI/ANTI
+    /// ids back (they close the probe row alone) and counts toward the row
+    /// budget. Returns whether it matched.
+    fn admit(&mut self, exec: &Executor, out: &mut Vec<u32>, start: usize) -> Result<bool> {
+        if let Some(residual) = &self.residual {
+            if !residual.keeps(exec, self.outer, out, start)? {
+                return Ok(false);
+            }
+        }
+        self.matched = true;
+        match self.kind {
+            JoinType::Semi | JoinType::Anti => out.truncate(start),
+            _ => self.emitted += 1,
+        }
+        exec.check_row_budget(self.emitted)?;
+        Ok(true)
+    }
+
+    /// Whether the current probe row's walk is over: SEMI needs one match.
+    fn done(&self) -> bool {
+        self.matched && matches!(self.kind, JoinType::Semi)
+    }
+
+    /// The probe row's closing output once its candidates are walked:
+    /// SEMI keeps the row (`ids`) if it matched, ANTI if it did not,
+    /// LEFT/FULL pad an unmatched row with `pad_k` NULL ids.
+    fn close(&mut self, ids: &[u32], pad_k: usize, out: &mut Vec<u32>) {
+        let matched = std::mem::take(&mut self.matched);
+        match self.kind {
+            JoinType::Semi if matched => out.extend_from_slice(ids),
+            JoinType::Anti if !matched => out.extend_from_slice(ids),
+            JoinType::Left | JoinType::Full if !matched => {
+                out.extend_from_slice(ids);
+                pad(out, pad_k);
+            }
+            _ => return,
+        }
+        self.emitted += 1;
+    }
+}
+
+/// FULL's epilogue: the right rows no left row matched (`!matched[i]`),
+/// behind a padded left side.
+fn full_epilogue(
+    exec: &Executor,
+    matched: &[bool],
+    left: &View<'_>,
+    right: &View<'_>,
+    out: &mut Vec<u32>,
+) -> Result<()> {
+    for (i, &m) in matched.iter().enumerate() {
+        // Masked cancellation check per 4096 epilogue rows.
+        if i % 4096 == 0 {
+            exec.check_cancelled()?;
+        }
+        if !m {
+            pad(out, left.k());
+            out.extend_from_slice(right.ids(i));
+        }
+    }
+    Ok(())
 }
 
 /// A base table read in place: looked up through `exec`'s catalog and
@@ -429,19 +512,10 @@ pub(super) fn refs_of(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> 
     }
 }
 
-/// Run a hash join and gather its rows.
-pub(crate) fn hash_join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
-    hash_join_refs(exec, plan)?.gather(exec)
-}
-
-/// Run an index nested-loop join and gather its rows.
-pub(crate) fn index_nl_join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
-    index_nl_join_refs(exec, plan)?.gather(exec)
-}
-
-/// Run a nested-loop join and gather its rows.
-pub(crate) fn nested_loop(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
-    nested_loop_refs(exec, plan)?.gather(exec)
+/// Run a join node (hash, index nested-loop or nested-loop) and gather
+/// its rows.
+pub(crate) fn join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
+    refs_of(exec, plan)?.gather(exec)
 }
 
 /// Sentinel wrapper distinguishing "key contains NULL under SQL equality"
@@ -666,7 +740,7 @@ impl HashProbe {
         budget_base: usize,
         out: &mut Vec<u32>,
     ) -> std::result::Result<(), RowError> {
-        let (kind, outer) = (self.kind, self.outer.as_slice());
+        let outer = self.outer.as_slice();
         let (left, right) = if self.build_left {
             (build, probe)
         } else {
@@ -676,8 +750,8 @@ impl HashProbe {
             .residual
             .as_ref()
             .map(|p| Residual::new(p, left, right));
+        let mut walk = Candidates::new(self.kind, residual, outer, budget_base);
         let keys = KeyBuilder::new(&self.probe_exprs, &self.null_safe);
-        let mut emitted = budget_base;
         let fatal = |e| (None, e);
         for (n, r) in rows.enumerate() {
             // Masked cancellation check per 4096 probe rows.
@@ -686,7 +760,6 @@ impl HashProbe {
             }
             let at = |e| (Some(r as u64), e);
             let pids = probe.ids(r);
-            let mut matched = false;
             let mut bi = match keys.key(exec, probe, r, outer).map_err(at)? {
                 Some(key) => table.heads.get(&key).map_or(NIL, |&(head, _)| head),
                 // SQL equality with NULL: this row joins nothing.
@@ -696,10 +769,8 @@ impl HashProbe {
             // the probe loop above checks per row batch.
             while bi != NIL {
                 let cur = bi;
-                // Advance before the body: a residual miss `continue`s.
                 bi = table.next[cur];
-                // Append the candidate's ids as left ++ right; a residual
-                // miss and SEMI/ANTI take them back.
+                // Append the candidate's ids as left ++ right.
                 let start = out.len();
                 if self.build_left {
                     out.extend_from_slice(build.ids(cur));
@@ -708,29 +779,18 @@ impl HashProbe {
                     out.extend_from_slice(pids);
                     out.extend_from_slice(build.ids(cur));
                 }
-                if let Some(residual) = &residual {
-                    if !residual.keeps(exec, outer, out, start).map_err(at)? {
-                        continue;
+                if walk.admit(exec, out, start).map_err(at)? {
+                    if let Some(m) = build_matched.as_deref_mut() {
+                        m[cur] = true;
                     }
-                }
-                matched = true;
-                if let Some(m) = build_matched.as_deref_mut() {
-                    m[cur] = true;
-                }
-                match kind {
-                    JoinType::Semi | JoinType::Anti => out.truncate(start),
-                    _ => emitted += 1,
-                }
-                exec.check_row_budget(emitted).map_err(at)?;
-                if matches!(kind, JoinType::Semi) {
-                    break;
+                    if walk.done() {
+                        break;
+                    }
                 }
             }
             // The probe side is the left one here: a left build is
             // inner-only and closes nothing.
-            if close_row(kind, matched, pids, build.k(), out) {
-                emitted += 1;
-            }
+            walk.close(pids, build.k(), out);
         }
         Ok(())
     }
@@ -797,6 +857,59 @@ impl HashProbe {
         }
         ran.map_err(|(j, e)| (j.map(|j| tags[j as usize]), e))
     }
+
+    /// The spilled (Grace) join's key over `[build, probe]`. A NULL key
+    /// under plain equality matches nothing: such a build row is dropped
+    /// (FULL joins never spill), such a probe row still drives the
+    /// LEFT/ANTI epilogue in partition 0 — unless the build side is the
+    /// left, inner-only one. Build positions come first, so a build-key
+    /// error beats every probe-side one, as the in-memory build's does.
+    pub(super) fn partition_key(
+        &self,
+        exec: &Executor,
+        input: usize,
+        row: &RefRow<'_, '_>,
+        parts: usize,
+    ) -> Result<Option<usize>> {
+        let exprs = if input == 0 {
+            &self.build_exprs
+        } else {
+            &self.probe_exprs
+        };
+        // A single-slot key reads the row in place, as `KeyBuilder` does,
+        // inline: through `KeyBuilder` the scatter measured ≈25% slower.
+        let key = match exprs.as_slice() {
+            [CompiledExpr::Slot(s)] if *s < row.width() => {
+                let v = row.value(*s);
+                (!v.is_null() || self.null_safe[0]).then(|| Key::One(v.clone()))
+            }
+            _ => build_key(
+                exec,
+                exprs,
+                &self.null_safe,
+                &Env::new(&row.tuple(), &self.outer),
+            )?,
+        };
+        Ok(match key {
+            Some(key) => Some(partition_of(&key, parts)),
+            None if input == 1 && !self.build_left => Some(0),
+            None => None,
+        })
+    }
+
+    /// The spilled join's body: [`HashProbe::probe_tagged`] one
+    /// partition's build and probe rows; `out`, the earlier partitions'
+    /// output, counts toward the row budget. Keys that succeeded during
+    /// the scatter are evaluated again, deterministically.
+    pub(super) fn run_partition(
+        &self,
+        exec: &Executor,
+        [build, probe]: [Rows; 2],
+        out: &mut Rows,
+    ) -> Ran {
+        let build = build.into_iter().map(|(_, t)| t).collect();
+        self.probe_tagged(exec, build, probe, None, out.len(), out)
+    }
 }
 
 /// The hash-join driver: run the inputs, charge the build side, then let
@@ -816,9 +929,9 @@ fn hash_join_refs(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> {
         unreachable!("hash_join on non-hash-join node");
     };
     let (kind, out_slots) = (*kind, out_slots.as_deref());
-    let probe = HashProbe::compile(exec, plan);
-    let left = refs_of(exec, left)?;
-    let right = refs_of(exec, right)?;
+    let probe = Arc::new(HashProbe::compile(exec, plan));
+    let left = Arc::new(refs_of(exec, left)?);
+    let right = Arc::new(refs_of(exec, right)?);
     let k = probe.out_k(&left, &right);
     let (lv, rv) = (left.view(exec)?, right.view(exec)?);
     let (bv, pv) = if probe.build_left {
@@ -829,15 +942,29 @@ fn hash_join_refs(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> {
 
     // Charge the build side before building: the hash table retains
     // every build row (plus key copies), charged as the rows it would
-    // hold gathered. A denial turns the join into a Grace join over
-    // spill partitions.
+    // hold gathered. A denial turns the join into a Grace join.
     let reservation = exec.memory().register("HashJoin build");
-    if let Err(denied) = grow_batched(&reservation, (0..bv.len()).map(|r| bv.size_bytes(r))) {
-        reservation.free();
-        let Some(parts) = spill else {
-            return Err(denied.into_error());
+    let (sizes, rows) = ((0..bv.len()).map(|r| bv.size_bytes(r)), bv.len() + pv.len());
+    if let Some(backing @ Backing::Disk(..)) =
+        charge_input(&reservation, sizes, rows, *dop, *spill)?
+    {
+        // A Grace join through the partition driver.
+        let inputs = if probe.build_left {
+            [left, right]
+        } else {
+            [right, left]
         };
-        return hash_join_spill(exec, &probe, &left, &right, *parts, &reservation);
+        let (keys, width) = (Arc::clone(&probe), probe.out_width());
+        let rows = partitioned(
+            exec,
+            backing,
+            inputs,
+            move |exec: &Executor, input, row: &RefRow<'_, '_>, parts| {
+                keys.partition_key(exec, input, row, parts)
+            },
+            move |exec: &Executor, rows, out: &mut Rows| probe.run_partition(exec, rows, out),
+        )?;
+        return JoinRefs::rows(rows, width);
     }
     let table = probe.build(exec, bv)?;
     let total = pv.len();
@@ -849,7 +976,6 @@ fn hash_join_refs(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> {
         // track build-side matches *across* probe rows and are never
         // handed a `dop > 1` by the planner.
         debug_assert!(!matches!(kind, JoinType::Full), "FULL joins stay serial");
-        let (left, right) = (Arc::new(left), Arc::new(right));
         let (l, r) = (Arc::clone(&left), Arc::clone(&right));
         let ids = probe_morsels(exec, *dop, total, k, move |sub, range, base, out| {
             let (lv, rv) = (l.view(sub)?, r.view(sub)?);
@@ -873,18 +999,7 @@ fn hash_join_refs(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> {
         .run(exec, &table, bv, pv, 0..total, matched, 0, &mut ids)
         .map_err(|(_, e)| e)?;
     if let Some(build_matched) = build_matched {
-        // FULL epilogue: build (right) rows no probe row matched, behind
-        // a padded left side.
-        for (i, &m) in build_matched.iter().enumerate() {
-            // Masked cancellation check per 4096 epilogue rows.
-            if i % 4096 == 0 {
-                exec.check_cancelled()?;
-            }
-            if !m {
-                pad(&mut ids, lv.k());
-                ids.extend_from_slice(rv.ids(i));
-            }
-        }
+        full_epilogue(exec, &build_matched, &lv, &rv, &mut ids)?;
     }
     Ok(JoinRefs::joined(kind, &left, &right, out_slots, ids))
 }
@@ -921,141 +1036,6 @@ where
     Ok(out)
 }
 
-/// Grace hash join over spill partitions — the driver when the build
-/// side's reservation is denied. Both inputs are gathered row by row as
-/// they scatter to disk by key hash (spill files hold rows; equal keys
-/// colocate). Each partition rebuilds its table and runs
-/// [`HashProbe::run`] over its probe rows ([`HashProbe::probe_tagged`]),
-/// its output is gathered under the probe rows' input positions, and
-/// [`restore_order`] restores the serial output order (within one probe
-/// row, emissions already occur in serial candidate order).
-///
-/// Error ordering also matches the serial path. Build-key errors surface
-/// during the build scatter, in build-row order, before any probe work —
-/// exactly when the in-memory build loop raises them. A probe-side
-/// key error at row `j` stops the probe scatter but lets the partitions
-/// (holding only rows before `j`) run: a residual error at an earlier
-/// probe row beats it, and across partitions the smallest probe position
-/// wins.
-///
-/// FULL joins track unmatched build rows across the whole build side and
-/// are planned with `spill: None`; they never reach this path.
-fn hash_join_spill(
-    exec: &Executor,
-    probe: &HashProbe,
-    left: &JoinRefs,
-    right: &JoinRefs,
-    parts: usize,
-    res: &MemoryReservation,
-) -> Result<JoinRefs> {
-    debug_assert!(
-        !matches!(probe.kind, JoinType::Full),
-        "FULL joins never spill"
-    );
-    let outer = probe.outer.as_slice();
-    let build_keys = KeyBuilder::new(&probe.build_exprs, &probe.null_safe);
-    let probe_keys = KeyBuilder::new(&probe.probe_exprs, &probe.null_safe);
-    let (build, probe_side) = if probe.build_left {
-        (left, right)
-    } else {
-        (right, left)
-    };
-
-    // Scatter the build side by key hash. Rows whose key is NULL under
-    // plain equality match nothing, and for non-FULL joins an unmatched
-    // build row is never emitted: drop them here.
-    let mut bfiles = SpillPartitions::create(parts)?;
-    {
-        let view = build.view(exec)?;
-        for i in 0..view.len() {
-            // Masked cancellation check per 4096 scattered rows.
-            if i % 4096 == 0 {
-                exec.check_cancelled()?;
-            }
-            if let Some(key) = build_keys.key(exec, &view, i, outer)? {
-                bfiles.push(partition_of(&key, parts), i as u64, &view.row(i))?;
-            }
-        }
-    }
-
-    // Scatter the probe side, tagged with probe position. NULL-key probe
-    // rows match nothing but still drive the LEFT/ANTI epilogue, so they
-    // land in partition 0 (any partition works) — except when the build
-    // side is the left one: that is inner-join-only, no epilogue.
-    let mut pfiles = SpillPartitions::create(parts)?;
-    let mut best_err: Option<(u64, PermError)> = None;
-    {
-        let view = probe_side.view(exec)?;
-        for j in 0..view.len() {
-            // Masked cancellation check per 4096 scattered rows.
-            if j % 4096 == 0 {
-                exec.check_cancelled()?;
-            }
-            match probe_keys.key(exec, &view, j, outer) {
-                Ok(Some(key)) => pfiles.push(partition_of(&key, parts), j as u64, &view.row(j))?,
-                Ok(None) if !probe.build_left => pfiles.push(0, j as u64, &view.row(j))?,
-                Ok(None) => {}
-                Err(e) => {
-                    best_err = Some((j as u64, e));
-                    break;
-                }
-            }
-        }
-    }
-
-    let mut emitted: Vec<(u64, Tuple)> = Vec::new();
-    for (breader, preader) in bfiles
-        .into_readers()?
-        .into_iter()
-        .zip(pfiles.into_readers()?)
-    {
-        // Partition boundary: cancellation point (temp files are cleaned
-        // by the readers' Drop even on the early-return path).
-        exec.check_cancelled()?;
-        // Rebuild this partition's table; records read back in build
-        // order, so per-key chains match the in-memory table's. The
-        // partition's rows are this path's working memory: charged to
-        // the per-query cap only, released when the partition ends.
-        let mut charged = 0usize;
-        // batch-alloc: one build buffer per partition.
-        let mut part_build: Vec<Tuple> = Vec::with_capacity(breader.remaining());
-        for (bi, rec) in breader.enumerate() {
-            // Masked cancellation check per 4096 reloaded rows.
-            if bi % 4096 == 0 {
-                exec.check_cancelled()?;
-            }
-            let (_, row) = rec?;
-            let bytes = row.size_bytes();
-            res.grow_unpooled(bytes)?;
-            charged += bytes;
-            part_build.push(row);
-        }
-        // The partition's probe rows, up to the earliest known error.
-        // batch-alloc: one probe buffer per partition.
-        let mut part_probe = Vec::new();
-        for (pi, rec) in preader.take_while(before(&best_err)).enumerate() {
-            // Masked cancellation check per 4096 reloaded rows.
-            if pi % 4096 == 0 {
-                exec.check_cancelled()?;
-            }
-            part_probe.push(rec?);
-        }
-        // Re-evaluation of (deterministic) keys that already succeeded
-        // during the scatter.
-        let base = emitted.len();
-        match probe.probe_tagged(exec, part_build, part_probe, None, base, &mut emitted) {
-            Ok(()) => {}
-            Err((Some(tag), e)) => best_err = Some((tag, e)),
-            Err((None, e)) => return Err(e),
-        }
-        res.shrink(charged);
-    }
-    if let Some((_, e)) = best_err {
-        return Err(e);
-    }
-    JoinRefs::rows(restore_order(emitted), probe.out_width())
-}
-
 /// A compiled index nested-loop join: the per-join constants of the one
 /// index-probe loop ([`IndexProbe::run`]); owned and shared with morsel
 /// workers like [`HashProbe`].
@@ -1085,7 +1065,7 @@ impl IndexProbe {
         budget_base: usize,
         out: &mut Vec<u32>,
     ) -> Result<()> {
-        let (kind, column, outer) = (self.kind, self.column, self.outer.as_slice());
+        let (column, outer) = (self.column, self.outer.as_slice());
         let index = inner.index_on(column);
         let inner_rows = inner.rows();
         let inner_view = View {
@@ -1098,8 +1078,8 @@ impl IndexProbe {
             .residual
             .as_ref()
             .map(|p| Residual::new(p, left, &inner_view));
+        let mut walk = Candidates::new(self.kind, residual, outer, budget_base);
         let keys = KeyBuilder::new(std::slice::from_ref(&self.key), &[false]);
-        let mut emitted = budget_base;
         // Fallback candidates when the index vanished since planning: a
         // linear scan comparing the probe key (same semantics, slower).
         let mut linear: Vec<usize> = Vec::new();
@@ -1109,7 +1089,6 @@ impl IndexProbe {
                 exec.check_cancelled()?;
             }
             let lids = left.ids(r);
-            let mut matched = false;
             // A NULL key matches nothing.
             if let Some(Key::One(key_val)) = keys.key(exec, left, r, outer)? {
                 let candidates: &[usize] = match index {
@@ -1139,25 +1118,12 @@ impl IndexProbe {
                     out.extend_from_slice(lids);
                     // The driver checked the table's row count fits an id.
                     out.push(ri as u32);
-                    if let Some(residual) = &residual {
-                        if !residual.keeps(exec, outer, out, start)? {
-                            continue;
-                        }
-                    }
-                    matched = true;
-                    match kind {
-                        JoinType::Semi | JoinType::Anti => out.truncate(start),
-                        _ => emitted += 1,
-                    }
-                    exec.check_row_budget(emitted)?;
-                    if matches!(kind, JoinType::Semi) {
+                    if walk.admit(exec, out, start)? && walk.done() {
                         break;
                     }
                 }
             }
-            if close_row(kind, matched, lids, 1, out) {
-                emitted += 1;
-            }
+            walk.close(lids, 1, out);
         }
         Ok(())
     }
@@ -1225,7 +1191,7 @@ fn index_nl_join_refs(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> 
 }
 
 /// Nested-loop join: every left row against every right row (non-equi
-/// conditions, cross joins, ablations). Always serial, never spills.
+/// and cross joins, the NLJ reference). Always serial, never spills.
 fn nested_loop_refs(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> {
     let PhysicalPlan::NLJoin {
         left,
@@ -1245,9 +1211,10 @@ fn nested_loop_refs(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> {
     let outer = exec.outer_stack();
     let condition = condition.as_ref().map(|c| CompiledExpr::compile(exec, c));
     let condition = condition.as_ref().map(|c| Residual::new(c, &lv, &rv));
+    let mut walk = Candidates::new(kind, condition, &outer, 0);
     let mut right_matched = vec![false; rv.len()];
     let mut out = Vec::new();
-    let (mut pairs, mut emitted) = (0usize, 0usize);
+    let mut pairs = 0usize;
     for l in 0..lv.len() {
         // Masked cancellation check per 4096 evaluated pairs (the inner
         // loop advances the same counter, so the quadratic worst case
@@ -1256,7 +1223,6 @@ fn nested_loop_refs(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> {
             exec.check_cancelled()?;
         }
         let lids = lv.ids(l);
-        let mut matched = false;
         for (ri, m) in right_matched.iter_mut().enumerate() {
             if pairs.is_multiple_of(4096) {
                 exec.check_cancelled()?;
@@ -1265,37 +1231,17 @@ fn nested_loop_refs(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> {
             let start = out.len();
             out.extend_from_slice(lids);
             out.extend_from_slice(rv.ids(ri));
-            if let Some(condition) = &condition {
-                if !condition.keeps(exec, &outer, &mut out, start)? {
-                    continue;
+            if walk.admit(exec, &mut out, start)? {
+                *m = true;
+                if walk.done() {
+                    break;
                 }
             }
-            matched = true;
-            *m = true;
-            match kind {
-                JoinType::Semi | JoinType::Anti => out.truncate(start),
-                _ => emitted += 1,
-            }
-            exec.check_row_budget(emitted)?;
-            if matches!(kind, JoinType::Semi) {
-                break;
-            }
         }
-        if close_row(kind, matched, lids, rv.k(), &mut out) {
-            emitted += 1;
-        }
+        walk.close(lids, rv.k(), &mut out);
     }
     if matches!(kind, JoinType::Full) {
-        for (i, &m) in right_matched.iter().enumerate() {
-            // Masked cancellation check per 4096 epilogue rows.
-            if i % 4096 == 0 {
-                exec.check_cancelled()?;
-            }
-            if !m {
-                pad(&mut out, lv.k());
-                out.extend_from_slice(rv.ids(i));
-            }
-        }
+        full_epilogue(exec, &right_matched, &lv, &rv, &mut out)?;
     }
     Ok(JoinRefs::joined(
         kind,

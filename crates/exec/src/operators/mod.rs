@@ -4,24 +4,26 @@
 //! rows reach it: *serial* (the whole input, in order), *parallel*
 //! (morsels, chunks or hash partitions on the worker pool) and *spilled*
 //! (partitions or runs read back from disk after a denied memory
-//! reservation). The drivers are picked by the `dop` / `spill` stamps the
-//! planner put on the node and by the reservation's answer — never by an
-//! option. Because all of them run the same body, a parallel or spilled
+//! reservation). The drivers are picked by the node's `dop` and
+//! may-spill flag and by the reservation's answer — never by an option.
+//! Because all of them run the same body, a parallel or spilled
 //! execution returns the serial rows, order and first error by
 //! construction.
 //!
 //! * The **hash operators** — join, aggregation, set operations, DISTINCT
 //!   ([`join`], [`aggregate`], [`setop`]) — are written over the rows of
-//!   one hash partition, tagged with their input positions; their drivers
-//!   only have to put tagged output back in input order
-//!   ([`restore_order`](crate::parallel::restore_order)), which the
-//!   serial driver — one partition, already in order — skips.
+//!   one hash partition, tagged with their input positions. A parallel
+//!   DISTINCT or set operation, and any of the four spilled, runs through
+//!   the one partition driver ([`spill::partitioned`]), which is given a
+//!   key and the body and sizes its own fanout; the serial driver runs
+//!   the body on one partition already in order. Parallel joins and
+//!   aggregates split their input into morsels or chunks instead.
 //! * **Joins return row references** ([`join::JoinRefs`]): the rows of
 //!   each non-join input, one row id per input per output row, and an
 //!   output layout. A join or an aggregate over a join reads its input
 //!   through that layout, so a chain of joins builds no intermediate
 //!   row; every other consumer — the chunk cursor
-//!   ([`crate::stream`]) and the spill drivers — takes rows from one
+//!   ([`crate::stream`]) and the partition driver — takes rows from one
 //!   gather, which builds each output row in one allocation. The join
 //!   bodies append ids serially, per morsel range (the ids concatenate in
 //!   morsel order) or per spill partition (gathered under input
@@ -40,7 +42,7 @@
 //!   the stable k-way merge) and spilled (runs written to disk, then the
 //!   same merge).
 
-use perm_types::{PermError, Result, Tuple};
+use perm_types::PermError;
 
 pub(crate) mod aggregate;
 pub(crate) mod join;
@@ -53,17 +55,9 @@ pub(crate) mod spill;
 mod tests;
 
 /// Why an operator body stopped early. An evaluation error carries the
-/// input position of the row that raised it: the spilled drivers run one
-/// hash partition at a time and keep the smallest position across
-/// partitions — the error serial execution raises first. Anything else
-/// (cancellation, spill I/O, a denied reservation) is positionless and
-/// final. Serial and parallel drivers drop the position.
+/// input position of the row that raised it: the partition driver
+/// ([`spill`]) keeps the smallest position across partitions — the error
+/// serial execution raises first. Anything else (cancellation, spill
+/// I/O, a denied reservation) is positionless and final. The serial,
+/// morsel and chunk drivers drop the position.
 type RowError = (Option<u64>, PermError);
-
-/// `take_while` predicate for a spill partition's reader: rows at or past
-/// the earliest known evaluation error cannot matter (tags ascend within
-/// a partition); I/O errors pass through to the body.
-fn before(best_err: &Option<(u64, PermError)>) -> impl Fn(&Result<(u64, Tuple)>) -> bool {
-    let stop = best_err.as_ref().map_or(u64::MAX, |(tag, _)| *tag);
-    move |rec| !matches!(rec, Ok((tag, _)) if *tag >= stop)
-}

@@ -6,23 +6,13 @@
 //!
 //! Each operator has **one body** — [`setop_kernel`] holds the `(op, all)`
 //! logic, [`keep_first`] the first-occurrence dedup — written over a
-//! stream of position-tagged rows of *one hash partition*, and three thin
-//! drivers that only decide how rows reach it:
-//!
-//! * **serial** — the whole input is the one partition. Rows arrive in
-//!   input order, so the kernel's output already is the result: the tag
-//!   is `()` and there is no final sort.
-//! * **parallel** (`dop > 1`) — [`partition_tagged`] scatters rows by
-//!   hash (equal rows colocate), the pool runs the kernel per partition,
-//!   and [`restore_order`] sorts the tagged outputs back into input order.
-//! * **spilled** (reservation denied) — [`scatter_tagged`] writes the
-//!   same partitions to disk, the kernel reads them back one at a time
-//!   (charged to the per-query cap only), then [`restore_order`].
-//!
-//! Which driver runs is decided by what the planner stamped on the node
-//! (`dop`, `spill`) and by the reservation denial alone.
+//! stream of position-tagged rows of *one hash partition*. The serial
+//! driver runs it over the whole input, in order, untagged (`()`). A
+//! parallel node or a denied reservation hands the rows to the partition
+//! driver ([`super::spill`]) with the row itself as the key ([`by_row`]:
+//! equal rows colocate) and the kernel as the body.
 
-use std::cell::Cell;
+use std::sync::Arc;
 
 use perm_types::hash::{map_with_capacity, set_with_capacity, FxHashMap, FxHashSet};
 use perm_types::{QueryContext, Result, Tuple};
@@ -30,10 +20,9 @@ use perm_types::{QueryContext, Result, Tuple};
 use perm_algebra::plan::SetOpType;
 
 use crate::executor::Executor;
-use crate::memory::{grow_batched, MemoryReservation};
-use crate::operators::spill::scatter_tagged;
-use crate::parallel::{map_partitions, partition_tagged, restore_order};
-use crate::physical::PhysicalPlan;
+use crate::operators::join::{JoinRefs, RefRow, RowRef};
+use crate::operators::spill::{charge_input, partition_of, partitioned, Rows};
+use crate::physical::{out_arity, PhysicalPlan};
 
 /// The serial driver's input stream: infallible, untagged, in input order.
 fn untagged(rows: Vec<Tuple>) -> impl Iterator<Item = Result<((), Tuple)>> {
@@ -47,7 +36,7 @@ pub(crate) fn run_setop(
     left: &PhysicalPlan,
     right: &PhysicalPlan,
     dop: usize,
-    spill: Option<usize>,
+    spill: bool,
 ) -> Result<Vec<Tuple>> {
     let l = exec.run_physical(left)?;
     let r = exec.run_physical(right)?;
@@ -58,46 +47,25 @@ pub(crate) fn run_setop(
         out.extend(r);
         return Ok(out);
     }
-    let ctx = exec.context();
     // Every other variant hashes both sides, so the whole input is
-    // charged up front; a denial switches to the partitioned on-disk
-    // strategy instead of failing.
+    // charged up front.
     let reservation = exec.memory().register("HashSetOp");
-    if let Err(denied) = grow_batched(
-        &reservation,
-        l.iter().chain(r.iter()).map(Tuple::size_bytes),
-    ) {
-        reservation.free();
-        let Some(parts) = spill else {
-            return Err(denied.into_error());
+    let (sizes, rows) = (l.iter().chain(&r).map(Tuple::size_bytes), l.len() + r.len());
+    if let Some(backing) = charge_input(&reservation, sizes, rows, dop, spill)? {
+        let width = out_arity(left);
+        let inputs = [JoinRefs::rows(l, width)?, JoinRefs::rows(r, width)?].map(Arc::new);
+        let body = move |exec: &Executor, [l, r]: [Rows; 2], out: &mut Rows| {
+            let capacity = l.len() + r.len();
+            let (l, r) = (l.into_iter().map(Ok), r.into_iter().map(Ok));
+            let emit = |tag, t| out.push((tag, t));
+            setop_kernel(exec.context(), (op, all), l, r, capacity, emit).map_err(|e| (None, e))
         };
-        return setop_spill(ctx, l, r, op, all, parts, &reservation);
-    }
-    if dop > 1 {
-        // Global position tags: `l` before `r`.
-        let roffset = l.len() as u64;
-        let lparts = partition_tagged(ctx, l, 0, dop)?;
-        let rparts = partition_tagged(ctx, r, roffset, dop)?;
-        let worker_ctx = ctx.clone();
-        let kept = map_partitions(lparts.into_iter().zip(rparts).collect(), move |(lp, rp)| {
-            let mut out = Vec::new();
-            let capacity = lp.len() + rp.len();
-            setop_kernel(
-                &worker_ctx,
-                (op, all),
-                lp.into_iter().map(Ok),
-                rp.into_iter().map(Ok),
-                capacity,
-                |tag, t| out.push((tag, t)),
-            )?;
-            Ok(out)
-        })?;
-        return Ok(restore_order(kept));
+        return partitioned(exec, backing, inputs, by_row, body);
     }
     let mut out = Vec::new();
     let capacity = l.len() + r.len();
     setop_kernel(
-        ctx,
+        exec.context(),
         (op, all),
         untagged(l),
         untagged(r),
@@ -105,6 +73,12 @@ pub(crate) fn run_setop(
         |(), t| out.push(t),
     )?;
     Ok(out)
+}
+
+/// The partition key of DISTINCT and the set operations: the row's own
+/// hash, so equal rows meet.
+pub(super) fn by_row(_: &Executor, _: usize, row: &RefRow, parts: usize) -> Result<Option<usize>> {
+    Ok(Some(partition_of(&*row.tuple(), parts)))
 }
 
 /// The one body of every hash set operation: run `(op, all)` over the
@@ -192,94 +166,31 @@ fn filter_left<G>(
     Ok(())
 }
 
-/// The spilled driver of [`setop_kernel`]: both sides scatter to
-/// partition files by row hash, tagged with their global position (`l`
-/// before `r`); each partition streams back through the kernel, every
-/// row read charged to the per-query cap only until the partition ends.
-fn setop_spill(
-    ctx: &QueryContext,
-    l: Vec<Tuple>,
-    r: Vec<Tuple>,
-    op: SetOpType,
-    all: bool,
-    parts: usize,
-    res: &MemoryReservation,
-) -> Result<Vec<Tuple>> {
-    let roffset = l.len() as u64;
-    let lfiles = scatter_tagged(ctx, l, 0, parts)?;
-    let rfiles = scatter_tagged(ctx, r, roffset, parts)?;
-
-    let mut kept: Vec<(u64, Tuple)> = Vec::new();
-    for (lreader, rreader) in lfiles
-        .into_readers()?
-        .into_iter()
-        .zip(rfiles.into_readers()?)
-    {
-        // Partition boundary: cancellation point (temp files are cleaned
-        // by the readers' Drop even on the early-return path).
-        ctx.check()?;
-        let charged = Cell::new(0usize);
-        let load = |rec: Result<(u64, Tuple)>| {
-            let (tag, row) = rec?;
-            let bytes = row.size_bytes();
-            res.grow_unpooled(bytes)?;
-            charged.set(charged.get() + bytes);
-            Ok((tag, row))
-        };
-        let capacity = lreader.remaining() + rreader.remaining();
-        setop_kernel(
-            ctx,
-            (op, all),
-            lreader.map(load),
-            rreader.map(load),
-            capacity,
-            |tag, t| kept.push((tag, t)),
-        )?;
-        res.shrink(charged.get());
-    }
-    Ok(restore_order(kept))
-}
-
 /// Execute a [`PhysicalPlan::HashDistinct`] node.
 pub(crate) fn run_distinct(
     exec: &Executor,
     input: &PhysicalPlan,
     dop: usize,
-    spill: Option<usize>,
+    spill: bool,
 ) -> Result<Vec<Tuple>> {
     let rows = exec.run_physical(input)?;
-    let ctx = exec.context();
     // The dedup set holds (at worst) every input row: charge input
-    // bytes; a denial switches to the partitioned on-disk dedup, which
-    // holds one partition at a time.
+    // bytes. On disk a partition charges only the rows it keeps.
     let reservation = exec.memory().register("HashDistinct");
-    if let Err(denied) = grow_batched(&reservation, rows.iter().map(Tuple::size_bytes)) {
-        reservation.free();
-        let Some(parts) = spill else {
-            return Err(denied.into_error());
-        };
-        return distinct_spill(ctx, rows, parts, &reservation);
-    }
-    if dop > 1 {
-        let parts = partition_tagged(ctx, rows, 0, dop)?;
-        let worker_ctx = ctx.clone();
-        let kept = map_partitions(parts, move |part| {
-            let mut out = Vec::new();
-            keep_first(
-                &worker_ctx,
-                part.len(),
-                part.into_iter().map(Ok),
-                |tag, t| {
-                    out.push((tag, t));
-                    Ok(())
-                },
-            )?;
-            Ok(out)
-        })?;
-        return Ok(restore_order(kept));
+    let sizes = rows.iter().map(Tuple::size_bytes);
+    if let Some(backing) = charge_input(&reservation, sizes, rows.len(), dop, spill)? {
+        let inputs = [Arc::new(JoinRefs::rows(rows, out_arity(input))?)];
+        return partitioned(exec, backing, inputs, by_row, |exec, [rows], out| {
+            let emit = |tag, t| {
+                out.push((tag, t));
+                Ok(())
+            };
+            keep_first(exec.context(), rows.len(), rows.into_iter().map(Ok), emit)
+                .map_err(|e| (None, e))
+        });
     }
     let mut out = Vec::new();
-    keep_first(ctx, rows.len(), untagged(rows), |(), t| {
+    keep_first(exec.context(), rows.len(), untagged(rows), |(), t| {
         out.push(t);
         Ok(())
     })?;
@@ -287,8 +198,8 @@ pub(crate) fn run_distinct(
 }
 
 /// The one body of DISTINCT: hand the first occurrence of every distinct
-/// row of one hash partition (in tag order) to `emit`. `emit` is
-/// fallible so the spilled driver can charge exactly the rows it keeps.
+/// row of one hash partition (in tag order) to `emit`; a failing `emit`
+/// stops the dedup.
 pub(super) fn keep_first<G>(
     ctx: &QueryContext,
     capacity: usize,
@@ -312,32 +223,4 @@ pub(super) fn keep_first<G>(
         }
     }
     Ok(())
-}
-
-/// The spilled driver of [`keep_first`]: rows scatter by their own hash
-/// tagged with their input position, and each partition dedups as it
-/// streams back, charging only the rows it keeps.
-pub(super) fn distinct_spill(
-    ctx: &QueryContext,
-    rows: Vec<Tuple>,
-    parts: usize,
-    res: &MemoryReservation,
-) -> Result<Vec<Tuple>> {
-    let files = scatter_tagged(ctx, rows, 0, parts)?;
-    let mut kept: Vec<(u64, Tuple)> = Vec::new();
-    for reader in files.into_readers()? {
-        // Partition boundary: cancellation point (temp files are cleaned
-        // by the readers' Drop even on the early-return path).
-        ctx.check()?;
-        let mut charged = 0usize;
-        keep_first(ctx, reader.remaining(), reader, |tag, row| {
-            let bytes = row.size_bytes();
-            res.grow_unpooled(bytes)?;
-            charged += bytes;
-            kept.push((tag, row));
-            Ok(())
-        })?;
-        res.shrink(charged);
-    }
-    Ok(restore_order(kept))
 }

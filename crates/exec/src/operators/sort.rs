@@ -26,7 +26,7 @@ use crate::executor::Executor;
 use crate::kernels::{self, BATCH_ROWS};
 use crate::memory::{grow_batched, MemoryReservation};
 use crate::parallel::{chunk_ranges, map_chunks};
-use crate::physical::PhysicalPlan;
+use crate::physical::{spill_fanout_for_rows, PhysicalPlan};
 
 /// A row with its evaluated sort keys.
 pub(super) type Keyed = (Vec<Value>, Tuple);
@@ -36,7 +36,7 @@ pub(crate) fn run_sort(
     input: &PhysicalPlan,
     keys: &[SortKey],
     dop: usize,
-    spill: Option<usize>,
+    spill: bool,
 ) -> Result<Vec<Tuple>> {
     let rows = exec.run_physical(input)?;
     let sorter = SortRun::compile(exec, keys);
@@ -46,10 +46,11 @@ pub(crate) fn run_sort(
     let reservation = exec.memory().register("Sort");
     if let Err(denied) = grow_batched(&reservation, rows.iter().map(Tuple::size_bytes)) {
         reservation.free();
-        let Some(parts) = spill else {
+        if !spill {
             return Err(denied.into_error());
-        };
-        return sort_spill(exec, &sorter, rows, parts, &reservation);
+        }
+        let runs = spill_fanout_for_rows(rows.len() as f64);
+        return sort_spill(exec, &sorter, rows, runs, &reservation);
     }
     if dop > 1 {
         // Workers key and stably sort contiguous chunks; the serial k-way

@@ -1,77 +1,297 @@
-//! Spill-to-disk execution for buffering operators.
+//! The partition driver of the hash operators, and their spill to disk.
 //!
-//! When a buffering operator's memory reservation is denied
-//! ([`crate::memory`]), it switches to a partitioned on-disk driver built
-//! on [`perm_storage::spill`]'s length-prefixed row files. The contract is
-//! exact equivalence: a spilled execution produces the same rows, in the
-//! same order, raising the same errors, as the in-memory path it
-//! replaces. For the hash operators that holds by construction — the
-//! spilled driver feeds the *same kernel* the serial and parallel drivers
-//! run, one partition at a time, and
-//! [`restore_order`](crate::parallel::restore_order) sorts the tagged
-//! output back into input order:
+//! A hash operator runs partitioned when its node is parallel or its
+//! memory reservation was denied ([`crate::memory`]) on a may-spill node.
+//! It supplies a *key* (a row's partition) and its one *body* (the kernel,
+//! over one partition), and [`partitioned`]:
 //!
-//! * **Distinct** and **set operations** ([`super::setop`]) — rows
-//!   scatter by their own hash ([`scatter_tagged`], here) tagged with
-//!   their input position; each partition streams back through
-//!   `keep_first` / `setop_kernel`.
-//! * **Hash join** ([`super::join`]) — Grace join: both sides scatter by
-//!   key hash, each partition rebuilds its table and runs the one probe
-//!   kernel over probe rows tagged with their input position.
-//! * **Aggregation** ([`super::aggregate`]) — input partitions by
-//!   group-key hash; groups track their first input position and the
-//!   output sorts by it, recovering first-appearance order.
-//! * **Sort** ([`super::sort`]) — external sort: contiguous runs are
-//!   keyed, stably sorted and written out, then merged k-way with ties
-//!   resolved toward the earlier run (= the serial stable order).
+//! 1. scatters one or two inputs into hash partitions, each row tagged
+//!    with its input position; a key error stops the scatter;
+//! 2. runs the body on each partition — in memory, concurrently on the
+//!    pool ([`Backing::Pool`]), or on disk ([`Backing::Disk`], through
+//!    [`perm_storage::SpillPartitions`]), read back one at a time and
+//!    charged to the per-query cap only;
+//! 3. keeps the error with the smallest position, the one serial
+//!    execution raises first;
+//! 4. restores input order ([`restore_order`]).
 //!
-//! While spilling, an operator's bounded working memory (one partition
-//! at a time) is charged to the per-query cap only
-//! ([`crate::memory::MemoryReservation::grow_unpooled`]): pool pressure
-//! makes queries spill, never fail.
+//! The serial driver runs the same body over the whole input as one
+//! partition, so a partitioned run returns its rows, order and first
+//! error. The fanout is the driver's: `dop` in memory, on disk
+//! [`spill_fanout_for_rows`] of the rows scattered ([`charge_input`]).
 
-use perm_storage::SpillPartitions;
-use perm_types::{QueryContext, Result, Tuple};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-use crate::parallel::partition_of;
+use perm_storage::{SpillPartitions, SpillReader};
+use perm_types::hash::FxHasher;
+use perm_types::{PermError, Result, Tuple};
 
-/// Scatter `rows` into `parts` partition files by row hash, tagging each
-/// with `offset +` its input position — the on-disk mirror of
-/// [`crate::parallel::partition_tagged`]. Equal rows colocate and every
-/// partition reads back in tag order.
-pub(super) fn scatter_tagged(
-    ctx: &QueryContext,
-    rows: Vec<Tuple>,
-    offset: u64,
-    parts: usize,
-) -> Result<SpillPartitions> {
-    let mut files = SpillPartitions::create(parts)?;
-    for (i, t) in rows.iter().enumerate() {
-        // Masked cancellation check per 4096 scattered rows.
-        if i % 4096 == 0 {
-            ctx.check()?;
-        }
-        files.push(partition_of(t, parts), offset + i as u64, t)?;
+use crate::executor::Executor;
+use crate::memory::{grow_batched, MemoryReservation};
+use crate::operators::join::{JoinRefs, RefRow};
+use crate::operators::RowError;
+use crate::parallel::{map_chunks, run_workers, Channel};
+use crate::physical::spill_fanout_for_rows;
+
+/// Where a partitioned run keeps its partitions, and how many.
+#[derive(Clone, Copy)]
+pub(super) enum Backing<'r> {
+    /// In memory, one partition per worker of a `dop`-wide run.
+    Pool(usize),
+    /// On disk, replayed one at a time, their working memory charged here
+    /// to the query's cap only.
+    Disk(&'r MemoryReservation, usize),
+}
+
+impl Backing<'_> {
+    /// On disk, partitions for `rows` rows that each fit in memory.
+    pub(super) fn disk(res: &MemoryReservation, rows: usize) -> Backing<'_> {
+        Backing::Disk(res, spill_fanout_for_rows(rows as f64))
     }
-    Ok(files)
+}
+
+/// Charge a hash operator's input (`sizes`) to `res` and pick its driver:
+/// serial (`None`) or the pool when it fits, the disk — sized for the
+/// `rows` to scatter — when denied and the node `may_spill`, else the
+/// denial.
+pub(super) fn charge_input(
+    res: &MemoryReservation,
+    sizes: impl Iterator<Item = usize>,
+    rows: usize,
+    dop: usize,
+    may_spill: bool,
+) -> Result<Option<Backing<'_>>> {
+    let Err(denied) = grow_batched(res, sizes) else {
+        return Ok((dop > 1).then_some(Backing::Pool(dop)));
+    };
+    res.free();
+    if !may_spill {
+        return Err(denied.into_error());
+    }
+    Ok(Some(Backing::disk(res, rows)))
+}
+
+/// Partition index of a row or key: high hash bits, so the per-partition
+/// hash tables built afterwards (which consume the *low* bits for
+/// buckets) don't lose entropy to the partitioning.
+pub(super) fn partition_of<T: Hash>(t: &T, partitions: usize) -> usize {
+    let mut h = FxHasher::default();
+    t.hash(&mut h);
+    ((h.finish() >> 32) as usize) % partitions
+}
+
+/// Sort position-tagged output rows back into input order and drop the
+/// tags. The sort is stable because a join emits several rows per probe
+/// position, already in serial candidate order.
+pub(super) fn restore_order(mut tagged: Vec<(u64, Tuple)>) -> Vec<Tuple> {
+    tagged.sort_by_key(|(tag, _)| *tag);
+    tagged.into_iter().map(|(_, t)| t).collect()
+}
+
+/// One partition's rows of one input, `(position, row)` in position order.
+pub(super) type Rows = Vec<(u64, Tuple)>;
+
+/// What a partition's body returns.
+pub(super) type Ran = std::result::Result<(), RowError>;
+
+/// One input's share of a partition, as scattered.
+enum Part {
+    Memory(Rows),
+    Disk(SpillReader),
+}
+
+/// Read a partition file back up to (not including) position `stop`, the
+/// earliest evaluation error known, charging its rows to `res` every 4096
+/// rows: the query's cap only, given back when the partition ends.
+fn load(exec: &Executor, reader: SpillReader, stop: u64, res: &MemoryReservation) -> Result<Rows> {
+    let (mut rows, mut pending) = (Vec::with_capacity(reader.remaining()), 0);
+    for (n, rec) in reader.enumerate() {
+        // Masked cancellation check per 4096 reloaded rows.
+        if n % 4096 == 0 {
+            exec.check_cancelled()?;
+            res.grow_unpooled(std::mem::take(&mut pending))?;
+        }
+        let (tag, row) = rec?;
+        if tag >= stop {
+            // Tags ascend: nothing from here on can matter.
+            break;
+        }
+        pending += row.size_bytes();
+        rows.push((tag, row));
+    }
+    res.grow_unpooled(pending)?;
+    Ok(rows)
+}
+
+/// Keep the earliest evaluation error; a positionless one is final.
+fn absorb(first: &mut Option<(u64, PermError)>, ran: Ran) -> Result<()> {
+    match ran {
+        Err((Some(tag), e)) if first.as_ref().is_none_or(|(t, _)| tag < *t) => {
+            *first = Some((tag, e));
+        }
+        Err((None, e)) => return Err(e),
+        _ => {}
+    }
+    Ok(())
+}
+
+/// Run a hash operator over partitions of its `inputs` (module docs).
+/// `key(exec, input, row, parts)` names a row's partition, `None` for a
+/// row that cannot contribute. `body(exec, rows, out)` runs over one
+/// partition, one row list per input, appending position-tagged rows to
+/// `out` (on disk, `out` also holds the partitions before it).
+pub(super) fn partitioned<const N: usize, K, B>(
+    exec: &Executor,
+    backing: Backing<'_>,
+    inputs: [Arc<JoinRefs>; N],
+    key: K,
+    body: B,
+) -> Result<Vec<Tuple>>
+where
+    K: Fn(&Executor, usize, &RefRow, usize) -> Result<Option<usize>> + Send + Sync + 'static,
+    B: Fn(&Executor, [Rows; N], &mut Rows) -> Ran + Send + Sync + 'static,
+{
+    let parts = match backing {
+        Backing::Pool(parts) | Backing::Disk(_, parts) => parts,
+    };
+    let key = Arc::new(key);
+    let (mut first_err, mut scattered, mut offset) = (None, Vec::with_capacity(N), 0);
+    // no-cancel: bounded by the input count; the scatters check.
+    for (k, refs) in inputs.iter().enumerate() {
+        let partitions = scatter(exec, backing, (k, refs), offset, &key, &mut first_err)?;
+        scattered.push(partitions.into_iter());
+        offset += refs.len() as u64;
+        if first_err.is_some() {
+            // Every later row, in this input or the next, is past it.
+            break;
+        }
+    }
+    let mut out = Vec::new();
+    if let Backing::Disk(res, _) = backing {
+        for _ in 0..parts {
+            // Partition boundary: cancellation point (unread files are
+            // removed when their readers drop).
+            exec.check_cancelled()?;
+            let stop = first_err.as_ref().map_or(u64::MAX, |(tag, _)| *tag);
+            let mut rows = Vec::with_capacity(N);
+            // no-cancel: bounded by the input count; `load` checks.
+            for k in 0..N {
+                rows.push(match scattered.get_mut(k).and_then(Iterator::next) {
+                    Some(Part::Disk(reader)) => load(exec, reader, stop, res)?,
+                    Some(Part::Memory(part)) => part,
+                    // The scatter stopped before this input.
+                    None => Vec::new(),
+                });
+            }
+            // INVARIANT: the loop pushed one row list per input.
+            let rows = rows.try_into().expect("one row list per input");
+            let ran = body(exec, rows, &mut out);
+            // The reservation holds nothing but this partition's rows.
+            res.free();
+            absorb(&mut first_err, ran)?;
+        }
+    } else {
+        // Each worker takes one partition, whichever: the partitions'
+        // outputs meet again only in the reorder.
+        let queue = Channel::new();
+        // no-cancel: bounded by the fanout.
+        for _ in 0..parts {
+            queue.send(std::array::from_fn(|k| {
+                match scattered.get_mut(k).and_then(Iterator::next) {
+                    Some(Part::Memory(part)) => part,
+                    _ => Vec::new(),
+                }
+            }));
+        }
+        let worker = exec.worker_factory();
+        let outputs = run_workers(parts, move |_| {
+            let mut out = Vec::new();
+            let ran = body(&worker(), queue.recv(), &mut out);
+            (out, ran)
+        })?;
+        // no-cancel: reassembly of already-computed partition outputs.
+        for (part, ran) in outputs {
+            absorb(&mut first_err, ran)?;
+            out.extend(part);
+        }
+    }
+    match first_err {
+        Some((_, e)) => Err(e),
+        None => Ok(restore_order(out)),
+    }
+}
+
+/// Step 1 for input `k` (positions from `offset`), its rows gathered one
+/// at a time: in memory chunk-parallel, the buckets concatenated in chunk
+/// order; on disk in one chunk, to partition files. Returns the
+/// partitions; the key error that stopped the scatter goes to `err`.
+fn scatter<K>(
+    exec: &Executor,
+    backing: Backing<'_>,
+    (k, refs): (usize, &Arc<JoinRefs>),
+    offset: u64,
+    key: &Arc<K>,
+    err: &mut Option<(u64, PermError)>,
+) -> Result<Vec<Part>>
+where
+    K: Fn(&Executor, usize, &RefRow, usize) -> Result<Option<usize>> + Send + Sync + 'static,
+{
+    let (chunks, parts, disk) = match backing {
+        Backing::Pool(dop) => (dop, dop, false),
+        Backing::Disk(_, parts) => (1, parts, true),
+    };
+    let (refs, key, worker) = (Arc::clone(refs), Arc::clone(key), exec.worker_factory());
+    let scattered = map_chunks(exec.context(), chunks, refs.len(), move |range| {
+        let sub = worker();
+        let view = refs.view(&sub)?;
+        let mut files = disk.then(|| SpillPartitions::create(parts)).transpose()?;
+        let mut buckets = vec![Vec::new(); parts];
+        for (n, i) in range.enumerate() {
+            // Masked cancellation check per 4096 scattered rows.
+            if n % 4096 == 0 {
+                sub.check_cancelled()?;
+            }
+            let tag = offset + i as u64;
+            match (key(&sub, k, &view.at(i), parts), &mut files) {
+                (Ok(Some(p)), Some(files)) => files.push(p, tag, &view.row(i))?,
+                (Ok(Some(p)), None) => buckets[p].push((tag, view.row(i).into_owned())),
+                (Ok(None), _) => {}
+                (Err(e), _) => return Ok((files, buckets, Some((tag, e)))),
+            }
+        }
+        Ok((files, buckets, None))
+    })?;
+    let mut partitions = vec![Vec::new(); parts];
+    // no-cancel: reassembly of already-scattered chunks, bounded by dop.
+    for (files, buckets, chunk_err) in scattered {
+        *err = chunk_err;
+        if let Some(files) = files {
+            let readers = files.into_readers()?.into_iter();
+            return Ok(readers.map(Part::Disk).collect());
+        }
+        // no-cancel: bounded by the fanout.
+        for (p, rows) in buckets.into_iter().enumerate() {
+            partitions[p].extend(rows);
+        }
+        if err.is_some() {
+            break;
+        }
+    }
+    Ok(partitions.into_iter().map(Part::Memory).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{MemoryPool, MemoryReservation, QueryMemory};
-    use crate::operators::setop::distinct_spill;
+    use crate::memory::{MemoryPool, QueryMemory};
+    use crate::operators::setop::{by_row, keep_first};
+    use perm_storage::Catalog;
     use perm_types::Value;
 
     // Spill files are process-global state: every test here takes
     // `perm_fault::test_guard()` so a sibling's clean-directory assertion
     // cannot see these files.
-
-    fn res() -> (QueryMemory, MemoryReservation) {
-        let q = QueryMemory::new(MemoryPool::with_budget(1), None);
-        let r = q.register("test");
-        (q, r)
-    }
 
     fn rows(vals: &[i64]) -> Vec<Tuple> {
         vals.iter()
@@ -79,22 +299,69 @@ mod tests {
             .collect()
     }
 
+    /// DISTINCT through the driver on disk, under a 1-byte pool, at
+    /// fanout 3.
+    fn distinct_spill(input: Vec<Tuple>) -> (Result<Vec<Tuple>>, MemoryReservation) {
+        let exec = Executor::new(Arc::new(Catalog::new()));
+        let q = QueryMemory::new(MemoryPool::with_budget(1), None);
+        let res = q.register("test");
+        let refs = Arc::new(JoinRefs::rows(input, 2).unwrap());
+        let got = partitioned(
+            &exec,
+            Backing::Disk(&res, 3),
+            [refs],
+            by_row,
+            |exec, [rows], out| {
+                keep_first(
+                    exec.context(),
+                    rows.len(),
+                    rows.into_iter().map(Ok),
+                    |tag, t| {
+                        out.push((tag, t));
+                        Ok(())
+                    },
+                )
+                .map_err(|e| (None, e))
+            },
+        );
+        (got, res)
+    }
+
     #[test]
     fn spilled_distinct_keeps_first_occurrence_order() {
         let _g = perm_fault::test_guard();
-        let (_q, r) = res();
-        let input = rows(&[4, 1, 4, 2, 1, 3, 2, 4]);
-        let got = distinct_spill(&QueryContext::detached(), input, 3, &r).unwrap();
-        assert_eq!(got, rows(&[4, 1, 2, 3]));
-        assert_eq!(r.size(), 0);
+        let (got, res) = distinct_spill(rows(&[4, 1, 4, 2, 1, 3, 2, 4]));
+        assert_eq!(got.unwrap(), rows(&[4, 1, 2, 3]));
+        assert_eq!(res.size(), 0);
     }
 
     #[test]
     fn empty_input_spills_to_empty_output() {
         let _g = perm_fault::test_guard();
-        let (_q, r) = res();
-        assert!(distinct_spill(&QueryContext::detached(), Vec::new(), 4, &r)
-            .unwrap()
-            .is_empty());
+        assert!(distinct_spill(Vec::new()).0.unwrap().is_empty());
+    }
+
+    #[test]
+    fn the_fanout_follows_the_backing_and_the_rows_scattered() {
+        let fanout = |budget, rows, dop| {
+            let res = QueryMemory::new(MemoryPool::with_budget(budget), None).register("test");
+            match charge_input(&res, std::iter::once(2), rows, dop, true).unwrap() {
+                Some(Backing::Pool(p) | Backing::Disk(_, p)) => p,
+                None => 1,
+            }
+        };
+        // In memory: one partition per worker, whatever the input.
+        assert_eq!(fanout(1 << 20, 600_000, 4), 4);
+        assert_eq!(fanout(1 << 20, 600_000, 1), 1);
+        // On disk: the floor for a small input …
+        assert_eq!(fanout(1, 1_000, 4), crate::SPILL_PARTITIONS);
+        // … and 16 partitions for 600k rows, so each replayed partition
+        // still fits in memory.
+        assert_eq!(fanout(1, 600_000, 1), 16);
+        // A node that may not spill fails with the typed denial.
+        let res = QueryMemory::new(MemoryPool::with_budget(1), None).register("test");
+        let denied = charge_input(&res, std::iter::once(2), 1, 1, false).err();
+        assert_eq!(denied.map(|e| e.kind()), Some("resource"));
+        assert_eq!(res.size(), 0);
     }
 }

@@ -4,25 +4,28 @@
 //! bodies, once per contiguous chunk (any chunk count, down to one row
 //! per call) and concatenating / merging the runs — gives exactly what
 //! running it once over the whole input gives: the same rows in the same
-//! order and, when evaluation fails, the same first error.
+//! order and, when evaluation fails, the same first error. The hash
+//! bodies are also run through the partition driver itself
+//! ([`through_the_driver`]).
 
 use std::sync::Arc;
 
 use perm_algebra::expr::{AggCall, AggFunc, BinOp, ScalarExpr, SubqueryExpr, SubqueryKind};
 use perm_algebra::plan::{AggOutput, JoinType, LogicalPlan, SetOpType, SortKey};
-use perm_storage::Catalog;
+use perm_storage::{spill_dir_is_clean, Catalog};
 use perm_types::{Column, DataType, PermError, QueryContext, Result, Schema, Tuple, Value};
 
 use super::aggregate::{accumulate, finish, merge_partials};
-use super::join::{refs_of, HashProbe, JoinRefs};
+use super::join::{refs_of, HashProbe, JoinRefs, RefRow, RowRef};
 use super::scan::Pipe;
-use super::setop::{keep_first, setop_kernel};
+use super::setop::{by_row, keep_first, setop_kernel};
 use super::sort::SortRun;
+use super::spill::{partition_of, partitioned, restore_order, Backing, Ran};
 use crate::compile::CompiledProjection;
 use crate::eval::{eval, Env};
 use crate::executor::Executor;
 use crate::memory::{MemoryPool, QueryMemory};
-use crate::parallel::{chunk_ranges, partition_of, restore_order};
+use crate::parallel::chunk_ranges;
 use crate::physical::{out_arity, BuildSide, EquiKey, PhysicalPlan};
 
 const PARTITION_COUNTS: [usize; 3] = [1, 2, 7];
@@ -57,11 +60,62 @@ fn stream(rows: Tagged) -> impl Iterator<Item = Result<(u64, Tuple)>> {
     rows.into_iter().map(Ok)
 }
 
+fn untagged(rows: &Tagged) -> Vec<Tuple> {
+    rows.iter().map(|(_, t)| t.clone()).collect()
+}
+
+/// Run `body` over `inputs` (two-column rows) through the partition
+/// driver — in memory on the pool, and on disk under a 1-byte pool — at
+/// every fanout of [`PARTITION_COUNTS`], handing `check` each result. An
+/// evaluation error comes back stamped with the position the driver kept
+/// (`at {pos}: …`). Every run must give its working memory back, drain the
+/// pool and leave no spill file behind.
+fn through_the_driver<const N: usize, K, B>(
+    inputs: [&[Tuple]; N],
+    key: K,
+    body: B,
+    check: impl Fn(&str, Result<Vec<Tuple>>),
+) where
+    K: Fn(&Executor, usize, &RefRow<'_, '_>, usize) -> Result<Option<usize>>
+        + Clone
+        + Send
+        + Sync
+        + 'static,
+    B: Fn(&Executor, [Tagged; N], &mut Tagged) -> Ran + Clone + Send + Sync + 'static,
+{
+    // Spill files are process-global: see `spill_dir_is_clean`.
+    let _g = perm_fault::test_guard();
+    let exec = Executor::new(Arc::new(Catalog::new()));
+    let pool = MemoryPool::with_budget(1);
+    let res = QueryMemory::new(pool.clone(), None).register("test");
+    for k in PARTITION_COUNTS {
+        for (backing, name) in [(Backing::Pool(k), "pool"), (Backing::Disk(&res, k), "disk")] {
+            let what = format!("{name} k={k}");
+            let refs = inputs.map(|rows| Arc::new(JoinRefs::rows(rows.to_vec(), 2).unwrap()));
+            let body = body.clone();
+            let stamped = move |exec: &Executor, rows, out: &mut Tagged| {
+                body(exec, rows, out).map_err(|(pos, e)| match pos {
+                    Some(p) => (pos, PermError::Execution(format!("at {p}: {e}"))),
+                    None => (None, e),
+                })
+            };
+            check(
+                &what,
+                partitioned(&exec, backing, refs, key.clone(), stamped),
+            );
+            assert_eq!(res.size(), 0, "{what}: working memory must be given back");
+            assert_eq!(pool.used(), 0, "{what}: pool must drain");
+            assert!(spill_dir_is_clean(), "{what}: spill files left behind");
+        }
+    }
+}
+
 #[test]
 fn setop_kernel_is_partition_invariant() {
     let ctx = QueryContext::detached();
     let l = tagged_rows(90, 7, 0);
     let r = tagged_rows(60, 5, 90);
+    let (lrows, rrows) = (untagged(&l), untagged(&r));
     for spec in [
         (SetOpType::Union, false),
         (SetOpType::Intersect, false),
@@ -97,6 +151,23 @@ fn setop_kernel_is_partition_invariant() {
                 "{spec:?} k={k}"
             );
         }
+        // The driver tags `r` after `l`, as above.
+        through_the_driver(
+            [&lrows, &rrows],
+            by_row,
+            move |exec, [l, r], out| {
+                let capacity = l.len() + r.len();
+                let (l, r) = (stream(l), stream(r));
+                setop_kernel(exec.context(), spec, l, r, capacity, |tag, t| {
+                    out.push((tag, t))
+                })
+                .map_err(|e| (None, e))
+            },
+            |what, got| {
+                let expected = restore_order(whole.clone());
+                assert_eq!(got.unwrap(), expected, "{spec:?} {what}");
+            },
+        );
     }
 }
 
@@ -123,6 +194,18 @@ fn keep_first_is_partition_invariant() {
             .collect();
         assert_eq!(restore_order(merged), restore_order(whole.clone()), "k={k}");
     }
+    through_the_driver(
+        [&untagged(&rows)],
+        by_row,
+        |exec, [rows], out| {
+            keep_first(exec.context(), rows.len(), stream(rows), |tag, t| {
+                out.push((tag, t));
+                Ok(())
+            })
+            .map_err(|e| (None, e))
+        },
+        |what, got| assert_eq!(got.unwrap(), restore_order(whole.clone()), "{what}"),
+    );
 }
 
 #[test]
@@ -170,7 +253,7 @@ fn hash_join_node(
         out_slots: None,
         est_rows: 0.0,
         dop: 1,
-        spill: None,
+        spill: false,
     }
 }
 
@@ -212,7 +295,10 @@ fn hash_probe_is_partition_invariant() {
         for residual in [None, Some(selective.clone()), Some(failing.clone())] {
             let what = format!("{kind:?} build={build_side:?} residual={residual:?}");
             let fails = residual.as_ref() == Some(&failing);
-            let probe = HashProbe::compile(&exec, &hash_join_node(kind, build_side, residual));
+            let probe = Arc::new(HashProbe::compile(
+                &exec,
+                &hash_join_node(kind, build_side, residual),
+            ));
             let (build, probe_rows) = match build_side {
                 BuildSide::Left => (&left, &right),
                 BuildSide::Right => (&right, &left),
@@ -259,6 +345,32 @@ fn hash_probe_is_partition_invariant() {
                     .map(|(rows, matched)| (restore_order(rows), matched));
                 assert_eq!(merged, expected, "{what} k={k}");
             }
+            if kind == JoinType::Full {
+                // FULL joins never run partitioned.
+                continue;
+            }
+            // Through the driver, as the spilled join runs: build rows are
+            // input 0, so probe positions start after them.
+            let nb = build.len() as u64;
+            let expected = whole
+                .clone()
+                .map(|(rows, _)| restore_order(rows))
+                .map_err(|(pos, msg)| (nb + pos, msg));
+            let (keys, body) = (Arc::clone(&probe), Arc::clone(&probe));
+            through_the_driver(
+                [&untagged(build), &untagged(probe_rows)],
+                move |exec, input, row, parts| keys.partition_key(exec, input, row, parts),
+                move |exec, rows, out| body.run_partition(exec, rows, out),
+                |driver, got| match (&expected, got) {
+                    (Ok(rows), Ok(got)) => assert_eq!(&got, rows, "{what} {driver}"),
+                    (Err((pos, msg)), Err(e)) => {
+                        let e = e.to_string();
+                        let at = format!("at {pos}: ");
+                        assert!(e.contains(&at) && e.contains(msg), "{what} {driver}: {e}");
+                    }
+                    (expected, got) => panic!("{what} {driver}: {expected:?} vs {got:?}"),
+                },
+            );
         }
     }
 }
@@ -655,8 +767,7 @@ fn witness_output_is_chunk_and_partition_invariant() {
     let tagged = tagged_rows(3_000, 13, 0);
     let rows: Vec<Tuple> = tagged.iter().map(|(_, t)| t.clone()).collect();
     let reference = witnesses_by_definition(&rows);
-    let run =
-        |rows: Tagged| accumulate(&exec, stream(rows), &group_by, &aggs, &[], |_| Ok(()), true);
+    let run = |rows: Tagged| accumulate(&exec, stream(rows), &group_by, &aggs, &[], true);
     let whole = run(tagged.clone()).map_err(|(_, e)| e).unwrap();
     let refs = JoinRefs::rows(rows.clone(), 2).unwrap();
     let view = refs.view(&exec).unwrap();
@@ -692,13 +803,33 @@ fn witness_output_is_chunk_and_partition_invariant() {
         }
         assert_eq!(restore_order(tagged_out), reference, "partitions={k}");
     }
+    // Through the driver, as the spilled aggregate runs: keyed by the
+    // group column, each partition's rows kept for its witnesses.
+    through_the_driver(
+        [&rows],
+        |_, _, row, parts| Ok(Some(partition_of(row.value(0), parts))),
+        move |exec, [part], out| {
+            let fatal = |e| (None, e);
+            let input = part.iter().map(|(tag, t)| Ok((*tag, t)));
+            let partial = accumulate(exec, input, &group_by, &aggs, &[], true)?;
+            let kept = part.into_iter().map(|(_, t)| t).collect();
+            let kept = JoinRefs::rows(kept, 2).map_err(fatal)?;
+            let view = kept.view(exec).map_err(fatal)?;
+            let rows = finish(exec, partial, &group_by, &aggs, Some(&view), |tag, t| {
+                (tag, t)
+            });
+            out.extend(rows.map_err(fatal)?);
+            Ok(())
+        },
+        |what, got| assert_eq!(got.unwrap(), reference, "{what}"),
+    );
 }
 
 #[test]
 fn a_global_witness_aggregate_over_no_rows_is_one_null_extended_row() {
     let exec = Executor::new(Arc::new(Catalog::new()));
     let (_, aggs) = witness_aggregate();
-    let empty = accumulate(&exec, stream(vec![]), &[], &aggs, &[], |_| Ok(()), true)
+    let empty = accumulate(&exec, stream(vec![]), &[], &aggs, &[], true)
         .map_err(|(_, e)| e)
         .unwrap();
     let none = JoinRefs::rows(vec![], 2).unwrap();
@@ -741,11 +872,13 @@ fn witness_aggregate_node_matches_the_definition_under_every_driver() {
         spill,
         output: AggOutput::Witnesses,
     };
+    // Spills: keeps `through_the_driver`'s clean-directory check away.
+    let _g = perm_fault::test_guard();
     for dop in [1, 4] {
         for spill in [false, true] {
             for columnar in [false, true] {
                 let what = format!("dop={dop} spill={spill} columnar={columnar}");
-                let plan = node(dop, Some(8));
+                let plan = node(dop, true);
                 crate::verify::verify_physical(&plan, "test").unwrap();
                 let pool = MemoryPool::with_budget(if spill { 1 } else { 1 << 30 });
                 let exec = || {
@@ -764,7 +897,7 @@ fn witness_aggregate_node_matches_the_definition_under_every_driver() {
     // A global witness aggregate cannot spill: over budget it fails with
     // the typed resource error and leaves the pool drained.
     let pool = MemoryPool::with_budget(1);
-    let PhysicalPlan::HashAggregate { input, .. } = node(1, None) else {
+    let PhysicalPlan::HashAggregate { input, .. } = node(1, false) else {
         unreachable!()
     };
     let global = PhysicalPlan::HashAggregate {
@@ -772,7 +905,7 @@ fn witness_aggregate_node_matches_the_definition_under_every_driver() {
         group_by: vec![],
         aggs: aggs.clone(),
         dop: 1,
-        spill: None,
+        spill: false,
         output: AggOutput::Witnesses,
     };
     let err = Executor::new(Arc::clone(&cat))
@@ -785,7 +918,7 @@ fn witness_aggregate_node_matches_the_definition_under_every_driver() {
     ctx.handle().cancel();
     let err = Executor::new(cat)
         .with_context(ctx)
-        .run_physical(&node(4, Some(8)))
+        .run_physical(&node(4, true))
         .unwrap_err();
     assert_eq!(err.kind(), "cancelled", "{err}");
 }
@@ -837,7 +970,7 @@ fn hash_join(
         out_slots: None,
         est_rows: 0.0,
         dop,
-        spill: None,
+        spill: false,
     }
 }
 
@@ -956,7 +1089,7 @@ fn padded_rows_gather_as_nulls_and_key_as_null() {
         group_by: vec![col(2)],
         aggs: vec![count],
         dop: 1,
-        spill: None,
+        spill: false,
         output: AggOutput::Groups,
     };
     let int = |v: i64| Value::Int(v);
@@ -1023,7 +1156,7 @@ fn join_chains_of_every_kind_match_the_definition() {
                 group_by,
                 aggs,
                 dop: 1,
-                spill: None,
+                spill: false,
                 output: AggOutput::Witnesses,
             };
             assert_eq!(
@@ -1354,6 +1487,8 @@ fn a_failing_residual_leaves_no_candidate_ids_behind() {
         ),
         int_lit(0),
     );
+    // Spills: keeps `through_the_driver`'s clean-directory check away.
+    let _g = perm_fault::test_guard();
     for kind in [
         JoinType::Inner,
         JoinType::Left,
@@ -1370,7 +1505,7 @@ fn a_failing_residual_leaves_no_candidate_ids_behind() {
                 1,
             );
             if let PhysicalPlan::HashJoin { spill, .. } = &mut plan {
-                *spill = parts;
+                *spill = parts.is_some();
             }
             let pool = MemoryPool::with_budget(if parts.is_some() { 1 } else { 1 << 30 });
             let err = Executor::new(Arc::clone(&cat))

@@ -11,16 +11,15 @@
 //! (aggregation, sort) use contiguous *chunks* instead: each worker owns
 //! one contiguous range and partial states merge in chunk order.
 //! Operators that need equal rows to meet (DISTINCT, set operations) use
-//! *hash partitions*: [`partition_tagged`] tags rows with their input
-//! position, [`map_partitions`] runs one worker per partition, and
-//! [`restore_order`] — the only place the order-restoring tag sort
-//! happens — puts the output back in input order.
+//! *hash partitions*: the one partition driver (`operators::spill`)
+//! scatters them through [`map_chunks`] and runs them with
+//! [`run_workers`], one worker per partition.
 //!
 //! These schedulers are **drivers** and nothing else: every operator
 //! body lives in [`crate::operators`] — the parallel scan and sort next
 //! to their bodies in `operators::scan` / `operators::sort` — each
 //! written once and shared with the serial driver (one partition or run,
-//! already in order: no tags, no sort, no merge) and the spill drivers.
+//! already in order: no tags, no sort, no merge) and the spill paths.
 //! Closures handed to [`map_morsels`] / [`map_chunks`] compile nothing:
 //! they share the node's one compiled body.
 //!
@@ -56,14 +55,12 @@
 //! queries never observe the panic.
 
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-use perm_types::hash::FxHasher;
-use perm_types::{PermError, QueryContext, Result, Tuple};
+use perm_types::{PermError, QueryContext, Result};
 
 /// Rows per morsel. Small enough that the morsel queue load-balances
 /// skewed filters; large enough that per-morsel setup (a worker
@@ -400,15 +397,6 @@ where
     Ok(out)
 }
 
-/// Partition index of a row or key: high hash bits, so the per-partition
-/// hash tables built afterwards (which consume the *low* bits for
-/// buckets) don't lose entropy to the partitioning.
-pub(crate) fn partition_of<T: Hash>(t: &T, partitions: usize) -> usize {
-    let mut h = FxHasher::default();
-    t.hash(&mut h);
-    ((h.finish() >> 32) as usize) % partitions
-}
-
 /// Concatenate per-morsel (or per-partition) outputs in order.
 pub(crate) fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
     let n: usize = parts.iter().map(Vec::len).sum();
@@ -418,76 +406,6 @@ pub(crate) fn concat<T>(parts: Vec<Vec<T>>) -> Vec<T> {
         out.extend(p);
     }
     out
-}
-
-// ----------------------------------------------------------------------
-// Hash-partitioned operators: tag, scatter, run per partition, restore
-// ----------------------------------------------------------------------
-
-/// Hash-partition `rows` into `parts` buckets in parallel, tagging each
-/// row with `offset +` its input position. Buckets come back sorted by
-/// tag (chunks are contiguous and merge in chunk order). Equal rows land
-/// in the same bucket, so DISTINCT and the set operations run their
-/// kernel on each bucket independently.
-pub(crate) fn partition_tagged(
-    ctx: &QueryContext,
-    rows: Vec<Tuple>,
-    offset: u64,
-    parts: usize,
-) -> Result<Vec<Vec<(u64, Tuple)>>> {
-    let total = rows.len();
-    let worker_ctx = ctx.clone();
-    let chunked = map_chunks(ctx, parts, total, move |range| {
-        let mut buckets: Vec<Vec<(u64, Tuple)>> = vec![Vec::new(); parts];
-        for (i, t) in rows[range.clone()].iter().enumerate() {
-            // Masked cancellation check per 4096 scattered rows.
-            if i % 4096 == 0 {
-                worker_ctx.check()?;
-            }
-            let tag = offset + (range.start + i) as u64;
-            buckets[partition_of(t, parts)].push((tag, t.clone()));
-        }
-        Ok(buckets)
-    })?;
-    let mut out: Vec<Vec<(u64, Tuple)>> = vec![Vec::new(); parts];
-    // no-cancel: reassembly of already-computed buckets.
-    for chunk in chunked {
-        // no-cancel: bounded by the partition count.
-        for (p, items) in chunk.into_iter().enumerate() {
-            out[p].extend(items);
-        }
-    }
-    Ok(out)
-}
-
-/// Run `f` once per partition on the pool, each worker taking ownership
-/// of its partition (so a by-value kernel moves rows instead of cloning
-/// them), and concatenate the partition outputs in partition order.
-pub(crate) fn map_partitions<P, R, F>(parts: Vec<P>, f: F) -> Result<Vec<R>>
-where
-    P: Send + 'static,
-    R: Send + 'static,
-    F: Fn(P) -> Result<Vec<R>> + Send + Sync + 'static,
-{
-    let slots: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let outputs = run_workers(slots.len(), move |w| {
-        // INVARIANT: worker `w` is the only taker of slot `w`.
-        let part = slots[w].lock().expect("partition slot lock").take();
-        f(part.expect("partition taken once"))
-    })?;
-    Ok(concat(outputs.into_iter().collect::<Result<Vec<_>>>()?))
-}
-
-/// Undo a hash partitioning: sort position-tagged output rows back into
-/// input order and drop the tags. Every partitioned driver (parallel or
-/// spilled DISTINCT / set operation, Grace join, spilled aggregation)
-/// ends here; the serial drivers run their body on one partition whose
-/// rows are already in order and skip it. The sort is stable because a
-/// join emits several rows per probe position, already in serial
-/// candidate order.
-pub(crate) fn restore_order(mut tagged: Vec<(u64, Tuple)>) -> Vec<Tuple> {
-    tagged.sort_by_key(|(tag, _)| *tag);
-    tagged.into_iter().map(|(_, t)| t).collect()
 }
 
 #[cfg(test)]

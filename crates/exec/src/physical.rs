@@ -49,29 +49,26 @@ use crate::parallel::{auto_parallelism, pool_parallelism, DEFAULT_PARALLEL_THRES
 /// Minimum partition count buffering operators use when they spill to
 /// disk.
 ///
-/// The planner stamps one plan-wide fanout (this value, scaled up by
-/// [`spill_fanout_for_rows`] for large inputs) into every spillable
-/// operator's `spill: Some(n)` field; the plan verifier checks that all
-/// spill counts in one plan agree, so a partitioned row written by one
-/// operator phase is always found by the matching read phase.
+/// The plan only says whether a node may spill; a spilling operator
+/// sizes its fanout at run time from the rows it actually writes out
+/// ([`spill_fanout_for_rows`]).
 pub const SPILL_PARTITIONS: usize = 8;
 
-/// Largest spill fanout the planner will pick. Each partition costs one
-/// open file per buffering operator, so the fanout is bounded even for
-/// huge inputs (partitions can recursively re-partition at run time).
+/// Largest spill fanout an operator will pick. Each partition costs one
+/// open file per input of a spilling operator, so the fanout is bounded
+/// even for huge inputs.
 pub const MAX_SPILL_PARTITIONS: usize = 64;
 
 /// Rows one spilled partition should hold so that reading it back fits
 /// comfortably in memory; drives [`spill_fanout_for_rows`].
 pub const SPILL_PARTITION_TARGET_ROWS: f64 = 65_536.0;
 
-/// The spill partition fanout for a plan whose largest operator input is
-/// `rows` estimated rows: the smallest power of two giving at most
-/// [`SPILL_PARTITION_TARGET_ROWS`] per partition, clamped to
-/// [`SPILL_PARTITIONS`]`..=`[`MAX_SPILL_PARTITIONS`]. Sizing from the
-/// cardinality estimate keeps small queries at a small, cheap fanout
-/// while a huge build side gets enough partitions that each one fits in
-/// memory when read back.
+/// The spill partition fanout for an operator spilling `rows` rows: the
+/// smallest power of two giving at most [`SPILL_PARTITION_TARGET_ROWS`]
+/// per partition, clamped to
+/// [`SPILL_PARTITIONS`]`..=`[`MAX_SPILL_PARTITIONS`]. Small inputs keep
+/// a small, cheap fanout while a huge build side gets enough partitions
+/// that each one fits in memory when read back.
 pub fn spill_fanout_for_rows(rows: f64) -> usize {
     let wanted = (rows / SPILL_PARTITION_TARGET_ROWS).ceil();
     if !wanted.is_finite() || wanted <= SPILL_PARTITIONS as f64 {
@@ -160,10 +157,10 @@ pub enum PhysicalPlan {
         /// Degree of parallelism: the probe phase runs morsel-parallel
         /// when > 1 (the build stays on the calling thread).
         dop: usize,
-        /// Partition count for the Grace-join spill path when the build
-        /// side's memory reservation is denied; `None` = must not spill
+        /// May run as a Grace join over spill partitions when the build
+        /// side's memory reservation is denied; `false` = must not spill
         /// (FULL joins, sublink pipelines).
-        spill: Option<usize>,
+        spill: bool,
     },
     /// Index nested-loop join: for each outer row, probe the inner base
     /// table's hash index with the evaluated key expression.
@@ -190,7 +187,7 @@ pub enum PhysicalPlan {
         /// Degree of parallelism: outer rows probe morsel-parallel when > 1.
         dop: usize,
     },
-    /// Nested-loop join (non-equi conditions, cross joins, ablations).
+    /// Nested-loop join (non-equi and cross joins, the NLJ reference).
     NLJoin {
         left: Box<PhysicalPlan>,
         right: Box<PhysicalPlan>,
@@ -209,10 +206,10 @@ pub enum PhysicalPlan {
         /// Degree of parallelism: per-worker partial hash tables over
         /// contiguous input chunks, merged in chunk order, when > 1.
         dop: usize,
-        /// Partition count for the grouped spill path when the hash
-        /// table's memory reservation is denied; `None` = must not spill
-        /// (DISTINCT aggregates, sublink pipelines).
-        spill: Option<usize>,
+        /// May take the grouped spill path when the hash table's memory
+        /// reservation is denied; `false` = must not spill (DISTINCT
+        /// aggregates, sublink pipelines).
+        spill: bool,
         /// One row per group, or one per input row with its group's
         /// columns in front ([`AggOutput::Witnesses`]; the input row
         /// follows the aggregates).
@@ -223,8 +220,8 @@ pub enum PhysicalPlan {
         input: Box<PhysicalPlan>,
         /// Degree of parallelism: hash-partitioned dedup when > 1.
         dop: usize,
-        /// Partition count for the partitioned dedup spill path.
-        spill: Option<usize>,
+        /// May take the partitioned dedup spill path.
+        spill: bool,
     },
     /// Set operation (hash-based; `UNION ALL` is a plain append).
     HashSetOp {
@@ -234,9 +231,9 @@ pub enum PhysicalPlan {
         right: Box<PhysicalPlan>,
         /// Degree of parallelism: hash-partitioned set logic when > 1.
         dop: usize,
-        /// Partition count for the partitioned spill path; `None` = must
-        /// not spill (`UNION ALL` append streams, it never buffers).
-        spill: Option<usize>,
+        /// May take the partitioned spill path; `false` = must not spill
+        /// (`UNION ALL` append streams, it never buffers).
+        spill: bool,
     },
     Sort {
         input: Box<PhysicalPlan>,
@@ -244,10 +241,10 @@ pub enum PhysicalPlan {
         /// Degree of parallelism: parallel chunk sort + stable k-way
         /// merge when > 1.
         dop: usize,
-        /// Run count for the external-sort spill path when the sort
-        /// buffer's memory reservation is denied; `None` = must not
-        /// spill (sublink sort keys).
-        spill: Option<usize>,
+        /// May take the external-sort spill path when the sort buffer's
+        /// memory reservation is denied; `false` = must not spill
+        /// (sublink sort keys).
+        spill: bool,
     },
     Limit {
         input: Box<PhysicalPlan>,
@@ -291,18 +288,17 @@ impl PhysicalPlan {
         }
     }
 
-    /// The spill partition count this node may fall back to when a
-    /// memory reservation is denied (`None`: the node never spills —
-    /// either it does not buffer, or the planner's legality rules keep
-    /// it in memory).
-    pub fn spill(&self) -> Option<usize> {
+    /// Whether this node may spill to disk when a memory reservation is
+    /// denied (`false`: it does not buffer, or the planner's legality
+    /// rules keep it in memory).
+    pub fn spill(&self) -> bool {
         match self {
             PhysicalPlan::HashJoin { spill, .. }
             | PhysicalPlan::HashAggregate { spill, .. }
             | PhysicalPlan::HashDistinct { spill, .. }
             | PhysicalPlan::HashSetOp { spill, .. }
             | PhysicalPlan::Sort { spill, .. } => *spill,
-            _ => None,
+            _ => false,
         }
     }
 
@@ -518,12 +514,12 @@ fn render(plan: &PhysicalPlan, line_prefix: &str, is_last: bool, verbose: bool, 
         let peak = node_peak_bytes(plan);
         if peak > 0.0 {
             let _ = write!(out, " [est_mem≈{}]", fmt_bytes(peak));
-            match plan.spill() {
-                Some(p) => {
-                    let _ = write!(out, " [spill={p}]");
-                }
-                None => out.push_str(" [spill=never]"),
-            }
+            // A spilling node sizes its fanout at run time.
+            out.push_str(if plan.spill() {
+                " [spill=auto]"
+            } else {
+                " [spill=never]"
+            });
         }
     }
     out.push('\n');
@@ -797,11 +793,6 @@ pub struct PhysicalPlanner<'a> {
     nested_loop_only: bool,
     max_parallelism: usize,
     parallel_threshold: usize,
-    /// Plan-wide spill fanout, sized from the cardinality estimates at
-    /// the top of every lowering (a `Cell` because lowering takes
-    /// `&self`). One value per plan keeps the verifier's
-    /// spill-consistency invariant trivially true.
-    spill_fanout: std::cell::Cell<usize>,
 }
 
 /// Lower `plan` against `catalog` (the common entry point).
@@ -816,7 +807,6 @@ impl<'a> PhysicalPlanner<'a> {
             nested_loop_only: false,
             max_parallelism: auto_parallelism(),
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            spill_fanout: std::cell::Cell::new(SPILL_PARTITIONS),
         }
     }
 
@@ -828,7 +818,7 @@ impl<'a> PhysicalPlanner<'a> {
         self
     }
 
-    /// Force every join to a nested loop (ablation benches).
+    /// Force every join to a nested loop (the equivalence reference).
     pub fn nested_loop_only(mut self, v: bool) -> PhysicalPlanner<'a> {
         self.nested_loop_only = v;
         self
@@ -892,7 +882,7 @@ impl<'a> PhysicalPlanner<'a> {
     /// panics; release builds skip the check unless they opt in through
     /// [`PhysicalPlanner::plan_verified`].
     pub fn plan(&self, plan: &LogicalPlan) -> PhysicalPlan {
-        let physical = self.lower(plan);
+        let physical = self.plan_node(plan);
         #[cfg(debug_assertions)]
         if let Err(e) = crate::verify::verify_physical(&physical, "physical-planning") {
             panic!("{e}");
@@ -905,28 +895,9 @@ impl<'a> PhysicalPlanner<'a> {
     /// panicking on) the first violation. Entry point behind
     /// `SessionOptions::verify_plans` and `EXPLAIN VERIFY`.
     pub fn plan_verified(&self, plan: &LogicalPlan) -> perm_types::Result<PhysicalPlan> {
-        let physical = self.lower(plan);
+        let physical = self.plan_node(plan);
         crate::verify::verify_physical(&physical, "physical-planning")?;
         Ok(physical)
-    }
-
-    /// The lowering [`PhysicalPlanner::plan`] and
-    /// [`PhysicalPlanner::plan_verified`] share: size the plan-wide spill
-    /// fanout, then lower the tree.
-    fn lower(&self, plan: &LogicalPlan) -> PhysicalPlan {
-        self.spill_fanout
-            .set(spill_fanout_for_rows(self.max_est(plan)));
-        self.plan_node(plan)
-    }
-
-    /// The largest estimated row count of any node in the logical tree —
-    /// a proxy for the biggest thing a buffering operator in this plan
-    /// might have to hold (and therefore spill).
-    fn max_est(&self, plan: &LogicalPlan) -> f64 {
-        plan.children()
-            .into_iter()
-            .map(|c| self.max_est(c))
-            .fold(self.est(plan), f64::max)
     }
 
     fn plan_node(&self, plan: &LogicalPlan) -> PhysicalPlan {
@@ -981,14 +952,14 @@ impl<'a> PhysicalPlanner<'a> {
                     // The grouped spill path re-partitions and re-merges
                     // like the parallel path does, so it shares the same
                     // legality condition.
-                    spill: safe.then_some(self.spill_fanout.get()),
+                    spill: safe,
                     output: *output,
                 }
             }
             LogicalPlan::Distinct { input } => PhysicalPlan::HashDistinct {
                 input: Box::new(self.plan_node(input)),
                 dop: self.choose_dop(self.est(input), true),
-                spill: Some(self.spill_fanout.get()),
+                spill: true,
             },
             LogicalPlan::SetOp {
                 op,
@@ -1006,7 +977,7 @@ impl<'a> PhysicalPlanner<'a> {
                     left: Box::new(self.plan_node(left)),
                     right: Box::new(self.plan_node(right)),
                     dop: self.choose_dop(input_rows, !append),
-                    spill: (!append).then_some(self.spill_fanout.get()),
+                    spill: !append,
                 }
             }
             LogicalPlan::Sort { input, keys } => {
@@ -1015,7 +986,7 @@ impl<'a> PhysicalPlanner<'a> {
                     input: Box::new(self.plan_node(input)),
                     keys: keys.clone(),
                     dop: self.choose_dop(self.est(input), safe),
-                    spill: safe.then_some(self.spill_fanout.get()),
+                    spill: safe,
                 }
             }
             LogicalPlan::Limit {
@@ -1337,7 +1308,7 @@ impl<'a> PhysicalPlanner<'a> {
             // Grace-join repartitioning shares the parallel-probe
             // legality condition: FULL joins and sublink keys stay
             // serial *and* in memory.
-            spill: safe.then_some(self.spill_fanout.get()),
+            spill: safe,
         }
     }
 }
@@ -1604,7 +1575,7 @@ mod tests {
         let p = plan_physical(&cat, &j);
         let t = physical_tree_verbose(&p);
         assert!(t.contains("est_mem≈"), "{t}");
-        assert!(t.contains(&format!("[spill={SPILL_PARTITIONS}]")), "{t}");
+        assert!(t.contains("[spill=auto]"), "{t}");
         // The plain tree stays free of the verbose annotations.
         assert!(!physical_tree(&p).contains("est_mem"), "{t}");
         assert!(estimated_peak_bytes(&p) > 0);
@@ -1618,7 +1589,7 @@ mod tests {
         )
         .unwrap();
         let pf = plan_physical(&cat, &f);
-        assert_eq!(pf.spill(), None, "{pf:?}");
+        assert!(!pf.spill(), "{pf:?}");
         assert!(physical_tree_verbose(&pf).contains("[spill=never]"));
     }
 
@@ -1634,30 +1605,6 @@ mod tests {
         assert_eq!(spill_fanout_for_rows(9.0 * SPILL_PARTITION_TARGET_ROWS), 16);
         assert_eq!(spill_fanout_for_rows(1e12), MAX_SPILL_PARTITIONS);
         assert_eq!(spill_fanout_for_rows(f64::INFINITY), SPILL_PARTITIONS);
-    }
-
-    #[test]
-    fn huge_build_side_picks_a_larger_spill_fanout() {
-        let mut cat = catalog();
-        let mut huge = Table::new("huge", Schema::new(vec![Column::new("k", DataType::Int)]));
-        for i in 0..600_000 {
-            huge.push_raw(Tuple::new(vec![Value::Int(i)]));
-        }
-        cat.create_table(huge).unwrap();
-
-        // A small plan keeps the cheap floor fanout …
-        let small = LogicalPlan::Distinct {
-            input: Box::new(scan(&cat, "big")),
-        };
-        assert_eq!(plan_physical(&cat, &small).spill(), Some(SPILL_PARTITIONS));
-
-        // … while 600k estimated rows get 16 partitions, so each spilled
-        // partition still fits in memory when read back.
-        let big = LogicalPlan::Distinct {
-            input: Box::new(scan(&cat, "huge")),
-        };
-        let p = plan_physical(&cat, &big);
-        assert_eq!(p.spill(), Some(16), "{p:?}");
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! * **Parallel legality** — the PR 5 rules the parallel runtime relies
 //!   on: sublink-carrying pipelines stay serial, FULL joins stay serial,
 //!   DISTINCT aggregates stay serial, `UNION ALL` appends stay serial,
-//!   and every `dop` is between 1 and the worker-pool size.
+//!   and every `dop` is between 1 and the worker-pool size;
+//! * **Spill legality** — the same operators stay in memory: none of them
+//!   may carry the may-spill flag. How many partitions a spill uses is
+//!   the operator's own run-time decision, so no count is checked.
 //!
 //! Whether a node runs over columnar batches is not in the plan (its
 //! body decides when it compiles, [`crate::kernels`]), so it is not
@@ -44,8 +47,7 @@ fn violation(pass: &str, invariant: &str, path: &str, detail: impl std::fmt::Dis
 /// typing over schemas derived bottom-up, and the parallel-legality
 /// rules. `pass` names the transformation that produced the plan.
 pub fn verify_physical(plan: &PhysicalPlan, pass: &str) -> Result<()> {
-    verify_node(plan, pass, "")?;
-    check_spill_partitions(plan, pass, "", &mut None)
+    verify_node(plan, pass, "").map(drop)
 }
 
 /// Short operator label for node paths.
@@ -171,7 +173,7 @@ fn check_slots(slots: &[usize], width: usize, pass: &str, path: &str, what: &str
 
 /// The parallel-legality rules — a node may only run with `dop > 1` when
 /// the planner proved it safe, and never beyond the worker-pool size —
-/// plus the per-node spill-legality rules that mirror them.
+/// and the spill-legality rules, which keep the same nodes in memory.
 fn check_dop(
     plan: &PhysicalPlan,
     node_exprs: &[&ScalarExpr],
@@ -191,175 +193,38 @@ fn check_dop(
             format!("dop {dop} exceeds the worker-pool size {pool}"),
         ));
     }
-    if dop > 1 {
-        // Sublink pipelines must stay serial: subquery evaluation runs
-        // through the executor's per-thread caches and outer stack.
-        if node_exprs.iter().any(|e| e.contains_subquery()) {
-            return Err(violation(
-                pass,
-                "parallel-legality",
-                path,
-                format!("dop {dop} on a pipeline containing a sublink (must be serial)"),
-            ));
-        }
-        match plan {
-            PhysicalPlan::HashJoin {
-                kind: JoinType::Full,
-                ..
-            } => {
-                return Err(violation(
-                    pass,
-                    "parallel-legality",
-                    path,
-                    format!("dop {dop} on a FULL hash join (must be serial)"),
-                ));
-            }
-            PhysicalPlan::HashAggregate { aggs, .. } if aggs.iter().any(|a| a.distinct) => {
-                return Err(violation(
-                    pass,
-                    "parallel-legality",
-                    path,
-                    format!("dop {dop} on a DISTINCT aggregate (must be serial)"),
-                ));
-            }
-            PhysicalPlan::HashSetOp {
-                op: perm_algebra::plan::SetOpType::Union,
-                all: true,
-                ..
-            } => {
-                return Err(violation(
-                    pass,
-                    "parallel-legality",
-                    path,
-                    format!("dop {dop} on a UNION ALL append (must be serial)"),
-                ));
-            }
-            _ => {}
-        }
-    }
-    // Spill legality mirrors the serial rules exactly: the operators the
-    // parallel-legality rules keep serial — sublink pipelines, FULL hash
-    // joins, DISTINCT aggregates and (streaming) UNION ALL appends — run
-    // whole-input in-memory algorithms and must not carry a spill
-    // strategy.
-    if let Some(p) = plan.spill() {
-        if p < 2 {
-            return Err(violation(
-                pass,
-                "spill-consistency",
-                path,
-                format!("spill partition count is {p} (at least 2 required)"),
-            ));
-        }
-        if node_exprs.iter().any(|e| e.contains_subquery()) {
-            return Err(violation(
-                pass,
-                "spill-legality",
-                path,
-                "spill enabled on a pipeline containing a sublink (must stay in memory)",
-            ));
-        }
-        match plan {
-            PhysicalPlan::HashJoin {
-                kind: JoinType::Full,
-                ..
-            } => {
-                return Err(violation(
-                    pass,
-                    "spill-legality",
-                    path,
-                    "spill enabled on a FULL hash join (must stay in memory)",
-                ));
-            }
-            PhysicalPlan::HashAggregate { aggs, .. } if aggs.iter().any(|a| a.distinct) => {
-                return Err(violation(
-                    pass,
-                    "spill-legality",
-                    path,
-                    "spill enabled on a DISTINCT aggregate (must stay in memory)",
-                ));
-            }
-            PhysicalPlan::HashSetOp {
-                op: perm_algebra::plan::SetOpType::Union,
-                all: true,
-                ..
-            } => {
-                return Err(violation(
-                    pass,
-                    "spill-legality",
-                    path,
-                    "spill enabled on a UNION ALL append (streaming, holds no state)",
-                ));
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-/// Immediate children of a physical node, for structural walks.
-fn children(plan: &PhysicalPlan) -> Vec<&PhysicalPlan> {
-    match plan {
-        PhysicalPlan::FusedScanProjectFilter { .. }
-        | PhysicalPlan::IndexScan { .. }
-        | PhysicalPlan::Values { .. } => Vec::new(),
-        PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::HashAggregate { input, .. }
-        | PhysicalPlan::HashDistinct { input, .. }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Limit { input, .. } => vec![input],
-        PhysicalPlan::HashJoin { left, right, .. }
-        | PhysicalPlan::NLJoin { left, right, .. }
-        | PhysicalPlan::HashSetOp { left, right, .. } => vec![left, right],
-        PhysicalPlan::IndexNLJoin { outer, .. } => vec![outer],
-    }
-}
-
-/// Every spill-enabled operator in one plan must agree on the partition
-/// count: the planner stamps a single stats-sized fanout (between
-/// [`crate::physical::SPILL_PARTITIONS`] and
-/// [`crate::physical::MAX_SPILL_PARTITIONS`], a power of two) plan-wide,
-/// and a mismatch means a pass rewrote one node but not its siblings.
-fn check_spill_partitions(
-    plan: &PhysicalPlan,
-    pass: &str,
-    path: &str,
-    seen: &mut Option<(usize, String)>,
-) -> Result<()> {
-    let path = if path.is_empty() {
-        label(plan).to_string()
+    // Whole-input in-memory operators may neither run parallel nor spill:
+    // sublinks run through the executor's caches and outer stack, FULL
+    // joins track build matches across all probe rows, DISTINCT filters
+    // do not merge, and a UNION ALL append streams, holding no state.
+    let serial_only = if node_exprs.iter().any(|e| e.contains_subquery()) {
+        Some("a pipeline containing a sublink")
     } else {
-        format!("{path} > {}", label(plan))
-    };
-    if let Some(p) = plan.spill() {
-        let (lo, hi) = (
-            crate::physical::SPILL_PARTITIONS,
-            crate::physical::MAX_SPILL_PARTITIONS,
-        );
-        if p < lo || p > hi || !p.is_power_of_two() {
-            return Err(violation(
-                pass,
-                "spill-consistency",
-                &path,
-                format!("spill partition count {p} outside the planner's range {lo}..={hi} (power of two)"),
-            ));
-        }
-        match seen {
-            None => *seen = Some((p, path.clone())),
-            Some((q, first)) if *q != p => {
-                return Err(violation(
-                    pass,
-                    "spill-consistency",
-                    &path,
-                    format!("spill partition count {p} differs from {q} at {first}"),
-                ));
+        match plan {
+            PhysicalPlan::HashJoin {
+                kind: JoinType::Full,
+                ..
+            } => Some("a FULL hash join"),
+            PhysicalPlan::HashAggregate { aggs, .. } if aggs.iter().any(|a| a.distinct) => {
+                Some("a DISTINCT aggregate")
             }
-            _ => {}
+            PhysicalPlan::HashSetOp {
+                op: perm_algebra::plan::SetOpType::Union,
+                all: true,
+                ..
+            } => Some("a UNION ALL append"),
+            _ => None,
         }
-    }
-    for child in children(plan) {
-        check_spill_partitions(child, pass, &path, seen)?;
+    };
+    if let Some(what) = serial_only {
+        if dop > 1 {
+            let detail = format!("dop {dop} on {what} (must be serial)");
+            return Err(violation(pass, "parallel-legality", path, detail));
+        }
+        if plan.spill() {
+            let detail = format!("spill enabled on {what} (must stay in memory)");
+            return Err(violation(pass, "spill-legality", path, detail));
+        }
     }
     Ok(())
 }
@@ -840,7 +705,7 @@ mod tests {
             out_slots: None,
             est_rows: 100.0,
             dop: 2,
-            spill: None,
+            spill: false,
         };
         let err = verify_physical(&plan, "parallelization").unwrap_err();
         assert!(err.message().contains("FULL hash join"), "{err}");
@@ -857,7 +722,7 @@ mod tests {
                 distinct: true,
             }],
             dop: 2,
-            spill: None,
+            spill: false,
             output: perm_algebra::plan::AggOutput::Groups,
         };
         let err = verify_physical(&plan, "parallelization").unwrap_err();
@@ -872,7 +737,7 @@ mod tests {
             left: Box::new(scan(1)),
             right: Box::new(scan(1)),
             dop: 2,
-            spill: None,
+            spill: false,
         };
         let err = verify_physical(&plan, "parallelization").unwrap_err();
         assert!(err.message().contains("UNION ALL"), "{err}");
@@ -906,46 +771,10 @@ mod tests {
             left: Box::new(scan(1)),
             right: Box::new(narrow),
             dop: 1,
-            spill: Some(8),
+            spill: true,
         };
         let err = verify_physical(&plan, "physical-planning").unwrap_err();
         assert!(err.message().contains("setop-arity"), "{err}");
-    }
-
-    #[test]
-    fn spill_partition_count_below_two_is_inconsistent() {
-        let plan = PhysicalPlan::HashDistinct {
-            input: Box::new(scan(1)),
-            dop: 1,
-            spill: Some(1),
-        };
-        let err = verify_physical(&plan, "physical-planning").unwrap_err();
-        assert!(err.message().contains("spill-consistency"), "{err}");
-        assert!(err.message().contains("at least 2"), "{err}");
-    }
-
-    #[test]
-    fn mismatched_spill_partition_counts_are_caught() {
-        // A pass that re-stamps one operator's partition count but not
-        // its siblings' would break partition-wise processing.
-        let plan = PhysicalPlan::Sort {
-            input: Box::new(PhysicalPlan::HashDistinct {
-                input: Box::new(scan(1)),
-                dop: 1,
-                spill: Some(8),
-            }),
-            keys: vec![perm_algebra::plan::SortKey {
-                expr: ScalarExpr::Column(0),
-                desc: false,
-            }],
-            dop: 1,
-            // In range (8..=64, power of two) but differing from the
-            // sibling's 8 — the mismatch check must catch it.
-            spill: Some(16),
-        };
-        let err = verify_physical(&plan, "physical-planning").unwrap_err();
-        assert!(err.message().contains("spill-consistency"), "{err}");
-        assert!(err.message().contains("differs"), "{err}");
     }
 
     #[test]
@@ -968,7 +797,7 @@ mod tests {
             out_slots: None,
             est_rows: 100.0,
             dop: 1,
-            spill: Some(8),
+            spill: true,
         };
         let err = verify_physical(&full, "physical-planning").unwrap_err();
         assert!(err.message().contains("spill-legality"), "{err}");
@@ -985,7 +814,7 @@ mod tests {
                 distinct: true,
             }],
             dop: 1,
-            spill: Some(8),
+            spill: true,
             output: perm_algebra::plan::AggOutput::Groups,
         };
         let err = verify_physical(&distinct, "physical-planning").unwrap_err();
@@ -1000,7 +829,7 @@ mod tests {
             left: Box::new(scan(1)),
             right: Box::new(scan(1)),
             dop: 1,
-            spill: Some(8),
+            spill: true,
         };
         let err = verify_physical(&append, "physical-planning").unwrap_err();
         assert!(err.message().contains("spill-legality"), "{err}");

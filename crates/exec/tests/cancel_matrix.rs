@@ -27,7 +27,7 @@ use std::sync::Arc;
 use perm_algebra::expr::{AggCall, AggFunc, BinOp, ScalarExpr};
 use perm_algebra::plan::{AggOutput, JoinType, SetOpType, SortKey};
 use perm_exec::physical::{BuildSide, EquiKey, PhysicalPlan};
-use perm_exec::{verify_physical, Executor, MemoryPool, QueryMemory, SPILL_PARTITIONS};
+use perm_exec::{verify_physical, Executor, MemoryPool, QueryMemory};
 use perm_storage::{spill_dir_is_clean, Catalog, Table};
 use perm_types::{Column, DataType, QueryContext, Result, Schema, Tuple, Value};
 
@@ -72,9 +72,9 @@ fn scan(cat: &Catalog, name: &str) -> Box<PhysicalPlan> {
 }
 
 /// Every operator node of the matrix at one `dop`, labelled. Nodes that
-/// can spill carry the planner's default partition count.
+/// can spill carry the may-spill flag.
 fn operators(cat: &Catalog, dop: usize) -> Vec<(String, PhysicalPlan)> {
-    let spill = Some(SPILL_PARTITIONS);
+    let spill = true;
     let mut ops = Vec::new();
     for (op, all) in [
         (SetOpType::Union, false),
@@ -120,7 +120,7 @@ fn operators(cat: &Catalog, dop: usize) -> Vec<(String, PhysicalPlan)> {
     for (output, group_by, spill) in [
         (AggOutput::Groups, vec![ScalarExpr::Column(0)], spill),
         (AggOutput::Witnesses, vec![ScalarExpr::Column(0)], spill),
-        (AggOutput::Witnesses, vec![], None),
+        (AggOutput::Witnesses, vec![], false),
     ] {
         ops.push((
             format!("HashAggregate {output:?} keys={} dop={dop}", group_by.len()),
@@ -359,7 +359,7 @@ fn pre_cancelled_operators_return_cancelled_and_leak_nothing() {
             // Unbounded memory runs the in-memory driver `dop` selects; a
             // 1-byte per-query cap denies the reservation and, where the
             // node carries a spill stamp, runs the spilled driver.
-            let caps: &[Option<usize>] = if plan.spill().is_some() {
+            let caps: &[Option<usize>] = if plan.spill() {
                 &[None, Some(1)]
             } else {
                 &[None]
@@ -412,7 +412,7 @@ fn operators_cancelled_after_reading_their_input_return_cancelled() {
             ) {
                 continue;
             }
-            let caps: &[Option<usize>] = if plan.spill().is_some() {
+            let caps: &[Option<usize>] = if plan.spill() {
                 &[None, Some(1)]
             } else {
                 &[None]
@@ -486,7 +486,7 @@ fn matrix_plans_run_to_the_serial_answer_on_a_live_context() {
     for dop in [1, 2] {
         for ((label, plan), expected) in operators(&cat, dop).iter().zip(&serial) {
             for budget in [None, Some(1)] {
-                if budget.is_some() && plan.spill().is_none() {
+                if budget.is_some() && !plan.spill() {
                     continue;
                 }
                 for streamed in [false, true] {

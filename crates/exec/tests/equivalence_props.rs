@@ -882,7 +882,7 @@ proptest! {
         parallel in any::<bool>(),
     ) {
         // FULL hash joins are deliberately non-spillable (the planner
-        // stamps `spill: None`): under pool pressure they fail with the
+        // stamps `spill: false`): under pool pressure they fail with the
         // typed resource error rather than degrade — pinned by
         // `full_join_over_budget_fails_with_typed_error` in
         // tests/memory_governance.rs. The equivalence property covers

@@ -621,7 +621,7 @@ fn physical_witness_aggregate_exposes_its_input_row() {
                 distinct: false,
             }],
             dop: 1,
-            spill: Some(8),
+            spill: true,
             output,
         })
     };
@@ -671,7 +671,7 @@ fn parallel_full_join_is_illegal() {
         out_slots: None,
         est_rows: 1.0,
         dop: 2,
-        spill: None,
+        spill: false,
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "parallel-legality", "physical-planning");
@@ -689,7 +689,7 @@ fn parallel_distinct_aggregate_is_illegal() {
             distinct: true,
         }],
         dop: 2,
-        spill: None,
+        spill: false,
         output: AggOutput::Groups,
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
@@ -705,7 +705,7 @@ fn parallel_union_all_append_is_illegal() {
         left: values(1),
         right: values(1),
         dop: 2,
-        spill: None,
+        spill: false,
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "parallel-legality", "physical-planning");
@@ -737,7 +737,7 @@ fn spilling_sublink_sort_is_illegal() {
             desc: false,
         }],
         dop: 1,
-        spill: Some(8),
+        spill: true,
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "spill-legality", "physical-planning");
@@ -752,7 +752,7 @@ fn hash_setop_arity_mismatch_is_rejected() {
         left: values(1),
         right: values(2), // different width
         dop: 1,
-        spill: Some(8),
+        spill: true,
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "setop-arity", "physical-planning");
@@ -776,7 +776,7 @@ fn hash_join_child_width_mismatch_is_rejected() {
         out_slots: None,
         est_rows: 1.0,
         dop: 1,
-        spill: Some(8),
+        spill: true,
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     assert_names(&err, "schema-arity", "physical-planning");
@@ -818,7 +818,7 @@ fn violations_name_the_node_path() {
             exprs: vec![ScalarExpr::Column(9)],
         }),
         dop: 1,
-        spill: Some(8),
+        spill: true,
     };
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     let msg = err.message().to_string();

@@ -55,7 +55,7 @@ pub enum StrategyMode {
     /// Pick the cheaper rewrite using cardinality estimates (Perm's
     /// "cost-based solution").
     CostBased,
-    /// Force one strategy (ablation benches, browser toggles).
+    /// Force one strategy (the browser's toggle, tests comparing both).
     Fixed(UnionStrategy),
 }
 
