@@ -182,6 +182,32 @@ fn per_query_cap_fails_with_typed_error_naming_operator() {
 }
 
 #[test]
+fn a_moderate_per_query_cap_spills_low_cardinality_queries_exactly() {
+    // 40 000 rows with 97 distinct `x` under a 64 KiB cap: the in-memory
+    // reservation is denied, and each spilled partition reads back
+    // thousands of rows but keeps at most 97 of them (or 97 groups). Only
+    // what a partition keeps counts against the cap.
+    let (server, unconstrained) = server_with_rows(40_000);
+    let capped =
+        server.session_with_options(SessionOptions::default().with_memory_budget(64 << 10));
+    // The input is over the cap: an aggregate that cannot spill fails.
+    let err = capped
+        .query("SELECT PROVENANCE count(*) FROM big")
+        .unwrap_err();
+    assert_eq!(err.kind(), "resource", "{err}");
+    for sql in [
+        "SELECT DISTINCT x FROM big",
+        "SELECT DISTINCT x % 2 FROM big",
+        "SELECT x, count(*), sum(y) FROM big GROUP BY x",
+        "SELECT x % 2, count(*) FROM big GROUP BY x % 2",
+    ] {
+        let expected = unconstrained.query(sql).unwrap();
+        assert_eq!(capped.query(sql).unwrap(), expected, "{sql}");
+        assert_eq!(server.memory_pool().used(), 0, "{sql}");
+    }
+}
+
+#[test]
 fn full_join_over_budget_fails_with_typed_error() {
     // FULL hash joins are non-spillable by design (spill=never in the
     // plan): pool pressure surfaces the typed error instead of a

@@ -16,7 +16,9 @@ use crate::eval::Env;
 use crate::executor::Executor;
 use crate::memory::{grow_batched, MemoryDenied};
 use crate::operators::join::{refs_of, JoinRefs, RefRow, RowRef, View};
-use crate::operators::spill::{charge_input, partition_of, partitioned, Backing, Rows};
+use crate::operators::spill::{
+    charge_input, partition_of, partitioned, Backing, Cap, Partitioned, Ran, Rows, Stream,
+};
 use crate::operators::RowError;
 use crate::physical::PhysicalPlan;
 
@@ -292,6 +294,16 @@ pub(super) enum GroupKey {
     Many(Tuple),
 }
 
+impl GroupKey {
+    /// Bytes a group's key holds (spill working-memory accounting).
+    fn size_bytes(&self) -> usize {
+        match self {
+            GroupKey::One(v) => v.size_bytes(),
+            GroupKey::Many(t) => t.size_bytes(),
+        }
+    }
+}
+
 /// One row being accumulated: a plain-column argument or single-column
 /// key reads straight through [`RowRef::value`] (a join input's layout
 /// included); anything else evaluates over the row as a tuple, gathered
@@ -376,7 +388,8 @@ pub(super) struct AggPartial {
 /// input), every chunk-parallel worker (one contiguous chunk) and the
 /// spilled driver (one hash partition read back from disk): fold
 /// position-tagged `rows` — a join's refs or materialized tuples, see
-/// [`RowRef`] — into a fresh partial. `witnesses` records each row's
+/// [`RowRef`] — into a fresh partial. `on_new_group` lets the spilled
+/// driver charge each group it opens; `witnesses` records each row's
 /// group for [`finish`]. An evaluation error carries the position of the
 /// row that raised it (see [`RowError`]).
 pub(super) fn accumulate<R: RowRef>(
@@ -385,6 +398,7 @@ pub(super) fn accumulate<R: RowRef>(
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
     outer: &[Tuple],
+    mut on_new_group: impl FnMut(&GroupKey) -> Result<()>,
     witnesses: bool,
 ) -> std::result::Result<AggPartial, RowError> {
     // Group-by keys and aggregate arguments are compiled once, evaluated
@@ -413,6 +427,7 @@ pub(super) fn accumulate<R: RowRef>(
         let g = match partial.index.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => *e.get(),
             std::collections::hash_map::Entry::Vacant(v) => {
+                on_new_group(v.key()).map_err(fatal)?;
                 partial.groups.push(Group {
                     pos,
                     key: v.key().clone(),
@@ -583,8 +598,10 @@ pub(crate) fn run_aggregate(
     let charge = !group_by.is_empty() || witnesses.is_some();
     let spill = spill && !group_by.is_empty();
     let reservation = exec.memory().register("HashAggregate");
-    let on_disk =
-        |backing| aggregate_on_disk(exec, Arc::clone(&refs), group_by, aggs, backing, witnesses);
+    let on_disk = |backing| {
+        let op = Arc::new(Grouped::new(exec, group_by, aggs, witnesses));
+        partitioned(exec, backing, [Arc::clone(&refs)], op)
+    };
 
     if dop > 1 {
         // Chunk-parallel: each worker accumulates one contiguous chunk
@@ -612,6 +629,7 @@ pub(crate) fn run_aggregate(
                     &group_by_owned,
                     &aggs_owned,
                     &outer,
+                    |_| Ok(()),
                     witnesses.is_some(),
                 )
                 .map_err(|(_, e)| e)
@@ -669,6 +687,7 @@ pub(crate) fn run_aggregate(
         group_by,
         aggs,
         &outer,
+        |_| Ok(()),
         witnesses.is_some(),
     )
     .map_err(|(_, e)| e)?;
@@ -682,51 +701,70 @@ pub(crate) fn run_aggregate(
     )
 }
 
-/// The spilled aggregate: the partition driver keyed by the group key,
+/// A grouped aggregate (of a witness aggregate, the input arity
+/// `witnesses`) as the partition driver runs it: keyed by the group key,
 /// with [`accumulate`] / [`finish`] as the body. Groups (and a witness
 /// aggregate's kept rows) are emitted under the position that opened the
-/// group, so the driver's stable reorder restores the serial order. As
-/// in the serial loop (a row's key, then its arguments), a key error at
-/// `i` stops the scatter, but an argument error before `i` still wins.
-fn aggregate_on_disk(
-    exec: &Executor,
-    refs: Arc<JoinRefs>,
-    group_by: &[ScalarExpr],
-    aggs: &[AggCall],
-    backing: Backing<'_>,
+/// group, so the driver's stable reorder restores the serial order. As in
+/// the serial loop (a row's key, then its arguments), a key error at `i`
+/// stops the scatter, but an argument error before `i` still wins.
+pub(super) struct Grouped {
+    keys: KeyPlan,
+    group_by: Vec<ScalarExpr>,
+    aggs: Vec<AggCall>,
+    outer: Arc<Vec<Tuple>>,
     witnesses: Option<usize>,
-) -> Result<Vec<Tuple>> {
-    debug_assert!(!group_by.is_empty(), "global aggregates never spill");
-    debug_assert!(
-        aggs.iter().all(|c| !c.distinct),
-        "DISTINCT aggregates never spill"
-    );
-    let (group_c, outer) = (KeyPlan::compile(exec, group_by), exec.outer_stack());
-    let key_outer = Arc::clone(&outer);
-    let key = move |exec: &Executor, _, row: &RefRow<'_, '_>, parts| {
-        let key = group_c.apply(exec, &mut Input::new(row), &key_outer)?;
+}
+
+impl Grouped {
+    pub(super) fn new(
+        exec: &Executor,
+        group_by: &[ScalarExpr],
+        aggs: &[AggCall],
+        witnesses: Option<usize>,
+    ) -> Grouped {
+        debug_assert!(!group_by.is_empty(), "global aggregates never spill");
+        let distinct = aggs.iter().any(|c| c.distinct);
+        debug_assert!(!distinct, "DISTINCT aggregates never spill");
+        Grouped {
+            keys: KeyPlan::compile(exec, group_by),
+            group_by: group_by.to_vec(),
+            aggs: aggs.to_vec(),
+            outer: exec.outer_stack(),
+            witnesses,
+        }
+    }
+}
+
+impl Partitioned<1> for Grouped {
+    fn key(&self, exec: &Executor, _: usize, row: &RefRow, parts: usize) -> Result<Option<usize>> {
+        let key = self.keys.apply(exec, &mut Input::new(row), &self.outer)?;
         Ok(Some(partition_of(&key, parts)))
-    };
-    let (group_by, aggs) = (group_by.to_vec(), aggs.to_vec());
-    let body = move |exec: &Executor, [rows]: [Rows; 1], out: &mut Rows| {
-        let fatal = |e| (None, e);
-        let input = rows.iter().map(|(tag, t)| Ok((*tag, t)));
-        let partial = accumulate(exec, input, &group_by, &aggs, &outer, witnesses.is_some())?;
-        // A witness aggregate emits the partition's rows behind their groups.
-        let kept = witnesses
-            .map(|width| JoinRefs::rows(rows.into_iter().map(|(_, t)| t).collect(), width))
-            .transpose()
-            .map_err(fatal)?;
-        let view = kept
-            .as_ref()
-            .map(|k| k.view(exec))
-            .transpose()
-            .map_err(fatal)?;
-        let rows = finish(exec, partial, &group_by, &aggs, view.as_ref(), |tag, t| {
-            (tag, t)
+    }
+
+    /// Charges what the in-memory table would hold: each group's key and
+    /// states, and a witness aggregate's kept rows.
+    fn run<I: Stream>(&self, exec: &Executor, [rows]: [I; 1], cap: Cap, out: &mut Rows) -> Ran {
+        let (fatal, mut kept) = (|e| (None, e), Vec::new());
+        let rows = rows.map(|rec| {
+            let (tag, t) = rec?;
+            if self.witnesses.is_some() {
+                cap.grow(t.size_bytes())?;
+                kept.push(t.clone());
+            }
+            Ok((tag, t))
         });
+        let group_bytes = 32 * self.aggs.len().max(1);
+        let on_new_group = |key: &GroupKey| cap.grow(key.size_bytes() + group_bytes);
+        let (group_by, aggs, outer) = (&self.group_by, &self.aggs, &self.outer);
+        let witnesses = self.witnesses.is_some();
+        let partial = accumulate(exec, rows, group_by, aggs, outer, on_new_group, witnesses)?;
+        let kept = self.witnesses.map(|width| JoinRefs::rows(kept, width));
+        let kept = kept.transpose().map_err(fatal)?;
+        let view = kept.as_ref().map(|k| k.view(exec)).transpose();
+        let (view, tagged) = (view.map_err(fatal)?, |tag, t| (tag, t));
+        let rows = finish(exec, partial, group_by, aggs, view.as_ref(), tagged);
         out.extend(rows.map_err(fatal)?);
         Ok(())
-    };
-    partitioned(exec, backing, [refs], key, body)
+    }
 }

@@ -62,7 +62,9 @@ use perm_algebra::plan::JoinType;
 use crate::compile::CompiledExpr;
 use crate::eval::Env;
 use crate::executor::{check_scan_schema, Executor};
-use crate::operators::spill::{charge_input, partition_of, partitioned, Backing, Ran, Rows};
+use crate::operators::spill::{
+    charge_input, partition_of, partitioned, Cap, Partitioned, Ran, Rows, Stream,
+};
 use crate::operators::RowError;
 use crate::parallel::{concat, map_morsels};
 use crate::physical::{out_arity, BuildSide, PhysicalPlan};
@@ -857,21 +859,19 @@ impl HashProbe {
         }
         ran.map_err(|(j, e)| (j.map(|j| tags[j as usize]), e))
     }
+}
 
-    /// The spilled (Grace) join's key over `[build, probe]`. A NULL key
-    /// under plain equality matches nothing: such a build row is dropped
-    /// (FULL joins never spill), such a probe row still drives the
-    /// LEFT/ANTI epilogue in partition 0 — unless the build side is the
-    /// left, inner-only one. Build positions come first, so a build-key
-    /// error beats every probe-side one, as the in-memory build's does.
-    pub(super) fn partition_key(
-        &self,
-        exec: &Executor,
-        input: usize,
-        row: &RefRow<'_, '_>,
-        parts: usize,
-    ) -> Result<Option<usize>> {
-        let exprs = if input == 0 {
+/// The spilled (Grace) join as the partition driver runs it, over
+/// `[build, probe]`.
+impl Partitioned<2> for HashProbe {
+    /// A NULL key under plain equality matches nothing: such a build row
+    /// is dropped (FULL joins never spill), such a probe row still drives
+    /// the LEFT/ANTI epilogue in partition 0 — unless the build side is
+    /// the left, inner-only one. Build positions come first, so a
+    /// build-key error beats every probe-side one, as the in-memory
+    /// build's does.
+    fn key(&self, exec: &Executor, k: usize, row: &RefRow, parts: usize) -> Result<Option<usize>> {
+        let exprs = if k == 0 {
             &self.build_exprs
         } else {
             &self.probe_exprs
@@ -892,22 +892,32 @@ impl HashProbe {
         };
         Ok(match key {
             Some(key) => Some(partition_of(&key, parts)),
-            None if input == 1 && !self.build_left => Some(0),
+            None if k == 1 && !self.build_left => Some(0),
             None => None,
         })
     }
 
-    /// The spilled join's body: [`HashProbe::probe_tagged`] one
-    /// partition's build and probe rows; `out`, the earlier partitions'
-    /// output, counts toward the row budget. Keys that succeeded during
-    /// the scatter are evaluated again, deterministically.
-    pub(super) fn run_partition(
-        &self,
-        exec: &Executor,
-        [build, probe]: [Rows; 2],
-        out: &mut Rows,
-    ) -> Ran {
-        let build = build.into_iter().map(|(_, t)| t).collect();
+    /// [`HashProbe::probe_tagged`] one partition: its build rows are the
+    /// working memory, charged; `out`, the earlier partitions' output,
+    /// counts toward the row budget. Keys that succeeded during the
+    /// scatter are evaluated again, deterministically.
+    fn run<I: Stream>(&self, exec: &Executor, [b, p]: [I; 2], cap: Cap, out: &mut Rows) -> Ran {
+        let load = |(n, rec): (usize, Result<(u64, Tuple)>)| {
+            // Masked cancellation check per 4096 reloaded build rows.
+            if n % 4096 == 0 {
+                exec.check_cancelled()?;
+            }
+            let (_, t) = rec?;
+            cap.grow(t.size_bytes())?;
+            Ok(t)
+        };
+        let fatal = |e| (None, e);
+        let build = b
+            .enumerate()
+            .map(load)
+            .collect::<Result<_>>()
+            .map_err(fatal)?;
+        let probe = p.collect::<Result<_>>().map_err(fatal)?;
         self.probe_tagged(exec, build, probe, None, out.len(), out)
     }
 }
@@ -945,25 +955,15 @@ fn hash_join_refs(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> {
     // hold gathered. A denial turns the join into a Grace join.
     let reservation = exec.memory().register("HashJoin build");
     let (sizes, rows) = ((0..bv.len()).map(|r| bv.size_bytes(r)), bv.len() + pv.len());
-    if let Some(backing @ Backing::Disk(..)) =
-        charge_input(&reservation, sizes, rows, *dop, *spill)?
-    {
+    if let Some(backing) = charge_input(&reservation, sizes, rows, 1, *spill)? {
         // A Grace join through the partition driver.
         let inputs = if probe.build_left {
             [left, right]
         } else {
             [right, left]
         };
-        let (keys, width) = (Arc::clone(&probe), probe.out_width());
-        let rows = partitioned(
-            exec,
-            backing,
-            inputs,
-            move |exec: &Executor, input, row: &RefRow<'_, '_>, parts| {
-                keys.partition_key(exec, input, row, parts)
-            },
-            move |exec: &Executor, rows, out: &mut Rows| probe.run_partition(exec, rows, out),
-        )?;
+        let width = probe.out_width();
+        let rows = partitioned(exec, backing, inputs, probe)?;
         return JoinRefs::rows(rows, width);
     }
     let table = probe.build(exec, bv)?;

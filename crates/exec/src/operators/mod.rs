@@ -14,10 +14,12 @@
 //!   ([`join`], [`aggregate`], [`setop`]) — are written over the rows of
 //!   one hash partition, tagged with their input positions. A parallel
 //!   DISTINCT or set operation, and any of the four spilled, runs through
-//!   the one partition driver ([`spill::partitioned`]), which is given a
-//!   key and the body and sizes its own fanout; the serial driver runs
-//!   the body on one partition already in order. Parallel joins and
-//!   aggregates split their input into morsels or chunks instead.
+//!   the one partition driver ([`spill::partitioned`]), given a key and
+//!   the body ([`spill::Partitioned`]); it sizes its own fanout, and on
+//!   disk the body streams each partition back and charges what it
+//!   keeps. The serial driver runs the body on one partition already in
+//!   order. Parallel joins and aggregates split their input into morsels
+//!   or chunks instead.
 //! * **Joins return row references** ([`join::JoinRefs`]): the rows of
 //!   each non-join input, one row id per input per output row, and an
 //!   output layout. A join or an aggregate over a join reads its input

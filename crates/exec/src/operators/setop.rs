@@ -9,8 +9,8 @@
 //! stream of position-tagged rows of *one hash partition*. The serial
 //! driver runs it over the whole input, in order, untagged (`()`). A
 //! parallel node or a denied reservation hands the rows to the partition
-//! driver ([`super::spill`]) with the row itself as the key ([`by_row`]:
-//! equal rows colocate) and the kernel as the body.
+//! driver ([`super::spill`]) as [`SetOp`] / [`Distinct`]: the row itself
+//! is the key (equal rows colocate) and the kernel the body.
 
 use std::sync::Arc;
 
@@ -20,8 +20,8 @@ use perm_types::{QueryContext, Result, Tuple};
 use perm_algebra::plan::SetOpType;
 
 use crate::executor::Executor;
-use crate::operators::join::{JoinRefs, RefRow, RowRef};
-use crate::operators::spill::{charge_input, partition_of, partitioned, Rows};
+use crate::operators::join::JoinRefs;
+use crate::operators::spill::{charge_input, partitioned, Cap, Partitioned, Ran, Rows, Stream};
 use crate::physical::{out_arity, PhysicalPlan};
 
 /// The serial driver's input stream: infallible, untagged, in input order.
@@ -54,13 +54,7 @@ pub(crate) fn run_setop(
     if let Some(backing) = charge_input(&reservation, sizes, rows, dop, spill)? {
         let width = out_arity(left);
         let inputs = [JoinRefs::rows(l, width)?, JoinRefs::rows(r, width)?].map(Arc::new);
-        let body = move |exec: &Executor, [l, r]: [Rows; 2], out: &mut Rows| {
-            let capacity = l.len() + r.len();
-            let (l, r) = (l.into_iter().map(Ok), r.into_iter().map(Ok));
-            let emit = |tag, t| out.push((tag, t));
-            setop_kernel(exec.context(), (op, all), l, r, capacity, emit).map_err(|e| (None, e))
-        };
-        return partitioned(exec, backing, inputs, by_row, body);
+        return partitioned(exec, backing, inputs, Arc::new(SetOp(op, all)));
     }
     let mut out = Vec::new();
     let capacity = l.len() + r.len();
@@ -75,10 +69,22 @@ pub(crate) fn run_setop(
     Ok(out)
 }
 
-/// The partition key of DISTINCT and the set operations: the row's own
-/// hash, so equal rows meet.
-pub(super) fn by_row(_: &Executor, _: usize, row: &RefRow, parts: usize) -> Result<Option<usize>> {
-    Ok(Some(partition_of(&*row.tuple(), parts)))
+/// A set operation `(op, all)` as the partition driver runs it, with
+/// [`setop_kernel`] as the body. Every row read is working memory: the
+/// kernel's table holds `r`, or (under `UNION`) every distinct row.
+pub(super) struct SetOp(pub(super) SetOpType, pub(super) bool);
+
+impl Partitioned<2> for SetOp {
+    fn run<I: Stream>(&self, exec: &Executor, [l, r]: [I; 2], cap: Cap, out: &mut Rows) -> Ran {
+        let load = |rec: Result<(u64, Tuple)>| {
+            let (tag, t) = rec?;
+            cap.grow(t.size_bytes())?;
+            Ok((tag, t))
+        };
+        let capacity = l.size_hint().1.unwrap_or(0) + r.size_hint().1.unwrap_or(0);
+        let (l, r, emit) = (l.map(load), r.map(load), |tag, t| out.push((tag, t)));
+        setop_kernel(exec.context(), (self.0, self.1), l, r, capacity, emit).map_err(|e| (None, e))
+    }
 }
 
 /// The one body of every hash set operation: run `(op, all)` over the
@@ -175,19 +181,13 @@ pub(crate) fn run_distinct(
 ) -> Result<Vec<Tuple>> {
     let rows = exec.run_physical(input)?;
     // The dedup set holds (at worst) every input row: charge input
-    // bytes. On disk a partition charges only the rows it keeps.
+    // bytes. On disk a partition charges only the rows it keeps
+    // ([`Distinct`]).
     let reservation = exec.memory().register("HashDistinct");
     let sizes = rows.iter().map(Tuple::size_bytes);
     if let Some(backing) = charge_input(&reservation, sizes, rows.len(), dop, spill)? {
         let inputs = [Arc::new(JoinRefs::rows(rows, out_arity(input))?)];
-        return partitioned(exec, backing, inputs, by_row, |exec, [rows], out| {
-            let emit = |tag, t| {
-                out.push((tag, t));
-                Ok(())
-            };
-            keep_first(exec.context(), rows.len(), rows.into_iter().map(Ok), emit)
-                .map_err(|e| (None, e))
-        });
+        return partitioned(exec, backing, inputs, Arc::new(Distinct));
     }
     let mut out = Vec::new();
     keep_first(exec.context(), rows.len(), untagged(rows), |(), t| {
@@ -195,6 +195,22 @@ pub(crate) fn run_distinct(
         Ok(())
     })?;
     Ok(out)
+}
+
+/// DISTINCT as the partition driver runs it, with [`keep_first`] as the
+/// body, charging the rows it keeps.
+pub(super) struct Distinct;
+
+impl Partitioned<1> for Distinct {
+    fn run<I: Stream>(&self, exec: &Executor, [rows]: [I; 1], cap: Cap, out: &mut Rows) -> Ran {
+        let capacity = rows.size_hint().1.unwrap_or(0);
+        let emit = |tag, t: Tuple| {
+            cap.grow(t.size_bytes())?;
+            out.push((tag, t));
+            Ok(())
+        };
+        keep_first(exec.context(), capacity, rows, emit).map_err(|e| (None, e))
+    }
 }
 
 /// The one body of DISTINCT: hand the first occurrence of every distinct

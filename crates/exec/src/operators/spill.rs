@@ -3,21 +3,22 @@
 //! A hash operator runs partitioned when its node is parallel or its
 //! memory reservation was denied ([`crate::memory`]) on a may-spill node.
 //! It supplies a *key* (a row's partition) and its one *body* (the kernel,
-//! over one partition), and [`partitioned`]:
+//! over one partition) as a [`Partitioned`], and [`partitioned`]:
 //!
 //! 1. scatters one or two inputs into hash partitions, each row tagged
 //!    with its input position; a key error stops the scatter;
 //! 2. runs the body on each partition — in memory, concurrently on the
 //!    pool ([`Backing::Pool`]), or on disk ([`Backing::Disk`], through
-//!    [`perm_storage::SpillPartitions`]), read back one at a time and
-//!    charged to the per-query cap only;
+//!    [`perm_storage::SpillPartitions`]), streamed back one partition at
+//!    a time, the body charging what it keeps to the per-query cap only;
 //! 3. keeps the error with the smallest position, the one serial
 //!    execution raises first;
 //! 4. restores input order ([`restore_order`]).
 //!
-//! The serial driver runs the same body over the whole input as one
-//! partition, so a partitioned run returns its rows, order and first
-//! error. The fanout is the driver's: `dop` in memory, on disk
+//! The body is generic over its row streams, so each backing runs its
+//! own compiled copy. The serial driver runs the same body over the whole
+//! input as one partition, so a partitioned run returns its rows, order
+//! and first error. The fanout is the driver's: `dop` in memory, on disk
 //! [`spill_fanout_for_rows`] of the rows scattered ([`charge_input`]).
 
 use std::hash::{Hash, Hasher};
@@ -29,7 +30,7 @@ use perm_types::{PermError, Result, Tuple};
 
 use crate::executor::Executor;
 use crate::memory::{grow_batched, MemoryReservation};
-use crate::operators::join::{JoinRefs, RefRow};
+use crate::operators::join::{JoinRefs, RefRow, RowRef};
 use crate::operators::RowError;
 use crate::parallel::{map_chunks, run_workers, Channel};
 use crate::physical::spill_fanout_for_rows;
@@ -95,33 +96,35 @@ pub(super) type Rows = Vec<(u64, Tuple)>;
 /// What a partition's body returns.
 pub(super) type Ran = std::result::Result<(), RowError>;
 
-/// One input's share of a partition, as scattered.
-enum Part {
-    Memory(Rows),
-    Disk(SpillReader),
+/// How a body reads one input's [`Rows`] of a partition.
+pub(super) trait Stream: Iterator<Item = Result<(u64, Tuple)>> {}
+
+impl<I: Iterator<Item = Result<(u64, Tuple)>>> Stream for I {}
+
+/// A hash operator as the driver runs it: its key and its one body.
+pub(super) trait Partitioned<const N: usize>: Send + Sync + 'static {
+    /// The partition of a `row` of input `k`, `None` for a row that
+    /// cannot contribute. By default the row's own hash: equal rows meet.
+    fn key(&self, _: &Executor, _: usize, row: &RefRow, parts: usize) -> Result<Option<usize>> {
+        Ok(Some(partition_of(&*row.tuple(), parts)))
+    }
+
+    /// Run over one partition, `rows[k]` streaming input `k`'s share:
+    /// append position-tagged output to `out` (on disk it also holds the
+    /// partitions before) and charge what the body keeps to `cap`.
+    fn run<I: Stream>(&self, exec: &Executor, rows: [I; N], cap: Cap, out: &mut Rows) -> Ran;
 }
 
-/// Read a partition file back up to (not including) position `stop`, the
-/// earliest evaluation error known, charging its rows to `res` every 4096
-/// rows: the query's cap only, given back when the partition ends.
-fn load(exec: &Executor, reader: SpillReader, stop: u64, res: &MemoryReservation) -> Result<Rows> {
-    let (mut rows, mut pending) = (Vec::with_capacity(reader.remaining()), 0);
-    for (n, rec) in reader.enumerate() {
-        // Masked cancellation check per 4096 reloaded rows.
-        if n % 4096 == 0 {
-            exec.check_cancelled()?;
-            res.grow_unpooled(std::mem::take(&mut pending))?;
-        }
-        let (tag, row) = rec?;
-        if tag >= stop {
-            // Tags ascend: nothing from here on can matter.
-            break;
-        }
-        pending += row.size_bytes();
-        rows.push((tag, row));
+/// The cap a body charges what it keeps to: on disk the query's own,
+/// given back when the partition ends; in memory none, the input was
+/// charged whole.
+#[derive(Clone, Copy)]
+pub(super) struct Cap<'r>(Option<&'r MemoryReservation>);
+
+impl Cap<'_> {
+    pub(super) fn grow(self, bytes: usize) -> Result<()> {
+        self.0.map_or(Ok(()), |res| res.grow_unpooled(bytes))
     }
-    res.grow_unpooled(pending)?;
-    Ok(rows)
 }
 
 /// Keep the earliest evaluation error; a positionless one is final.
@@ -136,156 +139,176 @@ fn absorb(first: &mut Option<(u64, PermError)>, ran: Ran) -> Result<()> {
     Ok(())
 }
 
-/// Run a hash operator over partitions of its `inputs` (module docs).
-/// `key(exec, input, row, parts)` names a row's partition, `None` for a
-/// row that cannot contribute. `body(exec, rows, out)` runs over one
-/// partition, one row list per input, appending position-tagged rows to
-/// `out` (on disk, `out` also holds the partitions before it).
-pub(super) fn partitioned<const N: usize, K, B>(
+/// Run `op` over partitions of its `inputs` (module docs); a second
+/// input's positions follow the first's.
+pub(super) fn partitioned<const N: usize, P: Partitioned<N>>(
     exec: &Executor,
     backing: Backing<'_>,
     inputs: [Arc<JoinRefs>; N],
-    key: K,
-    body: B,
-) -> Result<Vec<Tuple>>
-where
-    K: Fn(&Executor, usize, &RefRow, usize) -> Result<Option<usize>> + Send + Sync + 'static,
-    B: Fn(&Executor, [Rows; N], &mut Rows) -> Ran + Send + Sync + 'static,
-{
-    let parts = match backing {
-        Backing::Pool(parts) | Backing::Disk(_, parts) => parts,
+    op: Arc<P>,
+) -> Result<Vec<Tuple>> {
+    let mut first_err = None;
+    let out = match backing {
+        Backing::Pool(dop) => in_memory(exec, dop, inputs, op, &mut first_err)?,
+        Backing::Disk(res, parts) => on_disk(exec, (res, parts), inputs, &*op, &mut first_err)?,
     };
-    let key = Arc::new(key);
-    let (mut first_err, mut scattered, mut offset) = (None, Vec::with_capacity(N), 0);
-    // no-cancel: bounded by the input count; the scatters check.
-    for (k, refs) in inputs.iter().enumerate() {
-        let partitions = scatter(exec, backing, (k, refs), offset, &key, &mut first_err)?;
-        scattered.push(partitions.into_iter());
-        offset += refs.len() as u64;
-        if first_err.is_some() {
-            // Every later row, in this input or the next, is past it.
-            break;
-        }
-    }
-    let mut out = Vec::new();
-    if let Backing::Disk(res, _) = backing {
-        for _ in 0..parts {
-            // Partition boundary: cancellation point (unread files are
-            // removed when their readers drop).
-            exec.check_cancelled()?;
-            let stop = first_err.as_ref().map_or(u64::MAX, |(tag, _)| *tag);
-            let mut rows = Vec::with_capacity(N);
-            // no-cancel: bounded by the input count; `load` checks.
-            for k in 0..N {
-                rows.push(match scattered.get_mut(k).and_then(Iterator::next) {
-                    Some(Part::Disk(reader)) => load(exec, reader, stop, res)?,
-                    Some(Part::Memory(part)) => part,
-                    // The scatter stopped before this input.
-                    None => Vec::new(),
-                });
-            }
-            // INVARIANT: the loop pushed one row list per input.
-            let rows = rows.try_into().expect("one row list per input");
-            let ran = body(exec, rows, &mut out);
-            // The reservation holds nothing but this partition's rows.
-            res.free();
-            absorb(&mut first_err, ran)?;
-        }
-    } else {
-        // Each worker takes one partition, whichever: the partitions'
-        // outputs meet again only in the reorder.
-        let queue = Channel::new();
-        // no-cancel: bounded by the fanout.
-        for _ in 0..parts {
-            queue.send(std::array::from_fn(|k| {
-                match scattered.get_mut(k).and_then(Iterator::next) {
-                    Some(Part::Memory(part)) => part,
-                    _ => Vec::new(),
-                }
-            }));
-        }
-        let worker = exec.worker_factory();
-        let outputs = run_workers(parts, move |_| {
-            let mut out = Vec::new();
-            let ran = body(&worker(), queue.recv(), &mut out);
-            (out, ran)
-        })?;
-        // no-cancel: reassembly of already-computed partition outputs.
-        for (part, ran) in outputs {
-            absorb(&mut first_err, ran)?;
-            out.extend(part);
-        }
-    }
     match first_err {
         Some((_, e)) => Err(e),
         None => Ok(restore_order(out)),
     }
 }
 
-/// Step 1 for input `k` (positions from `offset`), its rows gathered one
-/// at a time: in memory chunk-parallel, the buckets concatenated in chunk
-/// order; on disk in one chunk, to partition files. Returns the
-/// partitions; the key error that stopped the scatter goes to `err`.
-fn scatter<K>(
+/// Steps 1 and 2 in memory: each input scattered chunk-parallel into
+/// `dop` buckets per chunk, concatenated in chunk order; then one
+/// partition per pool worker.
+fn in_memory<const N: usize, P: Partitioned<N>>(
     exec: &Executor,
-    backing: Backing<'_>,
-    (k, refs): (usize, &Arc<JoinRefs>),
-    offset: u64,
-    key: &Arc<K>,
-    err: &mut Option<(u64, PermError)>,
-) -> Result<Vec<Part>>
-where
-    K: Fn(&Executor, usize, &RefRow, usize) -> Result<Option<usize>> + Send + Sync + 'static,
-{
-    let (chunks, parts, disk) = match backing {
-        Backing::Pool(dop) => (dop, dop, false),
-        Backing::Disk(_, parts) => (1, parts, true),
-    };
-    let (refs, key, worker) = (Arc::clone(refs), Arc::clone(key), exec.worker_factory());
-    let scattered = map_chunks(exec.context(), chunks, refs.len(), move |range| {
-        let sub = worker();
-        let view = refs.view(&sub)?;
-        let mut files = disk.then(|| SpillPartitions::create(parts)).transpose()?;
-        let mut buckets = vec![Vec::new(); parts];
-        for (n, i) in range.enumerate() {
-            // Masked cancellation check per 4096 scattered rows.
-            if n % 4096 == 0 {
-                sub.check_cancelled()?;
+    dop: usize,
+    inputs: [Arc<JoinRefs>; N],
+    op: Arc<P>,
+    first_err: &mut Option<(u64, PermError)>,
+) -> Result<Rows> {
+    let mut parts: [Vec<Rows>; N] = std::array::from_fn(|_| vec![Vec::new(); dop]);
+    let mut offset = 0;
+    // no-cancel: bounded by the input count; the chunks check.
+    for (k, refs) in inputs.into_iter().enumerate() {
+        let (total, op, worker) = (refs.len(), Arc::clone(&op), exec.worker_factory());
+        let chunks = map_chunks(exec.context(), dop, total, move |range| {
+            let sub = worker();
+            let view = refs.view(&sub)?;
+            let mut buckets = vec![Vec::new(); dop];
+            for (n, i) in range.enumerate() {
+                // Masked cancellation check per 4096 scattered rows.
+                if n % 4096 == 0 {
+                    sub.check_cancelled()?;
+                }
+                let tag = offset + i as u64;
+                match op.key(&sub, k, &view.at(i), dop) {
+                    Ok(Some(p)) => buckets[p].push((tag, view.row(i).into_owned())),
+                    Ok(None) => {}
+                    Err(e) => return Ok((buckets, Some((tag, e)))),
+                }
             }
-            let tag = offset + i as u64;
-            match (key(&sub, k, &view.at(i), parts), &mut files) {
-                (Ok(Some(p)), Some(files)) => files.push(p, tag, &view.row(i))?,
-                (Ok(Some(p)), None) => buckets[p].push((tag, view.row(i).into_owned())),
-                (Ok(None), _) => {}
-                (Err(e), _) => return Ok((files, buckets, Some((tag, e)))),
+            Ok((buckets, None))
+        })?;
+        // no-cancel: reassembly of already-scattered chunks, bounded by dop.
+        for (buckets, err) in chunks {
+            // no-cancel: bounded by the fanout.
+            for (p, rows) in buckets.into_iter().enumerate() {
+                parts[k][p].extend(rows);
+            }
+            if err.is_some() {
+                *first_err = err;
+                break;
             }
         }
-        Ok((files, buckets, None))
-    })?;
-    let mut partitions = vec![Vec::new(); parts];
-    // no-cancel: reassembly of already-scattered chunks, bounded by dop.
-    for (files, buckets, chunk_err) in scattered {
-        *err = chunk_err;
-        if let Some(files) = files {
-            let readers = files.into_readers()?.into_iter();
-            return Ok(readers.map(Part::Disk).collect());
-        }
-        // no-cancel: bounded by the fanout.
-        for (p, rows) in buckets.into_iter().enumerate() {
-            partitions[p].extend(rows);
-        }
-        if err.is_some() {
+        if first_err.is_some() {
+            // Every later row, in this input or the next, is past it.
             break;
         }
+        offset += total as u64;
     }
-    Ok(partitions.into_iter().map(Part::Memory).collect())
+    // Each worker takes one partition, whichever: the partitions' outputs
+    // meet again only in the reorder.
+    let queue = Channel::new();
+    // no-cancel: bounded by the fanout.
+    for p in 0..dop {
+        queue.send(parts.each_mut().map(|input| std::mem::take(&mut input[p])));
+    }
+    let worker = exec.worker_factory();
+    let outputs = run_workers(dop, move |_| {
+        let rows = queue.recv().map(|rows| rows.into_iter().map(Ok));
+        let mut out = Vec::new();
+        let ran = op.run(&worker(), rows, Cap(None), &mut out);
+        (out, ran)
+    })?;
+    let mut out = Vec::new();
+    // no-cancel: reassembly of already-computed partition outputs.
+    for (part, ran) in outputs {
+        absorb(first_err, ran)?;
+        out.extend(part);
+    }
+    Ok(out)
+}
+
+/// Steps 1 and 2 on disk: each input scattered to `parts` partition
+/// files; then one partition at a time read back through the body,
+/// whose charges are freed when the partition ends.
+fn on_disk<const N: usize, P: Partitioned<N>>(
+    exec: &Executor,
+    (res, parts): (&MemoryReservation, usize),
+    inputs: [Arc<JoinRefs>; N],
+    op: &P,
+    first_err: &mut Option<(u64, PermError)>,
+) -> Result<Rows> {
+    let (mut readers, mut offset) = (Vec::with_capacity(N), 0);
+    // no-cancel: bounded by the input count; the scatter checks.
+    for (k, refs) in inputs.iter().enumerate() {
+        let (view, mut files) = (refs.view(exec)?, SpillPartitions::create(parts)?);
+        for i in 0..view.len() {
+            // Masked cancellation check per 4096 scattered rows.
+            if i % 4096 == 0 {
+                exec.check_cancelled()?;
+            }
+            let tag = offset + i as u64;
+            match op.key(exec, k, &view.at(i), parts) {
+                Ok(Some(p)) => files.push(p, tag, &view.row(i))?,
+                Ok(None) => {}
+                Err(e) => {
+                    *first_err = Some((tag, e));
+                    break;
+                }
+            }
+        }
+        readers.push(files.into_readers()?.into_iter());
+        if first_err.is_some() {
+            // Every later row, in this input or the next, is past it.
+            break;
+        }
+        offset += view.len() as u64;
+    }
+    let mut out = Vec::new();
+    for _ in 0..parts {
+        // Partition boundary: cancellation point (unread files are
+        // removed when their readers drop).
+        exec.check_cancelled()?;
+        let stop = first_err.as_ref().map_or(u64::MAX, |(tag, _)| *tag);
+        let rows =
+            std::array::from_fn(|k| Replay(readers.get_mut(k).and_then(Iterator::next), stop));
+        let ran = op.run(exec, rows, Cap(Some(res)), &mut out);
+        // The reservation holds nothing but this partition's charges.
+        res.free();
+        absorb(first_err, ran)?;
+    }
+    Ok(out)
+}
+
+/// One input's partition file read back up to (not including) position
+/// `.1`, the earliest evaluation error known: tags ascend, so nothing
+/// from there on can matter. No file: the scatter stopped before the
+/// input.
+struct Replay(Option<SpillReader>, u64);
+
+impl Iterator for Replay {
+    type Item = Result<(u64, Tuple)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self.0.as_mut()?.next()? {
+            Ok((tag, _)) if tag >= self.1 => None,
+            rec => Some(rec),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (0, Some(self.0.as_ref().map_or(0, SpillReader::remaining)))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::memory::{MemoryPool, QueryMemory};
-    use crate::operators::setop::{by_row, keep_first};
+    use crate::operators::setop::Distinct;
     use perm_storage::Catalog;
     use perm_types::Value;
 
@@ -301,36 +324,19 @@ mod tests {
 
     /// DISTINCT through the driver on disk, under a 1-byte pool, at
     /// fanout 3.
-    fn distinct_spill(input: Vec<Tuple>) -> (Result<Vec<Tuple>>, MemoryReservation) {
+    fn spilled_distinct(input: Vec<Tuple>) -> (Result<Vec<Tuple>>, MemoryReservation) {
         let exec = Executor::new(Arc::new(Catalog::new()));
         let q = QueryMemory::new(MemoryPool::with_budget(1), None);
         let res = q.register("test");
         let refs = Arc::new(JoinRefs::rows(input, 2).unwrap());
-        let got = partitioned(
-            &exec,
-            Backing::Disk(&res, 3),
-            [refs],
-            by_row,
-            |exec, [rows], out| {
-                keep_first(
-                    exec.context(),
-                    rows.len(),
-                    rows.into_iter().map(Ok),
-                    |tag, t| {
-                        out.push((tag, t));
-                        Ok(())
-                    },
-                )
-                .map_err(|e| (None, e))
-            },
-        );
+        let got = partitioned(&exec, Backing::Disk(&res, 3), [refs], Arc::new(Distinct));
         (got, res)
     }
 
     #[test]
     fn spilled_distinct_keeps_first_occurrence_order() {
         let _g = perm_fault::test_guard();
-        let (got, res) = distinct_spill(rows(&[4, 1, 4, 2, 1, 3, 2, 4]));
+        let (got, res) = spilled_distinct(rows(&[4, 1, 4, 2, 1, 3, 2, 4]));
         assert_eq!(got.unwrap(), rows(&[4, 1, 2, 3]));
         assert_eq!(res.size(), 0);
     }
@@ -338,7 +344,7 @@ mod tests {
     #[test]
     fn empty_input_spills_to_empty_output() {
         let _g = perm_fault::test_guard();
-        assert!(distinct_spill(Vec::new()).0.unwrap().is_empty());
+        assert!(spilled_distinct(Vec::new()).0.unwrap().is_empty());
     }
 
     #[test]

@@ -15,12 +15,14 @@ use perm_algebra::plan::{AggOutput, JoinType, LogicalPlan, SetOpType, SortKey};
 use perm_storage::{spill_dir_is_clean, Catalog};
 use perm_types::{Column, DataType, PermError, QueryContext, Result, Schema, Tuple, Value};
 
-use super::aggregate::{accumulate, finish, merge_partials};
-use super::join::{refs_of, HashProbe, JoinRefs, RefRow, RowRef};
+use super::aggregate::{accumulate, finish, merge_partials, Grouped};
+use super::join::{refs_of, HashProbe, JoinRefs, RefRow};
 use super::scan::Pipe;
-use super::setop::{by_row, keep_first, setop_kernel};
+use super::setop::{keep_first, setop_kernel, Distinct, SetOp};
 use super::sort::SortRun;
-use super::spill::{partition_of, partitioned, restore_order, Backing, Ran};
+use super::spill::{
+    partition_of, partitioned, restore_order, Backing, Cap, Partitioned, Ran, Stream,
+};
 use crate::compile::CompiledProjection;
 use crate::eval::{eval, Env};
 use crate::executor::Executor;
@@ -64,25 +66,17 @@ fn untagged(rows: &Tagged) -> Vec<Tuple> {
     rows.iter().map(|(_, t)| t.clone()).collect()
 }
 
-/// Run `body` over `inputs` (two-column rows) through the partition
-/// driver — in memory on the pool, and on disk under a 1-byte pool — at
-/// every fanout of [`PARTITION_COUNTS`], handing `check` each result. An
+/// Run `op` over `inputs` (two-column rows) through the partition driver
+/// — in memory on the pool, and on disk under a 1-byte pool — at every
+/// fanout of [`PARTITION_COUNTS`], handing `check` each result. An
 /// evaluation error comes back stamped with the position the driver kept
 /// (`at {pos}: …`). Every run must give its working memory back, drain the
 /// pool and leave no spill file behind.
-fn through_the_driver<const N: usize, K, B>(
+fn through_the_driver<const N: usize, P: Partitioned<N>>(
     inputs: [&[Tuple]; N],
-    key: K,
-    body: B,
+    op: Arc<P>,
     check: impl Fn(&str, Result<Vec<Tuple>>),
-) where
-    K: Fn(&Executor, usize, &RefRow<'_, '_>, usize) -> Result<Option<usize>>
-        + Clone
-        + Send
-        + Sync
-        + 'static,
-    B: Fn(&Executor, [Tagged; N], &mut Tagged) -> Ran + Clone + Send + Sync + 'static,
-{
+) {
     // Spill files are process-global: see `spill_dir_is_clean`.
     let _g = perm_fault::test_guard();
     let exec = Executor::new(Arc::new(Catalog::new()));
@@ -92,21 +86,30 @@ fn through_the_driver<const N: usize, K, B>(
         for (backing, name) in [(Backing::Pool(k), "pool"), (Backing::Disk(&res, k), "disk")] {
             let what = format!("{name} k={k}");
             let refs = inputs.map(|rows| Arc::new(JoinRefs::rows(rows.to_vec(), 2).unwrap()));
-            let body = body.clone();
-            let stamped = move |exec: &Executor, rows, out: &mut Tagged| {
-                body(exec, rows, out).map_err(|(pos, e)| match pos {
-                    Some(p) => (pos, PermError::Execution(format!("at {p}: {e}"))),
-                    None => (None, e),
-                })
-            };
-            check(
-                &what,
-                partitioned(&exec, backing, refs, key.clone(), stamped),
-            );
+            let stamped = Arc::new(Stamped(Arc::clone(&op)));
+            check(&what, partitioned(&exec, backing, refs, stamped));
             assert_eq!(res.size(), 0, "{what}: working memory must be given back");
             assert_eq!(pool.used(), 0, "{what}: pool must drain");
             assert!(spill_dir_is_clean(), "{what}: spill files left behind");
         }
+    }
+}
+
+/// An operator whose evaluation errors name the position they carry.
+struct Stamped<P>(Arc<P>);
+
+impl<const N: usize, P: Partitioned<N>> Partitioned<N> for Stamped<P> {
+    fn key(&self, exec: &Executor, k: usize, row: &RefRow, parts: usize) -> Result<Option<usize>> {
+        self.0.key(exec, k, row, parts)
+    }
+
+    fn run<I: Stream>(&self, exec: &Executor, rows: [I; N], cap: Cap, out: &mut Tagged) -> Ran {
+        self.0
+            .run(exec, rows, cap, out)
+            .map_err(|(pos, e)| match pos {
+                Some(p) => (pos, PermError::Execution(format!("at {p}: {e}"))),
+                None => (None, e),
+            })
     }
 }
 
@@ -154,15 +157,7 @@ fn setop_kernel_is_partition_invariant() {
         // The driver tags `r` after `l`, as above.
         through_the_driver(
             [&lrows, &rrows],
-            by_row,
-            move |exec, [l, r], out| {
-                let capacity = l.len() + r.len();
-                let (l, r) = (stream(l), stream(r));
-                setop_kernel(exec.context(), spec, l, r, capacity, |tag, t| {
-                    out.push((tag, t))
-                })
-                .map_err(|e| (None, e))
-            },
+            Arc::new(SetOp(spec.0, spec.1)),
             |what, got| {
                 let expected = restore_order(whole.clone());
                 assert_eq!(got.unwrap(), expected, "{spec:?} {what}");
@@ -194,18 +189,9 @@ fn keep_first_is_partition_invariant() {
             .collect();
         assert_eq!(restore_order(merged), restore_order(whole.clone()), "k={k}");
     }
-    through_the_driver(
-        [&untagged(&rows)],
-        by_row,
-        |exec, [rows], out| {
-            keep_first(exec.context(), rows.len(), stream(rows), |tag, t| {
-                out.push((tag, t));
-                Ok(())
-            })
-            .map_err(|e| (None, e))
-        },
-        |what, got| assert_eq!(got.unwrap(), restore_order(whole.clone()), "{what}"),
-    );
+    through_the_driver([&untagged(&rows)], Arc::new(Distinct), |what, got| {
+        assert_eq!(got.unwrap(), restore_order(whole.clone()), "{what}")
+    });
 }
 
 #[test]
@@ -356,11 +342,9 @@ fn hash_probe_is_partition_invariant() {
                 .clone()
                 .map(|(rows, _)| restore_order(rows))
                 .map_err(|(pos, msg)| (nb + pos, msg));
-            let (keys, body) = (Arc::clone(&probe), Arc::clone(&probe));
             through_the_driver(
                 [&untagged(build), &untagged(probe_rows)],
-                move |exec, input, row, parts| keys.partition_key(exec, input, row, parts),
-                move |exec, rows, out| body.run_partition(exec, rows, out),
+                Arc::clone(&probe),
                 |driver, got| match (&expected, got) {
                     (Ok(rows), Ok(got)) => assert_eq!(&got, rows, "{what} {driver}"),
                     (Err((pos, msg)), Err(e)) => {
@@ -767,7 +751,8 @@ fn witness_output_is_chunk_and_partition_invariant() {
     let tagged = tagged_rows(3_000, 13, 0);
     let rows: Vec<Tuple> = tagged.iter().map(|(_, t)| t.clone()).collect();
     let reference = witnesses_by_definition(&rows);
-    let run = |rows: Tagged| accumulate(&exec, stream(rows), &group_by, &aggs, &[], true);
+    let run =
+        |rows: Tagged| accumulate(&exec, stream(rows), &group_by, &aggs, &[], |_| Ok(()), true);
     let whole = run(tagged.clone()).map_err(|(_, e)| e).unwrap();
     let refs = JoinRefs::rows(rows.clone(), 2).unwrap();
     let view = refs.view(&exec).unwrap();
@@ -805,31 +790,17 @@ fn witness_output_is_chunk_and_partition_invariant() {
     }
     // Through the driver, as the spilled aggregate runs: keyed by the
     // group column, each partition's rows kept for its witnesses.
-    through_the_driver(
-        [&rows],
-        |_, _, row, parts| Ok(Some(partition_of(row.value(0), parts))),
-        move |exec, [part], out| {
-            let fatal = |e| (None, e);
-            let input = part.iter().map(|(tag, t)| Ok((*tag, t)));
-            let partial = accumulate(exec, input, &group_by, &aggs, &[], true)?;
-            let kept = part.into_iter().map(|(_, t)| t).collect();
-            let kept = JoinRefs::rows(kept, 2).map_err(fatal)?;
-            let view = kept.view(exec).map_err(fatal)?;
-            let rows = finish(exec, partial, &group_by, &aggs, Some(&view), |tag, t| {
-                (tag, t)
-            });
-            out.extend(rows.map_err(fatal)?);
-            Ok(())
-        },
-        |what, got| assert_eq!(got.unwrap(), reference, "{what}"),
-    );
+    let op = Grouped::new(&exec, &group_by, &aggs, Some(2));
+    through_the_driver([&rows], Arc::new(op), |what, got| {
+        assert_eq!(got.unwrap(), reference, "{what}")
+    });
 }
 
 #[test]
 fn a_global_witness_aggregate_over_no_rows_is_one_null_extended_row() {
     let exec = Executor::new(Arc::new(Catalog::new()));
     let (_, aggs) = witness_aggregate();
-    let empty = accumulate(&exec, stream(vec![]), &[], &aggs, &[], true)
+    let empty = accumulate(&exec, stream(vec![]), &[], &aggs, &[], |_| Ok(()), true)
         .map_err(|(_, e)| e)
         .unwrap();
     let none = JoinRefs::rows(vec![], 2).unwrap();
