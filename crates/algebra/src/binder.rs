@@ -29,12 +29,12 @@ use crate::typecheck::{agg_type, expr_type};
 const MAX_VIEW_DEPTH: usize = 32;
 
 /// The binder. Holds the catalog, the (optional) provenance rewriter, and
-/// the stack of enclosing scopes for correlated subqueries.
+/// the scopes enclosing the sublink body being bound.
 pub struct Binder<'a> {
     catalog: &'a dyn CatalogProvider,
     provenance: Option<&'a dyn ProvenanceTransform>,
-    /// Enclosing schemas, innermost last.
-    outer: Vec<Schema>,
+    /// One frame per sublink being bound, innermost last.
+    frames: Vec<Frame>,
     view_depth: usize,
     /// Provenance-attribute positions of the most recently completed
     /// provenance rewrite (used by the eager-materialization path to record
@@ -48,7 +48,7 @@ impl<'a> Binder<'a> {
         Binder {
             catalog,
             provenance: None,
-            outer: vec![],
+            frames: vec![],
             view_depth: 0,
             last_provenance: None,
         }
@@ -63,7 +63,7 @@ impl<'a> Binder<'a> {
         Binder {
             catalog,
             provenance: Some(transform),
-            outer: vec![],
+            frames: vec![],
             view_depth: 0,
             last_provenance: None,
         }
@@ -75,16 +75,8 @@ impl<'a> Binder<'a> {
         self.last_provenance.as_deref()
     }
 
-    fn outer_refs(&self) -> Vec<&Schema> {
-        self.outer.iter().rev().collect()
-    }
-
-    fn check_type(&self, e: &ScalarExpr, schema: &Schema) -> Result<DataType> {
-        expr_type(e, schema, &self.outer_refs())
-    }
-
     fn expect_bool(&self, e: &ScalarExpr, schema: &Schema, ctx: &str) -> Result<()> {
-        let t = self.check_type(e, schema)?;
+        let t = expr_type(e, schema)?;
         if t == DataType::Bool || t == DataType::Unknown {
             Ok(())
         } else {
@@ -229,7 +221,7 @@ impl<'a> Binder<'a> {
                 ScalarExpr::Column(pos as usize - 1)
             } else {
                 let e = self.bind_expr(&item.expr, &schema)?;
-                self.check_type(&e, &schema)?;
+                expr_type(&e, &schema)?;
                 e
             };
             keys.push(SortKey {
@@ -387,7 +379,7 @@ impl<'a> Binder<'a> {
             } else {
                 match self.bind_expr(&item.expr, &out_schema) {
                     Ok(e) => {
-                        self.check_type(&e, &out_schema)?;
+                        expr_type(&e, &out_schema)?;
                         e
                     }
                     Err(output_err) => {
@@ -470,7 +462,7 @@ impl<'a> Binder<'a> {
                 }
                 SelectItem::Expr { expr, alias } => {
                     let bound = self.bind_expr(expr, schema)?;
-                    let ty = self.check_type(&bound, schema)?;
+                    let ty = expr_type(&bound, schema)?;
                     let col = output_column(alias.as_deref(), expr, &bound, schema, ty);
                     out.push((bound, col));
                 }
@@ -498,7 +490,7 @@ impl<'a> Binder<'a> {
         };
         for g in &s.group_by {
             let bound = self.bind_expr(g, &input_schema)?;
-            let ty = self.check_type(&bound, &input_schema)?;
+            let ty = expr_type(&bound, &input_schema)?;
             let col = match &bound {
                 ScalarExpr::Column(i) => input_schema.column(*i).clone(),
                 _ => Column::new(display_name(g), ty),
@@ -520,14 +512,7 @@ impl<'a> Binder<'a> {
                             qualifier: c.qualifier.clone(),
                             name: c.name.clone(),
                         };
-                        let bound = self.bind_agg_scoped(
-                            &ScalarExpr::Column(i),
-                            &AstExpr::Column {
-                                qualifier: c.qualifier.clone(),
-                                name: c.name.clone(),
-                            },
-                            &mut agg,
-                        )?;
+                        let bound = agg.scoped(ScalarExpr::Column(i), &ast)?;
                         items.push((ast, None, bound));
                     }
                 }
@@ -544,7 +529,7 @@ impl<'a> Binder<'a> {
                             qualifier: c.qualifier.clone(),
                             name: c.name.clone(),
                         };
-                        let bound = self.bind_agg_scoped(&ScalarExpr::Column(i), &ast, &mut agg)?;
+                        let bound = agg.scoped(ScalarExpr::Column(i), &ast)?;
                         items.push((ast, None, bound));
                     }
                 }
@@ -589,27 +574,12 @@ impl<'a> Binder<'a> {
         let out = items
             .into_iter()
             .map(|(ast, alias, bound)| {
-                let ty = self.check_type(&bound, &agg_schema)?;
+                let ty = expr_type(&bound, &agg_schema)?;
                 let col = output_column(alias.as_deref(), &ast, &bound, &agg_schema, ty);
                 Ok((bound, col))
             })
             .collect::<Result<Vec<_>>>()?;
         Ok((plan, out))
-    }
-
-    /// Wrap an already-bound input column for the aggregate scope: grouped
-    /// columns map to their group position, everything else becomes an
-    /// implicit `any_value`.
-    fn bind_agg_scoped(
-        &mut self,
-        bound_input: &ScalarExpr,
-        ast: &AstExpr,
-        agg: &mut AggBinding,
-    ) -> Result<ScalarExpr> {
-        if let Some(g) = agg.group_exprs.iter().position(|e| e == bound_input) {
-            return Ok(ScalarExpr::Column(g));
-        }
-        self.add_any_value(ast, bound_input.clone(), agg)
     }
 
     /// Bind an expression in the aggregate output scope.
@@ -624,19 +594,13 @@ impl<'a> Binder<'a> {
                 self.bind_aggregate_call(e, agg)
             }
             AstExpr::Column { qualifier, name } => {
-                // Resolve over the aggregate input, then map to the group
-                // position if the same column is grouped.
-                let bound = self.resolve_column(qualifier.as_deref(), name, &agg.input_schema)?;
-                if let Some(g) = agg.group_exprs.iter().position(|ge| ge == &bound) {
-                    return Ok(ScalarExpr::Column(g));
+                // Resolve over the aggregate input, then map into the
+                // aggregate scope; a parameter is an enclosing query's
+                // value and stays as it is.
+                match self.resolve_column(qualifier.as_deref(), name, &agg.input_schema)? {
+                    param @ ScalarExpr::Param { .. } => Ok(param),
+                    bound => agg.scoped(bound, e),
                 }
-                if matches!(bound, ScalarExpr::OuterColumn { .. }) {
-                    // Correlated reference into an enclosing query.
-                    return Ok(bound);
-                }
-                // Lenient non-grouped column: implicit any_value (see
-                // AggFunc::AnyValue).
-                self.add_any_value(e, bound, agg)
             }
             AstExpr::Literal(v) => Ok(ScalarExpr::Literal(v.clone())),
             AstExpr::Binary { op, left, right } => {
@@ -732,10 +696,12 @@ impl<'a> Binder<'a> {
                 })
             }
             AstExpr::InSubquery { .. } | AstExpr::Exists { .. } | AstExpr::ScalarSubquery(_) => {
-                // Sublinks in the aggregate scope bind over the aggregate
-                // *input* schema as their outer scope.
-                let schema = agg.input_schema.clone();
-                self.bind_expr(e, &schema)
+                let mut scope = Scope::Agg(std::mem::take(agg));
+                let bound = self.bind_sublink(e, &mut scope);
+                if let Scope::Agg(taken) = scope {
+                    *agg = taken;
+                }
+                bound
             }
         }
     }
@@ -784,39 +750,9 @@ impl<'a> Binder<'a> {
             arg,
             distinct: *distinct,
         };
-        let ty = agg_type(&call, &agg.input_schema, &self.outer_refs())?;
+        let ty = agg_type(&call, &agg.input_schema)?;
         let col = Column::new(func.name(), ty);
         agg.aggs.push((e.clone(), call, col));
-        Ok(ScalarExpr::Column(
-            agg.group_exprs.len() + agg.aggs.len() - 1,
-        ))
-    }
-
-    fn add_any_value(
-        &mut self,
-        ast: &AstExpr,
-        bound: ScalarExpr,
-        agg: &mut AggBinding,
-    ) -> Result<ScalarExpr> {
-        // Reuse an existing implicit any_value over the same expression.
-        if let Some(j) = agg
-            .aggs
-            .iter()
-            .position(|(_, c, _)| c.func == AggFunc::AnyValue && c.arg.as_ref() == Some(&bound))
-        {
-            return Ok(ScalarExpr::Column(agg.group_exprs.len() + j));
-        }
-        let ty = self.check_type(&bound, &agg.input_schema)?;
-        let name = match ast {
-            AstExpr::Column { name, .. } => name.clone(),
-            other => display_name(other),
-        };
-        let call = AggCall {
-            func: AggFunc::AnyValue,
-            arg: Some(bound),
-            distinct: false,
-        };
-        agg.aggs.push((ast.clone(), call, Column::new(name, ty)));
         Ok(ScalarExpr::Column(
             agg.group_exprs.len() + agg.aggs.len() - 1,
         ))
@@ -866,9 +802,9 @@ impl<'a> Binder<'a> {
                         )));
                     }
                     self.view_depth += 1;
-                    let saved = std::mem::take(&mut self.outer);
+                    let saved = std::mem::take(&mut self.frames);
                     let bound = self.bind_query(&view_query);
-                    self.outer = saved;
+                    self.frames = saved;
                     self.view_depth -= 1;
                     rename(bound?, binding)
                 } else {
@@ -885,11 +821,11 @@ impl<'a> Binder<'a> {
                 column_aliases,
                 modifiers,
             } => {
-                // Derived tables are not correlated (no LATERAL).
-                let saved = std::mem::take(&mut self.outer);
-                let bound = self.bind_query(query);
-                self.outer = saved;
-                let plan = rename(bound?, alias);
+                // A derived table sees no sibling FROM item (no LATERAL),
+                // but inside a sublink body it sees the enclosing queries
+                // as the body does: its outer references are the body's
+                // parameters.
+                let plan = rename(self.bind_query(query)?, alias);
                 let plan = apply_column_aliases(plan, alias, column_aliases.as_deref())?;
                 self.apply_modifiers(plan, alias, modifiers)
             }
@@ -971,8 +907,12 @@ impl<'a> Binder<'a> {
     // Expressions (non-aggregate scope)
     // ==================================================================
 
+    /// Resolve a column over `schema`, else as an outer reference: the
+    /// innermost enclosing scope that has the column binds it exactly as
+    /// that scope's own clause would, and each sublink from there inwards
+    /// passes it on as a parameter of its body.
     fn resolve_column(
-        &self,
+        &mut self,
         qualifier: Option<&str>,
         name: &str,
         schema: &Schema,
@@ -980,12 +920,12 @@ impl<'a> Binder<'a> {
         if let Some(i) = schema.try_resolve(qualifier, name)? {
             return Ok(ScalarExpr::Column(i));
         }
-        for (k, s) in self.outer.iter().rev().enumerate() {
-            if let Some(i) = s.try_resolve(qualifier, name)? {
-                return Ok(ScalarExpr::OuterColumn {
-                    levels_up: k + 1,
-                    index: i,
-                });
+        for depth in (0..self.frames.len()).rev() {
+            if let Some((mut e, ty)) = self.frames[depth].scope.resolve(qualifier, name)? {
+                for frame in &mut self.frames[depth..] {
+                    e = frame.param(e, ty);
+                }
+                return Ok(e);
             }
         }
         Err(PermError::Analysis(format!(
@@ -1098,68 +1038,128 @@ impl<'a> Binder<'a> {
                         .collect::<Result<_>>()?,
                 })
             }
-            AstExpr::InSubquery {
-                expr,
-                query,
-                negated,
-            } => {
-                let operand = self.bind_expr(expr, schema)?;
-                let plan = self.bind_subquery(query, schema)?;
-                if plan.arity() != 1 {
-                    return Err(PermError::Analysis(format!(
-                        "IN subquery must return one column, returns {}",
-                        plan.arity()
-                    )));
-                }
-                let correlated = plan.is_correlated();
-                Ok(ScalarExpr::Subquery(SubqueryExpr {
-                    kind: SubqueryKind::In,
-                    plan: Box::new(plan),
-                    negated: *negated,
-                    operand: Some(Box::new(operand)),
-                    correlated,
-                }))
-            }
-            AstExpr::Exists { query, negated } => {
-                let plan = self.bind_subquery(query, schema)?;
-                let correlated = plan.is_correlated();
-                Ok(ScalarExpr::Subquery(SubqueryExpr {
-                    kind: SubqueryKind::Exists,
-                    plan: Box::new(plan),
-                    negated: *negated,
-                    operand: None,
-                    correlated,
-                }))
-            }
-            AstExpr::ScalarSubquery(query) => {
-                let plan = self.bind_subquery(query, schema)?;
-                if plan.arity() != 1 {
-                    return Err(PermError::Analysis(format!(
-                        "scalar subquery must return one column, returns {}",
-                        plan.arity()
-                    )));
-                }
-                let correlated = plan.is_correlated();
-                Ok(ScalarExpr::Subquery(SubqueryExpr {
-                    kind: SubqueryKind::Scalar,
-                    plan: Box::new(plan),
-                    negated: false,
-                    operand: None,
-                    correlated,
-                }))
+            AstExpr::InSubquery { .. } | AstExpr::Exists { .. } | AstExpr::ScalarSubquery(_) => {
+                self.bind_sublink(e, &mut Scope::Plain(schema.clone()))
             }
         }
     }
 
-    fn bind_subquery(&mut self, q: &Query, enclosing: &Schema) -> Result<LogicalPlan> {
-        self.outer.push(enclosing.clone());
-        let plan = self.bind_query(q);
-        self.outer.pop();
-        plan
+    /// Bind a sublink written in `scope`: the `IN` operand as any
+    /// expression of that scope, the body with `scope` as its innermost
+    /// enclosing frame. The frame's collected outer references become the
+    /// sublink's `outer_refs`.
+    fn bind_sublink(&mut self, e: &AstExpr, scope: &mut Scope) -> Result<ScalarExpr> {
+        let (kind, query, negated, operand) = match e {
+            AstExpr::InSubquery {
+                expr,
+                query,
+                negated,
+            } => (SubqueryKind::In, query, *negated, Some(expr)),
+            AstExpr::Exists { query, negated } => (SubqueryKind::Exists, query, *negated, None),
+            AstExpr::ScalarSubquery(query) => (SubqueryKind::Scalar, query, false, None),
+            _ => unreachable!("callers pass sublinks only"),
+        };
+        let operand = match (operand, &mut *scope) {
+            (None, _) => None,
+            (Some(x), Scope::Plain(schema)) => Some(self.bind_expr(x, schema)?),
+            (Some(x), Scope::Agg(agg)) => Some(self.bind_agg_expr(x, agg)?),
+        };
+        self.frames.push(Frame {
+            scope: std::mem::replace(scope, Scope::Plain(Schema::default())),
+            refs: Vec::new(),
+        });
+        let plan = self.bind_query(query);
+        let frame = self.frames.pop().expect("pushed above");
+        *scope = frame.scope;
+        let plan = plan?;
+        if kind != SubqueryKind::Exists && plan.arity() != 1 {
+            let what = if kind == SubqueryKind::In {
+                "IN"
+            } else {
+                "scalar"
+            };
+            return Err(PermError::Analysis(format!(
+                "{what} subquery must return one column, returns {}",
+                plan.arity()
+            )));
+        }
+        Ok(ScalarExpr::Subquery(SubqueryExpr {
+            kind,
+            plan: Box::new(plan),
+            negated,
+            operand: operand.map(Box::new),
+            outer_refs: frame.refs,
+        }))
+    }
+}
+
+/// The scope a sublink is written in, as its body's outer references see
+/// it.
+enum Scope {
+    /// A plain clause over this schema (WHERE, a non-aggregate select
+    /// list, a join condition, ORDER BY).
+    Plain(Schema),
+    /// The select list or HAVING clause of an aggregate select: a column
+    /// binds through its group position or an implicit `any_value`.
+    Agg(AggBinding),
+}
+
+impl Scope {
+    /// The column as this scope's own clause binds it, with its type;
+    /// `None` if the scope has no such column.
+    fn resolve(
+        &mut self,
+        qualifier: Option<&str>,
+        name: &str,
+    ) -> Result<Option<(ScalarExpr, DataType)>> {
+        let schema = match self {
+            Scope::Plain(schema) => schema,
+            Scope::Agg(agg) => &agg.input_schema,
+        };
+        let Some(i) = schema.try_resolve(qualifier, name)? else {
+            return Ok(None);
+        };
+        let ty = schema.column(i).ty;
+        let e = match self {
+            Scope::Plain(_) => ScalarExpr::Column(i),
+            Scope::Agg(agg) => {
+                let ast = AstExpr::Column {
+                    qualifier: qualifier.map(str::to_string),
+                    name: name.to_string(),
+                };
+                agg.scoped(ScalarExpr::Column(i), &ast)?
+            }
+        };
+        Ok(Some((e, ty)))
+    }
+}
+
+/// One enclosing scope of the sublink body being bound, and the outer
+/// references the body has made to it so far.
+struct Frame {
+    scope: Scope,
+    /// The sublink's `outer_refs`: expressions of `scope`.
+    refs: Vec<ScalarExpr>,
+}
+
+impl Frame {
+    /// The body's parameter for `outer`, an expression of this frame's
+    /// scope; repeated references share one parameter.
+    fn param(&mut self, outer: ScalarExpr, ty: DataType) -> ScalarExpr {
+        let index = self
+            .refs
+            .iter()
+            .position(|r| *r == outer)
+            .unwrap_or_else(|| {
+                self.refs.push(outer);
+                self.refs.len() - 1
+            });
+        ScalarExpr::Param { index, ty }
     }
 }
 
 /// State accumulated while binding one aggregate select.
+#[derive(Default)]
 struct AggBinding {
     input_schema: Schema,
     group_ast: Vec<AstExpr>,
@@ -1167,6 +1167,39 @@ struct AggBinding {
     group_cols: Vec<Column>,
     /// `(original AST, bound call, output column)` per aggregate.
     aggs: Vec<(AstExpr, AggCall, Column)>,
+}
+
+impl AggBinding {
+    /// Map an expression bound over the aggregate's input into the
+    /// aggregate scope: a grouped expression becomes its group position,
+    /// anything else an implicit `any_value` (see [`AggFunc::AnyValue`]).
+    fn scoped(&mut self, bound: ScalarExpr, ast: &AstExpr) -> Result<ScalarExpr> {
+        if let Some(g) = self.group_exprs.iter().position(|e| *e == bound) {
+            return Ok(ScalarExpr::Column(g));
+        }
+        // Reuse an existing implicit any_value over the same expression.
+        if let Some(j) = self
+            .aggs
+            .iter()
+            .position(|(_, c, _)| c.func == AggFunc::AnyValue && c.arg.as_ref() == Some(&bound))
+        {
+            return Ok(ScalarExpr::Column(self.group_exprs.len() + j));
+        }
+        let ty = expr_type(&bound, &self.input_schema)?;
+        let name = match ast {
+            AstExpr::Column { name, .. } => name.clone(),
+            other => display_name(other),
+        };
+        let call = AggCall {
+            func: AggFunc::AnyValue,
+            arg: Some(bound),
+            distinct: false,
+        };
+        self.aggs.push((ast.clone(), call, Column::new(name, ty)));
+        Ok(ScalarExpr::Column(
+            self.group_exprs.len() + self.aggs.len() - 1,
+        ))
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -420,7 +420,7 @@ fn uncorrelated_in_subquery() {
     p.visit_all_exprs(&mut |e| {
         if let ScalarExpr::Subquery(sq) = e {
             assert_eq!(sq.kind, SubqueryKind::In);
-            assert!(!sq.correlated);
+            assert!(sq.outer_refs.is_empty());
             found = true;
         }
     });
@@ -436,10 +436,43 @@ fn correlated_exists_subquery() {
     let mut correlated = false;
     p.visit_all_exprs(&mut |e| {
         if let ScalarExpr::Subquery(sq) = e {
-            correlated |= sq.correlated;
+            correlated |= !sq.outer_refs.is_empty();
         }
     });
     assert!(correlated, "EXISTS over u.uid must be marked correlated");
+}
+
+#[test]
+fn outer_references_pass_through_each_enclosing_sublink() {
+    // `u.uid` two levels up reaches the inner body through the middle
+    // body's own parameter; the uncorrelated IN inside the correlated
+    // body stays uncorrelated, so its hashed value set is cached.
+    let p = bind_ok(
+        "SELECT name FROM users u WHERE EXISTS (SELECT 1 FROM approved a \
+         WHERE a.uid = u.uid \
+         AND EXISTS (SELECT 1 FROM messages m WHERE m.mid = a.mid AND m.uid = u.uid) \
+         AND a.mid IN (SELECT mid FROM imports))",
+    );
+    let mut refs = Vec::new();
+    p.visit_all_exprs(&mut |e| {
+        e.visit(&mut |n| {
+            if let ScalarExpr::Subquery(sq) = n {
+                refs.push((sq.kind, sq.outer_refs.clone()));
+            }
+        })
+    });
+    let param0 = ScalarExpr::Param {
+        index: 0,
+        ty: DataType::Int,
+    };
+    assert_eq!(
+        refs,
+        vec![
+            (SubqueryKind::Exists, vec![ScalarExpr::Column(0)]),
+            (SubqueryKind::Exists, vec![ScalarExpr::Column(1), param0]),
+            (SubqueryKind::In, vec![]),
+        ]
+    );
 }
 
 #[test]

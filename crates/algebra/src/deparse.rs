@@ -19,12 +19,44 @@ use crate::plan::{AggOutput, JoinType, LogicalPlan, SetOpType};
 
 /// Render a plan as a SQL `SELECT` statement.
 pub fn deparse(plan: &LogicalPlan) -> String {
-    let mut d = Deparser { next_alias: 0 };
+    let mut d = Deparser {
+        next_alias: 0,
+        params: Vec::new(),
+    };
     d.select_of(plan).sql
 }
 
 struct Deparser {
     next_alias: usize,
+    /// How the sublink body being rendered spells its parameters: the
+    /// enclosing scope's rendering of each `outer_refs` entry.
+    params: Vec<String>,
+}
+
+/// The columns an expression reads: the names its input exposes and, for
+/// a single from-item, the alias that qualifies them (a join's names come
+/// qualified already).
+struct Cols<'a> {
+    names: &'a [String],
+    alias: Option<&'a str>,
+}
+
+impl<'a> Cols<'a> {
+    fn of(alias: &'a str, names: &'a [String]) -> Cols<'a> {
+        Cols {
+            names,
+            alias: Some(alias),
+        }
+    }
+
+    /// The qualified names, as a sublink body must spell this scope's
+    /// columns so that its own columns cannot capture them.
+    fn qualified(&self) -> Vec<String> {
+        match self.alias {
+            Some(a) => self.names.iter().map(|n| format!("{a}.{n}")).collect(),
+            None => self.names.to_vec(),
+        }
+    }
 }
 
 /// A deparsed relation: a full `SELECT …` statement plus the column names
@@ -88,7 +120,7 @@ impl Deparser {
                     .iter()
                     .map(|r| {
                         let vals: Vec<String> =
-                            r.iter().map(|e| render_expr(e, &[], self)).collect();
+                            r.iter().map(|e| render_expr(e, &NO_COLS, self)).collect();
                         format!("({})", vals.join(", "))
                     })
                     .collect();
@@ -107,12 +139,13 @@ impl Deparser {
                 exprs,
                 schema,
             } => {
-                let (fi, _alias, in_names) = self.render_from_item(input);
+                let (fi, alias, in_names) = self.render_from_item(input);
+                let cols = Cols::of(&alias, &in_names);
                 let out_names = unique_names(&schema.names());
                 let items: Vec<String> = exprs
                     .iter()
                     .zip(&out_names)
-                    .map(|(e, n)| format!("{} AS {n}", render_expr(e, &in_names, self)))
+                    .map(|(e, n)| format!("{} AS {n}", render_expr(e, &cols, self)))
                     .collect();
                 Rel {
                     sql: format!("SELECT {} FROM {fi}", items.join(", ")),
@@ -120,11 +153,11 @@ impl Deparser {
                 }
             }
             LogicalPlan::Filter { input, predicate } => {
-                let (fi, _alias, names) = self.render_from_item(input);
+                let (fi, alias, names) = self.render_from_item(input);
                 Rel {
                     sql: format!(
                         "SELECT * FROM {fi} WHERE {}",
-                        render_expr(predicate, &names, self)
+                        render_expr(predicate, &Cols::of(&alias, &names), self)
                     ),
                     names,
                 }
@@ -144,6 +177,10 @@ impl Deparser {
                 let mut qualified: Vec<String> =
                     lnames.iter().map(|n| format!("{lalias}.{n}")).collect();
                 qualified.extend(rnames.iter().map(|n| format!("{ralias}.{n}")));
+                let qualified = Cols {
+                    names: &qualified,
+                    alias: None,
+                };
                 let mut all: Vec<&str> = lnames.iter().map(String::as_str).collect();
                 all.extend(rnames.iter().map(String::as_str));
                 let out_names = unique_names(&all);
@@ -174,6 +211,7 @@ impl Deparser {
                     }
                 };
                 let items: Vec<String> = qualified
+                    .names
                     .iter()
                     .zip(&out_names)
                     .map(|(q, n)| format!("{q} AS {n}"))
@@ -213,7 +251,8 @@ impl Deparser {
                 schema,
                 output: AggOutput::Groups,
             } => {
-                let (fi, _alias, in_names) = self.render_from_item(input);
+                let (fi, alias, in_names) = self.render_from_item(input);
+                let in_names = Cols::of(&alias, &in_names);
                 let out_names = unique_names(&schema.names());
                 let mut items = Vec::new();
                 for (g, n) in group_by.iter().zip(&out_names) {
@@ -272,13 +311,14 @@ impl Deparser {
                 }
             }
             LogicalPlan::Sort { input, keys } => {
-                let (fi, _alias, names) = self.render_from_item(input);
+                let (fi, alias, names) = self.render_from_item(input);
+                let cols = Cols::of(&alias, &names);
                 let ks: Vec<String> = keys
                     .iter()
                     .map(|k| {
                         format!(
                             "{}{}",
-                            render_expr(&k.expr, &names, self),
+                            render_expr(&k.expr, &cols, self),
                             if k.desc { " DESC" } else { "" }
                         )
                     })
@@ -358,14 +398,26 @@ fn unique_names(names: &[&str]) -> Vec<String> {
         .collect()
 }
 
-/// Render a bound expression against its input's column names.
-fn render_expr(e: &ScalarExpr, names: &[String], d: &mut Deparser) -> String {
+/// The columns of an input without any (a `VALUES` row).
+const NO_COLS: Cols<'static> = Cols {
+    names: &[],
+    alias: None,
+};
+
+/// Render a bound expression against its input's columns.
+fn render_expr(e: &ScalarExpr, names: &Cols, d: &mut Deparser) -> String {
     match e {
         ScalarExpr::Literal(v) => render_value(v),
-        ScalarExpr::Column(i) => names.get(*i).cloned().unwrap_or_else(|| format!("_c{i}")),
-        ScalarExpr::OuterColumn { levels_up, index } => {
-            format!("outer_{levels_up}_{index}")
-        }
+        ScalarExpr::Column(i) => names
+            .names
+            .get(*i)
+            .cloned()
+            .unwrap_or_else(|| format!("_c{i}")),
+        ScalarExpr::Param { index, .. } => d
+            .params
+            .get(*index)
+            .cloned()
+            .unwrap_or_else(|| format!("_p{index}")),
         ScalarExpr::Binary { op, left, right } => {
             let l = render_expr(left, names, d);
             let r = render_expr(right, names, d);
@@ -440,7 +492,19 @@ fn render_expr(e: &ScalarExpr, names: &[String], d: &mut Deparser) -> String {
             format!("{}({})", func.name(), rendered.join(", "))
         }
         ScalarExpr::Subquery(sq) => {
+            let qualified = names.qualified();
+            let qualified = Cols {
+                names: &qualified,
+                alias: None,
+            };
+            let params = sq
+                .outer_refs
+                .iter()
+                .map(|r| render_expr(r, &qualified, d))
+                .collect();
+            let saved = std::mem::replace(&mut d.params, params);
             let inner = d.select_of(&sq.plan).sql;
+            d.params = saved;
             let neg = if sq.negated { "NOT " } else { "" };
             match sq.kind {
                 SubqueryKind::Scalar => format!("({inner})"),

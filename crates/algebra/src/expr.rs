@@ -20,11 +20,13 @@ pub enum ScalarExpr {
     Literal(Value),
     /// A reference to position `0..n` of the input tuple.
     Column(usize),
-    /// A reference to a column of an enclosing query's tuple (correlated
-    /// subqueries). `levels_up >= 1`.
-    OuterColumn {
-        levels_up: usize,
+    /// Parameter `index` of the sublink body this expression belongs to:
+    /// the value of the enclosing sublink's `outer_refs[index]` for the
+    /// current outer row (PostgreSQL's `PARAM_EXEC`). It carries its own
+    /// type, so a body typechecks without its enclosing scope.
+    Param {
         index: usize,
+        ty: DataType,
     },
     Binary {
         op: BinOp,
@@ -68,6 +70,12 @@ pub enum ScalarExpr {
 }
 
 /// A sublink expression holding its own bound subplan.
+///
+/// The body reads its enclosing query only through `outer_refs`: ordinary
+/// expressions of the *enclosing* scope, evaluated once per outer row and
+/// handed to the body as [`ScalarExpr::Param`]s. Column-renumbering passes
+/// remap them like any operand and never open the body. A reference two
+/// or more levels up is a `Param` of each intervening body in turn.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubqueryExpr {
     pub kind: SubqueryKind,
@@ -75,9 +83,9 @@ pub struct SubqueryExpr {
     pub negated: bool,
     /// The left operand of `IN`; `None` for EXISTS/scalar sublinks.
     pub operand: Option<Box<ScalarExpr>>,
-    /// True if any expression inside `plan` references an outer column of
-    /// the immediately enclosing query (set by the binder).
-    pub correlated: bool,
+    /// The values `Param { index, .. }` inside `plan` stands for; empty
+    /// for an uncorrelated sublink.
+    pub outer_refs: Vec<ScalarExpr>,
 }
 
 /// The flavor of a sublink.
@@ -352,12 +360,12 @@ impl ScalarExpr {
         out
     }
 
-    /// Visit every column reference position (depth 0 only, not outer refs
-    /// and not references inside subplans).
+    /// Visit every column reference position (depth 0 only: a sublink's
+    /// operand and `outer_refs`, never its body).
     pub fn for_each_column(&self, f: &mut impl FnMut(usize)) {
         match self {
             ScalarExpr::Column(i) => f(*i),
-            ScalarExpr::Literal(_) | ScalarExpr::OuterColumn { .. } => {}
+            ScalarExpr::Literal(_) | ScalarExpr::Param { .. } => {}
             ScalarExpr::Binary { left, right, .. } => {
                 left.for_each_column(f);
                 right.for_each_column(f);
@@ -397,12 +405,9 @@ impl ScalarExpr {
                 }
             }
             ScalarExpr::Subquery(sq) => {
-                if let Some(op) = &sq.operand {
-                    op.for_each_column(f);
+                for e in sq.operand.as_deref().into_iter().chain(&sq.outer_refs) {
+                    e.for_each_column(f);
                 }
-                // Outer references inside the subplan with levels_up == 1
-                // reference *this* scope's columns.
-                sq.plan.for_each_outer_column(1, f);
             }
         }
     }
@@ -425,11 +430,11 @@ impl ScalarExpr {
         })
     }
 
-    /// Bottom-up structural rewrite of this expression (depth 0 only; does
-    /// not descend into subquery plans).
+    /// Bottom-up structural rewrite of this expression (depth 0 only: a
+    /// sublink's operand and `outer_refs` are rewritten, its body is not).
     pub fn transform(&self, f: &impl Fn(ScalarExpr) -> ScalarExpr) -> ScalarExpr {
         let rebuilt = match self {
-            ScalarExpr::Literal(_) | ScalarExpr::Column(_) | ScalarExpr::OuterColumn { .. } => {
+            ScalarExpr::Literal(_) | ScalarExpr::Column(_) | ScalarExpr::Param { .. } => {
                 self.clone()
             }
             ScalarExpr::Binary { op, left, right } => ScalarExpr::Binary {
@@ -488,7 +493,7 @@ impl ScalarExpr {
                 plan: sq.plan.clone(),
                 negated: sq.negated,
                 operand: sq.operand.as_ref().map(|o| Box::new(o.transform(f))),
-                correlated: sq.correlated,
+                outer_refs: sq.outer_refs.iter().map(|e| e.transform(f)).collect(),
             }),
         };
         f(rebuilt)
@@ -505,12 +510,12 @@ impl ScalarExpr {
         found
     }
 
-    /// Pre-order visit of the expression tree (depth 0; does not descend
-    /// into subquery plans, but does visit the sublink node itself).
+    /// Pre-order visit of the expression tree (depth 0; visits the sublink
+    /// node, its operand and its `outer_refs`, not its body).
     pub fn visit(&self, f: &mut impl FnMut(&ScalarExpr)) {
         f(self);
         match self {
-            ScalarExpr::Literal(_) | ScalarExpr::Column(_) | ScalarExpr::OuterColumn { .. } => {}
+            ScalarExpr::Literal(_) | ScalarExpr::Column(_) | ScalarExpr::Param { .. } => {}
             ScalarExpr::Binary { left, right, .. } => {
                 left.visit(f);
                 right.visit(f);
@@ -549,8 +554,8 @@ impl ScalarExpr {
                 }
             }
             ScalarExpr::Subquery(sq) => {
-                if let Some(op) = &sq.operand {
-                    op.visit(f);
+                for e in sq.operand.as_deref().into_iter().chain(&sq.outer_refs) {
+                    e.visit(f);
                 }
             }
         }
@@ -566,9 +571,7 @@ impl fmt::Display for ScalarExpr {
                 other => write!(f, "{other}"),
             },
             ScalarExpr::Column(i) => write!(f, "#{i}"),
-            ScalarExpr::OuterColumn { levels_up, index } => {
-                write!(f, "outer[{levels_up}]#{index}")
-            }
+            ScalarExpr::Param { index, .. } => write!(f, "${index}"),
             ScalarExpr::Binary { op, left, right } => {
                 write!(f, "({left} {} {right})", op.sql())
             }
@@ -632,12 +635,19 @@ impl fmt::Display for ScalarExpr {
             }
             ScalarExpr::Subquery(sq) => {
                 let neg = if sq.negated { "NOT " } else { "" };
+                // A correlated body lists what its parameters bind to:
+                // `<subquery $0=#1>`.
+                let mut body = String::from("<subquery");
+                for (i, e) in sq.outer_refs.iter().enumerate() {
+                    body.push_str(&format!(" ${i}={e}"));
+                }
+                body.push('>');
                 match sq.kind {
-                    SubqueryKind::Scalar => write!(f, "(<subquery>)"),
-                    SubqueryKind::Exists => write!(f, "{neg}EXISTS(<subquery>)"),
+                    SubqueryKind::Scalar => write!(f, "({body})"),
+                    SubqueryKind::Exists => write!(f, "{neg}EXISTS({body})"),
                     SubqueryKind::In => {
                         let op = sq.operand.as_deref().expect("IN has operand");
-                        write!(f, "({op} {neg}IN <subquery>)")
+                        write!(f, "({op} {neg}IN {body})")
                     }
                 }
             }
@@ -696,28 +706,35 @@ mod tests {
     }
 
     #[test]
-    fn map_columns_leaves_outer_refs_alone() {
-        let e = ScalarExpr::eq(
+    fn map_columns_remaps_outer_refs_and_leaves_the_body_alone() {
+        let body_pred = ScalarExpr::eq(
             ScalarExpr::Column(0),
-            ScalarExpr::OuterColumn {
-                levels_up: 1,
-                index: 5,
+            ScalarExpr::Param {
+                index: 0,
+                ty: DataType::Int,
             },
         );
-        let shifted = e.map_columns(&|i| i + 1);
-        match shifted {
-            ScalarExpr::Binary { left, right, .. } => {
-                assert_eq!(*left, ScalarExpr::Column(1));
-                assert_eq!(
-                    *right,
-                    ScalarExpr::OuterColumn {
-                        levels_up: 1,
-                        index: 5
-                    }
-                );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let body = LogicalPlan::filter(
+            LogicalPlan::Scan {
+                table: "s".into(),
+                schema: perm_types::Schema::new(vec![perm_types::Column::new("x", DataType::Int)]),
+                provenance_cols: vec![],
+            },
+            body_pred,
+        );
+        let e = ScalarExpr::Subquery(SubqueryExpr {
+            kind: SubqueryKind::Exists,
+            plan: Box::new(body.clone()),
+            negated: false,
+            operand: None,
+            outer_refs: vec![ScalarExpr::Column(5)],
+        });
+        assert_eq!(e.referenced_columns(), vec![5]);
+        let ScalarExpr::Subquery(shifted) = e.map_columns(&|i| i + 1) else {
+            panic!("map_columns keeps the sublink");
+        };
+        assert_eq!(shifted.outer_refs, vec![ScalarExpr::Column(6)]);
+        assert_eq!(*shifted.plan, body, "the body is never renumbered");
     }
 
     #[test]

@@ -247,96 +247,6 @@ impl LogicalPlan {
             .sum::<usize>()
     }
 
-    /// Visit every expression at this node (not descending into children or
-    /// sublink subplans) calling `f` on outer-column references with
-    /// `levels_up == depth`, adjusting for nesting as it recurses into
-    /// sublink plans.
-    ///
-    /// Used to find which columns of an enclosing scope a subplan's
-    /// correlated expressions reference.
-    pub fn for_each_outer_column(&self, depth: usize, f: &mut impl FnMut(usize)) {
-        let mut visit_expr = |e: &ScalarExpr| {
-            e.visit(&mut |n| {
-                if let ScalarExpr::OuterColumn { levels_up, index } = n {
-                    if *levels_up == depth {
-                        f(*index);
-                    }
-                }
-            });
-            // Descend into sublink plans with increased depth.
-            e.visit(&mut |n| {
-                if let ScalarExpr::Subquery(sq) = n {
-                    sq.plan.for_each_outer_column(depth + 1, f);
-                }
-            });
-        };
-        match self {
-            LogicalPlan::Scan { .. } => {}
-            LogicalPlan::Values { rows, .. } => {
-                for row in rows {
-                    for e in row {
-                        visit_expr(e);
-                    }
-                }
-            }
-            LogicalPlan::Project { exprs, .. } => {
-                for e in exprs {
-                    visit_expr(e);
-                }
-            }
-            LogicalPlan::Filter { predicate, .. } => visit_expr(predicate),
-            LogicalPlan::Join { condition, .. } => {
-                if let Some(c) = condition {
-                    visit_expr(c);
-                }
-            }
-            LogicalPlan::Aggregate { group_by, aggs, .. } => {
-                for e in group_by {
-                    visit_expr(e);
-                }
-                for a in aggs {
-                    if let Some(arg) = &a.arg {
-                        visit_expr(arg);
-                    }
-                }
-            }
-            LogicalPlan::Sort { keys, .. } => {
-                for k in keys {
-                    visit_expr(&k.expr);
-                }
-            }
-            LogicalPlan::Distinct { .. }
-            | LogicalPlan::SetOp { .. }
-            | LogicalPlan::Limit { .. }
-            | LogicalPlan::Boundary { .. } => {}
-        }
-        for child in self.children() {
-            child.for_each_outer_column(depth, f);
-        }
-    }
-
-    /// True if any expression in the plan (including sublink plans)
-    /// references an outer scope at `depth` or beyond — i.e. the plan is
-    /// correlated with its environment.
-    pub fn is_correlated(&self) -> bool {
-        let mut found = false;
-        self.for_each_outer_column(1, &mut |_| found = true);
-        // for_each_outer_column(1) only reports exactly depth 1; deeper
-        // references (levels_up > 1 at top level) also make this correlated.
-        if found {
-            return true;
-        }
-        let mut deep = false;
-        self.visit_all_exprs(&mut |e| {
-            e.visit(&mut |n| {
-                if matches!(n, ScalarExpr::OuterColumn { .. }) {
-                    deep = true;
-                }
-            });
-        });
-        deep
-    }
-
     /// Visit every expression of every node in the plan, including inside
     /// sublink subplans.
     pub fn visit_all_exprs(&self, f: &mut impl FnMut(&ScalarExpr)) {
@@ -598,39 +508,28 @@ mod tests {
     }
 
     #[test]
-    fn correlation_detection() {
-        let sub = LogicalPlan::filter(
-            scan("s", &[("x", DataType::Int)]),
-            ScalarExpr::eq(
-                ScalarExpr::Column(0),
-                ScalarExpr::OuterColumn {
-                    levels_up: 1,
-                    index: 2,
-                },
-            ),
-        );
-        assert!(sub.is_correlated());
-        let plain = LogicalPlan::filter(
-            scan("s", &[("x", DataType::Int)]),
-            ScalarExpr::eq(ScalarExpr::Column(0), ScalarExpr::Literal(Value::Int(1))),
-        );
-        assert!(!plain.is_correlated());
-    }
-
-    #[test]
     fn outer_column_visitor_reports_referenced_positions() {
-        let sub = LogicalPlan::filter(
+        // The body reads the enclosing row only through `outer_refs`, so
+        // the enclosing scope's column visitor sees position 7 there.
+        let body = LogicalPlan::filter(
             scan("s", &[("x", DataType::Int)]),
             ScalarExpr::eq(
                 ScalarExpr::Column(0),
-                ScalarExpr::OuterColumn {
-                    levels_up: 1,
-                    index: 7,
+                ScalarExpr::Param {
+                    index: 0,
+                    ty: DataType::Int,
                 },
             ),
         );
+        let sublink = ScalarExpr::Subquery(crate::expr::SubqueryExpr {
+            kind: crate::expr::SubqueryKind::Exists,
+            plan: Box::new(body),
+            negated: false,
+            operand: None,
+            outer_refs: vec![ScalarExpr::Column(7)],
+        });
         let mut seen = vec![];
-        sub.for_each_outer_column(1, &mut |i| seen.push(i));
+        sublink.for_each_column(&mut |i| seen.push(i));
         assert_eq!(seen, vec![7]);
     }
 }

@@ -4,12 +4,11 @@ use perm_types::{DataType, PermError, Result, Schema};
 
 use crate::expr::{AggCall, AggFunc, BinOp, ScalarExpr, ScalarFunc, SubqueryKind, UnOp};
 
-/// Compute the static type of a bound expression.
-///
-/// `schema` is the input relation's schema; `outer` is the stack of
-/// enclosing schemas for correlated references (`outer[0]` is the
-/// immediately enclosing scope, i.e. `levels_up == 1`).
-pub fn expr_type(expr: &ScalarExpr, schema: &Schema, outer: &[&Schema]) -> Result<DataType> {
+/// Compute the static type of a bound expression over `schema`, the input
+/// relation's schema. A [`ScalarExpr::Param`] carries its own type, so a
+/// sublink body needs no enclosing scope; a sublink's operand and
+/// `outer_refs` are checked against `schema`.
+pub fn expr_type(expr: &ScalarExpr, schema: &Schema) -> Result<DataType> {
     match expr {
         ScalarExpr::Literal(v) => Ok(v.data_type()),
         ScalarExpr::Column(i) => {
@@ -21,27 +20,14 @@ pub fn expr_type(expr: &ScalarExpr, schema: &Schema, outer: &[&Schema]) -> Resul
             }
             Ok(schema.column(*i).ty)
         }
-        ScalarExpr::OuterColumn { levels_up, index } => {
-            let s = outer.get(levels_up - 1).ok_or_else(|| {
-                PermError::Analysis(format!(
-                    "outer reference {levels_up} levels up, but only {} outer scopes",
-                    outer.len()
-                ))
-            })?;
-            if *index >= s.len() {
-                return Err(PermError::Analysis(format!(
-                    "outer column position {index} out of range"
-                )));
-            }
-            Ok(s.column(*index).ty)
-        }
+        ScalarExpr::Param { ty, .. } => Ok(*ty),
         ScalarExpr::Binary { op, left, right } => {
-            let lt = expr_type(left, schema, outer)?;
-            let rt = expr_type(right, schema, outer)?;
+            let lt = expr_type(left, schema)?;
+            let rt = expr_type(right, schema)?;
             binary_type(*op, lt, rt)
         }
         ScalarExpr::Unary { op, expr } => {
-            let t = expr_type(expr, schema, outer)?;
+            let t = expr_type(expr, schema)?;
             match op {
                 UnOp::Not => expect_bool(t, "NOT"),
                 UnOp::Neg => {
@@ -54,12 +40,12 @@ pub fn expr_type(expr: &ScalarExpr, schema: &Schema, outer: &[&Schema]) -> Resul
             }
         }
         ScalarExpr::IsNull { expr, .. } => {
-            expr_type(expr, schema, outer)?;
+            expr_type(expr, schema)?;
             Ok(DataType::Bool)
         }
         ScalarExpr::Like { expr, pattern, .. } => {
-            let et = expr_type(expr, schema, outer)?;
-            let pt = expr_type(pattern, schema, outer)?;
+            let et = expr_type(expr, schema)?;
+            let pt = expr_type(pattern, schema)?;
             for t in [et, pt] {
                 if t != DataType::Text && t != DataType::Unknown {
                     return Err(PermError::Analysis(format!("LIKE requires text, got {t}")));
@@ -68,9 +54,9 @@ pub fn expr_type(expr: &ScalarExpr, schema: &Schema, outer: &[&Schema]) -> Resul
             Ok(DataType::Bool)
         }
         ScalarExpr::InList { expr, list, .. } => {
-            let mut t = expr_type(expr, schema, outer)?;
+            let mut t = expr_type(expr, schema)?;
             for e in list {
-                t = t.unify(expr_type(e, schema, outer)?)?;
+                t = t.unify(expr_type(e, schema)?)?;
             }
             Ok(DataType::Bool)
         }
@@ -79,13 +65,10 @@ pub fn expr_type(expr: &ScalarExpr, schema: &Schema, outer: &[&Schema]) -> Resul
             branches,
             else_branch,
         } => {
-            let op_ty = operand
-                .as_ref()
-                .map(|o| expr_type(o, schema, outer))
-                .transpose()?;
+            let op_ty = operand.as_ref().map(|o| expr_type(o, schema)).transpose()?;
             let mut result_ty = DataType::Unknown;
             for (cond, res) in branches {
-                let ct = expr_type(cond, schema, outer)?;
+                let ct = expr_type(cond, schema)?;
                 match op_ty {
                     // `CASE x WHEN v …` compares x with v.
                     Some(ot) => {
@@ -95,15 +78,15 @@ pub fn expr_type(expr: &ScalarExpr, schema: &Schema, outer: &[&Schema]) -> Resul
                         expect_bool(ct, "CASE WHEN")?;
                     }
                 }
-                result_ty = result_ty.unify(expr_type(res, schema, outer)?)?;
+                result_ty = result_ty.unify(expr_type(res, schema)?)?;
             }
             if let Some(e) = else_branch {
-                result_ty = result_ty.unify(expr_type(e, schema, outer)?)?;
+                result_ty = result_ty.unify(expr_type(e, schema)?)?;
             }
             Ok(result_ty)
         }
         ScalarExpr::Cast { expr, ty } => {
-            expr_type(expr, schema, outer)?;
+            expr_type(expr, schema)?;
             Ok(*ty)
         }
         ScalarExpr::ScalarFn { func, args } => {
@@ -124,23 +107,28 @@ pub fn expr_type(expr: &ScalarExpr, schema: &Schema, outer: &[&Schema]) -> Resul
             }
             let arg_tys: Vec<DataType> = args
                 .iter()
-                .map(|a| expr_type(a, schema, outer))
+                .map(|a| expr_type(a, schema))
                 .collect::<Result<_>>()?;
             scalar_fn_type(*func, &arg_tys)
         }
-        ScalarExpr::Subquery(sq) => match sq.kind {
-            SubqueryKind::Scalar => {
-                let sub_schema = sq.plan.schema();
-                if sub_schema.len() != 1 {
-                    return Err(PermError::Analysis(format!(
-                        "scalar subquery must return one column, returns {}",
-                        sub_schema.len()
-                    )));
-                }
-                Ok(sub_schema.column(0).ty)
+        ScalarExpr::Subquery(sq) => {
+            for e in sq.operand.as_deref().into_iter().chain(&sq.outer_refs) {
+                expr_type(e, schema)?;
             }
-            SubqueryKind::Exists | SubqueryKind::In => Ok(DataType::Bool),
-        },
+            match sq.kind {
+                SubqueryKind::Scalar => {
+                    let sub_schema = sq.plan.schema();
+                    if sub_schema.len() != 1 {
+                        return Err(PermError::Analysis(format!(
+                            "scalar subquery must return one column, returns {}",
+                            sub_schema.len()
+                        )));
+                    }
+                    Ok(sub_schema.column(0).ty)
+                }
+                SubqueryKind::Exists | SubqueryKind::In => Ok(DataType::Bool),
+            }
+        }
     }
 }
 
@@ -245,11 +233,11 @@ fn scalar_fn_type(func: ScalarFunc, args: &[DataType]) -> Result<DataType> {
 }
 
 /// Result type of an aggregate call given its argument type.
-pub fn agg_type(call: &AggCall, schema: &Schema, outer: &[&Schema]) -> Result<DataType> {
+pub fn agg_type(call: &AggCall, schema: &Schema) -> Result<DataType> {
     let arg_ty = call
         .arg
         .as_ref()
-        .map(|a| expr_type(a, schema, outer))
+        .map(|a| expr_type(a, schema))
         .transpose()?;
     Ok(match call.func {
         AggFunc::Count => DataType::Int,
@@ -292,7 +280,7 @@ mod tests {
     }
 
     fn ty(e: &ScalarExpr) -> Result<DataType> {
-        expr_type(e, &schema(), &[])
+        expr_type(e, &schema())
     }
 
     #[test]
@@ -361,17 +349,12 @@ mod tests {
     }
 
     #[test]
-    fn outer_references_use_the_scope_stack() {
-        let outer_schema = Schema::new(vec![Column::new("o", DataType::Text)]);
-        let e = ScalarExpr::OuterColumn {
-            levels_up: 1,
-            index: 0,
+    fn params_are_typed_by_themselves() {
+        let e = ScalarExpr::Param {
+            index: 3,
+            ty: DataType::Text,
         };
-        assert_eq!(
-            expr_type(&e, &schema(), &[&outer_schema]).unwrap(),
-            DataType::Text
-        );
-        assert!(expr_type(&e, &schema(), &[]).is_err());
+        assert_eq!(ty(&e).unwrap(), DataType::Text);
     }
 
     #[test]
@@ -381,24 +364,24 @@ mod tests {
             arg: None,
             distinct: false,
         };
-        assert_eq!(agg_type(&count, &schema(), &[]).unwrap(), DataType::Int);
+        assert_eq!(agg_type(&count, &schema()).unwrap(), DataType::Int);
         let sum_int = AggCall {
             func: AggFunc::Sum,
             arg: Some(ScalarExpr::Column(0)),
             distinct: false,
         };
-        assert_eq!(agg_type(&sum_int, &schema(), &[]).unwrap(), DataType::Int);
+        assert_eq!(agg_type(&sum_int, &schema()).unwrap(), DataType::Int);
         let avg = AggCall {
             func: AggFunc::Avg,
             arg: Some(ScalarExpr::Column(0)),
             distinct: false,
         };
-        assert_eq!(agg_type(&avg, &schema(), &[]).unwrap(), DataType::Float);
+        assert_eq!(agg_type(&avg, &schema()).unwrap(), DataType::Float);
         let bad = AggCall {
             func: AggFunc::Sum,
             arg: Some(ScalarExpr::Column(1)),
             distinct: false,
         };
-        assert!(agg_type(&bad, &schema(), &[]).is_err());
+        assert!(agg_type(&bad, &schema()).is_err());
     }
 }

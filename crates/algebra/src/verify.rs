@@ -53,7 +53,9 @@ fn boolish(t: DataType) -> bool {
 /// Verify that `plan` is internally consistent: every operator's schema
 /// matches its children, every expression (including inside sublink
 /// subplans) typechecks against its input with all slot references in
-/// bounds. `pass` names the transformation that produced the plan and is
+/// bounds, and every parameter of a sublink body names one of its
+/// sublink's `outer_refs` at that reference's type (`param-binding`).
+/// `pass` names the transformation that produced the plan and is
 /// included in any error; the `column-pruning` pass is additionally held
 /// to its own postcondition, `single-carry`: below a join, filter, sort,
 /// limit or aggregate no slot-only projection repeats or reorders slots.
@@ -61,10 +63,9 @@ pub fn verify_logical(plan: &LogicalPlan, pass: &str) -> Result<()> {
     verify_node(plan, pass, "", &[])
 }
 
-/// One checking context: `outer[0]` is the schema of the immediately
-/// enclosing query (for `OuterColumn { levels_up: 1, .. }`), matching the
-/// convention of [`typecheck::expr_type`].
-fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, outer: &[Schema]) -> Result<()> {
+/// One checking context: `params` are the types of the `outer_refs` of
+/// the sublink whose body `plan` belongs to (empty at the top level).
+fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, params: &[DataType]) -> Result<()> {
     let name = plan.node_name();
     let path = if path.is_empty() {
         name
@@ -111,7 +112,7 @@ fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, outer: &[Schema]) -> 
                     check_expr(
                         e,
                         &empty,
-                        outer,
+                        params,
                         pass,
                         &path,
                         &format!("row {r} column {c}"),
@@ -137,7 +138,7 @@ fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, outer: &[Schema]) -> 
                 ));
             }
             for (i, e) in exprs.iter().enumerate() {
-                let ty = check_expr(e, input.schema(), outer, pass, &path, &format!("expr {i}"))?;
+                let ty = check_expr(e, input.schema(), params, pass, &path, &format!("expr {i}"))?;
                 let declared = schema.column(i).ty;
                 if !compatible(ty, declared) {
                     return Err(violation(
@@ -153,7 +154,7 @@ fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, outer: &[Schema]) -> 
             }
         }
         LogicalPlan::Filter { input, predicate } => {
-            let ty = check_expr(predicate, input.schema(), outer, pass, &path, "predicate")?;
+            let ty = check_expr(predicate, input.schema(), params, pass, &path, "predicate")?;
             if !boolish(ty) {
                 return Err(violation(
                     pass,
@@ -182,7 +183,7 @@ fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, outer: &[Schema]) -> 
             // joins whose *output* is the left side only.
             let env = left.schema().join(right.schema());
             if let Some(c) = condition {
-                let ty = check_expr(c, &env, outer, pass, &path, "condition")?;
+                let ty = check_expr(c, &env, params, pass, &path, "condition")?;
                 if !boolish(ty) {
                     return Err(violation(
                         pass,
@@ -243,7 +244,7 @@ fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, outer: &[Schema]) -> 
                 let ty = check_expr(
                     e,
                     input.schema(),
-                    outer,
+                    params,
                     pass,
                     &path,
                     &format!("group key {i}"),
@@ -261,7 +262,7 @@ fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, outer: &[Schema]) -> 
                 }
             }
             for (j, call) in aggs.iter().enumerate() {
-                check_agg(call, input.schema(), outer, pass, &path, j)?;
+                check_agg(call, input.schema(), params, pass, &path, j)?;
             }
         }
         LogicalPlan::SetOp {
@@ -289,7 +290,7 @@ fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, outer: &[Schema]) -> 
                 check_expr(
                     &k.expr,
                     input.schema(),
-                    outer,
+                    params,
                     pass,
                     &path,
                     &format!("sort key {i}"),
@@ -339,24 +340,23 @@ fn verify_node(plan: &LogicalPlan, pass: &str, path: &str, outer: &[Schema]) -> 
     }
 
     for child in plan.children() {
-        verify_node(child, pass, &path, outer)?;
+        verify_node(child, pass, &path, params)?;
     }
     Ok(())
 }
 
-/// Typecheck one expression against its input schema, then recurse into
-/// any sublink subplans it contains (with this scope's schema pushed onto
-/// the outer stack, so correlated `OuterColumn` references resolve).
+/// Typecheck one expression against its input schema, check its
+/// parameters against `params`, then recurse into any sublink subplans it
+/// contains with their `outer_refs`' types as the body's parameters.
 fn check_expr(
     e: &ScalarExpr,
     env: &Schema,
-    outer: &[Schema],
+    params: &[DataType],
     pass: &str,
     path: &str,
     what: &str,
 ) -> Result<DataType> {
-    let refs: Vec<&Schema> = outer.iter().collect();
-    let ty = typecheck::expr_type(e, env, &refs).map_err(|err| {
+    let ty = typecheck::expr_type(e, env).map_err(|err| {
         // An out-of-range column position is its own invariant (a pass
         // dropped a column something still references); everything else
         // is a typing violation.
@@ -374,13 +374,32 @@ fn check_expr(
     })?;
     let mut nested = Ok(());
     e.visit(&mut |sub| {
-        if let ScalarExpr::Subquery(sq) = sub {
-            if nested.is_ok() {
-                let mut inner: Vec<Schema> = Vec::with_capacity(outer.len() + 1);
-                inner.push(env.clone());
-                inner.extend(outer.iter().cloned());
-                nested = verify_node(&sq.plan, pass, path, &inner);
+        if nested.is_err() {
+            return;
+        }
+        match sub {
+            ScalarExpr::Param { index, ty } if params.get(*index) != Some(ty) => {
+                let bound = match params.get(*index) {
+                    Some(t) => format!("its outer reference has type {t}"),
+                    None => format!("the sublink has {} outer references", params.len()),
+                };
+                nested = Err(violation(
+                    pass,
+                    "param-binding",
+                    path,
+                    format!("{what} ({e}): ${index} is typed {ty} but {bound}"),
+                ));
             }
+            ScalarExpr::Subquery(sq) => {
+                // `expr_type` above typechecked every outer reference.
+                let types: Vec<DataType> = sq
+                    .outer_refs
+                    .iter()
+                    .map(|r| typecheck::expr_type(r, env).unwrap_or(DataType::Unknown))
+                    .collect();
+                nested = verify_node(&sq.plan, pass, path, &types);
+            }
+            _ => {}
         }
     });
     nested?;
@@ -390,13 +409,12 @@ fn check_expr(
 fn check_agg(
     call: &AggCall,
     env: &Schema,
-    outer: &[Schema],
+    params: &[DataType],
     pass: &str,
     path: &str,
     index: usize,
 ) -> Result<()> {
-    let refs: Vec<&Schema> = outer.iter().collect();
-    typecheck::agg_type(call, env, &refs).map_err(|err| {
+    typecheck::agg_type(call, env).map_err(|err| {
         violation(
             pass,
             "expr-type",
@@ -409,7 +427,7 @@ fn check_agg(
         check_expr(
             arg,
             env,
-            outer,
+            params,
             pass,
             path,
             &format!("aggregate {index} argument"),
@@ -638,9 +656,7 @@ fn value_on_null(e: &ScalarExpr, is_target: &dyn Fn(usize) -> bool) -> AbsVal {
     match e {
         ScalarExpr::Column(i) if is_target(*i) => AbsVal::Null,
         ScalarExpr::Literal(Value::Null) => AbsVal::Null,
-        ScalarExpr::Literal(_) | ScalarExpr::Column(_) | ScalarExpr::OuterColumn { .. } => {
-            AbsVal::Any
-        }
+        ScalarExpr::Literal(_) | ScalarExpr::Column(_) | ScalarExpr::Param { .. } => AbsVal::Any,
         // Strict operators: NULL in, NULL out.
         ScalarExpr::Binary { op, left, right } => match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod | BinOp::Concat => {

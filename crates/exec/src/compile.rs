@@ -49,11 +49,8 @@ pub enum CompiledExpr {
     Const(Value),
     /// A direct load of tuple slot `i`.
     Slot(usize),
-    /// A load from an enclosing scope (correlated subplans).
-    Outer {
-        levels_up: usize,
-        index: usize,
-    },
+    /// A load of parameter `i` of the running sublink body.
+    Param(usize),
     /// A non-logical binary operator.
     Binary {
         op: BinOp,
@@ -130,10 +127,7 @@ impl CompiledExpr {
         match e {
             ScalarExpr::Literal(v) => CompiledExpr::Const(v.clone()),
             ScalarExpr::Column(i) => CompiledExpr::Slot(*i),
-            ScalarExpr::OuterColumn { levels_up, index } => CompiledExpr::Outer {
-                levels_up: *levels_up,
-                index: *index,
-            },
+            ScalarExpr::Param { index, .. } => CompiledExpr::Param(*index),
             ScalarExpr::Binary {
                 op: op @ (BinOp::And | BinOp::Or),
                 ..
@@ -244,7 +238,7 @@ impl CompiledExpr {
     fn children_const(&self) -> bool {
         match self {
             CompiledExpr::Const(_) => true,
-            CompiledExpr::Slot(_) | CompiledExpr::Outer { .. } | CompiledExpr::Interp(_) => false,
+            CompiledExpr::Slot(_) | CompiledExpr::Param(_) | CompiledExpr::Interp(_) => false,
             CompiledExpr::Binary { left, right, .. } => left.is_const() && right.is_const(),
             CompiledExpr::And(items) | CompiledExpr::Or(items) => {
                 items.iter().all(CompiledExpr::is_const)
@@ -287,15 +281,7 @@ impl CompiledExpr {
                 }
                 Ok(Cow::Borrowed(env.tuple.get(*i)))
             }
-            CompiledExpr::Outer { levels_up, index } => {
-                let k = env.outer.len().checked_sub(*levels_up).ok_or_else(|| {
-                    PermError::Execution(format!(
-                        "outer reference {levels_up} levels up with only {} scopes",
-                        env.outer.len()
-                    ))
-                })?;
-                Ok(Cow::Borrowed(env.outer[k].get(*index)))
-            }
+            CompiledExpr::Param(i) => env.param(*i).map(Cow::Borrowed),
             other => other.eval(exec, env).map(Cow::Owned),
         }
     }
@@ -306,7 +292,7 @@ impl CompiledExpr {
         match self {
             // The borrowing leaves live in eval_cow; cloning the borrow is
             // exactly what the interpreter does for these nodes.
-            CompiledExpr::Const(_) | CompiledExpr::Slot(_) | CompiledExpr::Outer { .. } => {
+            CompiledExpr::Const(_) | CompiledExpr::Slot(_) | CompiledExpr::Param(_) => {
                 self.eval_cow(exec, env).map(Cow::into_owned)
             }
             CompiledExpr::Binary { op, left, right } => {

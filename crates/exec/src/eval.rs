@@ -1,9 +1,10 @@
 //! Expression evaluation.
 //!
-//! Evaluates bound [`ScalarExpr`]s over a tuple, with a stack of enclosing
-//! tuples for correlated references and recursive execution of sublink
-//! subplans through the [`Executor`]. Uncorrelated subplans are executed
-//! once and cached for the lifetime of the statement.
+//! Evaluates bound [`ScalarExpr`]s over a tuple and the parameters of the
+//! sublink body it runs in, executing sublink subplans through the
+//! [`Executor`]. A correlated sublink's `outer_refs` are evaluated once
+//! per outer row and become its body's parameters; uncorrelated subplans
+//! are executed once and cached for the lifetime of the statement.
 
 use std::cmp::Ordering;
 
@@ -14,17 +15,27 @@ use perm_algebra::expr::{BinOp, ScalarExpr, ScalarFunc, SubqueryExpr, SubqueryKi
 
 use crate::executor::Executor;
 
-/// The evaluation environment: the current tuple plus the stack of
-/// enclosing tuples (`outer.last()` is the immediately enclosing scope,
-/// i.e. `levels_up == 1`).
+/// The evaluation environment: the current tuple plus the parameters of
+/// the sublink body being run (empty outside one).
 pub struct Env<'a> {
     pub tuple: &'a Tuple,
-    pub outer: &'a [Tuple],
+    pub params: &'a [Value],
 }
 
 impl<'a> Env<'a> {
-    pub fn new(tuple: &'a Tuple, outer: &'a [Tuple]) -> Env<'a> {
-        Env { tuple, outer }
+    pub fn new(tuple: &'a Tuple, params: &'a [Value]) -> Env<'a> {
+        Env { tuple, params }
+    }
+
+    /// Parameter `index`; out of range is an execution error, as an
+    /// out-of-range column is.
+    pub fn param(&self, index: usize) -> Result<&'a Value> {
+        self.params.get(index).ok_or_else(|| {
+            PermError::Execution(format!(
+                "parameter ${index} out of range ({} bound)",
+                self.params.len()
+            ))
+        })
     }
 }
 
@@ -41,15 +52,7 @@ pub fn eval(exec: &Executor, e: &ScalarExpr, env: &Env<'_>) -> Result<Value> {
             }
             Ok(env.tuple.get(*i).clone())
         }
-        ScalarExpr::OuterColumn { levels_up, index } => {
-            let k = env.outer.len().checked_sub(*levels_up).ok_or_else(|| {
-                PermError::Execution(format!(
-                    "outer reference {levels_up} levels up with only {} scopes",
-                    env.outer.len()
-                ))
-            })?;
-            Ok(env.outer[k].get(*index).clone())
-        }
+        ScalarExpr::Param { index, .. } => env.param(*index).cloned(),
         ScalarExpr::Binary { op, left, right } => eval_binary(exec, *op, left, right, env),
         ScalarExpr::Unary { op, expr } => {
             let v = eval(exec, expr, env)?;
@@ -199,7 +202,7 @@ pub(crate) fn in_semantics<'v>(
 fn eval_subquery(exec: &Executor, sq: &SubqueryExpr, env: &Env<'_>) -> Result<Value> {
     // Fast path: uncorrelated IN probes a hashed value set instead of
     // scanning the materialized subquery result per outer row.
-    if sq.kind == SubqueryKind::In && !sq.correlated {
+    if sq.kind == SubqueryKind::In && sq.outer_refs.is_empty() {
         // INVARIANT: the binder attaches an operand to every IN sublink.
         let operand = sq.operand.as_deref().expect("IN has operand");
         let needle = eval(exec, operand, env)?;
@@ -216,14 +219,17 @@ fn eval_subquery(exec: &Executor, sq: &SubqueryExpr, env: &Env<'_>) -> Result<Va
         };
         return if sq.negated { ops::not(&r) } else { Ok(r) };
     }
-    // Correlated subplans see the current tuple as their innermost outer
-    // scope; uncorrelated ones are executed once and cached.
-    let rows: std::sync::Arc<Vec<Tuple>> = if sq.correlated {
-        let mut outer: Vec<Tuple> = env.outer.to_vec();
-        outer.push(env.tuple.clone());
-        std::sync::Arc::new(exec.run_with_outer(&sq.plan, outer)?)
-    } else {
+    // A correlated body runs once per outer row with its outer
+    // references as parameters; an uncorrelated one once, cached.
+    let rows: std::sync::Arc<Vec<Tuple>> = if sq.outer_refs.is_empty() {
         exec.run_cached(&sq.plan)?
+    } else {
+        let params: std::sync::Arc<[Value]> = sq
+            .outer_refs
+            .iter()
+            .map(|e| eval(exec, e, env))
+            .collect::<Result<_>>()?;
+        std::sync::Arc::new(exec.run_with_params(&sq.plan, params)?)
     };
     match sq.kind {
         SubqueryKind::Exists => Ok(Value::Bool(rows.is_empty() == sq.negated)),

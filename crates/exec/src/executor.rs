@@ -47,8 +47,9 @@ type InSet = Arc<(FxHashSet<Value>, bool)>;
 /// query from eating the machine.
 const MAX_ROWS: usize = 50_000_000;
 
-/// The executor. Owns a catalog snapshot, the stack of outer tuples (for
-/// correlated subplans) and a cache of uncorrelated sublink results.
+/// The executor. Owns a catalog snapshot, the parameters of the sublink
+/// body it is running (if any) and a cache of uncorrelated sublink
+/// results.
 ///
 /// The catalog is an [`Arc`] snapshot rather than a borrow so that an
 /// executor — and the streams it produces, see [`crate::stream`] — can be
@@ -57,10 +58,10 @@ const MAX_ROWS: usize = 50_000_000;
 /// many threads, each with its own executor.
 pub struct Executor {
     catalog: Arc<Catalog>,
-    /// Outer-tuple stack, shared behind an `Arc` so operators borrow it
-    /// with a refcount bump instead of cloning the whole stack per
-    /// operator call (correlated-free queries share one empty stack).
-    outer: RefCell<Arc<Vec<Tuple>>>,
+    /// The running sublink body's parameters, shared behind an `Arc` so
+    /// operators borrow them with a refcount bump (outside a correlated
+    /// body they are empty).
+    params: RefCell<Arc<[Value]>>,
     subquery_cache: RefCell<HashMap<usize, Arc<Vec<Tuple>>>>,
     /// Hashed first-column sets of uncorrelated IN subqueries
     /// (`(values, has_null)`), keyed by plan identity.
@@ -107,7 +108,7 @@ impl Executor {
     pub fn new(catalog: Arc<Catalog>) -> Executor {
         Executor {
             catalog,
-            outer: RefCell::new(Arc::new(Vec::new())),
+            params: RefCell::new(Arc::from([])),
             subquery_cache: RefCell::new(HashMap::new()),
             in_set_cache: RefCell::new(HashMap::new()),
             physical_cache: RefCell::new(HashMap::new()),
@@ -299,10 +300,10 @@ impl Executor {
                 // interpreter is the right tool here — compilation would
                 // only add overhead.
                 let empty = Tuple::empty();
-                let env_outer = self.outer_stack();
+                let params = self.params();
                 let mut out = Vec::with_capacity(rows.len());
                 for row in rows {
-                    let env = Env::new(&empty, &env_outer);
+                    let env = Env::new(&empty, &params);
                     let mut vals = Vec::with_capacity(row.len());
                     for e in row {
                         vals.push(eval(self, e, &env)?);
@@ -349,11 +350,15 @@ impl Executor {
         }
     }
 
-    /// Execute a (correlated) subplan with an explicit outer-tuple stack.
-    pub fn run_with_outer(&self, plan: &LogicalPlan, outer: Vec<Tuple>) -> Result<Vec<Tuple>> {
-        let saved = std::mem::replace(&mut *self.outer.borrow_mut(), Arc::new(outer));
+    /// Execute a sublink body with `params` as its parameters.
+    pub(crate) fn run_with_params(
+        &self,
+        plan: &LogicalPlan,
+        params: Arc<[Value]>,
+    ) -> Result<Vec<Tuple>> {
+        let saved = std::mem::replace(&mut *self.params.borrow_mut(), params);
         let result = self.run(plan);
-        *self.outer.borrow_mut() = saved;
+        *self.params.borrow_mut() = saved;
         result
     }
 
@@ -389,19 +394,20 @@ impl Executor {
         if let Some(hit) = self.subquery_cache.borrow().get(&key) {
             return Ok(Arc::clone(hit));
         }
-        // Uncorrelated plans must not observe outer scopes.
-        let rows = Arc::new(self.run_with_outer(plan, Vec::new())?);
+        // An uncorrelated body reads no parameter, so whichever are
+        // bound cannot change its rows.
+        let rows = Arc::new(self.run(plan)?);
         self.subquery_cache
             .borrow_mut()
             .insert(key, Arc::clone(&rows));
         Ok(rows)
     }
 
-    /// Current outer-tuple stack (operators that evaluate expressions need
-    /// it to build `Env`s). A refcount bump, not a copy: correlated-free
-    /// queries share one empty stack for the whole execution.
-    pub fn outer_stack(&self) -> Arc<Vec<Tuple>> {
-        Arc::clone(&self.outer.borrow())
+    /// The running body's parameters (operators that evaluate
+    /// expressions need them to build `Env`s). A refcount bump, not a
+    /// copy.
+    pub(crate) fn params(&self) -> Arc<[Value]> {
+        Arc::clone(&self.params.borrow())
     }
 
     /// Guard helper for operators that multiply cardinalities.

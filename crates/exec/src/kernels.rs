@@ -89,19 +89,19 @@ macro_rules! for_lanes {
 
 /// Per-batch evaluation context: the pivoted input columns (gathered
 /// lazily per referenced slot and cached, so a slot used by both filter
-/// and projection pivots once) plus the outer-tuple stack.
+/// and projection pivots once) plus the running body's parameters.
 struct Cx<'a> {
     rows: &'a [&'a Tuple],
-    outer: &'a [Tuple],
+    params: &'a [Value],
     n: usize,
     cols: Vec<Option<Arc<ColumnVec>>>,
 }
 
 impl<'a> Cx<'a> {
-    fn new(rows: &'a [&'a Tuple], outer: &'a [Tuple]) -> Cx<'a> {
+    fn new(rows: &'a [&'a Tuple], params: &'a [Value]) -> Cx<'a> {
         Cx {
             rows,
-            outer,
+            params,
             n: rows.len(),
             cols: Vec::new(),
         }
@@ -139,7 +139,7 @@ fn batch_abort() -> PermError {
 fn batchable(e: &CompiledExpr) -> bool {
     match e {
         CompiledExpr::Case { .. } | CompiledExpr::Interp(_) => false,
-        CompiledExpr::Const(_) | CompiledExpr::Slot(_) | CompiledExpr::Outer { .. } => true,
+        CompiledExpr::Const(_) | CompiledExpr::Slot(_) | CompiledExpr::Param(_) => true,
         CompiledExpr::Binary { left, right, .. } => batchable(left) && batchable(right),
         CompiledExpr::Like { expr, pattern, .. } => batchable(expr) && batchable(pattern),
         CompiledExpr::And(items)
@@ -176,16 +176,11 @@ fn eval(e: &CompiledExpr, cx: &mut Cx<'_>, sel: &Sel) -> Result<Arc<ColumnVec>> 
     match e {
         CompiledExpr::Const(v) => Ok(Arc::new(ColumnVec::Const(v.clone(), n))),
         CompiledExpr::Slot(i) => cx.slot_col(*i),
-        CompiledExpr::Outer { levels_up, index } => {
-            // The outer stack is fixed for the whole batch: resolve
-            // once, broadcast as a constant. Resolution failures
-            // abort to the row path, which raises the exact error.
-            let k = cx
-                .outer
-                .len()
-                .checked_sub(*levels_up)
-                .ok_or_else(batch_abort)?;
-            let v = cx.outer[k].get(*index).clone();
+        CompiledExpr::Param(i) => {
+            // Parameters are fixed for the whole batch: broadcast as a
+            // constant. An unbound one aborts to the row path, which
+            // raises the exact error.
+            let v = cx.params.get(*i).ok_or_else(batch_abort)?.clone();
             Ok(Arc::new(ColumnVec::Const(v, n)))
         }
         CompiledExpr::Binary { op, left, right } => {
@@ -950,10 +945,10 @@ pub(crate) fn filter_project(
     filter: Option<&CompiledExpr>,
     project: Option<&CompiledProjection>,
     rows: &[&Tuple],
-    outer: &[Tuple],
+    params: &[Value],
     out: &mut Vec<Tuple>,
 ) -> Result<()> {
-    let mut cx = Cx::new(rows, outer);
+    let mut cx = Cx::new(rows, params);
     let n = rows.len();
     let sel = match filter {
         None => Sel::All(n),
@@ -1035,9 +1030,9 @@ pub(crate) fn filter_project(
 pub(crate) fn eval_all(
     exprs: &[CompiledExpr],
     rows: &[&Tuple],
-    outer: &[Tuple],
+    params: &[Value],
 ) -> Result<Vec<Arc<ColumnVec>>> {
-    let mut cx = Cx::new(rows, outer);
+    let mut cx = Cx::new(rows, params);
     let sel = Sel::All(rows.len());
     exprs.iter().map(|e| eval(e, &mut cx, &sel)).collect()
 }

@@ -20,8 +20,9 @@
 //! The executor then *interprets* the physical plan without making any
 //! strategy decision of its own — including NULL-safe keys for the
 //! aggregation join-back, hash aggregation and hash set operations.
-//! Correlated sublinks in ordinary (non-provenance) queries are evaluated
-//! through an outer-tuple stack with caching for uncorrelated subplans.
+//! Correlated sublinks in ordinary (non-provenance) queries run their body
+//! once per outer row with the sublink's outer references as parameters;
+//! uncorrelated bodies run once and are cached.
 //!
 //! The per-row hot path runs on **compiled expressions** ([`compile`]):
 //! each operator lowers its bound expressions once — constants folded,
@@ -86,7 +87,7 @@ pub use physical::{
     spill_fanout_for_rows, PhysicalPlan, PhysicalPlanner, MAX_SPILL_PARTITIONS, SPILL_PARTITIONS,
     SPILL_PARTITION_TARGET_ROWS,
 };
-pub use planner::{optimize, optimize_traced, optimize_verified, optimize_with, LOGICAL_PHASES};
+pub use planner::{optimize, optimize_verified, optimize_with, LOGICAL_PHASES};
 pub use stream::TupleStream;
 pub use verify::verify_physical;
 

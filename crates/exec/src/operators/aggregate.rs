@@ -324,13 +324,13 @@ impl<'r, R: RowRef> Input<'r, R> {
         self.tuple.get_or_insert_with(|| row.tuple())
     }
 
-    fn eval(&mut self, exec: &Executor, e: &CompiledExpr, outer: &[Tuple]) -> Result<Value> {
+    fn eval(&mut self, exec: &Executor, e: &CompiledExpr, params: &[Value]) -> Result<Value> {
         if let CompiledExpr::Slot(i) = e {
             if *i < self.row.width() {
                 return Ok(self.row.value(*i).clone());
             }
         }
-        e.eval(exec, &Env::new(self.tuple(), outer))
+        e.eval(exec, &Env::new(self.tuple(), params))
     }
 }
 
@@ -354,12 +354,12 @@ impl KeyPlan {
         &self,
         exec: &Executor,
         input: &mut Input<'_, R>,
-        outer: &[Tuple],
+        params: &[Value],
     ) -> Result<GroupKey> {
         match self {
-            KeyPlan::One(e) => Ok(GroupKey::One(input.eval(exec, e, outer)?)),
+            KeyPlan::One(e) => Ok(GroupKey::One(input.eval(exec, e, params)?)),
             KeyPlan::Many(p) => Ok(GroupKey::Many(
-                p.apply(exec, &Env::new(input.tuple(), outer))?,
+                p.apply(exec, &Env::new(input.tuple(), params))?,
             )),
         }
     }
@@ -397,7 +397,7 @@ pub(super) fn accumulate<R: RowRef>(
     rows: impl Iterator<Item = Result<(u64, R)>>,
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
-    outer: &[Tuple],
+    params: &[Value],
     mut on_new_group: impl FnMut(&GroupKey) -> Result<()>,
     witnesses: bool,
 ) -> std::result::Result<AggPartial, RowError> {
@@ -421,7 +421,7 @@ pub(super) fn accumulate<R: RowRef>(
         let (pos, t) = rec.map_err(fatal)?;
         let at = |e| (Some(pos), e);
         let mut input = Input::new(&t);
-        let key = group_c.apply(exec, &mut input, outer).map_err(at)?;
+        let key = group_c.apply(exec, &mut input, params).map_err(at)?;
         // One hash per row: the entry API probes once, and only a *new*
         // group clones its key (a refcount bump) into the group list.
         let g = match partial.index.entry(key) {
@@ -443,7 +443,7 @@ pub(super) fn accumulate<R: RowRef>(
         // no-cancel: bounded by the aggregate-call count.
         for (i, arg_expr) in arg_c.iter().enumerate() {
             let arg = match arg_expr {
-                Some(e) => Some(input.eval(exec, e, outer).map_err(at)?),
+                Some(e) => Some(input.eval(exec, e, params).map_err(at)?),
                 None => None,
             };
             if let (Some(seen), Some(v)) = (&mut state.distinct_seen[i], &arg) {
@@ -584,7 +584,7 @@ pub(crate) fn run_aggregate(
     // A join input stays refs: keys and arguments read through its
     // layout, and witness rows are gathered once, in `finish`.
     let refs = Arc::new(refs_of(exec, input)?);
-    let outer = exec.outer_stack();
+    let params = exec.params();
     // A witness aggregate's input arity: the NULL padding of a global
     // aggregate over no rows.
     let witnesses = (output == AggOutput::Witnesses).then(|| refs.width());
@@ -614,7 +614,7 @@ pub(crate) fn run_aggregate(
         let aggs_owned: Arc<Vec<AggCall>> = Arc::new(aggs.to_vec());
         let partials = {
             let refs = Arc::clone(&refs);
-            let outer = outer.clone();
+            let params = params.clone();
             let shared = reservation.clone();
             crate::parallel::map_chunks(exec.context(), dop, total, move |range| {
                 let sub = worker();
@@ -628,7 +628,7 @@ pub(crate) fn run_aggregate(
                     view.positions(range),
                     &group_by_owned,
                     &aggs_owned,
-                    &outer,
+                    &params,
                     |_| Ok(()),
                     witnesses.is_some(),
                 )
@@ -686,7 +686,7 @@ pub(crate) fn run_aggregate(
         view.positions(0..view.len()),
         group_by,
         aggs,
-        &outer,
+        &params,
         |_| Ok(()),
         witnesses.is_some(),
     )
@@ -712,7 +712,7 @@ pub(super) struct Grouped {
     keys: KeyPlan,
     group_by: Vec<ScalarExpr>,
     aggs: Vec<AggCall>,
-    outer: Arc<Vec<Tuple>>,
+    params: Arc<[Value]>,
     witnesses: Option<usize>,
 }
 
@@ -730,7 +730,7 @@ impl Grouped {
             keys: KeyPlan::compile(exec, group_by),
             group_by: group_by.to_vec(),
             aggs: aggs.to_vec(),
-            outer: exec.outer_stack(),
+            params: exec.params(),
             witnesses,
         }
     }
@@ -738,7 +738,7 @@ impl Grouped {
 
 impl Partitioned<1> for Grouped {
     fn key(&self, exec: &Executor, _: usize, row: &RefRow, parts: usize) -> Result<Option<usize>> {
-        let key = self.keys.apply(exec, &mut Input::new(row), &self.outer)?;
+        let key = self.keys.apply(exec, &mut Input::new(row), &self.params)?;
         Ok(Some(partition_of(&key, parts)))
     }
 
@@ -756,9 +756,9 @@ impl Partitioned<1> for Grouped {
         });
         let group_bytes = 32 * self.aggs.len().max(1);
         let on_new_group = |key: &GroupKey| cap.grow(key.size_bytes() + group_bytes);
-        let (group_by, aggs, outer) = (&self.group_by, &self.aggs, &self.outer);
+        let (group_by, aggs, params) = (&self.group_by, &self.aggs, &self.params);
         let witnesses = self.witnesses.is_some();
-        let partial = accumulate(exec, rows, group_by, aggs, outer, on_new_group, witnesses)?;
+        let partial = accumulate(exec, rows, group_by, aggs, params, on_new_group, witnesses)?;
         let kept = self.witnesses.map(|width| JoinRefs::rows(kept, width));
         let kept = kept.transpose().map_err(fatal)?;
         let view = kept.as_ref().map(|k| k.view(exec)).transpose();

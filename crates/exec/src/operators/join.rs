@@ -371,12 +371,12 @@ impl<'a> Residual<'a> {
     fn keeps(
         &self,
         exec: &Executor,
-        outer: &[Tuple],
+        params: &[Value],
         out: &mut Vec<u32>,
         start: usize,
     ) -> Result<bool> {
         let scratch = gather_row(&[], &self.rows, &out[start..], &self.layout);
-        let keep = self.pred.eval_bool(exec, &Env::new(&scratch, outer));
+        let keep = self.pred.eval_bool(exec, &Env::new(&scratch, params));
         if !matches!(keep, Ok(Some(true))) {
             out.truncate(start);
         }
@@ -393,7 +393,7 @@ fn pad(out: &mut Vec<u32>, k: usize) {
 struct Candidates<'a> {
     kind: JoinType,
     residual: Option<Residual<'a>>,
-    outer: &'a [Tuple],
+    params: &'a [Value],
     /// Rows emitted so far, counted toward the runaway-result guard.
     emitted: usize,
     /// The current probe row has matched.
@@ -404,13 +404,13 @@ impl<'a> Candidates<'a> {
     fn new(
         kind: JoinType,
         residual: Option<Residual<'a>>,
-        outer: &'a [Tuple],
+        params: &'a [Value],
         emitted: usize,
     ) -> Candidates<'a> {
         Candidates {
             kind,
             residual,
-            outer,
+            params,
             emitted,
             matched: false,
         }
@@ -422,7 +422,7 @@ impl<'a> Candidates<'a> {
     /// budget. Returns whether it matched.
     fn admit(&mut self, exec: &Executor, out: &mut Vec<u32>, start: usize) -> Result<bool> {
         if let Some(residual) = &self.residual {
-            if !residual.keeps(exec, self.outer, out, start)? {
+            if !residual.keeps(exec, self.params, out, start)? {
                 return Ok(false);
             }
         }
@@ -589,7 +589,7 @@ impl<'e> KeyBuilder<'e> {
         exec: &Executor,
         side: &View<'_>,
         r: usize,
-        outer: &[Tuple],
+        params: &[Value],
     ) -> Result<Option<Key>> {
         if let Some(s) = self.slot.filter(|&s| s < side.width()) {
             let v = side.value(r, s);
@@ -599,7 +599,7 @@ impl<'e> KeyBuilder<'e> {
             return Ok(Some(Key::One(v.clone())));
         }
         let row = side.row(r);
-        build_key(exec, self.exprs, self.null_safe, &Env::new(&row, outer))
+        build_key(exec, self.exprs, self.null_safe, &Env::new(&row, params))
     }
 }
 
@@ -635,7 +635,7 @@ pub(super) struct HashProbe {
     /// shape of a spilled partition's output.
     widths: (usize, usize),
     out_slots: Option<Vec<usize>>,
-    outer: Arc<Vec<Tuple>>,
+    params: Arc<[Value]>,
 }
 
 impl HashProbe {
@@ -671,7 +671,7 @@ impl HashProbe {
             residual: residual.as_ref().map(|r| CompiledExpr::compile(exec, r)),
             widths: (*nl, *nr),
             out_slots: out_slots.clone(),
-            outer: exec.outer_stack(),
+            params: exec.params(),
         }
     }
 
@@ -706,7 +706,7 @@ impl HashProbe {
             if i % 4096 == 0 {
                 exec.check_cancelled()?;
             }
-            if let Some(k) = keys.key(exec, build, i, &self.outer)? {
+            if let Some(k) = keys.key(exec, build, i, &self.params)? {
                 match heads.entry(k) {
                     std::collections::hash_map::Entry::Vacant(v) => {
                         v.insert((i, i));
@@ -742,7 +742,7 @@ impl HashProbe {
         budget_base: usize,
         out: &mut Vec<u32>,
     ) -> std::result::Result<(), RowError> {
-        let outer = self.outer.as_slice();
+        let params = &*self.params;
         let (left, right) = if self.build_left {
             (build, probe)
         } else {
@@ -752,7 +752,7 @@ impl HashProbe {
             .residual
             .as_ref()
             .map(|p| Residual::new(p, left, right));
-        let mut walk = Candidates::new(self.kind, residual, outer, budget_base);
+        let mut walk = Candidates::new(self.kind, residual, params, budget_base);
         let keys = KeyBuilder::new(&self.probe_exprs, &self.null_safe);
         let fatal = |e| (None, e);
         for (n, r) in rows.enumerate() {
@@ -762,7 +762,7 @@ impl HashProbe {
             }
             let at = |e| (Some(r as u64), e);
             let pids = probe.ids(r);
-            let mut bi = match keys.key(exec, probe, r, outer).map_err(at)? {
+            let mut bi = match keys.key(exec, probe, r, params).map_err(at)? {
                 Some(key) => table.heads.get(&key).map_or(NIL, |&(head, _)| head),
                 // SQL equality with NULL: this row joins nothing.
                 None => NIL,
@@ -887,7 +887,7 @@ impl Partitioned<2> for HashProbe {
                 exec,
                 exprs,
                 &self.null_safe,
-                &Env::new(&row.tuple(), &self.outer),
+                &Env::new(&row.tuple(), &self.params),
             )?,
         };
         Ok(match key {
@@ -1047,7 +1047,7 @@ struct IndexProbe {
     /// The inner output row over the base row (the fused projection).
     inner_layout: Vec<Col>,
     residual: Option<CompiledExpr>,
-    outer: Arc<Vec<Tuple>>,
+    params: Arc<[Value]>,
 }
 
 impl IndexProbe {
@@ -1065,7 +1065,7 @@ impl IndexProbe {
         budget_base: usize,
         out: &mut Vec<u32>,
     ) -> Result<()> {
-        let (column, outer) = (self.column, self.outer.as_slice());
+        let (column, params) = (self.column, &*self.params);
         let index = inner.index_on(column);
         let inner_rows = inner.rows();
         let inner_view = View {
@@ -1078,7 +1078,7 @@ impl IndexProbe {
             .residual
             .as_ref()
             .map(|p| Residual::new(p, left, &inner_view));
-        let mut walk = Candidates::new(self.kind, residual, outer, budget_base);
+        let mut walk = Candidates::new(self.kind, residual, params, budget_base);
         let keys = KeyBuilder::new(std::slice::from_ref(&self.key), &[false]);
         // Fallback candidates when the index vanished since planning: a
         // linear scan comparing the probe key (same semantics, slower).
@@ -1090,7 +1090,7 @@ impl IndexProbe {
             }
             let lids = left.ids(r);
             // A NULL key matches nothing.
-            if let Some(Key::One(key_val)) = keys.key(exec, left, r, outer)? {
+            if let Some(Key::One(key_val)) = keys.key(exec, left, r, params)? {
                 let candidates: &[usize] = match index {
                     Some(idx) => idx.lookup(&key_val),
                     None => {
@@ -1109,7 +1109,7 @@ impl IndexProbe {
                 // check_row_budget and the outer loop checks per row batch.
                 for &ri in candidates {
                     if let Some(f) = &self.inner_filter {
-                        let env = Env::new(&inner_rows[ri], outer);
+                        let env = Env::new(&inner_rows[ri], params);
                         if f.eval_bool(exec, &env)? != Some(true) {
                             continue;
                         }
@@ -1171,7 +1171,7 @@ fn index_nl_join_refs(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> 
             .map(|f| CompiledExpr::compile(exec, f)),
         inner_layout,
         residual: residual.as_ref().map(|r| CompiledExpr::compile(exec, r)),
-        outer: exec.outer_stack(),
+        params: exec.params(),
     };
     let k = left.sources.len() + usize::from(kind.produces_both_sides());
     if *dop > 1 {
@@ -1208,10 +1208,10 @@ fn nested_loop_refs(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> {
     let left = refs_of(exec, left)?;
     let right = refs_of(exec, right)?;
     let (lv, rv) = (left.view(exec)?, right.view(exec)?);
-    let outer = exec.outer_stack();
+    let params = exec.params();
     let condition = condition.as_ref().map(|c| CompiledExpr::compile(exec, c));
     let condition = condition.as_ref().map(|c| Residual::new(c, &lv, &rv));
-    let mut walk = Candidates::new(kind, condition, &outer, 0);
+    let mut walk = Candidates::new(kind, condition, &params, 0);
     let mut right_matched = vec![false; rv.len()];
     let mut out = Vec::new();
     let mut pairs = 0usize;

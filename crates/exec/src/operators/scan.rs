@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use perm_algebra::expr::ScalarExpr;
-use perm_types::{Result, Tuple};
+use perm_types::{Result, Tuple, Value};
 
 use crate::compile::{CompiledExpr, CompiledProjection};
 use crate::eval::Env;
@@ -32,13 +32,13 @@ pub struct Pipe {
     project: Option<CompiledProjection>,
     /// Run the pair over batches through the kernels.
     pub(super) batched: bool,
-    /// The outer-tuple stack the expressions resolve correlated
-    /// references against, captured when the node starts executing.
-    outer: Arc<Vec<Tuple>>,
+    /// The parameters of the sublink body this node runs in, captured
+    /// when the node starts executing.
+    params: Arc<[Value]>,
 }
 
 impl Pipe {
-    /// Compile `filter` / `project` against `exec`'s current outer scopes,
+    /// Compile `filter` / `project` against `exec`'s current parameters,
     /// and decide whether [`Pipe::run`] goes through the kernels: on a
     /// columnar executor, when there is a filter or a computed (non-gather)
     /// projection and every one of those expressions has a kernel.
@@ -58,7 +58,7 @@ impl Pipe {
             filter,
             project,
             batched,
-            outer: exec.outer_stack(),
+            params: exec.params(),
         }
     }
 
@@ -66,7 +66,7 @@ impl Pipe {
     /// (or, without a projection, the shared) output row. The reference
     /// semantics of the pipe.
     pub fn row(&self, exec: &Executor, row: &Tuple) -> Result<Option<Tuple>> {
-        let env = Env::new(row, &self.outer);
+        let env = Env::new(row, &self.params);
         if let Some(f) = &self.filter {
             if f.eval_bool(exec, &env)? != Some(true) {
                 return Ok(None);
@@ -121,7 +121,7 @@ impl Pipe {
                 self.filter.as_ref(),
                 self.project.as_ref(),
                 &batch,
-                &self.outer,
+                &self.params,
                 out,
             );
             if ran.is_err() {

@@ -80,7 +80,7 @@ pub(super) struct SortRun {
     desc: Vec<bool>,
     /// Key whole batches through the kernels.
     pub(super) batched: bool,
-    outer: Arc<Vec<Tuple>>,
+    params: Arc<[Value]>,
 }
 
 impl SortRun {
@@ -93,7 +93,7 @@ impl SortRun {
             desc: keys.iter().map(|k| k.desc).collect(),
             batched: kernels::batched(exec.columnar(), &compiled),
             compiled,
-            outer: exec.outer_stack(),
+            params: exec.params(),
         }
     }
 
@@ -113,7 +113,7 @@ impl SortRun {
             let cols = if self.batched {
                 batch.clear();
                 batch.extend(chunk.iter().map(Borrow::borrow));
-                kernels::eval_all(&self.compiled, &batch, &self.outer).ok()
+                kernels::eval_all(&self.compiled, &batch, &self.params).ok()
             } else {
                 None
             };
@@ -126,7 +126,7 @@ impl SortRun {
                 None => {
                     // no-cancel: one batch, bounded by BATCH_ROWS.
                     for t in chunk {
-                        let env = Env::new(t.borrow(), &self.outer);
+                        let env = Env::new(t.borrow(), &self.params);
                         let ks = self.compiled.iter().map(|c| c.eval(exec, &env));
                         keys.push(ks.collect::<Result<_>>()?);
                     }

@@ -629,7 +629,7 @@ fn exists_sublink() -> ScalarExpr {
         }),
         negated: false,
         operand: None,
-        correlated: false,
+        outer_refs: vec![],
     })
 }
 

@@ -1010,6 +1010,18 @@ impl<'a> PhysicalPlanner<'a> {
         project: Option<&[ScalarExpr]>,
         est_rows: f64,
     ) -> PhysicalPlan {
+        // A slot-only projection between the filter and its scan fuses
+        // too (column pruning narrows the scan under a sublink filter,
+        // which is never pushed through it): the filter reads the scan's
+        // slots through it, and it composes with `project`.
+        if let Some((scan, slots)) = narrowed_scan(input) {
+            let through = |e: &ScalarExpr| e.map_columns(&|i| slots[i]);
+            let project: Vec<ScalarExpr> = match project {
+                Some(p) => p.iter().map(through).collect(),
+                None => slots.iter().map(|&i| ScalarExpr::Column(i)).collect(),
+            };
+            return self.plan_filter(scan, &through(predicate), Some(&project), est_rows);
+        }
         if let LogicalPlan::Scan { table, schema, .. } = input {
             // Index point lookup: `col = literal` on an indexed column.
             if let Some((column, key, residual)) = self.find_index_conjunct(table, predicate) {
@@ -1078,7 +1090,9 @@ impl<'a> PhysicalPlanner<'a> {
             LogicalPlan::Filter {
                 input: finput,
                 predicate,
-            } if matches!(finput.as_ref(), LogicalPlan::Scan { .. }) => {
+            } if matches!(finput.as_ref(), LogicalPlan::Scan { .. })
+                || narrowed_scan(finput).is_some() =>
+            {
                 self.plan_filter(finput, predicate, Some(exprs), self.est(whole))
             }
             LogicalPlan::Join {
@@ -1322,6 +1336,18 @@ fn slot_only(exprs: &[ScalarExpr]) -> Option<Vec<usize>> {
             _ => None,
         })
         .collect()
+}
+
+/// `Project(slots) → Scan`: the scan and the slots.
+fn narrowed_scan(plan: &LogicalPlan) -> Option<(&LogicalPlan, Vec<usize>)> {
+    match plan {
+        LogicalPlan::Project { input, exprs, .. }
+            if matches!(**input, LogicalPlan::Scan { .. }) =>
+        {
+            Some((input, slot_only(exprs)?))
+        }
+        _ => None,
+    }
 }
 
 /// A recognized scan chain: `(table, schema, filter over base row, slot

@@ -70,11 +70,13 @@
 //! 5. one cleanup round of the bottom-up rules (reordering introduces
 //!    compensating projections that merge into the root's fan-out).
 //!
-//! Passes 3 and 4 renumber columns; because positional `OuterColumn`
-//! references inside sublink subplans cannot be renumbered from the
-//! outside, both passes are skipped entirely for plans containing
-//! sublinks (filter pushdown already refuses to move sublink predicates
-//! for the same reason).
+//! Every plan takes all five phases. Passes 3 and 4 renumber columns, and
+//! a sublink reads its enclosing row only through its `outer_refs` —
+//! ordinary expressions of the enclosing node that every pass remaps like
+//! any operand — while its body addresses them as parameters, which no
+//! renumbering touches. Sublink bodies themselves are not optimized, and
+//! filter pushdown does not move sublink predicates (their evaluation
+//! cost, not their addressing, is the reason).
 
 use perm_algebra::expr::{BinOp, ScalarExpr, UnOp};
 use perm_algebra::plan::{join_back_condition, AggOutput, JoinType, LogicalPlan, SetOpType};
@@ -137,24 +139,6 @@ pub fn optimize_verified(plan: LogicalPlan, est: &dyn CardinalityEstimator) -> R
     optimize_observed(plan, est, &mut verifier, true)
 }
 
-/// [`optimize_verified`] that additionally records which phases actually
-/// ran (sublink-bearing plans skip the pruning/reordering phases) — the
-/// basis of the `EXPLAIN VERIFY` report.
-pub fn optimize_traced(
-    plan: LogicalPlan,
-    est: &dyn CardinalityEstimator,
-) -> Result<(LogicalPlan, Vec<&'static str>)> {
-    let mut verifier = verifying_observer(plan.schema().clone());
-    let mut phases = Vec::new();
-    let mut observe = |phase: &'static str, p: &LogicalPlan| {
-        verifier(phase, p)?;
-        phases.push(phase);
-        Ok(())
-    };
-    let optimized = optimize_observed(plan, est, &mut observe, true)?;
-    Ok((optimized, phases))
-}
-
 /// The names of the logical optimizer's phases, in execution order. Used
 /// by the verifying observer and the `EXPLAIN VERIFY` report.
 pub const LOGICAL_PHASES: &[&str] = &[
@@ -193,30 +177,17 @@ fn optimize_observed(
         p = rewrite_bottom_up(p, certify("rule-rewrites"))?;
     }
     observe("rule-rewrites", &p)?;
-    if !plan_has_sublinks(&p) {
-        let arity = p.arity();
-        p = prune_columns(p);
-        debug_assert_eq!(p.arity(), arity, "pruning must not change the root schema");
-        observe("column-pruning", &p)?;
-        p = reorder_joins(p, est);
-        observe("join-reordering", &p)?;
-        // One round: measured the same way as `PASSES`, a second cleanup
-        // round changed none of the pruned plans.
-        p = rewrite_bottom_up(p, certify("cleanup-rewrites"))?;
-        observe("cleanup-rewrites", &p)?;
-    }
+    let arity = p.arity();
+    p = prune_columns(p);
+    debug_assert_eq!(p.arity(), arity, "pruning must not change the root schema");
+    observe("column-pruning", &p)?;
+    p = reorder_joins(p, est);
+    observe("join-reordering", &p)?;
+    // One round: measured the same way as `PASSES`, a second cleanup
+    // round changed none of the pruned plans.
+    p = rewrite_bottom_up(p, certify("cleanup-rewrites"))?;
+    observe("cleanup-rewrites", &p)?;
     Ok(p)
-}
-
-/// True if any expression anywhere in the plan contains a sublink.
-fn plan_has_sublinks(plan: &LogicalPlan) -> bool {
-    let mut found = false;
-    plan.visit_all_exprs(&mut |e| {
-        if e.contains_subquery() {
-            found = true;
-        }
-    });
-    found
 }
 
 /// Remove SQL-PLE boundary markers (no-ops for execution).
@@ -912,9 +883,9 @@ fn union_refs<'a>(extra: &[usize], exprs: impl IntoIterator<Item = &'a ScalarExp
 /// The root keeps its full schema (positions, names and types), so the
 /// plan's output is unchanged.
 ///
-/// Must not be called on plans containing sublinks (positional
-/// `OuterColumn` references inside sublink plans cannot be renumbered
-/// from out here); [`optimize_with`] guards this.
+/// A sublink is pruned through like any operand: its `outer_refs` are the
+/// slots it needs, remapped with the rest of its node's expressions; its
+/// body is left as it is.
 fn prune_columns(plan: LogicalPlan) -> LogicalPlan {
     let schema = plan.schema().clone();
     let all: Vec<usize> = (0..schema.len()).collect();
@@ -2222,26 +2193,54 @@ mod tests {
     }
 
     #[test]
-    fn pruning_skips_plans_with_sublinks() {
-        // An uncorrelated IN sublink: positions inside the sublink plan
-        // cannot be renumbered from outside, so the pass must not touch
-        // the plan (soundness over aggressiveness).
-        let sub = scan("s", 1);
-        let pred = ScalarExpr::Subquery(perm_algebra::expr::SubqueryExpr {
-            kind: perm_algebra::expr::SubqueryKind::In,
-            plan: Box::new(sub),
+    fn pruning_narrows_the_join_under_a_sublink() {
+        // σ_{EXISTS(σ_{a.c1 = $0}(a)), $0 = b.c1}(a × b), projected on
+        // a.c1: below the filter only a.c1 and b.c1 are needed, so the
+        // join narrows to two slots, the outer reference follows b.c1
+        // from #3 to #1, and the body keeps its own positions.
+        let body = LogicalPlan::filter(
+            scan("a", 2),
+            ScalarExpr::eq(
+                ScalarExpr::Column(1),
+                ScalarExpr::Param {
+                    index: 0,
+                    ty: DataType::Int,
+                },
+            ),
+        );
+        let exists = ScalarExpr::Subquery(perm_algebra::expr::SubqueryExpr {
+            kind: perm_algebra::expr::SubqueryKind::Exists,
+            plan: Box::new(body.clone()),
             negated: false,
-            operand: Some(Box::new(ScalarExpr::Column(2))),
-            correlated: false,
+            operand: None,
+            outer_refs: vec![ScalarExpr::Column(3)],
         });
         let join = LogicalPlan::join(scan("a", 2), scan("b", 2), JoinType::Cross, None).unwrap();
-        let p = LogicalPlan::project_positions(LogicalPlan::filter(join, pred), &[0]);
-        let before = p.arity();
-        let o = optimize(p);
-        assert_eq!(o.arity(), before);
-        let tree = plan_tree(&o);
-        // The join still carries both sides' full width (no pruning ran).
-        assert!(tree.contains("IN <subquery>"), "{tree}");
+        let plan = LogicalPlan::project_positions(LogicalPlan::filter(join, exists), &[1]);
+        // Same rows as the unoptimized plan (a.c1 for every a row, once
+        // per b row whose c1 some a row has: only (3, 300)).
+        let tree = optimized_tree(plan.clone());
+        let o = optimize(plan);
+        fn find<'p>(
+            p: &'p LogicalPlan,
+            f: &dyn Fn(&LogicalPlan) -> bool,
+        ) -> Option<&'p LogicalPlan> {
+            if f(p) {
+                return Some(p);
+            }
+            p.children().into_iter().find_map(|c| find(c, f))
+        }
+        let join = find(&o, &|p| matches!(p, LogicalPlan::Join { .. })).expect("join survives");
+        assert_eq!(join.arity(), 2, "pruned join width:\n{tree}");
+        let Some(LogicalPlan::Filter {
+            predicate: ScalarExpr::Subquery(sq),
+            ..
+        }) = find(&o, &|p| matches!(p, LogicalPlan::Filter { .. }))
+        else {
+            panic!("the sublink filter survives:\n{tree}");
+        };
+        assert_eq!(sq.outer_refs, vec![ScalarExpr::Column(1)], "{tree}");
+        assert_eq!(*sq.plan, body, "the body is not renumbered");
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl Executor {
     /// Consume this executor into a pull-based stream over `plan` (the
     /// logical plan is lowered through the physical planner first).
     ///
-    /// The plan must be a *top-level* plan (no outer scopes in flight);
+    /// The plan must be a *top-level* plan (no parameters in flight);
     /// streams are built per statement, exactly like [`Executor::run`]
     /// calls at the top level.
     pub fn into_stream(self, plan: &LogicalPlan) -> Result<TupleStream> {

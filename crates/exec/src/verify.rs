@@ -102,46 +102,19 @@ fn check_expr(
     path: &str,
     what: &str,
 ) -> Result<DataType> {
-    match typecheck::expr_type(e, env, &[]) {
-        Ok(ty) => Ok(ty),
-        // The subplan of a correlated sublink is lowered on its own, so
-        // its outer references cannot be resolved here (the executor
-        // supplies the enclosing tuples at run time). Fall back to a
-        // bounds-only check of the depth-0 slots.
-        Err(err) if err.message().contains("outer reference") => {
-            let mut out_of_range = None;
-            e.for_each_column(&mut |i| {
-                if i >= env.len() {
-                    out_of_range = Some(i);
-                }
-            });
-            match out_of_range {
-                Some(i) => Err(violation(
-                    pass,
-                    "slot-bounds",
-                    path,
-                    format!(
-                        "{what} ({e}): slot {i} out of range ({} columns)",
-                        env.len()
-                    ),
-                )),
-                None => Ok(DataType::Unknown),
-            }
-        }
-        Err(err) => {
-            let invariant = if err.message().contains("out of range") {
-                "slot-bounds"
-            } else {
-                "expr-type"
-            };
-            Err(violation(
-                pass,
-                invariant,
-                path,
-                format!("{what} ({e}): {}", err.message()),
-            ))
-        }
-    }
+    typecheck::expr_type(e, env).map_err(|err| {
+        let invariant = if err.message().contains("out of range") {
+            "slot-bounds"
+        } else {
+            "expr-type"
+        };
+        violation(
+            pass,
+            invariant,
+            path,
+            format!("{what} ({e}): {}", err.message()),
+        )
+    })
 }
 
 fn check_bool_expr(e: &ScalarExpr, env: &Schema, pass: &str, path: &str, what: &str) -> Result<()> {
@@ -557,7 +530,7 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                 exprs.push(g);
             }
             for (j, call) in aggs.iter().enumerate() {
-                let ty = typecheck::agg_type(call, &in_schema, &[]).map_err(|err| {
+                let ty = typecheck::agg_type(call, &in_schema).map_err(|err| {
                     let invariant = if err.message().contains("out of range") {
                         "slot-bounds"
                     } else {

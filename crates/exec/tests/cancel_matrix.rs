@@ -392,7 +392,8 @@ fn pre_cancelled_operators_return_cancelled_and_leak_nothing() {
 /// context. The pipeline nodes have no body; their pull is pinned above.
 /// A bare `IndexNLJoin` reserves nothing, so it is left out (the join
 /// chain holds one under a hash join).
-/// A canceller slower than the stall is retried with a longer one.
+/// A canceller slower than the stall is retried with a longer one, whatever
+/// the run ended in.
 #[test]
 fn operators_cancelled_after_reading_their_input_return_cancelled() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -450,7 +451,10 @@ fn operators_cancelled_after_reading_their_input_return_cancelled() {
                     assert_eq!(stalled, 1, "{what}: the body never reserved");
                     assert_eq!(pool.used(), 0, "{what}: pool must drain to zero");
                     assert!(spill_dir_is_clean(), "{what}: spill temp files left behind");
-                    if result.is_err() {
+                    // A canceller that missed the stall lets the body run
+                    // on: to its rows, or under the 1-byte cap to
+                    // `ResourceExhausted`. Either way, stall longer.
+                    if matches!(&result, Err(e) if e.kind() == "cancelled") {
                         break;
                     }
                 }

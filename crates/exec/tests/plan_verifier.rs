@@ -15,7 +15,7 @@
 //!   for collapsing an aggregate's join-back to its own input into a
 //!   witness aggregate (self-join-back) and for moving a filter below an
 //!   aggregate (group-key-pushdown), the witness schema, the
-//!   provenance-rewrite contract;
+//!   provenance-rewrite contract, sublink parameters (param-binding);
 //! * physical ([`perm_exec::verify_physical`]): operator arity plumbing
 //!   and the parallel-legality rules of the morsel runtime (sublink
 //!   pipelines, FULL joins, DISTINCT aggregates and UNION ALL appends
@@ -63,7 +63,7 @@ fn exists_sublink() -> ScalarExpr {
         }),
         negated: false,
         operand: None,
-        correlated: false,
+        outer_refs: vec![],
     })
 }
 
@@ -184,6 +184,53 @@ fn join_schema_drift_is_schema_consistency_violation() {
     };
     let err = verify_logical(&plan, "join-reordering").unwrap_err();
     assert_names(&err, "schema-consistency", "join-reordering");
+}
+
+#[test]
+fn mistyped_or_unbound_param_is_param_binding_violation() {
+    // A body whose parameter disagrees with the outer reference it names
+    // — the shape a pass produces when it rewrites a sublink's
+    // `outer_refs` but not its body (or the other way round).
+    let sublink = |param: ScalarExpr| {
+        let body = LogicalPlan::filter(
+            scan(),
+            ScalarExpr::IsNull {
+                expr: Box::new(param),
+                negated: false,
+            },
+        );
+        ScalarExpr::Subquery(SubqueryExpr {
+            kind: SubqueryKind::Exists,
+            plan: Box::new(body),
+            negated: false,
+            operand: None,
+            // $0 = the enclosing row's `b`, a text column.
+            outer_refs: vec![ScalarExpr::Column(1)],
+        })
+    };
+    let text = ScalarExpr::Param {
+        index: 0,
+        ty: DataType::Text,
+    };
+    verify_logical(
+        &LogicalPlan::filter(scan(), sublink(text)),
+        "column-pruning",
+    )
+    .unwrap();
+    for bad in [
+        ScalarExpr::Param {
+            index: 0,
+            ty: DataType::Int,
+        },
+        ScalarExpr::Param {
+            index: 1,
+            ty: DataType::Text,
+        },
+    ] {
+        let plan = LogicalPlan::filter(scan(), sublink(bad));
+        let err = verify_logical(&plan, "column-pruning").unwrap_err();
+        assert_names(&err, "param-binding", "column-pruning");
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -138,7 +138,7 @@ fn check_supported(sq: &SubqueryExpr) -> Result<()> {
                 .into(),
         ));
     }
-    if sq.correlated {
+    if !sq.outer_refs.is_empty() {
         return Err(PermError::Rewrite(
             "correlated sublinks are not supported inside a provenance computation; \
              decorrelate the query into a join (ordinary execution of correlated \

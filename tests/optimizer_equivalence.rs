@@ -73,6 +73,18 @@ fn repertoire_of_query_shapes() {
         "SELECT name FROM users u WHERE EXISTS (SELECT 1 FROM approved a WHERE a.uid = u.uid)"
             .into(),
         "SELECT mid FROM messages WHERE mid IN (SELECT mid FROM approved)".into(),
+        // Correlated sublinks: a reference two levels up, an EXISTS over
+        // a join, and an uncorrelated IN inside a correlated body.
+        "SELECT a.mid FROM approved a WHERE EXISTS (SELECT 1 FROM messages m \
+         WHERE a.mid = m.mid AND EXISTS (SELECT 1 FROM users u \
+         WHERE u.uid = a.uid AND u.uid = m.uid))"
+            .into(),
+        "SELECT m.text, u.name FROM messages m JOIN users u ON m.uid = u.uid \
+         WHERE EXISTS (SELECT 1 FROM approved a WHERE a.mid = m.mid AND a.uid = u.uid)"
+            .into(),
+        "SELECT u.name FROM users u WHERE EXISTS (SELECT 1 FROM approved a \
+         WHERE a.uid = u.uid AND a.mid IN (SELECT mid FROM messages WHERE mid > 2))"
+            .into(),
         // Provenance shapes (the optimizer sees the rewritten plans).
         "SELECT PROVENANCE mid, text FROM messages WHERE mid > 1".into(),
         format!("SELECT PROVENANCE * FROM ({Q1}) q1"),
@@ -178,6 +190,100 @@ fn boundary_nodes_are_transparent_to_execution() {
     let (raw, optimized) = both_ways(&db, "SELECT text FROM v1 BASERELATION");
     assert_eq!(bag(&raw), bag(&optimized));
     assert_eq!(raw.len(), 4);
+}
+
+/// A correlated sublink reads its enclosing row through its outer
+/// references, which every optimizer phase remaps with the rest of the
+/// plan, and an outer reference from an aggregate scope binds as the same
+/// column written directly there. Each query returns its decorrelated
+/// form's bag, optimized and not, with the columnar switch on and off.
+#[test]
+fn correlated_sublinks_return_their_decorrelated_bags() {
+    let db = scaled_forum(20, false);
+    let count_below = "(SELECT count(*) FROM messages m WHERE m.mid < a.mid)";
+    let cases = [
+        // A reordering projection under the sublink's scope.
+        (
+            "SELECT (SELECT count(*) FROM messages m WHERE m.mid < s.x) \
+             FROM (SELECT mid AS x, uid FROM approved) s"
+                .to_string(),
+            format!("SELECT {count_below} FROM approved a"),
+        ),
+        // HAVING: the reference is a group column of the aggregate.
+        (
+            "SELECT a.mid, count(*) FROM approved a GROUP BY a.mid \
+             HAVING EXISTS (SELECT 1 FROM messages m WHERE m.mid = a.mid + 10)"
+                .to_string(),
+            "SELECT a.mid, count(*) FROM approved a \
+             WHERE EXISTS (SELECT 1 FROM messages m WHERE m.mid = a.mid + 10) GROUP BY a.mid"
+                .to_string(),
+        ),
+        // The select list of an aggregate select.
+        (
+            format!("SELECT a.mid, {count_below} FROM approved a GROUP BY a.mid"),
+            format!("SELECT DISTINCT a.mid, {count_below} FROM approved a"),
+        ),
+        // A non-grouped column: the lenient implicit any_value, exactly
+        // as `a.uid` written in the select list binds.
+        (
+            "SELECT a.mid, (SELECT count(*) FROM messages m WHERE m.uid = a.uid) \
+             FROM approved a GROUP BY a.mid"
+                .to_string(),
+            "SELECT g.mid, (SELECT count(*) FROM messages m WHERE m.uid = g.uid) \
+             FROM (SELECT a.mid, a.uid FROM approved a GROUP BY a.mid) g"
+                .to_string(),
+        ),
+    ];
+    let run = |sql: &str, optimized: bool, columnar: bool| -> Vec<Tuple> {
+        let plan = db.bind_sql(sql).expect("binds");
+        let plan = if optimized { optimize(plan) } else { plan };
+        Executor::new(db.snapshot())
+            .with_columnar(columnar)
+            .run(&plan)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"))
+    };
+    for (sql, decorrelated) in &cases {
+        let expected = run(decorrelated, false, false);
+        assert!(!expected.is_empty(), "vacuous: {decorrelated}");
+        for optimized in [false, true] {
+            for columnar in [false, true] {
+                assert_eq!(
+                    bag(&run(sql, optimized, columnar)),
+                    bag(&expected),
+                    "{sql} optimized={optimized} columnar={columnar}"
+                );
+            }
+        }
+    }
+}
+
+/// The browser's SQL panel renders a correlated sublink's outer
+/// references as the enclosing scope's qualified columns: the SQL
+/// re-parses and returns the query's rows.
+#[test]
+fn correlated_sublinks_deparse_to_sql_that_reruns() {
+    let db = forum_db();
+    for sql in [
+        "SELECT m.mid FROM messages m WHERE EXISTS (SELECT 1 FROM approved a WHERE a.mid = m.mid)",
+        "SELECT a.mid FROM approved a WHERE EXISTS (SELECT 1 FROM messages m \
+         WHERE a.mid = m.mid AND EXISTS (SELECT 1 FROM users u \
+         WHERE u.uid = a.uid AND u.uid = m.uid))",
+        "SELECT a.mid, (SELECT count(*) FROM messages m WHERE m.mid < a.mid) \
+         FROM approved a GROUP BY a.mid",
+    ] {
+        let panels = perm_core::BrowserPanels::capture(&db, sql).unwrap();
+        let rows = db.query(sql).unwrap().rows;
+        assert!(!rows.is_empty(), "vacuous: {sql}");
+        let reparsed = db
+            .query(&panels.rewritten_sql)
+            .unwrap_or_else(|e| panic!("{}: {e}", panels.rewritten_sql));
+        assert_eq!(
+            bag(&reparsed.rows),
+            bag(&rows),
+            "{sql}\n{}",
+            panels.rewritten_sql
+        );
+    }
 }
 
 /// A witness aggregate deparses to the join-back it stands for: the SQL

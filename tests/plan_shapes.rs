@@ -389,3 +389,33 @@ fn single_table_plans_are_pinned() {
         }
     }
 }
+
+/// Sublink plans take every optimizer phase, and `EXPLAIN VERIFY` reports
+/// each: `nested`'s q keeps the one fused scan it had when column pruning
+/// skipped it, and a sublink filter over a join no longer keeps the
+/// join's leaves wide — `users` hands on its key alone, not a bare
+/// `SeqScan(users)` carrying `name`.
+#[test]
+fn sublink_plans_are_pinned() {
+    let joined = "SELECT text FROM messages m JOIN users u ON m.uid = u.uid \
+                  WHERE m.mid IN (SELECT mid FROM approved)";
+    for indexes in [false, true] {
+        let db = forum(SCALE, indexes);
+        assert_eq!(
+            explain(&db, NESTED),
+            "FusedScan(messages) filter=(#0 IN <subquery>) project=[#1]  (~100 rows)"
+        );
+        assert_eq!(
+            explain(&db, joined),
+            "Project [#1]\n\
+             └── Filter (#0 IN <subquery>)\n    \
+                 └── HashJoin(Inner, build=right) on [#2 = #0]  (~200 rows)\n        \
+                     ├── SeqScan(messages)  (~200 rows)\n        \
+                     └── FusedScan(users) project=[#0]  (~20 rows)"
+        );
+        let report = explain(&db, &format!("VERIFY {NESTED}"));
+        for phase in perm_exec::LOGICAL_PHASES {
+            assert!(report.contains(&format!("\n{phase}: ok\n")), "{report}");
+        }
+    }
+}
