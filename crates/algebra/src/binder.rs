@@ -12,6 +12,8 @@
 //! `BASERELATION` stops the rewrite at that subtree, `PROVENANCE (attrs)`
 //! declares external provenance attributes.
 
+use std::sync::Arc;
+
 use perm_sql::{
     BinaryOp, Expr as AstExpr, JoinKind, ObjectKind, OrderItem, Query, QueryBody, Select,
     SelectItem, SetOpKind, Statement, TableRef, UnaryOp,
@@ -1085,7 +1087,7 @@ impl<'a> Binder<'a> {
         }
         Ok(ScalarExpr::Subquery(SubqueryExpr {
             kind,
-            plan: Box::new(plan),
+            plan: Arc::new(plan),
             negated,
             operand: operand.map(Box::new),
             outer_refs: frame.refs,
@@ -1510,6 +1512,16 @@ pub enum BoundStatement {
     },
 }
 
+/// The schema an `UPDATE` / `DELETE` binds its expressions against: the
+/// target table's, qualified by its name as a FROM-clause scan of it is,
+/// so `t.x` resolves in `UPDATE t …` and in its sublinks.
+fn write_target(catalog: &dyn CatalogProvider, table: &str) -> Result<Schema> {
+    let meta = catalog
+        .base_table(table)
+        .ok_or_else(|| PermError::Analysis(format!("table '{table}' does not exist")))?;
+    Ok(meta.schema.requalify(table))
+}
+
 /// Bind any statement.
 pub fn bind_statement(
     stmt: &Statement,
@@ -1532,12 +1544,10 @@ pub fn bind_statement(
             verify: *verify,
         }),
         Statement::Delete { table, predicate } => {
-            let meta = catalog
-                .base_table(table)
-                .ok_or_else(|| PermError::Analysis(format!("table '{table}' does not exist")))?;
+            let schema = write_target(catalog, table)?;
             let predicate = predicate
                 .as_ref()
-                .map(|p| binder.bind_expr(p, &meta.schema))
+                .map(|p| binder.bind_expr(p, &schema))
                 .transpose()?;
             Ok(BoundStatement::Delete {
                 table: table.clone(),
@@ -1549,17 +1559,15 @@ pub fn bind_statement(
             assignments,
             predicate,
         } => {
-            let meta = catalog
-                .base_table(table)
-                .ok_or_else(|| PermError::Analysis(format!("table '{table}' does not exist")))?;
+            let schema = write_target(catalog, table)?;
             let mut bound = Vec::with_capacity(assignments.len());
             for (col, value) in assignments {
-                let pos = meta.schema.resolve(None, col)?;
-                bound.push((pos, binder.bind_expr(value, &meta.schema)?));
+                let pos = schema.resolve(None, col)?;
+                bound.push((pos, binder.bind_expr(value, &schema)?));
             }
             let predicate = predicate
                 .as_ref()
-                .map(|p| binder.bind_expr(p, &meta.schema))
+                .map(|p| binder.bind_expr(p, &schema))
                 .transpose()?;
             Ok(BoundStatement::Update {
                 table: table.clone(),

@@ -8,6 +8,7 @@
 //! the provenance attributes of their input were produced" — paper §2.2).
 
 use std::fmt;
+use std::sync::Arc;
 
 use perm_types::{DataType, Value};
 
@@ -71,6 +72,12 @@ pub enum ScalarExpr {
 
 /// A sublink expression holding its own bound subplan.
 ///
+/// The body is shared: every clone of the expression — the optimizer's
+/// rebuilt trees, a compiled expression's interpreter fallback, a stream's
+/// owned copy of a plan — points at the same [`Arc`]. The body's `Arc` is
+/// therefore the sublink's identity: the physical planner lowers each
+/// body once per statement and the executor finds the lowering by it.
+///
 /// The body reads its enclosing query only through `outer_refs`: ordinary
 /// expressions of the *enclosing* scope, evaluated once per outer row and
 /// handed to the body as [`ScalarExpr::Param`]s. Column-renumbering passes
@@ -79,7 +86,7 @@ pub enum ScalarExpr {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubqueryExpr {
     pub kind: SubqueryKind,
-    pub plan: Box<LogicalPlan>,
+    pub plan: Arc<LogicalPlan>,
     pub negated: bool,
     /// The left operand of `IN`; `None` for EXISTS/scalar sublinks.
     pub operand: Option<Box<ScalarExpr>>,
@@ -724,7 +731,7 @@ mod tests {
         );
         let e = ScalarExpr::Subquery(SubqueryExpr {
             kind: SubqueryKind::Exists,
-            plan: Box::new(body.clone()),
+            plan: Arc::new(body.clone()),
             negated: false,
             operand: None,
             outer_refs: vec![ScalarExpr::Column(5)],

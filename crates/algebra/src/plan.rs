@@ -523,7 +523,7 @@ mod tests {
         );
         let sublink = ScalarExpr::Subquery(crate::expr::SubqueryExpr {
             kind: crate::expr::SubqueryKind::Exists,
-            plan: Box::new(body),
+            plan: std::sync::Arc::new(body),
             negated: false,
             operand: None,
             outer_refs: vec![ScalarExpr::Column(7)],

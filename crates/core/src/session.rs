@@ -15,8 +15,8 @@ use std::time::Duration;
 
 use perm_algebra::{bind_statement, BoundStatement, LogicalPlan};
 use perm_exec::{
-    estimated_peak_bytes, optimize_with, physical_tree, physical_tree_verbose, CatalogAdapter,
-    CatalogStats, Executor, PhysicalPlan, PhysicalPlanner, QueryMemory,
+    estimated_peak_bytes, optimize_with, physical_tree, physical_tree_verbose, verify_physical,
+    CatalogAdapter, CatalogStats, Executor, PhysicalPlan, PhysicalPlanner, QueryMemory,
 };
 use perm_rewrite::Rewriter;
 use perm_sql::{parse_statement, parse_statements, Statement};
@@ -272,12 +272,17 @@ impl Session {
         self.lower(catalog, optimized, verify)
     }
 
-    /// The lowering half of [`Session::plan`]: the session's parallelism
-    /// options reach the physical planner here and nowhere else.
-    fn lower(&self, catalog: &Catalog, optimized: LogicalPlan, verify: bool) -> Result<Planned> {
-        let planner = PhysicalPlanner::new(catalog)
+    /// The physical planner under this session's options: the session's
+    /// parallelism options reach the planner here and nowhere else.
+    fn planner<'c>(&self, catalog: &'c Catalog) -> PhysicalPlanner<'c> {
+        PhysicalPlanner::new(catalog)
             .max_parallelism(self.options.max_parallelism)
-            .parallel_threshold(self.options.parallel_row_threshold);
+            .parallel_threshold(self.options.parallel_row_threshold)
+    }
+
+    /// The lowering half of [`Session::plan`].
+    fn lower(&self, catalog: &Catalog, optimized: LogicalPlan, verify: bool) -> Result<Planned> {
+        let planner = self.planner(catalog);
         let physical = if verify {
             planner.plan_verified(&optimized)?
         } else {
@@ -287,6 +292,28 @@ impl Session {
             optimized,
             physical,
         })
+    }
+
+    /// Lower the sublink bodies of a node a write statement builds itself
+    /// (the rows of `INSERT … VALUES`, the scan of `UPDATE` / `DELETE`)
+    /// with the session's planner, as [`Session::lower`] lowers a query's.
+    /// A node without a sublink comes back as it is, without a planner
+    /// call.
+    pub(crate) fn lower_sublinks(
+        &self,
+        catalog: &Catalog,
+        node: PhysicalPlan,
+    ) -> Result<PhysicalPlan> {
+        let mut sublinks = false;
+        node.for_each_sublink(&mut |_| sublinks = true);
+        if !sublinks {
+            return Ok(node);
+        }
+        let lowered = self.planner(catalog).lower_sublinks(node);
+        if self.options.verify_plans {
+            verify_physical(&lowered, "physical-planning")?;
+        }
+        Ok(lowered)
     }
 
     /// Execute `planned` against `snapshot` and materialize its rows: a
@@ -350,18 +377,13 @@ impl Session {
         )
     }
 
-    /// An executor over `snapshot` carrying this session's options, a
+    /// An executor over `snapshot` carrying this session's columnar switch, a
     /// fresh per-query memory view — the server pool plus the session's
     /// per-query cap ([`SessionOptions::memory_budget`]) — and the
     /// statement's lifecycle context.
     pub(crate) fn executor(&self, snapshot: Arc<Catalog>, ctx: QueryContext) -> Executor {
         let cap = (self.options.memory_budget > 0).then_some(self.options.memory_budget);
         Executor::new(snapshot)
-            .with_parallelism(
-                self.options.max_parallelism,
-                self.options.parallel_row_threshold,
-            )
-            .with_verification(self.options.verify_plans)
             .with_memory(QueryMemory::new(self.server.governor.pool().clone(), cap))
             .with_columnar(self.options.columnar)
             .with_context(ctx)

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use perm_algebra::expr::ScalarExpr;
 use perm_algebra::BoundStatement;
-use perm_exec::{Executor, Pipe};
+use perm_exec::{PhysicalPlan, Pipe};
 use perm_sql::{ObjectKind, Statement};
 use perm_storage::{Catalog, CatalogWriteGuard, Table, WalRecord};
 use perm_types::{Column, Result, Schema, Tuple};
@@ -156,21 +156,13 @@ impl Session {
                 Ok(StatementResult::ViewCreated { name })
             }
             BoundStatement::Insert { table, rows } => {
-                // Evaluate the bound row expressions (no input tuple).
-                let tuples: Vec<Tuple> = {
-                    let executor = Executor::new(guard.snapshot());
-                    let empty = Tuple::empty();
-                    rows.iter()
-                        .map(|row| {
-                            let env = perm_exec::eval::Env::new(&empty, &[]);
-                            let vals = row
-                                .iter()
-                                .map(|e| perm_exec::eval::eval(&executor, e, &env))
-                                .collect::<Result<Vec<_>>>()?;
-                            Ok(Tuple::new(vals))
-                        })
-                        .collect::<Result<_>>()?
-                };
+                // The row expressions run as a `VALUES` node under the
+                // statement's context and memory view.
+                let arity = guard.table(&table)?.schema().len();
+                let values = self.lower_sublinks(guard, PhysicalPlan::Values { rows, arity })?;
+                let tuples = self
+                    .executor(guard.snapshot(), self.query_context())
+                    .run_physical(&values)?;
                 let n = guard.table_mut(&table)?.insert_all(tuples)?;
                 Ok(StatementResult::Inserted(n))
             }
@@ -232,8 +224,9 @@ impl Session {
     /// one at a time through the executor's filter/projection body (the
     /// stream cursor's way of driving it — positions are needed, not just
     /// rows), under an executor carrying the session's options and a fresh
-    /// statement context (deadline, shutdown). Returns each passing row's
-    /// position with its output row.
+    /// statement context (deadline, shutdown), its sublink bodies lowered
+    /// by the session's planner. Returns each passing row's position with
+    /// its output row.
     fn scan_for_write(
         &self,
         snapshot: Arc<Catalog>,
@@ -241,7 +234,16 @@ impl Session {
         filter: Option<&ScalarExpr>,
         project: Option<&[ScalarExpr]>,
     ) -> Result<Vec<(usize, Tuple)>> {
-        let executor = self.executor(snapshot, self.query_context());
+        let scan = PhysicalPlan::FusedScanProjectFilter {
+            table: table.to_string(),
+            schema: snapshot.table(table)?.schema().clone(),
+            filter: filter.cloned(),
+            project: project.map(<[ScalarExpr]>::to_vec),
+            est_rows: 0.0,
+            dop: 1,
+        };
+        let executor = self.executor(Arc::clone(&snapshot), self.query_context());
+        executor.enter_statement(&self.lower_sublinks(&snapshot, scan)?);
         let pipe = Pipe::compile(&executor, filter, project);
         let mut hits = Vec::new();
         for (i, row) in executor.catalog().table(table)?.rows().iter().enumerate() {
@@ -396,6 +398,99 @@ mod tests {
             StatementResult::Deleted(2)
         );
         assert!(db.query("SELECT * FROM t").unwrap().is_empty());
+    }
+
+    /// `t(x, label)` = (1, a), (2, b), (3, c) and `s(y)` = 2, 3, 5.
+    fn two_tables() -> crate::Session {
+        let db = PermServer::new().session();
+        db.run_script(
+            "CREATE TABLE t (x int NOT NULL, label text);
+             INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c');
+             CREATE TABLE s (y int);
+             INSERT INTO s VALUES (2), (3), (5);",
+        )
+        .unwrap();
+        db
+    }
+
+    fn ints(db: &crate::Session, sql: &str) -> Vec<i64> {
+        db.query(sql)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| match r.get(0) {
+                Value::Int(i) => *i,
+                other => panic!("{sql}: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn update_and_delete_accept_the_target_tables_qualifier() {
+        // The target binds like a FROM-clause scan of it: its own name
+        // qualifies its columns, in the statement and in its sublinks.
+        let db = two_tables();
+        assert_eq!(
+            db.execute("UPDATE t SET x = t.x + 1").unwrap(),
+            StatementResult::Updated(3)
+        );
+        assert_eq!(
+            db.execute("DELETE FROM t WHERE t.x = 2").unwrap(),
+            StatementResult::Deleted(1)
+        );
+        assert_eq!(ints(&db, "SELECT x FROM t ORDER BY x"), [3, 4]);
+        assert_eq!(
+            db.execute("DELETE FROM s WHERE EXISTS (SELECT 1 FROM t WHERE t.x = s.y)")
+                .unwrap(),
+            StatementResult::Deleted(1)
+        );
+        assert_eq!(ints(&db, "SELECT y FROM s ORDER BY y"), [2, 5]);
+    }
+
+    #[test]
+    fn write_statements_run_their_sublinks() {
+        // Each write statement's sublink bodies are lowered by the
+        // session's planner with the statement; pin the rows each one
+        // leaves behind.
+        let cases: [(&str, StatementResult, &str, &[i64]); 5] = [
+            (
+                "INSERT INTO s VALUES ((SELECT max(x) FROM t))",
+                StatementResult::Inserted(1),
+                "SELECT y FROM s ORDER BY y",
+                &[2, 3, 3, 5],
+            ),
+            (
+                "UPDATE s SET y = (SELECT max(x) FROM t)",
+                StatementResult::Updated(3),
+                "SELECT y FROM s ORDER BY y",
+                &[3, 3, 3],
+            ),
+            (
+                // Correlated: `x` is the row of `t` being updated.
+                "UPDATE t SET x = (SELECT count(*) FROM s WHERE s.y > x)",
+                StatementResult::Updated(3),
+                "SELECT x FROM t ORDER BY label",
+                &[3, 2, 1],
+            ),
+            (
+                "DELETE FROM s WHERE y IN (SELECT x FROM t)",
+                StatementResult::Deleted(2),
+                "SELECT y FROM s ORDER BY y",
+                &[5],
+            ),
+            (
+                // Correlated: `y` is the row of `s` being tested.
+                "DELETE FROM s WHERE NOT EXISTS (SELECT 1 FROM t WHERE x + 1 = y)",
+                StatementResult::Deleted(1),
+                "SELECT y FROM s ORDER BY y",
+                &[2, 3],
+            ),
+        ];
+        for (dml, result, check, rows) in cases {
+            let db = two_tables();
+            assert_eq!(db.execute(dml).unwrap(), result, "{dml}");
+            assert_eq!(ints(&db, check), rows, "{dml}");
+        }
     }
 
     #[test]

@@ -409,3 +409,57 @@ fn chaos_matrix_terminates_without_leaks_or_wrong_answers() {
         assert_drained(&server);
     }
 }
+
+/// An uncorrelated `IN` nested in a correlated `EXISTS` body is one
+/// sublink of the statement: its body runs once per statement however
+/// many outer rows evaluate the `EXISTS`. The body's DISTINCT reserves
+/// memory every time it runs, so the hits of the `exec.memory.grow`
+/// site count the runs: one outer row or 600 must cost the same.
+#[test]
+fn nested_uncorrelated_sublink_runs_once_per_statement() {
+    let _guard = perm_fault::test_guard();
+    perm_fault::clear();
+    let server = PermServer::new();
+    let session = server.session();
+    session
+        .run_script("CREATE TABLE m (mid int); CREATE TABLE a (mid int, uid int); CREATE TABLE u (uid int, name text);")
+        .unwrap();
+    {
+        let mut w = session.catalog_write();
+        for i in 0..600 {
+            w.table_mut("m")
+                .unwrap()
+                .push_raw(Tuple::new(vec![Value::Int(i)]));
+            w.table_mut("a")
+                .unwrap()
+                .push_raw(Tuple::new(vec![Value::Int(i), Value::Int(i % 40)]));
+        }
+        for uid in 0..40 {
+            w.table_mut("u")
+                .unwrap()
+                .push_raw(Tuple::new(vec![Value::Int(uid), Value::text("n")]));
+        }
+    }
+    let body_runs = |outer: &str| {
+        perm_fault::configure("exec.memory.grow=stall(0)").unwrap();
+        let rows = session
+            .query(&format!(
+                "SELECT mid FROM m WHERE {outer} AND EXISTS (SELECT 1 FROM a WHERE a.mid = m.mid \
+                 AND a.uid IN (SELECT DISTINCT uid FROM u WHERE name <> 'zz'))"
+            ))
+            .unwrap();
+        let hits = perm_fault::fired_count("exec.memory.grow");
+        perm_fault::clear();
+        (rows.row_count(), hits)
+    };
+    let (one_row, once) = body_runs("mid = 7");
+    let (all_rows, statement) = body_runs("mid >= 0");
+    assert_eq!((one_row, all_rows), (1, 600));
+    assert!(once > 0, "the DISTINCT body reserves no memory");
+    assert_eq!(
+        statement, once,
+        "the nested IN body ran per outer row ({statement} grows for 600 rows, {once} for one)"
+    );
+    drop(session);
+    assert_drained(&server);
+}

@@ -28,8 +28,9 @@ enum Step {
 use Step::{Index, Sql};
 
 /// Every statement kind the WAL records, in one script: table + view DDL,
-/// multi-row insert, update, delete, eager provenance materialization,
-/// drop, and an index build. Quoted names and float literals that print
+/// multi-row insert, update (one with a sublink, whose body replays
+/// against the recovered table), delete, eager provenance
+/// materialization, drop, and an index build. Quoted names and float literals that print
 /// differently from how they were written check that the log replays
 /// the statement's own text; the view `w` is created before the
 /// cadence-3 auto-checkpoint after step 6, which persists it by its SQL.
@@ -50,6 +51,7 @@ const SCRIPT: &[Step] = &[
     Sql("CREATE TABLE u (k int)"),
     Sql("DROP TABLE u"),
     Sql("INSERT INTO t VALUES (4, 'd')"),
+    Sql("UPDATE t SET y = (SELECT max(y) FROM t) WHERE x > 2"),
 ];
 
 fn run_step(session: &Session, step: &Step) -> perm_types::Result<()> {

@@ -22,8 +22,8 @@
 //! * **pre-resolved column slots** — column references become direct slot
 //!   loads.
 //!
-//! Sublinks cannot be compiled — they execute whole subplans through the
-//! [`Executor`] — so any subtree containing one falls back to the
+//! Sublinks cannot be compiled — they run whole lowered bodies through
+//! the [`Executor`] — so any subtree containing one falls back to the
 //! interpreter ([`crate::eval::eval`]) as a single [`CompiledExpr::Interp`]
 //! node. The interpreter remains the reference semantics; the equivalence
 //! property tests in `tests/equivalence_props.rs` pin the compiled path to
@@ -112,11 +112,9 @@ pub enum CompiledExpr {
         args: Vec<CompiledExpr>,
     },
     /// Interpreter fallback for subtrees containing sublinks. The clone
-    /// is shared with the executor's keep-alive arena: the executor's
-    /// per-plan caches key on subplan *addresses*, so the sublink plans
-    /// inside must stay allocated for the executor's whole lifetime even
-    /// after this compiled expression is dropped.
-    Interp(std::sync::Arc<ScalarExpr>),
+    /// shares each sublink's body with the plan, which is how the
+    /// executor finds the body's lowering and result slot.
+    Interp(Box<ScalarExpr>),
 }
 
 impl CompiledExpr {
@@ -221,10 +219,9 @@ impl CompiledExpr {
                         .collect(),
                 },
             ),
-            // Sublinks execute subplans; evaluate through the
-            // interpreter. The executor keeps the clone alive so cache
-            // keys derived from its subplan addresses cannot dangle.
-            ScalarExpr::Subquery(_) => CompiledExpr::Interp(exec.keep_alive(e.clone())),
+            // Sublinks run their lowered bodies; evaluate through the
+            // interpreter.
+            ScalarExpr::Subquery(_) => CompiledExpr::Interp(Box::new(e.clone())),
         }
     }
 

@@ -1,17 +1,18 @@
 //! Expression evaluation.
 //!
 //! Evaluates bound [`ScalarExpr`]s over a tuple and the parameters of the
-//! sublink body it runs in, executing sublink subplans through the
-//! [`Executor`]. A correlated sublink's `outer_refs` are evaluated once
-//! per outer row and become its body's parameters; uncorrelated subplans
-//! are executed once and cached for the lifetime of the statement.
+//! sublink body it runs in, running sublink bodies — lowered with their
+//! statement — through the [`Executor`]. A correlated sublink's
+//! `outer_refs` are evaluated once per outer row and become its body's
+//! parameters; an uncorrelated body runs once per statement and its
+//! result stays in the executor's slot for that sublink.
 
 use std::cmp::Ordering;
 
 use perm_types::ops::{self, ArithOp};
 use perm_types::{PermError, Result, Tuple, Value};
 
-use perm_algebra::expr::{BinOp, ScalarExpr, ScalarFunc, SubqueryExpr, SubqueryKind, UnOp};
+use perm_algebra::expr::{BinOp, ScalarExpr, ScalarFunc, UnOp};
 
 use crate::executor::Executor;
 
@@ -126,7 +127,7 @@ pub fn eval(exec: &Executor, e: &ScalarExpr, env: &Env<'_>) -> Result<Value> {
             }
             eval_scalar_fn(*func, &vals)
         }
-        ScalarExpr::Subquery(sq) => eval_subquery(exec, sq, env),
+        ScalarExpr::Subquery(sq) => exec.eval_sublink(sq, env),
     }
 }
 
@@ -197,61 +198,6 @@ pub(crate) fn in_semantics<'v>(
     } else {
         Value::Bool(false)
     })
-}
-
-fn eval_subquery(exec: &Executor, sq: &SubqueryExpr, env: &Env<'_>) -> Result<Value> {
-    // Fast path: uncorrelated IN probes a hashed value set instead of
-    // scanning the materialized subquery result per outer row.
-    if sq.kind == SubqueryKind::In && sq.outer_refs.is_empty() {
-        // INVARIANT: the binder attaches an operand to every IN sublink.
-        let operand = sq.operand.as_deref().expect("IN has operand");
-        let needle = eval(exec, operand, env)?;
-        if needle.is_null() {
-            return Ok(Value::Null);
-        }
-        let set = exec.run_cached_in_set(&sq.plan)?;
-        let r = if set.0.contains(&needle) {
-            Value::Bool(true)
-        } else if set.1 {
-            Value::Null
-        } else {
-            Value::Bool(false)
-        };
-        return if sq.negated { ops::not(&r) } else { Ok(r) };
-    }
-    // A correlated body runs once per outer row with its outer
-    // references as parameters; an uncorrelated one once, cached.
-    let rows: std::sync::Arc<Vec<Tuple>> = if sq.outer_refs.is_empty() {
-        exec.run_cached(&sq.plan)?
-    } else {
-        let params: std::sync::Arc<[Value]> = sq
-            .outer_refs
-            .iter()
-            .map(|e| eval(exec, e, env))
-            .collect::<Result<_>>()?;
-        std::sync::Arc::new(exec.run_with_params(&sq.plan, params)?)
-    };
-    match sq.kind {
-        SubqueryKind::Exists => Ok(Value::Bool(rows.is_empty() == sq.negated)),
-        SubqueryKind::Scalar => match rows.len() {
-            0 => Ok(Value::Null),
-            1 => Ok(rows[0].get(0).clone()),
-            n => Err(PermError::Execution(format!(
-                "scalar subquery returned {n} rows"
-            ))),
-        },
-        SubqueryKind::In => {
-            // INVARIANT: the binder attaches an operand to every IN sublink.
-            let operand = sq.operand.as_deref().expect("IN has operand");
-            let needle = eval(exec, operand, env)?;
-            let r = in_semantics(&needle, rows.iter().map(|t| t.get(0)))?;
-            if sq.negated {
-                ops::not(&r)
-            } else {
-                Ok(r)
-            }
-        }
-    }
 }
 
 /// Built-in scalar function dispatch. Shared with the compiled-expression

@@ -10,46 +10,54 @@
 //!
 //! There is one driver, the chunk cursor of [`crate::stream`]:
 //! [`Executor::run_physical`] drains it and
-//! [`Executor::into_stream_physical`] pulls it on demand. Sessions lower
-//! a statement's plan themselves and hand it to one of the two; callers
-//! holding a [`LogicalPlan`] (sublink subplans, tests) go through
-//! [`Executor::run`], which lowers the plan once per executor (cached by
-//! plan identity) and drains the result.
+//! [`Executor::into_stream_physical`] pulls it on demand. It runs physical
+//! plans only: a statement's sublink bodies arrive lowered, under its
+//! [`PhysicalPlan::SubPlans`] root.
 //!
 //! Every operator body lives in `crate::operators`; this module provides
 //! the [`Executor`] itself, the dispatch of a blocking node to its body,
-//! `VALUES` and the subquery result caches.
+//! `VALUES` and sublink evaluation.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use perm_types::hash::{set_with_capacity, FxHashSet};
-use perm_types::{PermError, QueryContext, Result, Tuple, Value};
+use perm_types::hash::FxHashSet;
+use perm_types::{ops, PermError, QueryContext, Result, Tuple, Value};
 
-use perm_algebra::expr::ScalarExpr;
-use perm_algebra::plan::LogicalPlan;
+use perm_algebra::expr::{SubqueryExpr, SubqueryKind};
 use perm_storage::Catalog;
 
-use crate::eval::{eval, Env};
+use crate::eval::{eval, in_semantics, Env};
 use crate::memory::QueryMemory;
 use crate::operators::{aggregate, join, setop, sort};
-use crate::physical::{PhysicalPlan, PhysicalPlanner};
+use crate::physical::{PhysicalPlan, SubPlan};
 use crate::stream::Cursor;
-
-/// Cached first-column set of an uncorrelated IN subquery: the hashed
-/// non-NULL values plus whether a NULL was present.
-type InSet = Arc<(FxHashSet<Value>, bool)>;
 
 /// Safety valve against runaway plans (cross products of cross products).
 /// Generous enough for every workload in the repository; prevents a demo
 /// query from eating the machine.
 const MAX_ROWS: usize = 50_000_000;
 
-/// The executor. Owns a catalog snapshot, the parameters of the sublink
-/// body it is running (if any) and a cache of uncorrelated sublink
-/// results.
+/// The running statement's lowered sublink bodies and a result slot
+/// for each (filled only for an uncorrelated sublink).
+#[derive(Default)]
+struct Sublinks {
+    subplans: Arc<[SubPlan]>,
+    slots: Vec<Option<Slot>>,
+}
+
+/// What a sublink's body produced: its rows, or — for an uncorrelated
+/// `IN` — the hashed set of their first column.
+#[derive(Clone)]
+enum Slot {
+    Rows(Arc<Vec<Tuple>>),
+    InSet(Arc<FxHashSet<Value>>),
+}
+
+/// The executor. Owns a catalog snapshot, the running statement's
+/// sublink bodies and results, and the parameters of the sublink body it
+/// is running (if any).
 ///
 /// The catalog is an [`Arc`] snapshot rather than a borrow so that an
 /// executor — and the streams it produces, see [`crate::stream`] — can be
@@ -62,33 +70,7 @@ pub struct Executor {
     /// operators borrow them with a refcount bump (outside a correlated
     /// body they are empty).
     params: RefCell<Arc<[Value]>>,
-    subquery_cache: RefCell<HashMap<usize, Arc<Vec<Tuple>>>>,
-    /// Hashed first-column sets of uncorrelated IN subqueries
-    /// (`(values, has_null)`), keyed by plan identity.
-    in_set_cache: RefCell<HashMap<usize, InSet>>,
-    /// Physical lowerings of logical plans run through this executor,
-    /// keyed by plan identity (sublink subplans are lowered once, then
-    /// re-executed per outer row).
-    physical_cache: RefCell<HashMap<usize, Arc<PhysicalPlan>>>,
-    /// Expressions cloned by the compiler ([`CompiledExpr::Interp`]),
-    /// kept alive for the executor's lifetime: the three caches above
-    /// key on plan/sublink *addresses*, so a clone must never be freed
-    /// (and its address reused) while this executor can still serve a
-    /// cache hit for it.
-    kept_exprs: RefCell<Vec<Arc<ScalarExpr>>>,
-    /// Disable hash joins: the nested-loop (NLJ) reference that the
-    /// equivalence properties check every join strategy against.
-    nested_loop_only: bool,
-    /// Parallelism cap handed to the physical planner when this executor
-    /// lowers logical plans itself (`0` = the machine's parallelism).
-    max_parallelism: usize,
-    /// Row threshold below which lowered pipelines stay serial.
-    parallel_threshold: usize,
-    /// Run the static plan verifier on every plan this executor lowers,
-    /// even in release builds (debug builds verify inside the planner
-    /// regardless). Each plan identity is verified at most once.
-    verify: bool,
-    verified: RefCell<FxHashSet<usize>>,
+    sublinks: RefCell<Sublinks>,
     /// This query's view of the server memory pool. Buffering operators
     /// register reservations here; the default is unbounded.
     memory: QueryMemory,
@@ -109,15 +91,7 @@ impl Executor {
         Executor {
             catalog,
             params: RefCell::new(Arc::from([])),
-            subquery_cache: RefCell::new(HashMap::new()),
-            in_set_cache: RefCell::new(HashMap::new()),
-            physical_cache: RefCell::new(HashMap::new()),
-            kept_exprs: RefCell::new(Vec::new()),
-            nested_loop_only: false,
-            max_parallelism: 0,
-            parallel_threshold: crate::parallel::DEFAULT_PARALLEL_THRESHOLD,
-            verify: false,
-            verified: RefCell::new(FxHashSet::default()),
+            sublinks: RefCell::default(),
             memory: QueryMemory::default(),
             columnar: true,
             context: QueryContext::detached(),
@@ -160,16 +134,10 @@ impl Executor {
         &self.memory
     }
 
-    /// Configure the parallelism the physical planner may choose when
-    /// this executor lowers logical plans (`max_parallelism` 0 = auto,
-    /// 1 = serial; `parallel_threshold` = minimum estimated input rows).
-    pub fn with_parallelism(
-        mut self,
-        max_parallelism: usize,
-        parallel_threshold: usize,
-    ) -> Executor {
-        self.max_parallelism = max_parallelism;
-        self.parallel_threshold = parallel_threshold.max(1);
+    /// Has no effect: parallelism is the physical planner's setting
+    /// ([`crate::PhysicalPlanner::max_parallelism`]). Kept so existing
+    /// callers build.
+    pub fn with_parallelism(self, _max_parallelism: usize, _parallel_threshold: usize) -> Executor {
         self
     }
 
@@ -187,20 +155,11 @@ impl Executor {
         self.columnar
     }
 
-    /// Re-verify every plan this executor lowers ([`crate::verify`]), even
-    /// in release builds; a violation surfaces as a planner error naming
-    /// the failing invariant instead of executing a corrupt plan.
-    pub fn with_verification(mut self, on: bool) -> Executor {
-        self.verify = on;
+    /// Has no effect: plans are verified where they are lowered
+    /// ([`crate::PhysicalPlanner::plan_verified`]). Kept so existing
+    /// callers build.
+    pub fn with_verification(self, _on: bool) -> Executor {
         self
-    }
-
-    /// An executor that runs every join as a nested loop (the reference).
-    pub fn new_nested_loop_only(catalog: Arc<Catalog>) -> Executor {
-        Executor {
-            nested_loop_only: true,
-            ..Executor::new(catalog)
-        }
     }
 
     /// The catalog snapshot this executor reads from.
@@ -210,10 +169,10 @@ impl Executor {
 
     /// The one way a worker thread gets its executor: a shareable factory
     /// over what a worker inherits from its parent — the catalog
-    /// snapshot, the lifecycle context and the columnar switch. Planner
-    /// settings and the memory handle stay behind: workers never lower
-    /// logical plans (sublink pipelines are planned serial) and operators
-    /// charge their reservations on the calling thread.
+    /// snapshot, the lifecycle context and the columnar switch. The
+    /// sublink bodies and the memory handle stay behind: workers never
+    /// evaluate a sublink (sublink pipelines are planned serial) and
+    /// operators charge their reservations on the calling thread.
     pub(crate) fn worker_factory(&self) -> impl Fn() -> Executor + Send + Sync + 'static {
         let catalog = Arc::clone(&self.catalog);
         let context = self.context.clone();
@@ -223,66 +182,6 @@ impl Executor {
                 .with_columnar(columnar)
                 .with_context(context.clone())
         }
-    }
-
-    /// True if hash joins are disabled.
-    pub fn nested_loop_only(&self) -> bool {
-        self.nested_loop_only
-    }
-
-    /// Register an expression clone that must stay allocated as long as
-    /// this executor lives (see `kept_exprs`), returning it shared.
-    pub(crate) fn keep_alive(&self, e: ScalarExpr) -> Arc<ScalarExpr> {
-        let arc = Arc::new(e);
-        self.kept_exprs.borrow_mut().push(Arc::clone(&arc));
-        arc
-    }
-
-    /// Lower a logical plan through the physical planner, caching by plan
-    /// identity. Sublink subplans are lowered once and re-executed per
-    /// outer row; the cached lowering is only valid while the plan the
-    /// pointer refers to is alive (same contract as the subquery caches).
-    pub fn physical(&self, plan: &LogicalPlan) -> Arc<PhysicalPlan> {
-        let key = plan as *const LogicalPlan as usize;
-        if let Some(hit) = self.physical_cache.borrow().get(&key) {
-            return Arc::clone(hit);
-        }
-        let lowered = Arc::new(
-            PhysicalPlanner::new(&self.catalog)
-                .nested_loop_only(self.nested_loop_only)
-                .max_parallelism(self.max_parallelism)
-                .parallel_threshold(self.parallel_threshold)
-                .plan(plan),
-        );
-        self.physical_cache
-            .borrow_mut()
-            .insert(key, Arc::clone(&lowered));
-        lowered
-    }
-
-    /// Verify a lowering once per plan identity when this executor was
-    /// built [`Executor::with_verification`]. Correlated sublink subplans
-    /// re-run per outer row, so the memo keeps the hot path at one hash
-    /// probe.
-    pub(crate) fn check_lowering(&self, plan: &LogicalPlan, physical: &PhysicalPlan) -> Result<()> {
-        if !self.verify {
-            return Ok(());
-        }
-        let key = plan as *const LogicalPlan as usize;
-        if self.verified.borrow().contains(&key) {
-            return Ok(());
-        }
-        crate::verify::verify_physical(physical, "physical-planning")?;
-        self.verified.borrow_mut().insert(key);
-        Ok(())
-    }
-
-    /// Execute a logical plan: lower it (cached), then run the physical
-    /// plan. All strategy decisions happen in the lowering.
-    pub fn run(&self, plan: &LogicalPlan) -> Result<Vec<Tuple>> {
-        let physical = self.physical(plan);
-        self.check_lowering(plan, &physical)?;
-        self.run_physical(&physical)
     }
 
     /// Execute a physical plan and materialize its result: build the one
@@ -344,63 +243,99 @@ impl Executor {
             | PhysicalPlan::IndexScan { .. }
             | PhysicalPlan::Filter { .. }
             | PhysicalPlan::Project { .. }
-            | PhysicalPlan::Limit { .. } => {
-                unreachable!("pipeline nodes are cursors, never blocking")
+            | PhysicalPlan::Limit { .. }
+            | PhysicalPlan::SubPlans { .. } => {
+                unreachable!("pipeline nodes and the statement root are cursors, never blocking")
             }
         }
     }
 
-    /// Execute a sublink body with `params` as its parameters.
-    pub(crate) fn run_with_params(
-        &self,
-        plan: &LogicalPlan,
-        params: Arc<[Value]>,
-    ) -> Result<Vec<Tuple>> {
-        let saved = std::mem::replace(&mut *self.params.borrow_mut(), params);
-        let result = self.run(plan);
-        *self.params.borrow_mut() = saved;
-        result
+    /// Start the statement rooted at `plan`: take the lowered sublink
+    /// bodies of a [`PhysicalPlan::SubPlans`] root, with empty result
+    /// slots. A caller driving a [`crate::Pipe`] itself calls this first.
+    pub fn enter_statement(&self, plan: &PhysicalPlan) {
+        if let PhysicalPlan::SubPlans { subplans, .. } = plan {
+            *self.sublinks.borrow_mut() = Sublinks {
+                subplans: Arc::clone(subplans),
+                slots: vec![None; subplans.len()],
+            };
+        }
     }
 
-    /// The hashed set of first-column values of an uncorrelated IN
-    /// subquery (executed and hashed once). Returns the set and whether it
-    /// contains NULL (needed for IN's three-valued semantics).
-    pub fn run_cached_in_set(&self, plan: &LogicalPlan) -> Result<InSet> {
-        let key = plan as *const LogicalPlan as usize;
-        if let Some(hit) = self.in_set_cache.borrow().get(&key) {
-            return Ok(Arc::clone(hit));
+    /// Evaluate a sublink for the row in `env` through its lowered body,
+    /// found by the identity of the sublink's body. A correlated body runs
+    /// per call, its outer references bound as parameters; an
+    /// uncorrelated one reads none, so it runs once per statement into its
+    /// slot — for `IN` the hashed first column (NULL included).
+    pub(crate) fn eval_sublink(&self, sq: &SubqueryExpr, env: &Env<'_>) -> Result<Value> {
+        let subplans = Arc::clone(&self.sublinks.borrow().subplans);
+        let Some(i) = subplans.iter().position(|s| Arc::ptr_eq(&s.body, &sq.plan)) else {
+            return Err(PermError::Execution(
+                "sublink body was not lowered with its statement".into(),
+            ));
+        };
+        // INVARIANT: the binder attaches an operand to every IN sublink.
+        let operand = || sq.operand.as_deref().expect("IN has operand");
+        let correlated = !sq.outer_refs.is_empty();
+        let hashed = sq.kind == SubqueryKind::In && !correlated;
+        // The operand of a hashed IN comes first: a NULL one never runs
+        // the body.
+        let needle = hashed.then(|| eval(self, operand(), env)).transpose()?;
+        if needle.as_ref().is_some_and(Value::is_null) {
+            return Ok(Value::Null);
         }
-        let rows = self.run_cached(plan)?;
-        let mut set = set_with_capacity(rows.len());
-        let mut has_null = false;
-        for t in rows.iter() {
-            let v = t.get(0);
-            if v.is_null() {
-                has_null = true;
-            } else {
-                set.insert(v.clone());
+        let cached = self.sublinks.borrow().slots[i].clone();
+        let slot = match cached {
+            Some(slot) if !correlated => slot,
+            _ => {
+                let body = &subplans[i].plan;
+                let rows = if correlated {
+                    let params = (sq.outer_refs.iter())
+                        .map(|e| eval(self, e, env))
+                        .collect::<Result<_>>()?;
+                    let saved = std::mem::replace(&mut *self.params.borrow_mut(), params);
+                    let rows = self.run_physical(body);
+                    *self.params.borrow_mut() = saved;
+                    rows?
+                } else {
+                    self.run_physical(body)?
+                };
+                let slot = if hashed {
+                    Slot::InSet(Arc::new(rows.iter().map(|t| t.get(0).clone()).collect()))
+                } else {
+                    Slot::Rows(Arc::new(rows))
+                };
+                if !correlated {
+                    self.sublinks.borrow_mut().slots[i] = Some(slot.clone());
+                }
+                slot
             }
+        };
+        let r = match (slot, sq.kind) {
+            (Slot::InSet(set), _) if needle.is_some_and(|n| set.contains(&n)) => Value::Bool(true),
+            (Slot::InSet(set), _) if set.contains(&Value::Null) => Value::Null,
+            (Slot::InSet(_), _) => Value::Bool(false),
+            (Slot::Rows(rows), SubqueryKind::Exists) => {
+                return Ok(Value::Bool(rows.is_empty() == sq.negated))
+            }
+            (Slot::Rows(rows), SubqueryKind::Scalar) => {
+                return match rows.len() {
+                    0 => Ok(Value::Null),
+                    1 => Ok(rows[0].get(0).clone()),
+                    n => Err(PermError::Execution(format!(
+                        "scalar subquery returned {n} rows"
+                    ))),
+                }
+            }
+            (Slot::Rows(rows), SubqueryKind::In) => {
+                in_semantics(&eval(self, operand(), env)?, rows.iter().map(|t| t.get(0)))?
+            }
+        };
+        if sq.negated {
+            ops::not(&r)
+        } else {
+            Ok(r)
         }
-        let entry = Arc::new((set, has_null));
-        self.in_set_cache
-            .borrow_mut()
-            .insert(key, Arc::clone(&entry));
-        Ok(entry)
-    }
-
-    /// Execute an uncorrelated subplan once, caching by plan identity.
-    pub fn run_cached(&self, plan: &LogicalPlan) -> Result<Arc<Vec<Tuple>>> {
-        let key = plan as *const LogicalPlan as usize;
-        if let Some(hit) = self.subquery_cache.borrow().get(&key) {
-            return Ok(Arc::clone(hit));
-        }
-        // An uncorrelated body reads no parameter, so whichever are
-        // bound cannot change its rows.
-        let rows = Arc::new(self.run(plan)?);
-        self.subquery_cache
-            .borrow_mut()
-            .insert(key, Arc::clone(&rows));
-        Ok(rows)
     }
 
     /// The running body's parameters (operators that evaluate

@@ -11,8 +11,9 @@
 //! over batches at all (`batched`): the executor must be columnar, the
 //! node must have an expression to compute (a filter, a non-gather
 //! projection, sort keys), and every expression must have a kernel
-//! (`batchable`: no `CASE`, which needs lazy per-branch evaluation, and
-//! no sublink, which runs a subplan). The plan carries no batch stamp;
+//! (`batchable`: no `CASE`, which needs lazy per-branch evaluation; a
+//! sublink, which runs its body through the executor, is evaluated lane
+//! by lane on the lanes still in play). The plan carries no batch stamp;
 //! the bodies that run kernels — `Pipe` and `SortRun` — ask here once,
 //! when they compile.
 //!
@@ -45,7 +46,8 @@ use perm_types::{PermError, Result, Tuple, Value};
 use perm_algebra::expr::{BinOp, ScalarFunc, UnOp};
 
 use crate::compile::{hashed_in, CompiledExpr, CompiledProjection};
-use crate::eval::in_semantics;
+use crate::eval::{eval as eval_row, in_semantics, Env};
+use crate::executor::Executor;
 
 /// Rows per batch; re-exported from the shared columnar type layer.
 pub use perm_types::batch::DEFAULT_BATCH_ROWS as BATCH_ROWS;
@@ -91,6 +93,7 @@ macro_rules! for_lanes {
 /// lazily per referenced slot and cached, so a slot used by both filter
 /// and projection pivots once) plus the running body's parameters.
 struct Cx<'a> {
+    exec: &'a Executor,
     rows: &'a [&'a Tuple],
     params: &'a [Value],
     n: usize,
@@ -98,8 +101,9 @@ struct Cx<'a> {
 }
 
 impl<'a> Cx<'a> {
-    fn new(rows: &'a [&'a Tuple], params: &'a [Value]) -> Cx<'a> {
+    fn new(exec: &'a Executor, rows: &'a [&'a Tuple], params: &'a [Value]) -> Cx<'a> {
         Cx {
+            exec,
             rows,
             params,
             n: rows.len(),
@@ -133,13 +137,13 @@ fn batch_abort() -> PermError {
 }
 
 /// True when `e` has a kernel: everything except `CASE` (its branches
-/// evaluate lazily, per row) and sublinks ([`CompiledExpr::Interp`],
-/// which run subplans through the executor). A `CASE` the compiler
-/// folded to a constant is a constant.
+/// evaluate lazily, per row). A `CASE` the compiler folded to a constant
+/// is a constant.
 fn batchable(e: &CompiledExpr) -> bool {
     match e {
-        CompiledExpr::Case { .. } | CompiledExpr::Interp(_) => false,
+        CompiledExpr::Case { .. } => false,
         CompiledExpr::Const(_) | CompiledExpr::Slot(_) | CompiledExpr::Param(_) => true,
+        CompiledExpr::Interp(_) => true,
         CompiledExpr::Binary { left, right, .. } => batchable(left) && batchable(right),
         CompiledExpr::Like { expr, pattern, .. } => batchable(expr) && batchable(pattern),
         CompiledExpr::And(items)
@@ -351,9 +355,19 @@ fn eval(e: &CompiledExpr, cx: &mut Cx<'_>, sel: &Sel) -> Result<Arc<ColumnVec>> 
                 .collect::<Result<_>>()?;
             eval_fn(*func, &cols, sel, n)
         }
+        // A sublink runs its body through the executor: the interpreter
+        // evaluates it lane by lane, on the selected lanes only.
+        CompiledExpr::Interp(e) => {
+            // batch-alloc: the result column.
+            let mut out = vec![Value::Null; n];
+            for_lanes!(sel, i => {
+                out[i] = eval_row(cx.exec, e, &Env::new(cx.rows[i], cx.params))?;
+            });
+            Ok(Arc::new(ColumnVec::Vals(out)))
+        }
         // `batched` keeps these out of batch-running nodes; one that got
         // here anyway aborts the batch to the row replay.
-        CompiledExpr::Case { .. } | CompiledExpr::Interp(_) => Err(batch_abort()),
+        CompiledExpr::Case { .. } => Err(batch_abort()),
     }
 }
 
@@ -942,13 +956,14 @@ fn lanewise2(
 /// any rows this call appended and re-run the batch through the row
 /// path.
 pub(crate) fn filter_project(
+    exec: &Executor,
     filter: Option<&CompiledExpr>,
     project: Option<&CompiledProjection>,
     rows: &[&Tuple],
     params: &[Value],
     out: &mut Vec<Tuple>,
 ) -> Result<()> {
-    let mut cx = Cx::new(rows, params);
+    let mut cx = Cx::new(exec, rows, params);
     let n = rows.len();
     let sel = match filter {
         None => Sel::All(n),
@@ -1028,11 +1043,12 @@ pub(crate) fn filter_project(
 /// over one batch, returning the result columns. On `Err` the caller
 /// re-runs the batch's rows through the row path.
 pub(crate) fn eval_all(
+    exec: &Executor,
     exprs: &[CompiledExpr],
     rows: &[&Tuple],
     params: &[Value],
 ) -> Result<Vec<Arc<ColumnVec>>> {
-    let mut cx = Cx::new(rows, params);
+    let mut cx = Cx::new(exec, rows, params);
     let sel = Sel::All(rows.len());
     exprs.iter().map(|e| eval(e, &mut cx, &sel)).collect()
 }
@@ -1040,6 +1056,10 @@ pub(crate) fn eval_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn test_executor() -> Executor {
+        Executor::new(Arc::new(perm_storage::Catalog::new()))
+    }
 
     fn ints(vals: &[Option<i64>]) -> ColumnVec {
         let mut v = Vec::new();
@@ -1120,7 +1140,8 @@ mod tests {
                 right: Box::new(CompiledExpr::Const(Value::Int(4))),
             },
         ]);
-        let mut cx = Cx::new(&refs, &[]);
+        let exec = test_executor();
+        let mut cx = Cx::new(&exec, &refs, &[]);
         let out = eval(&expr, &mut cx, &Sel::All(4)).unwrap();
         assert_eq!(out.get(0), Value::Bool(false));
         assert_eq!(out.get(1), Value::Bool(true));
@@ -1153,7 +1174,8 @@ mod tests {
                 right: Box::new(CompiledExpr::Const(Value::Int(1))),
             },
         ]);
-        let mut cx = Cx::new(&refs, &[]);
+        let exec = test_executor();
+        let mut cx = Cx::new(&exec, &refs, &[]);
         let out = eval(&expr, &mut cx, &Sel::All(2)).unwrap();
         assert_eq!(out.get(0), Value::Bool(false));
         assert_eq!(out.get(1), Value::Bool(true));
@@ -1166,7 +1188,7 @@ mod tests {
             negated: false,
         };
         let mut out = Vec::new();
-        filter_project(Some(&filter), None, &[], &[], &mut out).unwrap();
+        filter_project(&test_executor(), Some(&filter), None, &[], &[], &mut out).unwrap();
         assert!(out.is_empty());
     }
 }

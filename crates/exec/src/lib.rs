@@ -15,14 +15,15 @@
 //!    explicit [`PhysicalPlan`] — fused scans, index scans, hash joins
 //!    with a chosen build side, index nested-loop joins — using the
 //!    unified [`perm_algebra::stats::CardinalityEstimator`] fed from
-//!    table statistics ([`CatalogStats`]).
+//!    table statistics ([`CatalogStats`]) — sublink bodies included, once
+//!    per statement ([`PhysicalPlan::SubPlans`]).
 //!
 //! The executor then *interprets* the physical plan without making any
 //! strategy decision of its own — including NULL-safe keys for the
 //! aggregation join-back, hash aggregation and hash set operations.
-//! Correlated sublinks in ordinary (non-provenance) queries run their body
-//! once per outer row with the sublink's outer references as parameters;
-//! uncorrelated bodies run once and are cached.
+//! Correlated sublinks in ordinary (non-provenance) queries run their
+//! lowered body once per outer row with the sublink's outer references as
+//! parameters; an uncorrelated body runs once per statement.
 //!
 //! The per-row hot path runs on **compiled expressions** ([`compile`]):
 //! each operator lowers its bound expressions once — constants folded,
@@ -38,8 +39,8 @@
 //! node's body makes it once, when it compiles.
 //!
 //! Every plan is driven by one chunk cursor ([`stream`]), consumed two
-//! ways: [`Executor::run`] drains it into the whole result, while
-//! [`Executor::into_stream`] returns a pull-based
+//! ways: [`Executor::run_physical`] drains it into the whole result,
+//! while [`Executor::into_stream_physical`] returns a pull-based
 //! [`stream::TupleStream`] that yields tuples on demand. Either way,
 //! `LIMIT k` over a streamable operator chain reads only the base rows
 //! it needs.
@@ -84,8 +85,8 @@ pub use operators::scan::Pipe;
 pub use parallel::{auto_parallelism, DEFAULT_PARALLEL_THRESHOLD, MORSEL_ROWS};
 pub use physical::{
     estimated_peak_bytes, physical_tree, physical_tree_verbose, plan_physical,
-    spill_fanout_for_rows, PhysicalPlan, PhysicalPlanner, MAX_SPILL_PARTITIONS, SPILL_PARTITIONS,
-    SPILL_PARTITION_TARGET_ROWS,
+    spill_fanout_for_rows, PhysicalPlan, PhysicalPlanner, SubPlan, MAX_SPILL_PARTITIONS,
+    SPILL_PARTITIONS, SPILL_PARTITION_TARGET_ROWS,
 };
 pub use planner::{optimize, optimize_verified, optimize_with, LOGICAL_PHASES};
 pub use stream::TupleStream;

@@ -118,6 +118,7 @@ impl Pipe {
             perm_fault::exec_point("exec.kernel.batch", "batch scan")?;
             let before = out.len();
             let ran = kernels::filter_project(
+                exec,
                 self.filter.as_ref(),
                 self.project.as_ref(),
                 &batch,

@@ -113,7 +113,7 @@ impl SortRun {
             let cols = if self.batched {
                 batch.clear();
                 batch.extend(chunk.iter().map(Borrow::borrow));
-                kernels::eval_all(&self.compiled, &batch, &self.params).ok()
+                kernels::eval_all(exec, &self.compiled, &batch, &self.params).ok()
             } else {
                 None
             };

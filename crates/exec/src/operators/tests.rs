@@ -619,11 +619,12 @@ fn sorted_runs_merge_to_the_single_stable_sort() {
     }
 }
 
-/// `EXISTS (VALUES (1))`: a sublink, which runs a subplan per row.
+/// `EXISTS (VALUES (1))`: a sublink, which runs its body through the
+/// executor lane by lane.
 fn exists_sublink() -> ScalarExpr {
     ScalarExpr::Subquery(SubqueryExpr {
         kind: SubqueryKind::Exists,
-        plan: Box::new(LogicalPlan::Values {
+        plan: Arc::new(LogicalPlan::Values {
             rows: vec![vec![int(1)]],
             schema: Schema::new(vec![Column::new("v", DataType::Int)]),
         }),
@@ -668,7 +669,7 @@ fn kernels_run_iff_columnar_with_batchable_work() {
         ),
         ("bare pipe", None, None, false),
         ("CASE filter", Some(&case), None, false),
-        ("sublink filter", Some(&sublink), None, false),
+        ("sublink filter", Some(&sublink), None, true),
         ("CASE folded to a constant", Some(&folded_case), None, true),
     ];
     let key = |expr| SortKey { expr, desc: false };

@@ -36,8 +36,9 @@
 //!   2× hysteresis so ties keep the right side, preserving output order).
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use perm_algebra::expr::{AggCall, ScalarExpr};
+use perm_algebra::expr::{AggCall, ScalarExpr, SubqueryExpr};
 use perm_algebra::plan::{AggOutput, JoinType, LogicalPlan, SetOpType, SortKey};
 use perm_algebra::stats::{estimate_rows, CardinalityEstimator};
 use perm_storage::Catalog;
@@ -251,6 +252,22 @@ pub enum PhysicalPlan {
         limit: Option<u64>,
         offset: u64,
     },
+    /// The root of a statement with sublinks: its plan and the lowered
+    /// body of every sublink in it, nested ones included (PostgreSQL's
+    /// `PlannedStmt.subplans`). `EXPLAIN` shows `input` alone.
+    SubPlans {
+        input: Box<PhysicalPlan>,
+        subplans: Arc<[SubPlan]>,
+    },
+}
+
+/// One sublink body lowered with its statement. `body` is the sublink's
+/// [`SubqueryExpr::plan`], whose `Arc` every clone of the sublink shares:
+/// the executor finds `plan` by its identity.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SubPlan {
+    pub body: Arc<LogicalPlan>,
+    pub plan: PhysicalPlan,
 }
 
 impl PhysicalPlan {
@@ -265,7 +282,8 @@ impl PhysicalPlan {
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::HashDistinct { input, .. }
             | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. } => vec![input],
+            | PhysicalPlan::Limit { input, .. }
+            | PhysicalPlan::SubPlans { input, .. } => vec![input],
             PhysicalPlan::IndexNLJoin { outer, .. } => vec![outer],
             PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::NLJoin { left, right, .. }
@@ -299,6 +317,59 @@ impl PhysicalPlan {
             | PhysicalPlan::HashSetOp { spill, .. }
             | PhysicalPlan::Sort { spill, .. } => *spill,
             _ => false,
+        }
+    }
+
+    /// This node's own expressions (not its children's, nor the inside
+    /// of sublink bodies).
+    pub(crate) fn exprs(&self) -> Vec<&ScalarExpr> {
+        match self {
+            PhysicalPlan::FusedScanProjectFilter {
+                filter, project, ..
+            }
+            | PhysicalPlan::IndexScan {
+                residual: filter,
+                project,
+                ..
+            } => filter.iter().chain(project.iter().flatten()).collect(),
+            PhysicalPlan::Values { rows, .. } => rows.iter().flatten().collect(),
+            PhysicalPlan::Project { exprs, .. } => exprs.iter().collect(),
+            PhysicalPlan::Filter { predicate, .. } => vec![predicate],
+            PhysicalPlan::HashJoin { keys, residual, .. } => (keys.iter())
+                .flat_map(|k| [&k.left, &k.right])
+                .chain(residual)
+                .collect(),
+            PhysicalPlan::IndexNLJoin {
+                key,
+                inner_filter,
+                residual,
+                ..
+            } => [key]
+                .into_iter()
+                .chain(inner_filter)
+                .chain(residual)
+                .collect(),
+            PhysicalPlan::NLJoin { condition, .. } => condition.iter().collect(),
+            PhysicalPlan::HashAggregate { group_by, aggs, .. } => (group_by.iter())
+                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+                .collect(),
+            PhysicalPlan::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
+            PhysicalPlan::HashDistinct { .. }
+            | PhysicalPlan::HashSetOp { .. }
+            | PhysicalPlan::Limit { .. }
+            | PhysicalPlan::SubPlans { .. } => vec![],
+        }
+    }
+
+    /// Visit every sublink in this node's own expressions (not in its
+    /// children's, nor inside sublink bodies).
+    pub fn for_each_sublink(&self, f: &mut impl FnMut(&SubqueryExpr)) {
+        for e in self.exprs() {
+            e.visit(&mut |n| {
+                if let ScalarExpr::Subquery(sq) = n {
+                    f(sq);
+                }
+            });
         }
     }
 
@@ -472,6 +543,7 @@ impl PhysicalPlan {
                 Some(l) => format!("Limit {l} offset {offset}"),
                 None => format!("Offset {offset}"),
             },
+            PhysicalPlan::SubPlans { subplans, .. } => format!("SubPlans({})", subplans.len()),
         }
     }
 }
@@ -496,6 +568,10 @@ pub fn physical_tree_verbose(plan: &PhysicalPlan) -> String {
 }
 
 fn render(plan: &PhysicalPlan, line_prefix: &str, is_last: bool, verbose: bool, out: &mut String) {
+    // Sublink bodies, and the node holding them, are not printed.
+    if let PhysicalPlan::SubPlans { input, .. } = plan {
+        return render(input, line_prefix, is_last, verbose, out);
+    }
     let is_root = out.is_empty();
     let connector = if is_root {
         ""
@@ -562,7 +638,8 @@ pub(crate) fn out_arity(plan: &PhysicalPlan) -> usize {
         PhysicalPlan::Filter { input, .. }
         | PhysicalPlan::HashDistinct { input, .. }
         | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Limit { input, .. } => out_arity(input),
+        | PhysicalPlan::Limit { input, .. }
+        | PhysicalPlan::SubPlans { input, .. } => out_arity(input),
         PhysicalPlan::HashJoin {
             kind,
             nl,
@@ -619,7 +696,9 @@ fn est_out_rows(plan: &PhysicalPlan) -> f64 {
         | PhysicalPlan::IndexNLJoin { est_rows, .. }
         | PhysicalPlan::NLJoin { est_rows, .. } => *est_rows,
         PhysicalPlan::Values { rows, .. } => rows.len() as f64,
-        PhysicalPlan::Project { input, .. } => est_out_rows(input),
+        PhysicalPlan::Project { input, .. } | PhysicalPlan::SubPlans { input, .. } => {
+            est_out_rows(input)
+        }
         PhysicalPlan::Filter { input, .. } => est_out_rows(input) * 0.5,
         PhysicalPlan::HashAggregate {
             input,
@@ -856,8 +935,8 @@ impl<'a> PhysicalPlanner<'a> {
     }
 
     /// True if every expression can be evaluated on a worker thread.
-    fn safe(exprs: &[&ScalarExpr]) -> bool {
-        exprs.iter().all(|e| !e.contains_subquery())
+    fn safe<'e>(exprs: impl IntoIterator<Item = &'e ScalarExpr>) -> bool {
+        exprs.into_iter().all(|e| !e.contains_subquery())
     }
 
     /// Base-table row count (the input cardinality of a scan pipeline).
@@ -882,7 +961,7 @@ impl<'a> PhysicalPlanner<'a> {
     /// panics; release builds skip the check unless they opt in through
     /// [`PhysicalPlanner::plan_verified`].
     pub fn plan(&self, plan: &LogicalPlan) -> PhysicalPlan {
-        let physical = self.plan_node(plan);
+        let physical = self.lower_sublinks(self.plan_node(plan));
         #[cfg(debug_assertions)]
         if let Err(e) = crate::verify::verify_physical(&physical, "physical-planning") {
             panic!("{e}");
@@ -895,9 +974,34 @@ impl<'a> PhysicalPlanner<'a> {
     /// panicking on) the first violation. Entry point behind
     /// `SessionOptions::verify_plans` and `EXPLAIN VERIFY`.
     pub fn plan_verified(&self, plan: &LogicalPlan) -> perm_types::Result<PhysicalPlan> {
-        let physical = self.plan_node(plan);
+        let physical = self.lower_sublinks(self.plan_node(plan));
         crate::verify::verify_physical(&physical, "physical-planning")?;
         Ok(physical)
+    }
+
+    /// Lower each sublink body in `root` — nested ones too, each once, as
+    /// bound (not optimized) — and return `root` under a
+    /// [`PhysicalPlan::SubPlans`] node holding them; a plan without
+    /// sublinks comes back unchanged. Write statements call this on the
+    /// node they build themselves.
+    pub fn lower_sublinks(&self, root: PhysicalPlan) -> PhysicalPlan {
+        let mut bodies = Vec::new();
+        gather_bodies(&root, &mut bodies);
+        if bodies.is_empty() {
+            return root;
+        }
+        let mut subplans = Vec::with_capacity(bodies.len());
+        // Lowering a body may find more bodies; `bodies` grows behind
+        // the cursor.
+        while let Some(body) = bodies.get(subplans.len()).cloned() {
+            let plan = self.plan_node(&body);
+            gather_bodies(&plan, &mut bodies);
+            subplans.push(SubPlan { body, plan });
+        }
+        PhysicalPlan::SubPlans {
+            input: Box::new(root),
+            subplans: subplans.into(),
+        }
     }
 
     fn plan_node(&self, plan: &LogicalPlan) -> PhysicalPlan {
@@ -938,12 +1042,9 @@ impl<'a> PhysicalPlanner<'a> {
                 // Partial-aggregate merging cannot reproduce per-group
                 // DISTINCT filters, and worker threads cannot run
                 // sublinks: both force serial execution.
-                let safe = Self::safe(
-                    &group_by
-                        .iter()
-                        .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
-                        .collect::<Vec<_>>(),
-                ) && aggs.iter().all(|a| !a.distinct);
+                let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+                let safe =
+                    Self::safe(group_by.iter().chain(args)) && aggs.iter().all(|a| !a.distinct);
                 PhysicalPlan::HashAggregate {
                     input: Box::new(self.plan_node(input)),
                     group_by: group_by.clone(),
@@ -981,7 +1082,7 @@ impl<'a> PhysicalPlanner<'a> {
                 }
             }
             LogicalPlan::Sort { input, keys } => {
-                let safe = Self::safe(&keys.iter().map(|k| &k.expr).collect::<Vec<_>>());
+                let safe = Self::safe(keys.iter().map(|k| &k.expr));
                 PhysicalPlan::Sort {
                     input: Box::new(self.plan_node(input)),
                     keys: keys.clone(),
@@ -1035,9 +1136,8 @@ impl<'a> PhysicalPlanner<'a> {
                     est_rows,
                 };
             }
-            let mut exprs: Vec<&ScalarExpr> = vec![predicate];
-            exprs.extend(project.unwrap_or_default());
-            let dop = self.choose_dop(self.table_rows(table), Self::safe(&exprs));
+            let exprs = std::iter::once(predicate).chain(project.unwrap_or_default());
+            let dop = self.choose_dop(self.table_rows(table), Self::safe(exprs));
             return PhysicalPlan::FusedScanProjectFilter {
                 table: table.clone(),
                 schema: schema.clone(),
@@ -1082,10 +1182,7 @@ impl<'a> PhysicalPlanner<'a> {
                 filter: None,
                 project: Some(exprs.to_vec()),
                 est_rows: self.est(whole),
-                dop: self.choose_dop(
-                    self.table_rows(table),
-                    Self::safe(&exprs.iter().collect::<Vec<_>>()),
-                ),
+                dop: self.choose_dop(self.table_rows(table), Self::safe(exprs)),
             },
             LogicalPlan::Filter {
                 input: finput,
@@ -1259,10 +1356,8 @@ impl<'a> PhysicalPlanner<'a> {
                             Some(ScalarExpr::conjunction(rest))
                         };
                         let key = keys[ki].left.clone();
-                        let mut safety: Vec<&ScalarExpr> = vec![&key];
-                        safety.extend(inner_filter);
-                        safety.extend(&residual);
-                        let dop = self.choose_dop(l_est, Self::safe(&safety));
+                        let safety = [&key].into_iter().chain(inner_filter).chain(&residual);
+                        let dop = self.choose_dop(l_est, Self::safe(safety));
                         return PhysicalPlan::IndexNLJoin {
                             outer: Box::new(self.plan_node(left)),
                             kind,
@@ -1299,13 +1394,8 @@ impl<'a> PhysicalPlanner<'a> {
             BuildSide::Left => r_est,
             BuildSide::Right => l_est,
         };
-        let mut safety: Vec<&ScalarExpr> = Vec::new();
-        for k in &keys {
-            safety.push(&k.left);
-            safety.push(&k.right);
-        }
-        safety.extend(&residual);
-        let safe = !matches!(kind, JoinType::Full) && Self::safe(&safety);
+        let sides = keys.iter().flat_map(|k| [&k.left, &k.right]);
+        let safe = Self::safe(sides.chain(&residual)) && !matches!(kind, JoinType::Full);
         let dop = self.choose_dop(probe_est, safe);
         PhysicalPlan::HashJoin {
             left: Box::new(self.plan_node(left)),
@@ -1324,6 +1414,19 @@ impl<'a> PhysicalPlanner<'a> {
             // serial *and* in memory.
             spill: safe,
         }
+    }
+}
+
+/// Append to `bodies` each sublink body in `plan` it does not hold yet
+/// (by identity), without opening the bodies.
+fn gather_bodies(plan: &PhysicalPlan, bodies: &mut Vec<Arc<LogicalPlan>>) {
+    plan.for_each_sublink(&mut |sq| {
+        if !bodies.iter().any(|b| Arc::ptr_eq(b, &sq.plan)) {
+            bodies.push(Arc::clone(&sq.plan));
+        }
+    });
+    for child in plan.children() {
+        gather_bodies(child, bodies);
     }
 }
 

@@ -1847,16 +1847,21 @@ mod tests {
         std::sync::Arc::new(cat)
     }
 
+    /// `plan` lowered and run over [`dup_catalog`].
+    fn run_dup(plan: &LogicalPlan) -> Vec<perm_types::Tuple> {
+        let cat = dup_catalog();
+        let physical = crate::PhysicalPlanner::new(&cat).plan(plan);
+        crate::Executor::new(cat).run_physical(&physical).unwrap()
+    }
+
     /// Optimize `plan` and check the paper's contract on the way: same
     /// schema (order, names, types) and the same bag of rows as the
     /// unoptimized plan over [`dup_catalog`]. Returns the optimized tree.
     fn optimized_tree(plan: LogicalPlan) -> String {
-        let exec = crate::Executor::new(dup_catalog());
         let optimized = optimize(plan.clone());
         assert_eq!(optimized.schema(), plan.schema());
         let bag = |p: &LogicalPlan| {
-            let mut rows: Vec<String> =
-                exec.run(p).unwrap().iter().map(|t| t.to_string()).collect();
+            let mut rows: Vec<String> = run_dup(p).iter().map(|t| t.to_string()).collect();
             rows.sort();
             assert!(!rows.is_empty(), "vacuous comparison");
             rows
@@ -2065,9 +2070,8 @@ mod tests {
     /// [`optimized_tree`] that also pins the row order: the DISTINCT
     /// moves keep every first occurrence where it was.
     fn optimized_in_order(plan: LogicalPlan) -> String {
-        let exec = crate::Executor::new(dup_catalog());
         let optimized = optimize(plan.clone());
-        assert_eq!(exec.run(&optimized).unwrap(), exec.run(&plan).unwrap());
+        assert_eq!(run_dup(&optimized), run_dup(&plan));
         optimized_tree(plan)
     }
 
@@ -2210,7 +2214,7 @@ mod tests {
         );
         let exists = ScalarExpr::Subquery(perm_algebra::expr::SubqueryExpr {
             kind: perm_algebra::expr::SubqueryKind::Exists,
-            plan: Box::new(body.clone()),
+            plan: std::sync::Arc::new(body.clone()),
             negated: false,
             operand: None,
             outer_refs: vec![ScalarExpr::Column(3)],

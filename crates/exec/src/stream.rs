@@ -30,8 +30,9 @@
 //!
 //! The cursor tree is built from the **physical** plan, so every
 //! strategy decision (fusion, index usage, join algorithms inside
-//! blocking subtrees) was already made by the planner. A draining cursor
-//! borrows its blocking subtrees from the plan; a stream owns copies.
+//! blocking subtrees, sublink bodies) was already made by the planner. A
+//! draining cursor borrows its blocking subtrees from the plan; a stream
+//! owns copies (sharing the plan's sublink bodies).
 //!
 //! The stream owns its [`Executor`] — and through it an immutable catalog
 //! snapshot — so it keeps yielding a consistent result however long the
@@ -42,7 +43,6 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use perm_algebra::expr::ScalarExpr;
-use perm_algebra::plan::LogicalPlan;
 use perm_storage::Catalog;
 use perm_types::{PermError, Result, Schema, Tuple, Value};
 
@@ -54,7 +54,7 @@ use crate::physical::PhysicalPlan;
 
 /// A pull-based result: `Iterator<Item = Result<Tuple>>` over a plan.
 ///
-/// Created by [`Executor::into_stream`]. The stream is fused: after the
+/// Created by [`Executor::into_stream_physical`]. The stream is fused: after the
 /// first error (or the natural end) it yields `None` forever.
 pub struct TupleStream {
     exec: Executor,
@@ -67,19 +67,6 @@ pub struct TupleStream {
 }
 
 impl TupleStream {
-    /// Build a stream over a physical plan, validating its base-table
-    /// scans against the executor's catalog snapshot up front.
-    pub fn new(exec: Executor, plan: &PhysicalPlan) -> Result<TupleStream> {
-        let cursor = Cursor::build(&exec, plan, |p| Cow::Owned(p.clone()))?;
-        Ok(TupleStream {
-            exec,
-            cursor,
-            chunk: Vec::new().into_iter(),
-            want: 1,
-            done: false,
-        })
-    }
-
     /// How many base-table rows the streamable scans have pulled so far.
     ///
     /// Rows read inside materialized (blocking) subtrees are not counted —
@@ -120,22 +107,18 @@ impl Iterator for TupleStream {
 }
 
 impl Executor {
-    /// Consume this executor into a pull-based stream over `plan` (the
-    /// logical plan is lowered through the physical planner first).
-    ///
-    /// The plan must be a *top-level* plan (no parameters in flight);
-    /// streams are built per statement, exactly like [`Executor::run`]
-    /// calls at the top level.
-    pub fn into_stream(self, plan: &LogicalPlan) -> Result<TupleStream> {
-        let physical = self.physical(plan);
-        self.check_lowering(plan, &physical)?;
-        TupleStream::new(self, &physical)
-    }
-
-    /// [`Executor::into_stream`] over an already-lowered physical plan
-    /// (prepared statements cache the lowering).
+    /// Consume this executor into a pull-based stream over a statement's
+    /// physical plan, validating its base-table scans against the
+    /// executor's catalog snapshot up front.
     pub fn into_stream_physical(self, plan: &PhysicalPlan) -> Result<TupleStream> {
-        TupleStream::new(self, plan)
+        let cursor = Cursor::build(&self, plan, |p| Cow::Owned(p.clone()))?;
+        Ok(TupleStream {
+            exec: self,
+            cursor,
+            chunk: Vec::new().into_iter(),
+            want: 1,
+            done: false,
+        })
     }
 }
 
@@ -274,6 +257,10 @@ impl<'p> Cursor<'p> {
                 remaining: limit.map(|l| l as usize),
                 ahead: 0,
             },
+            PhysicalPlan::SubPlans { input, .. } => {
+                exec.enter_statement(plan);
+                Cursor::build(exec, input, hold)?
+            }
             other => Cursor::Pending(hold(other)),
         })
     }

@@ -9,7 +9,7 @@ use perm_types::{Column, DataType, Result, Schema, Tuple, Value};
 
 use std::sync::Arc;
 
-use crate::{optimize, CatalogAdapter, Executor};
+use crate::{optimize, CatalogAdapter, Executor, PhysicalPlanner};
 
 fn i(v: i64) -> Value {
     Value::Int(v)
@@ -25,8 +25,15 @@ fn executor(cat: &Catalog) -> Executor {
     Executor::new(Arc::new(cat.clone()))
 }
 
-fn executor_nlj(cat: &Catalog) -> Executor {
-    Executor::new_nested_loop_only(Arc::new(cat.clone()))
+/// Lower `plan` on `cat` with the default planner settings and run it.
+fn run_plan(cat: &Catalog, plan: &perm_algebra::LogicalPlan) -> Result<Vec<Tuple>> {
+    executor(cat).run_physical(&PhysicalPlanner::new(cat).plan(plan))
+}
+
+/// The nested-loop reference: `plan` lowered with every join a nested
+/// loop, then run.
+fn run_nlj(cat: &Catalog, plan: &perm_algebra::LogicalPlan) -> Result<Vec<Tuple>> {
+    executor(cat).run_physical(&PhysicalPlanner::new(cat).nested_loop_only(true).plan(plan))
 }
 
 /// The Figure 1 example database, rows verbatim from the paper.
@@ -119,7 +126,7 @@ fn run_on(cat: &Catalog, sql: &str) -> Result<Vec<Tuple>> {
         other => panic!("expected query, got {other:?}"),
     };
     let plan = optimize(plan);
-    executor(cat).run(&plan)
+    run_plan(cat, &plan)
 }
 
 fn run(sql: &str) -> Vec<Tuple> {
@@ -708,8 +715,8 @@ fn index_nl_join_agrees_with_hash_join() {
             "{kind:?}: without the index the hash join must be chosen"
         );
 
-        let via_index = executor(&indexed).run(&p_indexed).unwrap();
-        let via_hash = executor(&plain).run(&p_plain).unwrap();
+        let via_index = run_plan(&indexed, &p_indexed).unwrap();
+        let via_hash = run_plan(&plain, &p_plain).unwrap();
         assert_eq!(sorted(via_index), sorted(via_hash), "{kind:?}");
     }
 }
@@ -789,7 +796,7 @@ mod semi_anti {
         let cat = forum_catalog();
         for null_safe in [false, true] {
             let plan = join_on_uid(&cat, JoinType::Semi, null_safe);
-            let rows = executor(&cat).run(&plan).unwrap();
+            let rows = run_plan(&cat, &plan).unwrap();
             // users 1, 2 and 3 all appear in approved; user 2 twice but
             // the semi join emits each left row once.
             assert_eq!(rows.len(), 3, "null_safe={null_safe}");
@@ -805,7 +812,7 @@ mod semi_anti {
             .insert(Tuple::new(vec![Value::Int(99), Value::text("Norbert")]))
             .unwrap();
         let plan = join_on_uid(&cat, JoinType::Anti, false);
-        let rows = executor(&cat).run(&plan).unwrap();
+        let rows = run_plan(&cat, &plan).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(1), &Value::text("Norbert"));
     }
@@ -815,8 +822,8 @@ mod semi_anti {
         let cat = forum_catalog();
         for kind in [JoinType::Semi, JoinType::Anti] {
             let plan = join_on_uid(&cat, kind, false);
-            let hash = executor(&cat).run(&plan).unwrap();
-            let nlj = executor_nlj(&cat).run(&plan).unwrap();
+            let hash = run_plan(&cat, &plan).unwrap();
+            let nlj = run_nlj(&cat, &plan).unwrap();
             assert_eq!(sorted(hash), sorted(nlj), "{kind:?}");
         }
     }
@@ -841,8 +848,8 @@ mod semi_anti {
             Some(cond),
         )
         .unwrap();
-        let hash = executor(&cat).run(&plan).unwrap();
-        let nlj = executor_nlj(&cat).run(&plan).unwrap();
+        let hash = run_plan(&cat, &plan).unwrap();
+        let nlj = run_nlj(&cat, &plan).unwrap();
         assert_eq!(sorted(hash.clone()), sorted(nlj));
         // users 1 and 3 match once each; user 2 is left-padded; approved's
         // two uid=2 rows are right-padded.
@@ -855,8 +862,8 @@ mod semi_anti {
         for kind in [JoinType::Inner, JoinType::Left, JoinType::Full] {
             for null_safe in [false, true] {
                 let plan = join_on_uid(&cat, kind, null_safe);
-                let hash = executor(&cat).run(&plan).unwrap();
-                let nlj = executor_nlj(&cat).run(&plan).unwrap();
+                let hash = run_plan(&cat, &plan).unwrap();
+                let nlj = run_nlj(&cat, &plan).unwrap();
                 assert_eq!(sorted(hash), sorted(nlj), "{kind:?} null_safe={null_safe}");
             }
         }
@@ -870,8 +877,8 @@ mod semi_anti {
 // Every parallel operator is designed to reproduce its serial output
 // *exactly* — same rows, same order, same errors — so these tests
 // compare with `assert_eq!` on the raw row vectors, not sorted
-// multisets. Parallelism is forced through `Executor::with_parallelism`
-// (DOP cap + a row threshold of 2), and each helper asserts the lowered
+// multisets. Parallelism is forced through the physical planner (DOP
+// cap + a row threshold of 2), and each helper asserts the lowered
 // plan really contains a `dop > 1` node so a silently-serial plan cannot
 // pass the test vacuously.
 
@@ -888,6 +895,30 @@ mod parallel_exec {
             other => panic!("expected query, got {other:?}"),
         };
         optimize(plan)
+    }
+
+    /// `plan` lowered on `cat` at DOP cap `dop` with a row threshold of 2.
+    fn lower(cat: &Catalog, plan: &perm_algebra::LogicalPlan, dop: usize) -> PhysicalPlan {
+        PhysicalPlanner::new(cat)
+            .max_parallelism(dop)
+            .parallel_threshold(2)
+            .plan(plan)
+    }
+
+    /// Lower `plan` at DOP cap `dop` ([`lower`]) and run it.
+    fn run_at(cat: &Catalog, plan: &perm_algebra::LogicalPlan, dop: usize) -> Result<Vec<Tuple>> {
+        executor(cat).run_physical(&lower(cat, plan, dop))
+    }
+
+    /// Lower `plan` at DOP cap `dop` ([`lower`]) and stream it.
+    fn stream_at(
+        cat: &Catalog,
+        plan: &perm_algebra::LogicalPlan,
+        dop: usize,
+    ) -> crate::TupleStream {
+        executor(cat)
+            .into_stream_physical(&lower(cat, plan, dop))
+            .unwrap()
     }
 
     fn max_dop(p: &PhysicalPlan) -> usize {
@@ -944,18 +975,14 @@ mod parallel_exec {
     /// the outputs agree exactly, order included.
     fn assert_parallel_matches_serial(cat: &Catalog, sql: &str, dop: usize) {
         let plan = bound(cat, sql);
-        let serial = Executor::new(Arc::new(cat.clone()))
-            .with_parallelism(1, 2)
-            .run(&plan)
-            .unwrap();
-        let par_exec = Executor::new(Arc::new(cat.clone())).with_parallelism(dop, 2);
-        let physical = par_exec.physical(&plan);
+        let serial = run_at(cat, &plan, 1).unwrap();
+        let physical = lower(cat, &plan, dop);
         assert!(
             max_dop(&physical) > 1,
             "expected a parallel operator for {sql:?}:\n{}",
             crate::physical_tree(&physical)
         );
-        let parallel = par_exec.run_physical(&physical).unwrap();
+        let parallel = executor(cat).run_physical(&physical).unwrap();
         assert_eq!(serial, parallel, "parallel diverges for {sql:?}");
         assert!(!serial.is_empty(), "vacuous test for {sql:?}");
     }
@@ -1003,8 +1030,7 @@ mod parallel_exec {
         let sql = "SELECT numbers.k, m FROM numbers JOIN other ON numbers.n = other.m \
                    WHERE numbers.n < 300";
         let plan = bound(&cat, sql);
-        let par_exec = Executor::new(Arc::new(cat.clone())).with_parallelism(4, 2);
-        let physical = par_exec.physical(&plan);
+        let physical = lower(&cat, &plan, 4);
         fn has_inlj(p: &PhysicalPlan) -> bool {
             matches!(p, PhysicalPlan::IndexNLJoin { dop, .. } if *dop > 1)
                 || p.children().into_iter().any(has_inlj)
@@ -1014,11 +1040,8 @@ mod parallel_exec {
             "expected a parallel IndexNLJoin:\n{}",
             crate::physical_tree(&physical)
         );
-        let serial = Executor::new(Arc::new(cat.clone()))
-            .with_parallelism(1, 2)
-            .run(&plan)
-            .unwrap();
-        assert_eq!(serial, par_exec.run_physical(&physical).unwrap());
+        let serial = run_at(&cat, &plan, 1).unwrap();
+        assert_eq!(serial, executor(&cat).run_physical(&physical).unwrap());
     }
 
     #[test]
@@ -1035,8 +1058,7 @@ mod parallel_exec {
     fn distinct_aggregates_stay_serial() {
         let cat = numbers_catalog(5000);
         let plan = bound(&cat, "SELECT k, count(DISTINCT s) FROM numbers GROUP BY k");
-        let par_exec = Executor::new(Arc::new(cat.clone())).with_parallelism(4, 2);
-        let physical = par_exec.physical(&plan);
+        let physical = lower(&cat, &plan, 4);
         fn agg_dop(p: &PhysicalPlan) -> usize {
             match p {
                 PhysicalPlan::HashAggregate { dop, .. } => *dop,
@@ -1045,11 +1067,8 @@ mod parallel_exec {
         }
         assert_eq!(agg_dop(&physical), 1, "DISTINCT aggregation must be serial");
         // Still correct end to end (the scan below may parallelize).
-        let serial = Executor::new(Arc::new(cat.clone()))
-            .with_parallelism(1, 2)
-            .run(&plan)
-            .unwrap();
-        assert_eq!(serial, par_exec.run_physical(&physical).unwrap());
+        let serial = run_at(&cat, &plan, 1).unwrap();
+        assert_eq!(serial, executor(&cat).run_physical(&physical).unwrap());
     }
 
     #[test]
@@ -1084,14 +1103,8 @@ mod parallel_exec {
                 right: Box::new(scan_other_k.clone()),
                 schema: scan_k.schema().clone(),
             };
-            let serial = Executor::new(Arc::new(cat.clone()))
-                .with_parallelism(1, 2)
-                .run(&plan)
-                .unwrap();
-            let parallel = Executor::new(Arc::new(cat.clone()))
-                .with_parallelism(4, 2)
-                .run(&plan)
-                .unwrap();
+            let serial = run_at(&cat, &plan, 1).unwrap();
+            let parallel = run_at(&cat, &plan, 4).unwrap();
             assert_eq!(serial, parallel, "{op:?} ALL diverges");
             assert!(!serial.is_empty());
         }
@@ -1118,14 +1131,8 @@ mod parallel_exec {
         // serial execution raises.
         let sql = "SELECT 10 / (4321 - n) FROM numbers";
         let plan = bound(&cat, sql);
-        let serial = Executor::new(Arc::new(cat.clone()))
-            .with_parallelism(1, 2)
-            .run(&plan)
-            .unwrap_err();
-        let parallel = Executor::new(Arc::new(cat.clone()))
-            .with_parallelism(4, 2)
-            .run(&plan)
-            .unwrap_err();
+        let serial = run_at(&cat, &plan, 1).unwrap_err();
+        let parallel = run_at(&cat, &plan, 4).unwrap_err();
         assert_eq!(serial.to_string(), parallel.to_string());
     }
 
@@ -1173,14 +1180,8 @@ mod parallel_exec {
             assert_eq!(dop, 1, "sublink filter must stay serial");
         }
         // And execution agrees with serial regardless of lowering shape.
-        let serial = Executor::new(Arc::new(cat.clone()))
-            .with_parallelism(1, 2)
-            .run(&plan)
-            .unwrap();
-        let parallel = Executor::new(Arc::new(cat.clone()))
-            .with_parallelism(4, 2)
-            .run(&plan)
-            .unwrap();
+        let serial = run_at(&cat, &plan, 1).unwrap();
+        let parallel = run_at(&cat, &plan, 4).unwrap();
         assert_eq!(serial, parallel);
     }
 
@@ -1189,14 +1190,8 @@ mod parallel_exec {
         let cat = numbers_catalog(12000);
         let sql = "SELECT n * 3 FROM numbers WHERE n % 2 = 0";
         let plan = bound(&cat, sql);
-        let serial = Executor::new(Arc::new(cat.clone()))
-            .with_parallelism(1, 2)
-            .run(&plan)
-            .unwrap();
-        let stream = Executor::new(Arc::new(cat.clone()))
-            .with_parallelism(4, 2)
-            .into_stream(&plan)
-            .unwrap();
+        let serial = run_at(&cat, &plan, 1).unwrap();
+        let stream = stream_at(&cat, &plan, 4);
         let streamed: Vec<Tuple> = stream.map(|r| r.unwrap()).collect();
         assert_eq!(
             serial, streamed,
@@ -1205,10 +1200,7 @@ mod parallel_exec {
 
         // LIMIT over a parallel scan stops after a few chunks.
         let plan = bound(&cat, "SELECT n * 3 FROM numbers WHERE n % 2 = 0 LIMIT 5");
-        let mut stream = Executor::new(Arc::new(cat.clone()))
-            .with_parallelism(4, 2)
-            .into_stream(&plan)
-            .unwrap();
+        let mut stream = stream_at(&cat, &plan, 4);
         let got: Vec<Tuple> = stream.by_ref().map(|r| r.unwrap()).collect();
         assert_eq!(got.len(), 5);
         assert!(
@@ -1232,9 +1224,8 @@ mod parallel_exec {
         );
         let expected: Vec<Tuple> = [6000, 6500].map(|n| Tuple::new(vec![Value::Int(n)])).into();
         for dop in [1, 4] {
-            let exec = || Executor::new(Arc::new(cat.clone())).with_parallelism(dop, 2);
-            assert_eq!(exec().run(&plan).unwrap(), expected, "dop {dop}");
-            let streamed: Result<Vec<Tuple>> = exec().into_stream(&plan).unwrap().collect();
+            assert_eq!(run_at(&cat, &plan, dop).unwrap(), expected, "dop {dop}");
+            let streamed: Result<Vec<Tuple>> = stream_at(&cat, &plan, dop).collect();
             assert_eq!(streamed.unwrap(), expected, "streamed at dop {dop}");
         }
     }

@@ -20,7 +20,10 @@
 //!   and every `dop` is between 1 and the worker-pool size;
 //! * **Spill legality** — the same operators stay in memory: none of them
 //!   may carry the may-spill flag. How many partitions a spill uses is
-//!   the operator's own run-time decision, so no count is checked.
+//!   the operator's own run-time decision, so no count is checked;
+//! * **Sublink bodies** — every sublink's body must have been lowered with
+//!   the statement ([`PhysicalPlan::SubPlans`]), and each lowered body
+//!   passes all of the above on a path through its sublink.
 //!
 //! Whether a node runs over columnar batches is not in the plan (its
 //! body decides when it compiles, [`crate::kernels`]), so it is not
@@ -29,13 +32,15 @@
 //! Like the logical verifier ([`perm_algebra::verify`]), errors name the
 //! responsible pass, the violated invariant and the node path.
 
+use std::sync::Arc;
+
 use perm_algebra::expr::ScalarExpr;
 use perm_algebra::plan::{AggOutput, JoinType};
 use perm_algebra::typecheck;
 use perm_types::{Column, DataType, PermError, Result, Schema};
 
 use crate::parallel::pool_parallelism;
-use crate::physical::PhysicalPlan;
+use crate::physical::{PhysicalPlan, SubPlan};
 
 fn violation(pass: &str, invariant: &str, path: &str, detail: impl std::fmt::Display) -> PermError {
     PermError::Plan(format!(
@@ -47,7 +52,18 @@ fn violation(pass: &str, invariant: &str, path: &str, detail: impl std::fmt::Dis
 /// typing over schemas derived bottom-up, and the parallel-legality
 /// rules. `pass` names the transformation that produced the plan.
 pub fn verify_physical(plan: &PhysicalPlan, pass: &str) -> Result<()> {
-    verify_node(plan, pass, "").map(drop)
+    let (root, subplans) = match plan {
+        PhysicalPlan::SubPlans { input, subplans } => (&**input, &subplans[..]),
+        root => (root, &[][..]),
+    };
+    verify_node(root, &Walk { pass, subplans }, "").map(drop)
+}
+
+/// What the walk over one statement shares: the pass that produced the
+/// plan, and the statement's lowered sublink bodies.
+struct Walk<'a> {
+    pass: &'a str,
+    subplans: &'a [SubPlan],
 }
 
 /// Short operator label for node paths.
@@ -66,6 +82,7 @@ fn label(plan: &PhysicalPlan) -> &'static str {
         PhysicalPlan::HashSetOp { .. } => "HashSetOp",
         PhysicalPlan::Sort { .. } => "Sort",
         PhysicalPlan::Limit { .. } => "Limit",
+        PhysicalPlan::SubPlans { .. } => "SubPlans",
     }
 }
 
@@ -147,12 +164,7 @@ fn check_slots(slots: &[usize], width: usize, pass: &str, path: &str, what: &str
 /// The parallel-legality rules — a node may only run with `dop > 1` when
 /// the planner proved it safe, and never beyond the worker-pool size —
 /// and the spill-legality rules, which keep the same nodes in memory.
-fn check_dop(
-    plan: &PhysicalPlan,
-    node_exprs: &[&ScalarExpr],
-    pass: &str,
-    path: &str,
-) -> Result<()> {
+fn check_dop(plan: &PhysicalPlan, sublinks: bool, pass: &str, path: &str) -> Result<()> {
     let dop = plan.dop();
     if dop == 0 {
         return Err(violation(pass, "parallel-legality", path, "dop is 0"));
@@ -167,10 +179,10 @@ fn check_dop(
         ));
     }
     // Whole-input in-memory operators may neither run parallel nor spill:
-    // sublinks run through the executor's caches and outer stack, FULL
+    // sublinks run their bodies through the executor's slots, FULL
     // joins track build matches across all probe rows, DISTINCT filters
     // do not merge, and a UNION ALL append streams, holding no state.
-    let serial_only = if node_exprs.iter().any(|e| e.contains_subquery()) {
+    let serial_only = if sublinks {
         Some("a pipeline containing a sublink")
     } else {
         match plan {
@@ -203,16 +215,39 @@ fn check_dop(
 }
 
 /// Verify one node and return its output schema (types derived bottom-up;
-/// synthetic column names).
-fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
+/// synthetic column names). The lowered body of each sublink in the
+/// node's expressions is verified like a plan, on a path through the
+/// sublink (`… > SubPlan i > …`, `i` its place in the statement's list).
+fn verify_node(plan: &PhysicalPlan, walk: &Walk<'_>, path: &str) -> Result<Schema> {
     let name = label(plan);
     let path = if path.is_empty() {
         name.to_string()
     } else {
         format!("{path} > {name}")
     };
-    let path = path.as_str();
+    let out = verify_operator(plan, walk, &path)?;
+    let mut bodies = Vec::new();
+    plan.for_each_sublink(&mut |sq| bodies.push(Arc::clone(&sq.plan)));
+    check_dop(plan, !bodies.is_empty(), walk.pass, &path)?;
+    for body in bodies {
+        let i = (walk.subplans.iter())
+            .position(|s| Arc::ptr_eq(&s.body, &body))
+            .ok_or_else(|| {
+                let detail = "a sublink's body was not lowered with the statement";
+                violation(walk.pass, "sublink-lowered", &path, detail)
+            })?;
+        verify_node(
+            &walk.subplans[i].plan,
+            walk,
+            &format!("{path} > SubPlan {i}"),
+        )?;
+    }
+    Ok(out)
+}
 
+/// The checks of one operator (its children verified first).
+fn verify_operator(plan: &PhysicalPlan, walk: &Walk<'_>, path: &str) -> Result<Schema> {
+    let pass = walk.pass;
     match plan {
         PhysicalPlan::FusedScanProjectFilter {
             schema,
@@ -220,10 +255,8 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
             project,
             ..
         } => {
-            let mut exprs: Vec<&ScalarExpr> = Vec::new();
             if let Some(f) = filter {
                 check_bool_expr(f, schema, pass, path, "fused filter")?;
-                exprs.push(f);
             }
             let out = match project {
                 Some(ps) => {
@@ -236,13 +269,11 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                             path,
                             &format!("projection {i}"),
                         )?);
-                        exprs.push(p);
                     }
                     synthesized(types)
                 }
                 None => schema.clone(),
             };
-            check_dop(plan, &exprs, pass, path)?;
             Ok(out)
         }
         PhysicalPlan::IndexScan {
@@ -312,20 +343,16 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
             Ok(synthesized(vec![DataType::Unknown; *arity]))
         }
         PhysicalPlan::Project { input, exprs } => {
-            let in_schema = verify_node(input, pass, path)?;
-            let mut refs: Vec<&ScalarExpr> = Vec::with_capacity(exprs.len());
+            let in_schema = verify_node(input, walk, path)?;
             let mut types = Vec::with_capacity(exprs.len());
             for (i, e) in exprs.iter().enumerate() {
                 types.push(check_expr(e, &in_schema, pass, path, &format!("expr {i}"))?);
-                refs.push(e);
             }
-            check_dop(plan, &refs, pass, path)?;
             Ok(synthesized(types))
         }
         PhysicalPlan::Filter { input, predicate } => {
-            let in_schema = verify_node(input, pass, path)?;
+            let in_schema = verify_node(input, walk, path)?;
             check_bool_expr(predicate, &in_schema, pass, path, "predicate")?;
-            check_dop(plan, &[predicate], pass, path)?;
             Ok(in_schema)
         }
         PhysicalPlan::HashJoin {
@@ -339,8 +366,8 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
             out_slots,
             ..
         } => {
-            let ls = verify_node(left, pass, path)?;
-            let rs = verify_node(right, pass, path)?;
+            let ls = verify_node(left, walk, path)?;
+            let rs = verify_node(right, walk, path)?;
             if ls.len() != *nl || rs.len() != *nr {
                 return Err(violation(
                     pass,
@@ -353,7 +380,6 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                     ),
                 ));
             }
-            let mut exprs: Vec<&ScalarExpr> = Vec::new();
             for (i, k) in keys.iter().enumerate() {
                 let lt = check_expr(&k.left, &ls, pass, path, &format!("equi-key {i} (left)"))?;
                 let rt = check_expr(&k.right, &rs, pass, path, &format!("equi-key {i} (right)"))?;
@@ -368,15 +394,11 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                         ),
                     ));
                 }
-                exprs.push(&k.left);
-                exprs.push(&k.right);
             }
             let combined = ls.join(&rs);
             if let Some(r) = residual {
                 check_bool_expr(r, &combined, pass, path, "residual")?;
-                exprs.push(r);
             }
-            check_dop(plan, &exprs, pass, path)?;
             let base = if kind.produces_both_sides() {
                 combined
             } else {
@@ -398,7 +420,7 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
             out_slots,
             ..
         } => {
-            let os = verify_node(outer, pass, path)?;
+            let os = verify_node(outer, walk, path)?;
             if os.len() != *nl {
                 return Err(violation(
                     pass,
@@ -429,11 +451,9 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                     ),
                 ));
             }
-            let mut exprs: Vec<&ScalarExpr> = vec![key];
             check_expr(key, &os, pass, path, "probe key")?;
             if let Some(f) = inner_filter {
                 check_bool_expr(f, schema, pass, path, "inner filter")?;
-                exprs.push(f);
             }
             let inner_out = match inner_project {
                 Some(slots) => {
@@ -456,9 +476,7 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
             let combined = os.join(&inner_out);
             if let Some(r) = residual {
                 check_bool_expr(r, &combined, pass, path, "residual")?;
-                exprs.push(r);
             }
-            check_dop(plan, &exprs, pass, path)?;
             let base = if kind.produces_both_sides() {
                 combined
             } else {
@@ -476,8 +494,8 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
             out_slots,
             ..
         } => {
-            let ls = verify_node(left, pass, path)?;
-            let rs = verify_node(right, pass, path)?;
+            let ls = verify_node(left, walk, path)?;
+            let rs = verify_node(right, walk, path)?;
             if ls.len() != *nl || rs.len() != *nr {
                 return Err(violation(
                     pass,
@@ -516,8 +534,7 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
             output,
             ..
         } => {
-            let in_schema = verify_node(input, pass, path)?;
-            let mut exprs: Vec<&ScalarExpr> = Vec::new();
+            let in_schema = verify_node(input, walk, path)?;
             let mut types = Vec::with_capacity(group_by.len() + aggs.len());
             for (i, g) in group_by.iter().enumerate() {
                 types.push(check_expr(
@@ -527,7 +544,6 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                     path,
                     &format!("group key {i}"),
                 )?);
-                exprs.push(g);
             }
             for (j, call) in aggs.iter().enumerate() {
                 let ty = typecheck::agg_type(call, &in_schema).map_err(|err| {
@@ -544,11 +560,7 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                     )
                 })?;
                 types.push(ty);
-                if let Some(arg) = &call.arg {
-                    exprs.push(arg);
-                }
             }
-            check_dop(plan, &exprs, pass, path)?;
             // Witness output: the group's columns, then the input row
             // itself — every later slot reference is checked against it.
             Ok(match output {
@@ -556,14 +568,10 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                 AggOutput::Witnesses => synthesized(types).join(&in_schema),
             })
         }
-        PhysicalPlan::HashDistinct { input, .. } => {
-            let in_schema = verify_node(input, pass, path)?;
-            check_dop(plan, &[], pass, path)?;
-            Ok(in_schema)
-        }
+        PhysicalPlan::HashDistinct { input, .. } => verify_node(input, walk, path),
         PhysicalPlan::HashSetOp { left, right, .. } => {
-            let ls = verify_node(left, pass, path)?;
-            let rs = verify_node(right, pass, path)?;
+            let ls = verify_node(left, walk, path)?;
+            let rs = verify_node(right, walk, path)?;
             if ls.len() != rs.len() {
                 return Err(violation(
                     pass,
@@ -572,20 +580,22 @@ fn verify_node(plan: &PhysicalPlan, pass: &str, path: &str) -> Result<Schema> {
                     format!("sides have {} and {} columns", ls.len(), rs.len()),
                 ));
             }
-            check_dop(plan, &[], pass, path)?;
             Ok(ls)
         }
         PhysicalPlan::Sort { input, keys, .. } => {
-            let in_schema = verify_node(input, pass, path)?;
-            let mut exprs: Vec<&ScalarExpr> = Vec::with_capacity(keys.len());
+            let in_schema = verify_node(input, walk, path)?;
             for (i, k) in keys.iter().enumerate() {
                 check_expr(&k.expr, &in_schema, pass, path, &format!("sort key {i}"))?;
-                exprs.push(&k.expr);
             }
-            check_dop(plan, &exprs, pass, path)?;
             Ok(in_schema)
         }
-        PhysicalPlan::Limit { input, .. } => verify_node(input, pass, path),
+        PhysicalPlan::Limit { input, .. } => verify_node(input, walk, path),
+        PhysicalPlan::SubPlans { .. } => Err(violation(
+            pass,
+            "schema-consistency",
+            path,
+            "sublink bodies are held at the statement root only",
+        )),
     }
 }
 

@@ -10,9 +10,9 @@
 //!    interpreter [`perm_exec::eval::eval`] — same values *and* same
 //!    errors.
 //! 2. **Hash operators vs. nested loops** — random join/filter/aggregate
-//!    plans over random tables must produce identical multisets through
-//!    `Executor::new` (hash joins, fused projections) and
-//!    `Executor::new_nested_loop_only`.
+//!    plans over random tables must produce identical multisets lowered
+//!    by the default [`perm_exec::PhysicalPlanner`] (hash joins, fused
+//!    projections) and by one with `nested_loop_only(true)`.
 //! 3. **The two-phase optimizer vs. raw execution** — the same random
 //!    plans (with a random projection on top, and an index on one join
 //!    column) run through the full logical pass (filter pushdown, LEFT
@@ -45,7 +45,10 @@ use proptest::prelude::*;
 use perm_algebra::expr::{AggCall, AggFunc, BinOp, ScalarExpr, ScalarFunc, UnOp};
 use perm_algebra::plan::{AggOutput, JoinType, LogicalPlan, SetOpType};
 use perm_exec::eval::{eval, Env};
-use perm_exec::{optimize_verified, CatalogStats, CompiledExpr, Executor, MemoryPool, QueryMemory};
+use perm_exec::{
+    optimize_verified, CatalogStats, CompiledExpr, Executor, MemoryPool, PhysicalPlan,
+    PhysicalPlanner, QueryMemory,
+};
 use perm_storage::{Catalog, Table};
 use perm_types::{Column, DataType, QueryContext, Schema, Tuple, Value};
 
@@ -527,6 +530,26 @@ fn build_plan(case: &PlanCase, cat: &Catalog) -> LogicalPlan {
     plan
 }
 
+/// `plan` lowered with the default planner settings, then run.
+fn run(cat: &Arc<Catalog>, plan: &LogicalPlan) -> perm_types::Result<Vec<Tuple>> {
+    Executor::new(Arc::clone(cat)).run_physical(&PhysicalPlanner::new(cat).plan(plan))
+}
+
+/// The nested-loop reference: `plan` lowered with every join a nested
+/// loop, then run.
+fn run_nlj(cat: &Arc<Catalog>, plan: &LogicalPlan) -> perm_types::Result<Vec<Tuple>> {
+    let physical = PhysicalPlanner::new(cat).nested_loop_only(true).plan(plan);
+    Executor::new(Arc::clone(cat)).run_physical(&physical)
+}
+
+/// `plan` lowered at DOP cap `dop` with row threshold `threshold`.
+fn lower_at(cat: &Catalog, plan: &LogicalPlan, dop: usize, threshold: usize) -> PhysicalPlan {
+    PhysicalPlanner::new(cat)
+        .max_parallelism(dop)
+        .parallel_threshold(threshold)
+        .plan(plan)
+}
+
 fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
     rows.sort_by(|a, b| {
         for (x, y) in a.values().iter().zip(b.values()) {
@@ -620,7 +643,7 @@ proptest! {
         }
 
         let cat = Arc::new(cat);
-        let reference = Executor::new_nested_loop_only(Arc::clone(&cat)).run(&plan);
+        let reference = run_nlj(&cat, &plan);
         // The static verifier re-checks every optimizer phase on the way
         // (schema preservation, slot bounds, typing) and rejects the plan
         // with the responsible pass named.
@@ -629,10 +652,10 @@ proptest! {
             Err(e) => return Err(TestCaseError::fail(format!("verifier: {e}"))),
         };
         // The cost-based lowering must satisfy the physical invariants too.
-        if let Err(e) = perm_exec::PhysicalPlanner::new(&cat).plan_verified(&optimized_plan) {
+        if let Err(e) = PhysicalPlanner::new(&cat).plan_verified(&optimized_plan) {
             return Err(TestCaseError::fail(format!("physical verifier: {e}")));
         }
-        let optimized = Executor::new(Arc::clone(&cat)).run(&optimized_plan);
+        let optimized = run(&cat, &optimized_plan);
         match (reference, optimized) {
             (Ok(a), Ok(b)) => prop_assert_eq!(
                 sorted(a),
@@ -692,19 +715,16 @@ proptest! {
         };
         // Verify the *parallelized* lowering (forced DOP, threshold 1):
         // dop bounds, serial-only operators, sublink pipelines.
-        if let Err(e) = perm_exec::PhysicalPlanner::new(&cat)
+        if let Err(e) = PhysicalPlanner::new(&cat)
             .max_parallelism(3)
             .parallel_threshold(1)
             .plan_verified(&optimized)
         {
             return Err(TestCaseError::fail(format!("parallel verifier: {e}")));
         }
-        let serial = Executor::new(Arc::clone(&cat))
-            .with_parallelism(1, 2)
-            .run(&optimized);
-        let parallel = Executor::new(Arc::clone(&cat))
-            .with_parallelism(3, 1)
-            .run(&optimized);
+        let serial = Executor::new(Arc::clone(&cat)).run_physical(&lower_at(&cat, &optimized, 1, 2));
+        let parallel =
+            Executor::new(Arc::clone(&cat)).run_physical(&lower_at(&cat, &optimized, 3, 1));
         match (serial, parallel) {
             // Exact equality, order included: every parallel operator
             // reassembles morsel/chunk results in serial order.
@@ -795,7 +815,7 @@ proptest! {
             Err(e) => return Err(TestCaseError::fail(format!("verifier: {e}"))),
         };
         for dop in [1usize, 3] {
-            let physical = match perm_exec::PhysicalPlanner::new(&cat)
+            let physical = match PhysicalPlanner::new(&cat)
                 .max_parallelism(dop)
                 .parallel_threshold(1)
                 .plan_verified(&optimized)
@@ -835,10 +855,10 @@ proptest! {
             // LIMIT — the error only if the cut reaches it. (Pruning may
             // leave a projection above the LIMIT.)
             let mut node = &physical;
-            while let perm_exec::PhysicalPlan::Project { input, .. } = node {
+            while let PhysicalPlan::Project { input, .. } = node {
                 node = input;
             }
-            let perm_exec::PhysicalPlan::Limit { input, .. } = node else {
+            let PhysicalPlan::Limit { input, .. } = node else {
                 return Err(TestCaseError::fail(format!("LIMIT planned away: {physical:?}")));
             };
             let mut pulled = Vec::new();
@@ -955,14 +975,12 @@ proptest! {
             Err(e) => return Err(TestCaseError::fail(format!("verifier: {e}"))),
         };
         let (dop, threshold) = if parallel { (3, 1) } else { (1, 2) };
-        let in_memory = Executor::new(Arc::clone(&cat))
-            .with_parallelism(dop, threshold)
-            .run(&optimized);
+        let physical = lower_at(&cat, &optimized, dop, threshold);
+        let in_memory = Executor::new(Arc::clone(&cat)).run_physical(&physical);
         let pool = MemoryPool::with_budget(1);
         let spilled = Executor::new(Arc::clone(&cat))
-            .with_parallelism(dop, threshold)
             .with_memory(QueryMemory::new(pool.clone(), None))
-            .run(&optimized);
+            .run_physical(&physical);
         match (in_memory, spilled) {
             // Exact equality, order included — spilling is invisible.
             (Ok(m), Ok(s)) => prop_assert_eq!(m, s, "spill diverges for {:?}", case),
@@ -1077,26 +1095,24 @@ proptest! {
         };
         let (dop, threshold) = if parallel { (3, 1) } else { (1, 2) };
         // The lowering must satisfy the physical invariants.
-        if let Err(e) = perm_exec::PhysicalPlanner::new(&cat)
+        let physical = match PhysicalPlanner::new(&cat)
             .max_parallelism(dop)
             .parallel_threshold(threshold)
             .plan_verified(&optimized)
         {
-            return Err(TestCaseError::fail(format!("physical verifier: {e}")));
-        }
+            Ok(p) => p,
+            Err(e) => return Err(TestCaseError::fail(format!("physical verifier: {e}"))),
+        };
         let run = |columnar: bool| {
-            let exec = Executor::new(Arc::clone(&cat))
-                .with_parallelism(dop, threshold)
-                .with_columnar(columnar)
-                .with_verification(true);
+            let exec = Executor::new(Arc::clone(&cat)).with_columnar(columnar);
             if spill {
                 let pool = MemoryPool::with_budget(1);
                 let r = exec
                     .with_memory(QueryMemory::new(pool.clone(), None))
-                    .run(&optimized);
+                    .run_physical(&physical);
                 (r, Some(pool))
             } else {
-                (exec.run(&optimized), None)
+                (exec.run_physical(&physical), None)
             }
         };
         let (row, row_pool) = run(false);
@@ -1147,26 +1163,23 @@ proptest! {
         let cat = tables(&case, false);
         let plan = build_plan(&case, &cat);
         let cat = Arc::new(cat);
-        let reference = Executor::new_nested_loop_only(Arc::clone(&cat))
-            .run(&plan)
-            .expect("generated plans have no failing expressions");
+        let reference = run_nlj(&cat, &plan).expect("generated plans have no failing expressions");
         let optimized = match optimize_verified(plan, &CatalogStats(&cat)) {
             Ok(p) => p,
             Err(e) => return Err(TestCaseError::fail(format!("verifier: {e}"))),
         };
         let (dop, threshold) = if parallel { (3, 1) } else { (1, 2) };
+        let physical = lower_at(&cat, &optimized, dop, threshold);
         let ctx = QueryContext::new(42, Some(Duration::from_micros(cancel_after_us)), None);
-        let exec = Executor::new(Arc::clone(&cat))
-            .with_parallelism(dop, threshold)
-            .with_context(ctx);
+        let exec = Executor::new(Arc::clone(&cat)).with_context(ctx);
         let (result, pool) = if spill {
             let pool = MemoryPool::with_budget(1);
             let r = exec
                 .with_memory(QueryMemory::new(pool.clone(), None))
-                .run(&optimized);
+                .run_physical(&physical);
             (r, Some(pool))
         } else {
-            (exec.run(&optimized), None)
+            (exec.run_physical(&physical), None)
         };
         match result {
             Ok(rows) => prop_assert_eq!(
@@ -1202,8 +1215,8 @@ proptest! {
         }
 
         let cat = Arc::new(cat);
-        let hash = Executor::new(Arc::clone(&cat)).run(&plan);
-        let nlj = Executor::new_nested_loop_only(cat).run(&plan);
+        let hash = run(&cat, &plan);
+        let nlj = run_nlj(&cat, &plan);
         match (hash, nlj) {
             (Ok(h), Ok(n)) => prop_assert_eq!(
                 sorted(h),

@@ -16,10 +16,14 @@
 //!   witness aggregate (self-join-back) and for moving a filter below an
 //!   aggregate (group-key-pushdown), the witness schema, the
 //!   provenance-rewrite contract, sublink parameters (param-binding);
-//! * physical ([`perm_exec::verify_physical`]): operator arity plumbing
-//!   and the parallel-legality rules of the morsel runtime (sublink
+//! * physical ([`perm_exec::verify_physical`]): operator arity plumbing,
+//!   the parallel-legality rules of the morsel runtime (sublink
 //!   pipelines, FULL joins, DISTINCT aggregates and UNION ALL appends
-//!   must be serial; dop is bounded by the worker pool).
+//!   must be serial; dop is bounded by the worker pool), and the lowered
+//!   sublink bodies a statement carries (sublink-lowered, and every
+//!   check above inside each body).
+
+use std::sync::Arc;
 
 use perm_algebra::expr::{AggCall, AggFunc, ScalarExpr, SubqueryExpr, SubqueryKind};
 use perm_algebra::plan::{AggOutput, JoinType, LogicalPlan, SetOpType, SortKey};
@@ -27,7 +31,7 @@ use perm_algebra::verify::{
     branches_disjoint, is_self_join_back, verify_aggregate_pushdown, verify_distinct_pushdown,
     verify_join_back_collapse, verify_logical, verify_provenance_schema, verify_schema_preserved,
 };
-use perm_exec::physical::{BuildSide, EquiKey, PhysicalPlan};
+use perm_exec::physical::{BuildSide, EquiKey, PhysicalPlan, SubPlan};
 use perm_exec::verify_physical;
 use perm_types::{Column, DataType, Schema, Value};
 
@@ -57,7 +61,7 @@ fn values(n: usize) -> Box<PhysicalPlan> {
 fn exists_sublink() -> ScalarExpr {
     ScalarExpr::Subquery(SubqueryExpr {
         kind: SubqueryKind::Exists,
-        plan: Box::new(LogicalPlan::Values {
+        plan: Arc::new(LogicalPlan::Values {
             rows: vec![vec![ScalarExpr::Literal(Value::Int(1))]],
             schema: Schema::new(vec![Column::new("v", DataType::Int)]),
         }),
@@ -201,7 +205,7 @@ fn mistyped_or_unbound_param_is_param_binding_violation() {
         );
         ScalarExpr::Subquery(SubqueryExpr {
             kind: SubqueryKind::Exists,
-            plan: Box::new(body),
+            plan: Arc::new(body),
             negated: false,
             operand: None,
             // $0 = the enclosing row's `b`, a text column.
@@ -870,4 +874,43 @@ fn violations_name_the_node_path() {
     let err = verify_physical(&plan, "physical-planning").unwrap_err();
     let msg = err.message().to_string();
     assert!(msg.contains("HashDistinct > Project"), "{msg}");
+}
+
+#[test]
+fn corrupted_sublink_body_is_reported_through_its_sublink() {
+    // A statement's root holds its lowered sublink bodies; the verifier
+    // checks each body where its sublink is evaluated, so a violation
+    // inside one names a path through the sublink.
+    let sublink = exists_sublink();
+    let ScalarExpr::Subquery(sq) = &sublink else {
+        unreachable!("exists_sublink builds a sublink")
+    };
+    let statement = |lowered: PhysicalPlan| PhysicalPlan::SubPlans {
+        input: Box::new(PhysicalPlan::Filter {
+            input: values(1),
+            predicate: sublink.clone(),
+        }),
+        subplans: vec![SubPlan {
+            body: Arc::clone(&sq.plan),
+            plan: lowered,
+        }]
+        .into(),
+    };
+    verify_physical(&statement(*values(1)), "physical-planning").unwrap();
+    // The lowered body projects a slot its input does not have.
+    let corrupted = PhysicalPlan::Project {
+        input: values(1),
+        exprs: vec![ScalarExpr::Column(3)],
+    };
+    let err = verify_physical(&statement(corrupted), "physical-planning").unwrap_err();
+    assert_names(&err, "slot-bounds", "physical-planning");
+    let msg = err.message().to_string();
+    assert!(msg.contains("at Filter > SubPlan 0 > Project"), "{msg}");
+    // A sublink whose body was never lowered with its statement.
+    let unlowered = PhysicalPlan::Filter {
+        input: values(1),
+        predicate: exists_sublink(),
+    };
+    let err = verify_physical(&unlowered, "physical-planning").unwrap_err();
+    assert_names(&err, "sublink-lowered", "physical-planning");
 }

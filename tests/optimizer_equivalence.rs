@@ -10,22 +10,31 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
+use perm_algebra::LogicalPlan;
 use perm_core::fixtures::{forum_db, Q1, Q3, SEC24_PROVENANCE_AGG};
 use perm_core::{PermServer, Session, StatementResult, Tuple};
-use perm_exec::{optimize, Executor};
+use perm_exec::{optimize, Executor, PhysicalPlanner};
+
+/// `plan` lowered by the default physical planner and run over a fresh
+/// snapshot of `db`, with the columnar switch at `columnar`.
+fn execute(db: &Session, plan: &LogicalPlan, columnar: bool) -> perm_core::Result<Vec<Tuple>> {
+    let snapshot = db.snapshot();
+    let physical = PhysicalPlanner::new(&snapshot).plan(plan);
+    Executor::new(snapshot)
+        .with_columnar(columnar)
+        .run_physical(&physical)
+}
 
 /// Execute `sql` with and without the optimizer; return both row bags.
 /// The optimizer must hand back the bound plan's columns — order, names
 /// and types — whatever it did below the root.
 fn both_ways(db: &Session, sql: &str) -> (Vec<Tuple>, Vec<Tuple>) {
     let plan = db.bind_sql(sql).expect("binds");
-    let raw = Executor::new(db.snapshot()).run(&plan).expect("raw runs");
+    let raw = execute(db, &plan, true).expect("raw runs");
     let columns = plan.schema().clone();
     let optimized_plan = optimize(plan);
     assert_eq!(optimized_plan.schema(), &columns, "columns of {sql:?}");
-    let optimized = Executor::new(db.snapshot())
-        .run(&optimized_plan)
-        .expect("optimized runs");
+    let optimized = execute(db, &optimized_plan, true).expect("optimized runs");
     (raw, optimized)
 }
 
@@ -237,10 +246,7 @@ fn correlated_sublinks_return_their_decorrelated_bags() {
     let run = |sql: &str, optimized: bool, columnar: bool| -> Vec<Tuple> {
         let plan = db.bind_sql(sql).expect("binds");
         let plan = if optimized { optimize(plan) } else { plan };
-        Executor::new(db.snapshot())
-            .with_columnar(columnar)
-            .run(&plan)
-            .unwrap_or_else(|e| panic!("{sql}: {e}"))
+        execute(&db, &plan, columnar).unwrap_or_else(|e| panic!("{sql}: {e}"))
     };
     for (sql, decorrelated) in &cases {
         let expected = run(decorrelated, false, false);
@@ -299,7 +305,7 @@ fn witness_aggregates_deparse_to_their_join_back() {
         SEC24_PROVENANCE_AGG,
     ] {
         let optimized = optimize(db.bind_sql(sql).expect("binds"));
-        let rows = Executor::new(db.snapshot()).run(&optimized).unwrap();
+        let rows = execute(&db, &optimized, true).unwrap();
         let deparsed = perm_algebra::deparse(&optimized);
         assert!(
             !sql.contains("GROUP BY a.mid") || deparsed.contains("LEFT JOIN"),

@@ -63,10 +63,18 @@
 //!     drops whichever of those it forgets — a worker that never sees
 //!     the cancel token, or runs the row interpreter under a columnar
 //!     parent.
+//! 13. **`PhysicalPlanner::new(` only in `physical.rs` and
+//!     `session.rs`** — one lowering site per crate: `perm-exec`'s own
+//!     `plan_physical`, and the session, which lowers every statement
+//!     (its sublink bodies included) under the session's options. An
+//!     executor that lowered plans itself would run sublink bodies under
+//!     a second copy of the planner settings and cache them outside the
+//!     statement.
 //!
 //! Test code (files under a `tests` directory, `*/tests.rs`, and
 //! `#[cfg(test)]` modules, tracked by brace depth) is exempt from rules
-//! 1–3 and 12: tests may unwrap, spawn and build executors freely.
+//! 1–3, 12 and 13: tests may unwrap, spawn, and build executors and
+//! planners freely.
 //!
 //! Deliberately `std`-only and line-based: the handful of false-positive
 //! shapes a real parser would handle (braces in string literals are
@@ -149,6 +157,10 @@ const CANCEL_CHECK_FILES: &[&str] = &[
 /// allowed to construct an `Executor` directly.
 const EXECUTOR_CTOR_CHECKED: &str = "crates/exec/src/";
 const EXECUTOR_CTOR_ALLOWED: &str = "crates/exec/src/executor.rs";
+
+/// The files allowed to construct a `PhysicalPlanner` (rule 13).
+const PLANNER_CTOR_ALLOWED: &[&str] =
+    &["crates/exec/src/physical.rs", "crates/core/src/session.rs"];
 
 /// Calls that count as a cooperative cancellation check (rule 11):
 /// `Executor::check_cancelled` and `QueryContext::check`.
@@ -426,6 +438,7 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
     let cancel_checked = !test_file && matches_any(rel, CANCEL_CHECK_FILES);
     let executor_ctor_checked =
         !test_file && rel.starts_with(EXECUTOR_CTOR_CHECKED) && rel != EXECUTOR_CTOR_ALLOWED;
+    let planner_ctor_checked = !test_file && !PLANNER_CTOR_ALLOWED.contains(&rel);
 
     let lines: Vec<&str> = source.lines().collect();
     let mut scope = TestScope::default();
@@ -598,6 +611,17 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
                     "executor-ctor-confined",
                     "`Executor::new(` outside executor.rs; build worker executors with \
                      `Executor::worker_factory` so they inherit the parent's context"
+                        .into(),
+                );
+            }
+
+            // Rule 13: one lowering site per crate.
+            if planner_ctor_checked && code.contains("PhysicalPlanner::new(") {
+                report(
+                    "planner-ctor-confined",
+                    "`PhysicalPlanner::new(` outside physical.rs/session.rs; lower through \
+                     the session's planner (or `plan_physical`) so sublink bodies are lowered \
+                     with their statement"
                         .into(),
                 );
             }
@@ -1086,6 +1110,26 @@ mod tests {
         assert!(run("crates/exec/tests/equivalence_props.rs", src).is_empty());
         let in_test_mod = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
         assert!(run("crates/exec/src/operators/spill.rs", &in_test_mod).is_empty());
+    }
+
+    #[test]
+    fn planners_are_constructed_only_in_physical_rs_and_session_rs() {
+        let src = "fn f(c: &Catalog) -> PhysicalPlan { PhysicalPlanner::new(c).plan(p) }\n";
+        for file in [
+            "crates/exec/src/executor.rs",
+            "crates/exec/src/stream.rs",
+            "crates/core/src/write.rs",
+            "crates/core/src/prepared.rs",
+        ] {
+            assert_eq!(run(file, src), ["planner-ctor-confined"], "{file}");
+        }
+        assert!(run("crates/exec/src/physical.rs", src).is_empty());
+        assert!(run("crates/core/src/session.rs", src).is_empty());
+        // Tests lower freely.
+        assert!(run("crates/exec/src/tests.rs", src).is_empty());
+        assert!(run("crates/exec/tests/equivalence_props.rs", src).is_empty());
+        let in_test_mod = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(run("crates/exec/src/executor.rs", &in_test_mod).is_empty());
     }
 
     #[test]
