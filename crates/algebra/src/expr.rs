@@ -519,7 +519,7 @@ impl ScalarExpr {
 
     /// Pre-order visit of the expression tree (depth 0; visits the sublink
     /// node, its operand and its `outer_refs`, not its body).
-    pub fn visit(&self, f: &mut impl FnMut(&ScalarExpr)) {
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a ScalarExpr)) {
         f(self);
         match self {
             ScalarExpr::Literal(_) | ScalarExpr::Column(_) | ScalarExpr::Param { .. } => {}
@@ -640,23 +640,27 @@ impl fmt::Display for ScalarExpr {
                 }
                 write!(f, ")")
             }
-            ScalarExpr::Subquery(sq) => {
-                let neg = if sq.negated { "NOT " } else { "" };
-                // A correlated body lists what its parameters bind to:
-                // `<subquery $0=#1>`.
-                let mut body = String::from("<subquery");
-                for (i, e) in sq.outer_refs.iter().enumerate() {
-                    body.push_str(&format!(" ${i}={e}"));
-                }
-                body.push('>');
-                match sq.kind {
-                    SubqueryKind::Scalar => write!(f, "({body})"),
-                    SubqueryKind::Exists => write!(f, "{neg}EXISTS({body})"),
-                    SubqueryKind::In => {
-                        let op = sq.operand.as_deref().expect("IN has operand");
-                        write!(f, "({op} {neg}IN {body})")
-                    }
-                }
+            ScalarExpr::Subquery(sq) => write!(f, "{sq}"),
+        }
+    }
+}
+
+impl fmt::Display for SubqueryExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let neg = if self.negated { "NOT " } else { "" };
+        // A correlated body lists what its parameters bind to:
+        // `<subquery $0=#1>`.
+        let mut body = String::from("<subquery");
+        for (i, e) in self.outer_refs.iter().enumerate() {
+            body.push_str(&format!(" ${i}={e}"));
+        }
+        body.push('>');
+        match self.kind {
+            SubqueryKind::Scalar => write!(f, "({body})"),
+            SubqueryKind::Exists => write!(f, "{neg}EXISTS({body})"),
+            SubqueryKind::In => {
+                let op = self.operand.as_deref().expect("IN has operand");
+                write!(f, "({op} {neg}IN {body})")
             }
         }
     }

@@ -13,7 +13,8 @@
 //!   the [`catalog::ProvenanceTransform`] trait when `SELECT PROVENANCE`
 //!   appears;
 //! * [`printer`] / [`deparse()`] — the algebra-tree and SQL renderings the
-//!   Perm-browser shows (Figure 4 markers 2–4);
+//!   Perm-browser shows (Figure 4 markers 2–4); the printer's walker also
+//!   draws `perm-exec`'s physical plans for `EXPLAIN`;
 //! * [`verify`] — the static plan verifier that checks operator/child
 //!   schema consistency, expression typing and the provenance-rewrite
 //!   contract after every plan transformation in debug and test builds.

@@ -5,6 +5,8 @@
 //! Figure 3). Every operator knows its output [`Schema`]; expressions are
 //! positional over the concatenation of the child schemas.
 
+use std::fmt;
+
 use perm_types::{Column, DataType, PermError, Result, Schema};
 
 use crate::expr::{AggCall, ScalarExpr};
@@ -14,6 +16,12 @@ use crate::expr::{AggCall, ScalarExpr};
 pub struct SortKey {
     pub expr: ScalarExpr,
     pub desc: bool,
+}
+
+impl fmt::Display for SortKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}{}", self.expr, if self.desc { " DESC" } else { "" })
+    }
 }
 
 /// Join types. `Semi`/`Anti` are produced by sublink unnesting and keep only
@@ -247,56 +255,36 @@ impl LogicalPlan {
             .sum::<usize>()
     }
 
+    /// This node's own expressions (not its children's, nor the inside of
+    /// sublink bodies).
+    pub(crate) fn exprs(&self) -> Vec<&ScalarExpr> {
+        match self {
+            LogicalPlan::Values { rows, .. } => rows.iter().flatten().collect(),
+            LogicalPlan::Project { exprs, .. } => exprs.iter().collect(),
+            LogicalPlan::Filter { predicate, .. } => vec![predicate],
+            LogicalPlan::Join { condition, .. } => condition.iter().collect(),
+            LogicalPlan::Aggregate { group_by, aggs, .. } => (group_by.iter())
+                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+                .collect(),
+            LogicalPlan::Sort { keys, .. } => keys.iter().map(|k| &k.expr).collect(),
+            LogicalPlan::Scan { .. }
+            | LogicalPlan::Distinct { .. }
+            | LogicalPlan::SetOp { .. }
+            | LogicalPlan::Limit { .. }
+            | LogicalPlan::Boundary { .. } => vec![],
+        }
+    }
+
     /// Visit every expression of every node in the plan, including inside
     /// sublink subplans.
     pub fn visit_all_exprs(&self, f: &mut impl FnMut(&ScalarExpr)) {
-        let mut handle = |e: &ScalarExpr| {
+        for e in self.exprs() {
             f(e);
             e.visit(&mut |n| {
                 if let ScalarExpr::Subquery(sq) = n {
                     sq.plan.visit_all_exprs(f);
                 }
             });
-        };
-        match self {
-            LogicalPlan::Scan { .. } => {}
-            LogicalPlan::Values { rows, .. } => {
-                for row in rows {
-                    for e in row {
-                        handle(e);
-                    }
-                }
-            }
-            LogicalPlan::Project { exprs, .. } => {
-                for e in exprs {
-                    handle(e);
-                }
-            }
-            LogicalPlan::Filter { predicate, .. } => handle(predicate),
-            LogicalPlan::Join { condition, .. } => {
-                if let Some(c) = condition {
-                    handle(c);
-                }
-            }
-            LogicalPlan::Aggregate { group_by, aggs, .. } => {
-                for e in group_by {
-                    handle(e);
-                }
-                for a in aggs {
-                    if let Some(arg) = &a.arg {
-                        handle(arg);
-                    }
-                }
-            }
-            LogicalPlan::Sort { keys, .. } => {
-                for k in keys {
-                    handle(&k.expr);
-                }
-            }
-            LogicalPlan::Distinct { .. }
-            | LogicalPlan::SetOp { .. }
-            | LogicalPlan::Limit { .. }
-            | LogicalPlan::Boundary { .. } => {}
         }
         for child in self.children() {
             child.visit_all_exprs(f);

@@ -7,7 +7,6 @@
 //! engine APIs; `examples/perm_browser.rs` wraps them in an interactive
 //! terminal client.
 
-use perm_algebra::{deparse, plan_tree, plan_tree_with_schema};
 use perm_types::Result;
 
 use crate::pipeline::StageTrace;
@@ -31,14 +30,16 @@ pub struct BrowserPanels {
 
 impl BrowserPanels {
     /// Execute `sql` through `session` and capture all five panels (one
-    /// browser per session can run against a shared catalog).
+    /// browser per session can run against a shared catalog). The trees
+    /// are the trace's own stage artifacts.
     pub fn capture(session: &Session, sql: &str) -> Result<BrowserPanels> {
         let trace = StageTrace::run(session, sql)?;
+        let [original, rewritten, ..] = trace.stages();
         Ok(BrowserPanels {
             input: sql.to_string(),
-            rewritten_sql: deparse(&trace.rewritten_plan),
-            original_tree: plan_tree(&trace.original_plan),
-            rewritten_tree: plan_tree_with_schema(&trace.rewritten_plan),
+            rewritten_sql: trace.rewritten_sql(),
+            original_tree: original.artifact,
+            rewritten_tree: rewritten.artifact,
             results: trace.result,
         })
     }

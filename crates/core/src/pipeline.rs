@@ -93,8 +93,8 @@ impl StageTrace {
 
     /// The Figure 3 stages (with the Planner split into its logical and
     /// physical phases) and their artifacts.
-    pub fn stages(&self) -> Vec<Stage> {
-        vec![
+    pub fn stages(&self) -> [Stage; 5] {
+        [
             Stage {
                 name: "Parser & Analyzer",
                 description: "syntactic and semantic analysis, view unfolding",

@@ -414,18 +414,9 @@ impl Session {
                 }
                 // EXPLAIN never executes, so it skips admission.
                 let planned = self.plan(&snapshot, plan)?;
-                let text = if verbose {
-                    // VERBOSE annotates each buffering operator with its
-                    // estimated peak memory and spill configuration.
-                    format!(
-                        "== logical (optimized) ==\n{}\n== physical ==\n{}",
-                        perm_algebra::plan_tree_with_schema(&planned.optimized),
-                        physical_tree_verbose(&planned.physical)
-                    )
-                } else {
-                    physical_tree(&planned.physical)
-                };
-                Ok(StatementResult::Explain(text))
+                Ok(StatementResult::Explain(explain_text(
+                    &planned, verbose, None,
+                )))
             }
             other => Err(PermError::Analysis(format!(
                 "query statement bound to {other:?}"
@@ -467,20 +458,32 @@ impl Session {
         }
         let planned = self.lower(snapshot, optimized, true)?;
         report.push_str("physical-planning: ok\n");
-        let text = if verbose {
-            format!(
-                "{report}\n== logical (optimized) ==\n{}\n== physical ==\n{}",
-                perm_algebra::plan_tree_with_schema(&planned.optimized),
-                physical_tree(&planned.physical)
-            )
-        } else {
-            format!(
-                "{report}\n== physical ==\n{}",
-                physical_tree(&planned.physical)
-            )
-        };
-        Ok(StatementResult::Explain(text))
+        Ok(StatementResult::Explain(explain_text(
+            &planned,
+            verbose,
+            Some(&report),
+        )))
     }
+}
+
+/// The text of `EXPLAIN [VERIFY] [VERBOSE]`: the verification `report`
+/// if there is one, then the plan. VERBOSE adds the optimized logical
+/// tree with its schemas and annotates each buffering operator of the
+/// physical tree with its estimated peak memory and spill configuration.
+fn explain_text(planned: &Planned, verbose: bool, report: Option<&str>) -> String {
+    let mut text = report.map_or_else(String::new, |r| format!("{r}\n"));
+    if verbose {
+        let logical = perm_algebra::plan_tree_with_schema(&planned.optimized);
+        text.push_str(&format!("== logical (optimized) ==\n{logical}\n"));
+    }
+    if verbose || report.is_some() {
+        text.push_str("== physical ==\n");
+    }
+    text.push_str(&match verbose {
+        true => physical_tree_verbose(&planned.physical),
+        false => physical_tree(&planned.physical),
+    });
+    text
 }
 
 // The whole point of the server API: handles and prepared plans move
@@ -711,6 +714,19 @@ pub(crate) mod tests {
             .collect::<Vec<_>>()
             .join("\n");
         assert!(text.contains("provenance-rewrite: ok"), "{text}");
+    }
+
+    #[test]
+    fn explain_verify_verbose_prints_the_verbose_physical_tree() {
+        let (_, session) = seeded();
+        let physical = |sql: &str| match session.execute(sql).unwrap() {
+            StatementResult::Explain(text) => text.split_once("== physical ==\n").unwrap().1.into(),
+            other => panic!("unexpected {other:?}"),
+        };
+        let q = "SELECT x FROM t ORDER BY y";
+        let verbose: String = physical(&format!("EXPLAIN VERBOSE {q}"));
+        assert!(verbose.contains("[est_mem≈"), "{verbose}");
+        assert_eq!(physical(&format!("EXPLAIN VERIFY VERBOSE {q}")), verbose);
     }
 
     #[test]

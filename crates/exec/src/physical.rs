@@ -40,6 +40,7 @@ use std::sync::Arc;
 
 use perm_algebra::expr::{AggCall, ScalarExpr, SubqueryExpr};
 use perm_algebra::plan::{AggOutput, JoinType, LogicalPlan, SetOpType, SortKey};
+use perm_algebra::printer::{self, list, PlanNode};
 use perm_algebra::stats::{estimate_rows, CardinalityEstimator};
 use perm_storage::Catalog;
 use perm_types::{Schema, Value};
@@ -254,7 +255,8 @@ pub enum PhysicalPlan {
     },
     /// The root of a statement with sublinks: its plan and the lowered
     /// body of every sublink in it, nested ones included (PostgreSQL's
-    /// `PlannedStmt.subplans`). `EXPLAIN` shows `input` alone.
+    /// `PlannedStmt.subplans`). `EXPLAIN` draws `input`, then each body
+    /// as a `SubPlan N` section, `N` its place in `subplans` plus one.
     SubPlans {
         input: Box<PhysicalPlan>,
         subplans: Arc<[SubPlan]>,
@@ -373,6 +375,15 @@ impl PhysicalPlan {
         }
     }
 
+    /// The statement's plan and its lowered sublink bodies: a
+    /// [`PhysicalPlan::SubPlans`] root's parts, or `self` and none.
+    pub(crate) fn statement(&self) -> (&PhysicalPlan, &[SubPlan]) {
+        match self {
+            PhysicalPlan::SubPlans { input, subplans } => (input, subplans),
+            root => (root, &[]),
+        }
+    }
+
     /// Count of plan nodes (diagnostics and tests).
     pub fn node_count(&self) -> usize {
         1 + self
@@ -382,14 +393,11 @@ impl PhysicalPlan {
             .sum::<usize>()
     }
 
-    /// One-line operator description for [`physical_tree`].
+    /// One-line operator description: the label [`physical_tree`] draws,
+    /// before its `[dop=…]` and verbose suffixes.
     fn describe(&self) -> String {
         fn rows(est: f64) -> String {
             format!("  (~{} rows)", est.round() as i64)
-        }
-        fn exprs(es: &[ScalarExpr]) -> String {
-            let v: Vec<String> = es.iter().map(|e| e.to_string()).collect();
-            v.join(", ")
         }
         match self {
             PhysicalPlan::FusedScanProjectFilter {
@@ -407,7 +415,7 @@ impl PhysicalPlan {
                         let _ = write!(s, " filter={f}");
                     }
                     if let Some(p) = project {
-                        let _ = write!(s, " project=[{}]", exprs(p));
+                        let _ = write!(s, " project=[{}]", list(p));
                     }
                     s.push_str(&rows(*est_rows));
                     s
@@ -427,13 +435,13 @@ impl PhysicalPlan {
                     let _ = write!(s, " filter={r}");
                 }
                 if let Some(p) = project {
-                    let _ = write!(s, " project=[{}]", exprs(p));
+                    let _ = write!(s, " project=[{}]", list(p));
                 }
                 s.push_str(&rows(*est_rows));
                 s
             }
             PhysicalPlan::Values { rows, .. } => format!("Values({} rows)", rows.len()),
-            PhysicalPlan::Project { exprs: es, .. } => format!("Project [{}]", exprs(es)),
+            PhysicalPlan::Project { exprs, .. } => format!("Project [{}]", list(exprs)),
             PhysicalPlan::Filter { predicate, .. } => format!("Filter {predicate}"),
             PhysicalPlan::HashJoin {
                 kind,
@@ -444,22 +452,15 @@ impl PhysicalPlan {
                 est_rows,
                 ..
             } => {
-                let ks: Vec<String> = keys
-                    .iter()
-                    .map(|k| {
-                        let op = if k.null_safe { "<=>" } else { "=" };
-                        format!("{} {op} {}", k.left, k.right)
-                    })
-                    .collect();
-                let mut s = format!(
-                    "HashJoin({}, build={}) on [{}]",
-                    kind.name(),
-                    match build_side {
-                        BuildSide::Left => "left",
-                        BuildSide::Right => "right",
-                    },
-                    ks.join(", ")
-                );
+                let keys = list(keys.iter().map(|k| {
+                    let op = if k.null_safe { "<=>" } else { "=" };
+                    format!("{} {op} {}", k.left, k.right)
+                }));
+                let build = match build_side {
+                    BuildSide::Left => "left",
+                    BuildSide::Right => "right",
+                };
+                let mut s = format!("HashJoin({}, build={build}) on [{keys}]", kind.name());
                 if let Some(r) = residual {
                     let _ = write!(s, " residual={r}");
                 }
@@ -515,30 +516,19 @@ impl PhysicalPlan {
                 output,
                 ..
             } => {
-                let g: Vec<String> = group_by.iter().map(|e| e.to_string()).collect();
-                let a: Vec<String> = aggs.iter().map(|c| c.to_string()).collect();
                 let witnesses = match output {
                     AggOutput::Groups => "",
                     AggOutput::Witnesses => " emit=witnesses",
                 };
-                format!(
-                    "HashAggregate group=[{}] aggs=[{}]{witnesses}",
-                    g.join(", "),
-                    a.join(", ")
-                )
+                let (g, a) = (list(group_by), list(aggs));
+                format!("HashAggregate group=[{g}] aggs=[{a}]{witnesses}")
             }
             PhysicalPlan::HashDistinct { .. } => "HashDistinct".into(),
             PhysicalPlan::HashSetOp { op, all, .. } => match (op, all) {
                 (SetOpType::Union, true) => "Append".into(),
                 (op, all) => format!("Hash{}{}", op.name(), if *all { "All" } else { "" }),
             },
-            PhysicalPlan::Sort { keys, .. } => {
-                let k: Vec<String> = keys
-                    .iter()
-                    .map(|k| format!("{}{}", k.expr, if k.desc { " DESC" } else { "" }))
-                    .collect();
-                format!("Sort [{}]", k.join(", "))
-            }
+            PhysicalPlan::Sort { keys, .. } => format!("Sort [{}]", list(keys)),
             PhysicalPlan::Limit { limit, offset, .. } => match limit {
                 Some(l) => format!("Limit {l} offset {offset}"),
                 None => format!("Offset {offset}"),
@@ -548,69 +538,47 @@ impl PhysicalPlan {
     }
 }
 
-/// Render a physical plan as an indented ASCII tree (the `EXPLAIN`
-/// artifact).
+/// Render a physical plan as an indented ASCII tree, its sublink bodies
+/// as `SubPlan N` sections after it (the `EXPLAIN` artifact).
 pub fn physical_tree(plan: &PhysicalPlan) -> String {
-    let mut out = String::new();
-    render(plan, "", true, false, &mut out);
-    out
+    draw(plan, false)
 }
 
 /// Like [`physical_tree`], but every buffering operator's line also
 /// carries its estimated peak memory (`[est_mem≈…]`, from the same
-/// cardinality estimates the cost model uses) and its spill partition
-/// count when the operator may spill. This is the `EXPLAIN VERBOSE`
-/// artifact.
+/// cardinality estimates the cost model uses) and whether it may spill.
+/// This is the `EXPLAIN VERBOSE` artifact.
 pub fn physical_tree_verbose(plan: &PhysicalPlan) -> String {
-    let mut out = String::new();
-    render(plan, "", true, true, &mut out);
-    out
+    draw(plan, true)
 }
 
-fn render(plan: &PhysicalPlan, line_prefix: &str, is_last: bool, verbose: bool, out: &mut String) {
-    // Sublink bodies, and the node holding them, are not printed.
-    if let PhysicalPlan::SubPlans { input, .. } = plan {
-        return render(input, line_prefix, is_last, verbose, out);
+impl PlanNode for PhysicalPlan {
+    fn children(&self) -> Vec<&Self> {
+        PhysicalPlan::children(self)
     }
-    let is_root = out.is_empty();
-    let connector = if is_root {
-        ""
-    } else if is_last {
-        "└── "
-    } else {
-        "├── "
-    };
-    out.push_str(line_prefix);
-    out.push_str(connector);
-    out.push_str(&plan.describe());
-    if plan.dop() > 1 {
-        let _ = write!(out, " [dop={}]", plan.dop());
+    fn exprs(&self) -> Vec<&ScalarExpr> {
+        PhysicalPlan::exprs(self)
     }
-    if verbose {
-        let peak = node_peak_bytes(plan);
-        if peak > 0.0 {
-            let _ = write!(out, " [est_mem≈{}]", fmt_bytes(peak));
-            // A spilling node sizes its fanout at run time.
-            out.push_str(if plan.spill() {
-                " [spill=auto]"
-            } else {
-                " [spill=never]"
-            });
+}
+
+fn draw(plan: &PhysicalPlan, verbose: bool) -> String {
+    let label = |node: &PhysicalPlan| {
+        let mut line = node.describe();
+        if node.dop() > 1 {
+            let _ = write!(line, " [dop={}]", node.dop());
         }
-    }
-    out.push('\n');
-    let child_prefix = if is_root {
-        String::new()
-    } else if is_last {
-        format!("{line_prefix}    ")
-    } else {
-        format!("{line_prefix}│   ")
+        let peak = if verbose { node_peak_bytes(node) } else { 0.0 };
+        if peak > 0.0 {
+            // A spilling node sizes its fanout at run time.
+            let spill = if node.spill() { "auto" } else { "never" };
+            let _ = write!(line, " [est_mem≈{}] [spill={spill}]", fmt_bytes(peak));
+        }
+        line
     };
-    let children = plan.children();
-    let n = children.len();
-    for (i, child) in children.into_iter().enumerate() {
-        render(child, &child_prefix, i == n - 1, verbose, out);
-    }
+    let (root, subplans) = plan.statement();
+    printer::draw(root, label, |sq| {
+        (subplans.iter().find(|s| Arc::ptr_eq(&s.body, &sq.plan))).map(|s| &s.plan)
+    })
 }
 
 /// Coarse per-value heap cost of the plan-time memory model (matches

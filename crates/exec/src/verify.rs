@@ -52,10 +52,7 @@ fn violation(pass: &str, invariant: &str, path: &str, detail: impl std::fmt::Dis
 /// typing over schemas derived bottom-up, and the parallel-legality
 /// rules. `pass` names the transformation that produced the plan.
 pub fn verify_physical(plan: &PhysicalPlan, pass: &str) -> Result<()> {
-    let (root, subplans) = match plan {
-        PhysicalPlan::SubPlans { input, subplans } => (&**input, &subplans[..]),
-        root => (root, &[][..]),
-    };
+    let (root, subplans) = plan.statement();
     verify_node(root, &Walk { pass, subplans }, "").map(drop)
 }
 
@@ -217,7 +214,7 @@ fn check_dop(plan: &PhysicalPlan, sublinks: bool, pass: &str, path: &str) -> Res
 /// Verify one node and return its output schema (types derived bottom-up;
 /// synthetic column names). The lowered body of each sublink in the
 /// node's expressions is verified like a plan, on a path through the
-/// sublink (`… > SubPlan i > …`, `i` its place in the statement's list).
+/// sublink (`… > SubPlan N > …`, numbered as `EXPLAIN` numbers it).
 fn verify_node(plan: &PhysicalPlan, walk: &Walk<'_>, path: &str) -> Result<Schema> {
     let name = label(plan);
     let path = if path.is_empty() {
@@ -239,7 +236,7 @@ fn verify_node(plan: &PhysicalPlan, walk: &Walk<'_>, path: &str) -> Result<Schem
         verify_node(
             &walk.subplans[i].plan,
             walk,
-            &format!("{path} > SubPlan {i}"),
+            &format!("{path} > SubPlan {}", i + 1),
         )?;
     }
     Ok(out)

@@ -905,7 +905,7 @@ fn corrupted_sublink_body_is_reported_through_its_sublink() {
     let err = verify_physical(&statement(corrupted), "physical-planning").unwrap_err();
     assert_names(&err, "slot-bounds", "physical-planning");
     let msg = err.message().to_string();
-    assert!(msg.contains("at Filter > SubPlan 0 > Project"), "{msg}");
+    assert!(msg.contains("at Filter > SubPlan 1 > Project"), "{msg}");
     // A sublink whose body was never lowered with its statement.
     let unlowered = PhysicalPlan::Filter {
         input: values(1),

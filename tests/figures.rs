@@ -253,3 +253,25 @@ fn fig4_panels_for_the_demo_queries() {
         assert!(!p.rewritten_sql.is_empty());
     }
 }
+
+#[test]
+fn fig3_fig4_show_sublink_bodies() {
+    // A sublink's body belongs to its statement: the original algebra
+    // tree (marker 3) and the Physical Planner stage both draw it as a
+    // `SubPlan` section after the main tree.
+    let db = forum_db();
+    let sql = "SELECT text FROM messages WHERE mid IN (SELECT mid FROM approved)";
+    let panels = BrowserPanels::capture(&db, sql).unwrap();
+    let [.., physical, _] = StageTrace::run(&db, sql).unwrap().stages();
+    assert_eq!(physical.name, "Physical Planner");
+    for tree in [&panels.original_tree, &physical.artifact] {
+        let (main, section) = tree
+            .split_once("SubPlan 1: (#0 IN <subquery>) [once]\n")
+            .unwrap();
+        assert!(
+            main.contains("Scan(messages)") && !main.contains("approved"),
+            "{tree}"
+        );
+        assert!(section.contains("Scan(approved)"), "{tree}");
+    }
+}

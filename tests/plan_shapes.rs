@@ -394,16 +394,26 @@ fn single_table_plans_are_pinned() {
 /// each: `nested`'s q keeps the one fused scan it had when column pruning
 /// skipped it, and a sublink filter over a join no longer keeps the
 /// join's leaves wide — `users` hands on its key alone, not a bare
-/// `SeqScan(users)` carrying `name`.
+/// `SeqScan(users)` carrying `name`. Each sublink body follows the tree
+/// as a `SubPlan` section, once, saying whether it runs once or per
+/// outer row and what its parameters bind to.
 #[test]
 fn sublink_plans_are_pinned() {
     let joined = "SELECT text FROM messages m JOIN users u ON m.uid = u.uid \
                   WHERE m.mid IN (SELECT mid FROM approved)";
+    let exists = "SELECT mid FROM messages m \
+                  WHERE EXISTS (SELECT 1 FROM approved a WHERE a.mid = m.mid)";
+    let count = "SELECT mid, (SELECT count(*) FROM approved a WHERE a.mid = m.mid) \
+                 FROM messages m";
+    let nested_in = "SELECT mid FROM messages m WHERE EXISTS (SELECT 1 FROM approved a \
+                     WHERE a.mid = m.mid AND a.uid IN (SELECT uid FROM users WHERE name <> 'zz'))";
     for indexes in [false, true] {
         let db = forum(SCALE, indexes);
         assert_eq!(
             explain(&db, NESTED),
-            "FusedScan(messages) filter=(#0 IN <subquery>) project=[#1]  (~100 rows)"
+            "FusedScan(messages) filter=(#0 IN <subquery>) project=[#1]  (~100 rows)\n\
+             SubPlan 1: (#0 IN <subquery>) [once]\n\
+             └── FusedScan(approved) project=[#1]  (~400 rows)"
         );
         assert_eq!(
             explain(&db, joined),
@@ -411,11 +421,38 @@ fn sublink_plans_are_pinned() {
              └── Filter (#0 IN <subquery>)\n    \
                  └── HashJoin(Inner, build=right) on [#2 = #0]  (~200 rows)\n        \
                      ├── SeqScan(messages)  (~200 rows)\n        \
-                     └── FusedScan(users) project=[#0]  (~20 rows)"
+                     └── FusedScan(users) project=[#0]  (~20 rows)\n\
+             SubPlan 1: (#0 IN <subquery>) [once]\n\
+             └── FusedScan(approved) project=[#1]  (~400 rows)"
+        );
+        assert_eq!(
+            explain(&db, exists),
+            "FusedScan(messages) filter=EXISTS(<subquery $0=#0>) project=[#0]  (~100 rows)\n\
+             SubPlan 1: EXISTS(<subquery $0=#0>) [per outer row: $0=#0]\n\
+             └── FusedScan(approved) filter=(#1 = $0) project=[1]  (~40 rows)"
+        );
+        assert_eq!(
+            explain(&db, count),
+            "FusedScan(messages) project=[#0, (<subquery $0=#0>)]  (~200 rows)\n\
+             SubPlan 1: (<subquery $0=#0>) [per outer row: $0=#0]\n\
+             └── HashAggregate group=[] aggs=[count(*)]\n    \
+                 └── FusedScan(approved) filter=(#1 = $0)  (~40 rows)"
+        );
+        // The uncorrelated `IN` inside the correlated body is numbered
+        // after it and runs once per statement, not per outer row.
+        assert_eq!(
+            explain(&db, nested_in),
+            "FusedScan(messages) filter=EXISTS(<subquery $0=#0>) project=[#0]  (~100 rows)\n\
+             SubPlan 1: EXISTS(<subquery $0=#0>) [per outer row: $0=#0]\n\
+             └── FusedScan(approved) filter=((#1 = $0) AND (#0 IN <subquery>)) project=[1]  \
+             (~20 rows)\n\
+             SubPlan 2: (#0 IN <subquery>) [once]\n\
+             └── FusedScan(users) filter=(#1 <> 'zz') project=[#0]  (~18 rows)"
         );
         let report = explain(&db, &format!("VERIFY {NESTED}"));
         for phase in perm_exec::LOGICAL_PHASES {
             assert!(report.contains(&format!("\n{phase}: ok\n")), "{report}");
         }
+        assert!(report.ends_with(&explain(&db, NESTED)), "{report}");
     }
 }

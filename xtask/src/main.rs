@@ -70,11 +70,16 @@
 //!     executor that lowered plans itself would run sublink bodies under
 //!     a second copy of the planner settings and cache them outside the
 //!     statement.
+//! 14. **Tree connectors (`├── `, `└── `) only in
+//!     `crates/algebra/src/printer.rs`** — one walker draws every plan
+//!     tree, logical and physical, with its sublink sections; a second
+//!     renderer would drift from it (it once dropped sublink bodies).
+//!     Read with string literals kept, comments removed.
 //!
 //! Test code (files under a `tests` directory, `*/tests.rs`, and
 //! `#[cfg(test)]` modules, tracked by brace depth) is exempt from rules
-//! 1–3, 12 and 13: tests may unwrap, spawn, and build executors and
-//! planners freely.
+//! 1–3 and 12–14: tests may unwrap, spawn, build executors and planners
+//! and pin drawn trees freely.
 //!
 //! Deliberately `std`-only and line-based: the handful of false-positive
 //! shapes a real parser would handle (braces in string literals are
@@ -161,6 +166,11 @@ const EXECUTOR_CTOR_ALLOWED: &str = "crates/exec/src/executor.rs";
 /// The files allowed to construct a `PhysicalPlanner` (rule 13).
 const PLANNER_CTOR_ALLOWED: &[&str] =
     &["crates/exec/src/physical.rs", "crates/core/src/session.rs"];
+
+/// The one file allowed to draw tree connectors (rule 14), and the
+/// connectors.
+const TREE_DRAWING_ALLOWED: &str = "crates/algebra/src/printer.rs";
+const TREE_CONNECTORS: &[&str] = &["├── ", "└── "];
 
 /// Calls that count as a cooperative cancellation check (rule 11):
 /// `Executor::check_cancelled` and `QueryContext::check`.
@@ -340,7 +350,7 @@ fn split_lines(rel: &str, source: &str) -> (usize, usize) {
     let mut scope = TestScope::default();
     let mut counts = (0, 0);
     for raw in source.lines() {
-        let code = strip_comments_and_strings(raw);
+        let code = strip_comments(raw, true);
         if scope.enter(&code) {
             counts.1 += 1;
         } else {
@@ -464,7 +474,7 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
 
     for (idx, &raw) in lines.iter().enumerate() {
         let lineno = idx + 1;
-        let code = strip_comments_and_strings(raw);
+        let code = strip_comments(raw, true);
 
         // `#[cfg(test)]` tracking first, so a single-line test module
         // is already exempt on its own line.
@@ -626,6 +636,20 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
                 );
             }
 
+            // Rule 14: one tree walker. Connectors are string literals,
+            // so this rule reads the line with its strings kept.
+            let uncommented = strip_comments(raw, false);
+            if rel != TREE_DRAWING_ALLOWED
+                && TREE_CONNECTORS.iter().any(|c| uncommented.contains(c))
+            {
+                report(
+                    "tree-drawing-confined",
+                    "tree connector outside crates/algebra/src/printer.rs; draw plan trees \
+                     with `perm_algebra::printer::draw`"
+                        .into(),
+                );
+            }
+
             // Rule 10: no per-row allocation inside kernel loops
             // without a batch-alloc / per-lane alloc justification.
             if kernel_loops_checked
@@ -763,16 +787,21 @@ fn prev_comment_exists(lines: &[&str], idx: usize) -> bool {
     false
 }
 
-/// Blank out line comments, string literals and char literals so that
-/// pattern matches and brace counts only see code. (Block comments are
-/// not used in this tree; `//` handling covers doc comments too.)
-fn strip_comments_and_strings(line: &str) -> String {
+/// Blank out line comments, char literals and, with `blank_strings`,
+/// string literals, so that pattern matches and brace counts only see code.
+/// (Block comments are not used in this tree; `//` handling covers doc
+/// comments too.)
+fn strip_comments(line: &str, blank_strings: bool) -> String {
     let mut out = String::with_capacity(line.len());
     let mut chars = line.chars().peekable();
     let mut in_string = false;
     while let Some(c) = chars.next() {
         if in_string {
             match c {
+                '\\' if !blank_strings => {
+                    out.push(c);
+                    out.extend(chars.next());
+                }
                 '\\' => {
                     chars.next();
                     out.push(' ');
@@ -781,6 +810,7 @@ fn strip_comments_and_strings(line: &str) -> String {
                     in_string = false;
                     out.push('"');
                 }
+                _ if !blank_strings => out.push(c),
                 _ => out.push(' '),
             }
             continue;
@@ -1130,6 +1160,30 @@ mod tests {
         assert!(run("crates/exec/tests/equivalence_props.rs", src).is_empty());
         let in_test_mod = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
         assert!(run("crates/exec/src/executor.rs", &in_test_mod).is_empty());
+    }
+
+    #[test]
+    fn trees_are_drawn_only_in_printer_rs() {
+        let src = "fn f(out: &mut String) { out.push_str(\"└── \"); }\n";
+        for file in [
+            "crates/exec/src/physical.rs",
+            "crates/core/src/pipeline.rs",
+            "crates/algebra/src/deparse.rs",
+        ] {
+            assert_eq!(run(file, src), ["tree-drawing-confined"], "{file}");
+        }
+        let branch = "fn f() -> &'static str { \"├── \" }\n";
+        assert_eq!(
+            run("crates/core/src/browser.rs", branch),
+            ["tree-drawing-confined"]
+        );
+        assert!(run("crates/algebra/src/printer.rs", src).is_empty());
+        // Comments may show trees; tests pin them.
+        let doc = "/// Project\n/// └── Scan(t)\nfn f() {} // └── x\n";
+        assert!(run("crates/exec/src/physical.rs", doc).is_empty());
+        assert!(run("crates/exec/src/tests.rs", src).is_empty());
+        let in_test_mod = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+        assert!(run("crates/exec/src/planner.rs", &in_test_mod).is_empty());
     }
 
     #[test]
