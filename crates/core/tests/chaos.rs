@@ -414,7 +414,8 @@ fn chaos_matrix_terminates_without_leaks_or_wrong_answers() {
 /// sublink of the statement: its body runs once per statement however
 /// many outer rows evaluate the `EXISTS`. The body's DISTINCT reserves
 /// memory every time it runs, so the hits of the `exec.memory.grow`
-/// site count the runs: one outer row or 600 must cost the same.
+/// site count the runs: one outer row or 600 must cost the same. (`u`
+/// holds every uid twice, so no key makes the DISTINCT a pass-through.)
 #[test]
 fn nested_uncorrelated_sublink_runs_once_per_statement() {
     let _guard = perm_fault::test_guard();
@@ -434,7 +435,7 @@ fn nested_uncorrelated_sublink_runs_once_per_statement() {
                 .unwrap()
                 .push_raw(Tuple::new(vec![Value::Int(i), Value::Int(i % 40)]));
         }
-        for uid in 0..40 {
+        for uid in (0..40).chain(0..40) {
             w.table_mut("u")
                 .unwrap()
                 .push_raw(Tuple::new(vec![Value::Int(uid), Value::text("n")]));

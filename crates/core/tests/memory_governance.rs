@@ -3,7 +3,7 @@
 //! the typed resource errors, admission queueing, and the `EXPLAIN
 //! VERBOSE` memory estimates.
 
-use perm_core::{PermServer, Session, SessionOptions};
+use perm_core::{PermServer, Session, SessionOptions, UnionStrategy, Value};
 
 /// A server with `big(x int, y int)` holding `n` rows.
 fn server_with_rows(n: i64) -> (PermServer, Session) {
@@ -327,4 +327,59 @@ fn explain_verbose_reports_operator_memory_estimates() {
         .collect::<Vec<_>>()
         .join("\n");
     assert!(!plain_text.contains("est_mem"), "{plain_text}");
+}
+
+#[test]
+fn keyed_padded_union_provenance_reserves_nothing_under_a_tiny_cap() {
+    // Each padded branch of the provenance of a UNION de-duplicates its
+    // base rows; a NOT NULL key column makes them distinct already, so
+    // both DISTINCTs pass their rows through. A 16-byte per-query cap —
+    // far below the input, too small for even one spilled row — still
+    // answers exactly, with nothing reserved and nothing spilled.
+    let server = PermServer::new();
+    let setup = server.session();
+    setup
+        .run_script(
+            "CREATE TABLE m (mid int NOT NULL, text text, uid int); \
+             CREATE TABLE i (mid int NOT NULL, text text, origin text);",
+        )
+        .unwrap();
+    {
+        let mut w = setup.catalog_write();
+        for mid in 0..2_000 {
+            for (table, last) in [("m", Value::Int(mid % 7)), ("i", Value::text("web"))] {
+                w.table_mut(table)
+                    .unwrap()
+                    .push_raw(perm_core::Tuple::new(vec![
+                        Value::Int(mid),
+                        Value::text(format!("message {}", mid % 10)),
+                        last,
+                    ]));
+            }
+        }
+    }
+    let padded = SessionOptions::default().force_union_strategy(UnionStrategy::PaddedUnion);
+    let unconstrained = server.session_with_options(padded);
+    let capped = server.session_with_options(padded.with_memory_budget(16));
+    let sql = "SELECT PROVENANCE mid, text FROM m UNION SELECT mid, text FROM i";
+    let expected = unconstrained.query(sql).unwrap();
+    assert_eq!(expected.row_count(), 4_000);
+    assert_eq!(capped.query(sql).unwrap(), expected);
+    let pool = server.memory_pool();
+    assert_eq!(pool.used(), 0);
+    assert_eq!(pool.peak(), 0, "no DISTINCT reserved memory");
+    // A copy of one row breaks `m`'s key: its DISTINCT hashes, and the cap
+    // cannot hold its spill working set.
+    setup
+        .execute("INSERT INTO m VALUES (7, 'message 7', 0)")
+        .unwrap();
+    let err = capped.query(sql).unwrap_err();
+    assert_eq!(err.kind(), "resource", "{err}");
+    assert!(err.message().contains("HashDistinct"), "{err}");
+    assert_eq!(
+        unconstrained.query(sql).unwrap(),
+        expected,
+        "the copy collapses"
+    );
+    assert_eq!(pool.used(), 0);
 }

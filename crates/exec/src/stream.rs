@@ -28,6 +28,14 @@
 //! result out `want` rows at a time. The cursor evaluates nothing
 //! itself, so a pulled row is the row the body computes.
 //!
+//! One blocking node may not block: a DISTINCT whose input the
+//! executor's snapshot proves duplicate-free (a key column of a base
+//! table survives to its output, see `duplicate_free`) has nothing to
+//! remove, so its cursor is its input's. The decision is made per
+//! execution, against the snapshot — a prepared plan may run against a
+//! later one where the key no longer holds — and a filter or projection
+//! over a scan leaf left without a pipe becomes the leaf's pipe.
+//!
 //! The cursor tree is built from the **physical** plan, so every
 //! strategy decision (fusion, index usage, join algorithms inside
 //! blocking subtrees, sublink bodies) was already made by the planner. A
@@ -43,6 +51,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use perm_algebra::expr::ScalarExpr;
+use perm_algebra::plan::AggOutput;
 use perm_storage::Catalog;
 use perm_types::{PermError, Result, Schema, Tuple, Value};
 
@@ -237,16 +246,10 @@ impl<'p> Cursor<'p> {
                 let scan = Scan::new(exec, table, schema, index, filter, project.as_deref(), 1)?;
                 Cursor::Scan(scan)
             }
-            PhysicalPlan::Filter { input, predicate } => Cursor::Pipe {
-                input: Box::new(Cursor::build(exec, input, hold)?),
-                pipe: Pipe::compile(exec, Some(predicate), None),
-                failed: None,
-            },
-            PhysicalPlan::Project { input, exprs } => Cursor::Pipe {
-                input: Box::new(Cursor::build(exec, input, hold)?),
-                pipe: Pipe::compile(exec, None, Some(exprs)),
-                failed: None,
-            },
+            PhysicalPlan::Filter { input, predicate } => Cursor::build(exec, input, hold)?
+                .piped(plan, Pipe::compile(exec, Some(predicate), None)),
+            PhysicalPlan::Project { input, exprs } => Cursor::build(exec, input, hold)?
+                .piped(plan, Pipe::compile(exec, None, Some(exprs))),
             PhysicalPlan::Limit {
                 input,
                 limit,
@@ -261,8 +264,36 @@ impl<'p> Cursor<'p> {
                 exec.enter_statement(plan);
                 Cursor::build(exec, input, hold)?
             }
+            // Nothing to remove: the DISTINCT is its input's cursor.
+            PhysicalPlan::HashDistinct { input, .. } if duplicate_free(exec.catalog(), input) => {
+                perm_fault::exec_point("exec.distinct.passthrough", "HashDistinct")?;
+                Cursor::build(exec, input, hold)?
+            }
             other => Cursor::Pending(hold(other)),
         })
+    }
+
+    /// `pipe`, compiled from the filter or projection `node`, over this
+    /// cursor: a scan leaf without a pipe of its own takes it, so its base
+    /// rows are filtered or projected where they are read instead of
+    /// copied first — serially if `node` holds a sublink, which only the
+    /// calling thread can evaluate.
+    fn piped(self, node: &PhysicalPlan, pipe: Pipe) -> Cursor<'p> {
+        match self {
+            Cursor::Scan(scan) if scan.pipe.is_none() => {
+                let safe = node.exprs().iter().all(|e| !e.contains_subquery());
+                Cursor::Scan(Scan {
+                    pipe: Some(Arc::new(pipe)),
+                    dop: if safe { scan.dop } else { 1 },
+                    ..scan
+                })
+            }
+            input => Cursor::Pipe {
+                input: Box::new(input),
+                pipe,
+                failed: None,
+            },
+        }
     }
 
     /// Pull every remaining row: the materialized result.
@@ -351,6 +382,44 @@ impl<'p> Cursor<'p> {
             Cursor::Pipe { input, .. } | Cursor::Limit { input, .. } => input.rows_scanned(),
             Cursor::Pending(_) | Cursor::Buffered(_) => 0,
         }
+    }
+}
+
+/// Whether `plan`, run against the snapshot `catalog`, can yield no row
+/// twice. A base scan can when the snapshot's exact statistics show a key
+/// column — no NULL, as many distinct values as rows — that the scan
+/// emits as a bare slot (or emits the whole row); the statistics count
+/// distinct values with the same `Value` equality DISTINCT removes
+/// duplicates by. Filters, limits and sorts keep the property of their
+/// input; DISTINCT, a set operation without `ALL` and an aggregate that
+/// emits its groups create it.
+fn duplicate_free(catalog: &Catalog, plan: &PhysicalPlan) -> bool {
+    match plan {
+        PhysicalPlan::FusedScanProjectFilter { table, project, .. }
+        | PhysicalPlan::IndexScan { table, project, .. } => {
+            let Ok(t) = catalog.table(table) else {
+                return false;
+            };
+            let stats = t.stats();
+            let emitted = |c: usize| {
+                project.as_ref().is_none_or(|p| {
+                    p.iter()
+                        .any(|e| matches!(e, ScalarExpr::Column(k) if *k == c))
+                })
+            };
+            stats
+                .columns
+                .iter()
+                .enumerate()
+                .any(|(c, s)| s.null_count == 0 && s.n_distinct == stats.row_count && emitted(c))
+        }
+        PhysicalPlan::Filter { input, .. }
+        | PhysicalPlan::Limit { input, .. }
+        | PhysicalPlan::Sort { input, .. } => duplicate_free(catalog, input),
+        PhysicalPlan::HashDistinct { .. } => true,
+        PhysicalPlan::HashSetOp { all, .. } => !all,
+        PhysicalPlan::HashAggregate { output, .. } => *output == AggOutput::Groups,
+        _ => false,
     }
 }
 

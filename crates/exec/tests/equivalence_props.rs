@@ -30,6 +30,12 @@
 //!    spilling: the result is either exactly the reference answer or
 //!    the typed `cancelled` error — never a panic, never a wrong or
 //!    truncated answer — and the memory pool always drains to zero.
+//! 6. **DISTINCT passed through vs. hashed** — a DISTINCT whose input the
+//!    snapshot's statistics prove duplicate-free (a key column kept as a
+//!    bare slot) runs as its input; over random keyed, unkeyed and
+//!    spoiled tables it must return the reference first-occurrence
+//!    dedupe, and padded-union provenance must equal join-back
+//!    provenance as a multiset.
 //!
 //! Every random plan may carry a third table joined on top of the first
 //! join (inner, LEFT, SEMI or ANTI; keyed on either lower side's column
@@ -386,11 +392,8 @@ fn int_table(name: &str, cols: [&str; 2], rows: &[(Option<i64>, Option<i64>)]) -
         ]),
     );
     for (a, b) in rows {
-        t.insert(Tuple::new(vec![
-            a.map(Value::Int).unwrap_or(Value::Null),
-            b.map(Value::Int).unwrap_or(Value::Null),
-        ]))
-        .expect("generated row matches schema");
+        t.insert(Tuple::new(vec![int_or_null(*a), int_or_null(*b)]))
+            .expect("generated row matches schema");
     }
     t
 }
@@ -1226,6 +1229,286 @@ proptest! {
             ),
             (Err(h), Err(n)) => prop_assert_eq!(h.to_string(), n.to_string()),
             (h, n) => prop_assert!(false, "one executor failed: hash={:?} nlj={:?}", h, n),
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// DISTINCT over duplicate-free inputs
+// ----------------------------------------------------------------------
+
+/// Rows of a two-column table for the DISTINCT properties: random pairs
+/// (so rows and values repeat), the first column renumbered into a key
+/// when `keyed`, then possibly spoiled — `spoil` 1 plants a NULL in it, 2
+/// appends a copy of the first row.
+fn keyed_rows() -> impl Strategy<Value = Vec<(Option<i64>, Option<i64>)>> {
+    (
+        prop::collection::vec((cell(), cell()), 0..40),
+        any::<bool>(),
+        0..3usize,
+    )
+        .prop_map(|(mut rows, keyed, spoil)| {
+            if keyed {
+                for (i, row) in rows.iter_mut().enumerate() {
+                    row.0 = Some(i as i64);
+                }
+            }
+            if let Some(&first) = rows.first() {
+                match spoil {
+                    1 => rows.last_mut().unwrap().0 = None,
+                    2 => rows.push(first),
+                    _ => {}
+                }
+            }
+            rows
+        })
+}
+
+/// Whether the first column holds no NULL and no value twice.
+fn first_is_key(rows: &[(Option<i64>, Option<i64>)]) -> bool {
+    let keys: Vec<_> = rows.iter().map(|r| r.0).collect();
+    keys.iter().all(Option::is_some) && keys.iter().enumerate().all(|(i, k)| !keys[..i].contains(k))
+}
+
+fn int_or_null(v: Option<i64>) -> Value {
+    v.map(Value::Int).unwrap_or(Value::Null)
+}
+
+/// The first occurrence of every distinct row, in input order: what
+/// DISTINCT returns.
+fn first_occurrences(rows: impl IntoIterator<Item = Tuple>) -> Vec<Tuple> {
+    let mut out: Vec<Tuple> = Vec::new();
+    for t in rows {
+        if !out.contains(&t) {
+            out.push(t);
+        }
+    }
+    out
+}
+
+/// The provenance of `t1 UNION t2` computed by hand: every row of each
+/// table beside a copy of itself and NULLs for the other table, the
+/// whole de-duplicated.
+fn padded_reference(
+    t1: &[(Option<i64>, Option<i64>)],
+    t2: &[(Option<i64>, Option<i64>)],
+) -> Vec<Tuple> {
+    let null = || [Value::Null, Value::Null];
+    let row = |&(a, b): &(Option<i64>, Option<i64>)| [int_or_null(a), int_or_null(b)];
+    let left = t1.iter().map(|r| [row(r), row(r), null()]);
+    let right = t2.iter().map(|r| [row(r), null(), row(r)]);
+    first_occurrences(left.chain(right).map(|parts| Tuple::new(parts.concat())))
+}
+
+/// The provenance of `t1 UNION t2` rewritten by `strategy`, optimized,
+/// lowered at `dop` and run.
+fn union_provenance(
+    cat: &Arc<Catalog>,
+    strategy: perm_rewrite::UnionStrategy,
+    dop: usize,
+) -> perm_types::Result<Vec<Tuple>> {
+    let scan = |name: &str| LogicalPlan::Scan {
+        table: name.into(),
+        schema: cat.table(name).unwrap().schema().clone(),
+        provenance_cols: vec![],
+    };
+    let left = scan("t1");
+    let schema = left.schema().clone();
+    let union = LogicalPlan::SetOp {
+        op: SetOpType::Union,
+        all: false,
+        left: Box::new(left),
+        right: Box::new(scan("t2")),
+        schema,
+    };
+    let options = perm_rewrite::RewriteOptions {
+        union_strategy: perm_rewrite::StrategyMode::Fixed(strategy),
+        ..Default::default()
+    };
+    let stats = CatalogStats(cat);
+    let rewritten = perm_rewrite::Rewriter::new(options, &stats).rewrite(&union, None)?;
+    let optimized = optimize_verified(rewritten.plan, &stats)?;
+    let physical = PhysicalPlanner::new(cat)
+        .max_parallelism(dop)
+        .parallel_threshold(1)
+        .plan_verified(&optimized)?;
+    Executor::new(Arc::clone(cat)).run_physical(&physical)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A DISTINCT returns the first occurrence of every distinct row of
+    /// its input, in input order, whether the executor proves the input
+    /// duplicate-free and passes it through or hashes it: over tables
+    /// with and without a key column (and keys spoiled by a NULL or a
+    /// duplicated row), under projections that keep, reorder, compute or
+    /// drop the key, with and without a filter and a padding projection
+    /// on top — at DOP 1 and 2, materialized and streamed, in memory and
+    /// under a 1-byte pool. Where the key survives to the DISTINCT, the
+    /// pass-through must have run.
+    #[test]
+    fn distinct_passthrough_matches_first_occurrence(
+        rows in keyed_rows(),
+        project in 0..5usize,
+        filter in proptest::option::of(-2i64..3),
+        pad in any::<bool>(),
+    ) {
+        let mut cat = Catalog::new();
+        cat.create_table(int_table("t", ["k", "v"], &rows)).unwrap();
+        let cat = Arc::new(cat);
+        let mut plan = LogicalPlan::Scan {
+            table: "t".into(),
+            schema: cat.table("t").unwrap().schema().clone(),
+            provenance_cols: vec![],
+        };
+        if let Some(lit) = filter {
+            plan = LogicalPlan::filter(
+                plan,
+                ScalarExpr::binary(BinOp::GtEq, ScalarExpr::Column(1), ScalarExpr::Literal(Value::Int(lit))),
+            );
+        }
+        plan = match project {
+            0 => plan,
+            1 => LogicalPlan::project_positions(plan, &[0]),
+            2 => LogicalPlan::project_positions(plan, &[1]),
+            3 => LogicalPlan::project_positions(plan, &[1, 0]),
+            _ => LogicalPlan::project(
+                plan,
+                vec![
+                    ScalarExpr::binary(BinOp::Add, ScalarExpr::Column(0), ScalarExpr::Literal(Value::Int(1))),
+                    ScalarExpr::Column(1),
+                ],
+                vec![Column::new("k1", DataType::Int), Column::new("v", DataType::Int)],
+            ),
+        };
+        plan = LogicalPlan::Distinct { input: Box::new(plan) };
+        if pad {
+            let arity = plan.arity();
+            let mut columns = plan.schema().columns().to_vec();
+            columns.push(Column::new("pad", DataType::Int));
+            let exprs = (0..arity)
+                .map(ScalarExpr::Column)
+                .chain([ScalarExpr::Literal(Value::Null)])
+                .collect();
+            plan = LogicalPlan::project(plan, exprs, columns);
+        }
+
+        let kept = rows
+            .iter()
+            .filter(|(_, v)| filter.is_none_or(|lit| v.is_some_and(|v| v >= lit)))
+            .map(|&(key, v)| {
+                let (k, v) = (int_or_null(key), int_or_null(v));
+                let mut t = match project {
+                    0 => vec![k, v],
+                    1 => vec![k],
+                    2 => vec![v],
+                    3 => vec![v, k],
+                    _ => vec![int_or_null(key.map(|k| k + 1)), v],
+                };
+                if pad {
+                    t.push(Value::Null);
+                }
+                Tuple::new(t)
+            });
+        let expected = first_occurrences(kept);
+        let passes = first_is_key(&rows) && matches!(project, 0 | 1 | 3);
+
+        let optimized = match optimize_verified(plan, &CatalogStats(&cat)) {
+            Ok(p) => p,
+            Err(e) => return Err(TestCaseError::fail(format!("verifier: {e}"))),
+        };
+        let _guard = perm_fault::test_guard();
+        perm_fault::configure("exec.distinct.passthrough=stall(0)").unwrap();
+        let mut runs = 0u64;
+        for dop in [1usize, 2] {
+            let physical = match PhysicalPlanner::new(&cat)
+                .max_parallelism(dop)
+                .parallel_threshold(1)
+                .plan_verified(&optimized)
+            {
+                Ok(p) => p,
+                Err(e) => return Err(TestCaseError::fail(format!("physical verifier: {e}"))),
+            };
+            for pool in [MemoryPool::unbounded(), MemoryPool::with_budget(1)] {
+                let exec = || {
+                    Executor::new(Arc::clone(&cat))
+                        .with_memory(QueryMemory::new(pool.clone(), None))
+                };
+                let materialized = exec().run_physical(&physical);
+                let streamed: perm_types::Result<Vec<Tuple>> =
+                    exec().into_stream_physical(&physical).and_then(|s| s.collect());
+                runs += 2;
+                let budget = pool.budget();
+                prop_assert_eq!(
+                    materialized.as_ref().map_err(|e| e.to_string()),
+                    Ok(&expected),
+                    "materialized at dop {} under {:?} for {:?}", dop, budget, physical
+                );
+                prop_assert_eq!(
+                    streamed.as_ref().map_err(|e| e.to_string()),
+                    Ok(&expected),
+                    "streamed at dop {} under {:?} for {:?}", dop, budget, physical
+                );
+                prop_assert_eq!(pool.used(), 0, "pool must drain to zero");
+            }
+        }
+        let fired = perm_fault::fired_count("exec.distinct.passthrough");
+        perm_fault::clear();
+        // Other properties of this binary may pass a DISTINCT through
+        // meanwhile, so only a missing pass-through is an error.
+        prop_assert!(
+            !passes || fired >= runs,
+            "the key survives to the DISTINCT, but {} of {} runs hashed: {:?}", runs - fired.min(runs), runs, optimized
+        );
+    }
+
+    /// The padded-union provenance of `t1 UNION t2`, whose branches pass
+    /// their DISTINCT through where a key column makes the base rows
+    /// distinct (and must, then), equals the join-back strategy's as a
+    /// multiset — over keyed, unkeyed and spoiled tables, at DOP 1 and 2.
+    #[test]
+    fn padded_union_distinct_matches_join_back(
+        t1_rows in keyed_rows(),
+        t2_rows in keyed_rows(),
+    ) {
+        let mut cat = Catalog::new();
+        for (name, cols, rows) in [("t1", ["a", "b"], &t1_rows), ("t2", ["c", "d"], &t2_rows)] {
+            let mut t = int_table(name, cols, rows);
+            // A NOT NULL first column makes the padded branches disjoint,
+            // so each branch de-duplicates its own base rows.
+            if rows.iter().all(|r| r.0.is_some()) {
+                let mut columns = t.schema().columns().to_vec();
+                columns[0] = columns[0].clone().not_null();
+                let mut strict = Table::new(name, Schema::new(columns));
+                for row in t.rows() {
+                    strict.insert(row.clone()).unwrap();
+                }
+                t = strict;
+            }
+            cat.create_table(t).unwrap();
+        }
+        let cat = Arc::new(cat);
+        let keyed = [&t1_rows, &t2_rows].map(|rows| first_is_key(rows));
+        for dop in [1usize, 2] {
+            let _guard = perm_fault::test_guard();
+            perm_fault::configure("exec.distinct.passthrough=stall(0)").unwrap();
+            let padded = union_provenance(&cat, perm_rewrite::UnionStrategy::PaddedUnion, dop);
+            let fired = perm_fault::fired_count("exec.distinct.passthrough");
+            perm_fault::clear();
+            let join_back = union_provenance(&cat, perm_rewrite::UnionStrategy::JoinBack, dop);
+            prop_assert!(
+                fired >= keyed.iter().filter(|&&k| k).count() as u64,
+                "{} keyed branches, {} passed through at dop {}", keyed.iter().filter(|&&k| k).count(), fired, dop
+            );
+            match (padded, join_back) {
+                (Ok(p), Ok(j)) => {
+                    let (p, j) = (sorted(p), sorted(j));
+                    prop_assert_eq!(&p, &j, "padded union and join-back diverge at dop {}", dop);
+                    prop_assert_eq!(p, sorted(padded_reference(&t1_rows, &t2_rows)), "at dop {}", dop);
+                }
+                (p, j) => prop_assert!(false, "a strategy failed: padded={:?} join_back={:?}", p, j),
+            }
         }
     }
 }

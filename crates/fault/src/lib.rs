@@ -44,6 +44,7 @@
 //! | `exec.morsel.claim` | per-morsel claim loop (`parallel::map_morsels`) |
 //! | `exec.kernel.batch` | per-batch kernel dispatch (`operators::scan`) |
 //! | `exec.memory.grow` | reservation grow (`memory::try_grow`) |
+//! | `exec.distinct.passthrough` | a DISTINCT over a duplicate-free input skips its body (`stream::Cursor::build`) |
 //! | `exec.admission.wait` | admission wait loop (`core::admission`) |
 //! | `exec.replay.statement` | WAL replay loop (`core::server`) |
 
