@@ -2,7 +2,8 @@
 //! input, decided per execution against the executor's snapshot: a
 //! prepared padded-union provenance query follows the writes that make
 //! or break the key, an open stream keeps its own snapshot's decision,
-//! and a streamed `SELECT DISTINCT key … LIMIT k` stops scanning early.
+//! and a streamed `SELECT DISTINCT key … LIMIT k` — or a padded union's
+//! provenance under a `LIMIT k` — stops scanning early.
 //!
 //! The `exec.distinct.passthrough` failpoint site counts which path ran;
 //! failpoints are process-global, so every test takes the fault guard.
@@ -99,18 +100,19 @@ fn an_open_stream_keeps_its_snapshot() {
     let (server, session) = keyed_server(40);
     let reader = padded(&server);
     let before = reader.query(UNION_PROVENANCE).unwrap().rows;
-    let stream = reader.query_stream(UNION_PROVENANCE).unwrap();
-    // Break `m`'s key and change a row of `i` before the first pull runs
-    // the UNION ALL's branches.
+    // The UNION ALL streams its branches: both are built, and their
+    // DISTINCTs decided, when the stream opens.
+    let (stream, passes) = passthroughs(|| reader.query_stream(UNION_PROVENANCE).unwrap());
+    assert_eq!(passes, 2, "the stream decides against its own snapshot");
+    // Break `m`'s key and change a row of `i` before the first pull.
     session
         .run_script("INSERT INTO m VALUES (3, 't0'); UPDATE i SET text = 'x' WHERE mid = 30;")
         .unwrap();
-    let (rows, passes) = passthroughs(|| stream.collect::<Result<Vec<Tuple>>>().unwrap());
+    let rows = stream.collect::<Result<Vec<Tuple>>>().unwrap();
     assert_eq!(
         rows, before,
         "the stream reads the snapshot it was opened on"
     );
-    assert_eq!(passes, 2, "the stream decides against its own snapshot");
     let (after, passes) = passthroughs(|| reader.query(UNION_PROVENANCE).unwrap().rows);
     assert_ne!(after, before);
     assert_eq!(passes, 1, "`m` holds a duplicate now");
@@ -144,6 +146,25 @@ fn a_streamed_distinct_over_a_key_stops_scanning_early() {
     assert_eq!(passes, 0);
     assert_eq!(stream.by_ref().count(), 2);
     assert_eq!(stream.rows_scanned(), 0);
+}
+
+#[test]
+fn a_streamed_padded_union_stops_scanning_early() {
+    let _guard = perm_fault::test_guard();
+    let (server, _session) = keyed_server(2_000);
+    let reader = padded(&server);
+    let sql = format!("{UNION_PROVENANCE} LIMIT 5");
+    let all = reader.query(UNION_PROVENANCE).unwrap().rows;
+    let (mut stream, passes) = passthroughs(|| reader.query_stream(&sql).unwrap());
+    assert_eq!(passes, 2);
+    let got: Vec<Tuple> = stream.by_ref().map(|r| r.unwrap()).collect();
+    assert_eq!(got, all[..5]);
+    // The UNION ALL pulls its first branch only as far as the LIMIT asks.
+    assert!(
+        (1..100).contains(&stream.rows_scanned()),
+        "LIMIT 5 over the padded union pulled {} of 4000 rows",
+        stream.rows_scanned()
+    );
 }
 
 #[test]

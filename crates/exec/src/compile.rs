@@ -16,9 +16,12 @@
 //!   and therefore error behavior, is preserved);
 //! * **pre-compiled `LIKE` patterns** — a constant pattern is decoded into
 //!   a [`LikeMatcher`] once;
-//! * **pre-hashed `IN` lists** — an all-constant list of hash-compatible
-//!   values becomes a hash-set probe (the same trick the executor
-//!   already plays for uncorrelated `IN` sublinks);
+//! * **pre-hashed `IN` lists** — an all-constant list of mutually
+//!   comparable values becomes a [`HashedList`] probed by `hashed_in`,
+//!   which answers exactly as the interpreter's `in_semantics` (a NULL or
+//!   NaN element makes a miss unknown, a NaN needle is unknown). The
+//!   executor hashes an uncorrelated `IN` sublink's body with the same
+//!   helper, `try_hash_list`;
 //! * **pre-resolved column slots** — column references become direct slot
 //!   loads.
 //!
@@ -83,13 +86,9 @@ pub enum CompiledExpr {
         negated: bool,
     },
     /// `expr IN (<all-constant list>)` probed through a hash set.
-    /// `representative` is the first non-null list value, used to
-    /// reproduce the interpreter's type-mismatch error exactly.
     InHashed {
         expr: Box<CompiledExpr>,
-        set: FxHashSet<Value>,
-        has_null: bool,
-        representative: Value,
+        list: HashedList,
         negated: bool,
     },
     /// `IN` over a list with non-constant (or non-hashable) elements.
@@ -377,13 +376,11 @@ impl CompiledExpr {
             }
             CompiledExpr::InHashed {
                 expr,
-                set,
-                has_null,
-                representative,
+                list,
                 negated,
             } => {
                 let needle = expr.eval_cow(exec, env)?;
-                let r = hashed_in(&needle, set, *has_null, representative)?;
+                let r = hashed_in(&needle, list)?;
                 if *negated {
                     ops::not(&r)
                 } else {
@@ -517,7 +514,7 @@ impl Gather {
             )));
         }
         if self.items.is_empty() {
-            // Global aggregates group on the shared empty tuple.
+            // The shared empty tuple: no allocation.
             return Ok(Tuple::empty());
         }
         Ok(self
@@ -554,14 +551,6 @@ impl CompiledProjection {
         match Gather::new(&compiled) {
             Some(gather) => CompiledProjection::Gather(gather),
             None => CompiledProjection::Exprs(compiled),
-        }
-    }
-
-    /// Number of output columns.
-    pub fn width(&self) -> usize {
-        match self {
-            CompiledProjection::Gather(g) => g.items.len(),
-            CompiledProjection::Exprs(exprs) => exprs.len(),
         }
     }
 
@@ -660,7 +649,7 @@ fn compile_chain(exec: &Executor, e: &ScalarExpr, op: BinOp) -> CompiledExpr {
 }
 
 /// Compile `expr [NOT] IN (list)`, pre-hashing all-constant lists of
-/// hash-compatible values.
+/// mutually comparable values.
 fn compile_in_list(
     exec: &Executor,
     expr: &ScalarExpr,
@@ -672,13 +661,17 @@ fn compile_in_list(
         .iter()
         .map(|e| CompiledExpr::compile(exec, e))
         .collect();
-
-    let node = match try_hash_list(&compiled) {
-        Some((set, has_null, representative)) => CompiledExpr::InHashed {
+    let constants = compiled
+        .iter()
+        .map(|c| match c {
+            CompiledExpr::Const(v) => Some(v),
+            _ => None,
+        })
+        .collect::<Option<Vec<&Value>>>();
+    let node = match constants.and_then(try_hash_list) {
+        Some(list) => CompiledExpr::InHashed {
             expr: needle,
-            set,
-            has_null,
-            representative,
+            list,
             negated,
         },
         None => CompiledExpr::InList {
@@ -690,34 +683,46 @@ fn compile_in_list(
     fold(exec, node)
 }
 
-/// Hash an all-constant list if its values are mutually comparable under
-/// SQL equality (one "family": numeric, text or bool, plus NULLs). NaN
-/// floats are excluded — SQL equality never matches them, but grouping
-/// equality would. Returns the set, whether NULL occurred, and the first
-/// non-null value (for error reproduction).
-fn try_hash_list(compiled: &[CompiledExpr]) -> Option<(FxHashSet<Value>, bool, Value)> {
+/// An `IN` list hashed for probing, answering as `in_semantics` over
+/// the list would (`hashed_in`).
+#[derive(Debug)]
+pub struct HashedList {
+    /// The elements that can match: neither NULL nor NaN.
+    set: FxHashSet<Value>,
+    /// A NULL or NaN element: a needle that matches no other element is
+    /// unknown rather than absent.
+    has_null: bool,
+    /// The first element that is not NULL: the interpreter raises its
+    /// type-mismatch error against it.
+    first: Option<Value>,
+}
+
+/// Hash a list of values if they are mutually comparable under SQL
+/// equality (one "family": numeric, text or bool, plus NULLs) — an
+/// uncorrelated `IN` sublink's body column, or an all-constant `IN`
+/// list. Under `=` a NaN element matches nothing, like a NULL one, so it
+/// goes to `has_null`, not to the set.
+pub(crate) fn try_hash_list<'v>(values: impl IntoIterator<Item = &'v Value>) -> Option<HashedList> {
     #[derive(PartialEq, Clone, Copy)]
     enum Family {
         Numeric,
         Text,
         Bool,
     }
-    let mut set = set_with_capacity(compiled.len());
-    let mut has_null = false;
+    let values = values.into_iter();
+    let mut list = HashedList {
+        set: set_with_capacity(values.size_hint().0),
+        has_null: false,
+        first: None,
+    };
     let mut family: Option<Family> = None;
-    let mut representative: Option<Value> = None;
-    for c in compiled {
-        let CompiledExpr::Const(v) = c else {
-            return None;
-        };
+    for v in values {
         let f = match v {
             Value::Null => {
-                has_null = true;
+                list.has_null = true;
                 continue;
             }
-            Value::Int(_) => Family::Numeric,
-            Value::Float(x) if !x.is_nan() => Family::Numeric,
-            Value::Float(_) => return None,
+            Value::Int(_) | Value::Float(_) => Family::Numeric,
             Value::Text(_) => Family::Text,
             Value::Bool(_) => Family::Bool,
         };
@@ -726,42 +731,42 @@ fn try_hash_list(compiled: &[CompiledExpr]) -> Option<(FxHashSet<Value>, bool, V
             Some(existing) if existing != f => return None,
             Some(_) => {}
         }
-        if representative.is_none() {
-            representative = Some(v.clone());
+        if list.first.is_none() {
+            list.first = Some(v.clone());
         }
-        set.insert(v.clone());
+        if is_nan(v) {
+            list.has_null = true;
+        } else {
+            list.set.insert(v.clone());
+        }
     }
-    // All-NULL (or empty) lists have no comparison semantics to pre-hash.
-    let representative = representative?;
-    Some((set, has_null, representative))
+    Some(list)
+}
+
+fn is_nan(v: &Value) -> bool {
+    matches!(v, Value::Float(f) if f.is_nan())
 }
 
 /// Hash-probe `IN` with the interpreter's three-valued semantics,
 /// including its error on incomparable operand types. Shared with the
-/// vectorized kernels ([`crate::kernels`]).
-pub(crate) fn hashed_in(
-    needle: &Value,
-    set: &FxHashSet<Value>,
-    has_null: bool,
-    representative: &Value,
-) -> Result<Value> {
+/// vectorized kernels ([`crate::kernels`]) and the executor's
+/// uncorrelated `IN` sublinks.
+pub(crate) fn hashed_in(needle: &Value, list: &HashedList) -> Result<Value> {
     if needle.is_null() {
         return Ok(Value::Null);
     }
-    // The interpreter compares the needle against each candidate with
-    // `ops::eq`; an incomparable type errors there. A comparison against
-    // the first non-null candidate reproduces that error (and, for a NaN
-    // needle, the interpreter's all-comparisons-unknown NULL).
-    let probe_ok = match ops::eq(needle, representative)? {
-        Value::Null => false, // NaN needle: every comparison is unknown
-        _ => true,
-    };
-    if !probe_ok {
-        return Ok(Value::Null);
+    // The interpreter compares the needle against each element with
+    // `ops::eq`; within one family only the first non-null element can
+    // raise its type-mismatch error, and raises it first.
+    if let Some(first) = &list.first {
+        ops::eq(needle, first)?;
     }
-    Ok(if set.contains(needle) {
+    // The set holds no NaN, and every comparison with a NaN needle is
+    // unknown.
+    let unknown = list.has_null || (is_nan(needle) && !list.set.is_empty());
+    Ok(if list.set.contains(needle) {
         Value::Bool(true)
-    } else if has_null {
+    } else if unknown {
         Value::Null
     } else {
         Value::Bool(false)

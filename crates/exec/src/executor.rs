@@ -22,12 +22,12 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use perm_types::hash::FxHashSet;
 use perm_types::{ops, PermError, QueryContext, Result, Tuple, Value};
 
 use perm_algebra::expr::{SubqueryExpr, SubqueryKind};
 use perm_storage::Catalog;
 
+use crate::compile::{hashed_in, try_hash_list, HashedList};
 use crate::eval::{eval, in_semantics, Env};
 use crate::memory::QueryMemory;
 use crate::operators::{aggregate, join, setop, sort};
@@ -48,11 +48,11 @@ struct Sublinks {
 }
 
 /// What a sublink's body produced: its rows, or — for an uncorrelated
-/// `IN` — the hashed set of their first column.
+/// `IN` — their first column hashed as an `IN` list is.
 #[derive(Clone)]
 enum Slot {
     Rows(Arc<Vec<Tuple>>),
-    InSet(Arc<FxHashSet<Value>>),
+    In(Arc<HashedList>),
 }
 
 /// The executor. Owns a catalog snapshot, the running statement's
@@ -266,7 +266,9 @@ impl Executor {
     /// found by the identity of the sublink's body. A correlated body runs
     /// per call, its outer references bound as parameters; an
     /// uncorrelated one reads none, so it runs once per statement into its
-    /// slot — for `IN` the hashed first column (NULL included).
+    /// slot — for `IN` the first column hashed by [`try_hash_list`] and
+    /// probed by [`hashed_in`], which answer as [`in_semantics`] over the
+    /// rows does.
     pub(crate) fn eval_sublink(&self, sq: &SubqueryExpr, env: &Env<'_>) -> Result<Value> {
         let subplans = Arc::clone(&self.sublinks.borrow().subplans);
         let Some(i) = subplans.iter().position(|s| Arc::ptr_eq(&s.body, &sq.plan)) else {
@@ -300,10 +302,10 @@ impl Executor {
                 } else {
                     self.run_physical(body)?
                 };
-                let slot = if hashed {
-                    Slot::InSet(Arc::new(rows.iter().map(|t| t.get(0).clone()).collect()))
-                } else {
-                    Slot::Rows(Arc::new(rows))
+                let list = hashed.then(|| try_hash_list(rows.iter().map(|t| t.get(0))));
+                let slot = match list.flatten() {
+                    Some(list) => Slot::In(Arc::new(list)),
+                    None => Slot::Rows(Arc::new(rows)),
                 };
                 if !correlated {
                     self.sublinks.borrow_mut().slots[i] = Some(slot.clone());
@@ -312,9 +314,6 @@ impl Executor {
             }
         };
         let r = match (slot, sq.kind) {
-            (Slot::InSet(set), _) if needle.is_some_and(|n| set.contains(&n)) => Value::Bool(true),
-            (Slot::InSet(set), _) if set.contains(&Value::Null) => Value::Null,
-            (Slot::InSet(_), _) => Value::Bool(false),
             (Slot::Rows(rows), SubqueryKind::Exists) => {
                 return Ok(Value::Bool(rows.is_empty() == sq.negated))
             }
@@ -327,8 +326,15 @@ impl Executor {
                     ))),
                 }
             }
-            (Slot::Rows(rows), SubqueryKind::In) => {
-                in_semantics(&eval(self, operand(), env)?, rows.iter().map(|t| t.get(0)))?
+            (slot, _) => {
+                let needle = match needle {
+                    Some(needle) => needle,
+                    None => eval(self, operand(), env)?,
+                };
+                match slot {
+                    Slot::In(list) => hashed_in(&needle, &list)?,
+                    Slot::Rows(rows) => in_semantics(&needle, rows.iter().map(|t| t.get(0)))?,
+                }
             }
         };
         if sq.negated {

@@ -294,14 +294,12 @@ fn eval(e: &CompiledExpr, cx: &mut Cx<'_>, sel: &Sel) -> Result<Arc<ColumnVec>> 
         }
         CompiledExpr::InHashed {
             expr,
-            set,
-            has_null,
-            representative,
+            list,
             negated,
         } => {
             let c = eval(expr, cx, sel)?;
             lanewise1(&c, sel, n, |v| {
-                let r = hashed_in(v, set, *has_null, representative)?;
+                let r = hashed_in(v, list)?;
                 if *negated {
                     ops::not(&r)
                 } else {

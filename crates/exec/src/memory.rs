@@ -267,9 +267,9 @@ struct ReservationInner {
     unpooled: AtomicUsize,
 }
 
-/// One operator's tracked memory. Clones share the underlying accounting
-/// (hand clones to parallel workers); the last clone to drop releases
-/// whatever is still held.
+/// One operator's tracked memory. Clones share the underlying accounting;
+/// the last clone to drop releases whatever is still held. Operators
+/// charge on the calling thread, so workers never hold one.
 #[derive(Debug, Clone)]
 pub struct MemoryReservation {
     inner: Arc<ReservationInner>,

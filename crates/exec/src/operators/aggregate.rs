@@ -1,7 +1,12 @@
 //! Hash aggregation with SQL NULL semantics, `DISTINCT` aggregates and the
 //! `any_value` leniency aggregate.
+//!
+//! Groups are keyed by the one hash key ([`super::key`]) under grouping
+//! equality: NULL = NULL and NaN = NaN. The input is charged once, on the
+//! calling thread ([`charge_input`]), before the serial loop or the chunk
+//! workers (`dop > 1`) run — or, denied on a may-spill node, the
+//! partition driver on disk ([`Grouped`]).
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use perm_types::hash::{FxHashMap, FxHashSet};
@@ -11,15 +16,15 @@ use perm_types::{PermError, Result, Tuple, Value};
 use perm_algebra::expr::{AggCall, AggFunc, ScalarExpr};
 use perm_algebra::plan::AggOutput;
 
-use crate::compile::{CompiledExpr, CompiledProjection};
-use crate::eval::Env;
+use crate::compile::CompiledExpr;
 use crate::executor::Executor;
-use crate::memory::{grow_batched, MemoryDenied};
 use crate::operators::join::{refs_of, JoinRefs, RefRow, RowRef, View};
+use crate::operators::key::{HashKey, Input, KeyPlan};
 use crate::operators::spill::{
-    charge_input, partition_of, partitioned, Backing, Cap, Partitioned, Ran, Rows, Stream,
+    charge_input, partition_of, partitioned, Cap, Partitioned, Ran, Rows, Stream,
 };
 use crate::operators::RowError;
+use crate::parallel::map_chunks;
 use crate::physical::PhysicalPlan;
 
 /// Running state of one aggregate within one group.
@@ -285,91 +290,11 @@ impl GroupState {
     }
 }
 
-/// A group's hash key. Single-expression `GROUP BY` — the common case —
-/// keys on the bare [`Value`], skipping the per-row `Tuple` allocation
-/// the general shape pays.
-#[derive(PartialEq, Eq, Hash, Clone)]
-pub(super) enum GroupKey {
-    One(Value),
-    Many(Tuple),
-}
-
-impl GroupKey {
-    /// Bytes a group's key holds (spill working-memory accounting).
-    fn size_bytes(&self) -> usize {
-        match self {
-            GroupKey::One(v) => v.size_bytes(),
-            GroupKey::Many(t) => t.size_bytes(),
-        }
-    }
-}
-
-/// One row being accumulated: a plain-column argument or single-column
-/// key reads straight through [`RowRef::value`] (a join input's layout
-/// included); anything else evaluates over the row as a tuple, gathered
-/// at most once per row.
-struct Input<'r, R> {
-    row: &'r R,
-    tuple: Option<Cow<'r, Tuple>>,
-}
-
-impl<'r, R: RowRef> Input<'r, R> {
-    fn new(row: &'r R) -> Input<'r, R> {
-        Input { row, tuple: None }
-    }
-
-    /// The row as a tuple, gathered on first use.
-    fn tuple(&mut self) -> &Tuple {
-        let row = self.row;
-        self.tuple.get_or_insert_with(|| row.tuple())
-    }
-
-    fn eval(&mut self, exec: &Executor, e: &CompiledExpr, params: &[Value]) -> Result<Value> {
-        if let CompiledExpr::Slot(i) = e {
-            if *i < self.row.width() {
-                return Ok(self.row.value(*i).clone());
-            }
-        }
-        e.eval(exec, &Env::new(self.tuple(), params))
-    }
-}
-
-/// Compiled group-key plan matching [`GroupKey`]'s two shapes.
-enum KeyPlan {
-    One(CompiledExpr),
-    Many(CompiledProjection),
-}
-
-impl KeyPlan {
-    fn compile(exec: &Executor, group_by: &[ScalarExpr]) -> KeyPlan {
-        if let [e] = group_by {
-            KeyPlan::One(CompiledExpr::compile(exec, e))
-        } else {
-            KeyPlan::Many(CompiledProjection::compile(exec, group_by))
-        }
-    }
-
-    #[inline]
-    fn apply<R: RowRef>(
-        &self,
-        exec: &Executor,
-        input: &mut Input<'_, R>,
-        params: &[Value],
-    ) -> Result<GroupKey> {
-        match self {
-            KeyPlan::One(e) => Ok(GroupKey::One(input.eval(exec, e, params)?)),
-            KeyPlan::Many(p) => Ok(GroupKey::Many(
-                p.apply(exec, &Env::new(input.tuple(), params))?,
-            )),
-        }
-    }
-}
-
 /// One group of a partial: the position tag of the row that opened it,
 /// its key and its accumulators.
 struct Group {
     pos: u64,
-    key: GroupKey,
+    key: HashKey,
     state: GroupState,
 }
 
@@ -380,7 +305,7 @@ struct Group {
 #[derive(Default)]
 pub(super) struct AggPartial {
     groups: Vec<Group>,
-    index: FxHashMap<GroupKey, usize>,
+    index: FxHashMap<HashKey, usize>,
     members: Vec<usize>,
 }
 
@@ -398,12 +323,12 @@ pub(super) fn accumulate<R: RowRef>(
     group_by: &[ScalarExpr],
     aggs: &[AggCall],
     params: &[Value],
-    mut on_new_group: impl FnMut(&GroupKey) -> Result<()>,
+    mut on_new_group: impl FnMut(&HashKey) -> Result<()>,
     witnesses: bool,
 ) -> std::result::Result<AggPartial, RowError> {
     // Group-by keys and aggregate arguments are compiled once, evaluated
     // per row (plain-column keys and arguments by direct slot copy).
-    let group_c = KeyPlan::compile(exec, group_by);
+    let group_c = KeyPlan::grouping(exec, group_by);
     let arg_c: Vec<Option<CompiledExpr>> = aggs
         .iter()
         .map(|call| call.arg.as_ref().map(|e| CompiledExpr::compile(exec, e)))
@@ -421,9 +346,12 @@ pub(super) fn accumulate<R: RowRef>(
         let (pos, t) = rec.map_err(fatal)?;
         let at = |e| (Some(pos), e);
         let mut input = Input::new(&t);
-        let key = group_c.apply(exec, &mut input, params).map_err(at)?;
+        let key = group_c.key(exec, &mut input, params).map_err(at)?;
+        // INVARIANT: grouping equality admits every value, so every row
+        // has a key.
+        let key = key.expect("grouping keys admit every row");
         // One hash per row: the entry API probes once, and only a *new*
-        // group clones its key (a refcount bump) into the group list.
+        // group clones its key into the group list.
         let g = match partial.index.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => *e.get(),
             std::collections::hash_map::Entry::Vacant(v) => {
@@ -514,20 +442,14 @@ pub(super) fn finish<O>(
     if group_by.is_empty() && partial.groups.is_empty() {
         partial.groups.push(Group {
             pos: 0,
-            key: GroupKey::Many(Tuple::empty()),
+            key: HashKey::empty(),
             state: GroupState::new(aggs),
         });
     }
     // no-cancel: output assembly from already-computed group states.
     let heads = partial.groups.into_iter().map(|Group { pos, key, state }| {
-        let mut vals = match key {
-            GroupKey::One(v) => {
-                let mut vs = Vec::with_capacity(1 + aggs.len());
-                vs.push(v);
-                vs
-            }
-            GroupKey::Many(t) => t.into_values(),
-        };
+        let mut vals = Vec::with_capacity(key.values().len() + aggs.len());
+        vals.extend_from_slice(key.values());
         vals.extend(state.states.into_iter().map(AggState::finish));
         (pos, Tuple::new(vals))
     });
@@ -598,99 +520,56 @@ pub(crate) fn run_aggregate(
     let charge = !group_by.is_empty() || witnesses.is_some();
     let spill = spill && !group_by.is_empty();
     let reservation = exec.memory().register("HashAggregate");
-    let on_disk = |backing| {
-        let op = Arc::new(Grouped::new(exec, group_by, aggs, witnesses));
-        partitioned(exec, backing, [Arc::clone(&refs)], op)
-    };
-
-    if dop > 1 {
-        // Chunk-parallel: each worker accumulates one contiguous chunk
-        // into a private hash table; partials merge in chunk order. The
-        // workers share one reservation (clones share accounting), so
-        // concurrent chunks charge the same query budget.
-        let worker = exec.worker_factory();
-        let total = refs.len();
-        let group_by_owned: Arc<Vec<ScalarExpr>> = Arc::new(group_by.to_vec());
-        let aggs_owned: Arc<Vec<AggCall>> = Arc::new(aggs.to_vec());
-        let partials = {
-            let refs = Arc::clone(&refs);
-            let params = params.clone();
-            let shared = reservation.clone();
-            crate::parallel::map_chunks(exec.context(), dop, total, move |range| {
-                let sub = worker();
-                let view = refs.view(&sub)?;
-                if charge {
-                    grow_batched(&shared, range.clone().map(|r| view.size_bytes(r)))
-                        .map_err(MemoryDenied::into_error)?;
-                }
-                accumulate(
-                    &sub,
-                    view.positions(range),
-                    &group_by_owned,
-                    &aggs_owned,
-                    &params,
-                    |_| Ok(()),
-                    witnesses.is_some(),
-                )
-                .map_err(|(_, e)| e)
-            })
-        };
-        // The worker closures hold reservation clones and are dropped
-        // *asynchronously* by the pool threads, so every exit from this
-        // branch frees the shared accounting explicitly — relying on the
-        // last clone's Drop would leave the pool charged for a moment
-        // after the query returns.
-        let out = match partials {
-            Ok(partials) => {
-                let mut iter = partials.into_iter();
-                let mut acc = iter.next().unwrap_or_default();
-                let mut merged = Ok(());
-                // no-cancel: merge of already-computed partials, bounded
-                // by dop.
-                for p in iter {
-                    if let Err(e) = merge_partials(&mut acc, p) {
-                        merged = Err(e);
-                        break;
-                    }
-                }
-                merged.and_then(|()| {
-                    let view = refs.view(exec)?;
-                    let kept = witnesses.map(|_| &view);
-                    finish(exec, acc, group_by, aggs, kept, |_, t| t)
-                })
-            }
-            // A denied worker reservation falls back to the serial spill
-            // path — legal because parallel aggregation is exactly
-            // equivalent to serial. Parallel aggregates are sublink-free
-            // (the legality rules keep sublink pipelines serial), so a
-            // "resource" error here can only be our own denial.
-            Err(e) if e.kind() == "resource" && spill => {
-                reservation.free();
-                on_disk(Backing::disk(&reservation, total))
-            }
-            Err(e) => Err(e),
-        };
-        reservation.free();
-        return out;
-    }
-
     let view = refs.view(exec)?;
     if charge {
         let sizes = (0..view.len()).map(|r| view.size_bytes(r));
         if let Some(backing) = charge_input(&reservation, sizes, view.len(), 1, spill)? {
-            return on_disk(backing);
+            let op = Arc::new(Grouped::new(exec, group_by, aggs, witnesses));
+            return partitioned(exec, backing, [Arc::clone(&refs)], op);
         }
     }
-    let partial = accumulate(
-        exec,
-        view.positions(0..view.len()),
-        group_by,
-        aggs,
-        &params,
-        |_| Ok(()),
-        witnesses.is_some(),
-    )
-    .map_err(|(_, e)| e)?;
+
+    let partial = if dop > 1 {
+        // Chunk-parallel: each worker accumulates one contiguous chunk
+        // into a private hash table; partials merge in chunk order. The
+        // input was charged whole above, on this thread.
+        let worker = exec.worker_factory();
+        let group_by_owned: Arc<Vec<ScalarExpr>> = Arc::new(group_by.to_vec());
+        let aggs_owned: Arc<Vec<AggCall>> = Arc::new(aggs.to_vec());
+        let (refs, params) = (Arc::clone(&refs), params.clone());
+        let partials = map_chunks(exec.context(), dop, view.len(), move |range| {
+            let sub = worker();
+            let view = refs.view(&sub)?;
+            accumulate(
+                &sub,
+                view.positions(range),
+                &group_by_owned,
+                &aggs_owned,
+                &params,
+                |_| Ok(()),
+                witnesses.is_some(),
+            )
+            .map_err(|(_, e)| e)
+        })?;
+        let mut iter = partials.into_iter();
+        let mut acc = iter.next().unwrap_or_default();
+        // no-cancel: merge of already-computed partials, bounded by dop.
+        for p in iter {
+            merge_partials(&mut acc, p)?;
+        }
+        acc
+    } else {
+        accumulate(
+            exec,
+            view.positions(0..view.len()),
+            group_by,
+            aggs,
+            &params,
+            |_| Ok(()),
+            witnesses.is_some(),
+        )
+        .map_err(|(_, e)| e)?
+    };
     finish(
         exec,
         partial,
@@ -727,7 +606,7 @@ impl Grouped {
         let distinct = aggs.iter().any(|c| c.distinct);
         debug_assert!(!distinct, "DISTINCT aggregates never spill");
         Grouped {
-            keys: KeyPlan::compile(exec, group_by),
+            keys: KeyPlan::grouping(exec, group_by),
             group_by: group_by.to_vec(),
             aggs: aggs.to_vec(),
             params: exec.params(),
@@ -738,8 +617,8 @@ impl Grouped {
 
 impl Partitioned<1> for Grouped {
     fn key(&self, exec: &Executor, _: usize, row: &RefRow, parts: usize) -> Result<Option<usize>> {
-        let key = self.keys.apply(exec, &mut Input::new(row), &self.params)?;
-        Ok(Some(partition_of(&key, parts)))
+        let key = self.keys.key(exec, &mut Input::new(row), &self.params)?;
+        Ok(key.map(|key| partition_of(&key, parts)))
     }
 
     /// Charges what the in-memory table would hold: each group's key and
@@ -755,7 +634,7 @@ impl Partitioned<1> for Grouped {
             Ok((tag, t))
         });
         let group_bytes = 32 * self.aggs.len().max(1);
-        let on_new_group = |key: &GroupKey| cap.grow(key.size_bytes() + group_bytes);
+        let on_new_group = |key: &HashKey| cap.grow(key.size_bytes() + group_bytes);
         let (group_by, aggs, params) = (&self.group_by, &self.aggs, &self.params);
         let witnesses = self.witnesses.is_some();
         let partial = accumulate(exec, rows, group_by, aggs, params, on_new_group, witnesses)?;

@@ -7,6 +7,11 @@
 //! physical planner ([`crate::physical`]); this module only runs the
 //! operator it is handed.
 //!
+//! The build, the probe, the Grace scatter and the index probe take their
+//! keys from one [`KeyPlan`] ([`super::key`]), so they match exactly the
+//! pairs the nested-loop join's condition accepts: under `=` no NULL or
+//! NaN, under `IS NOT DISTINCT FROM` NULL = NULL and NaN = NaN.
+//!
 //! **Joins return row references.** A join's output is a [`JoinRefs`],
 //! not rows: its *sources* (each non-join input's materialized rows, or
 //! a base table read in place: an index nested-loop join's inner table
@@ -62,6 +67,7 @@ use perm_algebra::plan::JoinType;
 use crate::compile::CompiledExpr;
 use crate::eval::Env;
 use crate::executor::{check_scan_schema, Executor};
+use crate::operators::key::{HashKey, Input, KeyPlan, Match};
 use crate::operators::spill::{
     charge_input, partition_of, partitioned, Cap, Partitioned, Ran, Rows, Stream,
 };
@@ -520,89 +526,6 @@ pub(crate) fn join(exec: &Executor, plan: &PhysicalPlan) -> Result<Vec<Tuple>> {
     refs_of(exec, plan)?.gather(exec)
 }
 
-/// Sentinel wrapper distinguishing "key contains NULL under SQL equality"
-/// (never matches) from a NULL-safe key (NULL matches NULL). Single-column
-/// keys — the overwhelmingly common case — carry the value inline instead
-/// of allocating a vector per row.
-#[derive(PartialEq, Eq, Hash)]
-enum Key {
-    One(Value),
-    Many(Vec<Value>),
-}
-
-fn build_key(
-    exec: &Executor,
-    exprs: &[CompiledExpr],
-    null_safe: &[bool],
-    env: &Env<'_>,
-) -> Result<Option<Key>> {
-    if let [e] = exprs {
-        let v = e.eval(exec, env)?;
-        if v.is_null() && !null_safe[0] {
-            // SQL equality with NULL never matches: this row joins nothing.
-            return Ok(None);
-        }
-        return Ok(Some(Key::One(v)));
-    }
-    let mut vals = Vec::with_capacity(exprs.len());
-    // no-cancel: bounded by the key arity (a handful of columns per row).
-    for (e, &ns) in exprs.iter().zip(null_safe) {
-        let v = e.eval(exec, env)?;
-        if v.is_null() && !ns {
-            return Ok(None);
-        }
-        vals.push(v);
-    }
-    Ok(Some(Key::Many(vals)))
-}
-
-/// Precomputed key-evaluation plan. The single-`Slot` key — the
-/// overwhelmingly common shape after equi-key extraction — reads the
-/// value straight through the input's layout, skipping the per-row `Env`
-/// and the compiled-expression dispatch; every other shape evaluates
-/// [`build_key`] over the row as a tuple (gathered for a join input). A
-/// row narrower than the slot also falls back, so the out-of-range error
-/// comes from the reference path.
-struct KeyBuilder<'e> {
-    exprs: &'e [CompiledExpr],
-    null_safe: &'e [bool],
-    slot: Option<usize>,
-}
-
-impl<'e> KeyBuilder<'e> {
-    fn new(exprs: &'e [CompiledExpr], null_safe: &'e [bool]) -> KeyBuilder<'e> {
-        let slot = match exprs {
-            [CompiledExpr::Slot(i)] => Some(*i),
-            _ => None,
-        };
-        KeyBuilder {
-            exprs,
-            null_safe,
-            slot,
-        }
-    }
-
-    /// The key of row `r` of `side`.
-    #[inline]
-    fn key(
-        &self,
-        exec: &Executor,
-        side: &View<'_>,
-        r: usize,
-        params: &[Value],
-    ) -> Result<Option<Key>> {
-        if let Some(s) = self.slot.filter(|&s| s < side.width()) {
-            let v = side.value(r, s);
-            if v.is_null() && !self.null_safe[0] {
-                return Ok(None);
-            }
-            return Ok(Some(Key::One(v.clone())));
-        }
-        let row = side.row(r);
-        build_key(exec, self.exprs, self.null_safe, &Env::new(&row, params))
-    }
-}
-
 /// Sentinel ending a [`JoinTable`] chain.
 const NIL: usize = usize::MAX;
 
@@ -612,7 +535,7 @@ const NIL: usize = usize::MAX;
 /// `(head, tail)` build row; new rows append at the tail, so probing
 /// walks `next` in input order directly, with no scratch chain vector.
 pub(super) struct JoinTable {
-    heads: FxHashMap<Key, (usize, usize)>,
+    heads: FxHashMap<HashKey, (usize, usize)>,
     next: Vec<usize>,
 }
 
@@ -627,9 +550,8 @@ pub(super) struct HashProbe {
     /// inner joins; every other kind builds right and probes left, which
     /// is what the per-probe-row match tracking in `run` preserves.
     build_left: bool,
-    build_exprs: Vec<CompiledExpr>,
-    probe_exprs: Vec<CompiledExpr>,
-    null_safe: Vec<bool>,
+    build_keys: KeyPlan,
+    probe_keys: KeyPlan,
     residual: Option<CompiledExpr>,
     /// Input arities (left, right) and the fused output projection: the
     /// shape of a spilled partition's output.
@@ -657,17 +579,22 @@ impl HashProbe {
         };
         let build_left = matches!(build_side, BuildSide::Left);
         debug_assert!(!build_left || matches!(kind, JoinType::Inner));
-        let side = |left: bool| -> Vec<CompiledExpr> {
-            keys.iter()
-                .map(|k| CompiledExpr::compile(exec, if left { &k.left } else { &k.right }))
-                .collect()
+        let side = |left: bool| {
+            let keys = keys.iter().map(|k| {
+                let rule = if k.null_safe {
+                    Match::NotDistinct
+                } else {
+                    Match::Equal
+                };
+                (if left { &k.left } else { &k.right }, rule)
+            });
+            KeyPlan::compile(exec, keys)
         };
         HashProbe {
             kind: *kind,
             build_left,
-            build_exprs: side(build_left),
-            probe_exprs: side(!build_left),
-            null_safe: keys.iter().map(|k| k.null_safe).collect(),
+            build_keys: side(build_left),
+            probe_keys: side(!build_left),
             residual: residual.as_ref().map(|r| CompiledExpr::compile(exec, r)),
             widths: (*nl, *nr),
             out_slots: out_slots.clone(),
@@ -697,16 +624,18 @@ impl HashProbe {
 
     /// Index the build side's rows by this join's build-side keys.
     pub(super) fn build(&self, exec: &Executor, build: &View<'_>) -> Result<JoinTable> {
-        let keys = KeyBuilder::new(&self.build_exprs, &self.null_safe);
         let n = build.len();
-        let mut heads: FxHashMap<Key, (usize, usize)> = map_with_capacity(n);
+        let mut heads: FxHashMap<HashKey, (usize, usize)> = map_with_capacity(n);
         let mut next: Vec<usize> = vec![NIL; n];
         for i in 0..n {
             // Masked cancellation check per 4096 build rows.
             if i % 4096 == 0 {
                 exec.check_cancelled()?;
             }
-            if let Some(k) = keys.key(exec, build, i, &self.params)? {
+            let key = self
+                .build_keys
+                .key(exec, &mut Input::new(&build.at(i)), &self.params)?;
+            if let Some(k) = key {
                 match heads.entry(k) {
                     std::collections::hash_map::Entry::Vacant(v) => {
                         v.insert((i, i));
@@ -753,7 +682,6 @@ impl HashProbe {
             .as_ref()
             .map(|p| Residual::new(p, left, right));
         let mut walk = Candidates::new(self.kind, residual, params, budget_base);
-        let keys = KeyBuilder::new(&self.probe_exprs, &self.null_safe);
         let fatal = |e| (None, e);
         for (n, r) in rows.enumerate() {
             // Masked cancellation check per 4096 probe rows.
@@ -762,9 +690,12 @@ impl HashProbe {
             }
             let at = |e| (Some(r as u64), e);
             let pids = probe.ids(r);
-            let mut bi = match keys.key(exec, probe, r, params).map_err(at)? {
+            let key = self
+                .probe_keys
+                .key(exec, &mut Input::new(&probe.at(r)), params);
+            let mut bi = match key.map_err(at)? {
                 Some(key) => table.heads.get(&key).map_or(NIL, |&(head, _)| head),
-                // SQL equality with NULL: this row joins nothing.
+                // An `=` key with NULL or NaN: this row joins nothing.
                 None => NIL,
             };
             // no-cancel: chain walk; emission checks the row budget and
@@ -864,33 +795,21 @@ impl HashProbe {
 /// The spilled (Grace) join as the partition driver runs it, over
 /// `[build, probe]`.
 impl Partitioned<2> for HashProbe {
-    /// A NULL key under plain equality matches nothing: such a build row
-    /// is dropped (FULL joins never spill), such a probe row still drives
-    /// the LEFT/ANTI epilogue in partition 0 — unless the build side is
-    /// the left, inner-only one. Build positions come first, so a
-    /// build-key error beats every probe-side one, as the in-memory
-    /// build's does.
+    /// A row without a key (NULL or NaN under `=`) matches nothing: such
+    /// a build row is dropped (FULL joins never spill), such a probe row
+    /// still drives the LEFT/ANTI epilogue in partition 0 — unless the
+    /// build side is the left, inner-only one. Build positions come
+    /// first, so a build-key error beats every probe-side one, as the
+    /// in-memory build's does.
+    /// Inline in the scatter loop: out of line it measured ≈25% slower.
+    #[inline]
     fn key(&self, exec: &Executor, k: usize, row: &RefRow, parts: usize) -> Result<Option<usize>> {
-        let exprs = if k == 0 {
-            &self.build_exprs
+        let keys = if k == 0 {
+            &self.build_keys
         } else {
-            &self.probe_exprs
+            &self.probe_keys
         };
-        // A single-slot key reads the row in place, as `KeyBuilder` does,
-        // inline: through `KeyBuilder` the scatter measured ≈25% slower.
-        let key = match exprs.as_slice() {
-            [CompiledExpr::Slot(s)] if *s < row.width() => {
-                let v = row.value(*s);
-                (!v.is_null() || self.null_safe[0]).then(|| Key::One(v.clone()))
-            }
-            _ => build_key(
-                exec,
-                exprs,
-                &self.null_safe,
-                &Env::new(&row.tuple(), &self.params),
-            )?,
-        };
-        Ok(match key {
+        Ok(match keys.key(exec, &mut Input::new(row), &self.params)? {
             Some(key) => Some(partition_of(&key, parts)),
             None if k == 1 && !self.build_left => Some(0),
             None => None,
@@ -1042,7 +961,7 @@ where
 struct IndexProbe {
     kind: JoinType,
     column: usize,
-    key: CompiledExpr,
+    key: KeyPlan,
     inner_filter: Option<CompiledExpr>,
     /// The inner output row over the base row (the fused projection).
     inner_layout: Vec<Col>,
@@ -1079,7 +998,6 @@ impl IndexProbe {
             .as_ref()
             .map(|p| Residual::new(p, left, &inner_view));
         let mut walk = Candidates::new(self.kind, residual, params, budget_base);
-        let keys = KeyBuilder::new(std::slice::from_ref(&self.key), &[false]);
         // Fallback candidates when the index vanished since planning: a
         // linear scan comparing the probe key (same semantics, slower).
         let mut linear: Vec<usize> = Vec::new();
@@ -1089,16 +1007,17 @@ impl IndexProbe {
                 exec.check_cancelled()?;
             }
             let lids = left.ids(r);
-            // A NULL key matches nothing.
-            if let Some(Key::One(key_val)) = keys.key(exec, left, r, params)? {
+            // A NULL or NaN key matches nothing.
+            if let Some(key) = self.key.key(exec, &mut Input::new(&left.at(r)), params)? {
+                let key_val = &key.values()[0];
                 let candidates: &[usize] = match index {
-                    Some(idx) => idx.lookup(&key_val),
+                    Some(idx) => idx.lookup(key_val),
                     None => {
                         linear.clear();
                         // no-cancel: index-vanished fallback scan; the
                         // outer loop checks per row batch.
                         for (i, row) in inner_rows.iter().enumerate() {
-                            if !row.get(column).is_null() && row.get(column) == &key_val {
+                            if row.get(column) == key_val {
                                 linear.push(i);
                             }
                         }
@@ -1165,7 +1084,7 @@ fn index_nl_join_refs(exec: &Executor, plan: &PhysicalPlan) -> Result<JoinRefs> 
     let probe = IndexProbe {
         kind,
         column: *column,
-        key: CompiledExpr::compile(exec, key),
+        key: KeyPlan::compile(exec, [(key, Match::Equal)]),
         inner_filter: inner_filter
             .as_ref()
             .map(|f| CompiledExpr::compile(exec, f)),

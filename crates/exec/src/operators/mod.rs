@@ -20,6 +20,10 @@
 //!   keeps. The serial driver runs the body on one partition already in
 //!   order. Parallel joins and aggregates split their input into morsels
 //!   or chunks instead.
+//! * **One hash key** ([`key`]) for joins and aggregation: under `=` a
+//!   NULL or NaN value matches nothing, under grouping equality (`IS NOT
+//!   DISTINCT FROM`, `GROUP BY`, and the whole rows DISTINCT and set
+//!   operations hash) NULL = NULL and NaN = NaN.
 //! * **Joins return row references** ([`join::JoinRefs`]): the rows of
 //!   each non-join input, one row id per input per output row, and an
 //!   output layout. A join or an aggregate over a join reads its input
@@ -43,11 +47,16 @@
 //!   Drivers: serial (one run, no merge), parallel (a run per chunk, then
 //!   the stable k-way merge) and spilled (runs written to disk, then the
 //!   same merge).
+//!
+//! Every buffering operator takes its in-memory / spill / refuse
+//! decision from one call, [`spill::charge_input`], on the calling
+//! thread, before any worker starts.
 
 use perm_types::PermError;
 
 pub(crate) mod aggregate;
 pub(crate) mod join;
+pub(crate) mod key;
 pub(crate) mod scan;
 pub(crate) mod setop;
 pub(crate) mod sort;

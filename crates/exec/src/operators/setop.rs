@@ -1,8 +1,10 @@
 //! Set operations with both set (`DISTINCT`) and bag (`ALL`) semantics,
-//! and `SELECT DISTINCT`.
+//! and `SELECT DISTINCT`. `UNION ALL` holds no state and is not here: it
+//! streams its inputs one after the other as an append cursor
+//! ([`crate::stream`]).
 //!
-//! Tuple equality here is grouping equality (NULL == NULL), matching SQL's
-//! treatment of NULLs in set operations.
+//! Tuple equality here is grouping equality (NULL == NULL, NaN == NaN),
+//! matching SQL's treatment of NULLs in set operations.
 //!
 //! Each operator has **one body** — [`setop_kernel`] holds the `(op, all)`
 //! logic, [`keep_first`] the first-occurrence dedup — written over a
@@ -40,15 +42,8 @@ pub(crate) fn run_setop(
 ) -> Result<Vec<Tuple>> {
     let l = exec.run_physical(left)?;
     let r = exec.run_physical(right)?;
-    if matches!(op, SetOpType::Union) && all {
-        // Plain append holds no operator state: nothing to charge or
-        // spill.
-        let mut out = l;
-        out.extend(r);
-        return Ok(out);
-    }
-    // Every other variant hashes both sides, so the whole input is
-    // charged up front.
+    // Every variant hashes both sides, so the whole input is charged up
+    // front. (`UNION ALL` is an append cursor, [`crate::stream`].)
     let reservation = exec.memory().register("HashSetOp");
     let (sizes, rows) = (l.iter().chain(&r).map(Tuple::size_bytes), l.len() + r.len());
     if let Some(backing) = charge_input(&reservation, sizes, rows, dop, spill)? {
@@ -87,8 +82,9 @@ impl Partitioned<2> for SetOp {
     }
 }
 
-/// The one body of every hash set operation: run `(op, all)` over the
-/// rows of one hash partition — `l` then `r`, each in tag order — and
+/// The one body of every hash set operation (`UNION`, and `INTERSECT` /
+/// `EXCEPT` with or without `ALL`): run `(op, all)` over the rows of one
+/// hash partition — `l` then `r`, each in tag order — and
 /// hand every surviving row (always an `l` row, except under `UNION`) to
 /// `emit` with its tag, in the order the serial operator outputs them.
 /// `capacity` sizes `UNION`'s dedup set.
@@ -100,9 +96,8 @@ pub(super) fn setop_kernel<G>(
     capacity: usize,
     mut emit: impl FnMut(G, Tuple),
 ) -> Result<()> {
-    match (op, all) {
-        (SetOpType::Union, true) => unreachable!("append is not hashed"),
-        (SetOpType::Union, false) => {
+    match op {
+        SetOpType::Union => {
             // Single-probe insert: UNION inputs are mostly distinct, so
             // one hash plus a refcount-bump clone beats a double probe.
             let mut seen = set_with_capacity(capacity);
@@ -118,10 +113,8 @@ pub(super) fn setop_kernel<G>(
             }
             Ok(())
         }
-        (SetOpType::Intersect, false) => filter_left(ctx, l, r, true, false, emit),
-        (SetOpType::Except, false) => filter_left(ctx, l, r, false, false, emit),
-        (SetOpType::Intersect, true) => filter_left(ctx, l, r, true, true, emit),
-        (SetOpType::Except, true) => filter_left(ctx, l, r, false, true, emit),
+        SetOpType::Intersect => filter_left(ctx, l, r, true, all, emit),
+        SetOpType::Except => filter_left(ctx, l, r, false, all, emit),
     }
 }
 

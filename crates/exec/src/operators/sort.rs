@@ -24,9 +24,10 @@ use crate::compile::CompiledExpr;
 use crate::eval::Env;
 use crate::executor::Executor;
 use crate::kernels::{self, BATCH_ROWS};
-use crate::memory::{grow_batched, MemoryReservation};
+use crate::memory::MemoryReservation;
+use crate::operators::spill::{charge_input, Backing};
 use crate::parallel::{chunk_ranges, map_chunks};
-use crate::physical::{spill_fanout_for_rows, PhysicalPlan};
+use crate::physical::PhysicalPlan;
 
 /// A row with its evaluated sort keys.
 pub(super) type Keyed = (Vec<Value>, Tuple);
@@ -41,15 +42,11 @@ pub(crate) fn run_sort(
     let rows = exec.run_physical(input)?;
     let sorter = SortRun::compile(exec, keys);
     // The sort buffer holds every input row plus its computed keys:
-    // charge input bytes; a denial switches to the external run-sort +
-    // k-way merge.
+    // charge input bytes, as the hash operators do; a denial switches to
+    // the external run-sort + k-way merge, one run per spill partition.
     let reservation = exec.memory().register("Sort");
-    if let Err(denied) = grow_batched(&reservation, rows.iter().map(Tuple::size_bytes)) {
-        reservation.free();
-        if !spill {
-            return Err(denied.into_error());
-        }
-        let runs = spill_fanout_for_rows(rows.len() as f64);
+    let sizes = rows.iter().map(Tuple::size_bytes);
+    if let Some(Backing::Disk(_, runs)) = charge_input(&reservation, sizes, rows.len(), 1, spill)? {
         return sort_spill(exec, &sorter, rows, runs, &reservation);
     }
     if dop > 1 {

@@ -45,13 +45,6 @@ pub(super) enum Backing<'r> {
     Disk(&'r MemoryReservation, usize),
 }
 
-impl Backing<'_> {
-    /// On disk, partitions for `rows` rows that each fit in memory.
-    pub(super) fn disk(res: &MemoryReservation, rows: usize) -> Backing<'_> {
-        Backing::Disk(res, spill_fanout_for_rows(rows as f64))
-    }
-}
-
 /// Charge a hash operator's input (`sizes`) to `res` and pick its driver:
 /// serial (`None`) or the pool when it fits, the disk — sized for the
 /// `rows` to scatter — when denied and the node `may_spill`, else the
@@ -70,7 +63,7 @@ pub(super) fn charge_input(
     if !may_spill {
         return Err(denied.into_error());
     }
-    Ok(Some(Backing::disk(res, rows)))
+    Ok(Some(Backing::Disk(res, spill_fanout_for_rows(rows as f64))))
 }
 
 /// Partition index of a row or key: high hash bits, so the per-partition

@@ -359,6 +359,85 @@ fn hash_probe_is_partition_invariant() {
     }
 }
 
+/// The Grace scatter partitions a row by the key the in-memory join
+/// computes for it: joined against itself in memory, every matched
+/// (probe, build) pair scatters to one partition, and a row that matches
+/// nothing — a NULL or NaN under `=` — is dropped from the build side
+/// and sent to partition 0 from the probe side. Single-slot, computed
+/// and two-column keys, under `=` and `IS NOT DISTINCT FROM`.
+#[test]
+fn the_scatter_partitions_a_row_by_its_in_memory_key() {
+    let exec = Executor::new(Arc::new(Catalog::new()));
+    let keys = [Value::Null, Value::Float(f64::NAN), Value::Float(-0.0)]
+        .into_iter()
+        .chain([Value::Float(0.0), Value::Int(0), Value::Float(2.0)])
+        .chain([Value::Int(2), Value::Int(5)]);
+    let rows: Vec<Tuple> = keys
+        .enumerate()
+        .map(|(i, k)| Tuple::new(vec![k, Value::Int(i as i64 % 3)]))
+        .collect();
+    let plus_zero = ScalarExpr::binary(BinOp::Add, col(0), int(0));
+    let shapes: [(&str, Vec<(ScalarExpr, ScalarExpr)>); 3] = [
+        ("slot", vec![(col(0), col(0))]),
+        ("computed", vec![(plus_zero.clone(), plus_zero)]),
+        ("two columns", vec![(col(0), col(0)), (col(1), col(1))]),
+    ];
+    let refs = JoinRefs::rows(rows.clone(), 2).unwrap();
+    let view = refs.view(&exec).unwrap();
+    for (shape, pairs) in shapes {
+        for null_safe in [false, true] {
+            let what = format!("{shape} null_safe={null_safe}");
+            let node = PhysicalPlan::HashJoin {
+                left: Box::new(values(&rows)),
+                right: Box::new(values(&rows)),
+                kind: JoinType::Inner,
+                keys: pairs
+                    .iter()
+                    .map(|(l, r)| EquiKey {
+                        left: l.clone(),
+                        right: r.clone(),
+                        null_safe,
+                    })
+                    .collect(),
+                residual: None,
+                build_side: BuildSide::Right,
+                nl: 2,
+                nr: 2,
+                out_slots: None,
+                est_rows: 0.0,
+                dop: 1,
+                spill: false,
+            };
+            let probe = HashProbe::compile(&exec, &node);
+            let table = probe.build(&exec, &view).unwrap();
+            let mut ids = Vec::new();
+            let all = 0..view.len();
+            probe
+                .run(&exec, &table, &view, &view, all, None, 0, &mut ids)
+                .unwrap();
+            for parts in PARTITION_COUNTS {
+                let scatter = |k, r| probe.key(&exec, k, &view.at(r), parts).unwrap();
+                let mut matched = vec![false; view.len()];
+                // Inner, building right: (probe id, build id) pairs.
+                for pair in ids.chunks(2) {
+                    let (p, b) = (pair[0] as usize, pair[1] as usize);
+                    assert_eq!(scatter(1, p), scatter(0, b), "{what}: rows {p}, {b}");
+                    assert!(scatter(0, b).is_some(), "{what}: row {b}");
+                    matched[p] = true;
+                }
+                for r in (0..view.len()).filter(|&r| !matched[r]) {
+                    assert_eq!(scatter(0, r), None, "{what}: build row {r}");
+                    assert_eq!(scatter(1, r), Some(0), "{what}: probe row {r}");
+                }
+            }
+            // Every key but a NULL or NaN one matches itself.
+            let keyless = if null_safe { 0 } else { 2 };
+            let selfless = (0..view.len()).filter(|&r| !ids.chunks(2).any(|p| p[0] as usize == r));
+            assert_eq!(selfless.count(), keyless, "{what}");
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // Pipelined bodies: chunk invariance
 // ----------------------------------------------------------------------

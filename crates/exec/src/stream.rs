@@ -22,11 +22,12 @@
 //! raised at the *next* pull, after the chunk's rows before it, so a
 //! `LIMIT k` over scans, filters and projections returns exactly the rows
 //! and errors of a row-at-a-time executor, whichever consumer pulls it.
-//! Blocking operators (joins,
-//! aggregation, sorts, set operations, DISTINCT, `VALUES`) run their
-//! body once on the first pull (`Executor::run_blocking`) and hand the
-//! result out `want` rows at a time. The cursor evaluates nothing
-//! itself, so a pulled row is the row the body computes.
+//! A `UNION ALL` pulls its left input until it is exhausted, then its
+//! right. Blocking operators (joins, aggregation, sorts, the other set
+//! operations, DISTINCT, `VALUES`) run their body once on the first pull
+//! (`Executor::run_blocking`) and hand the result out `want` rows at a
+//! time. The cursor evaluates nothing itself, so a pulled row is the row
+//! the body computes.
 //!
 //! One blocking node may not block: a DISTINCT whose input the
 //! executor's snapshot proves duplicate-free (a key column of a base
@@ -51,7 +52,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use perm_algebra::expr::ScalarExpr;
-use perm_algebra::plan::AggOutput;
+use perm_algebra::plan::{AggOutput, SetOpType};
 use perm_storage::Catalog;
 use perm_types::{PermError, Result, Schema, Tuple, Value};
 
@@ -153,6 +154,9 @@ pub(crate) enum Cursor<'p> {
         remaining: Option<usize>,
         ahead: usize,
     },
+    /// `UNION ALL`: the left input's rows until it is exhausted (an
+    /// exhausted cursor stays exhausted), then the right's.
+    Append(Box<Cursor<'p>>, Box<Cursor<'p>>),
     /// A blocking subtree, not yet run: borrowed from the plan when
     /// draining, owned in a stream.
     Pending(Cow<'p, PhysicalPlan>),
@@ -264,6 +268,16 @@ impl<'p> Cursor<'p> {
                 exec.enter_statement(plan);
                 Cursor::build(exec, input, hold)?
             }
+            PhysicalPlan::HashSetOp {
+                op: SetOpType::Union,
+                all: true,
+                left,
+                right,
+                ..
+            } => Cursor::Append(
+                Box::new(Cursor::build(exec, left, hold)?),
+                Box::new(Cursor::build(exec, right, hold)?),
+            ),
             // Nothing to remove: the DISTINCT is its input's cursor.
             PhysicalPlan::HashDistinct { input, .. } if duplicate_free(exec.catalog(), input) => {
                 perm_fault::exec_point("exec.distinct.passthrough", "HashDistinct")?;
@@ -361,6 +375,10 @@ impl<'p> Cursor<'p> {
                 }
                 Ok(Some(rows))
             }
+            Cursor::Append(left, right) => match left.next_chunk(exec, want)? {
+                Some(rows) => Ok(Some(rows)),
+                None => right.next_chunk(exec, want),
+            },
             Cursor::Pending(plan) => {
                 exec.check_cancelled()?;
                 let mut rows = exec.run_blocking(plan)?.into_iter();
@@ -380,6 +398,7 @@ impl<'p> Cursor<'p> {
         match self {
             Cursor::Scan(scan) => scan.next,
             Cursor::Pipe { input, .. } | Cursor::Limit { input, .. } => input.rows_scanned(),
+            Cursor::Append(left, right) => left.rows_scanned() + right.rows_scanned(),
             Cursor::Pending(_) | Cursor::Buffered(_) => 0,
         }
     }

@@ -11,8 +11,13 @@
 //!    errors.
 //! 2. **Hash operators vs. nested loops** — random join/filter/aggregate
 //!    plans over random tables must produce identical multisets lowered
-//!    by the default [`perm_exec::PhysicalPlanner`] (hash joins, fused
-//!    projections) and by one with `nested_loop_only(true)`.
+//!    by the default [`perm_exec::PhysicalPlanner`] (hash joins, index
+//!    nested-loop joins, fused projections) and by one with
+//!    `nested_loop_only(true)`. Each table has two Int columns and a
+//!    Float one holding NULL, NaN, −0.0, 0.0 and 2.0, and any of them
+//!    may be a join key, so every hash path must match as `=` (NULL and
+//!    NaN match nothing) and `IS NOT DISTINCT FROM` (they match
+//!    themselves) do.
 //! 3. **The two-phase optimizer vs. raw execution** — the same random
 //!    plans (with a random projection on top, and an index on one join
 //!    column) run through the full logical pass (filter pushdown, LEFT
@@ -218,31 +223,38 @@ fn expr() -> impl Strategy<Value = ScalarExpr> {
 // Plan generator: join (chain) + filter + aggregate over random tables
 // ----------------------------------------------------------------------
 
-/// A third table `t3(e, f)` joined on top of `t1 ⋈ t2`.
+/// A row of a plan case's table: two Int columns and a Float one.
+type Row = (Option<i64>, Option<i64>, Option<f64>);
+
+/// A third table `t3(e, f, z)` joined on top of `t1 ⋈ t2`.
 #[derive(Debug, Clone)]
 struct Chain {
-    rows: Vec<(Option<i64>, Option<i64>)>,
+    rows: Vec<Row>,
     /// Inner | Left | Semi | Anti.
     kind: JoinType,
     /// Which lower side the key reads (0 = t1, 1 = t2 — t1 when the
     /// lower join keeps only its left side) and which of its columns.
     side: usize,
     column: usize,
+    /// The key's column of t3: `z` (Float) instead of `e` (Int).
+    float: bool,
     /// Key `#i + 0` instead of the bare column.
     computed: bool,
     /// Optional residual comparison `t3.f < literal`.
     residual: Option<i64>,
-    /// A hash index on `t3.e`, so the index nested-loop join is planned.
+    /// A hash index on t3's key column, so the index nested-loop join is
+    /// planned.
     index: bool,
 }
 
 #[derive(Debug, Clone)]
 struct PlanCase {
-    t1_rows: Vec<(Option<i64>, Option<i64>)>,
-    t2_rows: Vec<(Option<i64>, Option<i64>)>,
+    t1_rows: Vec<Row>,
+    t2_rows: Vec<Row>,
     kind: JoinType,
     null_safe: bool,
-    /// Key columns: t1 key index (0..2), t2 key index (0..2).
+    /// Key columns: t1 key index, t2 key index (0..3; 2 is the Float
+    /// column).
     lkey: usize,
     rkey: usize,
     /// Optional residual comparison `t1.c < literal`.
@@ -271,10 +283,26 @@ fn cell() -> impl Strategy<Value = Option<i64>> {
     proptest::option::of(-3i64..4)
 }
 
+/// A Float key cell: NULL, NaN, both zeros and 2.0, which `=` matches
+/// with the Int cells 0 and 2 (and grouping equality NaN with NaN).
+fn float_cell() -> impl Strategy<Value = Option<f64>> {
+    prop_oneof![
+        Just(None),
+        Just(Some(f64::NAN)),
+        Just(Some(-0.0)),
+        Just(Some(0.0)),
+        Just(Some(2.0)),
+    ]
+}
+
+fn row() -> impl Strategy<Value = Row> {
+    (cell(), cell(), float_cell())
+}
+
 fn chain() -> impl Strategy<Value = Chain> {
     (
         (
-            prop::collection::vec((cell(), cell()), 0..10),
+            prop::collection::vec(row(), 0..10),
             prop_oneof![
                 Just(JoinType::Inner),
                 Just(JoinType::Left),
@@ -284,18 +312,20 @@ fn chain() -> impl Strategy<Value = Chain> {
             0..2usize,
         ),
         (
-            0..2usize,
+            0..3usize,
+            any::<bool>(),
             any::<bool>(),
             proptest::option::of(-2i64..3),
             any::<bool>(),
         ),
     )
         .prop_map(
-            |((rows, kind, side), (column, computed, residual, index))| Chain {
+            |((rows, kind, side), (column, float, computed, residual, index))| Chain {
                 rows,
                 kind,
                 side,
                 column,
+                float,
                 computed,
                 residual,
                 index,
@@ -309,8 +339,8 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
     // tuples of up to six elements.
     (
         (
-            prop::collection::vec((cell(), cell()), 0..12),
-            prop::collection::vec((cell(), cell()), 0..12),
+            prop::collection::vec(row(), 0..12),
+            prop::collection::vec(row(), 0..12),
             prop_oneof![
                 Just(JoinType::Inner),
                 Just(JoinType::Left),
@@ -321,8 +351,8 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
         ),
         (
             any::<bool>(),
-            0..2usize,
-            0..2usize,
+            0..3usize,
+            0..3usize,
             any::<bool>(),
             any::<bool>(),
         ),
@@ -362,25 +392,46 @@ fn plan_case() -> impl Strategy<Value = PlanCase> {
         )
 }
 
-/// The case's tables: `t1(a, b)`, `t2(c, d)` — with a hash index on
-/// `t2.c` when `t2_index` — and the chain's `t3(e, f)`.
+/// The case's tables: `t1(a, b, x)`, `t2(c, d, y)` — with a hash index
+/// on t2's join column when `t2_index` — and the chain's `t3(e, f, z)`.
 fn tables(case: &PlanCase, t2_index: bool) -> Catalog {
     let mut cat = Catalog::new();
-    cat.create_table(int_table("t1", ["a", "b"], &case.t1_rows))
+    cat.create_table(key_table("t1", ["a", "b", "x"], &case.t1_rows))
         .unwrap();
-    cat.create_table(int_table("t2", ["c", "d"], &case.t2_rows))
+    cat.create_table(key_table("t2", ["c", "d", "y"], &case.t2_rows))
         .unwrap();
     if t2_index {
-        cat.table_mut("t2").unwrap().create_index(0).unwrap();
+        cat.table_mut("t2")
+            .unwrap()
+            .create_index(case.rkey)
+            .unwrap();
     }
     if let Some(chain) = &case.chain {
-        cat.create_table(int_table("t3", ["e", "f"], &chain.rows))
+        cat.create_table(key_table("t3", ["e", "f", "z"], &chain.rows))
             .unwrap();
         if chain.index {
-            cat.table_mut("t3").unwrap().create_index(0).unwrap();
+            let column = if chain.float { 2 } else { 0 };
+            cat.table_mut("t3").unwrap().create_index(column).unwrap();
         }
     }
     cat
+}
+
+fn key_table(name: &str, cols: [&str; 3], rows: &[Row]) -> Table {
+    let mut t = Table::new(
+        name,
+        Schema::new(vec![
+            Column::new(cols[0], DataType::Int),
+            Column::new(cols[1], DataType::Int),
+            Column::new(cols[2], DataType::Float),
+        ]),
+    );
+    for &(a, b, x) in rows {
+        let x = x.map_or(Value::Null, Value::Float);
+        t.insert(Tuple::new(vec![int_or_null(a), int_or_null(b), x]))
+            .expect("generated row matches schema");
+    }
+    t
 }
 
 fn int_table(name: &str, cols: [&str; 2], rows: &[(Option<i64>, Option<i64>)]) -> Table {
@@ -406,7 +457,7 @@ fn build_plan(case: &PlanCase, cat: &Catalog) -> LogicalPlan {
             provenance_cols: vec![],
         };
         let leaf = if case.fan_out {
-            LogicalPlan::project_positions(scan, &[0, 1, 0, 1])
+            LogicalPlan::project_positions(scan, &[0, 1, 2, 0, 1, 2])
         } else {
             scan
         };
@@ -431,7 +482,7 @@ fn build_plan(case: &PlanCase, cat: &Catalog) -> LogicalPlan {
     // Each side's width, and where the columns the condition reads start
     // (the copies, under `fan_out`). Columns 0 and 1 of the output are
     // t1's own in every shape.
-    let (width, read) = if case.fan_out { (4, 2) } else { (2, 0) };
+    let (width, read) = if case.fan_out { (6, 3) } else { (3, 0) };
     let width = if case.pad { width + 2 } else { width };
     let op = if case.null_safe {
         BinOp::NotDistinctFrom
@@ -469,10 +520,11 @@ fn build_plan(case: &PlanCase, cat: &Catalog) -> LogicalPlan {
         } else {
             column
         };
+        let t3_key = if chain.float { 2 } else { 0 };
         let mut cond = vec![ScalarExpr::binary(
             BinOp::Eq,
             key,
-            ScalarExpr::Column(lower + read),
+            ScalarExpr::Column(lower + read + t3_key),
         )];
         if let Some(lit) = chain.residual {
             cond.push(ScalarExpr::binary(
@@ -1206,29 +1258,35 @@ proptest! {
 
     /// Hash-based execution (hash joins, fused slot projections, hash
     /// aggregation) and nested-loop execution produce identical multisets
-    /// on randomized join/filter/aggregate plans.
+    /// on randomized join/filter/aggregate plans — without indexes, and
+    /// with one on t2's join column (and the chain's index), so index
+    /// nested-loop joins run too. Float keys put NULL, NaN and both zeros
+    /// against Int keys: every path matches as `=` does.
     #[test]
     fn executors_agree_on_random_plans(case in plan_case()) {
-        let cat = tables(&case, false);
-        let plan = build_plan(&case, &cat);
-        // Every generated plan must satisfy the logical invariants before
-        // it is meaningful to compare executors on it.
-        if let Err(e) = perm_algebra::verify::verify_logical(&plan, "binding") {
-            return Err(TestCaseError::fail(format!("generator produced an invalid plan: {e}")));
-        }
+        for t2_index in [false, true] {
+            let cat = tables(&case, t2_index);
+            let plan = build_plan(&case, &cat);
+            // Every generated plan must satisfy the logical invariants
+            // before it is meaningful to compare executors on it.
+            if let Err(e) = perm_algebra::verify::verify_logical(&plan, "binding") {
+                return Err(TestCaseError::fail(format!("generator produced an invalid plan: {e}")));
+            }
 
-        let cat = Arc::new(cat);
-        let hash = run(&cat, &plan);
-        let nlj = run_nlj(&cat, &plan);
-        match (hash, nlj) {
-            (Ok(h), Ok(n)) => prop_assert_eq!(
-                sorted(h),
-                sorted(n),
-                "executors diverge for {:?}",
-                case
-            ),
-            (Err(h), Err(n)) => prop_assert_eq!(h.to_string(), n.to_string()),
-            (h, n) => prop_assert!(false, "one executor failed: hash={:?} nlj={:?}", h, n),
+            let cat = Arc::new(cat);
+            let hash = run(&cat, &plan);
+            let nlj = run_nlj(&cat, &plan);
+            match (hash, nlj) {
+                (Ok(h), Ok(n)) => prop_assert_eq!(
+                    sorted(h),
+                    sorted(n),
+                    "executors diverge (t2 index: {}) for {:?}",
+                    t2_index,
+                    case
+                ),
+                (Err(h), Err(n)) => prop_assert_eq!(h.to_string(), n.to_string()),
+                (h, n) => prop_assert!(false, "one executor failed: hash={:?} nlj={:?}", h, n),
+            }
         }
     }
 }

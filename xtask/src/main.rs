@@ -75,11 +75,19 @@
 //!     tree, logical and physical, with its sublink sections; a second
 //!     renderer would drift from it (it once dropped sublink bodies).
 //!     Read with string literals kept, comments removed.
+//! 15. **`HashKey::One(` / `HashKey::Many(` only in
+//!     `crates/exec/src/operators/key.rs`** — one hash key: every
+//!     equality-keyed operator (hash join build, probe and Grace scatter,
+//!     index probe, aggregation) takes its keys from that module's
+//!     `KeyPlan`, which applies each column's match rule (`=` admits no
+//!     NULL or NaN, grouping equality admits both). A key built or taken
+//!     apart elsewhere is a second copy of that rule; three such copies
+//!     once matched NaN keys that `=` rejects.
 //!
 //! Test code (files under a `tests` directory, `*/tests.rs`, and
 //! `#[cfg(test)]` modules, tracked by brace depth) is exempt from rules
-//! 1–3 and 12–14: tests may unwrap, spawn, build executors and planners
-//! and pin drawn trees freely.
+//! 1–3 and 12–15: tests may unwrap, spawn, build executors, planners and
+//! hash keys and pin drawn trees freely.
 //!
 //! Deliberately `std`-only and line-based: the handful of false-positive
 //! shapes a real parser would handle (braces in string literals are
@@ -171,6 +179,11 @@ const PLANNER_CTOR_ALLOWED: &[&str] =
 /// connectors.
 const TREE_DRAWING_ALLOWED: &str = "crates/algebra/src/printer.rs";
 const TREE_CONNECTORS: &[&str] = &["├── ", "└── "];
+
+/// The one file allowed to build or take apart a hash key (rule 15), and
+/// the key's constructors.
+const HASH_KEY_ALLOWED: &str = "crates/exec/src/operators/key.rs";
+const HASH_KEY_CTORS: &[&str] = &["HashKey::One(", "HashKey::Many("];
 
 /// Calls that count as a cooperative cancellation check (rule 11):
 /// `Executor::check_cancelled` and `QueryContext::check`.
@@ -646,6 +659,16 @@ fn lint_file(rel: &str, source: &str, findings: &mut Vec<Finding>) {
                     "tree-drawing-confined",
                     "tree connector outside crates/algebra/src/printer.rs; draw plan trees \
                      with `perm_algebra::printer::draw`"
+                        .into(),
+                );
+            }
+
+            // Rule 15: one hash key.
+            if rel != HASH_KEY_ALLOWED && HASH_KEY_CTORS.iter().any(|c| code.contains(c)) {
+                report(
+                    "hash-key-confined",
+                    "hash key built or matched outside crates/exec/src/operators/key.rs; take \
+                     keys from its `KeyPlan` so every operator applies one match rule"
                         .into(),
                 );
             }
@@ -1184,6 +1207,28 @@ mod tests {
         assert!(run("crates/exec/src/tests.rs", src).is_empty());
         let in_test_mod = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
         assert!(run("crates/exec/src/planner.rs", &in_test_mod).is_empty());
+    }
+
+    #[test]
+    fn hash_keys_are_built_only_in_key_rs() {
+        let one = "fn f(v: Value) -> HashKey { HashKey::One(v) }\n";
+        let many = "fn f(k: HashKey) { if let HashKey::Many(t) = k { g(t) } }\n";
+        for file in [
+            "crates/exec/src/operators/join.rs",
+            "crates/exec/src/operators/aggregate.rs",
+            "crates/exec/src/executor.rs",
+        ] {
+            assert_eq!(run(file, one), ["hash-key-confined"], "{file}");
+            assert_eq!(run(file, many), ["hash-key-confined"], "{file}");
+        }
+        assert!(run("crates/exec/src/operators/key.rs", one).is_empty());
+        assert!(run("crates/exec/src/operators/key.rs", many).is_empty());
+        // Comments may name them; tests build them freely.
+        let doc = "/// A `HashKey::One(v)` allocates nothing.\nfn f() {}\n";
+        assert!(run("crates/exec/src/operators/join.rs", doc).is_empty());
+        assert!(run("crates/exec/src/operators/tests.rs", one).is_empty());
+        let in_test_mod = format!("#[cfg(test)]\nmod tests {{\n{one}}}\n");
+        assert!(run("crates/exec/src/operators/join.rs", &in_test_mod).is_empty());
     }
 
     #[test]
