@@ -138,8 +138,9 @@ impl Session {
                     table.set_provenance_columns(attrs)?;
                 }
                 let n = rows.len();
+                // A stored row must not keep a gathered block alive.
                 for r in rows {
-                    table.push_raw(r);
+                    table.push_raw(r.detach());
                 }
                 guard.create_table(table)?;
                 Ok(StatementResult::TableCreated { name, rows: n })

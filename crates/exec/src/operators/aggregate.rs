@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use perm_types::hash::{FxHashMap, FxHashSet};
 use perm_types::ops;
-use perm_types::{PermError, Result, Tuple, Value};
+use perm_types::{PermError, Result, RowBlock, Tuple, Value};
 
 use perm_algebra::expr::{AggCall, AggFunc, ScalarExpr};
 use perm_algebra::plan::AggOutput;
@@ -421,9 +421,10 @@ pub(super) fn merge_partials(into: &mut AggPartial, later: AggPartial) -> Result
     Ok(())
 }
 
-/// Turn a partial into output rows, in its first-appearance order; `tag`
-/// sees each group's opening position (the spilled driver keeps it to
-/// restore the global order, the others drop it).
+/// Turn a partial into output rows, in its first-appearance order, one
+/// block for all of them; `tag` sees each group's opening position (the
+/// spilled driver keeps it to restore the global order, the others drop
+/// it).
 ///
 /// With `witnesses = Some(rows)` — row `i` of `rows` is the partial's
 /// accumulated row `i` — each group emits its member rows in input
@@ -446,12 +447,11 @@ pub(super) fn finish<O>(
             state: GroupState::new(aggs),
         });
     }
+    let mut block = RowBlock::new(partial.groups.len(), group_by.len() + aggs.len());
     // no-cancel: output assembly from already-computed group states.
     let heads = partial.groups.into_iter().map(|Group { pos, key, state }| {
-        let mut vals = Vec::with_capacity(key.values().len() + aggs.len());
-        vals.extend_from_slice(key.values());
-        vals.extend(state.states.into_iter().map(AggState::finish));
-        (pos, Tuple::new(vals))
+        let aggs = state.states.into_iter().map(AggState::finish);
+        (pos, block.push(key.values().iter().cloned().chain(aggs)))
     });
     let Some(rows) = witnesses else {
         return Ok(heads.map(|(pos, t)| tag(pos, t)).collect());
@@ -464,6 +464,7 @@ pub(super) fn finish<O>(
     for &g in &partial.members {
         start[g + 1] += 1;
     }
+    let empty = (0..heads.len()).filter(|&g| start[g + 1] == 0).count();
     // no-cancel: bounded by the group count.
     for g in 0..heads.len() {
         start[g + 1] += start[g];
@@ -475,20 +476,20 @@ pub(super) fn finish<O>(
         order[next[g]] = i;
         next[g] += 1;
     }
-    let nulls = Tuple::nulls(rows.width());
-    let mut out = Vec::with_capacity(order.len().max(heads.len()));
+    let n = order.len() + empty;
+    let mut gather = rows.gathering(n, group_by.len() + aggs.len());
+    let mut out = Vec::with_capacity(n);
     for (g, (pos, head)) in heads.iter().enumerate() {
         let members = &order[start[g]..start[g + 1]];
         if members.is_empty() {
-            out.push(tag(*pos, head.concat(&nulls)));
+            out.push(tag(*pos, gather.padded(head.values(), rows.width())));
         }
         for &i in members {
             // Masked cancellation check per 4096 emitted rows.
             if out.len() % 4096 == 0 {
                 exec.check_cancelled()?;
             }
-            // per-lane alloc: the output row, built in one allocation.
-            out.push(tag(*pos, rows.gather_behind(head.values(), i)));
+            out.push(tag(*pos, rows.gather(head.values(), i, &mut gather)));
         }
     }
     Ok(out)

@@ -23,10 +23,11 @@
 //! its consumer asks. A `HashAggregate` over a join reads its keys and
 //! arguments the same way ([`RowRef`]) and gathers each witness row
 //! behind its group's head; every other consumer gets rows from
-//! [`JoinRefs::gather`]. Both go through one kernel, [`gather_row`],
-//! which builds a row in one allocation. A residual predicate, or a key
-//! that is not a plain column, is evaluated over a scratch row gathered
-//! for it.
+//! [`JoinRefs::gather`]. Every gathered output — a join's rows, a
+//! spilled partition's, an aggregate's — is one row block
+//! ([`RowBlock`]): one allocation, not one per row. A residual
+//! predicate, or a key that is not a plain column, is evaluated over a
+//! scratch row gathered for it.
 //!
 //! Each join has **one body and thin drivers**. The hash join's body is
 //! [`HashProbe::run`]: a range of probe rows against one built
@@ -41,7 +42,7 @@
 //!   resolved through each worker's catalog snapshot.
 //! * **spilled** (build reservation denied) — a Grace join through the
 //!   partition driver ([`super::spill`]): both inputs scatter to disk by
-//!   key hash, gathered a row at a time, the body runs once per partition
+//!   key hash, gathered a chunk at a time, the body runs once per partition
 //!   over the rows read back, and each partition's output is gathered
 //!   under its probe rows' input positions for the driver to put back in
 //!   probe order.
@@ -54,13 +55,14 @@
 //! ([`Candidates`]).
 
 use std::borrow::{Borrow, Cow};
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use perm_storage::Table;
 use perm_types::hash::{map_with_capacity, FxHashMap};
-use perm_types::{PermError, Result, Schema, Tuple, Value};
+use perm_types::{PermError, Result, RowBlock, Schema, Tuple, Value};
 
 use perm_algebra::plan::JoinType;
 
@@ -197,18 +199,17 @@ impl JoinRefs {
         })
     }
 
-    /// The rows, in order: each built once by [`gather_row`] (a refcount
-    /// bump when the refs are one input read whole).
+    /// The rows, in order, gathered into one block ([`View::gather`]).
     pub(super) fn gather(&self, exec: &Executor) -> Result<Vec<Tuple>> {
         let view = self.view(exec)?;
+        let mut gather = view.gathering(view.len(), 0);
         let mut out = Vec::with_capacity(view.len());
         for r in 0..view.len() {
             // Masked cancellation check per 4096 gathered rows.
             if r % 4096 == 0 {
                 exec.check_cancelled()?;
             }
-            // per-lane alloc: the output row, built in one allocation.
-            out.push(view.row(r).into_owned());
+            out.push(view.gather(&[], r, &mut gather));
         }
         Ok(out)
     }
@@ -224,14 +225,26 @@ fn read<'a>(rows: &[&'a [Tuple]], ids: &[u32], (s, c): Col) -> &'a Value {
     }
 }
 
-/// The gather kernel: `prefix`, then one output row's values through
-/// `layout`, built in one allocation (the iterator's length is exact).
-fn gather_row(prefix: &[Value], rows: &[&[Tuple]], ids: &[u32], layout: &[Col]) -> Tuple {
-    prefix
-        .iter()
-        .cloned()
-        .chain(layout.iter().map(|&at| read(rows, ids, at).clone()))
-        .collect()
+/// Rows of one [`View`] being gathered into one row block.
+pub(super) struct Gather<'a> {
+    /// `None` when the rows are their source rows, shared.
+    block: Option<RowBlock>,
+    /// The row being gathered: each source's row, `None` on a padded
+    /// side.
+    sources: Vec<Option<&'a [Value]>>,
+}
+
+impl Gather<'_> {
+    /// `prefix` followed by `width` NULLs, in the block: a global witness
+    /// aggregate's row over no input.
+    pub(super) fn padded(&mut self, prefix: &[Value], width: usize) -> Tuple {
+        let nulls = std::iter::repeat_n(Value::Null, width);
+        match &mut self.block {
+            Some(block) => block.push(prefix.iter().cloned().chain(nulls)),
+            // Shared rows have no prefix.
+            None => nulls.collect(),
+        }
+    }
 }
 
 /// [`JoinRefs`] with their sources resolved: what the bodies read.
@@ -267,20 +280,49 @@ impl<'a> View<'a> {
         read(&self.rows, self.ids(r), self.layout[col])
     }
 
-    /// Row `r` as a tuple: borrowed when the refs are one input read
-    /// whole, gathered otherwise.
-    pub(super) fn row(&self, r: usize) -> Cow<'a, Tuple> {
-        if self.identity {
-            Cow::Borrowed(&self.rows[0][self.ids[r] as usize])
-        } else {
-            Cow::Owned(gather_row(&[], &self.rows, self.ids(r), self.layout))
+    /// Row `r`'s values, in column order.
+    pub(super) fn values(&self, r: usize) -> impl ExactSizeIterator<Item = &'a Value> + '_ {
+        let ids = self.ids(r);
+        self.layout.iter().map(move |&at| read(&self.rows, ids, at))
+    }
+
+    /// Row `r` as its source row, when the refs are one input read whole.
+    fn source_row(&self, r: usize) -> Option<&'a Tuple> {
+        self.identity.then(|| &self.rows[0][self.ids[r] as usize])
+    }
+
+    /// A gather of up to `n` rows, each behind `prefix` values: one
+    /// block, or none when the rows are their source rows and nothing
+    /// precedes them.
+    pub(super) fn gathering(&self, n: usize, prefix: usize) -> Gather<'a> {
+        let shared = self.identity && prefix == 0;
+        Gather {
+            block: (!shared).then(|| RowBlock::new(n, prefix + self.width())),
+            sources: Vec::with_capacity(self.k()),
         }
     }
 
-    /// `prefix` followed by row `r`, in one allocation (a witness row
-    /// behind its group's head).
-    pub(super) fn gather_behind(&self, prefix: &[Value], r: usize) -> Tuple {
-        gather_row(prefix, &self.rows, self.ids(r), self.layout)
+    /// `prefix` followed by row `r`, as a tuple: the source row shared (a
+    /// refcount bump), or gathered into `gather`'s block, from
+    /// [`View::gathering`] with `prefix`'s width.
+    pub(super) fn gather(&self, prefix: &[Value], r: usize, gather: &mut Gather<'a>) -> Tuple {
+        let Some(block) = &mut gather.block else {
+            return self.rows[0][self.ids[r] as usize].clone();
+        };
+        // Each source's row is looked up once, not once per column.
+        let sources = &mut gather.sources;
+        sources.clear();
+        sources.extend(
+            (self.ids(r).iter().zip(&self.rows)).map(|(&id, rows)| match id {
+                NULL_ROW => None,
+                id => Some(rows[id as usize].values()),
+            }),
+        );
+        let row = self.layout.iter().map(|&(s, c)| match sources[s] {
+            Some(values) => &values[c],
+            None => &NULL,
+        });
+        block.push(prefix.iter().chain(row).cloned())
     }
 
     /// Bytes row `r` would hold as a tuple ([`Tuple::size_bytes`]), so
@@ -316,7 +358,8 @@ pub(super) trait RowRef {
     fn width(&self) -> usize;
     /// Column `col` (`col < width()`).
     fn value(&self, col: usize) -> &Value;
-    /// The row as a tuple, gathered if it is not one already.
+    /// The row as a tuple: a scratch row, gathered for evaluation, if it
+    /// is not one already.
     fn tuple(&self) -> Cow<'_, Tuple>;
 }
 
@@ -350,7 +393,18 @@ impl RowRef for RefRow<'_, '_> {
     }
 
     fn tuple(&self) -> Cow<'_, Tuple> {
-        self.view.row(self.r)
+        match self.view.source_row(self.r) {
+            Some(t) => Cow::Borrowed(t),
+            None => Cow::Owned(self.view.values(self.r).cloned().collect()),
+        }
+    }
+}
+
+/// Hashes as the row's tuple would: its width, then its values.
+impl Hash for RefRow<'_, '_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.width().hash(state);
+        self.view.values(self.r).for_each(|v| v.hash(state));
     }
 }
 
@@ -381,7 +435,10 @@ impl<'a> Residual<'a> {
         out: &mut Vec<u32>,
         start: usize,
     ) -> Result<bool> {
-        let scratch = gather_row(&[], &self.rows, &out[start..], &self.layout);
+        let ids = &out[start..];
+        let scratch: Tuple = (self.layout.iter())
+            .map(|&at| read(&self.rows, ids, at).clone())
+            .collect();
         let keep = self.pred.eval_bool(exec, &Env::new(&scratch, params));
         if !matches!(keep, Ok(Some(true))) {
             out.truncate(start);
@@ -779,14 +836,14 @@ impl HashProbe {
         // Where each output row keeps its probe row's id: a left build
         // puts the probe side second.
         let probe_at = usize::from(self.build_left);
+        let mut gather = view.gathering(view.len(), 0);
         for o in 0..view.len() {
             // Masked cancellation check per 4096 gathered rows.
             if o % 4096 == 0 {
                 exec.check_cancelled().map_err(fatal)?;
             }
             let tag = tags[view.ids(o)[probe_at] as usize];
-            // per-lane alloc: the output row, built in one allocation.
-            out.push((tag, view.row(o).into_owned()));
+            out.push((tag, view.gather(&[], o, &mut gather)));
         }
         ran.map_err(|(j, e)| (j.map(|j| tags[j as usize]), e))
     }

@@ -62,6 +62,12 @@ impl Pipe {
         }
     }
 
+    /// Whether the pipe passes on its input rows themselves (it has no
+    /// projection).
+    pub(crate) fn passes_rows(&self) -> bool {
+        self.project.is_none()
+    }
+
     /// One input row: `None` if the filter rejects it, else the projected
     /// (or, without a projection, the shared) output row. The reference
     /// semantics of the pipe.

@@ -6,6 +6,10 @@
 //! Tuple equality here is grouping equality (NULL == NULL, NaN == NaN),
 //! matching SQL's treatment of NULLs in set operations.
 //!
+//! DISTINCT, `INTERSECT` and `EXCEPT` pass on part of their input, so
+//! they keep each surviving row through [`Tuple::detach`]: a row of a
+//! gathered block does not keep the whole block alive.
+//!
 //! Each operator has **one body** — [`setop_kernel`] holds the `(op, all)`
 //! logic, [`keep_first`] the first-occurrence dedup — written over a
 //! stream of position-tagged rows of *one hash partition*. The serial
@@ -124,6 +128,7 @@ pub(super) fn setop_kernel<G>(
 /// hits are the bag intersection (min(countL, countR) copies) and the
 /// misses the bag difference (countL − countR); under set semantics a
 /// hit consumes nothing and only the first occurrence of a row survives.
+/// Survivors are detached.
 fn filter_left<G>(
     ctx: &QueryContext,
     l: impl Iterator<Item = Result<(G, Tuple)>>,
@@ -159,7 +164,7 @@ fn filter_left<G>(
             _ => false,
         };
         if hit == keep_hits && (all || seen.insert(t.clone())) {
-            emit(tag, t);
+            emit(tag, t.detach());
         }
     }
     Ok(())
@@ -207,8 +212,8 @@ impl Partitioned<1> for Distinct {
 }
 
 /// The one body of DISTINCT: hand the first occurrence of every distinct
-/// row of one hash partition (in tag order) to `emit`; a failing `emit`
-/// stops the dedup.
+/// row of one hash partition (in tag order), detached, to `emit`; a
+/// failing `emit` stops the dedup.
 pub(super) fn keep_first<G>(
     ctx: &QueryContext,
     capacity: usize,
@@ -227,8 +232,9 @@ pub(super) fn keep_first<G>(
         // and no clone. Contrast with UNION above, whose mostly-distinct
         // inputs make the single-probe insert the better trade there.
         if !seen.contains(&t) {
-            seen.insert(t.clone());
-            emit(tag, t)?;
+            let kept = t.detach();
+            seen.insert(t);
+            emit(tag, kept)?;
         }
     }
     Ok(())

@@ -223,7 +223,7 @@ fn sort_spill(
             // Composite record: the computed keys, then the row — split
             // back apart at read time.
             let composite: Tuple = ks.into_iter().chain(t.iter().cloned()).collect();
-            w.push(0, &composite)?;
+            w.push(0, composite.iter())?;
         }
         res.shrink(charged);
         writers.push(w);

@@ -30,7 +30,7 @@ use perm_types::{PermError, Result, Tuple};
 
 use crate::executor::Executor;
 use crate::memory::{grow_batched, MemoryReservation};
-use crate::operators::join::{JoinRefs, RefRow, RowRef};
+use crate::operators::join::{JoinRefs, RefRow};
 use crate::operators::RowError;
 use crate::parallel::{map_chunks, run_workers, Channel};
 use crate::physical::spill_fanout_for_rows;
@@ -99,7 +99,7 @@ pub(super) trait Partitioned<const N: usize>: Send + Sync + 'static {
     /// The partition of a `row` of input `k`, `None` for a row that
     /// cannot contribute. By default the row's own hash: equal rows meet.
     fn key(&self, _: &Executor, _: usize, row: &RefRow, parts: usize) -> Result<Option<usize>> {
-        Ok(Some(partition_of(&*row.tuple(), parts)))
+        Ok(Some(partition_of(row, parts)))
     }
 
     /// Run over one partition, `rows[k]` streaming input `k`'s share:
@@ -169,6 +169,7 @@ fn in_memory<const N: usize, P: Partitioned<N>>(
         let chunks = map_chunks(exec.context(), dop, total, move |range| {
             let sub = worker();
             let view = refs.view(&sub)?;
+            let mut gather = view.gathering(range.len(), 0);
             let mut buckets = vec![Vec::new(); dop];
             for (n, i) in range.enumerate() {
                 // Masked cancellation check per 4096 scattered rows.
@@ -177,7 +178,7 @@ fn in_memory<const N: usize, P: Partitioned<N>>(
                 }
                 let tag = offset + i as u64;
                 match op.key(&sub, k, &view.at(i), dop) {
-                    Ok(Some(p)) => buckets[p].push((tag, view.row(i).into_owned())),
+                    Ok(Some(p)) => buckets[p].push((tag, view.gather(&[], i, &mut gather))),
                     Ok(None) => {}
                     Err(e) => return Ok((buckets, Some((tag, e)))),
                 }
@@ -245,7 +246,7 @@ fn on_disk<const N: usize, P: Partitioned<N>>(
             }
             let tag = offset + i as u64;
             match op.key(exec, k, &view.at(i), parts) {
-                Ok(Some(p)) => files.push(p, tag, &view.row(i))?,
+                Ok(Some(p)) => files.push(p, tag, view.values(i))?,
                 Ok(None) => {}
                 Err(e) => {
                     *first_err = Some((tag, e));

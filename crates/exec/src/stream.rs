@@ -27,7 +27,9 @@
 //! operations, DISTINCT, `VALUES`) run their body once on the first pull
 //! (`Executor::run_blocking`) and hand the result out `want` rows at a
 //! time. The cursor evaluates nothing itself, so a pulled row is the row
-//! the body computes.
+//! the body computes. A blocking body's rows share row blocks, so a
+//! `LIMIT` or a filter-only pipe over one keeps the rows it passes on
+//! through [`Tuple::detach`].
 //!
 //! One blocking node may not block: a DISTINCT whose input the
 //! executor's snapshot proves duplicate-free (a key column of a base
@@ -347,6 +349,9 @@ impl<'p> Cursor<'p> {
                 };
                 let mut out = Vec::new();
                 *failed = pipe.run(exec, rows.iter(), &mut out).err();
+                if pipe.passes_rows() && input.blocking() {
+                    detach(&mut out);
+                }
                 Ok(Some(out))
             }
             Cursor::Limit {
@@ -373,6 +378,9 @@ impl<'p> Cursor<'p> {
                     rows.truncate(*r);
                     *r -= rows.len();
                 }
+                if input.blocking() {
+                    detach(&mut rows);
+                }
                 Ok(Some(rows))
             }
             Cursor::Append(left, right) => match left.next_chunk(exec, want)? {
@@ -391,6 +399,17 @@ impl<'p> Cursor<'p> {
                 exec.check_cancelled()?;
                 Ok(hand_out(rows, want))
             }
+        }
+    }
+
+    /// Whether the rows come from a blocking body: gathered into blocks
+    /// a row keeps alive whole, unlike a scan's base or projected rows.
+    fn blocking(&self) -> bool {
+        match self {
+            Cursor::Scan(_) => false,
+            Cursor::Pipe { input, .. } | Cursor::Limit { input, .. } => input.blocking(),
+            Cursor::Append(left, right) => left.blocking() || right.blocking(),
+            Cursor::Pending(_) | Cursor::Buffered(_) => true,
         }
     }
 
@@ -439,6 +458,15 @@ fn duplicate_free(catalog: &Catalog, plan: &PhysicalPlan) -> bool {
         PhysicalPlan::HashSetOp { all, .. } => !all,
         PhysicalPlan::HashAggregate { output, .. } => *output == AggOutput::Groups,
         _ => false,
+    }
+}
+
+/// Keep each of `rows` on its own ([`Tuple::detach`]): a node that passes
+/// on part of a blocking input's rows does not keep the rest alive.
+fn detach(rows: &mut [Tuple]) {
+    // no-cancel: bounded by one pulled chunk.
+    for t in rows {
+        *t = t.detach();
     }
 }
 

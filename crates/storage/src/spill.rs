@@ -171,8 +171,12 @@ impl SpillWriter {
         })
     }
 
-    /// Append one `(tag, row)` record.
-    pub fn push(&mut self, tag: u64, row: &Tuple) -> Result<()> {
+    /// Append one `(tag, row)` record, the row given by its values.
+    pub fn push<'v>(
+        &mut self,
+        tag: u64,
+        row: impl ExactSizeIterator<Item = &'v Value>,
+    ) -> Result<()> {
         let path = &self.file.path;
         let out = &mut self.out;
         out.write_all(&tag.to_le_bytes())
@@ -181,7 +185,7 @@ impl SpillWriter {
             .map_err(|_| PermError::Execution("spill write: row too wide".into()))?;
         out.write_all(&n.to_le_bytes())
             .map_err(|e| io_err("write", path, e))?;
-        for v in row.iter() {
+        for v in row {
             write_value(out, v).map_err(|e| {
                 if e.kind() == ErrorKind::InvalidData {
                     PermError::Execution(format!("spill write: {e}"))
@@ -350,8 +354,14 @@ impl SpillPartitions {
         self.writers.len()
     }
 
-    /// Append `(tag, row)` to partition `part`.
-    pub fn push(&mut self, part: usize, tag: u64, row: &Tuple) -> Result<()> {
+    /// Append `(tag, row)` to partition `part`, the row given by its
+    /// values.
+    pub fn push<'v>(
+        &mut self,
+        part: usize,
+        tag: u64,
+        row: impl ExactSizeIterator<Item = &'v Value>,
+    ) -> Result<()> {
         self.writers[part].push(tag, row)
     }
 
@@ -400,7 +410,7 @@ mod tests {
         let mut w = SpillWriter::create().unwrap();
         let rows = sample_rows();
         for (i, r) in rows.iter().enumerate() {
-            w.push(i as u64, r).unwrap();
+            w.push(i as u64, r.iter()).unwrap();
         }
         assert_eq!(w.len(), rows.len());
         let got: Vec<(u64, Tuple)> = w.into_reader().unwrap().map(|r| r.unwrap()).collect();
@@ -430,7 +440,7 @@ mod tests {
         assert!(!path.exists(), "writer drop must remove {path:?}");
 
         let mut w = SpillWriter::create().unwrap();
-        w.push(0, &Tuple::new(vec![Value::Int(1)])).unwrap();
+        w.push(0, Tuple::new(vec![Value::Int(1)]).iter()).unwrap();
         let r = w.into_reader().unwrap();
         let path = r.file.path.clone();
         assert!(path.exists());
@@ -444,7 +454,7 @@ mod tests {
         let mut parts = SpillPartitions::create(3).unwrap();
         for i in 0..10u64 {
             let row = Tuple::new(vec![Value::Int(i as i64)]);
-            parts.push((i % 3) as usize, i, &row).unwrap();
+            parts.push((i % 3) as usize, i, row.iter()).unwrap();
         }
         assert_eq!(parts.parts(), 3);
         assert_eq!(parts.part_len(0), 4);
@@ -476,9 +486,9 @@ mod tests {
         let _g = perm_fault::test_guard();
         perm_fault::configure("spill.read=read_err@1").unwrap();
         let mut w = SpillWriter::create().unwrap();
-        w.push(7, &Tuple::new(vec![Value::Int(7), Value::text("x")]))
+        w.push(7, Tuple::new(vec![Value::Int(7), Value::text("x")]).iter())
             .unwrap();
-        w.push(8, &Tuple::new(vec![Value::Int(8), Value::Null]))
+        w.push(8, Tuple::new(vec![Value::Int(8), Value::Null]).iter())
             .unwrap();
         let got: Vec<(u64, Tuple)> = w.into_reader().unwrap().map(|r| r.unwrap()).collect();
         assert_eq!(got.len(), 2, "one transient failure must be absorbed");
@@ -493,7 +503,7 @@ mod tests {
         let _g = perm_fault::test_guard();
         perm_fault::configure("spill.read=read_err").unwrap();
         let mut w = SpillWriter::create().unwrap();
-        w.push(7, &Tuple::new(vec![Value::Int(7)])).unwrap();
+        w.push(7, Tuple::new(vec![Value::Int(7)]).iter()).unwrap();
         let err = w.into_reader().unwrap().next().unwrap().unwrap_err();
         assert_eq!(err.kind(), "io");
         assert!(err.message().contains("injected read error"), "{err}");

@@ -12,12 +12,17 @@
 //! provenance name (`prov_<schema>_<relation>_<attribute>`) and are tracked
 //! positionally by the rewrite layer.
 
+#![deny(unsafe_code)]
+
 pub mod batch;
 pub mod error;
 pub mod hash;
 pub mod lifecycle;
 pub mod ops;
 pub mod schema;
+// The row block's layout, refcount and drop are the crate's one unsafe
+// code.
+#[allow(unsafe_code)]
 pub mod tuple;
 pub mod types;
 pub mod value;
@@ -26,6 +31,6 @@ pub use batch::{ColumnVec, NullBitmap, DEFAULT_BATCH_ROWS};
 pub use error::{PermError, Result};
 pub use lifecycle::{CancelHandle, CancelReason, QueryContext};
 pub use schema::{Column, Schema};
-pub use tuple::Tuple;
+pub use tuple::{RowBlock, Tuple};
 pub use types::DataType;
 pub use value::Value;

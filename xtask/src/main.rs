@@ -116,6 +116,7 @@ const HOT_PATHS: &[&str] = &[
 const KERNEL_LOOP_FILES: &[&str] = &[
     "crates/exec/src/kernels.rs",
     "crates/exec/src/operators/join.rs",
+    "crates/exec/src/operators/aggregate.rs",
 ];
 
 /// Allocation shapes rule 10 bans inside kernel loops. Line-based like
@@ -127,6 +128,7 @@ const KERNEL_LOOP_ALLOCS: &[&str] = &[
     "Arc::new(",
     ".to_vec(",
     ".collect(",
+    "RowBlock::new(",
 ];
 
 /// The only modules allowed to start worker threads (rule 3).
@@ -1073,6 +1075,24 @@ mod tests {
             run("crates/exec/src/kernels.rs", lanes),
             ["no-alloc-in-kernel-loops"]
         );
+    }
+
+    #[test]
+    fn aggregate_loops_are_kernel_loops() {
+        // The witness loop gathers each output row; a row built per
+        // iteration needs its justification there too.
+        let bad = "fn finish() {\n  // no-cancel: bounded.\n  for &i in members {\n    out.push(row.iter().collect());\n  }\n}\n";
+        assert_eq!(
+            run("crates/exec/src/operators/aggregate.rs", bad),
+            ["no-alloc-in-kernel-loops"]
+        );
+        let block = "fn finish() {\n  // no-cancel: bounded.\n  for g in groups {\n    let b = RowBlock::new(1, w);\n  }\n}\n";
+        assert_eq!(
+            run("crates/exec/src/operators/aggregate.rs", block),
+            ["no-alloc-in-kernel-loops"]
+        );
+        let justified = "fn finish() {\n  // no-cancel: bounded.\n  for &i in members {\n    // per-lane alloc: one row.\n    out.push(row.iter().collect());\n  }\n}\n";
+        assert!(run("crates/exec/src/operators/aggregate.rs", justified).is_empty());
     }
 
     #[test]
